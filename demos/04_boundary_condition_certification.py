@@ -10,11 +10,11 @@ port (I_tot(0), I_tot(1), V(0), -V(1)).
 import numpy as np
 
 from cablefield.certify import (
+    PortLaw,
     build_colocated_output,
     check_admissible,
     colocation_defect,
     kernel_relation_oracle,
-    BoundaryConditionSpec,
     wellposedness_constants,
 )
 
@@ -47,9 +47,9 @@ for name in ("open ends   [I, 0]", "resistive   [I, I]", "mismatched  [2I, I]"):
           f"  cond [W_B;W_C] = {np.linalg.cond(np.vstack([W_B, W_C])):.2f}")
 
 print("\nwell-posedness constants for the resistive law (unit materials):")
-spec = BoundaryConditionSpec(W_B_inp=laws["resistive   [I, I]"],
-                             W_B_0=np.zeros((0, 4)),
-                             W_C_out=build_colocated_output(laws["resistive   [I, I]"]),
-                             k=1)
-cert = wellposedness_constants(spec, hodge_min=1.0, hodge_max=1.0)
+law = PortLaw(W_B_inp=laws["resistive   [I, I]"],
+              W_B_0=np.zeros((0, 4)),
+              W_C_out=build_colocated_output(laws["resistive   [I, I]"]),
+              k=1)
+cert = wellposedness_constants(law, hodge_min=1.0, hodge_max=1.0)
 print(f"  delta={cert.delta}, gamma={cert.gamma}, c={cert.c}, c_t={cert.c_t}")

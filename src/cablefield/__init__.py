@@ -6,8 +6,8 @@ geometry   cable curves, adapted frames, lateral-surface charts
 tline      staggered SBP discretization of the telegrapher system
 maxwell    staggered (Yee) discretization of the field equations
 coupling   surface coupling operators and voltage lifting
-assembly   global block operators, boundary ports, system node
-certify    boundary-condition certification and well-posedness constants
+assembly   global block operators, boundary ports, closed loop
+certify    port law (PortLaw), certification and well-posedness constants
 sim        implicit-midpoint time integration and energy accounting
 scenario   configuration files -> assembled scenarios
 cli        command-line front end (python -m cablefield ...)
@@ -20,7 +20,6 @@ __version__ = "0.1.0"
 from .assembly import (      # noqa: E402
     ClosedLoop,
     OperatorBundle,
-    SystemNode,
     apply_FG,
     apply_KL,
     assemble_system,
@@ -29,11 +28,10 @@ from .assembly import (      # noqa: E402
     hodge_extremes,
 )
 from .certify import (       # noqa: E402
-    BoundaryConditionSpec,
     Certificate,
+    PortLaw,
     build_colocated_output,
     check_admissible,
-    check_max_dissipative,
     wellposedness_constants,
 )
 from .coupling import assemble_P_el, assemble_P_mag, lift_voltage  # noqa: E402

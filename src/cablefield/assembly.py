@@ -24,26 +24,29 @@ update driven by the lifted edge field (see tests).
 
 Port convention
 ---------------
-All boundary-condition matrices act on the stacked port vector
+The boundary-condition matrices live in one certify.PortLaw and act on the
+stacked port vector
 
     z = (B1 e, B2 e) = (I_tot(0), I_tot(1), V(0), -V(1))  in C^{4k}
 
-paired with Sigma = [[0, I_2k], [I_2k, 0]]: z^H Sigma z / 2 is the power
-flowing in through the cable ends.  Inputs enter through the constraint
-rows (u, 0) = [W_B_inp; W_B_0] z; realizing them replaces the extrapolated
-endpoint currents by ghost values solved from the port law, which needs
-the current-side block W1 = W_B[:, :2k] to be invertible (true for every
-strictly dissipative port law and for the skew laws used here).
+paired with Sigma = [[0, I_2k], [I_2k, 0]] (certify.sigma_matrix):
+z^H Sigma z / 2 is the power flowing in through the cable ends.  Inputs
+enter through the constraint rows (u, 0) = [W_B_inp; W_B_0] z; realizing
+them replaces the extrapolated endpoint currents by ghost values solved
+from the port law, which needs the current-side block W1 = W_B[:, :2k] to
+be invertible (true for every strictly dissipative port law and for the
+skew laws used here).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
 
+from .certify import PortLaw
 from .coupling import CouplingMatrices
 from .errors import AssemblyError, CertificateError, DomainError
 from .maxwell import CurlPair
@@ -51,13 +54,7 @@ from .tline import LineBlocks
 
 COUPLING_SIGN = -1.0   # orientation of the lateral coupling insertions;
                        # pinned against the staircase-lift Faraday route
-
-
-def sigma_matrix(two_k: int) -> np.ndarray:
-    """The indefinite port pairing [[0, I], [I, 0]] on C^{2*two_k}."""
-    z = np.zeros((two_k, two_k))
-    eye = np.eye(two_k)
-    return np.block([[z, eye], [eye, z]])
+_DOMAIN_TOL = 1e-8     # max |W_B z - (u, 0)| accepted by apply_FG
 
 
 @dataclass(frozen=True)
@@ -228,70 +225,22 @@ def assemble_system(line: LineBlocks, curls: CurlPair,
 
 
 # ---------------------------------------------------------------------------
-# system node: boundary inputs / outputs
+# port-law operations
 # ---------------------------------------------------------------------------
 
-def _check_port_matrix(W_B: np.ndarray, k: int):
-    if W_B.shape != (2 * k, 4 * k):
-        raise CertificateError(f"W_B must be {2 * k}x{4 * k}, got {W_B.shape}")
-    sv = np.linalg.svd(W_B, compute_uv=False)
-    if sv[-1] <= 1e-10 * sv[0]:
-        raise CertificateError("W_B is rank deficient")
-    sig = sigma_matrix(2 * k)
-    K = W_B @ sig @ W_B.conj().T
-    lam = np.linalg.eigvalsh(0.5 * (K + K.conj().T))
-    if lam.min() < -1e-10 * max(1.0, lam.max()):
-        raise CertificateError(f"W_B Sigma W_B^H has negative eigenvalue {lam.min():.3e}")
-
-
-@dataclass
-class SystemNode:
-    """Boundary input/output configuration acting on the stacked port."""
-
-    W_B_inp: np.ndarray      # (m, 4k)
-    W_B_0: np.ndarray        # (2k - m, 4k)
-    W_C_out: np.ndarray      # (p, 4k)
-    k: int
-    bc_tol: float = 1e-8
-
-    def __post_init__(self):
-        self.W_B_inp = np.atleast_2d(np.asarray(self.W_B_inp, dtype=complex))
-        self.W_B_0 = np.asarray(self.W_B_0, dtype=complex).reshape(-1, 4 * self.k)
-        self.W_C_out = np.atleast_2d(np.asarray(self.W_C_out, dtype=complex))
-        _check_port_matrix(self.W_B, self.k)
-
-    @property
-    def W_B(self):
-        return np.vstack([self.W_B_inp, self.W_B_0])
-
-    @property
-    def m(self):
-        return self.W_B_inp.shape[0]
-
-    @property
-    def p(self):
-        return self.W_C_out.shape[0]
-
-    def u_hat(self, u) -> np.ndarray:
-        u = np.atleast_1d(np.asarray(u))
-        if u.size != self.m:
-            raise DomainError(f"input has {u.size} ports, node expects {self.m}")
-        return np.concatenate([u, np.zeros(2 * self.k - self.m)])
-
-
-def apply_FG(bundle: OperatorBundle, node: SystemNode, e: np.ndarray, u) -> np.ndarray:
+def apply_FG(bundle: OperatorBundle, law: PortLaw, e: np.ndarray, u) -> np.ndarray:
     """(J - R) e with the boundary-compatibility check of the node domain."""
     z = bundle.ports(e)
-    defect = node.W_B @ z - node.u_hat(u)
-    if np.abs(defect).max() > node.bc_tol:
+    defect = np.abs(law.W_B @ z - law.u_hat(u)).max()
+    if defect > _DOMAIN_TOL:
         raise DomainError(
-            f"(e, u) violates the boundary constraint by {np.abs(defect).max():.3e} "
-            f"(tolerance {node.bc_tol:.1e}); the pair is outside the node domain")
+            f"(e, u) violates the boundary constraint by {defect:.3e} "
+            f"(tolerance {_DOMAIN_TOL:.1e}); the pair is outside the node domain")
     return (bundle.J - bundle.Rd) @ e
 
 
-def apply_KL(bundle: OperatorBundle, node: SystemNode, e: np.ndarray) -> np.ndarray:
-    return node.W_C_out @ bundle.ports(e)
+def apply_KL(bundle: OperatorBundle, law: PortLaw, e: np.ndarray) -> np.ndarray:
+    return law.W_C_out @ bundle.ports(e)
 
 
 # ---------------------------------------------------------------------------
@@ -308,27 +257,27 @@ class ClosedLoop:
     """
 
     bundle: OperatorBundle
-    node: SystemNode
+    law: PortLaw
     A: sp.csr_matrix          # N x N generator (J_cl - Rd) Hd
     Bu: sp.csr_matrix         # N x 2k input injection (takes u_hat)
     G_fb: np.ndarray          # 2k x N: effort -> ghost currents, u = 0 part
     W1_inv: np.ndarray
 
     def ghost_currents(self, e: np.ndarray, u) -> np.ndarray:
-        return self.G_fb @ e + self.W1_inv @ self.node.u_hat(u)
+        return self.G_fb @ e + self.W1_inv @ self.law.u_hat(u)
 
     def used_ports(self, e: np.ndarray, u) -> np.ndarray:
         """Port vector with the enforced (not extrapolated) currents."""
         return np.concatenate([self.ghost_currents(e, u), self.bundle.B2 @ e])
 
     def output(self, e: np.ndarray, u) -> np.ndarray:
-        return self.node.W_C_out @ self.used_ports(e, u)
+        return self.law.W_C_out @ self.used_ports(e, u)
 
 
-def build_closed_loop(bundle: OperatorBundle, node: SystemNode) -> ClosedLoop:
+def build_closed_loop(bundle: OperatorBundle, law: PortLaw) -> ClosedLoop:
     k = bundle.k
-    W1 = node.W_B[:, :2 * k]
-    W2 = node.W_B[:, 2 * k:]
+    W1 = law.W_B[:, :2 * k]
+    W2 = law.W_B[:, 2 * k:]
     sv = np.linalg.svd(W1, compute_uv=False)
     if sv[-1] <= 1e-12 * max(sv[0], 1.0):
         raise CertificateError(
@@ -342,12 +291,11 @@ def build_closed_loop(bundle: OperatorBundle, node: SystemNode) -> ClosedLoop:
     J_cl = bundle.J + bundle.Lg_state @ delta
     A = ((J_cl - bundle.Rd) @ bundle.Hd).tocsr()
     Bu = (bundle.Lg_state @ sp.csr_matrix(W1_inv)).tocsr()
-    return ClosedLoop(bundle=bundle, node=node, A=A, Bu=Bu,
+    return ClosedLoop(bundle=bundle, law=law, A=A, Bu=Bu,
                       G_fb=np.asarray(G_fb), W1_inv=W1_inv)
 
 
-def constrained_generator(bundle: OperatorBundle, W_B: np.ndarray,
-                          bc_tol: float = 1e-8) -> ClosedLoop:
+def constrained_generator(bundle: OperatorBundle, W_B: np.ndarray) -> ClosedLoop:
     """Homogeneous-constraint generator for spectral studies.
 
     Wraps the closed loop with all ports homogeneous (u = 0); dense
@@ -355,14 +303,8 @@ def constrained_generator(bundle: OperatorBundle, W_B: np.ndarray,
     """
     W_B = np.asarray(W_B, dtype=complex)
     k = bundle.k
-    _check_port_matrix(W_B, k)
-    node = SystemNode(W_B_inp=W_B[:0], W_B_0=W_B, W_C_out=np.zeros((1, 4 * k)),
-                      k=k, bc_tol=bc_tol)
-    return build_closed_loop(bundle, node)
-
-
-def generator_spectrum(loop: ClosedLoop) -> np.ndarray:
-    return np.linalg.eigvals(loop.A.toarray())
+    law = PortLaw(W_B_inp=W_B[:0], W_B_0=W_B, W_C_out=np.zeros((1, 4 * k)), k=k)
+    return build_closed_loop(bundle, law)
 
 
 def hodge_extremes(bundle: OperatorBundle):
@@ -383,21 +325,3 @@ def hodge_extremes(bundle: OperatorBundle):
         hi = max(hi, lam.max())
     return float(lo), float(hi)
 
-
-def hermitian_part_bound(loop: ClosedLoop, n_probe: int = 12, seed: int = 0) -> float:
-    """Upper bound estimate of the numerical-range real part of the
-    closed-loop generator in the energy inner product, via power
-    iteration on the symmetrized operator."""
-    bundle = loop.bundle
-    ME = bundle.energy_metric()
-    S = (ME @ loop.A).tocsr()
-    Sh = 0.5 * (S + S.conj().T)
-    rng = np.random.default_rng(seed)
-    bound = -np.inf
-    MEd = ME.diagonal()
-    for _ in range(n_probe):
-        x = rng.standard_normal(bundle.n) + 1j * rng.standard_normal(bundle.n)
-        num = float(np.real(np.vdot(x, Sh @ x)))
-        den = float(np.real(np.vdot(x, MEd * x)))
-        bound = max(bound, num / den)
-    return bound

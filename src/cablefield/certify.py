@@ -2,11 +2,17 @@
 Finite-dimensional certification of boundary-condition matrices.
 
 All matrices act on the stacked port z = (I_tot(0), I_tot(1), V(0), -V(1))
-with the pairing Sigma = [[0, I], [I, 0]]; see assembly.  W_B = [W1, W2]
-is admissible when it has full row rank and K = W1 W2^H + W2 W1^H >= 0,
-which makes the kernel relation {(x, y) : W1 x + W2 y = 0} maximally
-dissipative (Re <x, y> <= 0 on an l-dimensional relation).  Strict
-positivity of K gives the well-posedness constants
+with the pairing Sigma = [[0, I], [I, 0]] (sigma_matrix; see assembly for
+the port convention).  The one boundary object is PortLaw: the law
+W_B z = (u, 0) with W_B = [W_B_inp; W_B_0], the outputs W_C_out and, when
+known, a full co-located completion W_C_full; the closed loop, the
+certificate and the scenario all hold it.
+
+W_B = [W1, W2] is admissible when it has full row rank and
+K = W1 W2^H + W2 W1^H >= 0, which makes the kernel relation
+{(x, y) : W1 x + W2 y = 0} maximally dissipative (Re <x, y> <= 0 on an
+l-dimensional relation).  Strict positivity of K gives the well-posedness
+constants
 
     delta = lambda_min( W2^-1 K W2^-H )
     gamma = || W_C_out [W_B; Wtilde_C]^-1 ||_2,   Wtilde_C = [W2^-H, 0]
@@ -37,12 +43,15 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import CertificateError
+from .errors import CertificateError, DomainError
 
 _EIG_TOL = 1e-10
+_COMPLETION_TOL = 1e-12    # relative residual of the completion equations
+_GN_MAX_ITERS = 100
 
 
 def sigma_matrix(two_k: int) -> np.ndarray:
+    """The indefinite port pairing [[0, I], [I, 0]] on C^{2*two_k}."""
     z = np.zeros((two_k, two_k))
     eye = np.eye(two_k)
     return np.block([[z, eye], [eye, z]])
@@ -56,21 +65,34 @@ def _split(W_B: np.ndarray):
 
 
 @dataclass
-class BoundaryConditionSpec:
-    """Input/zero/output port matrices for a k-cable system."""
+class PortLaw:
+    """Admissible boundary law on the stacked port of a k-cable system.
+
+    W_B = [W_B_inp; W_B_0] (2k x 4k) imposes W_B z = (u, 0) with m inputs;
+    W_C_out (p x 4k) reads the outputs y = W_C_out z.  W_C_full, when
+    known, is a full co-located completion (2k x 4k) of W_B; it closes the
+    boundary term of the energy ledger.  Construction checks the shapes and
+    admissibility and raises CertificateError otherwise.
+    """
 
     W_B_inp: np.ndarray
     W_B_0: np.ndarray
     W_C_out: np.ndarray
     k: int
+    W_C_full: Optional[np.ndarray] = None
 
     def __post_init__(self):
         four_k = 4 * self.k
-        self.W_B_inp = np.asarray(self.W_B_inp, dtype=complex).reshape(-1, four_k)
-        self.W_B_0 = np.asarray(self.W_B_0, dtype=complex).reshape(-1, four_k)
-        self.W_C_out = np.asarray(self.W_C_out, dtype=complex).reshape(-1, four_k)
+        self.W_B_inp = _port_rows(self.W_B_inp, four_k, "W_B_inp")
+        self.W_B_0 = _port_rows(self.W_B_0, four_k, "W_B_0")
+        self.W_C_out = _port_rows(self.W_C_out, four_k, "W_C_out")
+        if self.W_C_full is not None:
+            self.W_C_full = np.asarray(self.W_C_full, dtype=complex)
         if self.W_B_inp.shape[0] + self.W_B_0.shape[0] != 2 * self.k:
             raise CertificateError("W_B_inp and W_B_0 must stack to 2k rows")
+        adm = check_admissible(self.W_B)
+        if not adm["admissible"]:
+            raise CertificateError(f"W_B is not admissible: {adm}")
 
     @property
     def W_B(self):
@@ -83,6 +105,22 @@ class BoundaryConditionSpec:
     @property
     def p(self):
         return self.W_C_out.shape[0]
+
+    def u_hat(self, u) -> np.ndarray:
+        u = np.atleast_1d(np.asarray(u))
+        if u.size != self.m:
+            raise DomainError(f"input has {u.size} ports, port law expects {self.m}")
+        return np.concatenate([u, np.zeros(2 * self.k - self.m)])
+
+
+def _port_rows(W, four_k: int, name: str) -> np.ndarray:
+    W = np.asarray(W, dtype=complex)
+    if W.size == 0:
+        return W.reshape(0, four_k)
+    W = np.atleast_2d(W)
+    if W.ndim != 2 or W.shape[1] != four_k:
+        raise CertificateError(f"{name} must have 4k = {four_k} columns, got shape {W.shape}")
+    return W
 
 
 @dataclass
@@ -138,15 +176,6 @@ def check_admissible(W_B: np.ndarray) -> dict:
     }
 
 
-def check_max_dissipative(W1: np.ndarray, W2: np.ndarray) -> bool:
-    """Sufficient criterion: [W1 W2] full row rank and K >= 0."""
-    W1 = np.asarray(W1, dtype=complex)
-    W2 = np.asarray(W2, dtype=complex)
-    if W1.shape != W2.shape or W1.shape[0] != W1.shape[1]:
-        raise CertificateError("W1, W2 must be square and of equal size")
-    return check_admissible(np.hstack([W1, W2]))["admissible"]
-
-
 def kernel_relation_oracle(W1: np.ndarray, W2: np.ndarray) -> dict:
     """Relation-level check: the kernel of [W1 W2] as a set of (x, y) pairs.
 
@@ -186,13 +215,14 @@ def colocation_defect(W_B: np.ndarray, W_C: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(0.5 * (D + D.conj().T))
 
 
-def build_colocated_output(W_B: np.ndarray, newton_iters: int = 100) -> np.ndarray:
+def build_colocated_output(W_B: np.ndarray) -> np.ndarray:
     """Completion W_C with W_B Sigma W_C^H = I and W_C Sigma W_C^H = 0.
 
     Strict laws use the closed form [W2^-H, 0]; skew laws the hyperbolic
     completion in the coordinates diagonalizing Sigma (then [W_B; W_C] is
     exactly Sigma-unitary); mixed laws fall back to a Gauss-Newton search
-    seeded by the minimum-norm dual.
+    seeded by the minimum-norm dual.  Every branch's result is checked
+    against both defining equations to 1e-12 max(1, ||W_B||_2 ||W_C||_2).
     """
     W_B = np.asarray(W_B, dtype=complex)
     adm = check_admissible(W_B)
@@ -217,8 +247,13 @@ def build_colocated_output(W_B: np.ndarray, newton_iters: int = 100) -> np.ndarr
                        -0.5 * np.linalg.inv(Gm).conj().T])
         W_C = H @ P
     else:
-        W_C = _gauss_newton_completion(W_B, sig, newton_iters)
+        W_C = _gauss_newton_completion(W_B, sig)
 
+    res = max(np.abs(W_B @ sig @ W_C.conj().T - np.eye(two_k)).max(),
+              np.abs(W_C @ sig @ W_C.conj().T).max())
+    if res > _COMPLETION_TOL * max(1.0, np.linalg.norm(W_B, 2) * np.linalg.norm(W_C, 2)):
+        raise CertificateError(
+            f"completion violates W_B Sigma W_C^H = I, W_C Sigma W_C^H = 0: residual {res:.3e}")
     M = np.vstack([W_B, W_C])
     defect = colocation_defect(W_B, W_C)
     if defect.max() > _EIG_TOL * max(1.0, np.abs(defect).max()):
@@ -229,11 +264,11 @@ def build_colocated_output(W_B: np.ndarray, newton_iters: int = 100) -> np.ndarr
     return W_C
 
 
-def _gauss_newton_completion(W_B, sig, iters):
+def _gauss_newton_completion(W_B, sig):
     two_k = W_B.shape[0]
     A = W_B @ sig
     C = (np.linalg.pinv(A)).conj().T          # min-norm solution of A C^H = I
-    for _ in range(iters):
+    for _ in range(_GN_MAX_ITERS):
         r1 = W_B @ sig @ C.conj().T - np.eye(two_k)
         r2 = C @ sig @ C.conj().T
         res = max(np.abs(r1).max(), np.abs(r2).max())
@@ -241,11 +276,7 @@ def _gauss_newton_completion(W_B, sig, iters):
             return C
         # linearize: dC from stacked least squares in vectorized form
         n_unk = C.size
-        Jr = np.zeros((r1.size + r2.size, 2 * n_unk))
         rhs = -np.concatenate([r1.reshape(-1), r2.reshape(-1)])
-
-        def pack(dr):
-            return np.concatenate([dr.real.reshape(-1), dr.imag.reshape(-1)])
 
         basis = np.eye(n_unk)
         rows1 = []
@@ -302,11 +333,11 @@ def find_full_colocated(W_B: np.ndarray, W_C_out: np.ndarray):
     return None
 
 
-def wellposedness_constants(spec: BoundaryConditionSpec,
+def wellposedness_constants(law: PortLaw,
                             hodge_min: float, hodge_max: float) -> Certificate:
     """Certificate with delta, gamma, c, c_t for a strict port law;
     admissibility flags are reported for any law."""
-    W_B = spec.W_B
+    W_B = law.W_B
     adm = check_admissible(W_B)
     delta = gamma = c = c_t = None
 
@@ -319,13 +350,13 @@ def wellposedness_constants(spec: BoundaryConditionSpec,
         delta = float(np.linalg.eigvalsh(0.5 * (Wmat + Wmat.conj().T)).min())
         Wtilde = np.hstack([W2_inv.conj().T, np.zeros_like(W2)])
         big = np.vstack([W_B, Wtilde])
-        gamma = float(np.linalg.norm(spec.W_C_out @ np.linalg.inv(big), 2))
+        gamma = float(np.linalg.norm(law.W_C_out @ np.linalg.inv(big), 2))
         c = float(np.sqrt(hodge_max / hodge_min))
         c_t = max(1.0, c) * max(1.0, gamma) * (1.0 + gamma)
 
     colocated = None
-    if adm["admissible"] and spec.p == spec.m:
-        colocated = find_full_colocated(W_B, spec.W_C_out) is not None
+    if adm["admissible"] and law.p == law.m:
+        colocated = find_full_colocated(W_B, law.W_C_out) is not None
 
     return Certificate(
         admissible=adm["admissible"],
@@ -341,11 +372,3 @@ def wellposedness_constants(spec: BoundaryConditionSpec,
         },
     )
 
-
-def require_strict(spec_or_WB) -> None:
-    W_B = spec_or_WB.W_B if isinstance(spec_or_WB, BoundaryConditionSpec) else spec_or_WB
-    adm = check_admissible(W_B)
-    if not adm["strict"]:
-        raise CertificateError(
-            "well-posedness constants need a strictly positive port law "
-            f"(K eig min = {adm['K_eig_min']:.3e})")

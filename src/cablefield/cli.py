@@ -216,7 +216,7 @@ def _ledger_convergence(scn, levels, threads):
     def level(j):
         import dataclasses
         cfg = dataclasses.replace(scn.sim_config, dt=scn.sim_config.dt / 2 ** j)
-        traj = run(loop, cfg, x0=x0, W_C_full=scn.W_C_full)
+        traj = run(loop, cfg, x0=x0)
         if traj.ledger["partial"]:
             raise ConfigError("ledger study needs a co-located output")
         return traj.ledger["max_residual"] / max(traj.ledger["peak_energy"], 1e-300)

@@ -30,8 +30,8 @@ straight cylinder along z it is (sin t, cos t, 0).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -69,42 +69,15 @@ class CableCurve:
 
     # -- shared helpers -----------------------------------------------------
 
-    def nearest_parameter(self, p: np.ndarray, lo: float = -0.45, hi: float = 1.45,
-                          coarse: int = 512, tol: float = 1e-12, max_iter: int = 50):
-        """Stationary parameter of |p - alpha(eta)|^2 near its coarse argmin.
-
-        Returns (eta, gap) where gap = p - alpha(eta).  Newton on
-        g(eta) = (p - alpha) . alpha', clamped to a window around the
-        coarse argmin; the curvature bound keeps g' negative for points
-        within collar distance of the tube.
-        """
-        p = np.asarray(p, dtype=float)
-        etas = np.linspace(lo, hi, coarse)
-        pts = self.alpha(etas)
-        j = int(np.argmin(((pts - p) ** 2).sum(axis=1)))
-        eta = float(etas[j])
-        step = (hi - lo) / (coarse - 1)
-        win = (max(lo, eta - 2 * step), min(hi, eta + 2 * step))
-        scale = max(1.0, self.length ** 2)
-        for _ in range(max_iter):
-            a = self.alpha(np.array([eta]))[0]
-            t1 = self.d1(np.array([eta]))[0]
-            t2 = self.d2(np.array([eta]))[0]
-            w = p - a
-            g = np.dot(w, t1)
-            if abs(g) < tol * scale:
-                return eta, w
-            gp = -np.dot(t1, t1) + np.dot(w, t2)
-            if gp >= -1e-12 * scale:
-                break
-            eta = float(np.clip(eta - g / gp, win[0], win[1]))
-        raise GeometryError(f"nearest-parameter iteration failed for point {p.tolist()}")
-
     def nearest_parameter_batch(self, pts: np.ndarray, lo: float = -0.45, hi: float = 1.45,
                                 coarse: int = 512, iters: int = 40, tol: float = 1e-12):
-        """Vectorized nearest_parameter over a point cloud.
+        """Stationary parameters of |p - alpha(eta)|^2 near their coarse
+        argmin, for every point p of a cloud.
 
-        Returns (eta, gap, converged); non-converged entries keep the best
+        Newton on g(eta) = (p - alpha) . alpha', clamped to a window around
+        the coarse argmin; the curvature bound keeps g' negative for points
+        within collar distance of the tube.  Returns (eta, gap, converged)
+        with gap = p - alpha(eta); non-converged entries keep the best
         iterate so callers can decide whether the point matters.
         """
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
@@ -501,15 +474,6 @@ class TubeChart:
         out = np.column_stack([eta, np.arctan2(c1, c2), rad / self.curve.radius - 1.0])
         return out if out.shape[0] > 1 else out[0]
 
-    def psi(self, p):
-        """Surface inverse (eta, theta) for points on the lateral surface."""
-        c = np.atleast_2d(self.psi_hat(p))
-        return c[:, :2] if c.shape[0] > 1 else c[0, :2]
-
-    def psi1(self, p):
-        c = np.atleast_2d(self.psi_hat(p))
-        return c[:, 0] if c.shape[0] > 1 else float(c[0, 0])
-
     def grad_eta(self, p):
         """Gradient of the collar eta-coordinate at points p: row 1 of
         (grad Phi_hat)^-1, used by the chain rule when lifting voltages."""
@@ -539,13 +503,6 @@ class TubeChart:
             overshoot = np.maximum(0.0, np.maximum(eta - 1.0, -eta))
             out = out * smooth_bump(overshoot, self.collar_halfwidth)
         return out
-
-    def in_collar(self, coords, eta_pad=None):
-        """Mask: collar coordinates fall inside the extended chart domain."""
-        coords = np.atleast_2d(coords)
-        eps = self.collar_halfwidth
-        pad = eps if eta_pad is None else eta_pad
-        return (np.abs(coords[:, 2]) < eps) & (coords[:, 0] > -pad) & (coords[:, 0] < 1.0 + pad)
 
 
 def build_chart(curve: CableCurve, frame: AdaptedFrame, n_eta: int, n_theta: int,

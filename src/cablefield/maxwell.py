@@ -22,8 +22,8 @@ Unknown selection around the staircased tubes:
             else a B/H unknown
 
 Restricting the full curl to (dof faces) x (free edges) keeps the exact
-transpose identity; the discarded columns at BAND edges are exposed
-separately (``C_band``) because they carry the lateral coupling.
+transpose identity; the discarded columns at BAND edges carry the lateral
+coupling, which enters through the surface trace instead.
 """
 
 from __future__ import annotations
@@ -356,13 +356,12 @@ class CurlPair:
     masses M_E = M_H = h^3), so the discrete curl adjointness
     <C_E e, h>_MH - <e, C_H h>_ME = 0 holds for the retained unknowns;
     the boundary functional of the full-grid identity lives entirely on
-    the BAND columns exposed as C_band.
+    the discarded BAND columns.
     """
 
     grid: YeeGrid
     C_E: sp.csr_matrix
     C_H: sp.csr_matrix
-    C_band: sp.csr_matrix
     eps_edge: np.ndarray
     mu_face: np.ndarray
     sigma_edge: np.ndarray
@@ -390,7 +389,6 @@ def assemble_curls(grid: YeeGrid, m: FieldMaterials) -> CurlPair:
     C = _full_curl(grid.n, grid.h)
     C_dof = C[grid.dof_faces, :]
     C_E = C_dof[:, grid.free_edges].tocsr()
-    C_band = C_dof[:, grid.band_edges].tocsr()
     C_H = C_E.T.tocsr()
 
     # material averaging onto edges / faces (harmonic across edges for eps,
@@ -398,7 +396,7 @@ def assemble_curls(grid: YeeGrid, m: FieldMaterials) -> CurlPair:
     eps_e = _average_to_edges(grid, m, "eps", harmonic=True)[grid.free_edges]
     sig_e = _average_to_edges(grid, m, "sigma", harmonic=False)[grid.free_edges]
     mu_f = _average_to_faces(grid, m, "mu")[grid.dof_faces]
-    return CurlPair(grid=grid, C_E=C_E, C_H=C_H, C_band=C_band,
+    return CurlPair(grid=grid, C_E=C_E, C_H=C_H,
                     eps_edge=eps_e, mu_face=mu_f, sigma_edge=sig_e)
 
 

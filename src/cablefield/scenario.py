@@ -1,8 +1,13 @@
 """
 Scenario configuration: one JSON file -> assembled, certified system.
 
-Schema (SI units; complex entries written as [re, im], plain numbers are
-taken as real):
+Schema (SI units).  Numeric entries are parsed against the shape the key
+expects: a value of exactly that shape is real; the same shape with one
+extra trailing axis of length 2 holds [re, im] pairs; where a scalar is
+accepted (scalar materials, a 1-port amplitude) a bare number is real and
+one [re, im] pair is complex.  Any other shape is a ConfigError naming the
+key.  Hence a k = 2 material [[1.0, 0.1], [0.1, 1.0]] is a real 2 x 2
+matrix, and a 2-port amplitude [0.5, 0.0] is two real amplitudes.
 
     seed                 int, default 0
     geometry.box         [[x0,x1],[y0,y1],[z0,z1]], meters
@@ -15,13 +20,13 @@ taken as real):
     boundary.W_B_inp     m x 4k; boundary.W_B_0 (2k-m) x 4k
     boundary.W_C_out     p x 4k, or "colocated" to derive the co-located
                           output from W_B
-    sim.dt, sim.T, sim.input {kind, amplitude, freq, phase, t_on, ramp,
-                          table_t, table_u}, sim.initial {kind: zero|
+    sim.dt, sim.T, sim.input {kind, amplitude (m,), freq, phase, t_on,
+                          ramp, table_t, table_u}, sim.initial {kind: zero|
                           smooth|random|lift, seed, scale, V0},
                           sim.solver_tol, sim.record_stride
 
 All boundary matrices act on the stacked port (I_tot(0), I_tot(1), V(0),
--V(1)); see the assembly module docstring.
+-V(1)) and end up in one certify.PortLaw; see the assembly module docstring.
 """
 
 from __future__ import annotations
@@ -44,24 +49,20 @@ from .geometry import (
 )
 
 
-def parse_complex(value):
-    """Number -> real scalar; [re, im] pair -> complex scalar; nested
-    lists -> arrays with the same convention applied entrywise."""
-    if isinstance(value, (int, float)):
-        return complex(value)
-    if isinstance(value, list):
-        if len(value) == 2 and all(isinstance(v, (int, float)) for v in value):
-            return complex(value[0], value[1])
-        return np.array([parse_complex(v) for v in value])
-    raise ConfigError(f"cannot parse numeric entry {value!r}")
-
-
-def parse_matrix(value, shape=None):
-    out = parse_complex(value)
-    out = np.atleast_2d(np.asarray(out))
-    if shape is not None and out.shape != tuple(shape):
-        raise ConfigError(f"matrix has shape {out.shape}, expected {tuple(shape)}")
-    return out
+def parse_complex(value, shape, key: str, scalar: bool = False) -> np.ndarray:
+    """Numeric entry of the expected ``shape`` (real), or of ``shape + (2,)``
+    ([re, im] pairs, complex); with ``scalar`` also a number or one pair."""
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{key}: cannot parse numeric entry {value!r}") from exc
+    shapes = [tuple(shape)] + ([()] if scalar else [])
+    if arr.shape in shapes:
+        return arr
+    if arr.shape[-1:] == (2,) and arr.shape[:-1] in shapes:
+        return arr[..., 0] + 1j * arr[..., 1]
+    raise ConfigError(f"{key} has shape {arr.shape}, expected {tuple(shape)} (real) "
+                      f"or {tuple(shape) + (2,)} ([re, im] pairs)")
 
 
 def _build_cable(entry: dict):
@@ -94,19 +95,13 @@ def _port_matrix(bc: dict, key: str, k: int) -> np.ndarray:
     value = bc.get(key)
     if value is None or (isinstance(value, list) and len(value) == 0):
         return np.zeros((0, 4 * k))
-    out = parse_matrix(value)
-    if out.shape[1] != 4 * k:
-        raise ConfigError(f"{key} must have 4k = {4 * k} columns, got {out.shape[1]}")
-    return out
+    rows = len(value) if isinstance(value, list) else 1
+    return parse_complex(value, (rows, 4 * k), f"boundary.{key}")
 
 
-def _line_material_kwargs(lc: dict) -> dict:
-    out = {}
-    for name in ("C", "L", "R", "G"):
-        if name in lc:
-            v = lc[name]
-            out[name] = v if np.isscalar(v) else np.asarray(parse_matrix(v))
-    return out
+def _line_material_kwargs(lc: dict, k: int) -> dict:
+    return {name: parse_complex(lc[name], (k, k), f"line.{name}", scalar=True)
+            for name in ("C", "L", "R", "G") if name in lc}
 
 
 @dataclass
@@ -123,9 +118,7 @@ class Scenario:
     charts: list
     coupling: Optional[coupling.CouplingMatrices]
     bundle: assembly.OperatorBundle
-    node: assembly.SystemNode
-    bc_spec: certify.BoundaryConditionSpec
-    W_C_full: Optional[np.ndarray]
+    law: certify.PortLaw
     sim_config: Optional[sim.SimConfig]
     initial_spec: dict = field(default_factory=dict)
 
@@ -135,7 +128,7 @@ class Scenario:
 
     def certificate(self) -> certify.Certificate:
         lo, hi = assembly.hodge_extremes(self.bundle)
-        return certify.wellposedness_constants(self.bc_spec, lo, hi)
+        return certify.wellposedness_constants(self.law, lo, hi)
 
     def initial_state(self) -> np.ndarray:
         kind = self.initial_spec.get("kind", "zero")
@@ -153,20 +146,20 @@ class Scenario:
             if isinstance(v0, str):
                 v0 = np.sin(np.pi * self.line_grid.nodes) * scale
             else:
-                v0 = np.asarray(parse_complex(v0), dtype=float)
+                v0 = np.asarray(parse_complex(v0, self.line_grid.nodes.shape,
+                                             "sim.initial.V0"), dtype=float)
             line = int(self.initial_spec.get("line", 0))
             return sim.lifted_state(self.bundle, self.grid, self.charts[line],
                                     self.line_grid, v0, line=line)
         raise ConfigError(f"unknown initial condition kind {kind!r}")
 
     def closed_loop(self) -> assembly.ClosedLoop:
-        return assembly.build_closed_loop(self.bundle, self.node)
+        return assembly.build_closed_loop(self.bundle, self.law)
 
     def simulate(self) -> sim.Trajectory:
         if self.sim_config is None:
             raise ConfigError("scenario has no sim section")
-        return sim.run(self.closed_loop(), self.sim_config,
-                       x0=self.initial_state(), W_C_full=self.W_C_full)
+        return sim.run(self.closed_loop(), self.sim_config, x0=self.initial_state())
 
 
 def load_config(path: str) -> dict:
@@ -192,7 +185,7 @@ def build_scenario(config: dict) -> Scenario:
     k = int(lc["k"])
     n_cells = int(lc["n_cells"])
     line_grid = tline.build_line_grid(n_cells, k)
-    lm = tline.LineMaterials(k=k, **_line_material_kwargs(lc))
+    lm = tline.LineMaterials(k=k, **_line_material_kwargs(lc, k))
     line_blocks = tline.assemble_line(lm, line_grid)
 
     fc = config["fields"]
@@ -224,22 +217,15 @@ def build_scenario(config: dict) -> Scenario:
                           f"(got {W_B_inp.shape[0]} + {W_B_0.shape[0]}, k={k})")
     W_B = np.vstack([W_B_inp, W_B_0])
 
-    W_C_full = None
-    wco = bc.get("W_C_out", "colocated")
-    if isinstance(wco, str) and wco == "colocated":
+    if bc.get("W_C_out", "colocated") == "colocated":
         W_C_full = certify.build_colocated_output(W_B)
         m = W_B_inp.shape[0]
         W_C_out = W_C_full[:m] if m > 0 else W_C_full
     else:
-        W_C_out = parse_matrix(wco)
-        full = certify.find_full_colocated(W_B, W_C_out)
-        if full is not None:
-            W_C_full = full
-
-    bc_spec = certify.BoundaryConditionSpec(W_B_inp=W_B_inp, W_B_0=W_B_0,
-                                            W_C_out=W_C_out, k=k)
-    node = assembly.SystemNode(W_B_inp=W_B_inp, W_B_0=W_B_0, W_C_out=W_C_out, k=k,
-                               bc_tol=float(bc.get("bc_tol", 1e-8)))
+        W_C_out = _port_matrix(bc, "W_C_out", k)
+        W_C_full = certify.find_full_colocated(W_B, W_C_out)
+    law = certify.PortLaw(W_B_inp=W_B_inp, W_B_0=W_B_0, W_C_out=W_C_out, k=k,
+                          W_C_full=W_C_full)
 
     sim_cfg = None
     initial_spec = {}
@@ -248,9 +234,10 @@ def build_scenario(config: dict) -> Scenario:
         inp = sc.get("input", {"kind": "zero"})
         amplitude = inp.get("amplitude")
         if amplitude is not None:
-            amplitude = np.asarray(parse_complex(amplitude))
+            amplitude = parse_complex(amplitude, (law.m,), "sim.input.amplitude",
+                                      scalar=law.m == 1)
         signal = sim.InputSignal(
-            m=node.m, kind=inp.get("kind", "zero"), amplitude=amplitude,
+            m=law.m, kind=inp.get("kind", "zero"), amplitude=amplitude,
             freq=float(inp.get("freq", 1.0)), phase=float(inp.get("phase", 0.0)),
             t_on=float(inp.get("t_on", 0.0)), ramp=float(inp.get("ramp", 0.05)),
             table_t=inp.get("table_t"), table_u=inp.get("table_u"),
@@ -263,8 +250,8 @@ def build_scenario(config: dict) -> Scenario:
     return Scenario(config=config, seed=seed, geometry=spec,
                     line_grid=line_grid, line_materials=lm, line_blocks=line_blocks,
                     grid=grid, field_materials=fm, curls=curls, charts=charts,
-                    coupling=cp, bundle=bundle, node=node, bc_spec=bc_spec,
-                    W_C_full=W_C_full, sim_config=sim_cfg, initial_spec=initial_spec)
+                    coupling=cp, bundle=bundle, law=law, sim_config=sim_cfg,
+                    initial_spec=initial_spec)
 
 
 def validate_scenario(config: dict) -> dict:
@@ -288,7 +275,7 @@ def validate_scenario(config: dict) -> dict:
 
     lc = config["line"]
     k = int(lc["k"])
-    lm = tline.LineMaterials(k=k, **_line_material_kwargs(lc))
+    lm = tline.LineMaterials(k=k, **_line_material_kwargs(lc, k))
     line_rep = tline.validate_line_materials(lm)
     report["line_materials"] = line_rep
     report["passed"] &= line_rep["passed"]

@@ -18,16 +18,16 @@ reported as partial.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .assembly import ClosedLoop, OperatorBundle, sigma_matrix
+from .assembly import ClosedLoop, OperatorBundle
+from .certify import PortLaw, sigma_matrix
 from .errors import ConfigError, DomainError, SolverError
-from .geometry import smooth_bump
 
 
 # ---------------------------------------------------------------------------
@@ -90,7 +90,6 @@ class SimConfig:
     input: InputSignal
     solver_tol: float = 1e-10
     record_stride: int = 1
-    store_states: bool = False
 
     def __post_init__(self):
         if self.dt <= 0 or self.T < self.dt:
@@ -195,19 +194,12 @@ class MidpointStepper:
 
     def step(self, x: np.ndarray, u_mid) -> tuple:
         """Advance one step; returns (x_next, x_mid)."""
-        rhs = x + 0.5 * self.dt * (self.loop.Bu @ self.loop.node.u_hat(u_mid))
+        rhs = x + 0.5 * self.dt * (self.loop.Bu @ self.loop.law.u_hat(u_mid))
         x_mid = self._lu.solve(rhs)
         res = np.linalg.norm(self._lhs @ x_mid - rhs)
         if not np.isfinite(res) or res > self.solver_tol * max(1.0, np.linalg.norm(rhs)):
             raise SolverError(f"midpoint solve residual {res:.3e} exceeds tolerance")
         return 2.0 * x_mid - x, x_mid
-
-
-def step_midpoint(loop: ClosedLoop, x: np.ndarray, u_mid, dt: float,
-                  solver_tol: float = 1e-10) -> np.ndarray:
-    """One implicit-midpoint step (factorizes on every call; use
-    MidpointStepper for trajectories)."""
-    return MidpointStepper(loop, dt, solver_tol).step(x, u_mid)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -225,24 +217,22 @@ class Trajectory:
     diss_rate: np.ndarray      # Re <e, Rd e>_M
     x_final: np.ndarray
     x0: np.ndarray
-    states: Optional[np.ndarray] = None
     ledger: Optional[dict] = None
 
 
-def run(loop: ClosedLoop, cfg: SimConfig, x0: Optional[np.ndarray] = None,
-        W_C_full: Optional[np.ndarray] = None) -> Trajectory:
+def run(loop: ClosedLoop, cfg: SimConfig, x0: Optional[np.ndarray] = None) -> Trajectory:
     """Integrate and record; attaches the energy ledger.
 
-    W_C_full (2k x 4k co-located completion) enables the boundary-form
+    The law's co-located completion W_C_full enables the boundary-form
     term of the ledger; without it the ledger is flagged partial.
     """
-    bundle, node = loop.bundle, loop.node
+    bundle, law = loop.bundle, loop.law
     if x0 is None:
         x0 = zero_state(bundle)
     x0 = np.asarray(x0, dtype=complex)
     if x0.shape != (bundle.n,):
         raise DomainError(f"initial state has shape {x0.shape}, expected ({bundle.n},)")
-    u0 = node.u_hat(cfg.input(0.0))
+    u0 = law.u_hat(cfg.input(0.0))
     if not np.all(np.isfinite(u0)):
         raise DomainError("input signal is not finite at t = 0; (x0, u(0)) "
                           "must lie in the system-node domain")
@@ -250,7 +240,6 @@ def run(loop: ClosedLoop, cfg: SimConfig, x0: Optional[np.ndarray] = None,
     stepper = MidpointStepper(loop, cfg.dt, cfg.solver_tol)
     n_steps = int(round(cfg.T / cfg.dt))
     rec_t, rec_E, rec_xn, rec_u, rec_y, rec_z, rec_d = [], [], [], [], [], [], []
-    states = [] if cfg.store_states else None
 
     def record(t, x):
         e = bundle.effort(x)
@@ -260,11 +249,9 @@ def run(loop: ClosedLoop, cfg: SimConfig, x0: Optional[np.ndarray] = None,
         rec_E.append(bundle.energy(x))
         rec_xn.append(float(np.sqrt(np.real(np.vdot(x, bundle.M @ x)))))
         rec_u.append(u_t)
-        rec_y.append(node.W_C_out @ zeta)
+        rec_y.append(law.W_C_out @ zeta)
         rec_z.append(zeta)
         rec_d.append(bundle.dissipation_rate(e))
-        if states is not None:
-            states.append(x.copy())
 
     x = x0.copy()
     record(0.0, x)
@@ -278,9 +265,8 @@ def run(loop: ClosedLoop, cfg: SimConfig, x0: Optional[np.ndarray] = None,
         times=np.asarray(rec_t), energy=np.asarray(rec_E), xnorm=np.asarray(rec_xn),
         u=np.asarray(rec_u), y=np.asarray(rec_y), zeta=np.asarray(rec_z),
         diss_rate=np.asarray(rec_d), x_final=x, x0=x0,
-        states=np.asarray(states) if states is not None else None,
     )
-    traj.ledger = energy_ledger(traj, node, bundle, W_C_full=W_C_full)
+    traj.ledger = energy_ledger(traj, law)
     return traj
 
 
@@ -292,22 +278,20 @@ def _cumtrapz(y, t):
     return out
 
 
-def energy_ledger(traj: Trajectory, node, bundle,
-                  W_C_full: Optional[np.ndarray] = None) -> dict:
+def energy_ledger(traj: Trajectory, law: PortLaw) -> dict:
     """Trapezoid-quadrature energy balance over the recorded samples.
 
     residual = dE - supplied + dissipated - boundary_form; ``partial``
-    marks a missing co-located completion (boundary term unknown).
+    marks a law without a co-located completion (boundary term unknown).
     """
     supplied_rate = np.real(np.einsum("ij,ij->i", np.conj(traj.u), traj.y))
     supplied = _cumtrapz(supplied_rate, traj.times)
     dissipated = _cumtrapz(traj.diss_rate, traj.times)
 
-    partial = W_C_full is None
+    partial = law.W_C_full is None
     if not partial:
-        W_B = node.W_B
-        M = np.vstack([W_B, np.asarray(W_C_full, dtype=complex)])
-        sig = sigma_matrix(2 * bundle.k)
+        M = np.vstack([law.W_B, law.W_C_full])
+        sig = sigma_matrix(2 * law.k)
         Q = sig - M.conj().T @ sig @ M
         form = 0.5 * np.real(np.einsum("ij,jk,ik->i", np.conj(traj.zeta), Q, traj.zeta))
         boundary = _cumtrapz(form, traj.times)
@@ -334,7 +318,7 @@ def reverse_run(loop: ClosedLoop, x: np.ndarray, dt: float, n_steps: int,
     midpoint map up to solver roundoff."""
     stepper = MidpointStepper(loop, -dt, solver_tol)
     for _ in range(n_steps):
-        x, _ = stepper.step(x, np.zeros(loop.node.m))
+        x, _ = stepper.step(x, np.zeros(loop.law.m))
     return x
 
 

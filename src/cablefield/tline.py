@@ -27,15 +27,15 @@ parts identity holds exactly as a matrix identity:
     Mn @ Dt + D.T @ Mc = e1 @ R1 - e0 @ R0
 
 (e0/e1 the endpoint node indicators), which is what every energy statement
-downstream leans on.  `Dt0`/`Lg` split the same operator into an interior
-part plus an injection of externally supplied boundary values, used when
-boundary data comes from a port law instead of interior extrapolation.
+downstream leans on.  `Lg` injects externally supplied endpoint values of
+the cell field into the boundary rows of Dt, used when boundary data comes
+from a port law instead of interior extrapolation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
@@ -143,7 +143,6 @@ class LineGrid:
     cells: np.ndarray        # (n,)
     D: sp.csr_matrix         # nodes -> cells
     Dt: sp.csr_matrix        # cells -> nodes, SBP closure built in
-    Dt0: sp.csr_matrix       # cells -> nodes, boundary value left external
     Lg: sp.csr_matrix        # (2k,) ghost boundary values -> nodes
     Mn: sp.csr_matrix        # node quadrature mass (diagonal)
     Mc: sp.csr_matrix        # cell quadrature mass (diagonal)
@@ -186,13 +185,12 @@ def build_line_grid(n: int, k: int = 1) -> LineGrid:
     rhs = sp.csr_matrix(e1 @ r1 - e0 @ r0) - d.T * h
     dt = sp.diags(1.0 / mn) @ rhs
 
-    # ghost split: Dt = Dt0 - Lg1 @ [r0; r1]; Lg1 injects externally
-    # supplied endpoint values of the cell field into the boundary rows
+    # Lg1 injects externally supplied endpoint values of the cell field
+    # into the boundary rows, in place of the extrapolation [r0; r1]
     lg1 = sp.lil_matrix((n + 1, 2))
     lg1[0, 0] = 2.0 / h
     lg1[-1, 1] = -2.0 / h
     lg1 = lg1.tocsr()
-    dt0 = (dt + lg1 @ sp.vstack([sp.csr_matrix(r0), sp.csr_matrix(r1)])).tocsr()
 
     en0 = sp.csr_matrix(e0.T)
     en1 = sp.csr_matrix(e1.T)
@@ -201,7 +199,7 @@ def build_line_grid(n: int, k: int = 1) -> LineGrid:
         n=n, k=k, h=h,
         nodes=np.arange(n + 1) * h,
         cells=(np.arange(n) + 0.5) * h,
-        D=kr(d), Dt=kr(dt), Dt0=kr(dt0), Lg=kr(lg1),
+        D=kr(d), Dt=kr(dt), Lg=kr(lg1),
         Mn=kr(sp.diags(mn)), Mc=kr(sp.identity(n) * h),
         R0=kr(sp.csr_matrix(r0)), R1=kr(sp.csr_matrix(r1)),
         E0=kr(en0), E1=kr(en1),
@@ -266,35 +264,3 @@ def assemble_line(m: LineMaterials, g: LineGrid) -> LineBlocks:
         Rm=_block_diag_samples(m.sample("R", g.cells)),
         Gm=_block_diag_samples(m.sample("G", g.nodes)),
     )
-
-
-def extract_boundary(blocks_or_grid, I_tot: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """Endpoint tuple (V(0), I_tot(0), V(1), -I_tot(1)) of a line effort.
-
-    V is nodal (endpoint values exact), I_tot lives on cells and is
-    extrapolated to the endpoints at second order.
-    """
-    g = blocks_or_grid.grid if isinstance(blocks_or_grid, LineBlocks) else blocks_or_grid
-    return np.concatenate([
-        g.E0 @ V,
-        g.R0 @ I_tot,
-        g.E1 @ V,
-        -(g.R1 @ I_tot),
-    ])
-
-
-def port_vector(blocks_or_grid, I_tot: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """Stacked boundary port (I_tot(0), I_tot(1), V(0), -V(1)).
-
-    This is the ordering every W-matrix in this package acts on; it pairs
-    with Sigma = [[0, I], [I, 0]] so that z^H Sigma z / 2 is the boundary
-    power.  `extract_boundary` returns the same four endpoint values in
-    per-end order.
-    """
-    g = blocks_or_grid.grid if isinstance(blocks_or_grid, LineBlocks) else blocks_or_grid
-    return np.concatenate([
-        g.R0 @ I_tot,
-        g.R1 @ I_tot,
-        g.E0 @ V,
-        -(g.E1 @ V),
-    ])

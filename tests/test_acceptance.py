@@ -15,20 +15,18 @@ import pytest
 import scipy.sparse as sp
 
 from cablefield.assembly import (
-    SystemNode,
     assemble_system,
     build_closed_loop,
     constrained_generator,
     hodge_extremes,
-    sigma_matrix,
 )
 from cablefield.certify import (
-    BoundaryConditionSpec,
+    PortLaw,
     build_colocated_output,
     check_admissible,
-    check_max_dissipative,
     colocation_defect,
     kernel_relation_oracle,
+    sigma_matrix,
     wellposedness_constants,
 )
 from cablefield.coupling import assemble_P_el, assemble_P_mag
@@ -208,10 +206,10 @@ def test_criterion_4_energy_conservation_and_contraction():
     t0 = time.time()
     _, _, _, _, lossless = criterion3_bundle(lossy=False)
     k = lossless.k
-    skew = SystemNode(W_B_inp=np.hstack([np.eye(2 * k), np.zeros((2 * k, 2 * k))]),
-                      W_B_0=np.zeros((0, 4 * k)),
-                      W_C_out=np.hstack([np.zeros((2 * k, 2 * k)), np.eye(2 * k)]),
-                      k=k)
+    skew = PortLaw(W_B_inp=np.hstack([np.eye(2 * k), np.zeros((2 * k, 2 * k))]),
+                   W_B_0=np.zeros((0, 4 * k)),
+                   W_C_out=np.hstack([np.zeros((2 * k, 2 * k)), np.eye(2 * k)]),
+                   k=k)
     loop = build_closed_loop(lossless, skew)
     x0 = random_state(lossless, seed=4)
     cfg = SimConfig(dt=5e-3, T=5.0, input=InputSignal(m=skew.m))
@@ -222,10 +220,10 @@ def test_criterion_4_energy_conservation_and_contraction():
     rev_err = np.linalg.norm(back - x0) / np.linalg.norm(x0)
 
     _, _, _, _, lossy = criterion3_bundle(lossy=True)
-    strict = SystemNode(W_B_inp=np.hstack([np.eye(2 * k), np.eye(2 * k)]),
-                        W_B_0=np.zeros((0, 4 * k)),
-                        W_C_out=np.hstack([np.eye(2 * k), np.zeros((2 * k, 2 * k))]),
-                        k=k)
+    strict = PortLaw(W_B_inp=np.hstack([np.eye(2 * k), np.eye(2 * k)]),
+                     W_B_0=np.zeros((0, 4 * k)),
+                     W_C_out=np.hstack([np.eye(2 * k), np.zeros((2 * k, 2 * k))]),
+                     k=k)
     loop_l = build_closed_loop(lossy, strict)
     traj_l = run(loop_l, SimConfig(dt=1e-2, T=2.0, input=InputSignal(m=strict.m)),
                  x0=random_state(lossy, seed=5))
@@ -247,19 +245,19 @@ def test_criterion_5_energy_balance():
     k = bundle.k
     W_B = np.hstack([np.eye(2 * k), np.eye(2 * k)])
     W_C = build_colocated_output(W_B)
-    node = SystemNode(W_B_inp=W_B, W_B_0=np.zeros((0, 4 * k)), W_C_out=W_C, k=k)
-    loop = build_closed_loop(bundle, node)
+    law = PortLaw(W_B_inp=W_B, W_B_0=np.zeros((0, 4 * k)), W_C_out=W_C, k=k, W_C_full=W_C)
+    loop = build_closed_loop(bundle, law)
     x0 = smooth_state(bundle)
 
     details = []
     ok = True
-    for kind, kwargs in (("sine", {"freq": 0.3, "amplitude": 0.3 * np.ones(node.m)}),
+    for kind, kwargs in (("sine", {"freq": 0.3, "amplitude": 0.3 * np.ones(law.m)}),
                          ("step", {"t_on": 0.05, "ramp": 0.15,
-                                   "amplitude": 0.3 * np.ones(node.m)})):
+                                   "amplitude": 0.3 * np.ones(law.m)})):
         residuals = []
         for dt in (8e-5, 4e-5, 2e-5):
-            cfg = SimConfig(dt=dt, T=0.3, input=InputSignal(m=node.m, kind=kind, **kwargs))
-            traj = run(loop, cfg, x0=x0, W_C_full=W_C)
+            cfg = SimConfig(dt=dt, T=0.3, input=InputSignal(m=law.m, kind=kind, **kwargs))
+            traj = run(loop, cfg, x0=x0)
             residuals.append(traj.ledger["max_residual"] / traj.ledger["peak_energy"])
         ratios = [a / b for a, b in zip(residuals[:-1], residuals[1:])]
         ok &= residuals[-1] <= 1e-8
@@ -277,7 +275,7 @@ def test_criterion_5_energy_balance():
 def test_criterion_6_wellposedness_bound():
     t0 = time.time()
     # delta spot check against the 2x2 eigensolve oracle
-    spot = BoundaryConditionSpec(
+    spot = PortLaw(
         W_B_inp=np.hstack([np.eye(2), np.eye(2)]), W_B_0=np.zeros((0, 4)),
         W_C_out=np.hstack([np.eye(2), np.zeros((2, 2))]), k=1)
     assert abs(wellposedness_constants(spot, 1.0, 1.0).delta - 2.0) <= 1e-12
@@ -286,22 +284,20 @@ def test_criterion_6_wellposedness_bound():
     k = bundle.k
     W_B = np.hstack([np.eye(2 * k), np.eye(2 * k)])
     W_C = build_colocated_output(W_B)
-    node = SystemNode(W_B_inp=W_B, W_B_0=np.zeros((0, 4 * k)), W_C_out=W_C, k=k)
-    spec = BoundaryConditionSpec(W_B_inp=W_B, W_B_0=np.zeros((0, 4 * k)),
-                                 W_C_out=W_C, k=k)
+    law = PortLaw(W_B_inp=W_B, W_B_0=np.zeros((0, 4 * k)), W_C_out=W_C, k=k, W_C_full=W_C)
     lo, hi = hodge_extremes(bundle)
-    cert = wellposedness_constants(spec, lo, hi)
-    loop = build_closed_loop(bundle, node)
+    cert = wellposedness_constants(law, lo, hi)
+    loop = build_closed_loop(bundle, law)
 
     rng = np.random.default_rng(6)
     worst = 0.0
     for trial in range(50):
         x0 = random_state(bundle, seed=100 + trial, scale=rng.uniform(0.1, 2.0))
-        sig = InputSignal(m=node.m, kind="sine",
-                          amplitude=rng.uniform(-1, 1, node.m),
+        sig = InputSignal(m=law.m, kind="sine",
+                          amplitude=rng.uniform(-1, 1, law.m),
                           freq=rng.uniform(0.2, 3.0), phase=rng.uniform(0, 6.28))
         cfg = SimConfig(dt=5e-3, T=0.3, input=sig)
-        traj = run(loop, cfg, x0=x0, W_C_full=W_C)
+        traj = run(loop, cfg, x0=x0)
         chk = wp_bound_series(traj, cert.c_t)
         worst = max(worst, chk["max_ratio"])
         if not chk["satisfied"]:
@@ -325,10 +321,10 @@ def test_criterion_7_lemma_oracle_agreement():
         l = 2 + 2 * (i % 2)
         W = admissible_W(rng, l // 2, kind)
         W1, W2 = W[:, :l], W[:, l:]
-        lemma = check_max_dissipative(W1, W2)
+        lemma = check_admissible(np.hstack([W1, W2]))["admissible"]
         oracle = kernel_relation_oracle(W1, W2)
         agreements += int(lemma == oracle["maximally_dissipative"] == True)  # noqa: E712
-    counterexample = (not check_max_dissipative(np.eye(2), -np.eye(2))
+    counterexample = (not check_admissible(np.hstack([np.eye(2), -np.eye(2)]))["admissible"]
                       and not kernel_relation_oracle(np.eye(2), -np.eye(2))["dissipative"])
     ok = agreements == 100 and counterexample
     assert report(7, ok, f"agreement {agreements}/100, counterexample rejected: "
@@ -400,9 +396,8 @@ def test_criterion_8_sigma_unitary_equality_on_strict_seed():
     assert np.abs(defect - closed).max() <= 1e-12
     assert np.abs(lam - np.array([-2.0, -2.0, 0.0, 0.0])).max() <= 1e-12
 
-    spec = BoundaryConditionSpec(W_B_inp=W_B, W_B_0=np.zeros((0, 4)),
-                                 W_C_out=W_C, k=1)
-    cert = wellposedness_constants(spec, hodge_min=1.0, hodge_max=1.0)
+    law = PortLaw(W_B_inp=W_B, W_B_0=np.zeros((0, 4)), W_C_out=W_C, k=1)
+    cert = wellposedness_constants(law, hodge_min=1.0, hodge_max=1.0)
     assert abs(abs(lam.min()) - cert.delta) <= 1e-12
 
     assert report("8 (Sigma-unitary defect, strict seed)", True,

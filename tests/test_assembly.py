@@ -5,15 +5,13 @@ import scipy.sparse as sp
 from cablefield.assembly import (
     ClosedLoop,
     OperatorBundle,
-    SystemNode,
     apply_FG,
     apply_KL,
     assemble_system,
     build_closed_loop,
     constrained_generator,
-    generator_spectrum,
-    sigma_matrix,
 )
+from cablefield.certify import PortLaw, sigma_matrix
 from cablefield.coupling import assemble_P_el, lift_voltage
 from cablefield.errors import AssemblyError, CertificateError, DomainError
 from cablefield.geometry import GeometrySpec, StraightSegment
@@ -164,40 +162,39 @@ def test_total_current_correction_measures_enclosed_current():
 
 
 # ---------------------------------------------------------------------------
-# node operations
+# port-law operations
 # ---------------------------------------------------------------------------
 
-def strict_node(k, m=None, bc_tol=1e-8):
+def strict_law(k, m=None):
     # W_B = [I, I]: resistive terminations at both ends, strictly dissipative
     two_k = 2 * k
     W_B = np.hstack([np.eye(two_k), np.eye(two_k)])
     m = two_k if m is None else m
-    return SystemNode(W_B_inp=W_B[:m], W_B_0=W_B[m:],
-                      W_C_out=np.hstack([np.eye(two_k), np.zeros((two_k, two_k))]),
-                      k=k, bc_tol=bc_tol)
+    return PortLaw(W_B_inp=W_B[:m], W_B_0=W_B[m:],
+                   W_C_out=np.hstack([np.eye(two_k), np.zeros((two_k, two_k))]), k=k)
 
 
 def test_apply_FG_and_KL(setup):
     _, _, _, _, _, bundle, _ = setup
-    node = strict_node(bundle.k)
+    law = strict_law(bundle.k)
     rng = np.random.default_rng(1)
     e = rng.standard_normal(bundle.n)
-    u = node.W_B_inp @ bundle.ports(e)       # compatible input
-    out = apply_FG(bundle, node, e, u)
+    u = law.W_B_inp @ bundle.ports(e)       # compatible input
+    out = apply_FG(bundle, law, e, u)
     assert np.abs(out - (bundle.J - bundle.Rd) @ e).max() == 0.0
 
-    assert np.abs(apply_FG(bundle, node, np.zeros(bundle.n), np.zeros(node.m))).max() == 0.0
+    assert np.abs(apply_FG(bundle, law, np.zeros(bundle.n), np.zeros(law.m))).max() == 0.0
 
     with pytest.raises(DomainError):
         bad = np.asarray(u, dtype=complex).copy()
         bad[0] += 1.0
-        apply_FG(bundle, node, e, bad)
+        apply_FG(bundle, law, e, bad)
 
-    y = apply_KL(bundle, node, e)
-    assert np.allclose(y, node.W_C_out @ bundle.ports(e))
+    y = apply_KL(bundle, law, e)
+    assert np.allclose(y, law.W_C_out @ bundle.ports(e))
     e2 = rng.standard_normal(bundle.n)
-    assert np.allclose(apply_KL(bundle, node, e + e2),
-                       apply_KL(bundle, node, e) + apply_KL(bundle, node, e2))
+    assert np.allclose(apply_KL(bundle, law, e + e2),
+                       apply_KL(bundle, law, e) + apply_KL(bundle, law, e2))
 
 
 def test_node_rejects_bad_W(setup):
@@ -205,11 +202,11 @@ def test_node_rejects_bad_W(setup):
     k = bundle.k
     dup = np.vstack([np.ones((1, 4 * k)), np.ones((1, 4 * k))])
     with pytest.raises(CertificateError):
-        SystemNode(W_B_inp=dup[:1], W_B_0=dup[1:], W_C_out=np.zeros((1, 4 * k)), k=k)
+        PortLaw(W_B_inp=dup[:1], W_B_0=dup[1:], W_C_out=np.zeros((1, 4 * k)), k=k)
     # Sigma-negative law rejected
     W = np.hstack([np.eye(2 * k), -np.eye(2 * k)])
     with pytest.raises(CertificateError):
-        SystemNode(W_B_inp=W[:1], W_B_0=W[1:], W_C_out=np.zeros((1, 4 * k)), k=k)
+        PortLaw(W_B_inp=W[:1], W_B_0=W[1:], W_C_out=np.zeros((1, 4 * k)), k=k)
 
 
 # ---------------------------------------------------------------------------
@@ -218,15 +215,15 @@ def test_node_rejects_bad_W(setup):
 
 def test_closed_loop_energy_identity(setup):
     _, _, _, _, _, bundle, _ = setup
-    node = strict_node(bundle.k)
-    loop = build_closed_loop(bundle, node)
+    law = strict_law(bundle.k)
+    loop = build_closed_loop(bundle, law)
     rng = np.random.default_rng(2)
     ME = bundle.energy_metric()
     for _ in range(5):
         x = rng.standard_normal(bundle.n) + 1j * rng.standard_normal(bundle.n)
-        u = rng.standard_normal(node.m) + 1j * rng.standard_normal(node.m)
+        u = rng.standard_normal(law.m) + 1j * rng.standard_normal(law.m)
         e = bundle.effort(x)
-        xdot = loop.A @ x + loop.Bu @ node.u_hat(u)
+        xdot = loop.A @ x + loop.Bu @ law.u_hat(u)
         power_flow = float(np.real(np.vdot(x, ME @ xdot)))
         g = loop.ghost_currents(e, u)
         expected = float(np.real(np.vdot(bundle.B2 @ e, g))) - bundle.dissipation_rate(e)
@@ -235,13 +232,13 @@ def test_closed_loop_energy_identity(setup):
 
 def test_closed_loop_enforces_port_law(setup):
     _, _, _, _, _, bundle, _ = setup
-    node = strict_node(bundle.k)
-    loop = build_closed_loop(bundle, node)
+    law = strict_law(bundle.k)
+    loop = build_closed_loop(bundle, law)
     rng = np.random.default_rng(8)
     e = rng.standard_normal(bundle.n)
-    u = rng.standard_normal(node.m)
+    u = rng.standard_normal(law.m)
     zeta = loop.used_ports(e, u)
-    assert np.abs(node.W_B @ zeta - node.u_hat(u)).max() <= 1e-12
+    assert np.abs(law.W_B @ zeta - law.u_hat(u)).max() <= 1e-12
 
 
 def admissible_W(rng, k, kind="strict"):
@@ -270,7 +267,7 @@ def test_constrained_spectrum_left_half_plane():
     for kind in ("strict", "mixed", "skew"):
         W_B = admissible_W(rng, bundle.k, kind)
         loop = constrained_generator(bundle, W_B)
-        eigs = generator_spectrum(loop)
+        eigs = np.linalg.eigvals(loop.A.toarray())
         assert eigs.real.max() <= 1e-10
 
 
@@ -282,7 +279,7 @@ def test_skew_lossless_spectrum_imaginary():
         sig = sigma_matrix(2 * bundle.k)
         assert np.abs(W_B @ sig @ W_B.conj().T).max() <= 1e-10 * np.abs(W_B).max() ** 2
         loop = constrained_generator(bundle, W_B)
-        eigs = generator_spectrum(loop)
+        eigs = np.linalg.eigvals(loop.A.toarray())
         assert np.abs(eigs.real).max() <= 1e-10
 
 

@@ -2,14 +2,12 @@ import numpy as np
 import pytest
 
 from cablefield.certify import (
-    BoundaryConditionSpec,
+    PortLaw,
     build_colocated_output,
     check_admissible,
-    check_max_dissipative,
     colocation_defect,
     find_full_colocated,
     kernel_relation_oracle,
-    require_strict,
     sigma_matrix,
     wellposedness_constants,
 )
@@ -55,7 +53,7 @@ def test_admissible_examples():
 
 
 def test_lemma_counterexample_rejected():
-    assert not check_max_dissipative(np.eye(2), -np.eye(2))
+    assert not check_admissible(np.hstack([np.eye(2), -np.eye(2)]))["admissible"]
 
 
 def test_lemma_agrees_with_kernel_oracle():
@@ -65,7 +63,7 @@ def test_lemma_agrees_with_kernel_oracle():
         l = 2 + (i % 2) * 2
         W = random_admissible(rng, l, kind)
         W1, W2 = W[:, :l], W[:, l:]
-        assert check_max_dissipative(W1, W2)
+        assert check_admissible(np.hstack([W1, W2]))["admissible"]
         oracle = kernel_relation_oracle(W1, W2)
         assert oracle["maximally_dissipative"]
         assert oracle["dimension"] == l
@@ -132,6 +130,19 @@ def test_colocation_mixed_law_search():
     assert colocation_defect(W_B, W_C).max() <= 1e-10
 
 
+@pytest.mark.parametrize("W_B", [np.hstack([np.eye(2), np.eye(2)]),
+                                 np.hstack([np.eye(2), np.zeros((2, 2))])],
+                         ids=["strict", "skew"])
+def test_colocation_builder_checks_defining_equations(W_B, monkeypatch):
+    # a completion off by a factor 1 + 1e-6 still satisfies the output
+    # inequality; only the defining equations W_B Sigma W_C^H = I and
+    # W_C Sigma W_C^H = 0 expose it
+    inv = np.linalg.inv
+    monkeypatch.setattr(np.linalg, "inv", lambda a: 1.000001 * inv(a))
+    with pytest.raises(CertificateError, match="completion violates W_B Sigma"):
+        build_colocated_output(W_B)
+
+
 def test_find_full_colocated_roundtrip():
     W_B = np.hstack([np.eye(2), np.eye(2)])
     W_C = build_colocated_output(W_B)
@@ -146,13 +157,13 @@ def test_find_full_colocated_roundtrip():
 
 def test_delta_oracle():
     # W1 = W2 = I: W = W2^-1 (2 I) W2^-H = 2 I, delta = 2
-    spec = BoundaryConditionSpec(
+    law = PortLaw(
         W_B_inp=np.hstack([np.eye(2), np.eye(2)]),
         W_B_0=np.zeros((0, 4)),
         W_C_out=np.hstack([np.eye(2), np.zeros((2, 2))]),
         k=1,
     )
-    cert = wellposedness_constants(spec, hodge_min=1.0, hodge_max=1.0)
+    cert = wellposedness_constants(law, hodge_min=1.0, hodge_max=1.0)
     assert cert.strict and abs(cert.delta - 2.0) <= 1e-12
 
 
@@ -160,9 +171,8 @@ def test_gamma_oracle_explicit_inverse():
     # W_C_out = Wtilde_C rows: gamma = || [0, I] block of the identity || = 1
     W_B = np.hstack([np.eye(2), np.eye(2)])
     Wtilde = np.hstack([np.eye(2), np.zeros((2, 2))])
-    spec = BoundaryConditionSpec(W_B_inp=W_B, W_B_0=np.zeros((0, 4)),
-                                 W_C_out=Wtilde, k=1)
-    cert = wellposedness_constants(spec, 1.0, 1.0)
+    law = PortLaw(W_B_inp=W_B, W_B_0=np.zeros((0, 4)), W_C_out=Wtilde, k=1)
+    cert = wellposedness_constants(law, 1.0, 1.0)
     big = np.vstack([W_B, Wtilde])
     expected = np.linalg.norm(Wtilde @ np.linalg.inv(big), 2)
     assert abs(cert.gamma - expected) <= 1e-12
@@ -171,26 +181,24 @@ def test_gamma_oracle_explicit_inverse():
 
 
 def test_skew_law_has_no_constants():
-    spec = BoundaryConditionSpec(
+    law = PortLaw(
         W_B_inp=np.hstack([np.eye(2), np.zeros((2, 2))]),
         W_B_0=np.zeros((0, 4)),
         W_C_out=np.hstack([np.zeros((2, 2)), np.eye(2)]),
         k=1,
     )
-    cert = wellposedness_constants(spec, 1.0, 1.0)
+    cert = wellposedness_constants(law, 1.0, 1.0)
     assert cert.skew and cert.delta is None
-    with pytest.raises(CertificateError):
-        require_strict(spec.W_B)
 
 
 def test_c_t_scales_with_hodge_conditioning():
-    spec = BoundaryConditionSpec(
+    law = PortLaw(
         W_B_inp=np.hstack([np.eye(2), np.eye(2)]),
         W_B_0=np.zeros((0, 4)),
         W_C_out=np.hstack([np.eye(2), np.zeros((2, 2))]),
         k=1,
     )
-    flat = wellposedness_constants(spec, 1.0, 1.0)
-    steep = wellposedness_constants(spec, 0.25, 4.0)
+    flat = wellposedness_constants(law, 1.0, 1.0)
+    steep = wellposedness_constants(law, 0.25, 4.0)
     assert steep.c == pytest.approx(4.0)
     assert steep.c_t == pytest.approx(4.0 * flat.c_t)

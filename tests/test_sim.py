@@ -1,21 +1,18 @@
 import numpy as np
 import pytest
 
-from cablefield.assembly import SystemNode, build_closed_loop, hodge_extremes
-from cablefield.certify import build_colocated_output
+from cablefield.assembly import build_closed_loop, hodge_extremes
+from cablefield.certify import PortLaw, build_colocated_output, wellposedness_constants
 from cablefield.errors import ConfigError, DomainError
 from cablefield.maxwell import FieldMaterials
 from cablefield.sim import (
     InputSignal,
-    MidpointStepper,
     SimConfig,
-    energy_ledger,
     lifted_state,
     random_state,
     reverse_run,
     run,
     smooth_state,
-    step_midpoint,
     wp_bound_series,
     write_trajectory_csv,
     zero_state,
@@ -37,24 +34,25 @@ def lossy():
                       field_mats=FieldMaterials(sigma=0.3))
 
 
-def skew_node(k):
+def skew_law(k):
     W_B = np.hstack([np.eye(2 * k), np.zeros((2 * k, 2 * k))])
     W_C = np.hstack([np.zeros((2 * k, 2 * k)), np.eye(2 * k)])
-    return SystemNode(W_B_inp=W_B, W_B_0=np.zeros((0, 4 * k)), W_C_out=W_C[:2 * k], k=k), W_C
+    return PortLaw(W_B_inp=W_B, W_B_0=np.zeros((0, 4 * k)), W_C_out=W_C[:2 * k], k=k)
 
 
-def strict_node(k):
+def strict_law(k, completion=True):
     W_B = np.hstack([np.eye(2 * k), np.eye(2 * k)])
     W_C = build_colocated_output(W_B)
-    return SystemNode(W_B_inp=W_B, W_B_0=np.zeros((0, 4 * k)), W_C_out=W_C, k=k), W_C
+    return PortLaw(W_B_inp=W_B, W_B_0=np.zeros((0, 4 * k)), W_C_out=W_C, k=k,
+                   W_C_full=W_C if completion else None)
 
 
 def test_zero_input_zero_state(lossless):
     _, _, _, _, _, bundle, _ = lossless
-    node, W_C = strict_node(bundle.k)
-    loop = build_closed_loop(bundle, node)
-    cfg = SimConfig(dt=1e-2, T=0.1, input=InputSignal(m=node.m))
-    traj = run(loop, cfg, W_C_full=W_C)
+    law = strict_law(bundle.k)
+    loop = build_closed_loop(bundle, law)
+    cfg = SimConfig(dt=1e-2, T=0.1, input=InputSignal(m=law.m))
+    traj = run(loop, cfg)
     assert np.abs(traj.energy).max() == 0.0
     assert np.abs(traj.y).max() == 0.0
     assert traj.ledger["max_residual"] == 0.0
@@ -62,10 +60,10 @@ def test_zero_input_zero_state(lossless):
 
 def test_energy_conserved_skew_lossless(lossless):
     _, _, _, _, _, bundle, _ = lossless
-    node, _ = skew_node(bundle.k)
-    loop = build_closed_loop(bundle, node)
+    law = skew_law(bundle.k)
+    loop = build_closed_loop(bundle, law)
     x0 = random_state(bundle, seed=1)
-    cfg = SimConfig(dt=5e-3, T=5.0, input=InputSignal(m=node.m))
+    cfg = SimConfig(dt=5e-3, T=5.0, input=InputSignal(m=law.m))
     traj = run(loop, cfg, x0=x0)
     drift = np.abs(traj.energy - traj.energy[0]).max() / traj.energy[0]
     assert drift <= 1e-10
@@ -73,10 +71,10 @@ def test_energy_conserved_skew_lossless(lossless):
 
 def test_energy_monotone_lossy(lossy):
     _, _, _, _, _, bundle, _ = lossy
-    node, _ = strict_node(bundle.k)
-    loop = build_closed_loop(bundle, node)
+    law = strict_law(bundle.k)
+    loop = build_closed_loop(bundle, law)
     x0 = random_state(bundle, seed=2)
-    cfg = SimConfig(dt=2e-2, T=2.0, input=InputSignal(m=node.m))
+    cfg = SimConfig(dt=2e-2, T=2.0, input=InputSignal(m=law.m))
     traj = run(loop, cfg, x0=x0)
     assert np.all(np.diff(traj.energy) <= 1e-12 * traj.energy[0])
     assert traj.energy[-1] < traj.energy[0]
@@ -84,10 +82,10 @@ def test_energy_monotone_lossy(lossy):
 
 def test_reversibility(lossless):
     _, _, _, _, _, bundle, _ = lossless
-    node, _ = skew_node(bundle.k)
-    loop = build_closed_loop(bundle, node)
+    law = skew_law(bundle.k)
+    loop = build_closed_loop(bundle, law)
     x0 = random_state(bundle, seed=3)
-    cfg = SimConfig(dt=1e-2, T=1.0, input=InputSignal(m=node.m))
+    cfg = SimConfig(dt=1e-2, T=1.0, input=InputSignal(m=law.m))
     traj = run(loop, cfg, x0=x0)
     back = reverse_run(loop, traj.x_final, cfg.dt, int(round(cfg.T / cfg.dt)))
     err = np.linalg.norm(back - x0) / np.linalg.norm(x0)
@@ -96,10 +94,10 @@ def test_reversibility(lossless):
 
 def test_flow_linearity(lossless):
     _, _, _, _, _, bundle, _ = lossless
-    node, W_C = strict_node(bundle.k)
-    loop = build_closed_loop(bundle, node)
+    law = strict_law(bundle.k)
+    loop = build_closed_loop(bundle, law)
     cfg = SimConfig(dt=1e-2, T=0.2,
-                    input=InputSignal(m=node.m, kind="sine", freq=2.0))
+                    input=InputSignal(m=law.m, kind="sine", freq=2.0))
     xa = random_state(bundle, seed=4)
     xb = random_state(bundle, seed=5)
     fa = run(loop, cfg, x0=xa).x_final
@@ -114,15 +112,15 @@ def test_ledger_exact_at_midpoints_and_second_order_in_records(lossy):
     # the recorded-trapezoid ledger residual decreases at order 2 in dt;
     # smooth initial data keeps the quadrature constant small
     _, _, _, _, _, bundle, _ = lossy
-    node, W_C = strict_node(bundle.k)
-    loop = build_closed_loop(bundle, node)
+    law = strict_law(bundle.k)
+    loop = build_closed_loop(bundle, law)
     x0 = smooth_state(bundle, scale=1.0)
     res = []
     for dt in (2e-3, 1e-3, 5e-4):
         cfg = SimConfig(dt=dt, T=0.4,
-                        input=InputSignal(m=node.m, kind="sine", freq=1.5,
-                                          amplitude=0.5 * np.ones(node.m)))
-        traj = run(loop, cfg, x0=x0, W_C_full=W_C)
+                        input=InputSignal(m=law.m, kind="sine", freq=1.5,
+                                          amplitude=0.5 * np.ones(law.m)))
+        traj = run(loop, cfg, x0=x0)
         res.append(traj.ledger["max_residual"] / traj.ledger["peak_energy"])
     rates = np.log2(res[0] / res[1]), np.log2(res[1] / res[2])
     assert 1.5 < min(rates) and max(rates) < 2.5
@@ -131,9 +129,9 @@ def test_ledger_exact_at_midpoints_and_second_order_in_records(lossy):
 
 def test_ledger_partial_without_completion(lossy):
     _, _, _, _, _, bundle, _ = lossy
-    node, _ = strict_node(bundle.k)
-    loop = build_closed_loop(bundle, node)
-    cfg = SimConfig(dt=1e-2, T=0.1, input=InputSignal(m=node.m, kind="step"))
+    law = strict_law(bundle.k, completion=False)
+    loop = build_closed_loop(bundle, law)
+    cfg = SimConfig(dt=1e-2, T=0.1, input=InputSignal(m=law.m, kind="step"))
     traj = run(loop, cfg)
     assert traj.ledger["partial"]
     assert np.isnan(traj.ledger["max_residual"])
@@ -141,36 +139,22 @@ def test_ledger_partial_without_completion(lossy):
 
 def test_wp_bound_series(lossy):
     _, _, _, _, _, bundle, _ = lossy
-    node, W_C = strict_node(bundle.k)
-    loop = build_closed_loop(bundle, node)
-    from cablefield.certify import BoundaryConditionSpec, wellposedness_constants
+    law = strict_law(bundle.k)
+    loop = build_closed_loop(bundle, law)
     lo, hi = hodge_extremes(bundle)
-    spec = BoundaryConditionSpec(W_B_inp=node.W_B_inp, W_B_0=node.W_B_0,
-                                 W_C_out=node.W_C_out, k=bundle.k)
-    cert = wellposedness_constants(spec, lo, hi)
+    cert = wellposedness_constants(law, lo, hi)
     cfg = SimConfig(dt=5e-3, T=0.5,
-                    input=InputSignal(m=node.m, kind="sine", freq=1.0))
-    traj = run(loop, cfg, x0=random_state(bundle, seed=7), W_C_full=W_C)
+                    input=InputSignal(m=law.m, kind="sine", freq=1.0))
+    traj = run(loop, cfg, x0=random_state(bundle, seed=7))
     chk = wp_bound_series(traj, cert.c_t)
     assert chk["satisfied"]
 
 
-def test_stepper_oneshot_matches_class(lossless):
-    _, _, _, _, _, bundle, _ = lossless
-    node, _ = strict_node(bundle.k)
-    loop = build_closed_loop(bundle, node)
-    x0 = random_state(bundle, seed=8)
-    u = np.ones(node.m)
-    a = step_midpoint(loop, x0, u, 1e-2)
-    b, _ = MidpointStepper(loop, 1e-2).step(x0, u)
-    assert np.allclose(a, b)
-
-
 def test_run_rejects_bad_initial_shape(lossless):
     _, _, _, _, _, bundle, _ = lossless
-    node, _ = strict_node(bundle.k)
-    loop = build_closed_loop(bundle, node)
-    cfg = SimConfig(dt=1e-2, T=0.1, input=InputSignal(m=node.m))
+    law = strict_law(bundle.k)
+    loop = build_closed_loop(bundle, law)
+    cfg = SimConfig(dt=1e-2, T=0.1, input=InputSignal(m=law.m))
     with pytest.raises(DomainError):
         run(loop, cfg, x0=np.zeros(3))
 
@@ -222,11 +206,11 @@ def test_lifted_initial_state():
 
 def test_csv_writer(tmp_path, lossy):
     _, _, _, _, _, bundle, _ = lossy
-    node, W_C = strict_node(bundle.k)
-    loop = build_closed_loop(bundle, node)
+    law = strict_law(bundle.k)
+    loop = build_closed_loop(bundle, law)
     cfg = SimConfig(dt=1e-2, T=0.1,
-                    input=InputSignal(m=node.m, kind="sine"))
-    traj = run(loop, cfg, x0=random_state(bundle, seed=9), W_C_full=W_C)
+                    input=InputSignal(m=law.m, kind="sine"))
+    traj = run(loop, cfg, x0=random_state(bundle, seed=9))
     path = tmp_path / "traj.csv"
     write_trajectory_csv(traj, str(path))
     header = path.read_text().splitlines()[0].split(",")

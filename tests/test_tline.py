@@ -1,15 +1,12 @@
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from cablefield.errors import MaterialsError
 from cablefield.tline import (
     LineMaterials,
     assemble_line,
     build_line_grid,
-    extract_boundary,
     periodic_derivative_pair,
-    port_vector,
     validate_line_materials,
 )
 
@@ -25,15 +22,6 @@ def test_sbp_identity_exact():
         assert np.abs(lhs - rhs).max() <= 1e-13
 
 
-def test_ghost_split_consistent():
-    # Dt == Dt0 - Lg @ [R0; R1]: using the extrapolated values as ghost
-    # data reproduces the interior-closed operator
-    g = build_line_grid(7, 2)
-    rex = sp.vstack([g.R0, g.R1])
-    diff = (g.Dt - (g.Dt0 - g.Lg @ rex)).toarray()
-    assert np.abs(diff).max() <= 1e-13
-
-
 def test_line_green_identity_random():
     # <-D V, I>_Mc + <V, -Dt I>_Mn = <V(0), I(0)> - <V(1), I(1)>
     # with <x, y> = y^H x; holds exactly by the SBP closure
@@ -46,7 +34,7 @@ def test_line_green_identity_random():
         rhs = np.vdot(g.R0 @ I, g.E0 @ V) - np.vdot(g.R1 @ I, g.E1 @ V)
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
         # same quantity through the stacked port: power = Re z^H Sigma z / 2
-        z = port_vector(g, I, V)
+        z = np.concatenate([g.R0 @ I, g.R1 @ I, g.E0 @ V, -(g.E1 @ V)])
         k2 = 2 * g.k
         sigma_form = float(np.real(np.vdot(z[:k2], z[k2:]) + np.vdot(z[k2:], z[:k2])))
         assert abs(2.0 * lhs.real - sigma_form) <= 1e-12 * max(1.0, abs(sigma_form))
@@ -77,16 +65,18 @@ def test_boundary_extrapolation_second_order():
 
 def test_extract_boundary_examples():
     g = build_line_grid(8, 1)
+    # endpoint tuple (V(0), I(0), V(1), -I(1)): V nodal, I extrapolated
+    def endpoints(I, V):
+        return np.concatenate([g.E0 @ V, g.R0 @ I, g.E1 @ V, -(g.R1 @ I)])
+
     V = g.nodes.copy()          # V(eta) = eta
     I = np.zeros(g.n_cells)
-    b = extract_boundary(g, I, V)
-    assert np.allclose(b, [0.0, 0.0, 1.0, 0.0], atol=1e-14)
+    assert np.allclose(endpoints(I, V), [0.0, 0.0, 1.0, 0.0], atol=1e-14)
 
     V = np.full(g.n_nodes, 3.0)
     I = np.full(g.n_cells, 2.0)
-    b = extract_boundary(g, I, V)
-    assert np.allclose(b, [3.0, 2.0, 3.0, -2.0], atol=1e-13)
-    z = port_vector(g, I, V)
+    assert np.allclose(endpoints(I, V), [3.0, 2.0, 3.0, -2.0], atol=1e-13)
+    z = np.concatenate([g.R0 @ I, g.R1 @ I, g.E0 @ V, -(g.E1 @ V)])
     assert np.allclose(z, [2.0, 2.0, 3.0, -3.0], atol=1e-13)
 
 
