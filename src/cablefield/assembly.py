@@ -301,7 +301,7 @@ def constrained_generator(bundle: OperatorBundle, W_B: np.ndarray) -> ClosedLoop
     Wraps the closed loop with all ports homogeneous (u = 0); dense
     eigendecompositions are practical at reduced sizes.
     """
-    W_B = np.asarray(W_B, dtype=complex)
+    W_B = np.asarray(W_B)
     k = bundle.k
     law = PortLaw(W_B_inp=W_B[:0], W_B_0=W_B, W_C_out=np.zeros((1, 4 * k)), k=k)
     return build_closed_loop(bundle, law)

@@ -87,7 +87,7 @@ class PortLaw:
         self.W_B_0 = _port_rows(self.W_B_0, four_k, "W_B_0")
         self.W_C_out = _port_rows(self.W_C_out, four_k, "W_C_out")
         if self.W_C_full is not None:
-            self.W_C_full = np.asarray(self.W_C_full, dtype=complex)
+            self.W_C_full = _real_if_real(self.W_C_full)
         if self.W_B_inp.shape[0] + self.W_B_0.shape[0] != 2 * self.k:
             raise CertificateError("W_B_inp and W_B_0 must stack to 2k rows")
         adm = check_admissible(self.W_B)
@@ -113,8 +113,16 @@ class PortLaw:
         return np.concatenate([u, np.zeros(2 * self.k - self.m)])
 
 
+def _real_if_real(W) -> np.ndarray:
+    """float64 when no entry has a nonzero imaginary part, else complex128."""
+    W = np.asarray(W)
+    if np.iscomplexobj(W) and np.any(W.imag):
+        return W.astype(complex)
+    return np.asarray(W.real, dtype=float)
+
+
 def _port_rows(W, four_k: int, name: str) -> np.ndarray:
-    W = np.asarray(W, dtype=complex)
+    W = _real_if_real(W)
     if W.size == 0:
         return W.reshape(0, four_k)
     W = np.atleast_2d(W)
@@ -324,13 +332,20 @@ def find_full_colocated(W_B: np.ndarray, W_C_out: np.ndarray):
     except CertificateError:
         return None
     for candidate in (W_C, np.vstack([W_C_out, W_C[m:]])):
-        if np.allclose(candidate[:m], W_C_out, atol=1e-9):
-            defect = colocation_defect(W_B, candidate)
-            M = np.vstack([W_B, candidate])
-            if defect.max() <= _EIG_TOL * max(1.0, np.abs(defect).max()) \
-                    and np.linalg.cond(M) < 1e12:
-                return candidate
+        if _completes(W_B, W_C_out, candidate):
+            return candidate
     return None
+
+
+def _completes(W_B: np.ndarray, W_C_out: np.ndarray, W_C: np.ndarray) -> bool:
+    """W_C leads with the rows of W_C_out and satisfies the output
+    inequality with [W_B; W_C] invertible."""
+    m = W_C_out.shape[0]
+    if W_C.shape[0] < m or not np.allclose(W_C[:m], W_C_out, atol=1e-9):
+        return False
+    defect = colocation_defect(W_B, W_C)
+    return bool(defect.max() <= _EIG_TOL * max(1.0, np.abs(defect).max())
+                and np.linalg.cond(np.vstack([W_B, W_C])) < 1e12)
 
 
 def wellposedness_constants(law: PortLaw,
@@ -356,7 +371,10 @@ def wellposedness_constants(law: PortLaw,
 
     colocated = None
     if adm["admissible"] and law.p == law.m:
-        colocated = find_full_colocated(W_B, law.W_C_out) is not None
+        if law.W_C_full is not None:
+            colocated = _completes(W_B, law.W_C_out, law.W_C_full)
+        else:
+            colocated = find_full_colocated(W_B, law.W_C_out) is not None
 
     return Certificate(
         admissible=adm["admissible"],

@@ -75,10 +75,6 @@ def cmd_simulate(args) -> int:
         config["seed"] = args.seed
     scn = build_scenario(config)
     cert = scn.certificate()
-    if not cert.admissible:
-        _emit({"error": "boundary law not admissible", **cert.as_dict()})
-        return EXIT_FAIL
-
     traj = scn.simulate()
     out = _outdir(args)
     csv_path = os.path.join(out, "trajectory.csv")
@@ -91,6 +87,7 @@ def cmd_simulate(args) -> int:
         "ledger_partial": traj.ledger["partial"],
         "records": int(len(traj.times)),
         "csv": csv_path,
+        "solver": traj.solver,
     }
     if cert.strict and cert.c_t is not None:
         chk = wp_bound_series(traj, cert.c_t)

@@ -99,6 +99,43 @@ def _port_matrix(bc: dict, key: str, k: int) -> np.ndarray:
     return parse_complex(value, (rows, 4 * k), f"boundary.{key}")
 
 
+def _port_law_rows(bc: dict, k: int):
+    """(W_B_inp, W_B_0) of the boundary section, stacking to 2k rows."""
+    W_B_inp = _port_matrix(bc, "W_B_inp", k)
+    W_B_0 = _port_matrix(bc, "W_B_0", k)
+    if W_B_inp.shape[0] + W_B_0.shape[0] != 2 * k:
+        raise ConfigError("boundary matrices must provide 2k rows in total "
+                          f"(got {W_B_inp.shape[0]} + {W_B_0.shape[0]}, k={k})")
+    return W_B_inp, W_B_0
+
+
+def _sim_section(sc: dict, m: int, n_nodes: int):
+    """(SimConfig, initial spec) of the sim section; a given V0 is parsed
+    against (n_nodes,) and must be real."""
+    inp = sc.get("input", {"kind": "zero"})
+    amplitude = inp.get("amplitude")
+    if amplitude is not None:
+        amplitude = parse_complex(amplitude, (m,), "sim.input.amplitude", scalar=m == 1)
+    signal = sim.InputSignal(
+        m=m, kind=inp.get("kind", "zero"), amplitude=amplitude,
+        freq=float(inp.get("freq", 1.0)), phase=float(inp.get("phase", 0.0)),
+        t_on=float(inp.get("t_on", 0.0)), ramp=float(inp.get("ramp", 0.05)),
+        table_t=inp.get("table_t"), table_u=inp.get("table_u"),
+    )
+    sim_cfg = sim.SimConfig(dt=float(sc["dt"]), T=float(sc["T"]), input=signal,
+                            solver_tol=float(sc.get("solver_tol", 1e-10)),
+                            record_stride=int(sc.get("record_stride", 1)))
+    initial_spec = dict(sc.get("initial", {"kind": "zero"}))
+    v0 = initial_spec.get("V0")
+    if v0 is not None and not isinstance(v0, str):
+        v0 = parse_complex(v0, (n_nodes,), "sim.initial.V0")
+        if np.iscomplexobj(v0) and np.any(v0.imag):
+            raise ConfigError("sim.initial.V0 must be real: the lifted line voltage "
+                              "has no imaginary part")
+        initial_spec["V0"] = np.asarray(v0.real, dtype=float)
+    return sim_cfg, initial_spec
+
+
 def _line_material_kwargs(lc: dict, k: int) -> dict:
     return {name: parse_complex(lc[name], (k, k), f"line.{name}", scalar=True)
             for name in ("C", "L", "R", "G") if name in lc}
@@ -145,9 +182,6 @@ class Scenario:
             v0 = self.initial_spec.get("V0", "sine")
             if isinstance(v0, str):
                 v0 = np.sin(np.pi * self.line_grid.nodes) * scale
-            else:
-                v0 = np.asarray(parse_complex(v0, self.line_grid.nodes.shape,
-                                             "sim.initial.V0"), dtype=float)
             line = int(self.initial_spec.get("line", 0))
             return sim.lifted_state(self.bundle, self.grid, self.charts[line],
                                     self.line_grid, v0, line=line)
@@ -210,11 +244,7 @@ def build_scenario(config: dict) -> Scenario:
     bundle = assembly.assemble_system(line_blocks, curls, coupling=cp, traces=traces)
 
     bc = config["boundary"]
-    W_B_inp = _port_matrix(bc, "W_B_inp", k)
-    W_B_0 = _port_matrix(bc, "W_B_0", k)
-    if W_B_inp.shape[0] + W_B_0.shape[0] != 2 * k:
-        raise ConfigError("boundary matrices must provide 2k rows in total "
-                          f"(got {W_B_inp.shape[0]} + {W_B_0.shape[0]}, k={k})")
+    W_B_inp, W_B_0 = _port_law_rows(bc, k)
     W_B = np.vstack([W_B_inp, W_B_0])
 
     if bc.get("W_C_out", "colocated") == "colocated":
@@ -230,22 +260,7 @@ def build_scenario(config: dict) -> Scenario:
     sim_cfg = None
     initial_spec = {}
     if "sim" in config:
-        sc = config["sim"]
-        inp = sc.get("input", {"kind": "zero"})
-        amplitude = inp.get("amplitude")
-        if amplitude is not None:
-            amplitude = parse_complex(amplitude, (law.m,), "sim.input.amplitude",
-                                      scalar=law.m == 1)
-        signal = sim.InputSignal(
-            m=law.m, kind=inp.get("kind", "zero"), amplitude=amplitude,
-            freq=float(inp.get("freq", 1.0)), phase=float(inp.get("phase", 0.0)),
-            t_on=float(inp.get("t_on", 0.0)), ramp=float(inp.get("ramp", 0.05)),
-            table_t=inp.get("table_t"), table_u=inp.get("table_u"),
-        )
-        sim_cfg = sim.SimConfig(dt=float(sc["dt"]), T=float(sc["T"]), input=signal,
-                                solver_tol=float(sc.get("solver_tol", 1e-10)),
-                                record_stride=int(sc.get("record_stride", 1)))
-        initial_spec = sc.get("initial", {"kind": "zero"})
+        sim_cfg, initial_spec = _sim_section(config["sim"], law.m, n_cells + 1)
 
     return Scenario(config=config, seed=seed, geometry=spec,
                     line_grid=line_grid, line_materials=lm, line_blocks=line_blocks,
@@ -290,12 +305,13 @@ def validate_scenario(config: dict) -> dict:
     report["passed"] &= field_rep["passed"]
 
     bc = config["boundary"]
-    W_B_inp = _port_matrix(bc, "W_B_inp", k)
-    W_B_0 = _port_matrix(bc, "W_B_0", k)
-    if W_B_inp.shape[0] + W_B_0.shape[0] != 2 * k:
-        raise ConfigError("boundary matrices must stack to 2k rows")
+    W_B_inp, W_B_0 = _port_law_rows(bc, k)
+    if bc.get("W_C_out", "colocated") != "colocated":
+        _port_matrix(bc, "W_C_out", k)
     adm = certify.check_admissible(np.vstack([W_B_inp, W_B_0]))
     report["boundary"] = adm
     report["passed"] &= adm["admissible"]
+    if "sim" in config:
+        _sim_section(config["sim"], W_B_inp.shape[0], int(lc["n_cells"]) + 1)
     report["passed"] = bool(report["passed"])
     return report

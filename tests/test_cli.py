@@ -55,10 +55,54 @@ def test_certify_rejects_sigma_negative_law(tmp_path, scenario_config, capsys):
     assert main(["certify", write(tmp_path, scenario_config)]) == EXIT_FAIL
 
 
+def test_simulate_rejects_sigma_negative_law(tmp_path, scenario_config, capsys):
+    k = scenario_config["line"]["k"]
+    W = np.hstack([np.eye(2 * k), -np.eye(2 * k)])
+    scenario_config["boundary"]["W_B_inp"] = W.tolist()
+    assert main(["simulate", write(tmp_path, scenario_config),
+                 "--output-dir", str(tmp_path / "out")]) == EXIT_FAIL
+    assert "not admissible" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("sim", "input", {"kind": "sine", "amplitude": [0.3, 0.0, 0.1]}),
+    ("boundary", "W_C_out", np.eye(4, 7).tolist()),
+])
+def test_validate_rejects_what_simulate_rejects(tmp_path, scenario_config, capsys,
+                                                section, key, value):
+    scenario_config[section][key] = value
+    path = write(tmp_path, scenario_config)
+    assert main(["validate", path]) == EXIT_USAGE
+    validate_err = capsys.readouterr().err
+    assert main(["simulate", path, "--output-dir", str(tmp_path / "out")]) == EXIT_USAGE
+    assert capsys.readouterr().err == validate_err
+
+
+def test_certify_builds_the_completion_once(scenario_path, monkeypatch, capsys):
+    import cablefield.certify as certify
+
+    calls = []
+    build = certify.build_colocated_output
+
+    def counted(W_B):
+        calls.append(1)
+        return build(W_B)
+
+    monkeypatch.setattr(certify, "build_colocated_output", counted)
+    assert main(["certify", scenario_path]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["colocated"] is True
+    assert len(calls) == 1
+
+
 def test_simulate_writes_csv_and_summary(scenario_path, tmp_path, capsys):
     out = str(tmp_path / "out")
     assert main(["simulate", scenario_path, "--output-dir", out]) == EXIT_OK
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    solver = summary["solver"]
+    assert set(solver) == {"reduced_unknowns", "factor_s", "lu_fill", "max_rel_residual"}
+    assert solver["reduced_unknowns"] == 13852 - 7456    # all unknowns but the faces
+    assert solver["lu_fill"] > solver["reduced_unknowns"]
+    assert 0.0 < solver["max_rel_residual"] <= 1e-10
     assert summary["wp_bound_satisfied"]
     assert summary["max_ledger_residual"] <= 1e-3 * max(summary["peak_energy"], 1e-30)
     data = np.loadtxt(os.path.join(out, "trajectory.csv"), delimiter=",", skiprows=1)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cablefield.errors import ConfigError
-from cablefield.scenario import parse_complex, validate_scenario
+from cablefield.scenario import build_scenario, parse_complex, validate_scenario
 
 MUTUAL = [[1.0, 0.1], [0.1, 1.0]]
 
@@ -32,3 +32,54 @@ def test_complex_entries_parse_by_shape(key, value, n, expected, scenario_config
     out = parse_complex(value, shape, key, scalar=scalar)
     assert np.allclose(out, expected, rtol=0, atol=0)
     assert np.iscomplexobj(out) == np.iscomplexobj(np.asarray(expected))
+
+
+def single_cable_config():
+    """The lossy single-cable geometry of acceptance criteria 3 and 5."""
+    return {
+        "geometry": {
+            "box": [[0.0, 0.6], [0.0, 0.6], [0.0, 1.0]],
+            "cables": [{"type": "segment", "p0": [0.3, 0.3, 0.15], "direction": [0, 0, 1],
+                        "length": 0.7, "radius": 0.2, "line": 0}],
+        },
+        "line": {"k": 1, "n_cells": 12, "C": 1.0, "L": 1.0, "R": 0.2, "G": 0.1},
+        "fields": {"grid": [6, 6, 10], "sigma": 0.2, "n_theta": 12},
+        "boundary": {"W_B_inp": [[1.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 1.0]],
+                     "W_C_out": "colocated"},
+        "sim": {"dt": 0.01, "T": 0.1, "input": {"kind": "zero"},
+                "initial": {"kind": "lift"}},
+    }
+
+
+def test_lift_V0_must_be_real():
+    cfg = single_cable_config()
+    nodes = np.linspace(0.0, 1.0, 13)
+    cfg["sim"]["initial"]["V0"] = np.sin(np.pi * nodes).tolist()
+    v0 = build_scenario(cfg).initial_spec["V0"]
+    assert v0.dtype == np.float64 and np.array_equal(v0, np.sin(np.pi * nodes))
+    # [re, im] pairs with an imaginary part used to be cast to float with
+    # only a ComplexWarning
+    cfg["sim"]["initial"]["V0"] = [[v, 0.1] for v in np.sin(np.pi * nodes)]
+    for check in (validate_scenario, build_scenario):
+        with pytest.raises(ConfigError, match="sim.initial.V0"):
+            check(cfg)
+
+
+def test_table_input_outside_its_range_is_rejected():
+    cfg = single_cable_config()
+    cfg["sim"]["T"] = 0.3
+    cfg["sim"]["input"] = {"kind": "table", "table_t": [0.0, 0.1],
+                           "table_u": [[0.0, 0.0], [1.0, 1.0]]}
+    for check in (validate_scenario, build_scenario):
+        with pytest.raises(ConfigError, match="table input covers"):
+            check(cfg)
+
+
+def test_real_data_stay_real(scenario_config):
+    scn = build_scenario(scenario_config)
+    assert scn.closed_loop().A.dtype == np.float64
+    assert scn.initial_state().dtype == np.float64
+    traj = scn.simulate()
+    assert traj.x_final.dtype == np.float64
+    assert traj.solver["reduced_unknowns"] == scn.bundle.n - scn.bundle.layout.n_faces
+    assert traj.solver["max_rel_residual"] <= scn.sim_config.solver_tol

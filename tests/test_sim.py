@@ -1,12 +1,17 @@
+import dataclasses
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from cablefield.assembly import build_closed_loop, hodge_extremes
 from cablefield.certify import PortLaw, build_colocated_output, wellposedness_constants
-from cablefield.errors import ConfigError, DomainError
+from cablefield.errors import ConfigError, DomainError, SolverError
 from cablefield.maxwell import FieldMaterials
 from cablefield.sim import (
     InputSignal,
+    MidpointStepper,
     SimConfig,
     lifted_state,
     random_state,
@@ -19,6 +24,7 @@ from cablefield.sim import (
 )
 from cablefield.tline import LineMaterials
 
+from test_acceptance import criterion3_bundle
 from test_assembly import make_setup
 
 
@@ -150,6 +156,21 @@ def test_wp_bound_series(lossy):
     assert chk["satisfied"]
 
 
+def test_records_match_the_bundle_forms(lossy):
+    # record() reads energy and dissipation from M Hd and M Rd built once
+    _, _, _, _, _, bundle, _ = lossy
+    law = strict_law(bundle.k)
+    loop = build_closed_loop(bundle, law)
+    cfg = SimConfig(dt=1e-2, T=0.05, input=InputSignal(m=law.m, kind="sine"))
+    traj = run(loop, cfg, x0=random_state(bundle, seed=8))
+    x = traj.x_final
+    e = bundle.effort(x)
+    assert traj.energy[-1] == pytest.approx(bundle.energy(x), rel=1e-14)
+    assert traj.diss_rate[-1] == pytest.approx(bundle.dissipation_rate(e), rel=1e-14)
+    assert np.allclose(traj.zeta[-1], loop.used_ports(e, cfg.input(cfg.T)),
+                       rtol=1e-14, atol=0)
+
+
 def test_run_rejects_bad_initial_shape(lossless):
     _, _, _, _, _, bundle, _ = lossless
     law = strict_law(bundle.k)
@@ -171,6 +192,25 @@ def test_input_signals():
         InputSignal(m=1, kind="wiggle")
     tab = InputSignal(m=1, kind="table", table_t=[0.0, 1.0], table_u=[[0.0], [2.0]])
     assert abs(tab(0.5)[0] - 1.0) < 1e-14
+    assert InputSignal(m=2)(0.3).dtype == np.float64
+    assert tab(0.5).dtype == np.float64
+
+
+def test_table_input_must_cover_the_interval():
+    # np.interp clamps outside the table: over [0, 0.1] with T = 0.3 the
+    # input would silently hold u(0.1) for t > 0.1
+    tab = InputSignal(m=1, kind="table", table_t=[0.0, 0.1], table_u=[[0.0], [1.0]])
+    with pytest.raises(ConfigError, match="table input covers"):
+        SimConfig(dt=1e-2, T=0.3, input=tab)
+    late = InputSignal(m=1, kind="table", table_t=[0.05, 0.5], table_u=[[0.0], [1.0]])
+    with pytest.raises(ConfigError, match="table input covers"):
+        SimConfig(dt=1e-2, T=0.3, input=late)
+    SimConfig(dt=1e-2, T=0.1, input=tab)
+    with pytest.raises(ConfigError, match="increasing"):
+        InputSignal(m=1, kind="table", table_t=[0.0, 0.2, 0.1],
+                    table_u=[[0.0], [1.0], [2.0]])
+    with pytest.raises(ConfigError, match="table_u has shape"):
+        InputSignal(m=2, kind="table", table_t=[0.0, 1.0], table_u=[[0.0], [1.0]])
 
 
 def test_lifted_initial_state():
@@ -218,3 +258,52 @@ def test_csv_writer(tmp_path, lossy):
                           "boundary_term", "residual"]
     data = np.loadtxt(path, delimiter=",", skiprows=1)
     assert data.shape[0] == len(traj.times)
+
+
+# ---------------------------------------------------------------------------
+# the face-eliminated midpoint solve against the full complex system
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def criterion3_bundles():
+    return {"lossy": criterion3_bundle(lossy=True)[-1],
+            "lossless": criterion3_bundle(lossy=False)[-1]}
+
+
+@pytest.mark.parametrize("which", ["lossy", "lossless"])
+@pytest.mark.parametrize("case", ["real_law_real_input", "real_law_complex_input",
+                                  "complex_law"])
+def test_stepper_matches_full_complex_solve(criterion3_bundles, which, case):
+    bundle = criterion3_bundles[which]
+    k = bundle.k
+    W2 = (1.0 + 0.5j) * np.eye(2 * k) if case == "complex_law" else np.eye(2 * k)
+    law = PortLaw(W_B_inp=np.hstack([np.eye(2 * k), W2]), W_B_0=np.zeros((0, 4 * k)),
+                  W_C_out=np.zeros((1, 4 * k)), k=k)
+    loop = build_closed_loop(bundle, law)
+    assert np.iscomplexobj(loop.A) == (case == "complex_law")
+    dt = 1e-2
+    stepper = MidpointStepper(loop, dt)
+    x = random_state(bundle, seed=11)
+    u = np.array([0.3, -0.2])
+    if case == "real_law_complex_input":
+        u = u + 1j * np.array([0.1, 0.4])
+    x_next, x_mid = stepper.step(x, u)
+
+    lhs = (sp.identity(bundle.n, dtype=complex) - 0.5 * dt * loop.A.astype(complex)).tocsc()
+    rhs = (x + 0.5 * dt * (loop.Bu @ law.u_hat(u))).astype(complex)
+    ref = spla.spsolve(lhs, rhs)
+    assert np.linalg.norm(x_mid - ref) <= 1e-12 * np.linalg.norm(ref)
+    assert np.linalg.norm(x_next - (2.0 * ref - x)) <= 1e-12 * np.linalg.norm(ref)
+    assert np.iscomplexobj(x_mid) == (case != "real_law_real_input")
+    stats = stepper.stats()
+    assert stats["reduced_unknowns"] == bundle.n - bundle.layout.n_faces
+    assert 0.0 < stats["max_rel_residual"] <= 1e-10
+
+
+def test_stepper_rejects_face_face_block(criterion3_bundles):
+    bundle = criterion3_bundles["lossy"]
+    loop = build_closed_loop(bundle, strict_law(bundle.k))
+    f0 = bundle.layout.sl_H.start
+    poke = sp.csr_matrix(([1.0], ([f0], [f0 + 1])), shape=loop.A.shape)
+    with pytest.raises(SolverError, match="face-face"):
+        MidpointStepper(dataclasses.replace(loop, A=loop.A + poke), 1e-2)
