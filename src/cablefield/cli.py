@@ -63,6 +63,7 @@ def cmd_certify(args) -> int:
     cert = scn.certificate()
     payload = cert.as_dict()
     payload["green_residual"] = scn.bundle.green_residual
+    payload["build"] = scn.build
     _emit(payload, os.path.join(_outdir(args), "certificate.json") if args.output_dir else None)
     return EXIT_OK if cert.admissible else EXIT_FAIL
 
@@ -88,6 +89,7 @@ def cmd_simulate(args) -> int:
         "records": int(len(traj.times)),
         "csv": csv_path,
         "solver": traj.solver,
+        "build": scn.build,
     }
     if cert.strict and cert.c_t is not None:
         chk = wp_bound_series(traj, cert.c_t)
@@ -144,7 +146,7 @@ def _coupling_convergence(config, levels, threads):
     from .scenario import _build_cable
     from .tline import build_line_grid
 
-    cable = _build_cable(config["geometry"]["cables"][0])
+    cable = _build_cable(config["geometry"]["cables"][0], "geometry.cables[0]")
     base_n, base_m = 8, 12
 
     def level(j):
@@ -187,7 +189,7 @@ def _quadrature_convergence(config, levels):
     from .geometry import build_chart, build_frame
     from .scenario import _build_cable
 
-    cable = _build_cable(config["geometry"]["cables"][0])
+    cable = _build_cable(config["geometry"]["cables"][0], "geometry.cables[0]")
     vals = []
     n_theta = 64         # fixed: isolates the second-order eta rule
     for j in range(levels + 1):

@@ -35,6 +35,7 @@ from typing import Sequence
 
 import numpy as np
 from scipy.interpolate import CubicSpline
+from scipy.spatial import cKDTree
 
 from .errors import ConfigError, GeometryError
 
@@ -74,23 +75,22 @@ class CableCurve:
         """Stationary parameters of |p - alpha(eta)|^2 near their coarse
         argmin, for every point p of a cloud.
 
-        Newton on g(eta) = (p - alpha) . alpha', clamped to a window around
-        the coarse argmin; the curvature bound keeps g' negative for points
-        within collar distance of the tube.  Returns (eta, gap, converged)
-        with gap = p - alpha(eta); non-converged entries keep the best
-        iterate so callers can decide whether the point matters.
+        The coarse argmin is the nearest of ``coarse`` uniform samples of
+        alpha on [lo, hi], found by one KD-tree query
+        (``nearest_curve_sample``).  Newton on g(eta) = (p - alpha) . alpha'
+        then runs from it, clamped to a window of two samples on either
+        side; the curvature bound keeps g' negative for points within
+        collar distance of the tube.  Returns (eta, gap, converged) with
+        gap = p - alpha(eta); non-converged entries keep the best iterate
+        so callers can decide whether the point matters.
         """
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        etas = np.linspace(lo, hi, coarse)
-        curve_pts = self.alpha(etas)
-        d2 = ((pts[:, None, :] - curve_pts[None, :, :]) ** 2).sum(axis=2)
-        eta = etas[np.argmin(d2, axis=1)]
+        eta, _ = nearest_curve_sample(self, pts, lo, hi, coarse)
         step = (hi - lo) / (coarse - 1)
         lo_i = np.maximum(lo, eta - 2 * step)
         hi_i = np.minimum(hi, eta + 2 * step)
         scale = max(1.0, self.length ** 2)
         g = np.full(pts.shape[0], np.inf)
-        w = pts - self.alpha(eta)
         for _ in range(iters):
             a = self.alpha(eta)
             t1 = self.d1(eta)
@@ -103,6 +103,24 @@ class CableCurve:
                 break
             eta = np.where(active, np.clip(eta - g / np.where(gp < 0, gp, -1.0), lo_i, hi_i), eta)
         return eta, pts - self.alpha(eta), np.abs(g) <= 1e-9 * scale
+
+
+def nearest_curve_sample(curve: CableCurve, pts: np.ndarray, lo: float, hi: float,
+                         n: int):
+    """Nearest of the n uniform curve samples alpha(linspace(lo, hi, n)) to
+    every point: returns (eta, d2), the sample parameter and the squared
+    distance |p - alpha(eta)|^2.
+
+    One KD-tree query over the samples, built per call (n is a few hundred,
+    so the build costs well under a millisecond); memory is linear in the
+    number of points.  d2 is evaluated from the returned sample exactly as a
+    dense point x sample scan evaluates it.
+    """
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    etas = np.linspace(lo, hi, n)
+    samples = curve.alpha(etas)
+    _, idx = cKDTree(samples).query(pts)
+    return etas[idx], ((pts - samples[idx]) ** 2).sum(axis=1)
 
 
 @dataclass
@@ -657,8 +675,8 @@ def classify_point(spec: GeometrySpec, p) -> tuple:
     eps = spec.collar_halfwidth
     for i, c in enumerate(spec.cables):
         # cheap reject before running the local inversion
-        probe = c.alpha(np.linspace(-0.1, 1.1, 64))
-        if np.linalg.norm(probe - p, axis=1).min() > 4.0 * c.radius + c.length * 0.02:
+        _, d2 = nearest_curve_sample(c, p, -0.1, 1.1, 64)
+        if np.sqrt(d2[0]) > 4.0 * c.radius + c.length * 0.02:
             continue
         chart = spec.chart(i)
         eta, th, s = np.atleast_2d(chart.psi_hat(p))[0]
@@ -670,14 +688,18 @@ def classify_point(spec: GeometrySpec, p) -> tuple:
 
 
 def is_inside_tube(spec: GeometrySpec, pts: np.ndarray, i: int) -> np.ndarray:
-    """Vectorized tube-interior test used when building field masks."""
+    """Vectorized tube-interior test used when building field masks.
+
+    Points farther than 2.5 radii from the nearest of 256 curve samples on
+    [-0.1, 1.1] (one KD-tree query) are outside; the rest are inverted by
+    ``nearest_parameter_batch`` and tested for eta in [0, 1] and a radial
+    distance below the radius.
+    """
     c = spec.cables[i]
     pts = np.atleast_2d(pts)
     out = np.zeros(pts.shape[0], dtype=bool)
-    probe_eta = np.linspace(-0.1, 1.1, 256)
-    probe = c.alpha(probe_eta)
-    d2 = ((pts[:, None, :] - probe[None, :, :]) ** 2).sum(axis=2)
-    near = np.nonzero(d2.min(axis=1) < (2.5 * c.radius) ** 2)[0]
+    _, d2 = nearest_curve_sample(c, pts, -0.1, 1.1, 256)
+    near = np.nonzero(d2 < (2.5 * c.radius) ** 2)[0]
     if near.size == 0:
         return out
     eta, gap, _ = c.nearest_parameter_batch(pts[near])

@@ -28,6 +28,7 @@ coupling, which enters through the surface trace instead.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -497,38 +498,51 @@ def _interp_rows(points, values_pts, h, radius_factor=2.25, rank_tol=1e-7):
 
     For each target point, weights over source points within
     radius_factor*h.  The local basis (1, dx, dy, dz) is reduced by a
-    pivoted QR so near-coplanar stencils drop the unresolvable gradient
-    directions instead of going singular; the constant mode is always
-    kept, so constants are reproduced exactly and linear fields exactly
-    wherever the stencil spans them.  Returns (rows, cols, vals).
+    greedy rank test so near-coplanar stencils drop the unresolvable
+    gradient directions instead of going singular; the constant mode is
+    always kept, so constants are reproduced exactly and linear fields
+    exactly wherever the stencil spans them.
+
+    Stencils are processed in batches: grouped by neighbour count, each
+    rank test is one stacked ``np.linalg.svd`` per kept-column pattern, and
+    the normal equations are one stacked ``np.linalg.solve`` per final
+    pattern.  Returns (rows, cols, vals) as arrays, stencil by stencil.
     """
-    tree = cKDTree(values_pts)
-    groups = tree.query_ball_point(points, radius_factor * h)
-    rows, cols, vals = [], [], []
-    for qi, grp in enumerate(groups):
-        if len(grp) == 0:
-            raise GridError("surface quadrature point has no nearby field unknowns; refine the grid")
-        grp = np.asarray(grp)
-        d = values_pts[grp] - points[qi]
-        w = np.maximum(1e-3, 1.0 - np.linalg.norm(d, axis=1) / (radius_factor * h)) ** 2
-        phi = np.column_stack([np.ones(len(grp)), d / h])
-        b = np.sqrt(w)[:, None] * phi
+    radius = radius_factor * h
+    groups = cKDTree(values_pts).query_ball_point(points, radius)
+    counts = np.fromiter(map(len, groups), dtype=np.intp, count=len(groups))
+    if counts.size and counts.min() == 0:
+        raise GridError("surface quadrature point has no nearby field unknowns; refine the grid")
+    cols = np.fromiter(itertools.chain.from_iterable(groups), dtype=np.intp,
+                       count=int(counts.sum()))
+    starts = np.r_[0, np.cumsum(counts)[:-1]]
+    vals = np.empty(cols.size)
+    bits = np.array([1, 2, 4, 8])
+    for n in np.unique(counts):
+        stencils = np.nonzero(counts == n)[0]
+        slots = starts[stencils][:, None] + np.arange(n)           # (b, n)
+        d = values_pts[cols[slots]] - points[stencils][:, None, :]
+        w = np.maximum(1e-3, 1.0 - np.linalg.norm(d, axis=2) / radius) ** 2
+        phi = np.concatenate([np.ones((stencils.size, n, 1)), d / h], axis=2)
+        b = np.sqrt(w)[:, :, None] * phi
         # greedy basis selection: keep gradient columns only while the
         # weighted design stays numerically full rank
-        keep = [0]
+        keep = np.ones(stencils.size, dtype=np.intp)               # bit mask, constant kept
         for c in (1, 2, 3):
-            trial = keep + [c]
-            sv = np.linalg.svd(b[:, trial], compute_uv=False)
-            if sv[-1] > rank_tol * sv[0]:
-                keep = trial
-        phi_s = phi[:, keep]
-        G = (phi_s * w[:, None]).T @ phi_s
-        coeff = np.linalg.solve(G, np.eye(len(keep))[:, 0])
-        a = w * (phi_s @ coeff)
-        rows.extend([qi] * len(grp))
-        cols.extend(grp.tolist())
-        vals.extend(np.asarray(a).tolist())
-    return rows, cols, vals
+            for pattern in np.unique(keep):
+                sel = np.nonzero(keep == pattern)[0]
+                trial = np.nonzero(bits & (pattern | bits[c]))[0]
+                sv = np.linalg.svd(b[sel][:, :, trial], compute_uv=False)
+                keep[sel[sv[:, -1] > rank_tol * sv[:, 0]]] |= bits[c]
+        for pattern in np.unique(keep):
+            sel = np.nonzero(keep == pattern)[0]
+            phi_s = phi[sel][:, :, np.nonzero(bits & pattern)[0]]
+            G = (phi_s * w[sel][:, :, None]).transpose(0, 2, 1) @ phi_s
+            rhs = np.zeros(G.shape[:2] + (1,))
+            rhs[:, 0] = 1.0
+            coeff = np.linalg.solve(G, rhs)
+            vals[slots[sel]] = w[sel] * (phi_s @ coeff)[:, :, 0]
+    return np.repeat(np.arange(counts.size), counts), cols, vals
 
 
 def _component_interp(grid, source_pts, quad_pts):

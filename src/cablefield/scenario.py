@@ -32,6 +32,7 @@ All boundary matrices act on the stacked port (I_tot(0), I_tot(1), V(0),
 from __future__ import annotations
 
 import json
+import time
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -65,30 +66,53 @@ def parse_complex(value, shape, key: str, scalar: bool = False) -> np.ndarray:
                       f"or {tuple(shape) + (2,)} ([re, im] pairs)")
 
 
-def _build_cable(entry: dict):
+def _required(section: dict, key: str, where: str):
+    """section[key]; a missing key is a ConfigError naming ``where.key``."""
+    if key not in section:
+        raise ConfigError(f"scenario is missing the required key {where}.{key}")
+    return section[key]
+
+
+def _build_cable(entry: dict, where: str):
+    def vec(key):
+        return np.asarray(_required(entry, key, where), dtype=float)
+
+    def num(key):
+        return float(_required(entry, key, where))
+
     kind = entry.get("type", "segment")
-    radius = float(entry["radius"])
+    radius = num("radius")
     line = int(entry.get("line", 0))
     if kind == "segment":
-        return StraightSegment(p0=np.asarray(entry["p0"], dtype=float),
-                               direction=np.asarray(entry["direction"], dtype=float),
-                               length=float(entry["length"]), radius=radius, line=line)
+        return StraightSegment(p0=vec("p0"), direction=vec("direction"),
+                               length=num("length"), radius=radius, line=line)
     if kind == "arc":
-        return CircularArc(center=np.asarray(entry["center"], dtype=float),
-                           u=np.asarray(entry["u"], dtype=float),
-                           v=np.asarray(entry["v"], dtype=float),
-                           rho=float(entry["rho"]), phi0=float(entry["phi0"]),
-                           phi1=float(entry["phi1"]), radius=radius, line=line)
+        return CircularArc(center=vec("center"), u=vec("u"), v=vec("v"),
+                           rho=num("rho"), phi0=num("phi0"), phi1=num("phi1"),
+                           radius=radius, line=line)
     if kind == "helix":
-        return Helix(base=np.asarray(entry["base"], dtype=float),
-                     axis=np.asarray(entry["axis"], dtype=float),
-                     a=float(entry["a"]), b=float(entry["b"]),
-                     turns=float(entry["turns"]), radius=radius,
+        return Helix(base=vec("base"), axis=vec("axis"), a=num("a"), b=num("b"),
+                     turns=num("turns"), radius=radius,
                      phase=float(entry.get("phase", 0.0)), line=line)
     if kind == "spline":
-        return SplineCurve(points=np.asarray(entry["points"], dtype=float),
-                           radius=radius, line=line)
+        return SplineCurve(points=vec("points"), radius=radius, line=line)
     raise ConfigError(f"unknown cable type {kind!r}")
+
+
+def _sections(config: dict):
+    """The four required sections of a scenario, in schema order."""
+    for section in ("geometry", "line", "fields", "boundary"):
+        if section not in config:
+            raise ConfigError(f"scenario config is missing the {section!r} section")
+    return config["geometry"], config["line"], config["fields"], config["boundary"]
+
+
+def _geometry_spec(geo: dict) -> GeometrySpec:
+    cables = [_build_cable(e, f"geometry.cables[{i}]")
+              for i, e in enumerate(geo.get("cables", []))]
+    return GeometrySpec(box=np.asarray(_required(geo, "box", "geometry"), dtype=float),
+                        cables=cables,
+                        collar_halfwidth=float(geo.get("collar_halfwidth", 0.3)))
 
 
 def _port_matrix(bc: dict, key: str, k: int) -> np.ndarray:
@@ -122,7 +146,8 @@ def _sim_section(sc: dict, m: int, n_nodes: int):
         t_on=float(inp.get("t_on", 0.0)), ramp=float(inp.get("ramp", 0.05)),
         table_t=inp.get("table_t"), table_u=inp.get("table_u"),
     )
-    sim_cfg = sim.SimConfig(dt=float(sc["dt"]), T=float(sc["T"]), input=signal,
+    sim_cfg = sim.SimConfig(dt=float(_required(sc, "dt", "sim")),
+                            T=float(_required(sc, "T", "sim")), input=signal,
                             solver_tol=float(sc.get("solver_tol", 1e-10)),
                             record_stride=int(sc.get("record_stride", 1)))
     initial_spec = dict(sc.get("initial", {"kind": "zero"}))
@@ -158,6 +183,7 @@ class Scenario:
     law: certify.PortLaw
     sim_config: Optional[sim.SimConfig]
     initial_spec: dict = field(default_factory=dict)
+    build: dict = field(default_factory=dict)   # stage timings and problem sizes
 
     @property
     def k(self):
@@ -205,28 +231,25 @@ def load_config(path: str) -> dict:
 
 
 def build_scenario(config: dict) -> Scenario:
-    for section in ("geometry", "line", "fields", "boundary"):
-        if section not in config:
-            raise ConfigError(f"scenario config is missing the {section!r} section")
+    geo, lc, fc, bc = _sections(config)
     seed = int(config.get("seed", 0))
+    spec = _geometry_spec(geo)
+    cables = spec.cables
 
-    geo = config["geometry"]
-    cables = [_build_cable(e) for e in geo.get("cables", [])]
-    spec = GeometrySpec(box=np.asarray(geo["box"], dtype=float), cables=cables,
-                        collar_halfwidth=float(geo.get("collar_halfwidth", 0.3)))
-
-    lc = config["line"]
-    k = int(lc["k"])
-    n_cells = int(lc["n_cells"])
+    k = int(_required(lc, "k", "line"))
+    n_cells = int(_required(lc, "n_cells", "line"))
     line_grid = tline.build_line_grid(n_cells, k)
     lm = tline.LineMaterials(k=k, **_line_material_kwargs(lc, k))
     line_blocks = tline.assemble_line(lm, line_grid)
 
-    fc = config["fields"]
-    grid = maxwell.build_grid(spec, fc["grid"])
+    clock = time.perf_counter()
+    grid = maxwell.build_grid(spec, _required(fc, "grid", "fields"))
+    build = {"grid_s": time.perf_counter() - clock}
     fm = maxwell.FieldMaterials(eps=fc.get("eps", 1.0), mu=fc.get("mu", 1.0),
                                 sigma=fc.get("sigma", 0.0))
+    clock = time.perf_counter()
     curls = maxwell.assemble_curls(grid, fm)
+    build["curls_s"] = time.perf_counter() - clock
 
     lines_used = sorted({c.line for c in cables})
     if any(l < 0 or l >= k for l in lines_used):
@@ -235,15 +258,20 @@ def build_scenario(config: dict) -> Scenario:
         raise ConfigError("two cables reference the same line component")
 
     n_theta = int(fc.get("n_theta", 16))
+    clock = time.perf_counter()
     charts = [spec.chart(i, n_eta=n_cells, n_theta=n_theta) for i in range(len(cables))]
     if cables:
         cp = coupling.assemble_P_el(charts, line_grid)
         traces = maxwell.surface_trace(grid, charts)
     else:
         cp, traces = None, None
+    build["trace_s"] = time.perf_counter() - clock
+    clock = time.perf_counter()
     bundle = assembly.assemble_system(line_blocks, curls, coupling=cp, traces=traces)
+    build["assembly_s"] = time.perf_counter() - clock
+    build.update(free_edges=grid.n_free_edges, band_edges=grid.n_band_edges,
+                 dof_faces=grid.n_dof_faces, quad_points=sum(ch.n_quad for ch in charts))
 
-    bc = config["boundary"]
     W_B_inp, W_B_0 = _port_law_rows(bc, k)
     W_B = np.vstack([W_B_inp, W_B_0])
 
@@ -266,17 +294,15 @@ def build_scenario(config: dict) -> Scenario:
                     line_grid=line_grid, line_materials=lm, line_blocks=line_blocks,
                     grid=grid, field_materials=fm, curls=curls, charts=charts,
                     coupling=cp, bundle=bundle, law=law, sim_config=sim_cfg,
-                    initial_spec=initial_spec)
+                    initial_spec=initial_spec, build=build)
 
 
 def validate_scenario(config: dict) -> dict:
     """Assumption checks without full assembly; used by the validate command."""
     report = {"passed": True}
+    geo, lc, fc, bc = _sections(config)
     try:
-        geo = config["geometry"]
-        cables = [_build_cable(e) for e in geo.get("cables", [])]
-        spec = GeometrySpec(box=np.asarray(geo["box"], dtype=float), cables=cables,
-                            collar_halfwidth=float(geo.get("collar_halfwidth", 0.3)))
+        spec = _geometry_spec(geo)
         gr = validate_geometry(spec)
         report["geometry"] = {
             "passed": gr.passed,
@@ -285,26 +311,25 @@ def validate_scenario(config: dict) -> dict:
             "cables": gr.cables,
         }
         report["passed"] &= gr.passed
-    except (KeyError, CableFieldError) as exc:
+    except CableFieldError as exc:
         raise ConfigError(f"geometry section invalid: {exc}") from exc
 
-    lc = config["line"]
-    k = int(lc["k"])
+    k = int(_required(lc, "k", "line"))
+    n_cells = int(_required(lc, "n_cells", "line"))
     lm = tline.LineMaterials(k=k, **_line_material_kwargs(lc, k))
     line_rep = tline.validate_line_materials(lm)
     report["line_materials"] = line_rep
     report["passed"] &= line_rep["passed"]
 
-    fc = config["fields"]
+    _required(fc, "grid", "fields")
     fm = maxwell.FieldMaterials(eps=fc.get("eps", 1.0), mu=fc.get("mu", 1.0),
                                 sigma=fc.get("sigma", 0.0))
     probe = np.asarray(np.meshgrid(*[np.linspace(*b, 5) for b in
-                                     np.asarray(geo["box"], dtype=float)])).reshape(3, -1).T
+                                     spec.box])).reshape(3, -1).T
     field_rep = maxwell.validate_field_materials(fm, probe)
     report["field_materials"] = field_rep
     report["passed"] &= field_rep["passed"]
 
-    bc = config["boundary"]
     W_B_inp, W_B_0 = _port_law_rows(bc, k)
     if bc.get("W_C_out", "colocated") != "colocated":
         _port_matrix(bc, "W_C_out", k)
@@ -312,6 +337,6 @@ def validate_scenario(config: dict) -> dict:
     report["boundary"] = adm
     report["passed"] &= adm["admissible"]
     if "sim" in config:
-        _sim_section(config["sim"], W_B_inp.shape[0], int(lc["n_cells"]) + 1)
+        _sim_section(config["sim"], W_B_inp.shape[0], n_cells + 1)
     report["passed"] = bool(report["passed"])
     return report

@@ -46,6 +46,38 @@ def test_certify_emits_constants(scenario_path, capsys):
     assert cert["delta"] == pytest.approx(2.0)
     assert cert["green_residual"] <= 1e-12
     assert cert["c_t"] >= 1.0
+    check_build_report(cert["build"])
+
+
+BUILD_STAGES = {"grid_s", "curls_s", "trace_s", "assembly_s"}
+
+
+def check_build_report(build):
+    # straight_pair_config at scale 1: two 12 x 12 charts
+    assert set(build) == BUILD_STAGES | {"free_edges", "band_edges", "dof_faces", "quad_points"}
+    assert all(build[k] > 0.0 for k in BUILD_STAGES)
+    assert build["quad_points"] == 2 * 12 * 12
+    assert build["dof_faces"] == 7456
+    assert build["free_edges"] > 0 and build["band_edges"] > 0
+
+
+def drop(config, dotted):
+    """Delete one dotted key such as geometry.cables[0].radius."""
+    *path, last = dotted.replace("[", ".").replace("]", "").split(".")
+    for part in path:
+        config = config[int(part)] if part.isdigit() else config[part]
+    del config[last]
+
+
+@pytest.mark.parametrize("command", ["validate", "simulate"])
+@pytest.mark.parametrize("key", ["sim.dt", "sim.T", "line.k", "line.n_cells", "fields.grid",
+                                 "geometry.box", "geometry.cables[0].radius",
+                                 "geometry.cables[1].p0", "geometry.cables[1].length"])
+def test_missing_required_key_exits_2(tmp_path, scenario_config, capsys, command, key):
+    drop(scenario_config, key)
+    path = write(tmp_path, scenario_config)
+    assert main([command, path, "--output-dir", str(tmp_path / "out")]) == EXIT_USAGE
+    assert f"missing the required key {key}" in capsys.readouterr().err
 
 
 def test_certify_rejects_sigma_negative_law(tmp_path, scenario_config, capsys):
@@ -103,6 +135,7 @@ def test_simulate_writes_csv_and_summary(scenario_path, tmp_path, capsys):
     assert solver["reduced_unknowns"] == 13852 - 7456    # all unknowns but the faces
     assert solver["lu_fill"] > solver["reduced_unknowns"]
     assert 0.0 < solver["max_rel_residual"] <= 1e-10
+    check_build_report(summary["build"])
     assert summary["wp_bound_satisfied"]
     assert summary["max_ledger_residual"] <= 1e-3 * max(summary["peak_energy"], 1e-30)
     data = np.loadtxt(os.path.join(out, "trajectory.csv"), delimiter=",", skiprows=1)

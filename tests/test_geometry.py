@@ -258,3 +258,116 @@ def test_grad_eta_straight_cylinder():
     pts = chart.phi_hat(np.array([0.3, 0.6]), np.array([0.4, -1.0]), np.array([0.05, -0.05]))
     g = chart.grad_eta(pts)
     assert np.abs(g - np.array([0.0, 0.0, 1.0])).max() <= 1e-9
+
+
+# ---------------------------------------------------------------------------
+# nearest-sample query against a dense brute-force argmin
+# ---------------------------------------------------------------------------
+
+def dense_nearest_sample(curve, pts, lo, hi, n, chunk=1024):
+    """Brute-force argmin over all (point, sample) pairs, in row chunks."""
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    etas = np.linspace(lo, hi, n)
+    samples = curve.alpha(etas)
+    eta, d2 = np.empty(pts.shape[0]), np.empty(pts.shape[0])
+    for s in range(0, pts.shape[0], chunk):
+        dd = ((pts[s:s + chunk, None, :] - samples[None, :, :]) ** 2).sum(axis=2)
+        j = dd.argmin(axis=1)
+        eta[s:s + chunk] = etas[j]
+        d2[s:s + chunk] = dd[np.arange(j.size), j]
+    return eta, d2
+
+
+ORACLE_CURVES = {
+    "segment": lambda: StraightSegment(p0=np.array([0.5, 0.5, 0.05]),
+                                       direction=np.array([0.05, 0.0, 1.0]),
+                                       length=1.3, radius=0.17),
+    "arc": lambda: CircularArc(center=np.array([-0.6, 0.5, 0.7]), u=np.array([1.0, 0, 0]),
+                               v=np.array([0, 0, 1.0]), rho=1.1, phi0=-0.6, phi1=0.6,
+                               radius=0.17),
+    "helix": lambda: Helix(base=np.array([0.5, 0.5, 0.07]), axis=[0, 0, 1], a=0.15, b=0.2,
+                           turns=1.0, radius=0.17),
+    "spline": lambda: SplineCurve(np.array([[0.4, 0.45, 0.05], [0.55, 0.5, 0.5],
+                                            [0.5, 0.6, 0.9], [0.45, 0.5, 1.35]]), radius=0.17),
+}
+
+
+def oracle_points(spec, rng):
+    """Points inside the tube, on its surface, across the collar and beyond
+    both ends, plus uniform points in the box."""
+    chart = spec.chart(0)
+    eta = rng.uniform(-0.4, 1.4, 1500)
+    theta = rng.uniform(-np.pi, np.pi, 1500)
+    s = np.concatenate([rng.uniform(-0.99, 0.0, 500), np.zeros(250),
+                        rng.uniform(0.0, spec.collar_halfwidth, 500),
+                        rng.uniform(spec.collar_halfwidth, 2.0, 250)])
+    near = chart.phi_hat(eta, theta, s)
+    box = rng.uniform(spec.box[:, 0], spec.box[:, 1], size=(1000, 3))
+    return np.concatenate([near, box])
+
+
+def with_dense_query(monkeypatch, fn):
+    import cablefield.coupling as coupling
+    import cablefield.geometry as geometry
+
+    with monkeypatch.context() as m:
+        m.setattr(geometry, "nearest_curve_sample", dense_nearest_sample)
+        m.setattr(coupling, "nearest_curve_sample", dense_nearest_sample)
+        return fn()
+
+
+def tag_or_error(spec, p):
+    # far off a curved end the collar inversion may fail; it must fail alike
+    try:
+        return classify_point(spec, p)
+    except GeometryError as exc:
+        return ("GeometryError", str(exc))
+
+
+@pytest.mark.parametrize("kind", sorted(ORACLE_CURVES))
+def test_curve_query_matches_dense_oracle(kind, monkeypatch):
+    from cablefield.coupling import lift_voltage
+    from cablefield.geometry import nearest_curve_sample
+    from cablefield.maxwell import build_grid
+    from cablefield.tline import build_line_grid
+
+    # collar with eps * r >= 2h for the voltage lift on h = 0.05; the cables
+    # are long enough that every collar point inverts inside the Newton window
+    spec = GeometrySpec(box=np.array([[0, 1], [0, 1], [0, 1.4]]),
+                        cables=[ORACLE_CURVES[kind]()], collar_halfwidth=0.6)
+    curve = spec.cables[0]
+    pts = oracle_points(spec, np.random.default_rng(17))
+
+    for lo, hi, n in ((-0.45, 1.45, 512), (-0.1, 1.1, 256), (-0.2, 1.2, 256), (-0.1, 1.1, 64)):
+        eta, d2 = nearest_curve_sample(curve, pts, lo, hi, n)
+        eta_ref, d2_ref = dense_nearest_sample(curve, pts, lo, hi, n)
+        assert np.array_equal(eta, eta_ref) and np.array_equal(d2, d2_ref)
+
+    lg = build_line_grid(12, 1)
+    V = np.sin(np.pi * lg.nodes)
+
+    def run():
+        eta, gap, converged = curve.nearest_parameter_batch(pts)
+        grid = build_grid(spec, (20, 20, 28))
+        return {
+            "eta": eta, "gap": gap, "converged": converged,
+            "mask": is_inside_tube(spec, pts, 0),
+            "grid": (grid.cell_cable, grid.edge_status, grid.edge_cable),
+            "lift": lift_voltage(spec.chart(0, n_eta=12, n_theta=16), grid, V, lg),
+            "tags": [tag_or_error(spec, p) for p in pts[::10]],
+        }
+
+    tree = run()
+    dense = with_dense_query(monkeypatch, run)
+    assert np.array_equal(tree["converged"], dense["converged"])
+    assert np.abs(tree["eta"] - dense["eta"]).max() <= 1e-14
+    assert np.abs(tree["gap"] - dense["gap"]).max() <= 1e-14
+    assert tree["mask"].any() and np.array_equal(tree["mask"], dense["mask"])
+    for a, b in zip(tree["grid"], dense["grid"]):
+        assert np.array_equal(a, b)
+    assert (tree["grid"][0] == 0).any() and (tree["grid"][1] == 2).any()   # tube cells, band
+    assert tree["lift"].support.size > 0
+    assert np.array_equal(tree["lift"].support, dense["lift"].support)
+    assert np.abs(tree["lift"].values - dense["lift"].values).max() <= 1e-14
+    assert {t[0] for t in tree["tags"]} >= {"inside_tube", "collar", "field"}
+    assert tree["tags"] == dense["tags"]

@@ -254,3 +254,82 @@ def test_trace_injection_adjointness(traced):
     lhs = np.dot(g, M_surf @ (R_tan @ e))
     rhs = np.dot(R_tan.T @ (M_surf @ g), e)
     assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
+
+
+# ---------------------------------------------------------------------------
+# batched MLS weights against a per-stencil reference
+# ---------------------------------------------------------------------------
+
+def per_stencil_interp(points, values_pts, h, radius_factor=2.25, rank_tol=1e-7):
+    """One stencil at a time: greedy rank-revealing basis, then the weighted
+    normal equations.  Returns (rows, cols, vals, kept column counts)."""
+    from scipy.spatial import cKDTree
+
+    groups = cKDTree(values_pts).query_ball_point(points, radius_factor * h)
+    rows, cols, vals, kept = [], [], [], []
+    for qi, grp in enumerate(groups):
+        grp = np.asarray(grp)
+        d = values_pts[grp] - points[qi]
+        w = np.maximum(1e-3, 1.0 - np.linalg.norm(d, axis=1) / (radius_factor * h)) ** 2
+        phi = np.column_stack([np.ones(len(grp)), d / h])
+        b = np.sqrt(w)[:, None] * phi
+        keep = [0]
+        for c in (1, 2, 3):
+            sv = np.linalg.svd(b[:, keep + [c]], compute_uv=False)
+            if sv[-1] > rank_tol * sv[0]:
+                keep = keep + [c]
+        phi_s = phi[:, keep]
+        G = (phi_s * w[:, None]).T @ phi_s
+        coeff = np.linalg.solve(G, np.eye(len(keep))[:, 0])
+        rows += [qi] * len(grp)
+        cols += grp.tolist()
+        vals += (w * (phi_s @ coeff)).tolist()
+        kept.append(len(keep))
+    return np.array(rows), np.array(cols), np.array(vals), np.array(kept)
+
+
+def mls_cloud(kind, rng):
+    h = 0.1
+    if kind == "volume":
+        src = rng.uniform(0.0, 1.0, size=(600, 3))
+        tgt = rng.uniform(0.2, 0.8, size=(150, 3))
+    elif kind == "coplanar":
+        # sources in the plane z = 0.5: the z-gradient column is dropped
+        g = np.stack(np.meshgrid(np.arange(11) * h, np.arange(11) * h, indexing="ij"), -1)
+        src = np.column_stack([g.reshape(-1, 2), np.full(121, 0.5)])
+        tgt = np.column_stack([rng.uniform(0.2, 0.8, (80, 2)), 0.5 + rng.uniform(-0.05, 0.05, 80)])
+    else:
+        # sources on a line: both transverse gradient columns are dropped
+        src = np.column_stack([np.arange(21) * 0.05, np.full(21, 0.3), np.full(21, 0.7)])
+        tgt = np.column_stack([rng.uniform(0.2, 0.8, 60), 0.3 + rng.uniform(-0.05, 0.05, 60),
+                               np.full(60, 0.7)])
+    return tgt, src, h
+
+
+@pytest.mark.parametrize("kind, dropped", [("volume", None), ("coplanar", 3), ("collinear", 2)])
+def test_interp_rows_matches_per_stencil_reference(kind, dropped):
+    from cablefield.maxwell import _interp_rows
+
+    tgt, src, h = mls_cloud(kind, np.random.default_rng(23))
+    rows, cols, vals = _interp_rows(tgt, src, h)
+    assert all(isinstance(a, np.ndarray) for a in (rows, cols, vals))
+    r_ref, c_ref, v_ref, kept = per_stencil_interp(tgt, src, h)
+    assert np.array_equal(rows, r_ref) and np.array_equal(cols, c_ref)
+    assert np.abs(vals - v_ref).max() <= 1e-13
+    assert np.unique(np.bincount(rows)).size >= 2          # several neighbour counts
+    if dropped is None:
+        assert (kept == 4).all()
+    else:
+        assert (kept == dropped).all()                     # gradient columns dropped
+    # constants are reproduced exactly by every stencil
+    R = sp.csr_matrix((vals, (rows, cols)), shape=(tgt.shape[0], src.shape[0]))
+    assert np.abs(R @ np.ones(src.shape[0]) - 1.0).max() <= 1e-12
+
+
+def test_interp_rows_empty_stencil_raises():
+    from cablefield.maxwell import _interp_rows
+
+    src = np.random.default_rng(2).uniform(0.0, 0.3, size=(40, 3))
+    tgt = np.array([[0.1, 0.1, 0.1], [2.0, 2.0, 2.0]])
+    with pytest.raises(GridError):
+        _interp_rows(tgt, src, 0.1)
