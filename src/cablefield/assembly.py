@@ -87,12 +87,6 @@ class BlockLayout:
     def sl_E(self):
         return slice(self.total - self.n_edges, self.total)
 
-    def pack(self, I, H, V, E):
-        return np.concatenate([I, H, V, E])
-
-    def unpack(self, x):
-        return x[self.sl_I], x[self.sl_H], x[self.sl_V], x[self.sl_E]
-
 
 @dataclass
 class OperatorBundle:

@@ -34,7 +34,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 from scipy.spatial import cKDTree
 
 from .errors import ConfigError, GeometryError
@@ -251,6 +250,10 @@ class SplineCurve(CableCurve):
 
     def __init__(self, points: np.ndarray, radius: float, line: int = 0,
                  n_resample: int = 2049):
+        # imported here: scipy.interpolate (and the scipy.optimize it pulls
+        # in) would otherwise cost every import of the package
+        from scipy.interpolate import CubicSpline
+
         pts = np.asarray(points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] < 4:
             raise GeometryError("spline needs at least 4 control points of shape (m,3)")

@@ -345,10 +345,6 @@ def _full_curl(n, h) -> sp.csr_matrix:
     return sp.csr_matrix((vals, (rows, cols)), shape=(foff[-1], eoff[-1]))
 
 
-def _harmonic_mean(samples):
-    return samples.shape[0] / (1.0 / samples).sum(axis=0)
-
-
 @dataclass
 class CurlPair:
     """Masked curls and diagonal material Hodge blocks.

@@ -12,8 +12,13 @@ and edges and f the faces,
 S is factorized once per (loop, dt) by SuperLU (MMD ordering on S^T + S),
 in real arithmetic when the law and the materials are real; a complex
 right-hand side on a real factor is solved as its real and imaginary parts.
-Every step's residual is checked against the full L.  The scheme is
-A-stable, time-reversible and preserves the quadratic energy
+Input data is real too unless it is complex: InputSignal keeps amplitudes
+and tables whose imaginary parts are all zero (the schema's [re, im] form
+with im = 0) as float64, so a real law with such an input runs a real
+state.  Every step's residual is checked against the full L, and every
+midpoint input must be finite (DomainError naming the time otherwise).
+
+The scheme is A-stable, time-reversible and preserves the quadratic energy
 exactly for skew flows, so the recorded energy ledger
 
     E(t) - E(0) = supplied - dissipated + boundary_form
@@ -24,6 +29,14 @@ midpoints).  ``boundary_form`` is the half quadratic form of
 Sigma - [W_B; W_C]^H Sigma [W_B; W_C] on the enforced port vector and
 needs the full co-located completion W_C; without one the ledger is
 reported as partial.
+
+run() records in blocks: each recorded state is copied into a column of
+an (n, B) buffer, and a full buffer is reduced at once (energy, ||x||_M,
+efforts, enforced ports zeta, outputs y, dissipation rate) with sparse
+matrix x dense block products into preallocated trajectory arrays.  B is
+set by the byte budget RECORD_BLOCK_BYTES (2 MiB): B = budget // (itemsize n)
+clamped to [1, RECORD_BLOCK_MAX_COLUMNS = 256], so a large system keeps a
+few columns (about 18 at n = 13,852) and adds no memory to speak of.
 """
 
 from __future__ import annotations
@@ -37,9 +50,13 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .assembly import ClosedLoop, OperatorBundle
-from .certify import PortLaw, sigma_matrix
+from .certify import PortLaw, _real_if_real, sigma_matrix
 from .errors import ConfigError, DomainError, SolverError
 
+# Byte budget of run()'s block of recorded states: the block holds
+# clamp(budget // (itemsize n), 1, RECORD_BLOCK_MAX_COLUMNS) columns.
+RECORD_BLOCK_BYTES = 2 * 2 ** 20
+RECORD_BLOCK_MAX_COLUMNS = 256
 
 # ---------------------------------------------------------------------------
 # input signals
@@ -72,7 +89,7 @@ class InputSignal:
     def __post_init__(self):
         if self.amplitude is None:
             self.amplitude = np.ones(self.m)
-        self.amplitude = np.atleast_1d(np.asarray(self.amplitude))
+        self.amplitude = np.atleast_1d(_real_if_real(self.amplitude))
         if self.amplitude.size != self.m:
             raise ConfigError(f"input amplitude needs {self.m} entries")
         if self.kind not in ("zero", "step", "sine", "table"):
@@ -81,7 +98,10 @@ class InputSignal:
             if self.table_t is None or self.table_u is None:
                 raise ConfigError("table input needs table_t and table_u")
             self.table_t = np.asarray(self.table_t, dtype=float)
-            self.table_u = np.atleast_2d(np.asarray(self.table_u))
+            try:
+                self.table_u = np.atleast_2d(_real_if_real(self.table_u))
+            except (TypeError, ValueError) as exc:
+                raise ConfigError("table_u must hold numbers") from exc
             if self.table_t.ndim != 1 or np.any(np.diff(self.table_t) <= 0):
                 raise ConfigError("table_t must be a strictly increasing list of times")
             if self.table_u.shape != (self.table_t.size, self.m):
@@ -202,14 +222,15 @@ class MidpointStepper:
     """Factorized implicit-midpoint stepper for one (loop, dt) pair.
 
     Factorizes the face-eliminated step system S once (see the module
-    docstring); ``stats`` reports its size, the set-up time, the LU fill
-    and the worst relative step residual so far.
+    docstring) and builds the per-step operators with it: the input
+    columns dt/2 Bu[:, :m] (dense) and P = [I_r | -L_rf], which maps the
+    right-hand side to S's in one product.  ``stats`` reports the size, the
+    set-up time, the LU fill, the number of step solves and the worst
+    relative step residual so far.
     """
 
     def __init__(self, loop: ClosedLoop, dt: float, solver_tol: float = 1e-10):
         t0 = time.perf_counter()
-        self.loop = loop
-        self.dt = dt
         self.solver_tol = solver_tol
         lay = loop.bundle.layout
         n = loop.bundle.n
@@ -220,12 +241,16 @@ class MidpointStepper:
                               "face elimination of the midpoint step needs it empty")
         r = np.r_[lay.sl_I, lay.sl_V.start:n]
         half = 0.5 * dt
+        eye = sp.identity(n, dtype=A.dtype, format="csr")
         self._r, self._f = r, f
-        self._lhs = (sp.identity(n, dtype=A.dtype, format="csr") - half * A).tocsr()
-        self._Arf = (half * A[r][:, f]).tocsr()        # -L_rf
+        self._m = loop.law.m
+        self._lhs = (eye - half * A).tocsr()
+        Arf = half * A[r][:, f]                        # -L_rf
         self._Afr = (half * A[f][:, r]).tocsr()        # -L_fr
+        self._P = (eye[r] + Arf @ eye[f]).tocsr()
+        self._Bu = (half * loop.Bu[:, :self._m]).toarray()
         S = (sp.identity(r.size, dtype=A.dtype, format="csr") - half * A[r][:, r]
-             - self._Arf @ self._Afr).tocsc()
+             - Arf @ self._Afr).tocsc()
         self._real = S.dtype.kind != "c"
         try:
             self._lu = spla.splu(S, permc_spec="MMD_AT_PLUS_A")
@@ -234,10 +259,12 @@ class MidpointStepper:
         self._stats = {"reduced_unknowns": int(r.size),
                        "factor_s": time.perf_counter() - t0,
                        "lu_fill": int(self._lu.L.nnz + self._lu.U.nnz)}
+        self.solves = 0
         self.max_rel_residual = 0.0
 
     def stats(self) -> dict:
-        return {**self._stats, "max_rel_residual": self.max_rel_residual}
+        return {**self._stats, "solves": self.solves,
+                "max_rel_residual": self.max_rel_residual}
 
     def _solve_reduced(self, b: np.ndarray) -> np.ndarray:
         if self._real and np.iscomplexobj(b):
@@ -246,13 +273,17 @@ class MidpointStepper:
         return self._lu.solve(b)
 
     def step(self, x: np.ndarray, u_mid) -> tuple:
-        """Advance one step; returns (x_next, x_mid)."""
-        rhs = x + 0.5 * self.dt * (self.loop.Bu @ self.loop.law.u_hat(u_mid))
-        rhs_f = rhs[self._f]
-        x_r = self._solve_reduced(rhs[self._r] + self._Arf @ rhs_f)
+        """Advance one step with the input u_mid (m,) at the midpoint time;
+        returns (x_next, x_mid)."""
+        u = np.atleast_1d(u_mid)
+        if u.shape != (self._m,):
+            raise DomainError(f"input has {u.size} ports, port law expects {self._m}")
+        rhs = x + self._Bu @ u
+        x_r = self._solve_reduced(self._P @ rhs)
+        self.solves += 1
         x_mid = np.empty(rhs.shape, dtype=x_r.dtype)
         x_mid[self._r] = x_r
-        x_mid[self._f] = rhs_f + self._Afr @ x_r
+        x_mid[self._f] = rhs[self._f] + self._Afr @ x_r
         res = np.linalg.norm(self._lhs @ x_mid - rhs)
         scale = max(1.0, np.linalg.norm(rhs))
         if not np.isfinite(res) or res > self.solver_tol * scale:
@@ -280,11 +311,20 @@ class Trajectory:
     solver: Optional[dict] = None  # MidpointStepper.stats() of the run
 
 
+def _column_forms(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Re <X[:, j], Y[:, j]> for every column j."""
+    if np.iscomplexobj(X):
+        X = X.conj()
+    return np.real(np.einsum("ij,ij->j", X, Y))
+
+
 def run(loop: ClosedLoop, cfg: SimConfig, x0: Optional[np.ndarray] = None) -> Trajectory:
     """Integrate and record; attaches the energy ledger.
 
-    The law's co-located completion W_C_full enables the boundary-form
-    term of the ledger; without it the ledger is flagged partial.
+    Recorded states are copied into a block of columns and reduced a block
+    at a time (see the module docstring).  The law's co-located completion
+    W_C_full enables the boundary-form term of the ledger; without it the
+    ledger is flagged partial.
     """
     bundle, law = loop.bundle, loop.law
     if x0 is None:
@@ -293,41 +333,67 @@ def run(loop: ClosedLoop, cfg: SimConfig, x0: Optional[np.ndarray] = None) -> Tr
     x0 = x0.astype(np.result_type(x0.dtype, float), copy=False)
     if x0.shape != (bundle.n,):
         raise DomainError(f"initial state has shape {x0.shape}, expected ({bundle.n},)")
-    u0 = law.u_hat(cfg.input(0.0))
-    if not np.all(np.isfinite(u0)):
+    u0 = np.atleast_1d(cfg.input(0.0))
+    if not np.all(np.isfinite(law.u_hat(u0))):
         raise DomainError("input signal is not finite at t = 0; (x0, u(0)) "
                           "must lie in the system-node domain")
 
     stepper = MidpointStepper(loop, cfg.dt, cfg.solver_tol)
     n_steps = int(round(cfg.T / cfg.dt))
-    rec_t, rec_E, rec_xn, rec_u, rec_y, rec_z, rec_d = [], [], [], [], [], [], []
+    # records: t = 0, every record_stride-th step and the last step
+    n_rec = 1 + n_steps // cfg.record_stride + (n_steps % cfg.record_stride != 0)
+    x = x0.astype(np.result_type(x0, loop.A.dtype, loop.Bu.dtype, u0), copy=True)
     MHd = bundle.energy_metric()
     MRd = (bundle.M @ bundle.Rd).tocsr()
+    W1_inp = loop.W1_inv[:, :law.m]         # W1^-1 u_hat(u) = W1_inp u
+    z_dtype = np.result_type(x, bundle.Hd.dtype, loop.G_fb, loop.W1_inv, u0)
+    times = np.empty(n_rec)
+    energy, xnorm, diss = np.empty(n_rec), np.empty(n_rec), np.empty(n_rec)
+    u_rec = np.empty((n_rec, law.m), dtype=u0.dtype)
+    zeta = np.empty((n_rec, 4 * law.k), dtype=z_dtype)
+    width = min(max(RECORD_BLOCK_BYTES // (x.itemsize * bundle.n), 1),
+                RECORD_BLOCK_MAX_COLUMNS, n_rec)
+    block = np.empty((bundle.n, width), dtype=x.dtype)
+    filled, done = 0, 0         # columns in the block; records reduced before it
 
-    def record(t, x):
-        e = bundle.effort(x)
-        u_t = np.atleast_1d(cfg.input(t))
-        zeta = loop.used_ports(e, u_t)
-        rec_t.append(t)
-        rec_E.append(0.5 * float(np.real(np.vdot(x, MHd @ x))))
-        rec_xn.append(float(np.sqrt(np.real(np.vdot(x, bundle.M @ x)))))
-        rec_u.append(u_t)
-        rec_y.append(law.W_C_out @ zeta)
-        rec_z.append(zeta)
-        rec_d.append(float(np.real(np.vdot(e, MRd @ e))))
+    def flush():
+        nonlocal filled, done
+        X = block[:, :filled]
+        sl = slice(done, done + filled)
+        energy[sl] = 0.5 * _column_forms(X, MHd @ X)
+        xnorm[sl] = np.sqrt(_column_forms(X, bundle.M @ X))
+        E = bundle.effort(X)
+        diss[sl] = _column_forms(E, MRd @ E)
+        zeta[sl] = np.vstack([loop.G_fb @ E + W1_inp @ u_rec[sl].T, bundle.B2 @ E]).T
+        done += filled
+        filled = 0
 
-    x = x0.copy()
-    record(0.0, x)
+    def record(t, x, u_t):
+        nonlocal filled
+        times[done + filled] = t
+        u_rec[done + filled] = u_t
+        block[:, filled] = x
+        filled += 1
+        if filled == width:
+            flush()
+
+    record(0.0, x, u0)
     for i in range(n_steps):
         t_mid = (i + 0.5) * cfg.dt
-        x, _ = stepper.step(x, cfg.input(t_mid))
+        u_mid = cfg.input(t_mid)
+        if not np.isfinite(u_mid).all():
+            raise DomainError(f"input signal is not finite at t = {t_mid:.6g} "
+                              f"(midpoint of step {i + 1})")
+        x, _ = stepper.step(x, u_mid)
         if (i + 1) % cfg.record_stride == 0 or i == n_steps - 1:
-            record((i + 1) * cfg.dt, x)
+            t = (i + 1) * cfg.dt
+            record(t, x, cfg.input(t))
+    if filled:
+        flush()
 
     traj = Trajectory(
-        times=np.asarray(rec_t), energy=np.asarray(rec_E), xnorm=np.asarray(rec_xn),
-        u=np.asarray(rec_u), y=np.asarray(rec_y), zeta=np.asarray(rec_z),
-        diss_rate=np.asarray(rec_d), x_final=x, x0=x0, solver=stepper.stats(),
+        times=times, energy=energy, xnorm=xnorm, u=u_rec, y=zeta @ law.W_C_out.T,
+        zeta=zeta, diss_rate=diss, x_final=x, x0=x0, solver=stepper.stats(),
     )
     traj.ledger = energy_ledger(traj, law)
     return traj

@@ -1,6 +1,9 @@
 import copy
 import json
 import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -131,7 +134,9 @@ def test_simulate_writes_csv_and_summary(scenario_path, tmp_path, capsys):
     assert main(["simulate", scenario_path, "--output-dir", out]) == EXIT_OK
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     solver = summary["solver"]
-    assert set(solver) == {"reduced_unknowns", "factor_s", "lu_fill", "max_rel_residual"}
+    assert set(solver) == {"reduced_unknowns", "factor_s", "lu_fill", "solves",
+                           "max_rel_residual"}
+    assert solver["solves"] == summary["records"] - 1 == 30     # T / dt = 0.3 / 0.01
     assert solver["reduced_unknowns"] == 13852 - 7456    # all unknowns but the faces
     assert solver["lu_fill"] > solver["reduced_unknowns"]
     assert 0.0 < solver["max_rel_residual"] <= 1e-10
@@ -201,3 +206,17 @@ def test_scenario_referential_consistency(tmp_path, scenario_config):
     bad["boundary"]["W_B_inp"] = np.eye(3, 8).tolist()     # wrong row count
     with pytest.raises(Exception):
         build_scenario(bad)
+
+
+def test_cli_import_leaves_the_spline_module_unloaded():
+    # scipy.interpolate (and scipy.optimize behind it) is imported only by a
+    # spline cable, not by every command
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(pathlib.Path(__file__).resolve().parents[1] / "src"),
+                    env.get("PYTHONPATH")) if p)
+    code = "import sys, cablefield.cli; print('scipy.interpolate' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.strip() == "False"

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cablefield import sim
 from cablefield.errors import ConfigError
 from cablefield.scenario import build_scenario, parse_complex, validate_scenario
 
@@ -83,3 +84,31 @@ def test_real_data_stay_real(scenario_config):
     assert traj.x_final.dtype == np.float64
     assert traj.solver["reduced_unknowns"] == scn.bundle.n - scn.bundle.layout.n_faces
     assert traj.solver["max_rel_residual"] <= scn.sim_config.solver_tol
+
+
+def test_zero_imaginary_amplitudes_run_real():
+    # [re, im] amplitudes with im = 0 parse complex, but the input signal
+    # keeps them real, so the real law runs a real state; the values are
+    # those of the complex-state step loop
+    cfg = single_cable_config()
+    cfg["sim"].update(dt=2e-3, T=0.1)
+    cfg["sim"]["input"] = {"kind": "sine", "freq": 3.0,
+                           "amplitude": [[0.3, 0.0], [0.2, 0.0]], "phase": 0.4}
+    cfg["sim"]["initial"] = {"kind": "smooth", "scale": 1.0}
+    scn = build_scenario(cfg)
+    sim_cfg = scn.sim_config
+    assert sim_cfg.input.amplitude.dtype == np.float64
+    loop, x0 = scn.closed_loop(), scn.initial_state()
+    traj = sim.run(loop, sim_cfg, x0=x0)
+    assert traj.x_final.dtype == np.float64
+    assert traj.u.dtype == np.float64 and traj.y.dtype == np.float64
+
+    stepper = sim.MidpointStepper(loop, sim_cfg.dt, sim_cfg.solver_tol)
+    x, energy = x0.astype(complex), [scn.bundle.energy(x0)]
+    for i in range(int(round(sim_cfg.T / sim_cfg.dt))):
+        u = sim_cfg.input((i + 0.5) * sim_cfg.dt).astype(complex)
+        x, _ = stepper.step(x, u)
+        energy.append(scn.bundle.energy(x))
+    assert np.iscomplexobj(x)
+    assert np.linalg.norm(traj.x_final - x) <= 1e-12 * np.linalg.norm(x)
+    assert np.allclose(traj.energy, energy, rtol=1e-12, atol=0)

@@ -5,6 +5,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from cablefield import sim
 from cablefield.assembly import build_closed_loop, hodge_extremes
 from cablefield.certify import PortLaw, build_colocated_output, wellposedness_constants
 from cablefield.errors import ConfigError, DomainError, SolverError
@@ -156,19 +157,64 @@ def test_wp_bound_series(lossy):
     assert chk["satisfied"]
 
 
+def recorded_states(loop, cfg, x0):
+    """States at the record times of run(), from a per-step loop."""
+    stepper = MidpointStepper(loop, cfg.dt, cfg.solver_tol)
+    n_steps = int(round(cfg.T / cfg.dt))
+    x, states = x0.copy(), [x0.copy()]
+    for i in range(n_steps):
+        x, _ = stepper.step(x, cfg.input((i + 0.5) * cfg.dt))
+        if (i + 1) % cfg.record_stride == 0 or i == n_steps - 1:
+            states.append(x)
+    return states
+
+
 def test_records_match_the_bundle_forms(lossy):
-    # record() reads energy and dissipation from M Hd and M Rd built once
+    # run() reduces recorded states a block of columns at a time; every
+    # record must equal the per-state forms of the bundle and the loop
     _, _, _, _, _, bundle, _ = lossy
     law = strict_law(bundle.k)
     loop = build_closed_loop(bundle, law)
-    cfg = SimConfig(dt=1e-2, T=0.05, input=InputSignal(m=law.m, kind="sine"))
-    traj = run(loop, cfg, x0=random_state(bundle, seed=8))
-    x = traj.x_final
-    e = bundle.effort(x)
-    assert traj.energy[-1] == pytest.approx(bundle.energy(x), rel=1e-14)
-    assert traj.diss_rate[-1] == pytest.approx(bundle.dissipation_rate(e), rel=1e-14)
-    assert np.allclose(traj.zeta[-1], loop.used_ports(e, cfg.input(cfg.T)),
-                       rtol=1e-14, atol=0)
+    width = min(max(sim.RECORD_BLOCK_BYTES // (8 * bundle.n), 1),
+                sim.RECORD_BLOCK_MAX_COLUMNS)
+    x0 = random_state(bundle, seed=8)
+    for stride, n_steps in ((1, 500), (3, 1500)):
+        cfg = SimConfig(dt=1e-3, T=n_steps * 1e-3, record_stride=stride,
+                        input=InputSignal(m=law.m, kind="sine", freq=2.0))
+        traj = run(loop, cfg, x0=x0)
+        n_rec = len(traj.times)
+        assert n_rec == 501 and n_rec > 2 * width and n_rec % width, \
+            "the run must fill two blocks and leave a remainder"
+        states = recorded_states(loop, cfg, x0)
+        assert len(states) == n_rec
+        assert np.array_equal(states[-1], traj.x_final)
+        for j, (t, x) in enumerate(zip(traj.times, states)):
+            e = bundle.effort(x)
+            u = cfg.input(t)
+            zeta = loop.used_ports(e, u)
+            assert t == pytest.approx(min(j * stride, n_steps) * cfg.dt, rel=1e-14)
+            assert np.array_equal(traj.u[j], u)
+            assert traj.energy[j] == pytest.approx(bundle.energy(x), rel=1e-14)
+            assert traj.xnorm[j] == pytest.approx(
+                np.sqrt(np.vdot(x, bundle.M @ x).real), rel=1e-14)
+            assert traj.diss_rate[j] == pytest.approx(bundle.dissipation_rate(e), rel=1e-14)
+            assert np.linalg.norm(traj.zeta[j] - zeta) <= 1e-14 * np.linalg.norm(zeta)
+            assert np.linalg.norm(traj.y[j] - law.W_C_out @ zeta) \
+                <= 1e-14 * np.linalg.norm(law.W_C_out @ zeta)
+
+
+def test_input_must_be_finite_on_every_step(lossless):
+    # a NaN in the table past t = 0 is an input error, not a solver failure
+    _, _, _, _, _, bundle, _ = lossless
+    law = strict_law(bundle.k)
+    loop = build_closed_loop(bundle, law)
+    table_t = np.linspace(0.0, 0.1, 11)
+    table_u = np.zeros((11, law.m))
+    table_u[6, 0] = np.nan                      # u_1(0.06)
+    cfg = SimConfig(dt=1e-2, T=0.1, input=InputSignal(m=law.m, kind="table",
+                                                      table_t=table_t, table_u=table_u))
+    with pytest.raises(DomainError, match="not finite at t = 0.055"):
+        run(loop, cfg, x0=random_state(bundle, seed=8))
 
 
 def test_run_rejects_bad_initial_shape(lossless):
