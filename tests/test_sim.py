@@ -198,9 +198,8 @@ def test_records_match_the_bundle_forms(lossy):
             assert traj.xnorm[j] == pytest.approx(
                 np.sqrt(np.vdot(x, bundle.M @ x).real), rel=1e-14)
             assert traj.diss_rate[j] == pytest.approx(bundle.dissipation_rate(e), rel=1e-14)
-            assert np.linalg.norm(traj.zeta[j] - zeta) <= 1e-14 * np.linalg.norm(zeta)
-            assert np.linalg.norm(traj.y[j] - law.W_C_out @ zeta) \
-                <= 1e-14 * np.linalg.norm(law.W_C_out @ zeta)
+            assert np.allclose(traj.zeta[j], zeta, rtol=1e-14, atol=0)
+            assert np.allclose(traj.y[j], law.W_C_out @ zeta, rtol=1e-14, atol=0)
 
 
 def test_input_must_be_finite_on_every_step(lossless):
