@@ -290,12 +290,14 @@ def make_parser() -> argparse.ArgumentParser:
         q = sub.add_parser(name)
         q.add_argument("scenario", help="path to the scenario JSON file")
         q.add_argument("--output-dir", default=None)
-        q.add_argument("--threads", type=int, default=1)
-        q.add_argument("--seed", type=int, default=None)
-        q.add_argument("--export-operators", action="store_true")
-        q.add_argument("--export-fields", action="store_true")
         q.set_defaults(func=fn)
-    sub.choices["converge"].add_argument("--levels", type=int, default=3)
+    simulate = sub.choices["simulate"]
+    simulate.add_argument("--seed", type=int, default=None)
+    simulate.add_argument("--export-operators", action="store_true")
+    simulate.add_argument("--export-fields", action="store_true")
+    converge = sub.choices["converge"]
+    converge.add_argument("--threads", type=int, default=1)
+    converge.add_argument("--levels", type=int, default=3)
     return p
 
 

@@ -37,7 +37,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import CouplingError
-from .geometry import TubeChart, nearest_curve_sample
+from .geometry import TubeChart, collar_candidates, cutoff_reach
 from .maxwell import YeeGrid
 from .tline import LineGrid
 
@@ -180,11 +180,10 @@ def lift_voltage(chart: TubeChart, grid: YeeGrid, V: np.ndarray,
     """Evaluate chi * grad(V o Psi_hat) on grid edges.
 
     V holds nodal samples of one line component; its cell-wise discrete
-    derivative drives the tangential field.  Candidate edges are those whose
-    midpoint lies in a 1 +- 1.5 eps radius annulus around the nearest of 256
-    curve samples on [-0.2, 1.2] (one KD-tree query, linear memory); only
-    they are inverted by ``psi_hat``.  Raises if the collar is thinner than
-    two grid cells (the cutoff cannot be represented).
+    derivative drives the tangential field.  Only the collar candidates of
+    the cutoff support (``collar_candidates``) are inverted by ``psi_hat``.
+    Raises if the collar is thinner than two grid cells (the cutoff cannot
+    be represented).
     """
     eps = chart.collar_halfwidth
     r = chart.curve.radius
@@ -197,9 +196,8 @@ def lift_voltage(chart: TubeChart, grid: YeeGrid, V: np.ndarray,
     dV = (V[1:] - V[:-1]) * line_grid.n   # per-cell derivative, k=1 layout
 
     mids = grid.edge_midpoints()
-    # prefilter: collar annulus around the nearest of 256 curve samples
-    _, d2 = nearest_curve_sample(chart.curve, mids, -0.2, 1.2, 256)
-    band = np.nonzero((d2 < (r * (1 + 1.5 * eps)) ** 2) & (d2 > (r * (1 - 1.5 * eps)) ** 2))[0]
+    reach = cutoff_reach(eps)
+    band = collar_candidates(chart.curve, mids, reach, reach)
 
     values = np.zeros(mids.shape[0])
     if band.size:

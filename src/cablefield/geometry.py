@@ -26,6 +26,26 @@ follow from decomposing p - alpha(eta) in the frame.
 
 The chart normal points out of the tube (into the field region); for a
 straight cylinder along z it is (sin t, cos t, 0).
+
+Collar window
+-------------
+One rule decides which points a cable's collar chart may invert; every
+caller (is_inside_tube, classify_point, coupling.lift_voltage) goes
+through ``collar_candidates``.
+
+  * The extended chart domain is eta in [-ETA_PAD, 1 + ETA_PAD].  build_frame
+    propagates the frame over it, and nearest_curve_sample searches its
+    CURVE_SAMPLES uniform samples of alpha.
+  * Newton (nearest_parameter_batch) starts at the nearest sample and stays
+    within two sample steps of it, NEWTON_SLACK in eta.
+  * A point is a candidate for collar radius r (1 + s_max) and axial reach
+    when its nearest sample lies within r (1 + s_max) + l NEWTON_SLACK and
+    that sample's eta within [-reach - NEWTON_SLACK, 1 + reach + NEWTON_SLACK].
+    Both bounds contain every point whose Newton result lies in the region.
+  * The collar cutoff chi vanishes beyond cutoff_reach(eps) = 2 eps / 3, in s
+    and past the cable ends in eta.  GeometrySpec requires
+    cutoff_reach(eps) + 2 NEWTON_SLACK <= ETA_PAD, i.e. eps <= 0.6527, so the
+    Newton of every candidate stays inside the sampled domain.
 """
 
 from __future__ import annotations
@@ -40,6 +60,17 @@ from .errors import ConfigError, GeometryError
 
 _CURVATURE_SLACK = 1.0 - 1e-6   # strictness margin on the curvature bound
 _ARCLEN_TOL = 1e-6              # relative tolerance on |alpha'| = l
+
+ETA_PAD = 0.45                  # extended chart domain [-ETA_PAD, 1 + ETA_PAD]
+CURVE_SAMPLES = 512             # uniform samples of alpha on that domain
+NEWTON_SLACK = 2.0 * (1.0 + 2.0 * ETA_PAD) / (CURVE_SAMPLES - 1)   # two sample steps
+COLLAR_MAX = 1.5 * (ETA_PAD - 2.0 * NEWTON_SLACK)   # largest admissible eps
+_FRAME_STEP = 1.0 / 1024.0      # coarsest frame propagation step
+
+
+def cutoff_reach(eps: float) -> float:
+    """Support of the collar cutoff chi, in s and past the ends in eta."""
+    return 2.0 * eps / 3.0
 
 
 # ---------------------------------------------------------------------------
@@ -69,57 +100,68 @@ class CableCurve:
 
     # -- shared helpers -----------------------------------------------------
 
-    def nearest_parameter_batch(self, pts: np.ndarray, lo: float = -0.45, hi: float = 1.45,
-                                coarse: int = 512, iters: int = 40, tol: float = 1e-12):
+    def nearest_parameter_batch(self, pts: np.ndarray):
         """Stationary parameters of |p - alpha(eta)|^2 near their coarse
         argmin, for every point p of a cloud.
 
-        The coarse argmin is the nearest of ``coarse`` uniform samples of
-        alpha on [lo, hi], found by one KD-tree query
-        (``nearest_curve_sample``).  Newton on g(eta) = (p - alpha) . alpha'
-        then runs from it, clamped to a window of two samples on either
-        side; the curvature bound keeps g' negative for points within
-        collar distance of the tube.  Returns (eta, gap, converged) with
-        gap = p - alpha(eta); non-converged entries keep the best iterate
-        so callers can decide whether the point matters.
+        The coarse argmin is the nearest curve sample (``nearest_curve_sample``).
+        Newton on g(eta) = (p - alpha) . alpha' then runs from it, clamped to
+        two samples on either side (the module's collar window); the
+        curvature bound keeps g' negative for points within collar distance
+        of the tube.  Returns (eta, gap, converged) with gap = p - alpha(eta);
+        non-converged entries keep the best iterate so callers can decide
+        whether the point matters.
         """
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        eta, _ = nearest_curve_sample(self, pts, lo, hi, coarse)
-        step = (hi - lo) / (coarse - 1)
-        lo_i = np.maximum(lo, eta - 2 * step)
-        hi_i = np.minimum(hi, eta + 2 * step)
+        eta, _ = nearest_curve_sample(self, pts)
+        lo_i = np.maximum(-ETA_PAD, eta - NEWTON_SLACK)
+        hi_i = np.minimum(1.0 + ETA_PAD, eta + NEWTON_SLACK)
         scale = max(1.0, self.length ** 2)
         g = np.full(pts.shape[0], np.inf)
-        for _ in range(iters):
+        for _ in range(40):
             a = self.alpha(eta)
             t1 = self.d1(eta)
             t2 = self.d2(eta)
             w = pts - a
             g = (w * t1).sum(axis=1)
             gp = -(t1 * t1).sum(axis=1) + (w * t2).sum(axis=1)
-            active = (np.abs(g) > tol * scale) & (gp < -1e-12 * scale)
+            active = (np.abs(g) > 1e-12 * scale) & (gp < -1e-12 * scale)
             if not active.any():
                 break
             eta = np.where(active, np.clip(eta - g / np.where(gp < 0, gp, -1.0), lo_i, hi_i), eta)
         return eta, pts - self.alpha(eta), np.abs(g) <= 1e-9 * scale
 
 
-def nearest_curve_sample(curve: CableCurve, pts: np.ndarray, lo: float, hi: float,
-                         n: int):
-    """Nearest of the n uniform curve samples alpha(linspace(lo, hi, n)) to
-    every point: returns (eta, d2), the sample parameter and the squared
-    distance |p - alpha(eta)|^2.
+def nearest_curve_sample(curve: CableCurve, pts: np.ndarray):
+    """Nearest of the CURVE_SAMPLES uniform curve samples on
+    [-ETA_PAD, 1 + ETA_PAD] to every point: returns (eta, d2), the sample
+    parameter and the squared distance |p - alpha(eta)|^2.
 
-    One KD-tree query over the samples, built per call (n is a few hundred,
-    so the build costs well under a millisecond); memory is linear in the
-    number of points.  d2 is evaluated from the returned sample exactly as a
-    dense point x sample scan evaluates it.
+    One KD-tree query over the samples, built per call (well under a
+    millisecond); memory is linear in the number of points.  d2 is
+    evaluated from the returned sample exactly as a dense point x sample
+    scan evaluates it.
     """
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    etas = np.linspace(lo, hi, n)
+    etas = np.linspace(-ETA_PAD, 1.0 + ETA_PAD, CURVE_SAMPLES)
     samples = curve.alpha(etas)
     _, idx = cKDTree(samples).query(pts)
     return etas[idx], ((pts - samples[idx]) ** 2).sum(axis=1)
+
+
+def collar_candidates(curve: CableCurve, pts: np.ndarray, s_max: float,
+                      reach: float) -> np.ndarray:
+    """Indices of the points that may invert to collar radius s <= s_max
+    with eta in [-reach, 1 + reach].
+
+    Every point whose Newton result lies in that region is kept: Newton ends
+    within NEWTON_SLACK of the nearest sample's eta, and some sample lies
+    within half a step, far less than l NEWTON_SLACK, of the Newton point.
+    """
+    eta, d2 = nearest_curve_sample(curve, pts)
+    rad = curve.radius * (1.0 + s_max) + curve.length * NEWTON_SLACK
+    ext = reach + NEWTON_SLACK
+    return np.nonzero((d2 <= rad * rad) & (eta >= -ext) & (eta <= 1.0 + ext))[0]
 
 
 @dataclass
@@ -383,13 +425,12 @@ def _double_reflection(points, tangents, r0):
     return normals
 
 
-def build_frame(curve: CableCurve, n_eta=129, eta_pad: float = 0.45,
-                max_step: float = 1.0 / 1024.0) -> AdaptedFrame:
+def build_frame(curve: CableCurve, n_eta=129) -> AdaptedFrame:
     """Rotation-minimizing frame via the double-reflection recurrence.
 
     ``n_eta`` may be a sample count (uniform on [0,1]) or an explicit array
-    of parameters; propagation runs on a refinement no coarser than
-    ``max_step`` extended by ``eta_pad`` past both ends for the collar.
+    of parameters; propagation runs on a refinement of the extended chart
+    domain [-ETA_PAD, 1 + ETA_PAD] with steps of at most 1/1024.
     """
     rep = validate_curve(curve)
     if not (rep["arclength_ok"] and rep["curvature_ok"]):
@@ -401,9 +442,9 @@ def build_frame(curve: CableCurve, n_eta=129, eta_pad: float = 0.45,
         requested = np.linspace(0.0, 1.0, int(n_eta))
     else:
         requested = np.sort(np.asarray(n_eta, dtype=float))
-    lo = min(-eta_pad, requested[0])
-    hi = max(1.0 + eta_pad, requested[-1])
-    n_fine = int(np.ceil((hi - lo) / max_step)) + 1
+    lo = min(-ETA_PAD, requested[0])
+    hi = max(1.0 + ETA_PAD, requested[-1])
+    n_fine = int(np.ceil((hi - lo) / _FRAME_STEP)) + 1
     grid = np.unique(np.concatenate([np.linspace(lo, hi, n_fine), requested]))
 
     pts = curve.alpha(grid)
@@ -431,9 +472,11 @@ def build_frame(curve: CableCurve, n_eta=129, eta_pad: float = 0.45,
 # ---------------------------------------------------------------------------
 
 def smooth_bump(s, eps: float):
-    """C^2 cutoff in the collar coordinate: 1 for |s|<=eps/3, 0 for |s|>=2*eps/3."""
+    """C^2 cutoff in the collar coordinate: 1 for |s| <= cutoff_reach(eps)/2,
+    0 for |s| >= cutoff_reach(eps)."""
     s = np.abs(np.asarray(s, dtype=float))
-    x = (s - eps / 3.0) / (eps / 3.0)
+    plateau = cutoff_reach(eps) / 2.0
+    x = (s - plateau) / plateau
     x = np.clip(x, 0.0, 1.0)
     return 1.0 - (10.0 * x ** 3 - 15.0 * x ** 4 + 6.0 * x ** 5)
 
@@ -588,8 +631,10 @@ class GeometrySpec:
         self.box = np.asarray(self.box, dtype=float).reshape(3, 2)
         if not np.all(self.box[:, 1] > self.box[:, 0]):
             raise ConfigError("box bounds must satisfy lo < hi on every axis")
-        if not (0.0 < self.collar_halfwidth < 1.0):
-            raise ConfigError("collar_halfwidth must lie in (0, 1)")
+        if not (0.0 < self.collar_halfwidth <= COLLAR_MAX):
+            raise ConfigError(
+                f"collar_halfwidth must lie in (0, {COLLAR_MAX:.4f}]: its cutoff reach "
+                "2 eps / 3 must fit inside the collar chart's eta window")
         self._charts = {}
 
     def chart(self, i: int, n_eta: int = 64, n_theta: int = 32) -> TubeChart:
@@ -617,8 +662,9 @@ def validate_geometry(spec: GeometrySpec, n_samples: int = 512) -> GeometryRepor
         raise ConfigError("validate_geometry expects a GeometrySpec")
     eta = np.linspace(0.0, 1.0, n_samples)
     eps = spec.collar_halfwidth
-    # collar cutoff support reaches 2*eps/3 past the cable ends in eta
-    eta_ext = np.linspace(-2.0 * eps / 3.0, 1.0 + 2.0 * eps / 3.0, n_samples)
+    # collar cutoff support reaches past the cable ends in eta
+    reach = cutoff_reach(eps)
+    eta_ext = np.linspace(-reach, 1.0 + reach, n_samples)
 
     cable_reports = []
     contain_ok = True
@@ -668,24 +714,24 @@ def classify_point(spec: GeometrySpec, p) -> tuple:
     """Region tag of a point: ('exterior',), ('inside_tube', i),
     ('collar', i, (eta, theta, s)) or ('field',).
 
-    Points with collar radius |s| < collar_halfwidth and eta inside the
-    extended chart window are collar points; deeper points with
-    eta in [0,1] belong to the tube interior.
+    Collar points have collar radius 0 <= s < collar_halfwidth and eta
+    within the cutoff reach of [0, 1], the region validate_geometry checks
+    for containment; deeper points with eta in [0,1] belong to the tube
+    interior.  Only candidates of that collar are inverted.
     """
     p = np.asarray(p, dtype=float)
     if np.any(p < spec.box[:, 0]) or np.any(p > spec.box[:, 1]):
         return ("exterior",)
     eps = spec.collar_halfwidth
+    reach = cutoff_reach(eps)
     for i, c in enumerate(spec.cables):
-        # cheap reject before running the local inversion
-        _, d2 = nearest_curve_sample(c, p, -0.1, 1.1, 64)
-        if np.sqrt(d2[0]) > 4.0 * c.radius + c.length * 0.02:
+        if collar_candidates(c, p, eps, reach).size == 0:
             continue
         chart = spec.chart(i)
         eta, th, s = np.atleast_2d(chart.psi_hat(p))[0]
         if 0.0 <= eta <= 1.0 and s < 0.0:
             return ("inside_tube", i)
-        if 0.0 <= s < eps and -eps <= eta <= 1.0 + eps:
+        if 0.0 <= s < eps and -reach <= eta <= 1.0 + reach:
             return ("collar", i, (float(eta), float(th), float(s)))
     return ("field",)
 
@@ -693,16 +739,14 @@ def classify_point(spec: GeometrySpec, p) -> tuple:
 def is_inside_tube(spec: GeometrySpec, pts: np.ndarray, i: int) -> np.ndarray:
     """Vectorized tube-interior test used when building field masks.
 
-    Points farther than 2.5 radii from the nearest of 256 curve samples on
-    [-0.1, 1.1] (one KD-tree query) are outside; the rest are inverted by
+    The tube's collar candidates (s_max = 0, reach 0) are inverted by
     ``nearest_parameter_batch`` and tested for eta in [0, 1] and a radial
-    distance below the radius.
+    distance below the radius; every other point is outside.
     """
     c = spec.cables[i]
     pts = np.atleast_2d(pts)
     out = np.zeros(pts.shape[0], dtype=bool)
-    _, d2 = nearest_curve_sample(c, pts, -0.1, 1.1, 256)
-    near = np.nonzero(d2 < (2.5 * c.radius) ** 2)[0]
+    near = collar_candidates(c, pts, 0.0, 0.0)
     if near.size == 0:
         return out
     eta, gap, _ = c.nearest_parameter_batch(pts[near])

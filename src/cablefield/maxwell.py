@@ -158,10 +158,7 @@ class YeeGrid:
     # -- global id helpers ---------------------------------------------------
 
     def edge_midpoints(self, ids=None):
-        pts = np.concatenate([
-            _lattice_midpoints(self.origin, self.h, shp, {d})
-            for d, shp in enumerate(_edge_shapes(self.n))
-        ])
+        pts = _all_edge_midpoints(self.origin, self.h, self.n)
         return pts if ids is None else pts[ids]
 
     def face_midpoints(self, ids=None):
@@ -588,8 +585,9 @@ def surface_trace(grid: YeeGrid, charts: Sequence[TubeChart]):
     E_interp = _interleave(interp_e, nq)
     H_interp = _interleave(interp_f, nq)
 
-    P_tan = _pointwise_matrix(np.eye(3)[None] - normals[:, :, None] * normals[:, None, :])
-    nu_cross = _pointwise_matrix(_cross_matrices(-normals))
+    P_tan = sp.block_diag(np.eye(3)[None] - normals[:, :, None] * normals[:, None, :],
+                          format="csr")
+    nu_cross = sp.block_diag(_cross_matrices(-normals), format="csr")
 
     R_tan = (P_tan @ E_interp).tocsr()
     R_nu = (nu_cross @ H_interp).tocsr()
@@ -619,10 +617,6 @@ def _cross_matrices(v):
     m[:, 1, 0] = v[:, 2];  m[:, 1, 2] = -v[:, 0]
     m[:, 2, 0] = -v[:, 1]; m[:, 2, 1] = v[:, 0]
     return m
-
-
-def _pointwise_matrix(blocks):
-    return sp.block_diag(blocks, format="csr")
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,9 @@ matrix, and a 2-port amplitude [0.5, 0.0] is two real amplitudes.
 
     seed                 int, default 0
     geometry.box         [[x0,x1],[y0,y1],[z0,z1]], meters
-    geometry.collar_halfwidth   dimensionless s-range of the tube collar
+    geometry.collar_halfwidth   dimensionless s-range of the tube collar,
+                          0 < eps <= 0.6527 (its cutoff reaches 2 eps / 3
+                          past the cable ends), default 0.3
     geometry.cables      list of {type: segment|arc|helix|spline, radius,
                           line, ...type-specific parameters}
     line.k, line.n_cells, line.C/L/R/G   scalar or k x k matrix

@@ -37,6 +37,13 @@ def test_malformed_file_exits_2(tmp_path, capsys):
     assert main(["validate", str(p)]) == EXIT_USAGE
 
 
+def test_option_of_another_subcommand_exits_2(scenario_path, capsys):
+    # --seed is read by simulate only; validate must not accept and ignore it
+    with pytest.raises(SystemExit) as exc:
+        main(["validate", scenario_path, "--seed", "1"])
+    assert exc.value.code == EXIT_USAGE
+
+
 def test_missing_section_exits_2(tmp_path, scenario_config):
     del scenario_config["fields"]
     assert main(["certify", write(tmp_path, scenario_config)]) == EXIT_USAGE

@@ -9,6 +9,7 @@ from cablefield.geometry import (
     StraightSegment,
     build_chart,
     build_frame,
+    validate_geometry,
 )
 from cablefield.maxwell import build_grid
 from cablefield.tline import build_line_grid
@@ -242,3 +243,45 @@ def test_lift_rejects_thin_collar():
     chart = spec.chart(0, n_eta=12, n_theta=16)
     with pytest.raises(CouplingError):
         lift_voltage(chart, grid, np.zeros(13), lg)
+
+
+def test_lift_on_short_cable_inverts_every_candidate():
+    # a cable shorter than the box: edges beyond the chart's eta window lie
+    # within the collar radius of the end samples and must not be inverted
+    spec = GeometrySpec(
+        box=np.array([[0.2, 0.8], [0.2, 0.8], [0.0, 1.2]]),
+        cables=[StraightSegment(p0=(0.5, 0.5, 0.3), direction=(0, 0, 1),
+                                length=0.6, radius=0.12)],
+        collar_halfwidth=0.3,
+    )
+    assert validate_geometry(spec).passed
+    grid = build_grid(spec, (36, 36, 72))
+    lg = build_line_grid(12, 1)
+    V = np.sin(np.pi * lg.nodes)
+    lift = lift_voltage(spec.chart(0, n_eta=12, n_theta=16), grid, V, lg)
+    assert lift.support.size > 0
+
+
+def test_lift_support_is_the_whole_cutoff_support():
+    # a wide collar reaches 2 eps / 3 = 0.4 past both ends; with V = eta the
+    # lift on a straight cable is chi(s, eta) / l on z-edges, so its support
+    # is known in closed form from the edge midpoints
+    length, radius, z0 = 1.0, 0.1, 0.6
+    spec = GeometrySpec(
+        box=np.array([[0.3, 0.7], [0.3, 0.7], [0.0, 2.2]]),
+        cables=[StraightSegment(p0=(0.5, 0.5, z0), direction=(0, 0, 1),
+                                length=length, radius=radius)],
+        collar_halfwidth=0.6,
+    )
+    grid = build_grid(spec, (16, 16, 88))
+    lg = build_line_grid(12, 1)
+    chart = spec.chart(0, n_eta=12, n_theta=16)
+    lift = lift_voltage(chart, grid, lg.nodes.copy(), lg)
+
+    mids = grid.edge_midpoints()
+    z_edges = np.nonzero(grid.edge_direction(np.arange(mids.shape[0])) == 2)[0]
+    rho = np.hypot(mids[z_edges, 0] - 0.5, mids[z_edges, 1] - 0.5)
+    eta = (mids[z_edges, 2] - z0) / length
+    expected = z_edges[chart.chi(rho / radius - 1.0, eta) > 0]
+    assert expected.size > 0
+    assert np.array_equal(lift.support, expected)
