@@ -181,7 +181,8 @@ def lift_voltage(chart: TubeChart, grid: YeeGrid, V: np.ndarray,
 
     V holds nodal samples of one line component; its cell-wise discrete
     derivative drives the tangential field.  Only the collar candidates of
-    the cutoff support (``collar_candidates``) are inverted by ``psi_hat``.
+    the cutoff support |s| < 2 eps / 3 (``collar_candidates``) are inverted
+    by ``psi_hat``.
     Raises if the collar is thinner than two grid cells (the cutoff cannot
     be represented).
     """
@@ -197,7 +198,7 @@ def lift_voltage(chart: TubeChart, grid: YeeGrid, V: np.ndarray,
 
     mids = grid.edge_midpoints()
     reach = cutoff_reach(eps)
-    band = collar_candidates(chart.curve, mids, reach, reach)
+    band = collar_candidates(chart.curve, mids, reach, reach, s_min=-reach)
 
     values = np.zeros(mids.shape[0])
     if band.size:

@@ -43,9 +43,14 @@ through ``collar_candidates``.
     that sample's eta within [-reach - NEWTON_SLACK, 1 + reach + NEWTON_SLACK].
     Both bounds contain every point whose Newton result lies in the region.
   * The collar cutoff chi vanishes beyond cutoff_reach(eps) = 2 eps / 3, in s
-    and past the cable ends in eta.  GeometrySpec requires
+    and past the cable ends in eta.  check_collar_halfwidth requires
     cutoff_reach(eps) + 2 NEWTON_SLACK <= ETA_PAD, i.e. eps <= 0.6527, so the
-    Newton of every candidate stays inside the sampled domain.
+    Newton of every candidate stays inside the sampled domain; build_chart,
+    hence every chart, and GeometrySpec apply it.
+  * A caller that needs only s >= s_min (the lift: s_min = -2 eps / 3) also
+    drops points whose nearest sample lies within r (1 + s_min).  The
+    sample distance is never below the distance to the curve, so every
+    dropped point has s < s_min.
 """
 
 from __future__ import annotations
@@ -71,6 +76,14 @@ _FRAME_STEP = 1.0 / 1024.0      # coarsest frame propagation step
 def cutoff_reach(eps: float) -> float:
     """Support of the collar cutoff chi, in s and past the ends in eta."""
     return 2.0 * eps / 3.0
+
+
+def check_collar_halfwidth(eps: float) -> None:
+    """Raise ConfigError unless 0 < eps <= COLLAR_MAX (the collar window rule)."""
+    if not (0.0 < eps <= COLLAR_MAX):
+        raise ConfigError(
+            f"collar_halfwidth must lie in (0, {COLLAR_MAX:.4f}]: its cutoff reach "
+            "2 eps / 3 must fit inside the collar chart's eta window")
 
 
 # ---------------------------------------------------------------------------
@@ -150,18 +163,22 @@ def nearest_curve_sample(curve: CableCurve, pts: np.ndarray):
 
 
 def collar_candidates(curve: CableCurve, pts: np.ndarray, s_max: float,
-                      reach: float) -> np.ndarray:
-    """Indices of the points that may invert to collar radius s <= s_max
-    with eta in [-reach, 1 + reach].
+                      reach: float, s_min: float = -1.0) -> np.ndarray:
+    """Indices of the points that may invert to collar radius
+    s_min <= s <= s_max with eta in [-reach, 1 + reach].
 
     Every point whose Newton result lies in that region is kept: Newton ends
     within NEWTON_SLACK of the nearest sample's eta, and some sample lies
     within half a step, far less than l NEWTON_SLACK, of the Newton point.
+    A point nearer than r (1 + s_min) to its nearest sample is nearer still
+    to the curve, so it is dropped (s_min = -1 keeps every depth).
     """
     eta, d2 = nearest_curve_sample(curve, pts)
     rad = curve.radius * (1.0 + s_max) + curve.length * NEWTON_SLACK
+    inner = curve.radius * (1.0 + s_min)
     ext = reach + NEWTON_SLACK
-    return np.nonzero((d2 <= rad * rad) & (eta >= -ext) & (eta <= 1.0 + ext))[0]
+    keep = (d2 <= rad * rad) & (d2 >= inner * inner) & (eta >= -ext) & (eta <= 1.0 + ext)
+    return np.nonzero(keep)[0]
 
 
 @dataclass
@@ -574,6 +591,7 @@ def build_chart(curve: CableCurve, frame: AdaptedFrame, n_eta: int, n_theta: int
     """Sample the lateral surface on cell-midpoint eta and uniform theta."""
     if frame.curve is not curve:
         raise GeometryError("frame was built from a different curve")
+    check_collar_halfwidth(collar_halfwidth)
     eta = (np.arange(n_eta) + 0.5) / n_eta
     theta = -np.pi + 2.0 * np.pi * np.arange(n_theta) / n_theta
     d_eta, d_theta = 1.0 / n_eta, 2.0 * np.pi / n_theta
@@ -631,10 +649,7 @@ class GeometrySpec:
         self.box = np.asarray(self.box, dtype=float).reshape(3, 2)
         if not np.all(self.box[:, 1] > self.box[:, 0]):
             raise ConfigError("box bounds must satisfy lo < hi on every axis")
-        if not (0.0 < self.collar_halfwidth <= COLLAR_MAX):
-            raise ConfigError(
-                f"collar_halfwidth must lie in (0, {COLLAR_MAX:.4f}]: its cutoff reach "
-                "2 eps / 3 must fit inside the collar chart's eta window")
+        check_collar_halfwidth(self.collar_halfwidth)
         self._charts = {}
 
     def chart(self, i: int, n_eta: int = 64, n_theta: int = 32) -> TubeChart:

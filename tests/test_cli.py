@@ -141,11 +141,12 @@ def test_simulate_writes_csv_and_summary(scenario_path, tmp_path, capsys):
     assert main(["simulate", scenario_path, "--output-dir", out]) == EXIT_OK
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     solver = summary["solver"]
-    assert set(solver) == {"reduced_unknowns", "factor_s", "lu_fill", "solves",
-                           "max_rel_residual"}
+    assert set(solver) == {"reduced_unknowns", "method", "factor_s", "iterations_max",
+                           "iterations_mean", "solves", "max_rel_residual"}
     assert solver["solves"] == summary["records"] - 1 == 30     # T / dt = 0.3 / 0.01
     assert solver["reduced_unknowns"] == 13852 - 7456    # all unknowns but the faces
-    assert solver["lu_fill"] > solver["reduced_unknowns"]
+    assert solver["method"] == "gmres"                   # above the size rule
+    assert 0 < solver["iterations_mean"] <= solver["iterations_max"] <= 30
     assert 0.0 < solver["max_rel_residual"] <= 1e-10
     check_build_report(summary["build"])
     assert summary["wp_bound_satisfied"]

@@ -2,13 +2,16 @@ import numpy as np
 import pytest
 
 from cablefield.coupling import assemble_P_el, assemble_P_mag, lift_voltage
-from cablefield.errors import CouplingError
+from cablefield.errors import ConfigError, CouplingError
 from cablefield.geometry import (
     CircularArc,
     GeometrySpec,
     StraightSegment,
+    TubeChart,
     build_chart,
     build_frame,
+    collar_candidates,
+    cutoff_reach,
     validate_geometry,
 )
 from cablefield.maxwell import build_grid
@@ -231,6 +234,30 @@ def test_lift_trace_matches_pel(lift_setup):
     assert err <= 0.3 * np.abs(target).max()
 
 
+def test_lift_inverts_only_the_cutoff_band(lift_setup, monkeypatch):
+    # edges deeper than the cutoff (s < -2 eps / 3) have chi = 0: 1,900 of
+    # the 8,016 outer-radius candidates are not handed to psi_hat
+    spec, grid, lg, chart = lift_setup
+    mids = grid.edge_midpoints()
+    reach = cutoff_reach(chart.collar_halfwidth)
+    outer = collar_candidates(chart.curve, mids, reach, reach)
+    band = collar_candidates(chart.curve, mids, reach, reach, s_min=-reach)
+    assert (outer.size, band.size) == (8016, 6116)
+    dropped = np.setdiff1d(outer, band)
+    assert np.atleast_2d(chart.psi_hat(mids[dropped]))[:, 2].max() < -reach
+
+    inverted = []
+    psi_hat = TubeChart.psi_hat
+
+    def counted(self, p):
+        inverted.append(np.atleast_2d(p).shape[0])
+        return psi_hat(self, p)
+
+    monkeypatch.setattr(TubeChart, "psi_hat", counted)
+    lift_voltage(chart, grid, np.sin(np.pi * lg.nodes), lg)
+    assert inverted[0] == band.size
+
+
 def test_lift_rejects_thin_collar():
     spec = GeometrySpec(
         box=np.array([[0, 1], [0, 1], [0, 1]], dtype=float),
@@ -285,3 +312,13 @@ def test_lift_support_is_the_whole_cutoff_support():
     expected = z_edges[chart.chi(rho / radius - 1.0, eta) > 0]
     assert expected.size > 0
     assert np.array_equal(lift.support, expected)
+
+
+def test_chart_rejects_collar_beyond_the_eta_window():
+    # eps = 0.9 on the wide-collar geometry above: the chart itself refuses
+    # it, before lift_voltage could fail to invert a candidate
+    curve = StraightSegment(p0=(0.5, 0.5, 0.6), direction=(0, 0, 1),
+                            length=1.0, radius=0.1)
+    frame = build_frame(curve, n_eta=(np.arange(12) + 0.5) / 12)
+    with pytest.raises(ConfigError, match="collar_halfwidth"):
+        build_chart(curve, frame, 12, 16, collar_halfwidth=0.9)

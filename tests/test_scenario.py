@@ -86,6 +86,33 @@ def test_real_data_stay_real(scenario_config):
     assert traj.solver["max_rel_residual"] <= scn.sim_config.solver_tol
 
 
+def test_krylov_and_direct_steps_agree_on_the_pair(scenario_config, monkeypatch):
+    # the pair (6,396 reduced unknowns) is above the size rule; lifting the
+    # rule puts the same run on the factorized solve
+    scn = build_scenario(scenario_config)
+    krylov = scn.simulate()
+    monkeypatch.setattr(sim, "DIRECT_MAX_UNKNOWNS", scn.bundle.n)
+    direct = scn.simulate()
+    assert (krylov.solver["method"], direct.solver["method"]) == ("gmres", "direct")
+    assert krylov.solver["max_rel_residual"] <= 1e-3 * scn.sim_config.solver_tol
+    diff = np.linalg.norm(krylov.x_final - direct.x_final)
+    assert diff <= 1e-10 * np.linalg.norm(direct.x_final)
+    assert np.allclose(krylov.energy, direct.energy, rtol=1e-10, atol=0.0)
+
+
+def test_single_cable_benchmark_system_stays_direct():
+    # the single_n1152 benchmark scenario (412 reduced unknowns, dt = 2e-5)
+    cfg = single_cable_config()
+    cfg["sim"].update(dt=2e-5, T=2e-4)
+    cfg["sim"]["input"] = {"kind": "sine", "freq": 0.3,
+                           "amplitude": [[0.3, 0.0], [0.3, 0.0]], "phase": 0.0}
+    cfg["sim"]["initial"] = {"kind": "smooth", "scale": 1.0}
+    solver = build_scenario(cfg).simulate().solver
+    assert solver["reduced_unknowns"] == 412 <= sim.DIRECT_MAX_UNKNOWNS
+    assert solver["method"] == "direct" and solver["lu_fill"] > 0
+    assert "iterations_max" not in solver
+
+
 def test_zero_imaginary_amplitudes_run_real():
     # [re, im] amplitudes with im = 0 parse complex, but the input signal
     # keeps them real, so the real law runs a real state; the values are

@@ -319,7 +319,12 @@ def criterion3_bundles():
 @pytest.mark.parametrize("case", ["real_law_real_input", "real_law_complex_input",
                                   "complex_law"])
 def test_stepper_matches_full_complex_solve(criterion3_bundles, which, case):
-    bundle = criterion3_bundles[which]
+    stats = check_step_against_full_solve(criterion3_bundles[which], case)
+    assert stats["method"] == "direct"
+
+
+def check_step_against_full_solve(bundle, case):
+    """One step against a complex spsolve of the full system; returns stats."""
     k = bundle.k
     W2 = (1.0 + 0.5j) * np.eye(2 * k) if case == "complex_law" else np.eye(2 * k)
     law = PortLaw(W_B_inp=np.hstack([np.eye(2 * k), W2]), W_B_0=np.zeros((0, 4 * k)),
@@ -343,6 +348,7 @@ def test_stepper_matches_full_complex_solve(criterion3_bundles, which, case):
     stats = stepper.stats()
     assert stats["reduced_unknowns"] == bundle.n - bundle.layout.n_faces
     assert 0.0 < stats["max_rel_residual"] <= 1e-10
+    return stats
 
 
 def test_stepper_rejects_face_face_block(criterion3_bundles):
@@ -352,3 +358,55 @@ def test_stepper_rejects_face_face_block(criterion3_bundles):
     poke = sp.csr_matrix(([1.0], ([f0], [f0 + 1])), shape=loop.A.shape)
     with pytest.raises(SolverError, match="face-face"):
         MidpointStepper(dataclasses.replace(loop, A=loop.A + poke), 1e-2)
+
+
+# ---------------------------------------------------------------------------
+# the Jacobi-GMRES path, forced by setting the size rule to 0
+# ---------------------------------------------------------------------------
+
+@pytest.fixture()
+def krylov(monkeypatch):
+    monkeypatch.setattr(sim, "DIRECT_MAX_UNKNOWNS", 0)
+
+
+@pytest.mark.parametrize("case", ["real_law_real_input", "real_law_complex_input",
+                                  "complex_law"])
+def test_krylov_step_matches_full_complex_solve(criterion3_bundles, krylov, case):
+    stats = check_step_against_full_solve(criterion3_bundles["lossy"], case)
+    assert stats["method"] == "gmres" and "lu_fill" not in stats
+    assert stats["solves"] == 1 and stats["iterations_max"] == stats["iterations_mean"] > 0
+
+
+def test_krylov_path_keeps_criterion_4(criterion3_bundles, krylov):
+    # acceptance criterion 4 with its bundles, laws and bounds on the GMRES solve
+    lossless = criterion3_bundles["lossless"]
+    k = lossless.k
+    skew = skew_law(k)
+    loop = build_closed_loop(lossless, skew)
+    x0 = random_state(lossless, seed=4)
+    cfg = SimConfig(dt=5e-3, T=5.0, input=InputSignal(m=skew.m))
+    traj = run(loop, cfg, x0=x0)
+    assert traj.solver["method"] == "gmres"
+    drift = np.abs(traj.energy - traj.energy[0]).max() / traj.energy[0]
+    back = reverse_run(loop, traj.x_final, cfg.dt, 1000)
+    rev_err = np.linalg.norm(back - x0) / np.linalg.norm(x0)
+    assert drift <= 1e-10 and rev_err <= 1e-8
+
+    lossy = criterion3_bundles["lossy"]
+    strict = PortLaw(W_B_inp=np.hstack([np.eye(2 * k), np.eye(2 * k)]),
+                     W_B_0=np.zeros((0, 4 * k)),
+                     W_C_out=np.hstack([np.eye(2 * k), np.zeros((2 * k, 2 * k))]), k=k)
+    traj_l = run(build_closed_loop(lossy, strict),
+                 SimConfig(dt=1e-2, T=2.0, input=InputSignal(m=strict.m)),
+                 x0=random_state(lossy, seed=5))
+    assert np.all(np.diff(traj_l.energy) <= 1e-12 * traj_l.energy[0])
+
+
+def test_gmres_iteration_cap_is_a_solver_error(criterion3_bundles, krylov, monkeypatch):
+    monkeypatch.setattr(sim, "GMRES_MAX_ITERATIONS", 3)
+    bundle = criterion3_bundles["lossy"]
+    law = strict_law(bundle.k)
+    stepper = MidpointStepper(build_closed_loop(bundle, law), 1e-2)
+    with pytest.raises(SolverError, match=r"GMRES did not converge in 3 iterations: "
+                                          r"relative residual \d"):
+        stepper.step(random_state(bundle, seed=2), np.zeros(law.m))
