@@ -135,6 +135,15 @@ def assemble_system(line: LineBlocks, curls: CurlPair,
     With coupling=None the line and field blocks are independent (used
     for reduction tests and pure-field runs).  traces = (R_tan, R_nu,
     M_surf) from maxwell.surface_trace is required when coupling is given.
+
+    The Green check compares lhs = M J + J^T M with B1^T B2 + B2^T B1 and
+    raises AssemblyError when max |lhs - rhs| / max |lhs| exceeds green_tol.
+    M is diagonal, so J^T M = (M J)^T entry for entry (m_j J_ji either way):
+    M J is formed once and lhs = M J + (M J)^T, with no product for J^T M.
+    Both maxima are read off the stored entries of lhs and of lhs - rhs.
+    The skew curl blocks cancel exactly in lhs, so it and the difference
+    are small; Rd, Hd and Lg_state are built after the check, into the
+    memory that its full-size temporaries freed.
     """
     g = line.grid
     grid = curls.grid
@@ -160,18 +169,6 @@ def assemble_system(line: LineBlocks, curls: CurlPair,
         [None, curls.C_H, None, None],
     ], format="csr")
 
-    Rd = sp.block_diag([
-        line.Rm,
-        sp.csr_matrix((lay.n_faces, lay.n_faces)),
-        line.Gm,
-        sp.diags(curls.sigma_edge),
-    ], format="csr")
-    Hd = sp.block_diag([
-        line.Linv,
-        sp.diags(curls.mu_inv()),
-        line.Cinv,
-        sp.diags(curls.eps_inv()),
-    ], format="csr")
     M = sp.block_diag([
         g.Mc,
         sp.identity(lay.n_faces) * h3,
@@ -198,6 +195,27 @@ def assemble_system(line: LineBlocks, curls: CurlPair,
         zeros(two_k, lay.n_edges),
     ]).tocsr()
 
+    MJ = M @ J
+    lhs = MJ + MJ.T
+    del MJ
+    diff = lhs - (B1.T @ B2 + B2.T @ B1)
+    scale = max(_abs_max(lhs.data), 1e-30)
+    green_residual = float(_abs_max(diff.data) / scale)
+    if green_residual > green_tol:
+        raise AssemblyError(f"discrete Green identity violated: residual {green_residual:.3e}")
+
+    Rd = sp.block_diag([
+        line.Rm,
+        sp.csr_matrix((lay.n_faces, lay.n_faces)),
+        line.Gm,
+        sp.diags(curls.sigma_edge),
+    ], format="csr")
+    Hd = sp.block_diag([
+        line.Linv,
+        sp.diags(curls.mu_inv()),
+        line.Cinv,
+        sp.diags(curls.eps_inv()),
+    ], format="csr")
     Lg_state = sp.vstack([
         zeros(lay.n_cells, two_k),
         zeros(lay.n_faces, two_k),
@@ -205,17 +223,15 @@ def assemble_system(line: LineBlocks, curls: CurlPair,
         zeros(lay.n_edges, two_k),
     ]).tocsr()
 
-    lhs = (M @ J + J.T @ M).tocsr()
-    rhs = (B1.T @ B2 + B2.T @ B1).tocsr()
-    scale = max(abs(lhs).max(), 1e-30)
-    green_residual = float(abs(lhs - rhs).max() / scale)
-    if green_residual > green_tol:
-        raise AssemblyError(f"discrete Green identity violated: residual {green_residual:.3e}")
-
     return OperatorBundle(layout=lay, k=g.k, J=J, Rd=Rd, Hd=Hd, M=M,
                           B1=B1, B2=B2, Pm_T=Pm_T, K_V=K_V,
                           Lg_state=Lg_state, green_residual=green_residual,
                           line=line, curls=curls)
+
+
+def _abs_max(data: np.ndarray) -> float:
+    """max |data| (0 for no data) without an elementwise copy."""
+    return max(data.max(initial=0.0), -data.min(initial=0.0))
 
 
 # ---------------------------------------------------------------------------

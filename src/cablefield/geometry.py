@@ -71,6 +71,7 @@ CURVE_SAMPLES = 512             # uniform samples of alpha on that domain
 NEWTON_SLACK = 2.0 * (1.0 + 2.0 * ETA_PAD) / (CURVE_SAMPLES - 1)   # two sample steps
 COLLAR_MAX = 1.5 * (ETA_PAD - 2.0 * NEWTON_SLACK)   # largest admissible eps
 _FRAME_STEP = 1.0 / 1024.0      # coarsest frame propagation step
+_REFLECT_BLOCK = 64             # frame samples converted to floats at a time
 
 
 def cutoff_reach(eps: float) -> float:
@@ -171,14 +172,30 @@ def collar_candidates(curve: CableCurve, pts: np.ndarray, s_max: float,
     within NEWTON_SLACK of the nearest sample's eta, and some sample lies
     within half a step, far less than l NEWTON_SLACK, of the Newton point.
     A point nearer than r (1 + s_min) to its nearest sample is nearer still
-    to the curve, so it is dropped (s_min = -1 keeps every depth).
+    to the curve, so it is dropped (s_min = -1 keeps every depth).  Points
+    outside the samples' bounding box widened by the candidate distance
+    are dropped before the sample query (``box_prefilter``).
     """
-    eta, d2 = nearest_curve_sample(curve, pts)
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
     rad = curve.radius * (1.0 + s_max) + curve.length * NEWTON_SLACK
     inner = curve.radius * (1.0 + s_min)
     ext = reach + NEWTON_SLACK
+    samples = curve.alpha(np.linspace(-ETA_PAD, 1.0 + ETA_PAD, CURVE_SAMPLES))
+    near = box_prefilter(pts, samples, rad)
+    eta, d2 = nearest_curve_sample(curve, pts[near])
     keep = (d2 <= rad * rad) & (d2 >= inner * inner) & (eta >= -ext) & (eta <= 1.0 + ext)
-    return np.nonzero(keep)[0]
+    return near[keep]
+
+
+def box_prefilter(pts: np.ndarray, cloud: np.ndarray, pad: float) -> np.ndarray:
+    """Indices of the points inside the bounding box of ``cloud`` widened by
+    ``pad``, and a further 0.1 % of it against roundoff.  Every point left
+    out lies farther than ``pad`` from each point of the cloud, so a query
+    within distance ``pad`` of the cloud may skip it.
+    """
+    pad = 1.001 * pad
+    return np.nonzero(((pts >= cloud.min(axis=0) - pad)
+                       & (pts <= cloud.max(axis=0) + pad)).all(axis=1))[0]
 
 
 @dataclass
@@ -422,23 +439,34 @@ class AdaptedFrame:
 
 
 def _double_reflection(points, tangents, r0):
-    m = points.shape[0]
-    normals = np.empty((m, 3))
-    normals[0] = r0
-    for i in range(m - 1):
-        v1 = points[i + 1] - points[i]
-        c1 = np.dot(v1, v1)
-        if c1 < 1e-30:
-            normals[i + 1] = normals[i]
-            continue
-        rl = normals[i] - (2.0 / c1) * np.dot(v1, normals[i]) * v1
-        tl = tangents[i] - (2.0 / c1) * np.dot(v1, tangents[i]) * v1
-        v2 = tangents[i + 1] - tl
-        c2 = np.dot(v2, v2)
-        if c2 < 1e-30:
-            normals[i + 1] = rl
-        else:
-            normals[i + 1] = rl - (2.0 / c2) * np.dot(v2, rl) * v2
+    """Propagate the normal r0 along the samples (Wang et al. 2008).
+
+    The recurrence is sequential, so it runs on 3-tuples of Python floats:
+    per-step numpy calls on 3-vectors cost several times the arithmetic.
+    Samples are converted a block at a time, so few float objects are
+    alive at once and the interpreter's small-object arenas do not grow.
+    """
+    normals = np.empty_like(points)
+    r = tuple(float(v) for v in r0)
+    normals[0] = r
+    for i0 in range(0, points.shape[0] - 1, _REFLECT_BLOCK):
+        pts = points[i0:i0 + _REFLECT_BLOCK + 1].tolist()
+        tans = tangents[i0:i0 + _REFLECT_BLOCK + 1].tolist()
+        block = []
+        for (px, py, pz), (qx, qy, qz), (tx, ty, tz), tn in zip(pts, pts[1:], tans, tans[1:]):
+            vx, vy, vz = qx - px, qy - py, qz - pz
+            c1 = vx * vx + vy * vy + vz * vz
+            if c1 >= 1e-30:
+                f = (2.0 / c1) * (vx * r[0] + vy * r[1] + vz * r[2])
+                r = (r[0] - f * vx, r[1] - f * vy, r[2] - f * vz)
+                f = (2.0 / c1) * (vx * tx + vy * ty + vz * tz)
+                wx, wy, wz = tn[0] - (tx - f * vx), tn[1] - (ty - f * vy), tn[2] - (tz - f * vz)
+                c2 = wx * wx + wy * wy + wz * wz
+                if c2 >= 1e-30:
+                    f = (2.0 / c2) * (wx * r[0] + wy * r[1] + wz * r[2])
+                    r = (r[0] - f * wx, r[1] - f * wy, r[2] - f * wz)
+            block.append(r)
+        normals[i0 + 1:i0 + 1 + len(block)] = block
     return normals
 
 

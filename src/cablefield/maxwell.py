@@ -28,7 +28,6 @@ coupling, which enters through the surface trace instead.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -37,7 +36,7 @@ import scipy.sparse as sp
 from scipy.spatial import cKDTree
 
 from .errors import GridError, MaterialsError
-from .geometry import GeometrySpec, TubeChart, is_inside_tube
+from .geometry import GeometrySpec, TubeChart, box_prefilter, is_inside_tube
 
 EDGE_FREE, EDGE_PEC, EDGE_BAND, EDGE_EXCLUDED = 0, 1, 2, 3
 
@@ -297,49 +296,37 @@ def _all_edge_midpoints(origin, h, n):
 # curls and Hodge blocks
 # ---------------------------------------------------------------------------
 
-def _full_curl(n, h) -> sp.csr_matrix:
-    """Full-grid edge->face curl with entries +-1/h (no masking)."""
+def _curl_block(n, h, faces, edges) -> sp.csr_matrix:
+    """Rows ``faces`` and columns ``edges`` (ascending global ids) of the
+    full-grid edge->face curl, entries +-1/h, as canonical CSR.
+
+    Each face row holds its four lattice edges, written in ascending global
+    id (by component, then by the shifted index), so the kept columns of a
+    row come out sorted; edges outside the column set are dropped.
+    """
     eshapes = _edge_shapes(n)
     fshapes = _face_shapes(n)
     eoff = np.r_[0, np.cumsum([int(np.prod(s)) for s in eshapes])]
     foff = np.r_[0, np.cumsum([int(np.prod(s)) for s in fshapes])]
+    column = np.full(eoff[-1], -1, dtype=np.intp)     # global edge id -> column
+    column[edges] = np.arange(edges.size)
 
-    def eid(d, i, j, k):
-        return eoff[d] + np.ravel_multi_index((i, j, k), eshapes[d])
-
-    rows, cols, vals = [], [], []
+    cols = np.empty((faces.size, 4), dtype=np.intp)
+    vals = np.empty((faces.size, 4))
+    first = np.searchsorted(faces, foff)
     for d in range(3):
         a, b = (d + 1) % 3, (d + 2) % 3   # (curl E)_d = dE_b/da - dE_a/db
-        shp = fshapes[d]
-        I, J, K = np.indices(shp)
-        fids = (foff[d] + np.ravel_multi_index((I, J, K), shp)).reshape(-1)
-
-        def ijk(axis_idx):
-            return [I, J, K][axis_idx]
-
-        # + d/da of E_b: E_b at face index with a-index raised by 0/1
-        for shift, sign in ((1, +1.0), (0, -1.0)):
-            comp = [None, None, None]
-            comp[d] = ijk(d)
-            comp[a] = ijk(a) + shift
-            comp[b] = ijk(b)
-            cols.append(eid(b, comp[0], comp[1], comp[2]).reshape(-1))
-            rows.append(fids)
-            vals.append(np.full(fids.size, sign / h))
-        # - d/db of E_a
-        for shift, sign in ((1, -1.0), (0, +1.0)):
-            comp = [None, None, None]
-            comp[d] = ijk(d)
-            comp[a] = ijk(a)
-            comp[b] = ijk(b) + shift
-            cols.append(eid(a, comp[0], comp[1], comp[2]).reshape(-1))
-            rows.append(fids)
-            vals.append(np.full(fids.size, sign / h))
-
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    vals = np.concatenate(vals)
-    return sp.csr_matrix((vals, (rows, cols)), shape=(foff[-1], eoff[-1]))
+        rows = slice(first[d], first[d + 1])
+        ijk = np.unravel_index(faces[rows] - foff[d], fshapes[d])
+        terms = sorted([(b, 0, a, -1.0), (b, 1, a, 1.0), (a, 0, b, 1.0), (a, 1, b, -1.0)])
+        for slot, (comp, shift, axis, sign) in enumerate(terms):
+            idx = list(ijk)
+            idx[axis] = idx[axis] + shift
+            cols[rows, slot] = column[eoff[comp] + np.ravel_multi_index(idx, eshapes[comp])]
+            vals[rows, slot] = sign / h
+    kept = cols >= 0
+    indptr = np.r_[0, np.cumsum(kept.sum(axis=1))]
+    return sp.csr_matrix((vals[kept], cols[kept], indptr), shape=(faces.size, edges.size))
 
 
 @dataclass
@@ -380,9 +367,7 @@ def assemble_curls(grid: YeeGrid, m: FieldMaterials) -> CurlPair:
     if not rep["passed"]:
         raise MaterialsError(f"field material assumptions violated: {rep}")
 
-    C = _full_curl(grid.n, grid.h)
-    C_dof = C[grid.dof_faces, :]
-    C_E = C_dof[:, grid.free_edges].tocsr()
+    C_E = _curl_block(grid.n, grid.h, grid.dof_faces, grid.free_edges)
     C_H = C_E.T.tocsr()
 
     # material averaging onto edges / faces (harmonic across edges for eps,
@@ -486,7 +471,7 @@ def divergence_matrix(grid: YeeGrid) -> sp.csr_matrix:
 # surface trace / injection
 # ---------------------------------------------------------------------------
 
-def _interp_rows(points, values_pts, h, radius_factor=2.25, rank_tol=1e-7):
+def _interp_rows(points, values_pts, h, radius_factor=2.25, rank_tol=1e-7, describe=None):
     """Moving-least-squares linear interpolation weights.
 
     For each target point, weights over source points within
@@ -496,18 +481,37 @@ def _interp_rows(points, values_pts, h, radius_factor=2.25, rank_tol=1e-7):
     always kept, so constants are reproduced exactly and linear fields
     exactly wherever the stencil spans them.
 
-    Stencils are processed in batches: grouped by neighbour count, each
-    rank test is one stacked ``np.linalg.svd`` per kept-column pattern, and
-    the normal equations are one stacked ``np.linalg.solve`` per final
-    pattern.  Returns (rows, cols, vals) as arrays, stencil by stencil.
+    No ball neighbour lies outside the targets' bounding box widened by
+    the radius, so the source KD-tree holds only the sources inside that
+    box (``geometry.box_prefilter``).  One ``sparse_distance_matrix`` query
+    against a KD-tree over the targets returns the neighbour pairs as
+    arrays, sorted here by (target, source): the pairs a ball query over
+    every source finds, in its order.
+
+    Stencils are processed in batches grouped by neighbour count.  The
+    rank test first takes one stacked ``np.linalg.svd`` of the full
+    4-column weighted design.  Deleting columns cannot lower the smallest
+    singular value nor raise the largest (interlacing), so a stencil of at
+    least 4 points that passes with all four columns passes every greedy
+    trial; only the stencils that fail run the greedy column sequence,
+    one stacked SVD per kept-column pattern.  The normal equations are one
+    stacked ``np.linalg.solve`` per final pattern.  ``describe(i)``, when
+    given, names target i in the error raised for a target without
+    neighbours.  Returns (rows, cols, vals) as arrays, stencil by stencil.
     """
     radius = radius_factor * h
-    groups = cKDTree(values_pts).query_ball_point(points, radius)
-    counts = np.fromiter(map(len, groups), dtype=np.intp, count=len(groups))
+    inbox = box_prefilter(values_pts, points, radius)
+    # midpoint-split trees without shrunk nodes build and answer this one
+    # query faster than the default median-split ones
+    fast = dict(balanced_tree=False, compact_nodes=False)
+    pairs = cKDTree(points, **fast).sparse_distance_matrix(
+        cKDTree(values_pts[inbox], **fast), radius, output_type="ndarray")
+    pairs = pairs[np.argsort(pairs["i"] * inbox.size + pairs["j"])]   # by (target, source)
+    counts = np.bincount(pairs["i"], minlength=points.shape[0])
     if counts.size and counts.min() == 0:
-        raise GridError("surface quadrature point has no nearby field unknowns; refine the grid")
-    cols = np.fromiter(itertools.chain.from_iterable(groups), dtype=np.intp,
-                       count=int(counts.sum()))
+        raise GridError(_empty_stencil_message(points, values_pts, radius,
+                                               int(np.argmin(counts)), describe))
+    cols = inbox[pairs["j"]]
     starts = np.r_[0, np.cumsum(counts)[:-1]]
     vals = np.empty(cols.size)
     bits = np.array([1, 2, 4, 8])
@@ -518,12 +522,16 @@ def _interp_rows(points, values_pts, h, radius_factor=2.25, rank_tol=1e-7):
         w = np.maximum(1e-3, 1.0 - np.linalg.norm(d, axis=2) / radius) ** 2
         phi = np.concatenate([np.ones((stencils.size, n, 1)), d / h], axis=2)
         b = np.sqrt(w)[:, :, None] * phi
-        # greedy basis selection: keep gradient columns only while the
-        # weighted design stays numerically full rank
         keep = np.ones(stencils.size, dtype=np.intp)               # bit mask, constant kept
+        if n >= 4:
+            sv = np.linalg.svd(b, compute_uv=False)
+            keep[sv[:, -1] > rank_tol * sv[:, 0]] = 15
+        # greedy basis selection on the rest: keep gradient columns only
+        # while the weighted design stays numerically full rank
+        rest = np.nonzero(keep == 1)[0]
         for c in (1, 2, 3):
-            for pattern in np.unique(keep):
-                sel = np.nonzero(keep == pattern)[0]
+            for pattern in np.unique(keep[rest]):
+                sel = rest[keep[rest] == pattern]
                 trial = np.nonzero(bits & (pattern | bits[c]))[0]
                 sv = np.linalg.svd(b[sel][:, :, trial], compute_uv=False)
                 keep[sel[sv[:, -1] > rank_tol * sv[:, 0]]] |= bits[c]
@@ -538,10 +546,12 @@ def _interp_rows(points, values_pts, h, radius_factor=2.25, rank_tol=1e-7):
     return np.repeat(np.arange(counts.size), counts), cols, vals
 
 
-def _component_interp(grid, source_pts, quad_pts):
-    """Sparse (n_quad x n_source) interpolation for one vector component."""
-    rows, cols, vals = _interp_rows(quad_pts, source_pts, grid.h)
-    return sp.csr_matrix((vals, (rows, cols)), shape=(quad_pts.shape[0], source_pts.shape[0]))
+def _empty_stencil_message(points, values_pts, radius, i, describe):
+    dist = cKDTree(values_pts).query(points[i])[0]
+    where = f" {describe(i)}" if describe is not None else ""
+    return (f"surface quadrature point {points[i].tolist()}{where} has no nearby "
+            f"field unknowns: the nearest lies {dist:.4g} away, the stencil radius is "
+            f"{radius:.4g}; refine the grid")
 
 
 def surface_trace(grid: YeeGrid, charts: Sequence[TubeChart]):
@@ -559,35 +569,39 @@ def surface_trace(grid: YeeGrid, charts: Sequence[TubeChart]):
     weights = np.concatenate([ch.quad_weights() for ch in charts])
     normals = np.concatenate([ch.normal.reshape(-1, 3) for ch in charts])
     nq = quad_pts.shape[0]
+    first = np.cumsum([0] + [ch.n_quad for ch in charts])
+
+    def describe(q):
+        i = int(np.searchsorted(first, q, side="right")) - 1
+        ie, it = divmod(q - int(first[i]), charts[i].n_theta)
+        return (f"(cable {i}, eta {charts[i].eta[ie]:.4g}, "
+                f"theta {charts[i].theta[it]:.4g})")
 
     edge_mids = grid.edge_midpoints()
     face_mids = grid.face_midpoints()
     edge_dirs = grid.edge_direction(grid.free_edges)
     face_axes = grid.face_normal_axis(grid.dof_faces)
 
-    # per-component interpolation matrices
-    interp_e = []
-    interp_f = []
-    for c in range(3):
-        esel = np.nonzero(edge_dirs == c)[0]
-        fsel = np.nonzero(face_axes == c)[0]
-        if esel.size == 0 or fsel.size == 0:
-            raise GridError("grid has no unknowns of some component near the surface")
-        ie = _component_interp(grid, edge_mids[grid.free_edges[esel]], quad_pts)
-        iff = _component_interp(grid, face_mids[grid.dof_faces[fsel]], quad_pts)
-        # scatter back to full free-edge / dof-face column spaces
-        ie = ie @ _scatter(esel, grid.n_free_edges).T
-        iff = iff @ _scatter(fsel, grid.n_dof_faces).T
-        interp_e.append(ie)
-        interp_f.append(iff)
+    # per-component interpolation, interleaved row-wise: row 3*q + c
+    traces = []
+    for ids, mids, axes in ((grid.free_edges, edge_mids, edge_dirs),
+                            (grid.dof_faces, face_mids, face_axes)):
+        rows, cols, vals = [], [], []
+        for c in range(3):
+            sel = np.nonzero(axes == c)[0]
+            if sel.size == 0:
+                raise GridError("grid has no unknowns of some component near the surface")
+            r, k, v = _interp_rows(quad_pts, mids[ids[sel]], grid.h, describe=describe)
+            rows.append(3 * r + c)
+            cols.append(sel[k])
+            vals.append(v)
+        traces.append(sp.csr_matrix(
+            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+            shape=(3 * nq, ids.size)))
+    E_interp, H_interp = traces
 
-    # interleave components row-wise: row 3*q + c
-    E_interp = _interleave(interp_e, nq)
-    H_interp = _interleave(interp_f, nq)
-
-    P_tan = sp.block_diag(np.eye(3)[None] - normals[:, :, None] * normals[:, None, :],
-                          format="csr")
-    nu_cross = sp.block_diag(_cross_matrices(-normals), format="csr")
+    P_tan = _block_diag_csr(np.eye(3)[None] - normals[:, :, None] * normals[:, None, :])
+    nu_cross = _block_diag_csr(_cross_matrices(-normals))
 
     R_tan = (P_tan @ E_interp).tocsr()
     R_nu = (nu_cross @ H_interp).tocsr()
@@ -595,20 +609,12 @@ def surface_trace(grid: YeeGrid, charts: Sequence[TubeChart]):
     return R_tan, R_nu, M_surf
 
 
-def _scatter(sel, n_total):
-    return sp.csr_matrix((np.ones(sel.size), (sel, np.arange(sel.size))),
-                         shape=(n_total, sel.size))
-
-
-def _interleave(mats, nq):
-    rows, cols, vals = [], [], []
-    for c, mat in enumerate(mats):
-        coo = mat.tocoo()
-        rows.append(3 * coo.row + c)
-        cols.append(coo.col)
-        vals.append(coo.data)
-    return sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                         shape=(3 * nq, mats[0].shape[1]))
+def _block_diag_csr(blocks):
+    """CSR of the block diagonal of (m, 3, 3) blocks, explicit zeros kept."""
+    m = blocks.shape[0]
+    indices = np.repeat(3 * np.arange(m), 9) + np.tile([0, 1, 2], 3 * m)
+    return sp.csr_matrix((blocks.reshape(-1), indices, np.arange(0, 9 * m + 1, 3)),
+                         shape=(3 * m, 3 * m))
 
 
 def _cross_matrices(v):

@@ -34,6 +34,8 @@ All boundary matrices act on the stacked port (I_tot(0), I_tot(1), V(0),
 from __future__ import annotations
 
 import json
+import resource
+import sys
 import time
 from dataclasses import dataclass, field
 from typing import Optional
@@ -185,7 +187,7 @@ class Scenario:
     law: certify.PortLaw
     sim_config: Optional[sim.SimConfig]
     initial_spec: dict = field(default_factory=dict)
-    build: dict = field(default_factory=dict)   # stage timings and problem sizes
+    build: dict = field(default_factory=dict)   # stage timings, peak RSS, problem sizes
 
     @property
     def k(self):
@@ -232,6 +234,12 @@ def load_config(path: str) -> dict:
         raise ConfigError(f"cannot read scenario file {path}: {exc}") from exc
 
 
+def _peak_rss_mb() -> float:
+    """Peak resident memory of this process so far, in MB."""
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak / (2.0 ** 20 if sys.platform == "darwin" else 1024.0)   # bytes on macOS
+
+
 def build_scenario(config: dict) -> Scenario:
     geo, lc, fc, bc = _sections(config)
     seed = int(config.get("seed", 0))
@@ -247,11 +255,13 @@ def build_scenario(config: dict) -> Scenario:
     clock = time.perf_counter()
     grid = maxwell.build_grid(spec, _required(fc, "grid", "fields"))
     build = {"grid_s": time.perf_counter() - clock}
+    peak = {"grid": _peak_rss_mb()}
     fm = maxwell.FieldMaterials(eps=fc.get("eps", 1.0), mu=fc.get("mu", 1.0),
                                 sigma=fc.get("sigma", 0.0))
     clock = time.perf_counter()
     curls = maxwell.assemble_curls(grid, fm)
     build["curls_s"] = time.perf_counter() - clock
+    peak["curls"] = _peak_rss_mb()
 
     lines_used = sorted({c.line for c in cables})
     if any(l < 0 or l >= k for l in lines_used):
@@ -268,10 +278,12 @@ def build_scenario(config: dict) -> Scenario:
     else:
         cp, traces = None, None
     build["trace_s"] = time.perf_counter() - clock
+    peak["trace"] = _peak_rss_mb()
     clock = time.perf_counter()
     bundle = assembly.assemble_system(line_blocks, curls, coupling=cp, traces=traces)
     build["assembly_s"] = time.perf_counter() - clock
-    build.update(free_edges=grid.n_free_edges, band_edges=grid.n_band_edges,
+    peak["assembly"] = _peak_rss_mb()
+    build.update(peak_rss_mb=peak, free_edges=grid.n_free_edges, band_edges=grid.n_band_edges,
                  dof_faces=grid.n_dof_faces, quad_points=sum(ch.n_quad for ch in charts))
 
     W_B_inp, W_B_0 = _port_law_rows(bc, k)

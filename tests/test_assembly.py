@@ -15,7 +15,7 @@ from cablefield.certify import PortLaw, sigma_matrix
 from cablefield.coupling import assemble_P_el, lift_voltage
 from cablefield.errors import AssemblyError, CertificateError, DomainError
 from cablefield.geometry import GeometrySpec, StraightSegment
-from cablefield.maxwell import FieldMaterials, assemble_curls, build_grid, surface_trace, _full_curl
+from cablefield.maxwell import FieldMaterials, assemble_curls, build_grid, surface_trace, _curl_block
 from cablefield.tline import LineMaterials, assemble_line, build_line_grid
 
 
@@ -67,6 +67,28 @@ def test_green_identity_random_pairs(setup):
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
 
 
+def test_green_check_rejects_one_perturbed_entry(setup):
+    import dataclasses
+    import re
+
+    _, _, _, _, cp, bundle, traces = setup
+    lay = bundle.layout
+    C_H = bundle.curls.C_H.tocoo()
+    i, j, delta = C_H.row[0], C_H.col[0], 1e-6
+    pert = bundle.curls.C_H.tolil()
+    pert[i, j] += delta
+    bad = dataclasses.replace(bundle.curls, C_H=pert.tocsr())
+    # the residual of the perturbed J by the identity's defining formula
+    J = bundle.J + sp.csr_matrix(([delta], ([lay.sl_E.start + i], [lay.sl_H.start + j])),
+                                 shape=bundle.J.shape)
+    M, B1, B2 = bundle.M, bundle.B1, bundle.B2
+    lhs = M @ J + J.T @ M
+    ref = abs(lhs - (B1.T @ B2 + B2.T @ B1)).max() / abs(lhs).max()
+    assert ref > 1e-12
+    with pytest.raises(AssemblyError, match=re.escape(f"residual {ref:.3e}")):
+        assemble_system(bundle.line, bad, coupling=cp, traces=traces)
+
+
 def test_uncoupled_assembly_block_diagonal(setup):
     spec, grid, lg, chart, cp, bundle, traces = setup
     blocks = assemble_line(LineMaterials(k=lg.k), lg)
@@ -114,8 +136,7 @@ def test_coupling_sign_matches_staircase_faraday():
     traces = surface_trace(grid, [chart])
     cp = assemble_P_el([chart], lg)
     bundle = assemble_system(blocks, curls, coupling=cp, traces=traces)
-    Cfull = _full_curl(grid.n, grid.h)
-    C_band = Cfull[grid.dof_faces, :][:, grid.band_edges].tocsr()
+    C_band = _curl_block(grid.n, grid.h, grid.dof_faces, grid.band_edges)
     V = lg.nodes.copy()
     lift = lift_voltage(chart, grid, V, lg)
     # both routes enter the Faraday row with the same leading minus, so

@@ -64,8 +64,13 @@ BUILD_STAGES = {"grid_s", "curls_s", "trace_s", "assembly_s"}
 
 def check_build_report(build):
     # straight_pair_config at scale 1: two 12 x 12 charts
-    assert set(build) == BUILD_STAGES | {"free_edges", "band_edges", "dof_faces", "quad_points"}
+    assert set(build) == BUILD_STAGES | {"peak_rss_mb", "free_edges", "band_edges", "dof_faces",
+                                         "quad_points"}
     assert all(build[k] > 0.0 for k in BUILD_STAGES)
+    # peak RSS read after each stage, in stage order: never decreasing
+    peaks = build["peak_rss_mb"]
+    assert set(peaks) == {"grid", "curls", "trace", "assembly"}
+    assert 0.0 < peaks["grid"] <= peaks["curls"] <= peaks["trace"] <= peaks["assembly"]
     assert build["quad_points"] == 2 * 12 * 12
     assert build["dof_faces"] == 7456
     assert build["free_edges"] > 0 and build["band_edges"] > 0

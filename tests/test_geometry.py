@@ -85,6 +85,55 @@ def test_frame_continuity():
     assert jumps.max() < 0.05
 
 
+def numpy_double_reflection(points, tangents, r0):
+    """Reference recurrence, one numpy 3-vector operation per step."""
+    normals = np.empty((points.shape[0], 3))
+    normals[0] = r0
+    for i in range(points.shape[0] - 1):
+        v1 = points[i + 1] - points[i]
+        c1 = np.dot(v1, v1)
+        if c1 < 1e-30:
+            normals[i + 1] = normals[i]
+            continue
+        rl = normals[i] - (2.0 / c1) * np.dot(v1, normals[i]) * v1
+        tl = tangents[i] - (2.0 / c1) * np.dot(v1, tangents[i]) * v1
+        v2 = tangents[i + 1] - tl
+        c2 = np.dot(v2, v2)
+        normals[i + 1] = rl if c2 < 1e-30 else rl - (2.0 / c2) * np.dot(v2, rl) * v2
+    return normals
+
+
+@pytest.mark.parametrize("kind", ["segment_x", "segment_y", "segment_z", "segment_oblique",
+                                  "arc", "helix", "spline"])
+def test_frame_recurrence_matches_numpy_reference(kind, monkeypatch):
+    import cablefield.geometry as geometry
+
+    curve = {
+        "segment_x": lambda: straight(direction=(1, 0, 0)),
+        "segment_y": lambda: straight(direction=(0, 1, 0)),
+        "segment_z": lambda: straight(p0=(0.45, 0.5, 0.4), length=1.0, radius=0.2),
+        "segment_oblique": lambda: straight(direction=(1, 2, 3)),
+        "arc": quarter_arc,
+        "helix": lambda: Helix(base=np.zeros(3), axis=[0, 0, 1], a=0.5, b=0.15,
+                               turns=1.0, radius=0.03),
+        "spline": lambda: SplineCurve(np.array([[0, 0, 0], [0.3, 0.1, 0.2], [0.5, 0.4, 0.5],
+                                                [0.6, 0.5, 0.9]]), radius=0.05),
+    }[kind]()
+    eta = (np.arange(36) + 0.5) / 36
+    frame = build_frame(curve, n_eta=eta)
+    with monkeypatch.context() as m:
+        m.setattr(geometry, "_double_reflection", numpy_double_reflection)
+        ref = build_frame(curve, n_eta=eta)
+    assert frame.kappa1.shape[0] > 2 * geometry._REFLECT_BLOCK     # several blocks
+    if kind in ("segment_x", "segment_y", "segment_z"):
+        assert np.array_equal(frame.kappa1, ref.kappa1)
+        assert np.array_equal(frame.kappa2, ref.kappa2)
+    else:
+        # unit vectors: absolute differences are relative ones
+        assert np.abs(frame.kappa1 - ref.kappa1).max() <= 1e-14
+        assert np.abs(frame.kappa2 - ref.kappa2).max() <= 1e-14
+
+
 def test_degenerate_tangent_raises():
     pts = np.array([[0, 0, 0], [0, 0, 0], [0, 0, 0], [1, 0, 0.0]])
     with pytest.raises(GeometryError):

@@ -119,6 +119,25 @@ def test_curl_pair_exact_transpose():
     assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
 
 
+def test_curl_block_is_the_sliced_full_curl():
+    from cablefield.maxwell import _curl_block
+
+    grid = build_grid(tube_spec(), (10, 10, 14))
+    n_faces, n_edges = grid.face_offsets[-1], grid.edge_offsets[-1]
+    full = _curl_block(grid.n, grid.h, np.arange(n_faces), np.arange(n_edges))
+    assert np.array_equal(np.diff(full.indptr), np.full(n_faces, 4))
+    # each face row: two edges of each tangential component, one +1/h and
+    # one -1/h per component, so the row sums vanish
+    assert np.abs(full @ np.ones(n_edges)).max() == 0.0
+    block = _curl_block(grid.n, grid.h, grid.dof_faces, grid.band_edges)
+    ref = full[grid.dof_faces, :][:, grid.band_edges].tocsr()
+    ref.sort_indices()
+    assert block.has_canonical_format
+    for a, b in ((block.data, ref.data), (block.indices, ref.indices),
+                 (block.indptr, ref.indptr)):
+        assert np.array_equal(a, b)
+
+
 def test_uniform_field_has_zero_curl_in_interior():
     grid = build_grid(empty_spec(), (8, 8, 8))
     cp = assemble_curls(grid, FieldMaterials())
@@ -293,6 +312,19 @@ def mls_cloud(kind, rng):
     if kind == "volume":
         src = rng.uniform(0.0, 1.0, size=(600, 3))
         tgt = rng.uniform(0.2, 0.8, size=(150, 3))
+    elif kind == "clustered":
+        # targets in a corner sub-box: the box prefilter drops most sources
+        src = rng.uniform(0.0, 1.0, size=(600, 3))
+        tgt = rng.uniform(0.1, 0.35, size=(60, 3))
+    elif kind == "mixed":
+        # a coplanar patch (z-gradient dropped) beside a sparse volume cloud,
+        # far enough apart that no stencil reaches both
+        g = np.stack(np.meshgrid(np.arange(11) * h, np.arange(11) * h, indexing="ij"), -1)
+        plane = np.column_stack([g.reshape(-1, 2), np.full(121, 0.5)])
+        src = np.concatenate([plane, rng.uniform([2.0, 0.0, 0.0], [3.0, 1.0, 1.0], (300, 3))])
+        tgt = np.concatenate([
+            np.column_stack([rng.uniform(0.2, 0.8, (80, 2)), 0.5 + rng.uniform(-0.05, 0.05, 80)]),
+            rng.uniform([2.2, 0.2, 0.2], [2.8, 0.8, 0.8], (150, 3))])
     elif kind == "coplanar":
         # sources in the plane z = 0.5: the z-gradient column is dropped
         g = np.stack(np.meshgrid(np.arange(11) * h, np.arange(11) * h, indexing="ij"), -1)
@@ -306,7 +338,8 @@ def mls_cloud(kind, rng):
     return tgt, src, h
 
 
-@pytest.mark.parametrize("kind, dropped", [("volume", None), ("coplanar", 3), ("collinear", 2)])
+@pytest.mark.parametrize("kind, dropped", [("volume", None), ("clustered", None), ("coplanar", 3),
+                                           ("collinear", 2)])
 def test_interp_rows_matches_per_stencil_reference(kind, dropped):
     from cablefield.maxwell import _interp_rows
 
@@ -326,10 +359,59 @@ def test_interp_rows_matches_per_stencil_reference(kind, dropped):
     assert np.abs(R @ np.ones(src.shape[0]) - 1.0).max() <= 1e-12
 
 
+def test_interp_rows_prefilter_drops_sources():
+    from cablefield.geometry import box_prefilter
+
+    tgt, src, h = mls_cloud("clustered", np.random.default_rng(23))
+    inbox = box_prefilter(src, tgt, 2.25 * h)
+    assert inbox.size < src.shape[0] // 2
+    # no source left out lies within the stencil radius of any target
+    out = np.setdiff1d(np.arange(src.shape[0]), inbox)
+    gaps = np.linalg.norm(src[out][:, None, :] - tgt[None, :, :], axis=2)
+    assert gaps.min() > 2.25 * h
+
+
+def test_interp_rows_greedy_fallback_shares_a_batch():
+    from cablefield.maxwell import _interp_rows
+
+    tgt, src, h = mls_cloud("mixed", np.random.default_rng(23))
+    rows, cols, vals = _interp_rows(tgt, src, h)
+    r_ref, c_ref, v_ref, kept = per_stencil_interp(tgt, src, h)
+    assert np.array_equal(rows, r_ref) and np.array_equal(cols, c_ref)
+    assert np.abs(vals - v_ref).max() <= 1e-13
+    # some neighbour count holds a coplanar stencil and a full-rank one, so
+    # one batch mixes the one-SVD pass with the greedy column sequence
+    counts = np.bincount(rows)
+    assert set(kept) == {3, 4}
+    assert set(counts[kept == 3]) & set(counts[kept == 4])
+
+
 def test_interp_rows_empty_stencil_raises():
     from cablefield.maxwell import _interp_rows
 
     src = np.random.default_rng(2).uniform(0.0, 0.3, size=(40, 3))
     tgt = np.array([[0.1, 0.1, 0.1], [2.0, 2.0, 2.0]])
-    with pytest.raises(GridError):
+    with pytest.raises(GridError) as err:
         _interp_rows(tgt, src, 0.1)
+    # the message names the point, its nearest source distance and the radius
+    nearest = np.linalg.norm(src - tgt[1], axis=1).min()
+    assert "[2.0, 2.0, 2.0]" in str(err.value)
+    assert f"{nearest:.4g}" in str(err.value) and "0.225" in str(err.value)
+
+
+def test_trace_failure_names_cable_and_chart_coordinates():
+    spec = tube_spec()
+    grid = build_grid(spec, (10, 10, 14))
+    # a second cable far outside the grid: its quadrature points have no
+    # field unknowns nearby
+    far = GeometrySpec(box=np.array([[4, 6], [0, 1], [0, 1.4]], dtype=float),
+                       cables=[StraightSegment(p0=(5.0, 0.5, 0.2), direction=(0, 0, 1),
+                                               length=1.0, radius=0.2)])
+    charts = [spec.chart(0, n_eta=12, n_theta=16), far.chart(0, n_eta=12, n_theta=16)]
+    with pytest.raises(GridError) as err:
+        surface_trace(grid, charts)
+    msg = str(err.value)
+    first = charts[1].quad_points()[0]
+    assert str(first.tolist()) in msg
+    assert f"(cable 1, eta {charts[1].eta[0]:.4g}, theta {charts[1].theta[0]:.4g})" in msg
+    assert "stencil radius is 0.225" in msg
