@@ -26,6 +26,7 @@ laws = {
     "short ends  [0, I]": np.hstack([Z2, I2]),
     "resistive   [I, I]": np.hstack([I2, I2]),
     "mismatched  [2I, I]": np.hstack([2 * I2, I2]),
+    "mixed [I, diag(1, 0)]": np.hstack([I2, np.diag([1.0, 0.0])]),
     "sign-flipped [I, -I]": np.hstack([I2, -I2]),
 }
 
@@ -39,7 +40,8 @@ print("\nkernel-relation oracle on the sign-flipped law:")
 print(" ", kernel_relation_oracle(I2, -I2))
 
 print("\nco-located completions:")
-for name in ("open ends   [I, 0]", "resistive   [I, I]", "mismatched  [2I, I]"):
+for name in ("open ends   [I, 0]", "resistive   [I, I]", "mismatched  [2I, I]",
+             "mixed [I, diag(1, 0)]"):
     W_B = laws[name]
     W_C = build_colocated_output(W_B)
     lam = colocation_defect(W_B, W_C)

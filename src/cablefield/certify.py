@@ -30,10 +30,27 @@ satisfies the inequality: with M = [W_B; W_C] the defect is
     Sigma - M^H Sigma M = -M^H diag(0, K) M,
 
 congruent to -diag(0, K), so it has rank(K) negative eigenvalues and
-vanishes exactly when W_B is skew (K = 0).  For the strict closed form
-W_C = [W2^-H, 0] it equals -blkdiag(W2^-1 K W2^-H, 0).  A true
-Sigma-unitary completion cannot exist otherwise: [W_B; W_C] Sigma-unitary
-forces W_B Sigma W_B^H = 0.
+vanishes exactly when W_B is skew (K = 0).  A true Sigma-unitary
+completion cannot exist otherwise: [W_B; W_C] Sigma-unitary forces
+W_B Sigma W_B^H = 0.
+
+Two closed forms solve the defining equations.  A strict law (K > 0, so
+W2 is invertible) takes Wtilde_C = [W2^-H, 0]; its defect is
+-blkdiag(W2^-1 K W2^-H, 0).  Every other admissible law takes the polar
+completion.  The real involution P = [[I, I], [I, -I]] / sqrt(2) has
+P Sigma P = diag(I, -I), so W_B P = [G+, G-] gives
+
+    K = G+ G+^H - G- G-^H >= 0,   G+ G+^H = (W_B W_B^H + K) / 2,
+
+hence G+ is invertible and C = G+^-1 G- is a contraction.  With the SVD
+C = U S V^H and its unitary polar factor Q = U V^H (real for real W_B),
+
+    L = [I, -Q] P,   L Sigma L^H = I - Q Q^H = 0,
+    L Sigma W_B^H = U (I + S) U^H G+^H,
+
+which is invertible because the eigenvalues of I + S lie in [1, 2].  Then
+W_C = (L Sigma W_B^H)^-1 L satisfies both equations.  For a skew law C is
+unitary, Q = C, and [W_B; W_C] is exactly Sigma-unitary.
 """
 
 from __future__ import annotations
@@ -47,7 +64,6 @@ from .errors import CertificateError, DomainError
 
 _EIG_TOL = 1e-10
 _COMPLETION_TOL = 1e-12    # relative residual of the completion equations
-_GN_MAX_ITERS = 100
 
 
 def sigma_matrix(two_k: int) -> np.ndarray:
@@ -136,7 +152,6 @@ class Certificate:
     admissible: bool
     strict: bool
     skew: bool
-    max_dissipative: bool
     colocated: Optional[bool]
     delta: Optional[float]
     gamma: Optional[float]
@@ -149,7 +164,6 @@ class Certificate:
             "admissible": self.admissible,
             "strict": self.strict,
             "skew": self.skew,
-            "max_dissipative": self.max_dissipative,
             "colocated": self.colocated,
             "delta": self.delta,
             "gamma": self.gamma,
@@ -226,36 +240,30 @@ def colocation_defect(W_B: np.ndarray, W_C: np.ndarray) -> np.ndarray:
 def build_colocated_output(W_B: np.ndarray) -> np.ndarray:
     """Completion W_C with W_B Sigma W_C^H = I and W_C Sigma W_C^H = 0.
 
-    Strict laws use the closed form [W2^-H, 0]; skew laws the hyperbolic
-    completion in the coordinates diagonalizing Sigma (then [W_B; W_C] is
-    exactly Sigma-unitary); mixed laws fall back to a Gauss-Newton search
-    seeded by the minimum-norm dual.  Every branch's result is checked
-    against both defining equations to 1e-12 max(1, ||W_B||_2 ||W_C||_2).
+    Strict laws take Wtilde_C = [W2^-H, 0]; every other admissible law
+    takes the polar completion (L Sigma W_B^H)^-1 L, L = [I, -Q] P with Q
+    the unitary polar factor of G+^-1 G- (module docstring).  The result
+    is checked against both defining equations to
+    1e-12 max(1, ||W_B||_2 ||W_C||_2), the output inequality and the
+    conditioning of [W_B; W_C].
     """
     W_B = np.asarray(W_B, dtype=complex)
     adm = check_admissible(W_B)
     if not adm["admissible"]:
         raise CertificateError(f"W_B is not admissible: {adm}")
     two_k = W_B.shape[0]
-    W1, W2 = _split(W_B)
     sig = sigma_matrix(two_k)
 
     if adm["strict"]:
-        W_C = np.hstack([np.linalg.inv(W2).conj().T, np.zeros((two_k, two_k))])
-    elif adm["skew"]:
-        # Sigma = P Q P with P the normalized Hadamard-like involution
-        P = np.block([[np.eye(two_k), np.eye(two_k)],
-                      [np.eye(two_k), -np.eye(two_k)]]) / np.sqrt(2.0)
-        G = W_B @ P
-        Gp, Gm = G[:, :two_k], G[:, two_k:]
-        for name, blk in (("G+", Gp), ("G-", Gm)):
-            if np.linalg.svd(blk, compute_uv=False)[-1] < 1e-12:
-                raise CertificateError(f"skew completion failed: {name} block singular")
-        H = np.hstack([0.5 * np.linalg.inv(Gp).conj().T,
-                       -0.5 * np.linalg.inv(Gm).conj().T])
-        W_C = H @ P
+        W_C = _strict_completion(W_B)
     else:
-        W_C = _gauss_newton_completion(W_B, sig)
+        W = _real_if_real(W_B)          # real arithmetic for a real law
+        eye = np.eye(two_k)
+        P = np.block([[eye, eye], [eye, -eye]]) / np.sqrt(2.0)
+        G = W @ P
+        U, _, Vh = np.linalg.svd(np.linalg.solve(G[:, :two_k], G[:, two_k:]))
+        L = np.hstack([eye, -U @ Vh]) @ P
+        W_C = np.linalg.inv(L @ sig @ W.conj().T) @ L
 
     res = max(np.abs(W_B @ sig @ W_C.conj().T - np.eye(two_k)).max(),
               np.abs(W_C @ sig @ W_C.conj().T).max())
@@ -272,43 +280,10 @@ def build_colocated_output(W_B: np.ndarray) -> np.ndarray:
     return W_C
 
 
-def _gauss_newton_completion(W_B, sig):
-    two_k = W_B.shape[0]
-    A = W_B @ sig
-    C = (np.linalg.pinv(A)).conj().T          # min-norm solution of A C^H = I
-    for _ in range(_GN_MAX_ITERS):
-        r1 = W_B @ sig @ C.conj().T - np.eye(two_k)
-        r2 = C @ sig @ C.conj().T
-        res = max(np.abs(r1).max(), np.abs(r2).max())
-        if res < 1e-13:
-            return C
-        # linearize: dC from stacked least squares in vectorized form
-        n_unk = C.size
-        rhs = -np.concatenate([r1.reshape(-1), r2.reshape(-1)])
-
-        basis = np.eye(n_unk)
-        rows1 = []
-        rows2 = []
-        for t in range(n_unk):
-            dC = basis[t].reshape(C.shape)
-            d1 = W_B @ sig @ dC.conj().T
-            d2 = dC @ sig @ C.conj().T + C @ sig @ dC.conj().T
-            rows1.append((d1, d2))
-            dCi = 1j * dC
-            d1i = W_B @ sig @ dCi.conj().T
-            d2i = dCi @ sig @ C.conj().T + C @ sig @ dCi.conj().T
-            rows2.append((d1i, d2i))
-        cols = []
-        for d1, d2 in rows1 + rows2:
-            cols.append(np.concatenate([d1.reshape(-1), d2.reshape(-1)]))
-        Jc = np.stack(cols, axis=1)
-        J_real = np.vstack([Jc.real, Jc.imag])
-        rhs_real = np.concatenate([rhs.real, rhs.imag])
-        step, *_ = np.linalg.lstsq(J_real, rhs_real, rcond=None)
-        dC = (step[:n_unk] + 1j * step[n_unk:]).reshape(C.shape)
-        C = C + dC
-    raise CertificateError("co-location search did not converge; margins: "
-                           f"residual {res:.3e}")
+def _strict_completion(W_B: np.ndarray) -> np.ndarray:
+    """Wtilde_C = [W2^-H, 0], the completion of a strict law."""
+    _, W2 = _split(W_B)
+    return np.hstack([np.linalg.inv(W2).conj().T, np.zeros_like(W2)])
 
 
 # ---------------------------------------------------------------------------
@@ -356,14 +331,13 @@ def wellposedness_constants(law: PortLaw,
     adm = check_admissible(W_B)
     delta = gamma = c = c_t = None
 
-    max_diss = adm["admissible"]
     if adm["strict"]:
+        Wtilde = _strict_completion(W_B)
         W1, W2 = _split(W_B)
+        W2_inv_H = Wtilde[:, :W2.shape[0]]
         K = W1 @ W2.conj().T + W2 @ W1.conj().T
-        W2_inv = np.linalg.inv(W2)
-        Wmat = W2_inv @ K @ W2_inv.conj().T
+        Wmat = W2_inv_H.conj().T @ K @ W2_inv_H
         delta = float(np.linalg.eigvalsh(0.5 * (Wmat + Wmat.conj().T)).min())
-        Wtilde = np.hstack([W2_inv.conj().T, np.zeros_like(W2)])
         big = np.vstack([W_B, Wtilde])
         gamma = float(np.linalg.norm(law.W_C_out @ np.linalg.inv(big), 2))
         c = float(np.sqrt(hodge_max / hodge_min))
@@ -380,7 +354,6 @@ def wellposedness_constants(law: PortLaw,
         admissible=adm["admissible"],
         strict=adm["strict"],
         skew=adm["skew"],
-        max_dissipative=max_diss,
         colocated=colocated,
         delta=delta, gamma=gamma, c=c, c_t=c_t,
         margins={

@@ -337,23 +337,35 @@ def test_criterion_7_lemma_oracle_agreement():
 
 def test_criterion_8_colocation_builder():
     rng = np.random.default_rng(8)
-    worst_defect, worst_cond = -np.inf, 0.0
-    for i in range(50):
-        kind = ("strict", "skew")[i % 2]
+    worst_defect, worst_cond, worst_res = -np.inf, 0.0, 0.0
+    real_out = True
+    for i in range(60):
+        kind = ("strict", "skew", "mixed")[i % 3]
         W_B = admissible_W(rng, (1, 2)[i % 4 == 0], kind)
         W_C = build_colocated_output(W_B)
         lam = colocation_defect(W_B, W_C)
         worst_defect = max(worst_defect, lam.max())
         worst_cond = max(worst_cond, np.linalg.cond(np.vstack([W_B, W_C])))
+        sig = sigma_matrix(W_B.shape[0])
+        res = max(np.abs(W_B @ sig @ W_C.conj().T - np.eye(W_B.shape[0])).max(),
+                  np.abs(W_C @ sig @ W_C.conj().T).max())
+        worst_res = max(worst_res, res / max(1.0, np.linalg.norm(W_B, 2)
+                                             * np.linalg.norm(W_C, 2)))
+        if not np.iscomplexobj(W_B):
+            law = PortLaw(W_B_inp=W_B, W_B_0=np.zeros((0, W_B.shape[1])), W_C_out=W_C,
+                          k=W_B.shape[0] // 2, W_C_full=W_C)
+            real_out = real_out and law.W_C_full.dtype == np.float64
 
     # Sigma-unitary equality on the skew seed [I, 0]
     W_B = np.hstack([np.eye(2), np.zeros((2, 2))])
     W_C = build_colocated_output(W_B)
     eq_err = np.abs(colocation_defect(W_B, W_C)).max()
 
-    ok = worst_defect <= 1e-10 and worst_cond <= 1e6 and eq_err <= 1e-10
+    ok = (worst_defect <= 1e-10 and worst_cond <= 1e6 and worst_res <= 1e-12
+          and real_out and eq_err <= 1e-10)
     assert report("8 (builder + skew seed)", ok,
                   f"max defect eig {worst_defect:.2e}, max cond {worst_cond:.1e}, "
+                  f"max equation residual {worst_res:.1e}, real laws real {real_out}, "
                   f"[I,0] equality err {eq_err:.2e}")
 
 

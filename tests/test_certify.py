@@ -106,28 +106,51 @@ def test_colocation_strict_seed_inequality():
     assert np.allclose(sorted(lam)[:2], [-2.0, -2.0], atol=1e-10)
 
 
+def check_completion(W_B):
+    """Assert what every completion must meet and return it: both defining
+    equations to 1e-12 relative, the output inequality, cond [W_B; W_C]
+    <= 1e6, and a real PortLaw.W_C_full for a real W_B."""
+    l = W_B.shape[0]
+    W_C = build_colocated_output(W_B)
+    sig = sigma_matrix(l)
+    res = max(np.abs(W_B @ sig @ W_C.conj().T - np.eye(l)).max(),
+              np.abs(W_C @ sig @ W_C.conj().T).max())
+    assert res <= 1e-12 * max(1.0, np.linalg.norm(W_B, 2) * np.linalg.norm(W_C, 2))
+    assert colocation_defect(W_B, W_C).max() <= 1e-10
+    assert np.linalg.cond(np.vstack([W_B, W_C])) <= 1e6
+    law = PortLaw(W_B_inp=W_B, W_B_0=np.zeros((0, 2 * l)), W_C_out=W_C, k=l // 2,
+                  W_C_full=W_C)
+    if not np.iscomplexobj(W_B):
+        assert law.W_C_full.dtype == np.float64
+    return W_C
+
+
 def test_colocation_random_laws():
     rng = np.random.default_rng(2)
-    for i in range(50):
-        kind = ("strict", "skew")[i % 2]
-        l = (2, 4)[i % 2 == 0 and i % 4 == 0]
-        W_B = random_admissible(rng, 2, kind)
-        W_C = build_colocated_output(W_B)
-        lam = colocation_defect(W_B, W_C)
-        assert lam.max() <= 1e-10
-        M = np.vstack([W_B, W_C])
-        assert np.linalg.cond(M) <= 1e6
+    for i in range(60):
+        kind = ("strict", "skew", "mixed")[i % 3]
+        l = (2, 4)[i % 4 == 0]
+        W_B = random_admissible(rng, l, kind)
+        W_C = check_completion(W_B)
         if kind == "skew":
-            assert np.abs(lam).max() <= 1e-10
+            assert np.abs(colocation_defect(W_B, W_C)).max() <= 1e-10
+
+
+# resistive rows next to imposed-current or shorted rows: K = W_B Sigma W_B^H is
+# singular but nonzero
+I2, I4 = np.eye(2), np.eye(4)
+DIAGONAL_MIXED_LAWS = [np.hstack([I2, np.diag([1.0, 0.0])]),
+                       np.hstack([np.diag([1.0, 0.0]), I2]),
+                       np.hstack([I4, np.diag([1.0, 1.0, 0.0, 0.0])]),
+                       np.hstack([I4, np.diag([1.0, 0.0, 1.0, 0.0])])]
 
 
 def test_colocation_mixed_law_search():
     rng = np.random.default_rng(3)
-    W_B = random_admissible(rng, 2, "mixed")
-    rep = check_admissible(W_B)
-    assert rep["admissible"] and not rep["strict"] and not rep["skew"]
-    W_C = build_colocated_output(W_B)
-    assert colocation_defect(W_B, W_C).max() <= 1e-10
+    for W_B in [random_admissible(rng, 2, "mixed")] + DIAGONAL_MIXED_LAWS:
+        rep = check_admissible(W_B)
+        assert rep["admissible"] and not rep["strict"] and not rep["skew"]
+        check_completion(W_B)
 
 
 @pytest.mark.parametrize("W_B", [np.hstack([np.eye(2), np.eye(2)]),

@@ -1,4 +1,5 @@
 import copy
+import importlib.util
 import json
 import os
 import pathlib
@@ -139,6 +140,38 @@ def test_certify_builds_the_completion_once(scenario_path, monkeypatch, capsys):
     assert main(["certify", scenario_path]) == EXIT_OK
     assert json.loads(capsys.readouterr().out)["colocated"] is True
     assert len(calls) == 1
+
+
+def single_cable_config(dt, T):
+    """The lossy single-cable scenario of the benchmark (perfbench/workloads.py)."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module._single_config(dt, T)
+
+
+def test_mixed_law_certifies_and_simulates(tmp_path, capsys):
+    # one end resistive (I(0) + V(0) = u1), the other an imposed current
+    # (I(1) = u2): K = diag(2, 0), neither strict nor skew
+    ratios = []
+    for dt in (0.01, 0.005):
+        config = single_cable_config(dt, 0.5)
+        config["boundary"]["W_B_inp"] = [[1.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 0.0]]
+        path = write(tmp_path, config)
+        if dt == 0.01:
+            assert main(["certify", path]) == EXIT_OK
+            cert = json.loads(capsys.readouterr().out)
+            assert cert["admissible"] and not cert["strict"] and not cert["skew"]
+            assert cert["colocated"] is True
+        out = tmp_path / f"out_{dt}"
+        assert main(["simulate", path, "--output-dir", str(out)]) == EXIT_OK
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["ledger_partial"] is False
+        ratios.append(summary["max_ledger_residual"] / summary["peak_energy"])
+    # the ledger residual is the second-order quadrature error of the samples
+    assert ratios[0] <= 1e-3
+    assert ratios[1] <= ratios[0] / 3.0
 
 
 def test_simulate_writes_csv_and_summary(scenario_path, tmp_path, capsys):
