@@ -123,9 +123,6 @@ class OperatorBundle:
     def energy_metric(self) -> sp.csr_matrix:
         return (self.M @ self.Hd).tocsr()
 
-    def dissipation_rate(self, e: np.ndarray) -> float:
-        return float(np.real(np.vdot(e, self.M @ (self.Rd @ e))))
-
 
 def assemble_system(line: LineBlocks, curls: CurlPair,
                     coupling: Optional[CouplingMatrices] = None,
@@ -272,16 +269,6 @@ class ClosedLoop:
     Bu: sp.csr_matrix         # N x 2k input injection (takes u_hat)
     G_fb: np.ndarray          # 2k x N: effort -> ghost currents, u = 0 part
     W1_inv: np.ndarray
-
-    def ghost_currents(self, e: np.ndarray, u) -> np.ndarray:
-        return self.G_fb @ e + self.W1_inv @ self.law.u_hat(u)
-
-    def used_ports(self, e: np.ndarray, u) -> np.ndarray:
-        """Port vector with the enforced (not extrapolated) currents."""
-        return np.concatenate([self.ghost_currents(e, u), self.bundle.B2 @ e])
-
-    def output(self, e: np.ndarray, u) -> np.ndarray:
-        return self.law.W_C_out @ self.used_ports(e, u)
 
 
 def build_closed_loop(bundle: OperatorBundle, law: PortLaw) -> ClosedLoop:

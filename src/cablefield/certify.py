@@ -245,7 +245,7 @@ def build_colocated_output(W_B: np.ndarray) -> np.ndarray:
     the unitary polar factor of G+^-1 G- (module docstring).  The result
     is checked against both defining equations to
     1e-12 max(1, ||W_B||_2 ||W_C||_2), the output inequality and the
-    conditioning of [W_B; W_C].
+    conditioning of the completion (``_completion_cond``).
     """
     W_B = np.asarray(W_B, dtype=complex)
     adm = check_admissible(W_B)
@@ -270,14 +270,24 @@ def build_colocated_output(W_B: np.ndarray) -> np.ndarray:
     if res > _COMPLETION_TOL * max(1.0, np.linalg.norm(W_B, 2) * np.linalg.norm(W_C, 2)):
         raise CertificateError(
             f"completion violates W_B Sigma W_C^H = I, W_C Sigma W_C^H = 0: residual {res:.3e}")
-    M = np.vstack([W_B, W_C])
     defect = colocation_defect(W_B, W_C)
     if defect.max() > _EIG_TOL * max(1.0, np.abs(defect).max()):
         raise CertificateError(
             f"completion violates the output inequality: max eig {defect.max():.3e}")
-    if np.linalg.cond(M) > 1e12:
+    if _completion_cond(W_B, W_C) > 1e12:
         raise CertificateError("completion is numerically singular")
     return W_C
+
+
+def _completion_cond(W_B: np.ndarray, W_C: np.ndarray) -> float:
+    """cond [W_B / s; s W_C] with s = ||W_B||_2.
+
+    Scaling W_B by t scales its completion by 1/t and leaves admissibility
+    alone, but grows cond [W_B; W_C] like t^2; the balanced pair is free of
+    that row scale.
+    """
+    s = np.linalg.norm(W_B, 2)
+    return float(np.linalg.cond(np.vstack([W_B / s, s * W_C])))
 
 
 def _strict_completion(W_B: np.ndarray) -> np.ndarray:
@@ -314,13 +324,13 @@ def find_full_colocated(W_B: np.ndarray, W_C_out: np.ndarray):
 
 def _completes(W_B: np.ndarray, W_C_out: np.ndarray, W_C: np.ndarray) -> bool:
     """W_C leads with the rows of W_C_out and satisfies the output
-    inequality with [W_B; W_C] invertible."""
+    inequality with [W_B; W_C] invertible (``_completion_cond``)."""
     m = W_C_out.shape[0]
     if W_C.shape[0] < m or not np.allclose(W_C[:m], W_C_out, atol=1e-9):
         return False
     defect = colocation_defect(W_B, W_C)
     return bool(defect.max() <= _EIG_TOL * max(1.0, np.abs(defect).max())
-                and np.linalg.cond(np.vstack([W_B, W_C])) < 1e12)
+                and _completion_cond(W_B, W_C) < 1e12)
 
 
 def wellposedness_constants(law: PortLaw,

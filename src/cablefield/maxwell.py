@@ -24,6 +24,12 @@ Unknown selection around the staircased tubes:
 Restricting the full curl to (dof faces) x (free edges) keeps the exact
 transpose identity; the discarded columns at BAND edges carry the lateral
 coupling, which enters through the surface trace instead.
+
+The cells around each edge and face are shifted slice views of one cell
+array with a one-cell border (``_edge_cells``, ``_face_cells``).  Grid
+classification reads them on the cell tags bordered by -2 (outside the
+box); material averaging reads them on the cell samples and on a count of
+ones, both bordered by 0, so each mean runs over the cells inside the box.
 """
 
 from __future__ import annotations
@@ -177,9 +183,6 @@ class YeeGrid:
     def cell_centers(self):
         return _lattice_midpoints(self.origin, self.h, self.n, {0, 1, 2})
 
-    def excluded_volume_fraction(self):
-        return float((self.cell_cable >= 0).sum()) / self.cell_cable.size
-
 
 def build_grid(spec: GeometrySpec, n: Sequence[int]) -> YeeGrid:
     """Classify cells, edges and faces of an (nx, ny, nz) grid on spec.box."""
@@ -201,47 +204,24 @@ def build_grid(spec: GeometrySpec, n: Sequence[int]) -> YeeGrid:
     for ci in range(len(spec.cables)):
         inside = is_inside_tube(spec, centers, ci)
         cell_cable[inside] = ci
-    cells3 = cell_cable.reshape(n)
 
     # edges --------------------------------------------------------------------
-    eshapes = _edge_shapes(n)
-    edge_offsets = np.r_[0, np.cumsum([int(np.prod(s)) for s in eshapes])]
-    n_edges = edge_offsets[-1]
-    edge_status = np.full(n_edges, EDGE_FREE, dtype=np.int8)
-    edge_cable = np.full(n_edges, -1, dtype=np.int32)
+    edge_offsets = _offsets(_edge_shapes(n))
+    pad = _padded(cell_cable.reshape(n), -2)     # -2: outside the box
+    edge_status, edge_cable = [], []
+    for d in range(3):
+        adj = _edge_cells(pad, d)
+        tube_any = np.logical_or.reduce([c >= 0 for c in adj])
+        field_any = np.logical_or.reduce([c == -1 for c in adj])
+        on_bnd = np.logical_or.reduce([c == -2 for c in adj])
 
-    pad = np.full((n[0] + 2, n[1] + 2, n[2] + 2), -2, dtype=np.int32)  # -2: outside grid
-    pad[1:-1, 1:-1, 1:-1] = cells3
-
-    for d, shp in enumerate(eshapes):
-        a, b = [(1, 2), (0, 2), (0, 1)][d]   # transverse axes
-        idx = np.indices(shp)
-        # outer-boundary test on the transverse node indices
-        on_bnd = (idx[a] == 0) | (idx[a] == n[a]) | (idx[b] == 0) | (idx[b] == n[b])
-        # adjacent cells: offsets -1/0 on each transverse axis
-        adj = []
-        for da in (-1, 0):
-            for db in (-1, 0):
-                off = [0, 0, 0]
-                off[d] = idx[d]
-                off[a] = idx[a] + da
-                off[b] = idx[b] + db
-                adj.append(pad[off[0] + 1, off[1] + 1, off[2] + 1])
-        adj = np.stack(adj)
-        valid = adj != -2
-        tube_any = ((adj >= 0) & valid).any(axis=0)
-        field_any = ((adj == -1) & valid).any(axis=0)
-        cable_id = np.where(tube_any, np.max(np.where(adj >= 0, adj, -1), axis=0), -1)
-
-        status = np.full(shp, EDGE_FREE, dtype=np.int8)
-        status[tube_any & ~field_any] = EDGE_EXCLUDED
-        status[tube_any & field_any] = EDGE_BAND     # refined to PEC caps below
-        status[on_bnd & (status == EDGE_FREE)] = EDGE_PEC
-        status[on_bnd & (status == EDGE_BAND)] = EDGE_PEC
-
-        sl = slice(edge_offsets[d], edge_offsets[d + 1])
-        edge_status[sl] = status.reshape(-1)
-        edge_cable[sl] = np.where(status.reshape(-1) == EDGE_BAND, cable_id.reshape(-1), -1)
+        # first match wins; BAND edges on a tube end cap turn PEC below
+        status = np.select([tube_any & ~field_any, on_bnd, tube_any],
+                           [EDGE_EXCLUDED, EDGE_PEC, EDGE_BAND], EDGE_FREE).astype(np.int8)
+        edge_status.append(status.reshape(-1))
+        edge_cable.append(np.where(status == EDGE_BAND, np.maximum.reduce(adj), -1).reshape(-1))
+    edge_status = np.concatenate(edge_status)
+    edge_cable = np.concatenate(edge_cable)
 
     # split surface edges into lateral band and end caps via the curve parameter
     band_ids = np.nonzero(edge_status == EDGE_BAND)[0]
@@ -259,20 +239,14 @@ def build_grid(spec: GeometrySpec, n: Sequence[int]) -> YeeGrid:
             edge_cable[ids] = -1
 
     # faces --------------------------------------------------------------------
-    fshapes = _face_shapes(n)
-    face_offsets = np.r_[0, np.cumsum([int(np.prod(s)) for s in fshapes])]
-    face_dof = np.zeros(face_offsets[-1], dtype=bool)
-    for d, shp in enumerate(fshapes):
-        idx = np.indices(shp)
-        on_bnd = (idx[d] == 0) | (idx[d] == n[d])
-        c_lo = [idx[0], idx[1], idx[2]]
-        c_lo[d] = c_lo[d] - 1
-        lo = pad[c_lo[0] + 1, c_lo[1] + 1, c_lo[2] + 1]
-        hi = pad[idx[0] + 1, idx[1] + 1, idx[2] + 1]
+    face_offsets = _offsets(_face_shapes(n))
+    face_dof = []
+    for d in range(3):
+        lo, hi = _face_cells(pad, d)
+        on_bnd = (lo == -2) | (hi == -2)
         buried = (lo >= 0) & (hi >= 0)
-        dof = ~on_bnd & ~buried
-        sl = slice(face_offsets[d], face_offsets[d + 1])
-        face_dof[sl] = dof.reshape(-1)
+        face_dof.append((~on_bnd & ~buried).reshape(-1))
+    face_dof = np.concatenate(face_dof)
 
     return YeeGrid(
         spec=spec, n=n, h=h, origin=origin,
@@ -292,6 +266,37 @@ def _all_edge_midpoints(origin, h, n):
     ])
 
 
+def _offsets(shapes):
+    """Start of each lattice's block in the global ids, and the total."""
+    return np.r_[0, np.cumsum([int(np.prod(s)) for s in shapes])]
+
+
+def _padded(cells, fill):
+    """Cell array (nx, ny, nz) with a one-cell border of ``fill``."""
+    return np.pad(cells, 1, constant_values=fill)
+
+
+# slices of a padded cell array along one axis: the cells themselves, and the
+# cell below / above each grid node
+_INNER, _LOWER, _UPPER = slice(1, -1), slice(None, -1), slice(1, None)
+
+
+def _view(pad, shifts):
+    return pad[tuple(shifts.get(axis, _INNER) for axis in range(3))]
+
+
+def _edge_cells(pad, d):
+    """The 4 cells around each d-edge as views of the padded cell array: on
+    the transverse axes a < b, offsets (-1, -1), (-1, 0), (0, -1), (0, 0)."""
+    a, b = [(1, 2), (0, 2), (0, 1)][d]
+    return [_view(pad, {a: sa, b: sb}) for sa in (_LOWER, _UPPER) for sb in (_LOWER, _UPPER)]
+
+
+def _face_cells(pad, d):
+    """The cells below and above each d-face along axis d, as views."""
+    return [_view(pad, {d: s}) for s in (_LOWER, _UPPER)]
+
+
 # ---------------------------------------------------------------------------
 # curls and Hodge blocks
 # ---------------------------------------------------------------------------
@@ -306,8 +311,8 @@ def _curl_block(n, h, faces, edges) -> sp.csr_matrix:
     """
     eshapes = _edge_shapes(n)
     fshapes = _face_shapes(n)
-    eoff = np.r_[0, np.cumsum([int(np.prod(s)) for s in eshapes])]
-    foff = np.r_[0, np.cumsum([int(np.prod(s)) for s in fshapes])]
+    eoff = _offsets(eshapes)
+    foff = _offsets(fshapes)
     column = np.full(eoff[-1], -1, dtype=np.intp)     # global edge id -> column
     column[edges] = np.arange(edges.size)
 
@@ -347,14 +352,6 @@ class CurlPair:
     mu_face: np.ndarray
     sigma_edge: np.ndarray
 
-    @property
-    def M_E(self):
-        return self.grid.h ** 3
-
-    @property
-    def M_H(self):
-        return self.grid.h ** 3
-
     def eps_inv(self):
         return 1.0 / self.eps_edge
 
@@ -372,99 +369,27 @@ def assemble_curls(grid: YeeGrid, m: FieldMaterials) -> CurlPair:
 
     # material averaging onto edges / faces (harmonic across edges for eps,
     # arithmetic on faces for mu, arithmetic for sigma)
-    eps_e = _average_to_edges(grid, m, "eps", harmonic=True)[grid.free_edges]
-    sig_e = _average_to_edges(grid, m, "sigma", harmonic=False)[grid.free_edges]
-    mu_f = _average_to_faces(grid, m, "mu")[grid.dof_faces]
+    eps_e = _average(grid, m, "eps", _edge_cells, harmonic=True)[grid.free_edges]
+    sig_e = _average(grid, m, "sigma", _edge_cells, harmonic=False)[grid.free_edges]
+    mu_f = _average(grid, m, "mu", _face_cells, harmonic=False)[grid.dof_faces]
     return CurlPair(grid=grid, C_E=C_E, C_H=C_H,
                     eps_edge=eps_e, mu_face=mu_f, sigma_edge=sig_e)
 
 
-def _cell_samples(grid, m, name):
-    return m.sample(name, grid.cell_centers()).reshape(grid.n + (3,))
-
-
-def _average_to_edges(grid, m, name, harmonic):
-    vals = _cell_samples(grid, m, name)
-    n = grid.n
-    out = np.empty(grid.edge_offsets[-1])
-    pad = np.full((n[0] + 2, n[1] + 2, n[2] + 2, 3), np.nan)
-    pad[1:-1, 1:-1, 1:-1, :] = vals
-    for d, shp in enumerate(_edge_shapes(n)):
-        a, b = [(1, 2), (0, 2), (0, 1)][d]
-        idx = np.indices(shp)
-        stack = []
-        for da in (-1, 0):
-            for db in (-1, 0):
-                off = [idx[0], idx[1], idx[2]]
-                off[a] = off[a] + da
-                off[b] = off[b] + db
-                stack.append(pad[off[0] + 1, off[1] + 1, off[2] + 1, d])
-        stack = np.stack(stack)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            if harmonic:
-                avg = np.nansum(np.ones_like(stack), axis=0) / np.nansum(1.0 / stack, axis=0)
-            else:
-                avg = np.nanmean(stack, axis=0)
-        sl = slice(grid.edge_offsets[d], grid.edge_offsets[d + 1])
-        out[sl] = avg.reshape(-1)
-    return np.nan_to_num(out, nan=1.0)
-
-
-def _average_to_faces(grid, m, name):
-    vals = _cell_samples(grid, m, name)
-    n = grid.n
-    out = np.empty(grid.face_offsets[-1])
-    pad = np.full((n[0] + 2, n[1] + 2, n[2] + 2, 3), np.nan)
-    pad[1:-1, 1:-1, 1:-1, :] = vals
-    for d, shp in enumerate(_face_shapes(n)):
-        idx = np.indices(shp)
-        lo = [idx[0], idx[1], idx[2]]
-        lo[d] = lo[d] - 1
-        stack = np.stack([
-            pad[lo[0] + 1, lo[1] + 1, lo[2] + 1, d],
-            pad[idx[0] + 1, idx[1] + 1, idx[2] + 1, d],
-        ])
-        avg = np.nanmean(stack, axis=0)
-        sl = slice(grid.face_offsets[d], grid.face_offsets[d + 1])
-        out[sl] = avg.reshape(-1)
-    return np.nan_to_num(out, nan=1.0)
-
-
-# ---------------------------------------------------------------------------
-# divergence (verification only)
-# ---------------------------------------------------------------------------
-
-def divergence_matrix(grid: YeeGrid) -> sp.csr_matrix:
-    """Cell divergence of the face field, restricted to field cells whose
-    six faces are all unknowns (the staircase-free subgrid)."""
-    n, h = grid.n, grid.h
-    fshapes = _face_shapes(n)
-    foff = grid.face_offsets
-
-    def fid(d, i, j, k):
-        return foff[d] + np.ravel_multi_index((i, j, k), fshapes[d])
-
-    I, J, K = np.indices(n)
-    cid = np.arange(int(np.prod(n))).reshape(n)
-    rows, cols, vals = [], [], []
+def _average(grid, m, name, lattice, harmonic):
+    """Arithmetic (or ``harmonic``) mean of material ``name`` over the cells
+    inside the box around every edge (``lattice=_edge_cells``) or face
+    (``_face_cells``), in global id order; lattice d averages component d."""
+    vals = m.sample(name, grid.cell_centers()).reshape(grid.n + (3,))
+    if harmonic:
+        vals = 1.0 / vals
+    count = _padded(np.ones(grid.n), 0.0)
+    out = []
     for d in range(3):
-        lo = [I, J, K]
-        up = [I.copy(), J.copy(), K.copy()]
-        up[d] = up[d] + 1
-        for ids, sign in ((fid(d, lo[0], lo[1], lo[2]), -1.0),
-                          (fid(d, up[0], up[1], up[2]), +1.0)):
-            rows.append(cid.reshape(-1))
-            cols.append(ids.reshape(-1))
-            vals.append(np.full(cid.size, sign / h))
-    D = sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                      shape=(int(np.prod(n)), foff[-1]))
-
-    dof_mask = np.zeros(foff[-1], dtype=bool)
-    dof_mask[grid.dof_faces] = True
-    complete = np.asarray((np.abs(D) > 0).astype(float) @ (~dof_mask).astype(float) == 0).reshape(-1)
-    complete &= grid.cell_cable == -1
-    Dr = D[np.nonzero(complete)[0], :][:, grid.dof_faces]
-    return Dr.tocsr()
+        total = sum(lattice(_padded(vals[..., d], 0.0), d))
+        inside = sum(lattice(count, d))
+        out.append((inside / total if harmonic else total / inside).reshape(-1))
+    return np.concatenate(out)
 
 
 # ---------------------------------------------------------------------------
@@ -623,36 +548,3 @@ def _cross_matrices(v):
     m[:, 1, 0] = v[:, 2];  m[:, 1, 2] = -v[:, 0]
     m[:, 2, 0] = -v[:, 1]; m[:, 2, 1] = v[:, 0]
     return m
-
-
-# ---------------------------------------------------------------------------
-# periodic reference operators (dispersion oracle)
-# ---------------------------------------------------------------------------
-
-def periodic_curl_pair(n: int, h: float):
-    """Curl pair on a fully periodic n^3 grid (no boundaries, no masks).
-
-    Reference for the staggered-scheme dispersion relation
-    omega^2 = (4/h^2) * sum_i sin^2(kappa_i h / 2).
-    """
-    shape = (n, n, n)
-    size = n ** 3
-
-    def rid(d, i, j, k):
-        return d * size + np.ravel_multi_index((i % n, j % n, k % n), shape)
-
-    I, J, K = np.indices(shape)
-    rows, cols, vals = [], [], []
-    for d in range(3):
-        a, b = (d + 1) % 3, (d + 2) % 3
-        fids = rid(d, I, J, K).reshape(-1)
-        for comp, axis, sign in ((b, a, +1.0), (a, b, -1.0)):
-            for shift, s2 in ((1, +1.0), (0, -1.0)):
-                ijk = [I.copy(), J.copy(), K.copy()]
-                ijk[axis] = ijk[axis] + shift
-                rows.append(fids)
-                cols.append(rid(comp, *ijk).reshape(-1))
-                vals.append(np.full(size, sign * s2 / h))
-    C = sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                      shape=(3 * size, 3 * size))
-    return C, C.T.tocsr()

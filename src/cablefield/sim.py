@@ -567,16 +567,6 @@ def energy_ledger(traj: Trajectory, law: PortLaw) -> dict:
     }
 
 
-def reverse_run(loop: ClosedLoop, x: np.ndarray, dt: float, n_steps: int,
-                solver_tol: float = 1e-10) -> np.ndarray:
-    """March n_steps backwards (autonomous); exact inverse of the forward
-    midpoint map up to solver roundoff."""
-    stepper = MidpointStepper(loop, -dt, solver_tol)
-    for _ in range(n_steps):
-        x, _ = stepper.step(x, np.zeros(loop.law.m))
-    return x
-
-
 def wp_bound_series(traj: Trajectory, c_t: float) -> dict:
     """Sampled well-posedness bound ||x(t)|| + ||y||_L2 <= c_t (||x0|| + ||u||_L2)."""
     y2 = _cumtrapz(np.einsum("ij,ij->i", np.conj(traj.y), traj.y).real, traj.times)

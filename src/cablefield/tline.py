@@ -206,22 +206,6 @@ def build_line_grid(n: int, k: int = 1) -> LineGrid:
     )
 
 
-def periodic_derivative_pair(n: int, h: float = None):
-    """Circulant staggered derivative pair (D, Dt) on a periodic interval.
-
-    Reference operators for eigenvalue studies: with the midpoint masses
-    the pair satisfies Mc D = -(Mn Dt)^T with no boundary term.
-    """
-    if h is None:
-        h = 1.0 / n
-    d = sp.lil_matrix((n, n))
-    for j in range(n):
-        d[j, j] = -1.0 / h
-        d[j, (j + 1) % n] = 1.0 / h
-    d = d.tocsr()
-    return d, (-d.T).tocsr()
-
-
 # ---------------------------------------------------------------------------
 # assembled line blocks
 # ---------------------------------------------------------------------------

@@ -1,0 +1,111 @@
+"""Reference operators and checks that only the tests use.
+
+These are oracles for the package, not part of it: the periodic curl and
+derivative pairs (dispersion and eigenvalue references), the cell
+divergence of the masked face field, and the backwards midpoint march of
+the reversibility checks, and the port values a closed loop enforces.
+"""
+
+import numpy as np
+import scipy.sparse as sp
+
+from cablefield.assembly import ClosedLoop
+from cablefield.maxwell import YeeGrid, _face_shapes
+from cablefield.sim import MidpointStepper
+
+
+def periodic_curl_pair(n: int, h: float):
+    """Curl pair on a fully periodic n^3 grid (no boundaries, no masks).
+
+    Reference for the staggered-scheme dispersion relation
+    omega^2 = (4/h^2) * sum_i sin^2(kappa_i h / 2).
+    """
+    shape = (n, n, n)
+    size = n ** 3
+
+    def rid(d, i, j, k):
+        return d * size + np.ravel_multi_index((i % n, j % n, k % n), shape)
+
+    I, J, K = np.indices(shape)
+    rows, cols, vals = [], [], []
+    for d in range(3):
+        a, b = (d + 1) % 3, (d + 2) % 3
+        fids = rid(d, I, J, K).reshape(-1)
+        for comp, axis, sign in ((b, a, +1.0), (a, b, -1.0)):
+            for shift, s2 in ((1, +1.0), (0, -1.0)):
+                ijk = [I.copy(), J.copy(), K.copy()]
+                ijk[axis] = ijk[axis] + shift
+                rows.append(fids)
+                cols.append(rid(comp, *ijk).reshape(-1))
+                vals.append(np.full(size, sign * s2 / h))
+    C = sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                      shape=(3 * size, 3 * size))
+    return C, C.T.tocsr()
+
+
+def divergence_matrix(grid: YeeGrid) -> sp.csr_matrix:
+    """Cell divergence of the face field, restricted to field cells whose
+    six faces are all unknowns (the staircase-free subgrid)."""
+    n, h = grid.n, grid.h
+    fshapes = _face_shapes(n)
+    foff = grid.face_offsets
+
+    def fid(d, i, j, k):
+        return foff[d] + np.ravel_multi_index((i, j, k), fshapes[d])
+
+    I, J, K = np.indices(n)
+    cid = np.arange(int(np.prod(n))).reshape(n)
+    rows, cols, vals = [], [], []
+    for d in range(3):
+        lo = [I, J, K]
+        up = [I.copy(), J.copy(), K.copy()]
+        up[d] = up[d] + 1
+        for ids, sign in ((fid(d, lo[0], lo[1], lo[2]), -1.0),
+                          (fid(d, up[0], up[1], up[2]), +1.0)):
+            rows.append(cid.reshape(-1))
+            cols.append(ids.reshape(-1))
+            vals.append(np.full(cid.size, sign / h))
+    D = sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                      shape=(int(np.prod(n)), foff[-1]))
+
+    dof_mask = np.zeros(foff[-1], dtype=bool)
+    dof_mask[grid.dof_faces] = True
+    complete = np.asarray((np.abs(D) > 0).astype(float) @ (~dof_mask).astype(float) == 0).reshape(-1)
+    complete &= grid.cell_cable == -1
+    Dr = D[np.nonzero(complete)[0], :][:, grid.dof_faces]
+    return Dr.tocsr()
+
+
+def periodic_derivative_pair(n: int, h: float = None):
+    """Circulant staggered derivative pair (D, Dt) on a periodic interval.
+
+    Reference operators for eigenvalue studies: with the midpoint masses
+    the pair satisfies Mc D = -(Mn Dt)^T with no boundary term.
+    """
+    if h is None:
+        h = 1.0 / n
+    d = sp.lil_matrix((n, n))
+    for j in range(n):
+        d[j, j] = -1.0 / h
+        d[j, (j + 1) % n] = 1.0 / h
+    d = d.tocsr()
+    return d, (-d.T).tocsr()
+
+
+def ghost_currents(loop: ClosedLoop, e: np.ndarray, u) -> np.ndarray:
+    return loop.G_fb @ e + loop.W1_inv @ loop.law.u_hat(u)
+
+
+def used_ports(loop: ClosedLoop, e: np.ndarray, u) -> np.ndarray:
+    """Port vector with the enforced (not extrapolated) currents."""
+    return np.concatenate([ghost_currents(loop, e, u), loop.bundle.B2 @ e])
+
+
+def reverse_run(loop: ClosedLoop, x: np.ndarray, dt: float, n_steps: int,
+                solver_tol: float = 1e-10) -> np.ndarray:
+    """March n_steps backwards (autonomous); exact inverse of the forward
+    midpoint map up to solver roundoff."""
+    stepper = MidpointStepper(loop, -dt, solver_tol)
+    for _ in range(n_steps):
+        x, _ = stepper.step(x, np.zeros(loop.law.m))
+    return x

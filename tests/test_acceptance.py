@@ -36,12 +36,13 @@ from cablefield.sim import (
     InputSignal,
     SimConfig,
     random_state,
-    reverse_run,
     run,
     smooth_state,
     wp_bound_series,
 )
 from cablefield.tline import LineMaterials, assemble_line, build_line_grid
+
+from oracles import reverse_run
 
 
 def report(criterion, passed, detail=""):

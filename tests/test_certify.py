@@ -153,9 +153,34 @@ def test_colocation_mixed_law_search():
         check_completion(W_B)
 
 
+# admissible laws with a large or small row scale: admissibility does not see
+# the scale, and neither may the completion's conditioning check
+ROW_SCALED_LAWS = [(1e6, np.hstack([I2, I2])), (1e-7, np.hstack([I2, I2])),
+                   (1e6, np.array([[1.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 0.0]]))]
+ROW_SCALED_IDS = ["1e6-strict", "1e-7-strict", "1e6-mixed"]
+
+
+@pytest.mark.parametrize("t, W0", ROW_SCALED_LAWS, ids=ROW_SCALED_IDS)
+def test_colocation_row_scaled_laws(t, W0):
+    # t W0 is the same law as W0, so the checks of check_completion hold,
+    # with cond taken on the balanced pair [W_B / s; s W_C], s = ||W_B||_2
+    check_completion(W0)
+    W_B = t * W0
+    W_C = build_colocated_output(W_B)
+    l = W_B.shape[0]
+    sig = sigma_matrix(l)
+    res = max(np.abs(W_B @ sig @ W_C.conj().T - np.eye(l)).max(),
+              np.abs(W_C @ sig @ W_C.conj().T).max())
+    assert res <= 1e-12 * max(1.0, np.linalg.norm(W_B, 2) * np.linalg.norm(W_C, 2))
+    assert colocation_defect(W_B, W_C).max() <= 1e-10
+    s = np.linalg.norm(W_B, 2)
+    assert np.linalg.cond(np.vstack([W_B / s, s * W_C])) <= 1e6
+
+
 @pytest.mark.parametrize("W_B", [np.hstack([np.eye(2), np.eye(2)]),
-                                 np.hstack([np.eye(2), np.zeros((2, 2))])],
-                         ids=["strict", "skew"])
+                                 np.hstack([np.eye(2), np.zeros((2, 2))])]
+                         + [t * W0 for t, W0 in ROW_SCALED_LAWS],
+                         ids=["strict", "skew"] + ROW_SCALED_IDS)
 def test_colocation_builder_checks_defining_equations(W_B, monkeypatch):
     # a completion off by a factor 1 + 1e-6 still satisfies the output
     # inequality; only the defining equations W_B Sigma W_C^H = I and
@@ -167,11 +192,11 @@ def test_colocation_builder_checks_defining_equations(W_B, monkeypatch):
 
 
 def test_find_full_colocated_roundtrip():
-    W_B = np.hstack([np.eye(2), np.eye(2)])
-    W_C = build_colocated_output(W_B)
-    out = find_full_colocated(W_B, W_C[:1])
-    assert out is not None
-    assert find_full_colocated(W_B, np.ones((1, 4))) is None
+    for W_B in [np.hstack([np.eye(2), np.eye(2)])] + [t * W0 for t, W0 in ROW_SCALED_LAWS]:
+        W_C = build_colocated_output(W_B)
+        out = find_full_colocated(W_B, W_C[:1])
+        assert out is not None
+        assert find_full_colocated(W_B, np.ones((1, 4))) is None
 
 
 # ---------------------------------------------------------------------------

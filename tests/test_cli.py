@@ -174,6 +174,19 @@ def test_mixed_law_certifies_and_simulates(tmp_path, capsys):
     assert ratios[1] <= ratios[0] / 3.0
 
 
+def test_certify_accepts_a_row_scaled_law(tmp_path, capsys):
+    # the single-cable law [I, I] scaled by 1e6 is the same admissible,
+    # strict law; its completion is scaled by 1e-6
+    config = single_cable_config(0.01, 0.5)
+    config["boundary"]["W_B_inp"] = (1e6 * np.hstack([np.eye(2), np.eye(2)])).tolist()
+    path = write(tmp_path, config)
+    assert main(["validate", path]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["certify", path]) == EXIT_OK
+    cert = json.loads(capsys.readouterr().out)
+    assert cert["admissible"] and cert["strict"] and cert["colocated"] is True
+
+
 def test_simulate_writes_csv_and_summary(scenario_path, tmp_path, capsys):
     out = str(tmp_path / "out")
     assert main(["simulate", scenario_path, "--output-dir", out]) == EXIT_OK

@@ -12,11 +12,11 @@ from cablefield.maxwell import (
     FieldMaterials,
     assemble_curls,
     build_grid,
-    divergence_matrix,
-    periodic_curl_pair,
     surface_trace,
     validate_field_materials,
 )
+
+from oracles import divergence_matrix, periodic_curl_pair
 
 
 def empty_spec(box=((0, 1), (0, 1), (0, 1))):
@@ -64,7 +64,7 @@ def test_tube_volume_fraction():
     )
     grid = build_grid(spec, (32, 32, 32))
     expected = np.pi * 0.1 ** 2 * 0.8
-    assert abs(grid.excluded_volume_fraction() - expected) / expected < 0.10
+    assert abs((grid.cell_cable >= 0).mean() - expected) / expected < 0.10
 
 
 def test_masks_consistent_with_classifier():
@@ -102,6 +102,85 @@ def test_band_edges_exist_and_caps_are_pec():
     assert np.abs(rad - curve.radius).max() < grid.h
 
 
+def brute_force_neighbours(points, centers, dist):
+    """For each point, the ids of the cell centres at distance ``dist``."""
+    out = []
+    for chunk in np.array_split(points, max(1, len(points) // 256)):
+        d = np.linalg.norm(chunk[:, None, :] - centers[None, :, :], axis=2)
+        out += [np.nonzero(row)[0] for row in np.abs(d - dist) < 1e-9]
+    return out
+
+
+@pytest.mark.parametrize("box_z, n", [(1.4, (10, 10, 14)), (1.0, (10, 10, 10))],
+                         ids=["inside", "cut-by-box"])
+def test_classification_matches_brute_force_neighbours(box_z, n):
+    # the tube spans z in [0.2, 1.2]; a box ending at z = 1 cuts it open
+    spec = tube_spec()
+    spec = GeometrySpec(box=np.array([[0, 1], [0, 1], [0, box_z]], dtype=float),
+                        cables=spec.cables)
+    grid = build_grid(spec, n)
+    h, centers, tags = grid.h, grid.cell_centers(), grid.cell_cable
+    edges = brute_force_neighbours(grid.edge_midpoints(), centers, h / np.sqrt(2.0))
+    seen = set()
+    for i, cells in enumerate(edges):
+        tube, field = (tags[cells] >= 0).any(), (tags[cells] == -1).any()
+        status = grid.edge_status[i]
+        if tube and not field:
+            assert status == EDGE_EXCLUDED
+        elif cells.size < 4:                   # in an outer box face
+            assert status == EDGE_PEC
+        elif tube:                             # lateral band or end cap
+            assert status in (EDGE_BAND, EDGE_PEC)
+        else:
+            assert status == EDGE_FREE
+        assert grid.edge_cable[i] == (tags[cells].max() if status == EDGE_BAND else -1)
+        seen.add((bool(tube), bool(field), cells.size == 4, int(status)))
+    # every rule is exercised: excluded, band, cap PEC, box PEC, free, and
+    # where the box cuts the tube, box PEC before band and excluded on the box
+    assert {(True, False, True, EDGE_EXCLUDED), (True, True, True, EDGE_BAND),
+            (True, True, True, EDGE_PEC), (False, True, False, EDGE_PEC),
+            (False, True, True, EDGE_FREE)} <= seen
+    if box_z < 1.2:
+        assert {(True, True, False, EDGE_PEC), (True, False, False, EDGE_EXCLUDED)} <= seen
+
+    faces = brute_force_neighbours(grid.face_midpoints(), centers, h / 2.0)
+    dof = np.array([cells.size == 2 and (tags[cells] == -1).any() for cells in faces])
+    assert np.array_equal(np.nonzero(dof)[0], grid.dof_faces)
+    assert any(cells.size == 2 and (tags[cells] >= 0).all() for cells in faces)
+
+
+def test_material_averages_match_brute_force_neighbours():
+    grid = build_grid(tube_spec(), (10, 10, 14))
+    h, centers = grid.h, grid.cell_centers()
+
+    def eps(x):
+        return np.stack([1.0 + x[:, 0], 2.0 + np.sin(3.0 * x[:, 1]),
+                         1.5 + x[:, 0] * x[:, 2]], axis=1)
+
+    def mu(x):
+        return np.stack([1.0 + 0.5 * x[:, 0] ** 2, 1.0 + 0.2 * x[:, 2],
+                         3.0 - x[:, 1]], axis=1)
+
+    sigma = [0.1, 0.2, 0.3]
+    cp = assemble_curls(grid, FieldMaterials(eps=eps, mu=mu, sigma=sigma))
+    eps_cells, mu_cells = eps(centers), mu(centers)
+    sigma_cells = np.tile(sigma, (centers.shape[0], 1))
+
+    edges = brute_force_neighbours(grid.edge_midpoints(grid.free_edges), centers,
+                                   h / np.sqrt(2.0))
+    for i, (cells, d) in enumerate(zip(edges, grid.edge_direction(grid.free_edges))):
+        assert cells.size == 4
+        harmonic = cells.size / np.sum(1.0 / eps_cells[cells, d])
+        assert cp.eps_edge[i] == pytest.approx(harmonic, rel=1e-15)
+        assert cp.sigma_edge[i] == pytest.approx(np.mean(sigma_cells[cells, d]), rel=1e-15)
+
+    faces = brute_force_neighbours(grid.face_midpoints(grid.dof_faces), centers, h / 2.0)
+    for i, (cells, d) in enumerate(zip(faces, grid.face_normal_axis(grid.dof_faces))):
+        assert cells.size == 2
+        assert cp.mu_face[i] == pytest.approx(np.mean(mu_cells[cells, d]), rel=1e-15)
+    assert np.ptp(cp.eps_edge) > 0.5 and np.ptp(cp.mu_face) > 0.1
+
+
 # ---------------------------------------------------------------------------
 # curls
 # ---------------------------------------------------------------------------
@@ -114,8 +193,8 @@ def test_curl_pair_exact_transpose():
     rng = np.random.default_rng(7)
     e = rng.standard_normal(grid.n_free_edges)
     hf = rng.standard_normal(grid.n_dof_faces)
-    lhs = cp.M_H * np.dot(hf, cp.C_E @ e)
-    rhs = cp.M_E * np.dot(cp.C_H @ hf, e)
+    lhs = grid.h ** 3 * np.dot(hf, cp.C_E @ e)
+    rhs = grid.h ** 3 * np.dot(cp.C_H @ hf, e)
     assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
 
 

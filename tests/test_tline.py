@@ -6,9 +6,10 @@ from cablefield.tline import (
     LineMaterials,
     assemble_line,
     build_line_grid,
-    periodic_derivative_pair,
     validate_line_materials,
 )
+
+from oracles import periodic_derivative_pair
 
 
 def test_sbp_identity_exact():
