@@ -179,14 +179,18 @@ class Certificate:
 # ---------------------------------------------------------------------------
 
 def check_admissible(W_B: np.ndarray) -> dict:
-    """Full row rank and positivity of W1 W2^H + W2 W1^H, with margins."""
+    """Full row rank and positivity of W1 W2^H + W2 W1^H, with margins.
+
+    The eigenvalue margins are relative to ||W_B||_2^2: K is quadratic in
+    W_B, so a law and its row-scaled copies get the same verdict.
+    """
     W_B = np.asarray(W_B, dtype=complex)
     W1, W2 = _split(W_B)
     sv = np.linalg.svd(W_B, compute_uv=False)
     full_rank = sv[-1] > 1e-10 * sv[0]
     K = W1 @ W2.conj().T + W2 @ W1.conj().T
     lam = np.linalg.eigvalsh(0.5 * (K + K.conj().T))
-    scale = max(np.abs(lam).max(), 1.0)
+    scale = sv[0] ** 2
     psd = lam.min() >= -_EIG_TOL * scale
     return {
         "admissible": bool(full_rank and psd),

@@ -34,10 +34,12 @@ caller (is_inside_tube, classify_point, coupling.lift_voltage) goes
 through ``collar_candidates``.
 
   * The extended chart domain is eta in [-ETA_PAD, 1 + ETA_PAD].  build_frame
-    propagates the frame over it, and nearest_curve_sample searches its
-    CURVE_SAMPLES uniform samples of alpha.
+    propagates the frame over it, and nearest_curve_sample finds the exact
+    nearest of its CURVE_SAMPLES uniform samples of alpha, scanning only the
+    sample blocks whose chord can hold it.
   * Newton (nearest_parameter_batch) starts at the nearest sample and stays
-    within two sample steps of it, NEWTON_SLACK in eta.
+    within two sample steps of it, NEWTON_SLACK in eta.  is_inside_tube
+    hands it the samples its candidate test already found.
   * A point is a candidate for collar radius r (1 + s_max) and axial reach
     when its nearest sample lies within r (1 + s_max) + l NEWTON_SLACK and
     that sample's eta within [-reach - NEWTON_SLACK, 1 + reach + NEWTON_SLACK].
@@ -59,12 +61,15 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import ConfigError, GeometryError
 
 _CURVATURE_SLACK = 1.0 - 1e-6   # strictness margin on the curvature bound
 _ARCLEN_TOL = 1e-6              # relative tolerance on |alpha'| = l
+_ARC_GAUSS_POINTS = 8           # SplineCurve arclength: Gauss-Legendre points per piece,
+_ARC_PIECES = 4                 # pieces per knot interval,
+_ARC_NEWTON_TOL = 1e-14         # relative residual of the equal-arclength nodes
+_ARC_NEWTON_MAX = 50            # and the Newton iteration cap
 
 ETA_PAD = 0.45                  # extended chart domain [-ETA_PAD, 1 + ETA_PAD]
 CURVE_SAMPLES = 512             # uniform samples of alpha on that domain
@@ -72,6 +77,8 @@ NEWTON_SLACK = 2.0 * (1.0 + 2.0 * ETA_PAD) / (CURVE_SAMPLES - 1)   # two sample 
 COLLAR_MAX = 1.5 * (ETA_PAD - 2.0 * NEWTON_SLACK)   # largest admissible eps
 _FRAME_STEP = 1.0 / 1024.0      # coarsest frame propagation step
 _REFLECT_BLOCK = 64             # frame samples converted to floats at a time
+_SAMPLE_BLOCK = 32              # curve samples per chord of nearest_curve_sample
+_QUERY_CHUNK = 1024             # points per pass of nearest_curve_sample
 
 
 def cutoff_reach(eps: float) -> float:
@@ -114,11 +121,12 @@ class CableCurve:
 
     # -- shared helpers -----------------------------------------------------
 
-    def nearest_parameter_batch(self, pts: np.ndarray):
+    def nearest_parameter_batch(self, pts: np.ndarray, eta: np.ndarray = None):
         """Stationary parameters of |p - alpha(eta)|^2 near their coarse
         argmin, for every point p of a cloud.
 
-        The coarse argmin is the nearest curve sample (``nearest_curve_sample``).
+        The coarse argmin is the nearest curve sample (``nearest_curve_sample``),
+        or ``eta`` when the caller already holds those sample parameters.
         Newton on g(eta) = (p - alpha) . alpha' then runs from it, clamped to
         two samples on either side (the module's collar window); the
         curvature bound keeps g' negative for points within collar distance
@@ -127,7 +135,8 @@ class CableCurve:
         whether the point matters.
         """
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        eta, _ = nearest_curve_sample(self, pts)
+        if eta is None:
+            eta, _ = nearest_curve_sample(self, pts)
         lo_i = np.maximum(-ETA_PAD, eta - NEWTON_SLACK)
         hi_i = np.minimum(1.0 + ETA_PAD, eta + NEWTON_SLACK)
         scale = max(1.0, self.length ** 2)
@@ -151,16 +160,61 @@ def nearest_curve_sample(curve: CableCurve, pts: np.ndarray):
     [-ETA_PAD, 1 + ETA_PAD] to every point: returns (eta, d2), the sample
     parameter and the squared distance |p - alpha(eta)|^2.
 
-    One KD-tree query over the samples, built per call (well under a
-    millisecond); memory is linear in the number of points.  d2 is
-    evaluated from the returned sample exactly as a dense point x sample
-    scan evaluates it.
+    The exact argmin of a dense point x sample scan, first index on ties,
+    with d2 evaluated as that scan evaluates it.  The samples are cut into
+    consecutive blocks of _SAMPLE_BLOCK, each within ``sag`` of the chord
+    from its first to its last sample.  The sample at the nearest chord's
+    closest point bounds the distance to the nearest sample, and only the
+    blocks whose chord comes within that bound plus ``sag`` are scanned
+    (one or two for a point near the cable).  Points go _QUERY_CHUNK at a
+    time, so memory is linear in the number of points.
     """
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     etas = np.linspace(-ETA_PAD, 1.0 + ETA_PAD, CURVE_SAMPLES)
     samples = curve.alpha(etas)
-    _, idx = cKDTree(samples).query(pts)
-    return etas[idx], ((pts - samples[idx]) ** 2).sum(axis=1)
+    blocks = samples.reshape(-1, _SAMPLE_BLOCK, 3)
+    nb = blocks.shape[0]
+    coords = [np.ascontiguousarray(blocks[:, :, k]) for k in range(3)]
+    a, chord = blocks[:, 0], blocks[:, -1] - blocks[:, 0]
+    len2 = (chord * chord).sum(axis=1)
+    inv = np.divide(1.0, len2, out=np.zeros_like(len2), where=len2 > 0)
+    w = blocks - a[:, None]
+    t = np.clip((w * chord[:, None]).sum(axis=2) * inv[:, None], 0.0, 1.0)
+    sag = np.sqrt(((w - t[..., None] * chord[:, None]) ** 2).sum(axis=2).max())
+    # the chord distances below are expanded; the slacks cover their roundoff
+    scale = 1.0 + np.abs(samples).max() + np.abs(pts).max(initial=0.0)
+    slack, slack2 = 1e-9 * scale + sag, 1e-12 * scale * scale
+    a_chord, a2, chord_t, m2a_t = (a * chord).sum(axis=1), (a * a).sum(axis=1), chord.T, -2.0 * a.T
+    eta, d2 = np.empty(pts.shape[0]), np.empty(pts.shape[0])
+    for s in range(0, pts.shape[0], _QUERY_CHUNK):
+        p = pts[s:s + _QUERY_CHUNK]
+        n = p.shape[0]
+        # squared distance to each chord: |p - a|^2 - t (2 (p - a) . chord - t |chord|^2)
+        pc = p @ chord_t - a_chord
+        t = np.clip(pc * inv, 0.0, 1.0)
+        gap2 = p @ m2a_t + (p * p).sum(axis=1)[:, None] + a2 - t * (2.0 * pc - t * len2)
+        near = np.argmin(gap2, axis=1)
+        d = p - samples[near * _SAMPLE_BLOCK
+                        + np.rint(t[np.arange(n), near] * (_SAMPLE_BLOCK - 1)).astype(np.intp)]
+        bound = np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] + d[:, 2] * d[:, 2]) + slack
+        pi, bi = np.divmod(np.flatnonzero(gap2 <= (bound * bound + slack2)[:, None]), nb)
+        # the scan's d2 over the candidate blocks, squares summed left to right
+        dd = (p[pi, 0, None] - coords[0][bi]) ** 2
+        dd += (p[pi, 1, None] - coords[1][bi]) ** 2
+        dd += (p[pi, 2, None] - coords[2][bi]) ** 2
+        j = dd.argmin(axis=1)
+        best = dd[np.arange(pi.size), j]
+        arg = bi * _SAMPLE_BLOCK + j
+        if pi.size != n:
+            # several blocks for some point: the least d2, the first block on ties
+            start = np.r_[0, np.cumsum(np.bincount(pi, minlength=n))[:-1]]
+            low = np.minimum.reduceat(best, start)
+            first = np.minimum.reduceat(np.where(best == low[pi], np.arange(pi.size), pi.size),
+                                        start)
+            best, arg = low, arg[first]
+        eta[s:s + n] = etas[arg]
+        d2[s:s + n] = best
+    return eta, d2
 
 
 def collar_candidates(curve: CableCurve, pts: np.ndarray, s_max: float,
@@ -176,6 +230,11 @@ def collar_candidates(curve: CableCurve, pts: np.ndarray, s_max: float,
     outside the samples' bounding box widened by the candidate distance
     are dropped before the sample query (``box_prefilter``).
     """
+    return _collar_window(curve, pts, s_max, reach, s_min)[0]
+
+
+def _collar_window(curve, pts, s_max, reach, s_min=-1.0):
+    """``collar_candidates`` and the eta of each candidate's nearest sample."""
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     rad = curve.radius * (1.0 + s_max) + curve.length * NEWTON_SLACK
     inner = curve.radius * (1.0 + s_min)
@@ -184,7 +243,7 @@ def collar_candidates(curve: CableCurve, pts: np.ndarray, s_max: float,
     near = box_prefilter(pts, samples, rad)
     eta, d2 = nearest_curve_sample(curve, pts[near])
     keep = (d2 <= rad * rad) & (d2 >= inner * inner) & (eta >= -ext) & (eta <= 1.0 + ext)
-    return near[keep]
+    return near[keep], eta[keep]
 
 
 def box_prefilter(pts: np.ndarray, cloud: np.ndarray, pad: float) -> np.ndarray:
@@ -322,7 +381,14 @@ class Helix(CableCurve):
 
 class SplineCurve(CableCurve):
     """C^2 cubic spline through control points, reparameterized to
-    constant speed on a dense equal-arclength grid."""
+    constant speed on a dense equal-arclength grid.
+
+    The chord-length spline is a cubic on each knot interval, so its speed
+    is smooth there: the arclength is integrated by _ARC_GAUSS_POINTS-point
+    Gauss-Legendre on _ARC_PIECES equal pieces of each interval, and the
+    equal-arclength nodes are found by Newton on that arclength, run until
+    the arclength residual is below _ARC_NEWTON_TOL relative.
+    """
 
     def __init__(self, points: np.ndarray, radius: float, line: int = 0,
                  n_resample: int = 2049):
@@ -339,21 +405,30 @@ class SplineCurve(CableCurve):
         seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
         if seg.min() <= 1e-14:
             raise GeometryError("degenerate tangent: repeated control points")
-        chord = np.r_[0.0, np.cumsum(seg)]
-        raw = CubicSpline(chord / chord[-1], pts, axis=0)
-        tt = np.linspace(0.0, 1.0, 16 * n_resample)
-        speed = np.linalg.norm(raw(tt, 1), axis=1)
-        if speed.min() < 1e-12 * chord[-1]:
+        chord = np.r_[0.0, np.cumsum(seg)] / seg.sum()
+        raw = CubicSpline(chord, pts, axis=0)
+        speed = np.linalg.norm(raw(np.linspace(0.0, 1.0, 16 * n_resample), 1), axis=1)
+        if speed.min() < 1e-12 * seg.sum():
             raise GeometryError("degenerate tangent along spline")
-        s = np.concatenate([[0.0], np.cumsum(0.5 * (speed[1:] + speed[:-1]) * np.diff(tt))])
-        self.length = float(s[-1])
-        t_of_s = np.interp(np.linspace(0.0, self.length, n_resample), s, tt)
-        # a couple of Newton sweeps sharpen the equal-arclength nodes
+        gx, gw = np.polynomial.legendre.leggauss(_ARC_GAUSS_POINTS)
+        edges = np.r_[np.linspace(chord[:-1], chord[1:], _ARC_PIECES + 1)[:-1].T.ravel(), 1.0]
+
+        def arc(a, b):
+            """Arclength from a to b, both inside one piece."""
+            half = 0.5 * (b - a)
+            t = (0.5 * (a + b))[:, None] + half[:, None] * gx
+            return half * (np.linalg.norm(raw(t.ravel(), 1), axis=1).reshape(t.shape) @ gw)
+
+        cum = np.r_[0.0, np.cumsum(arc(edges[:-1], edges[1:]))]
+        self.length = float(cum[-1])
         targets = np.linspace(0.0, self.length, n_resample)
-        for _ in range(3):
-            cur = np.interp(t_of_s, tt, s)
-            t_of_s = t_of_s - (cur - targets) / np.linalg.norm(raw(t_of_s, 1), axis=1)
-            t_of_s = np.clip(t_of_s, 0.0, 1.0)
+        t_of_s = np.interp(targets, cum, edges)
+        for _ in range(_ARC_NEWTON_MAX):
+            piece = np.clip(np.searchsorted(edges, t_of_s, side="right") - 1, 0, edges.size - 2)
+            res = cum[piece] + arc(edges[piece], t_of_s) - targets
+            if np.abs(res).max() <= _ARC_NEWTON_TOL * self.length:
+                break
+            t_of_s = np.clip(t_of_s - res / np.linalg.norm(raw(t_of_s, 1), axis=1), 0.0, 1.0)
         self._spline = CubicSpline(np.linspace(0.0, 1.0, n_resample), raw(t_of_s),
                                    axis=0, extrapolate=True)
 
@@ -783,16 +858,17 @@ def is_inside_tube(spec: GeometrySpec, pts: np.ndarray, i: int) -> np.ndarray:
     """Vectorized tube-interior test used when building field masks.
 
     The tube's collar candidates (s_max = 0, reach 0) are inverted by
-    ``nearest_parameter_batch`` and tested for eta in [0, 1] and a radial
-    distance below the radius; every other point is outside.
+    ``nearest_parameter_batch``, from the nearest samples the candidate
+    test found, and tested for eta in [0, 1] and a radial distance below
+    the radius; every other point is outside.
     """
     c = spec.cables[i]
     pts = np.atleast_2d(pts)
     out = np.zeros(pts.shape[0], dtype=bool)
-    near = collar_candidates(c, pts, 0.0, 0.0)
+    near, eta = _collar_window(c, pts, 0.0, 0.0)
     if near.size == 0:
         return out
-    eta, gap, _ = c.nearest_parameter_batch(pts[near])
+    eta, gap, _ = c.nearest_parameter_batch(pts[near], eta)
     rad = np.linalg.norm(gap, axis=1)
     out[near] = (eta >= 0.0) & (eta <= 1.0) & (rad < c.radius)
     return out

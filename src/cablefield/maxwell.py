@@ -39,10 +39,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.spatial import cKDTree
 
 from .errors import GridError, MaterialsError
-from .geometry import GeometrySpec, TubeChart, box_prefilter, is_inside_tube
+from .geometry import GeometrySpec, TubeChart, is_inside_tube
 
 EDGE_FREE, EDGE_PEC, EDGE_BAND, EDGE_EXCLUDED = 0, 1, 2, 3
 
@@ -396,6 +395,102 @@ def _average(grid, m, name, lattice, harmonic):
 # surface trace / injection
 # ---------------------------------------------------------------------------
 
+# cell list of _ball_pairs: cells a little over radius / _PAIR_CELLS_PER_RADIUS
+# on an edge; candidate pairs are tested _PAIR_CHUNK at a time
+_PAIR_CELLS_PER_RADIUS = 2
+_PAIR_CHUNK = 1 << 18
+_PAIR_SLACK = 1e-6          # relative widening of the cell search against roundoff
+
+
+def _ball_pairs(targets, sources, radius):
+    """Every (target, source) pair with dx*dx + dy*dy + dz*dz <= radius**2,
+    the squares summed left to right, as two index arrays sorted by
+    (target, source).
+
+    A fixed-radius search by cell list (Allen & Tildesley, Computer
+    Simulation of Liquids, 1987).  The targets' bounding box widened by the
+    radius is cut into cubic cells of edge c a little over
+    radius / _PAIR_CELLS_PER_RADIUS (coarser when the box would need more
+    cells than a few per point); sources outside it are dropped, the rest
+    are sorted by cell.  Cells run z fastest, so a target's candidates in
+    one (x, y) column of cells are one contiguous run, cut in z to the
+    ball's half-height over the column's nearest point.  The ball is
+    widened by _PAIR_SLACK, so roundoff in the cell arithmetic can only add
+    candidates.  Targets are processed in chunks of about _PAIR_CHUNK
+    candidates; each chunk's pairs are tested exactly and sorted by the key
+    target * len(sources) + source.
+    """
+    targets = np.asarray(targets, dtype=float)
+    sources = np.asarray(sources, dtype=float)
+    nt, ns = targets.shape[0], sources.shape[0]
+    if nt == 0 or ns == 0:
+        return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)
+    m = _PAIR_CELLS_PER_RADIUS
+    pad = radius * (1.0 + _PAIR_SLACK)
+    lo = targets.min(axis=0) - pad
+    span = targets.max(axis=0) + pad - lo
+    # with c > pad / m a widened ball meets at most 2m + 1 cells per axis
+    c = max(radius * (1.0 + 2.0 * _PAIR_SLACK) / m,
+            float(np.prod(span) / (8 * (nt + ns) + 4096)) ** (1.0 / 3.0))
+    n = (span / c).astype(np.intp) + 1
+    cell = np.zeros(ns, dtype=np.intp)
+    inside = np.ones(ns, dtype=bool)
+    for k in range(3):
+        # truncation puts (-1, 0) into cell 0: extra candidates only
+        q = ((sources[:, k] - lo[k]) / c).astype(np.intp)
+        inside &= q.view(np.uintp) < np.uintp(n[k])
+        cell *= n[k]
+        cell += q
+    src = np.nonzero(inside)[0]
+    order = np.argsort(cell[src])
+    src = src[order]
+    first = np.zeros(n.prod() + 1, dtype=np.intp)
+    np.cumsum(np.bincount(cell[src], minlength=n.prod()), out=first[1:])
+    xs, ys, zs = (np.ascontiguousarray(sources[src, k]) for k in range(3))
+
+    # runs: per target, the (2m+1)^2 columns of cells around it, in cell units
+    u = (targets - lo) / c
+    rc = pad / c
+    w = np.arange(2 * m + 1)
+    ix = np.floor(u[:, 0] - rc).astype(np.intp)[:, None] + w
+    iy = np.floor(u[:, 1] - rc).astype(np.intp)[:, None] + w
+    gx = np.maximum(0.0, np.maximum(ix - u[:, :1], u[:, :1] - ix - 1.0))
+    gy = np.maximum(0.0, np.maximum(iy - u[:, 1:2], u[:, 1:2] - iy - 1.0))
+    zh2 = rc * rc - gx[:, :, None] ** 2 - gy[:, None, :] ** 2
+    live = ((zh2 >= 0.0) & ((ix >= 0) & (ix < n[0]))[:, :, None]
+            & ((iy >= 0) & (iy < n[1]))[:, None, :])
+    zh = np.sqrt(np.maximum(zh2, 0.0))
+    uz = u[:, 2, None, None]
+    col = ((np.clip(ix, 0, n[0] - 1) * n[1])[:, :, None]
+           + np.clip(iy, 0, n[1] - 1)[:, None, :]) * n[2]
+    a = first[col + np.clip(np.floor(uz - zh).astype(np.intp), 0, n[2] - 1)]
+    b = first[col + np.clip(np.floor(uz + zh).astype(np.intp), 0, n[2] - 1) + 1]
+    run = np.where(live, b - a, 0).reshape(nt, -1)
+    a = a.reshape(nt, -1)
+    per = run.sum(axis=1)
+    cum = np.cumsum(per)
+
+    r2 = radius * radius
+    keys = []                   # target * ns + source of the pairs, chunk by chunk
+    t0 = 0
+    while t0 < nt:
+        t1 = max(t0 + 1, int(np.searchsorted(cum, (cum[t0 - 1] if t0 else 0) + _PAIR_CHUNK,
+                                             side="right")))
+        ln = run[t0:t1].ravel()
+        pos = np.arange(ln.sum()) - np.repeat(np.cumsum(ln) - ln - a[t0:t1].ravel(), ln)
+        reps = per[t0:t1]
+        d = xs[pos] - np.repeat(targets[t0:t1, 0], reps)
+        d2 = d * d
+        d = ys[pos] - np.repeat(targets[t0:t1, 1], reps)
+        d2 += d * d
+        d = zs[pos] - np.repeat(targets[t0:t1, 2], reps)
+        d2 += d * d
+        hit = np.nonzero(d2 <= r2)[0]
+        keys.append(np.sort(np.repeat(np.arange(t0, t1), reps)[hit] * ns + src[pos[hit]]))
+        t0 = t1
+    return np.divmod(np.concatenate(keys), ns)
+
+
 def _interp_rows(points, values_pts, h, radius_factor=2.25, rank_tol=1e-7, describe=None):
     """Moving-least-squares linear interpolation weights.
 
@@ -406,12 +501,9 @@ def _interp_rows(points, values_pts, h, radius_factor=2.25, rank_tol=1e-7, descr
     always kept, so constants are reproduced exactly and linear fields
     exactly wherever the stencil spans them.
 
-    No ball neighbour lies outside the targets' bounding box widened by
-    the radius, so the source KD-tree holds only the sources inside that
-    box (``geometry.box_prefilter``).  One ``sparse_distance_matrix`` query
-    against a KD-tree over the targets returns the neighbour pairs as
-    arrays, sorted here by (target, source): the pairs a ball query over
-    every source finds, in its order.
+    The stencils come from one cell-list search (``_ball_pairs``), sorted
+    by (target, source).  A source is in a stencil iff
+    dx*dx + dy*dy + dz*dz <= (radius_factor*h)**2, summed left to right.
 
     Stencils are processed in batches grouped by neighbour count.  The
     rank test first takes one stacked ``np.linalg.svd`` of the full
@@ -425,18 +517,11 @@ def _interp_rows(points, values_pts, h, radius_factor=2.25, rank_tol=1e-7, descr
     neighbours.  Returns (rows, cols, vals) as arrays, stencil by stencil.
     """
     radius = radius_factor * h
-    inbox = box_prefilter(values_pts, points, radius)
-    # midpoint-split trees without shrunk nodes build and answer this one
-    # query faster than the default median-split ones
-    fast = dict(balanced_tree=False, compact_nodes=False)
-    pairs = cKDTree(points, **fast).sparse_distance_matrix(
-        cKDTree(values_pts[inbox], **fast), radius, output_type="ndarray")
-    pairs = pairs[np.argsort(pairs["i"] * inbox.size + pairs["j"])]   # by (target, source)
-    counts = np.bincount(pairs["i"], minlength=points.shape[0])
+    rows, cols = _ball_pairs(points, values_pts, radius)
+    counts = np.bincount(rows, minlength=points.shape[0])
     if counts.size and counts.min() == 0:
         raise GridError(_empty_stencil_message(points, values_pts, radius,
                                                int(np.argmin(counts)), describe))
-    cols = inbox[pairs["j"]]
     starts = np.r_[0, np.cumsum(counts)[:-1]]
     vals = np.empty(cols.size)
     bits = np.array([1, 2, 4, 8])
@@ -468,11 +553,11 @@ def _interp_rows(points, values_pts, h, radius_factor=2.25, rank_tol=1e-7, descr
             rhs[:, 0] = 1.0
             coeff = np.linalg.solve(G, rhs)
             vals[slots[sel]] = w[sel] * (phi_s @ coeff)[:, :, 0]
-    return np.repeat(np.arange(counts.size), counts), cols, vals
+    return rows, cols, vals
 
 
 def _empty_stencil_message(points, values_pts, radius, i, describe):
-    dist = cKDTree(values_pts).query(points[i])[0]
+    dist = np.linalg.norm(values_pts - points[i], axis=1).min()
     where = f" {describe(i)}" if describe is not None else ""
     return (f"surface quadrature point {points[i].tolist()}{where} has no nearby "
             f"field unknowns: the nearest lies {dist:.4g} away, the stencil radius is "

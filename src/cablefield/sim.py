@@ -59,6 +59,11 @@ Sigma - [W_B; W_C]^H Sigma [W_B; W_C] on the enforced port vector and
 needs the full co-located completion W_C; without one the ledger is
 reported as partial.
 
+scipy.sparse.linalg is imported where it is used: by the direct branch of
+MidpointStepper (splu) and by lifted_state (spsolve).  A GMRES-path run
+loads no SciPy solver module; GMRES solves its small Hessenberg system with
+np.linalg.solve, in complex arithmetic when the data are complex.
+
 run() records in blocks: each recorded state is copied into a column of
 an (n, B) buffer, and a full buffer is reduced at once (energy, ||x||_M,
 efforts, enforced ports zeta, outputs y, dissipation rate) with sparse
@@ -76,8 +81,6 @@ from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
-from scipy.linalg import solve_triangular
 
 from .assembly import ClosedLoop, OperatorBundle
 from .certify import PortLaw, _real_if_real, sigma_matrix
@@ -239,6 +242,8 @@ def lifted_state(bundle: OperatorBundle, grid, chart, line_grid, V0: np.ndarray,
                  line: int = 0) -> np.ndarray:
     """State with charge C V0 on the line and D = eps * lift(V0) so the
     initial tangential trace matches the coupling condition."""
+    import scipy.sparse.linalg as spla
+
     from .coupling import lift_voltage
 
     lay = bundle.layout
@@ -308,6 +313,8 @@ class MidpointStepper:
             self._x_r = np.zeros(r.size, dtype=S.dtype)
             self._stats = {"reduced_unknowns": int(r.size), "method": "gmres"}
         else:
+            import scipy.sparse.linalg as spla
+
             try:
                 self._lu = spla.splu(S.tocsc(), permc_spec="MMD_AT_PLUS_A")
             except RuntimeError as exc:
@@ -391,7 +398,7 @@ class MidpointStepper:
                     break
                 V[j + 1] = w / hn
             k = j + 1
-            y = solve_triangular(H[:k, :k], g[:k])
+            y = np.linalg.solve(H[:k, :k], g[:k])
             x += dinv * (y @ V[:k])
             r = b - S @ x
             beta = np.linalg.norm(r)

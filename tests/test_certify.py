@@ -84,6 +84,19 @@ def test_admissibility_invariant_under_row_scaling():
     assert kernel_relation_oracle((T @ W)[:, :2], (T @ W)[:, 2:])["maximally_dissipative"]
 
 
+@pytest.mark.parametrize("t", [1e-7, 1.0, 1e6])
+def test_strictness_invariant_under_scaling(t):
+    # K = 2 t^2 I is strict at every t; the margins scale with ||W_B||^2,
+    # so even 1e-7 [I, I] (K = 2e-14 I) certifies, with the delta of [I, I]
+    W_B = t * np.hstack([np.eye(2), np.eye(2)])
+    rep = check_admissible(W_B)
+    assert rep["admissible"] and rep["strict"] and not rep["skew"]
+    law = PortLaw(W_B_inp=W_B, W_B_0=np.zeros((0, 4)),
+                  W_C_out=build_colocated_output(W_B), k=1)
+    cert = wellposedness_constants(law, hodge_min=1.0, hodge_max=1.0)
+    assert cert.strict and abs(cert.delta - 2.0) <= 1e-9
+
+
 # ---------------------------------------------------------------------------
 # co-located outputs
 # ---------------------------------------------------------------------------

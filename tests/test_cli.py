@@ -267,15 +267,53 @@ def test_scenario_referential_consistency(tmp_path, scenario_config):
         build_scenario(bad)
 
 
-def test_cli_import_leaves_the_spline_module_unloaded():
-    # scipy.interpolate (and scipy.optimize behind it) is imported only by a
-    # spline cable, not by every command
+# SciPy subpackages that a command loads only when it runs them
+HEAVY_SCIPY = ("scipy.interpolate", "scipy.spatial", "scipy.linalg", "scipy.sparse.linalg",
+               "scipy.special")
+
+LOADED_AFTER_EACH_COMMAND = """
+import json, sys
+import cablefield.cli
+from cablefield.cli import main
+
+def loaded():
+    return sorted(m for m in sys.argv[4:] if m in sys.modules)
+
+pair, single, out = sys.argv[1:4]
+seen = {"import": loaded()}
+for name, args in (("certify", ["certify", pair]),
+                   ("gmres", ["simulate", pair, "--output-dir", out]),
+                   ("direct", ["simulate", single, "--output-dir", out])):
+    assert main(args) == 0, name
+    seen[name] = loaded()
+sys.stderr.write(json.dumps(seen))
+"""
+
+
+def test_cli_import_leaves_the_spline_module_unloaded(tmp_path, scenario_config):
+    # each command imports only what it runs: scipy.interpolate (and
+    # scipy.optimize behind it) only for a spline cable, scipy.sparse.linalg
+    # (and the scipy.linalg under it) only for the direct step solve, and no
+    # command scipy.spatial or scipy.special
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(pathlib.Path(__file__).resolve().parents[1] / "src"),
                     env.get("PYTHONPATH")) if p)
-    code = "import sys, cablefield.cli; print('scipy.interpolate' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=120)
+    scenario_config["sim"]["T"] = 0.02                       # GMRES path, 2 steps
+    single = copy.deepcopy(scenario_config)
+    single["geometry"].update(box=[[0.0, 0.6], [0.0, 0.6], [0.0, 1.0]], cables=[
+        {"type": "segment", "p0": [0.3, 0.3, 0.15], "direction": [0, 0, 1],
+         "length": 0.7, "radius": 0.2, "line": 0}])
+    single["line"]["k"] = 1
+    single["fields"]["grid"] = [6, 6, 10]                    # direct path
+    single["boundary"]["W_B_inp"] = np.hstack([np.eye(2), np.eye(2)]).tolist()
+    single["sim"]["input"]["amplitude"] = [0.3, 0.1]
+    paths = [write(tmp_path, scenario_config, "pair.json"), write(tmp_path, single, "single.json")]
+    proc = subprocess.run([sys.executable, "-c", LOADED_AFTER_EACH_COMMAND, *paths,
+                           str(tmp_path / "out"), *HEAVY_SCIPY],
+                          env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]
-    assert proc.stdout.strip() == "False"
+    seen = json.loads(proc.stderr.strip().splitlines()[-1])
+    assert seen["import"] == seen["certify"] == seen["gmres"] == []
+    # splu: scipy.sparse.linalg, with the scipy.linalg it is built on
+    assert seen["direct"] == ["scipy.linalg", "scipy.sparse.linalg"]

@@ -179,6 +179,22 @@ def test_spline_constant_speed():
     assert np.abs(speed - curve.length).max() / curve.length < 1e-6
 
 
+@pytest.mark.parametrize("points", [
+    # bends within 0.1 of the pair box's mid-plane; its arclength error was
+    # 2.07e-6 with trapezoid arclength and three Newton sweeps
+    [[0.4, 0.5, 0.4], [0.7, 0.45, 0.8], [0.9, 0.55, 1.1], [1.2, 0.5, 1.4]],
+    [[0.4, 0.45, 0.05], [0.55, 0.5, 0.5], [0.5, 0.6, 0.9], [0.45, 0.5, 1.35]],
+    [[0.0, 0.0, 0.0], [0.3, 0.1, 0.2], [0.5, 0.4, 0.5], [0.6, 0.5, 0.9]],
+    [[0.5, 0.5, 0.2], [0.52, 0.5, 0.6], [0.5, 0.52, 1.0], [0.5, 0.5, 1.4]],
+], ids=["bent", "oracle", "frame", "near_straight"])
+def test_spline_reparameterization_is_admitted(points):
+    curve = SplineCurve(np.array(points), radius=0.12)
+    rep = validate_curve(curve)
+    assert rep["arclength_ok"] and rep["curvature_ok"], rep
+    assert rep["arclength_rel_err"] <= 1e-8
+    build_frame(curve, n_eta=16)             # raises on an inadmissible curve
+
+
 # ---------------------------------------------------------------------------
 # charts
 # ---------------------------------------------------------------------------

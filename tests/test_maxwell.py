@@ -494,3 +494,70 @@ def test_trace_failure_names_cable_and_chart_coordinates():
     assert str(first.tolist()) in msg
     assert f"(cable 1, eta {charts[1].eta[0]:.4g}, theta {charts[1].theta[0]:.4g})" in msg
     assert "stencil radius is 0.225" in msg
+
+
+# ---------------------------------------------------------------------------
+# cell-list neighbour pairs against a KD-tree
+# ---------------------------------------------------------------------------
+
+def kd_tree_pairs(targets, sources, radius):
+    """(target, source) pairs of cKDTree.sparse_distance_matrix, sorted."""
+    from scipy.spatial import cKDTree
+
+    pairs = cKDTree(targets).sparse_distance_matrix(cKDTree(sources), radius,
+                                                    output_type="ndarray")
+    order = np.lexsort((pairs["j"], pairs["i"]))
+    return pairs["i"][order], pairs["j"][order]
+
+
+def pair_cloud(kind, rng):
+    if kind == "volume":
+        return rng.uniform(0.2, 0.8, (300, 3)), rng.uniform(0.0, 1.0, (2000, 3)), 0.1
+    if kind == "clustered":
+        # most sources lie outside the targets' widened box
+        return rng.uniform(0.1, 0.3, (200, 3)), rng.uniform(0.0, 2.0, (3000, 3)), 0.08
+    if kind == "flat":
+        # targets in a plane: one cell layer in z
+        tgt = np.column_stack([rng.uniform(0, 1, (300, 2)), np.full(300, 0.5)])
+        return tgt, rng.uniform(0.0, 1.0, (2000, 3)), 0.07
+    # a tiny radius on a wide box: the cell count cap makes the cells coarser
+    return rng.uniform(0.0, 50.0, (400, 3)), rng.uniform(0.0, 50.0, (4000, 3)), 0.9
+
+
+@pytest.mark.parametrize("kind", ["volume", "clustered", "flat", "sparse"])
+def test_ball_pairs_match_kd_tree_on_random_clouds(kind, monkeypatch):
+    import cablefield.maxwell as maxwell
+
+    tgt, src, radius = pair_cloud(kind, np.random.default_rng(5))
+    ref = kd_tree_pairs(tgt, src, radius)
+    assert ref[0].size > 0
+    for chunk in (maxwell._PAIR_CHUNK, 64):           # one chunk, then many
+        monkeypatch.setattr(maxwell, "_PAIR_CHUNK", chunk)
+        got = maxwell._ball_pairs(tgt, src, radius)
+        assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
+
+
+def test_ball_pairs_match_kd_tree_on_lattice_ties():
+    from cablefield.maxwell import _ball_pairs
+
+    # targets and sources on one lattice of step h / 4: offsets such as
+    # (9, 0, 0), (1, 4, 8) and (4, 4, 7) quarter steps lie at exactly 2.25 h,
+    # where roundoff decides membership; both searches sum the squares
+    # left to right and keep d^2 <= r^2 (at this h, sqrt(d^2) <= r would
+    # decide thousands of them the other way)
+    h = 0.06875
+    rng = np.random.default_rng(8)
+    ijk = np.stack(np.meshgrid(*[np.arange(24)] * 3, indexing="ij"), -1).reshape(-1, 3)
+    si = ijk[rng.random(ijk.shape[0]) < 0.4]
+    ti = ijk[rng.choice(ijk.shape[0], 400, replace=False)]
+    src, tgt = si * (h / 4), ti * (h / 4)
+    radius = 2.25 * h
+    ref = kd_tree_pairs(tgt, src, radius)
+    got = _ball_pairs(tgt, src, radius)
+    assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
+    # lattice pairs at exactly 2.25 h (81 squared quarter steps): roundoff
+    # keeps some of them and drops others
+    on_sphere = ((si[None] - ti[:, None]) ** 2).sum(axis=2) == 81
+    kept = np.zeros(on_sphere.shape, dtype=bool)
+    kept[got[0], got[1]] = True
+    assert (on_sphere & kept).any() and (on_sphere & ~kept).any()
