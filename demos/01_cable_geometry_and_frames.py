@@ -17,6 +17,7 @@ from cablefield.geometry import (
     build_chart,
     build_frame,
     classify_point,
+    nearest_curve_sample,
     validate_curve,
     validate_geometry,
 )
@@ -53,9 +54,9 @@ print("\nhelix frame: max orthonormality residual "
 chart = build_chart(curve, frame, n_eta=48, n_theta=32)
 print(f"helix lateral surface area (quadrature): {chart.quad_weights().sum():.6f}")
 pts = chart.phi_hat(np.array([0.3, 0.7]), np.array([0.5, -2.0]), np.array([0.1, -0.1]))
-coords = chart.psi_hat(pts)
+coords = chart.psi_hat(pts, nearest_curve_sample(curve, pts)[0])
 print("collar round trip (eta, theta, s):")
-for row in np.atleast_2d(coords):
+for row in coords:
     print(f"  ({row[0]:+.6f}, {row[1]:+.6f}, {row[2]:+.6f})")
 
 # a full two-cable configuration and point classification

@@ -20,11 +20,8 @@ __version__ = "0.1.0"
 from .assembly import (      # noqa: E402
     ClosedLoop,
     OperatorBundle,
-    apply_FG,
-    apply_KL,
     assemble_system,
     build_closed_loop,
-    constrained_generator,
     hodge_extremes,
 )
 from .certify import (       # noqa: E402

@@ -48,13 +48,12 @@ import scipy.sparse as sp
 
 from .certify import PortLaw
 from .coupling import CouplingMatrices
-from .errors import AssemblyError, CertificateError, DomainError
+from .errors import AssemblyError, CertificateError
 from .maxwell import CurlPair
 from .tline import LineBlocks
 
 COUPLING_SIGN = -1.0   # orientation of the lateral coupling insertions;
                        # pinned against the staircase-lift Faraday route
-_DOMAIN_TOL = 1e-8     # max |W_B z - (u, 0)| accepted by apply_FG
 
 
 @dataclass(frozen=True)
@@ -111,9 +110,6 @@ class OperatorBundle:
     def n(self):
         return self.layout.total
 
-    def ports(self, e: np.ndarray) -> np.ndarray:
-        return np.concatenate([self.B1 @ e, self.B2 @ e])
-
     def effort(self, x: np.ndarray) -> np.ndarray:
         return self.Hd @ x
 
@@ -126,12 +122,13 @@ class OperatorBundle:
 
 def assemble_system(line: LineBlocks, curls: CurlPair,
                     coupling: Optional[CouplingMatrices] = None,
-                    traces=None, green_tol: float = 1e-12) -> OperatorBundle:
+                    R_nu=None, green_tol: float = 1e-12) -> OperatorBundle:
     """Build the coupled bundle; verifies the Green identity exactly.
 
     With coupling=None the line and field blocks are independent (used
-    for reduction tests and pure-field runs).  traces = (R_tan, R_nu,
-    M_surf) from maxwell.surface_trace is required when coupling is given.
+    for reduction tests and pure-field runs).  The normal trace R_nu of
+    maxwell.surface_trace is required when coupling is given; the surface
+    quadrature mass is coupling.M_surf.
 
     The Green check compares lhs = M J + J^T M with B1^T B2 + B2^T B1 and
     raises AssemblyError when max |lhs - rhs| / max |lhs| exceeds green_tol.
@@ -150,11 +147,10 @@ def assemble_system(line: LineBlocks, curls: CurlPair,
     h3 = grid.h ** 3
 
     if coupling is not None:
-        if traces is None:
-            raise AssemblyError("coupled assembly needs the surface trace operators")
-        _, R_nu, M_surf = traces
+        if R_nu is None:
+            raise AssemblyError("coupled assembly needs the surface trace R_nu")
         Pm_T = (-COUPLING_SIGN) * (coupling.Pmag @ R_nu)
-        K_V = (COUPLING_SIGN / h3) * (R_nu.T @ (M_surf @ (coupling.Pel @ g.D)))
+        K_V = (COUPLING_SIGN / h3) * (R_nu.T @ (coupling.M_surf @ (coupling.Pel @ g.D)))
     else:
         Pm_T = None
         K_V = None
@@ -232,25 +228,6 @@ def _abs_max(data: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
-# port-law operations
-# ---------------------------------------------------------------------------
-
-def apply_FG(bundle: OperatorBundle, law: PortLaw, e: np.ndarray, u) -> np.ndarray:
-    """(J - R) e with the boundary-compatibility check of the node domain."""
-    z = bundle.ports(e)
-    defect = np.abs(law.W_B @ z - law.u_hat(u)).max()
-    if defect > _DOMAIN_TOL:
-        raise DomainError(
-            f"(e, u) violates the boundary constraint by {defect:.3e} "
-            f"(tolerance {_DOMAIN_TOL:.1e}); the pair is outside the node domain")
-    return (bundle.J - bundle.Rd) @ e
-
-
-def apply_KL(bundle: OperatorBundle, law: PortLaw, e: np.ndarray) -> np.ndarray:
-    return law.W_C_out @ bundle.ports(e)
-
-
-# ---------------------------------------------------------------------------
 # boundary-controlled closed loop
 # ---------------------------------------------------------------------------
 
@@ -290,18 +267,6 @@ def build_closed_loop(bundle: OperatorBundle, law: PortLaw) -> ClosedLoop:
     Bu = (bundle.Lg_state @ sp.csr_matrix(W1_inv)).tocsr()
     return ClosedLoop(bundle=bundle, law=law, A=A, Bu=Bu,
                       G_fb=np.asarray(G_fb), W1_inv=W1_inv)
-
-
-def constrained_generator(bundle: OperatorBundle, W_B: np.ndarray) -> ClosedLoop:
-    """Homogeneous-constraint generator for spectral studies.
-
-    Wraps the closed loop with all ports homogeneous (u = 0); dense
-    eigendecompositions are practical at reduced sizes.
-    """
-    W_B = np.asarray(W_B)
-    k = bundle.k
-    law = PortLaw(W_B_inp=W_B[:0], W_B_0=W_B, W_C_out=np.zeros((1, 4 * k)), k=k)
-    return build_closed_loop(bundle, law)
 
 
 def hodge_extremes(bundle: OperatorBundle):

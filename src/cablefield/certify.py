@@ -4,9 +4,12 @@ Finite-dimensional certification of boundary-condition matrices.
 All matrices act on the stacked port z = (I_tot(0), I_tot(1), V(0), -V(1))
 with the pairing Sigma = [[0, I], [I, 0]] (sigma_matrix; see assembly for
 the port convention).  The one boundary object is PortLaw: the law
-W_B z = (u, 0) with W_B = [W_B_inp; W_B_0], the outputs W_C_out and, when
-known, a full co-located completion W_C_full; the closed loop, the
-certificate and the scenario all hold it.
+W_B z = (u, 0) with W_B = [W_B_inp; W_B_0] and the outputs W_C_out; the
+closed loop, the certificate and the scenario all hold it.  The energy
+balance needs no more: the Green identity makes the energy rate the port
+power z^H Sigma z / 2 less the dissipation for every admissible law (see
+sim.energy_ledger).  A completion W_C of W_B enters only the
+well-posedness constants and the co-location flag of the certificate.
 
 W_B = [W1, W2] is admissible when it has full row rank and
 K = W1 W2^H + W2 W1^H >= 0, which makes the kernel relation
@@ -85,25 +88,21 @@ class PortLaw:
     """Admissible boundary law on the stacked port of a k-cable system.
 
     W_B = [W_B_inp; W_B_0] (2k x 4k) imposes W_B z = (u, 0) with m inputs;
-    W_C_out (p x 4k) reads the outputs y = W_C_out z.  W_C_full, when
-    known, is a full co-located completion (2k x 4k) of W_B; it closes the
-    boundary term of the energy ledger.  Construction checks the shapes and
-    admissibility and raises CertificateError otherwise.
+    W_C_out (p x 4k) reads the outputs y = W_C_out z, co-located or not.
+    Construction checks the shapes and admissibility and raises
+    CertificateError otherwise.
     """
 
     W_B_inp: np.ndarray
     W_B_0: np.ndarray
     W_C_out: np.ndarray
     k: int
-    W_C_full: Optional[np.ndarray] = None
 
     def __post_init__(self):
         four_k = 4 * self.k
         self.W_B_inp = _port_rows(self.W_B_inp, four_k, "W_B_inp")
         self.W_B_0 = _port_rows(self.W_B_0, four_k, "W_B_0")
         self.W_C_out = _port_rows(self.W_C_out, four_k, "W_C_out")
-        if self.W_C_full is not None:
-            self.W_C_full = _real_if_real(self.W_C_full)
         if self.W_B_inp.shape[0] + self.W_B_0.shape[0] != 2 * self.k:
             raise CertificateError("W_B_inp and W_B_0 must stack to 2k rows")
         adm = check_admissible(self.W_B)
@@ -304,34 +303,26 @@ def _strict_completion(W_B: np.ndarray) -> np.ndarray:
 # well-posedness constants
 # ---------------------------------------------------------------------------
 
-def find_full_colocated(W_B: np.ndarray, W_C_out: np.ndarray):
-    """Completion W_C whose first rows equal W_C_out, if one exists.
+def is_colocated(W_B: np.ndarray, W_C_out: np.ndarray) -> bool:
+    """Whether W_C_out leads a co-located completion W_C of the admissible
+    law W_B.
 
-    Tries the builder's completion directly, then the builder's trailing
-    rows under the supplied leading rows.  Returns None when W_C_out is
-    not a co-located output for W_B (or has the wrong row count).
+    The candidate is W_C_out itself when it has as many rows as W_B, else
+    W_C_out over the trailing rows of the builder's completion.  It
+    qualifies when it satisfies the output inequality with [W_B; W_C]
+    invertible (``_completion_cond``).  False when W_C_out has more rows
+    than W_B or the builder fails.
     """
     W_B = np.asarray(W_B, dtype=complex)
-    W_C_out = np.atleast_2d(np.asarray(W_C_out, dtype=complex))
-    m = W_C_out.shape[0]
-    if m > W_B.shape[0]:
-        return None
-    try:
-        W_C = build_colocated_output(W_B)
-    except CertificateError:
-        return None
-    for candidate in (W_C, np.vstack([W_C_out, W_C[m:]])):
-        if _completes(W_B, W_C_out, candidate):
-            return candidate
-    return None
-
-
-def _completes(W_B: np.ndarray, W_C_out: np.ndarray, W_C: np.ndarray) -> bool:
-    """W_C leads with the rows of W_C_out and satisfies the output
-    inequality with [W_B; W_C] invertible (``_completion_cond``)."""
-    m = W_C_out.shape[0]
-    if W_C.shape[0] < m or not np.allclose(W_C[:m], W_C_out, atol=1e-9):
+    W_C = np.atleast_2d(np.asarray(W_C_out, dtype=complex))
+    m, two_k = W_C.shape[0], W_B.shape[0]
+    if m > two_k:
         return False
+    if m < two_k:
+        try:
+            W_C = np.vstack([W_C, build_colocated_output(W_B)[m:]])
+        except CertificateError:
+            return False
     defect = colocation_defect(W_B, W_C)
     return bool(defect.max() <= _EIG_TOL * max(1.0, np.abs(defect).max())
                 and _completion_cond(W_B, W_C) < 1e12)
@@ -359,10 +350,7 @@ def wellposedness_constants(law: PortLaw,
 
     colocated = None
     if adm["admissible"] and law.p == law.m:
-        if law.W_C_full is not None:
-            colocated = _completes(W_B, law.W_C_out, law.W_C_full)
-        else:
-            colocated = find_full_colocated(W_B, law.W_C_out) is not None
+        colocated = is_colocated(W_B, law.W_C_out)
 
     return Certificate(
         admissible=adm["admissible"],

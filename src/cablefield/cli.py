@@ -85,7 +85,6 @@ def cmd_simulate(args) -> int:
         "final_energy": float(traj.energy[-1]),
         "peak_energy": float(traj.ledger["peak_energy"]),
         "max_ledger_residual": traj.ledger["max_residual"],
-        "ledger_partial": traj.ledger["partial"],
         "records": int(len(traj.times)),
         "csv": csv_path,
         "solver": traj.solver,
@@ -155,7 +154,7 @@ def _coupling_convergence(config, levels, threads):
         chart = build_chart(cable, frame, n, m)
         lg = build_line_grid(n, 1)
         cp = assemble_P_el([chart], lg)
-        Pq = assemble_P_mag(cp, mode="quadrature")
+        Pq = assemble_P_mag(cp)
         pts = chart.quad_points()
         g = np.stack([np.sin(3 * pts[:, 1]), np.cos(2 * pts[:, 0]), pts[:, 2]],
                      axis=1).reshape(-1)
@@ -169,9 +168,9 @@ def _coupling_convergence(config, levels, threads):
 def _trace_constant_row(scn):
     """Constant tangential fields are reproduced exactly by the surface
     trace interpolation (single-row study, zero error expected)."""
-    from .maxwell import surface_trace
+    from .maxwell import tangential_trace
 
-    R_tan, _, _ = surface_trace(scn.grid, scn.charts)
+    R_tan = tangential_trace(scn.grid, scn.charts)
     dirs = scn.grid.edge_direction(scn.grid.free_edges)
     errs = []
     for c in range(3):
@@ -216,8 +215,6 @@ def _ledger_convergence(scn, levels, threads):
         import dataclasses
         cfg = dataclasses.replace(scn.sim_config, dt=scn.sim_config.dt / 2 ** j)
         traj = run(loop, cfg, x0=x0)
-        if traj.ledger["partial"]:
-            raise ConfigError("ledger study needs a co-located output")
         return traj.ledger["max_residual"] / max(traj.ledger["peak_energy"], 1e-300)
 
     with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:

@@ -11,17 +11,13 @@ A = [d Phi/d eta, d Phi/d theta] (3x2) the column is
 the unique tangential field whose eta-component matches f by the chain
 rule; on a straight cylinder of length l this is (f / l) * z_hat.
 
-P_mag comes in two flavours:
-
-  adjoint     M_line^{-1} P_el^T M_surf  -- the exact quadrature-mass
-              adjoint, used in assembly so the coupled block structure
-              stays symmetric;
-  quadrature  an independent discretization of the ring integral
-              closing around the cable,  sum_m  g . (nu x ds),  built
-              from finite-difference tangents and geometric normals
-              (domain-outward, i.e. pointing at the cable axis).  Used
-              only as a cross check; it agrees with the adjoint mode to
-              second order in the angular step.
+P_mag = M_line^{-1} P_el^T M_surf (CouplingMatrices.Pmag) is the exact
+quadrature-mass adjoint, used in assembly so the coupled block structure
+stays symmetric.  assemble_P_mag builds an independent discretization of
+the ring integral closing around the cable,  sum_m  g . (nu x ds),  from
+finite-difference tangents and geometric normals (domain-outward, i.e.
+pointing at the cable axis).  It serves only as a cross check; it agrees
+with the adjoint to second order in the angular step.
 
 The voltage lift evaluates chi * V'(eta) * grad(eta) at edge midpoints
 inside the tube collar, reproducing the coupled tangential trace on the
@@ -50,7 +46,7 @@ class CouplingMatrices:
     cable_lines: np.ndarray       # line index per cable
     line_grid: LineGrid
     Pel: sp.csr_matrix            # (3*nq_total) x (n*k)
-    Pmag: sp.csr_matrix           # (n*k) x (3*nq_total), adjoint mode
+    Pmag: sp.csr_matrix           # (n*k) x (3*nq_total), quadrature-mass adjoint
     M_line: sp.csr_matrix         # cell quadrature mass
     M_surf: sp.csr_matrix         # surface quadrature mass (3-vector samples)
     quad_offsets: np.ndarray      # start of each cable's quad block
@@ -76,7 +72,7 @@ def _pel_columns(chart: TubeChart) -> np.ndarray:
 
 def assemble_P_el(charts: Sequence[TubeChart], line_grid: LineGrid,
                   cable_lines=None) -> CouplingMatrices:
-    """Assemble P_el for all cables and derive the adjoint-mode P_mag.
+    """Assemble P_el for all cables and derive the adjoint P_mag.
 
     Every chart must sample eta at the line grid's cell midpoints (same
     count); cable_lines[i] names the line component fed by cable i.
@@ -130,13 +126,8 @@ def assemble_P_el(charts: Sequence[TubeChart], line_grid: LineGrid,
     )
 
 
-def assemble_P_mag(cp: CouplingMatrices, mode: str = "adjoint") -> sp.csr_matrix:
-    """P_mag in the requested mode; 'quadrature' is the independent oracle."""
-    if mode == "adjoint":
-        return cp.Pmag
-    if mode != "quadrature":
-        raise CouplingError(f"unknown P_mag mode {mode!r}")
-
+def assemble_P_mag(cp: CouplingMatrices) -> sp.csr_matrix:
+    """Ring-integral P_mag, the independent cross check of ``cp.Pmag``."""
     n, k = cp.line_grid.n, cp.line_grid.k
     rows, cols, vals = [], [], []
     for ci, chart in enumerate(cp.charts):
@@ -182,7 +173,8 @@ def lift_voltage(chart: TubeChart, grid: YeeGrid, V: np.ndarray,
     V holds nodal samples of one line component; its cell-wise discrete
     derivative drives the tangential field.  Only the collar candidates of
     the cutoff support |s| < 2 eps / 3 (``collar_candidates``) are inverted
-    by ``psi_hat``.
+    by ``psi_hat``, once each, from their nearest-sample eta; the gradient
+    reads the same collar coordinates.
     Raises if the collar is thinner than two grid cells (the cutoff cannot
     be represented).
     """
@@ -198,17 +190,16 @@ def lift_voltage(chart: TubeChart, grid: YeeGrid, V: np.ndarray,
 
     mids = grid.edge_midpoints()
     reach = cutoff_reach(eps)
-    band = collar_candidates(chart.curve, mids, reach, reach, s_min=-reach)
+    band, eta = collar_candidates(chart.curve, mids, reach, reach, s_min=-reach)
 
     values = np.zeros(mids.shape[0])
     if band.size:
-        coords = np.atleast_2d(chart.psi_hat(mids[band]))
+        coords = chart.psi_hat(mids[band], eta)
         chi = chart.chi(coords[:, 2], coords[:, 0])
         live = chi > 0
         if live.any():
             sel = band[live]
-            grad = chart.grad_eta(mids[sel])
-            grad = np.atleast_2d(grad)
+            grad = chart.grad_eta(coords[live])
             cell = np.clip((coords[live, 0] * line_grid.n).astype(int), 0, line_grid.n - 1)
             dirs = grid.edge_direction(sel)
             tangential = grad[np.arange(sel.size), dirs]

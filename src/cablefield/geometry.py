@@ -38,8 +38,9 @@ through ``collar_candidates``.
     nearest of its CURVE_SAMPLES uniform samples of alpha, scanning only the
     sample blocks whose chord can hold it.
   * Newton (nearest_parameter_batch) starts at the nearest sample and stays
-    within two sample steps of it, NEWTON_SLACK in eta.  is_inside_tube
-    hands it the samples its candidate test already found.
+    within two sample steps of it, NEWTON_SLACK in eta.  collar_candidates
+    returns each candidate's nearest-sample eta with it, and is_inside_tube
+    and TubeChart.psi_hat start Newton there, so no point is queried twice.
   * A point is a candidate for collar radius r (1 + s_max) and axial reach
     when its nearest sample lies within r (1 + s_max) + l NEWTON_SLACK and
     that sample's eta within [-reach - NEWTON_SLACK, 1 + reach + NEWTON_SLACK].
@@ -218,9 +219,11 @@ def nearest_curve_sample(curve: CableCurve, pts: np.ndarray):
 
 
 def collar_candidates(curve: CableCurve, pts: np.ndarray, s_max: float,
-                      reach: float, s_min: float = -1.0) -> np.ndarray:
+                      reach: float, s_min: float = -1.0):
     """Indices of the points that may invert to collar radius
-    s_min <= s <= s_max with eta in [-reach, 1 + reach].
+    s_min <= s <= s_max with eta in [-reach, 1 + reach], and the eta of
+    each one's nearest curve sample, where Newton starts
+    (``TubeChart.psi_hat``, ``nearest_parameter_batch``).
 
     Every point whose Newton result lies in that region is kept: Newton ends
     within NEWTON_SLACK of the nearest sample's eta, and some sample lies
@@ -230,11 +233,6 @@ def collar_candidates(curve: CableCurve, pts: np.ndarray, s_max: float,
     outside the samples' bounding box widened by the candidate distance
     are dropped before the sample query (``box_prefilter``).
     """
-    return _collar_window(curve, pts, s_max, reach, s_min)[0]
-
-
-def _collar_window(curve, pts, s_max, reach, s_min=-1.0):
-    """``collar_candidates`` and the eta of each candidate's nearest sample."""
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     rad = curve.radius * (1.0 + s_max) + curve.length * NEWTON_SLACK
     inner = curve.radius * (1.0 + s_min)
@@ -644,10 +642,13 @@ class TubeChart:
         beta = self.curve.radius * (k1 * np.sin(theta)[:, None] + k2 * np.cos(theta)[:, None])
         return self.curve.alpha(eta) + (1.0 + s)[:, None] * beta
 
-    def psi_hat(self, p):
-        """Collar coordinates (eta, theta, s) of points near the lateral surface."""
+    def psi_hat(self, p, eta):
+        """Collar coordinates (eta, theta, s), shape (n, 3), of n points near
+        the lateral surface.  Newton starts at ``eta``, the parameters of
+        their nearest curve samples (as ``collar_candidates`` returns them,
+        or ``nearest_curve_sample``)."""
         p = np.atleast_2d(np.asarray(p, dtype=float))
-        eta, w, converged = self.curve.nearest_parameter_batch(p)
+        eta, w, converged = self.curve.nearest_parameter_batch(p, eta)
         if not converged.all():
             bad = p[~converged][0]
             raise GeometryError(f"collar inversion failed for point {bad.tolist()}")
@@ -655,14 +656,13 @@ class TubeChart:
         c1 = (w * k1).sum(axis=1)
         c2 = (w * k2).sum(axis=1)
         rad = np.hypot(c1, c2)
-        out = np.column_stack([eta, np.arctan2(c1, c2), rad / self.curve.radius - 1.0])
-        return out if out.shape[0] > 1 else out[0]
+        return np.column_stack([eta, np.arctan2(c1, c2), rad / self.curve.radius - 1.0])
 
-    def grad_eta(self, p):
-        """Gradient of the collar eta-coordinate at points p: row 1 of
-        (grad Phi_hat)^-1, used by the chain rule when lifting voltages."""
-        p = np.atleast_2d(np.asarray(p, dtype=float))
-        coords = np.atleast_2d(self.psi_hat(p))
+    def grad_eta(self, coords):
+        """Gradient of the collar eta-coordinate, shape (n, 3), at the points
+        of collar coordinates ``coords`` (n, 3): row 1 of (grad Phi_hat)^-1,
+        used by the chain rule when lifting voltages."""
+        coords = np.atleast_2d(coords)
         r = self.curve.radius
         eta, th, s = coords[:, 0], coords[:, 1], coords[:, 2]
         _, k1, k2 = self.frame.at(eta)
@@ -675,8 +675,7 @@ class TubeChart:
             (1.0 + s)[:, None] * r * (cos * k1 - sin * k2),
             beta,
         ], axis=2)
-        out = np.linalg.inv(J)[:, 0, :]
-        return out if out.shape[0] > 1 else out[0]
+        return np.linalg.inv(J)[:, 0, :]
 
     def chi(self, s, eta=None):
         """Collar cutoff: radial C^2 bump, tapered axially past the ends so
@@ -843,10 +842,10 @@ def classify_point(spec: GeometrySpec, p) -> tuple:
     eps = spec.collar_halfwidth
     reach = cutoff_reach(eps)
     for i, c in enumerate(spec.cables):
-        if collar_candidates(c, p, eps, reach).size == 0:
+        near, eta = collar_candidates(c, p, eps, reach)
+        if near.size == 0:
             continue
-        chart = spec.chart(i)
-        eta, th, s = np.atleast_2d(chart.psi_hat(p))[0]
+        eta, th, s = spec.chart(i).psi_hat(p, eta)[0]
         if 0.0 <= eta <= 1.0 and s < 0.0:
             return ("inside_tube", i)
         if 0.0 <= s < eps and -reach <= eta <= 1.0 + reach:
@@ -865,7 +864,7 @@ def is_inside_tube(spec: GeometrySpec, pts: np.ndarray, i: int) -> np.ndarray:
     c = spec.cables[i]
     pts = np.atleast_2d(pts)
     out = np.zeros(pts.shape[0], dtype=bool)
-    near, eta = _collar_window(c, pts, 0.0, 0.0)
+    near, eta = collar_candidates(c, pts, 0.0, 0.0)
     if near.size == 0:
         return out
     eta, gap, _ = c.nearest_parameter_batch(pts[near], eta)

@@ -564,20 +564,40 @@ def _empty_stencil_message(points, values_pts, radius, i, describe):
             f"{radius:.4g}; refine the grid")
 
 
-def surface_trace(grid: YeeGrid, charts: Sequence[TubeChart]):
-    """Trace operators from grid unknowns to chart quadrature samples.
-
-    Returns (R_tan, R_nu, M_surf):
-      R_tan : free edges -> tangential 3-vector samples pi_tau(E) at the
-              quadrature points (component-major: row 3*q+c)
-      R_nu  : dof faces  -> samples of nu x H with nu the domain-outward
-              normal (i.e. minus the chart normal, which points out of
-              the tube)
-      M_surf: diagonal quadrature mass on 3-vector samples
+def surface_trace(grid: YeeGrid, charts: Sequence[TubeChart]) -> sp.csr_matrix:
+    """R_nu: dof faces -> samples of nu x H at the chart quadrature points
+    (component-major: row 3*q+c), with nu the domain-outward normal (i.e.
+    minus the chart normal, which points out of the tube).  This is the
+    one trace the coupled assembly reads; the quadrature mass is
+    ``CouplingMatrices.M_surf``.
     """
+    normals = _chart_normals(charts)
+    H_interp = _component_interp(grid, charts, grid.dof_faces, grid.face_midpoints(),
+                                 grid.face_normal_axis(grid.dof_faces))
+    return (_block_diag_csr(_cross_matrices(-normals)) @ H_interp).tocsr()
+
+
+def tangential_trace(grid: YeeGrid, charts: Sequence[TubeChart]) -> sp.csr_matrix:
+    """R_tan: free edges -> tangential 3-vector samples pi_tau(E) at the
+    chart quadrature points (component-major: row 3*q+c).  The assembly
+    does not read it; it serves the trace checks of ``cablefield converge``.
+    """
+    normals = _chart_normals(charts)
+    E_interp = _component_interp(grid, charts, grid.free_edges, grid.edge_midpoints(),
+                                 grid.edge_direction(grid.free_edges))
+    P_tan = _block_diag_csr(np.eye(3)[None] - normals[:, :, None] * normals[:, None, :])
+    return (P_tan @ E_interp).tocsr()
+
+
+def _chart_normals(charts):
+    return np.concatenate([ch.normal.reshape(-1, 3) for ch in charts])
+
+
+def _component_interp(grid, charts, ids, mids, axes):
+    """Per-component interpolation of the unknowns ``ids`` (midpoints
+    ``mids[ids]``, component ``axes``) to the chart quadrature points,
+    interleaved row-wise: row 3*q + c."""
     quad_pts = np.concatenate([ch.quad_points() for ch in charts])
-    weights = np.concatenate([ch.quad_weights() for ch in charts])
-    normals = np.concatenate([ch.normal.reshape(-1, 3) for ch in charts])
     nq = quad_pts.shape[0]
     first = np.cumsum([0] + [ch.n_quad for ch in charts])
 
@@ -587,36 +607,18 @@ def surface_trace(grid: YeeGrid, charts: Sequence[TubeChart]):
         return (f"(cable {i}, eta {charts[i].eta[ie]:.4g}, "
                 f"theta {charts[i].theta[it]:.4g})")
 
-    edge_mids = grid.edge_midpoints()
-    face_mids = grid.face_midpoints()
-    edge_dirs = grid.edge_direction(grid.free_edges)
-    face_axes = grid.face_normal_axis(grid.dof_faces)
-
-    # per-component interpolation, interleaved row-wise: row 3*q + c
-    traces = []
-    for ids, mids, axes in ((grid.free_edges, edge_mids, edge_dirs),
-                            (grid.dof_faces, face_mids, face_axes)):
-        rows, cols, vals = [], [], []
-        for c in range(3):
-            sel = np.nonzero(axes == c)[0]
-            if sel.size == 0:
-                raise GridError("grid has no unknowns of some component near the surface")
-            r, k, v = _interp_rows(quad_pts, mids[ids[sel]], grid.h, describe=describe)
-            rows.append(3 * r + c)
-            cols.append(sel[k])
-            vals.append(v)
-        traces.append(sp.csr_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(3 * nq, ids.size)))
-    E_interp, H_interp = traces
-
-    P_tan = _block_diag_csr(np.eye(3)[None] - normals[:, :, None] * normals[:, None, :])
-    nu_cross = _block_diag_csr(_cross_matrices(-normals))
-
-    R_tan = (P_tan @ E_interp).tocsr()
-    R_nu = (nu_cross @ H_interp).tocsr()
-    M_surf = sp.diags(np.repeat(weights, 3)).tocsr()
-    return R_tan, R_nu, M_surf
+    rows, cols, vals = [], [], []
+    for c in range(3):
+        sel = np.nonzero(axes == c)[0]
+        if sel.size == 0:
+            raise GridError("grid has no unknowns of some component near the surface")
+        r, k, v = _interp_rows(quad_pts, mids[ids[sel]], grid.h, describe=describe)
+        rows.append(3 * r + c)
+        cols.append(sel[k])
+        vals.append(v)
+    return sp.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(3 * nq, ids.size))
 
 
 def _block_diag_csr(blocks):

@@ -20,8 +20,10 @@ matrix, and a 2-port amplitude [0.5, 0.0] is two real amplitudes.
     fields.grid          [nx, ny, nz]; fields.eps/mu/sigma scalar or
                           per-axis [ax, ay, az]; fields.n_theta
     boundary.W_B_inp     m x 4k; boundary.W_B_0 (2k-m) x 4k
-    boundary.W_C_out     p x 4k, or "colocated" to derive the co-located
-                          output from W_B
+    boundary.W_C_out     p x 4k, or "colocated" to derive the
+                          co-located output from W_B; any output closes the
+                          energy ledger, and the certificate reports whether
+                          it is co-located
     sim.dt, sim.T, sim.input {kind, amplitude (m,), freq, phase, t_on,
                           ramp, table_t, table_u}, sim.initial {kind: zero|
                           smooth|random|lift, seed, scale, V0},
@@ -274,30 +276,26 @@ def build_scenario(config: dict) -> Scenario:
     charts = [spec.chart(i, n_eta=n_cells, n_theta=n_theta) for i in range(len(cables))]
     if cables:
         cp = coupling.assemble_P_el(charts, line_grid)
-        traces = maxwell.surface_trace(grid, charts)
+        R_nu = maxwell.surface_trace(grid, charts)
     else:
-        cp, traces = None, None
+        cp, R_nu = None, None
     build["trace_s"] = time.perf_counter() - clock
     peak["trace"] = _peak_rss_mb()
     clock = time.perf_counter()
-    bundle = assembly.assemble_system(line_blocks, curls, coupling=cp, traces=traces)
+    bundle = assembly.assemble_system(line_blocks, curls, coupling=cp, R_nu=R_nu)
     build["assembly_s"] = time.perf_counter() - clock
     peak["assembly"] = _peak_rss_mb()
     build.update(peak_rss_mb=peak, free_edges=grid.n_free_edges, band_edges=grid.n_band_edges,
                  dof_faces=grid.n_dof_faces, quad_points=sum(ch.n_quad for ch in charts))
 
     W_B_inp, W_B_0 = _port_law_rows(bc, k)
-    W_B = np.vstack([W_B_inp, W_B_0])
-
     if bc.get("W_C_out", "colocated") == "colocated":
-        W_C_full = certify.build_colocated_output(W_B)
+        W_C = certify.build_colocated_output(np.vstack([W_B_inp, W_B_0]))
         m = W_B_inp.shape[0]
-        W_C_out = W_C_full[:m] if m > 0 else W_C_full
+        W_C_out = W_C[:m] if m > 0 else W_C
     else:
         W_C_out = _port_matrix(bc, "W_C_out", k)
-        W_C_full = certify.find_full_colocated(W_B, W_C_out)
-    law = certify.PortLaw(W_B_inp=W_B_inp, W_B_0=W_B_0, W_C_out=W_C_out, k=k,
-                          W_C_full=W_C_full)
+    law = certify.PortLaw(W_B_inp=W_B_inp, W_B_0=W_B_0, W_C_out=W_C_out, k=k)
 
     sim_cfg = None
     initial_spec = {}

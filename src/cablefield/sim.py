@@ -54,10 +54,12 @@ exactly for skew flows, so the recorded energy ledger
 
 closes to the time-quadrature error of the recorded samples (second
 order in dt; the flow itself satisfies the balance identically at the
-midpoints).  ``boundary_form`` is the half quadratic form of
-Sigma - [W_B; W_C]^H Sigma [W_B; W_C] on the enforced port vector and
-needs the full co-located completion W_C; without one the ledger is
-reported as partial.
+midpoints).  The Green identity M J + J^T M = B1^T B2 + B2^T B1 makes the
+energy rate the port power z^H Sigma z / 2 = Re(z[:2k]^H z[2k:]) on the
+enforced port vector z, less the dissipation, for every admissible law
+(the boundary-control energy balance).  ``boundary_form`` is that port
+power less the supply Re(u^H y), so the ledger needs neither the law nor
+a co-located completion, and it closes for every law.
 
 scipy.sparse.linalg is imported where it is used: by the direct branch of
 MidpointStepper (splu) and by lifted_state (spsolve).  A GMRES-path run
@@ -83,7 +85,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .assembly import ClosedLoop, OperatorBundle
-from .certify import PortLaw, _real_if_real, sigma_matrix
+from .certify import _real_if_real
 from .errors import ConfigError, DomainError, SolverError
 
 # Byte budget of run()'s block of recorded states: the block holds
@@ -452,12 +454,11 @@ def _column_forms(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
 
 
 def run(loop: ClosedLoop, cfg: SimConfig, x0: Optional[np.ndarray] = None) -> Trajectory:
-    """Integrate and record; attaches the energy ledger.
+    """Integrate and record; attaches the energy ledger of the recorded
+    samples (``energy_ledger``).
 
     Recorded states are copied into a block of columns and reduced a block
-    at a time (see the module docstring).  The law's co-located completion
-    W_C_full enables the boundary-form term of the ledger; without it the
-    ledger is flagged partial.
+    at a time (see the module docstring).
     """
     bundle, law = loop.bundle, loop.law
     if x0 is None:
@@ -528,7 +529,7 @@ def run(loop: ClosedLoop, cfg: SimConfig, x0: Optional[np.ndarray] = None) -> Tr
         times=times, energy=energy, xnorm=xnorm, u=u_rec, y=zeta @ law.W_C_out.T,
         zeta=zeta, diss_rate=diss, x_final=x, x0=x0, solver=stepper.stats(),
     )
-    traj.ledger = energy_ledger(traj, law)
+    traj.ledger = energy_ledger(traj)
     return traj
 
 
@@ -540,36 +541,30 @@ def _cumtrapz(y, t):
     return out
 
 
-def energy_ledger(traj: Trajectory, law: PortLaw) -> dict:
+def energy_ledger(traj: Trajectory) -> dict:
     """Trapezoid-quadrature energy balance over the recorded samples.
 
-    residual = dE - supplied + dissipated - boundary_form; ``partial``
-    marks a law without a co-located completion (boundary term unknown).
+    The rates are the supply Re(u^H y), the dissipation and the boundary
+    term Re(z[:2k]^H z[2k:]) - Re(u^H y), the port power of the recorded
+    port vector z less the supply; residual = dE - supplied + dissipated
+    - boundary.
     """
-    supplied_rate = np.real(np.einsum("ij,ij->i", np.conj(traj.u), traj.y))
+    def rate(a, b):
+        return np.real(np.einsum("ij,ij->i", np.conj(a), b))
+
+    two_k = traj.zeta.shape[1] // 2
+    supplied_rate = rate(traj.u, traj.y)
+    port_rate = rate(traj.zeta[:, :two_k], traj.zeta[:, two_k:])
     supplied = _cumtrapz(supplied_rate, traj.times)
     dissipated = _cumtrapz(traj.diss_rate, traj.times)
-
-    partial = law.W_C_full is None
-    if not partial:
-        M = np.vstack([law.W_B, law.W_C_full])
-        sig = sigma_matrix(2 * law.k)
-        Q = sig - M.conj().T @ sig @ M
-        form = 0.5 * np.real(np.einsum("ij,jk,ik->i", np.conj(traj.zeta), Q, traj.zeta))
-        boundary = _cumtrapz(form, traj.times)
-    else:
-        boundary = np.zeros_like(supplied)
-
-    dE = traj.energy - traj.energy[0]
-    residual = dE - supplied + dissipated - boundary
+    boundary = _cumtrapz(port_rate - supplied_rate, traj.times)
+    residual = traj.energy - traj.energy[0] - supplied + dissipated - boundary
     return {
         "supplied": supplied,
         "dissipated": dissipated,
         "boundary": boundary,
-        "residual": residual if not partial else np.full_like(residual, np.nan),
-        "residual_raw": residual,
-        "partial": partial,
-        "max_residual": float(np.abs(residual).max()) if not partial else float("nan"),
+        "residual": residual,
+        "max_residual": float(np.abs(residual).max()),
         "peak_energy": float(traj.energy.max()),
     }
 
@@ -595,7 +590,7 @@ def write_trajectory_csv(traj: Trajectory, path: str) -> None:
     if complex_io:
         cols += [f"u_{j+1}_im" for j in range(m)] + [f"y_{j+1}_im" for j in range(p)]
     rows = [traj.times, traj.energy, led["supplied"], led["dissipated"],
-            led["boundary"], led["residual_raw"]]
+            led["boundary"], led["residual"]]
     rows += [traj.u[:, j].real for j in range(m)] + [traj.y[:, j].real for j in range(p)]
     if complex_io:
         rows += [traj.u[:, j].imag for j in range(m)] + [traj.y[:, j].imag for j in range(p)]

@@ -2,16 +2,23 @@
 
 These are oracles for the package, not part of it: the periodic curl and
 derivative pairs (dispersion and eigenvalue references), the cell
-divergence of the masked face field, and the backwards midpoint march of
-the reversibility checks, and the port values a closed loop enforces.
+divergence of the masked face field, the backwards midpoint march of
+the reversibility checks, the port values a closed loop enforces, the
+node-domain flow and output maps of a port law, the homogeneous closed
+loop of the spectral checks, and the completion form of the energy
+ledger's boundary term.
 """
 
 import numpy as np
 import scipy.sparse as sp
 
-from cablefield.assembly import ClosedLoop
+from cablefield.assembly import ClosedLoop, OperatorBundle, build_closed_loop
+from cablefield.certify import PortLaw, sigma_matrix
+from cablefield.errors import DomainError
 from cablefield.maxwell import YeeGrid, _face_shapes
 from cablefield.sim import MidpointStepper
+
+_DOMAIN_TOL = 1e-8     # max |W_B z - (u, 0)| accepted by apply_FG
 
 
 def periodic_curl_pair(n: int, h: float):
@@ -109,3 +116,45 @@ def reverse_run(loop: ClosedLoop, x: np.ndarray, dt: float, n_steps: int,
     for _ in range(n_steps):
         x, _ = stepper.step(x, np.zeros(loop.law.m))
     return x
+
+
+def ports(bundle: OperatorBundle, e: np.ndarray) -> np.ndarray:
+    """The extrapolated port vector (B1 e, B2 e) of the efforts e."""
+    return np.concatenate([bundle.B1 @ e, bundle.B2 @ e])
+
+
+def apply_FG(bundle: OperatorBundle, law: PortLaw, e: np.ndarray, u) -> np.ndarray:
+    """(J - R) e with the boundary-compatibility check of the node domain."""
+    z = ports(bundle, e)
+    defect = np.abs(law.W_B @ z - law.u_hat(u)).max()
+    if defect > _DOMAIN_TOL:
+        raise DomainError(
+            f"(e, u) violates the boundary constraint by {defect:.3e} "
+            f"(tolerance {_DOMAIN_TOL:.1e}); the pair is outside the node domain")
+    return (bundle.J - bundle.Rd) @ e
+
+
+def apply_KL(bundle: OperatorBundle, law: PortLaw, e: np.ndarray) -> np.ndarray:
+    return law.W_C_out @ ports(bundle, e)
+
+
+def constrained_generator(bundle: OperatorBundle, W_B: np.ndarray) -> ClosedLoop:
+    """Homogeneous-constraint generator for spectral studies.
+
+    Wraps the closed loop with all ports homogeneous (u = 0); dense
+    eigendecompositions are practical at reduced sizes.
+    """
+    W_B = np.asarray(W_B)
+    k = bundle.k
+    law = PortLaw(W_B_inp=W_B[:0], W_B_0=W_B, W_C_out=np.zeros((1, 4 * k)), k=k)
+    return build_closed_loop(bundle, law)
+
+
+def completion_form(W_B: np.ndarray, W_C: np.ndarray, zeta: np.ndarray) -> np.ndarray:
+    """z^H (Sigma - M^H Sigma M) z / 2 with M = [W_B; W_C], for each row z
+    of ``zeta``: the boundary-term rate of the energy ledger written with a
+    co-located completion W_C of W_B."""
+    M = np.vstack([W_B, W_C])
+    sig = sigma_matrix(W_B.shape[0])
+    Q = sig - M.conj().T @ sig @ M
+    return 0.5 * np.real(np.einsum("ij,jk,ik->i", np.conj(zeta), Q, zeta))

@@ -17,7 +17,6 @@ import scipy.sparse as sp
 from cablefield.assembly import (
     assemble_system,
     build_closed_loop,
-    constrained_generator,
     hodge_extremes,
 )
 from cablefield.certify import (
@@ -42,7 +41,7 @@ from cablefield.sim import (
 )
 from cablefield.tline import LineMaterials, assemble_line, build_line_grid
 
-from oracles import reverse_run
+from oracles import constrained_generator, reverse_run
 
 
 def report(criterion, passed, detail=""):
@@ -62,8 +61,8 @@ def build_bundle(n, n_line, k, cables, box, line_mats=None, field_mats=None,
     charts = [spec.chart(i, n_eta=n_line, n_theta=n_theta)
               for i in range(len(cables))]
     cp = assemble_P_el(charts, lg) if cables else None
-    traces = surface_trace(grid, charts) if cables else None
-    bundle = assemble_system(blocks, curls, coupling=cp, traces=traces)
+    R_nu = surface_trace(grid, charts) if cables else None
+    bundle = assemble_system(blocks, curls, coupling=cp, R_nu=R_nu)
     return spec, grid, lg, charts, bundle
 
 
@@ -148,7 +147,7 @@ def test_criterion_2_coupling_adjointness():
         chart = build_chart(cable, frame, n, m)
         lg = build_line_grid(n, 1)
         cpk = assemble_P_el([chart], lg)
-        Pq = assemble_P_mag(cpk, mode="quadrature")
+        Pq = assemble_P_mag(cpk)
         const = np.tile([0.0, 0.0, 2.0], chart.n_quad)
         ring_errs.append(np.abs(Pq @ const - 2 * np.pi * r * 2.0).max())
         pts = chart.quad_points()
@@ -246,7 +245,7 @@ def test_criterion_5_energy_balance():
     k = bundle.k
     W_B = np.hstack([np.eye(2 * k), np.eye(2 * k)])
     W_C = build_colocated_output(W_B)
-    law = PortLaw(W_B_inp=W_B, W_B_0=np.zeros((0, 4 * k)), W_C_out=W_C, k=k, W_C_full=W_C)
+    law = PortLaw(W_B_inp=W_B, W_B_0=np.zeros((0, 4 * k)), W_C_out=W_C, k=k)
     loop = build_closed_loop(bundle, law)
     x0 = smooth_state(bundle)
 
@@ -285,7 +284,7 @@ def test_criterion_6_wellposedness_bound():
     k = bundle.k
     W_B = np.hstack([np.eye(2 * k), np.eye(2 * k)])
     W_C = build_colocated_output(W_B)
-    law = PortLaw(W_B_inp=W_B, W_B_0=np.zeros((0, 4 * k)), W_C_out=W_C, k=k, W_C_full=W_C)
+    law = PortLaw(W_B_inp=W_B, W_B_0=np.zeros((0, 4 * k)), W_C_out=W_C, k=k)
     lo, hi = hodge_extremes(bundle)
     cert = wellposedness_constants(law, lo, hi)
     loop = build_closed_loop(bundle, law)
@@ -354,8 +353,8 @@ def test_criterion_8_colocation_builder():
                                              * np.linalg.norm(W_C, 2)))
         if not np.iscomplexobj(W_B):
             law = PortLaw(W_B_inp=W_B, W_B_0=np.zeros((0, W_B.shape[1])), W_C_out=W_C,
-                          k=W_B.shape[0] // 2, W_C_full=W_C)
-            real_out = real_out and law.W_C_full.dtype == np.float64
+                          k=W_B.shape[0] // 2)
+            real_out = real_out and law.W_C_out.dtype == np.float64
 
     # Sigma-unitary equality on the skew seed [I, 0]
     W_B = np.hstack([np.eye(2), np.zeros((2, 2))])

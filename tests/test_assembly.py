@@ -2,15 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from cablefield.assembly import (
-    ClosedLoop,
-    OperatorBundle,
-    apply_FG,
-    apply_KL,
-    assemble_system,
-    build_closed_loop,
-    constrained_generator,
-)
+from cablefield.assembly import assemble_system, build_closed_loop
 from cablefield.certify import PortLaw, sigma_matrix
 from cablefield.coupling import assemble_P_el, lift_voltage
 from cablefield.errors import AssemblyError, CertificateError, DomainError
@@ -18,7 +10,14 @@ from cablefield.geometry import GeometrySpec, StraightSegment
 from cablefield.maxwell import FieldMaterials, assemble_curls, build_grid, surface_trace, _curl_block
 from cablefield.tline import LineMaterials, assemble_line, build_line_grid
 
-from oracles import ghost_currents, used_ports
+from oracles import (
+    apply_FG,
+    apply_KL,
+    constrained_generator,
+    ghost_currents,
+    ports,
+    used_ports,
+)
 
 
 def make_setup(n=(6, 6, 10), n_line=12, k=1, line_mats=None, field_mats=None,
@@ -36,10 +35,10 @@ def make_setup(n=(6, 6, 10), n_line=12, k=1, line_mats=None, field_mats=None,
     blocks = assemble_line(line_mats or LineMaterials(k=k), lg)
     curls = assemble_curls(grid, field_mats or FieldMaterials())
     chart = spec.chart(0, n_eta=n_line, n_theta=12)
-    traces = surface_trace(grid, [chart])
+    R_nu = surface_trace(grid, [chart])
     cp = assemble_P_el([chart], lg)
-    bundle = assemble_system(blocks, curls, coupling=cp, traces=traces)
-    return spec, grid, lg, chart, cp, bundle, traces
+    bundle = assemble_system(blocks, curls, coupling=cp, R_nu=R_nu)
+    return spec, grid, lg, chart, cp, bundle, R_nu
 
 
 @pytest.fixture(scope="module")
@@ -73,7 +72,7 @@ def test_green_check_rejects_one_perturbed_entry(setup):
     import dataclasses
     import re
 
-    _, _, _, _, cp, bundle, traces = setup
+    _, _, _, _, cp, bundle, R_nu = setup
     lay = bundle.layout
     C_H = bundle.curls.C_H.tocoo()
     i, j, delta = C_H.row[0], C_H.col[0], 1e-6
@@ -88,11 +87,11 @@ def test_green_check_rejects_one_perturbed_entry(setup):
     ref = abs(lhs - (B1.T @ B2 + B2.T @ B1)).max() / abs(lhs).max()
     assert ref > 1e-12
     with pytest.raises(AssemblyError, match=re.escape(f"residual {ref:.3e}")):
-        assemble_system(bundle.line, bad, coupling=cp, traces=traces)
+        assemble_system(bundle.line, bad, coupling=cp, R_nu=R_nu)
 
 
 def test_uncoupled_assembly_block_diagonal(setup):
-    spec, grid, lg, chart, cp, bundle, traces = setup
+    spec, grid, lg, chart, cp, bundle, R_nu = setup
     blocks = assemble_line(LineMaterials(k=lg.k), lg)
     curls = assemble_curls(grid, FieldMaterials())
     plain = assemble_system(blocks, curls, coupling=None)
@@ -135,9 +134,9 @@ def test_coupling_sign_matches_staircase_faraday():
     blocks = assemble_line(LineMaterials(k=1), lg)
     curls = assemble_curls(grid, FieldMaterials())
     chart = spec.chart(0, n_eta=12, n_theta=16)
-    traces = surface_trace(grid, [chart])
+    R_nu = surface_trace(grid, [chart])
     cp = assemble_P_el([chart], lg)
-    bundle = assemble_system(blocks, curls, coupling=cp, traces=traces)
+    bundle = assemble_system(blocks, curls, coupling=cp, R_nu=R_nu)
     C_band = _curl_block(grid.n, grid.h, grid.dof_faces, grid.band_edges)
     V = lg.nodes.copy()
     lift = lift_voltage(chart, grid, V, lg)
@@ -170,7 +169,7 @@ def test_coupling_sign_matches_staircase_faraday():
 def test_total_current_correction_measures_enclosed_current():
     # azimuthal field of a unit axial line current: I_tot - I = -Pmag(nu x H)
     # recovers minus the enclosed current along the whole cable
-    spec, grid, lg, chart, cp, bundle, traces = make_setup()
+    spec, grid, lg, chart, cp, bundle, R_nu = make_setup()
     fm = grid.face_midpoints(grid.dof_faces)
     c = spec.box[:2, 1] / 2
     dx, dy = fm[:, 0] - c[0], fm[:, 1] - c[1]
@@ -202,7 +201,7 @@ def test_apply_FG_and_KL(setup):
     law = strict_law(bundle.k)
     rng = np.random.default_rng(1)
     e = rng.standard_normal(bundle.n)
-    u = law.W_B_inp @ bundle.ports(e)       # compatible input
+    u = law.W_B_inp @ ports(bundle, e)       # compatible input
     out = apply_FG(bundle, law, e, u)
     assert np.abs(out - (bundle.J - bundle.Rd) @ e).max() == 0.0
 
@@ -214,7 +213,7 @@ def test_apply_FG_and_KL(setup):
         apply_FG(bundle, law, e, bad)
 
     y = apply_KL(bundle, law, e)
-    assert np.allclose(y, law.W_C_out @ bundle.ports(e))
+    assert np.allclose(y, law.W_C_out @ ports(bundle, e))
     e2 = rng.standard_normal(bundle.n)
     assert np.allclose(apply_KL(bundle, law, e + e2),
                        apply_KL(bundle, law, e) + apply_KL(bundle, law, e2))

@@ -6,7 +6,7 @@ from cablefield.certify import (
     build_colocated_output,
     check_admissible,
     colocation_defect,
-    find_full_colocated,
+    is_colocated,
     kernel_relation_oracle,
     sigma_matrix,
     wellposedness_constants,
@@ -122,7 +122,7 @@ def test_colocation_strict_seed_inequality():
 def check_completion(W_B):
     """Assert what every completion must meet and return it: both defining
     equations to 1e-12 relative, the output inequality, cond [W_B; W_C]
-    <= 1e6, and a real PortLaw.W_C_full for a real W_B."""
+    <= 1e6, and a real PortLaw.W_C_out for a real W_B."""
     l = W_B.shape[0]
     W_C = build_colocated_output(W_B)
     sig = sigma_matrix(l)
@@ -131,10 +131,9 @@ def check_completion(W_B):
     assert res <= 1e-12 * max(1.0, np.linalg.norm(W_B, 2) * np.linalg.norm(W_C, 2))
     assert colocation_defect(W_B, W_C).max() <= 1e-10
     assert np.linalg.cond(np.vstack([W_B, W_C])) <= 1e6
-    law = PortLaw(W_B_inp=W_B, W_B_0=np.zeros((0, 2 * l)), W_C_out=W_C, k=l // 2,
-                  W_C_full=W_C)
+    law = PortLaw(W_B_inp=W_B, W_B_0=np.zeros((0, 2 * l)), W_C_out=W_C, k=l // 2)
     if not np.iscomplexobj(W_B):
-        assert law.W_C_full.dtype == np.float64
+        assert law.W_C_out.dtype == np.float64
     return W_C
 
 
@@ -204,12 +203,13 @@ def test_colocation_builder_checks_defining_equations(W_B, monkeypatch):
         build_colocated_output(W_B)
 
 
-def test_find_full_colocated_roundtrip():
+def test_is_colocated_roundtrip():
     for W_B in [np.hstack([np.eye(2), np.eye(2)])] + [t * W0 for t, W0 in ROW_SCALED_LAWS]:
         W_C = build_colocated_output(W_B)
-        out = find_full_colocated(W_B, W_C[:1])
-        assert out is not None
-        assert find_full_colocated(W_B, np.ones((1, 4))) is None
+        assert is_colocated(W_B, W_C[:1])
+        assert is_colocated(W_B, W_C)
+        assert not is_colocated(W_B, np.ones((1, 4)))
+        assert not is_colocated(W_B, -W_C)
 
 
 # ---------------------------------------------------------------------------

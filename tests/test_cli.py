@@ -167,11 +167,30 @@ def test_mixed_law_certifies_and_simulates(tmp_path, capsys):
         out = tmp_path / f"out_{dt}"
         assert main(["simulate", path, "--output-dir", str(out)]) == EXIT_OK
         summary = json.loads((out / "summary.json").read_text())
-        assert summary["ledger_partial"] is False
         ratios.append(summary["max_ledger_residual"] / summary["peak_energy"])
     # the ledger residual is the second-order quadrature error of the samples
     assert ratios[0] <= 1e-3
     assert ratios[1] <= ratios[0] / 3.0
+
+
+def test_non_colocated_output_closes_the_ledger(tmp_path, capsys):
+    # y = -I_tot on the strict [I, I] law is not co-located; the ledger's
+    # boundary term is the port power less the supply, so it still closes
+    config = single_cable_config(0.01, 0.5)
+    config["boundary"]["W_C_out"] = [[-1.0, 0.0, 0.0, 0.0], [0.0, -1.0, 0.0, 0.0]]
+    path = write(tmp_path, config)
+    assert main(["certify", path]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["colocated"] is False
+    out = tmp_path / "out"
+    assert main(["simulate", path, "--output-dir", str(out)]) == EXIT_OK
+
+    def strict(name):
+        raise ValueError(f"summary.json holds {name}")
+
+    summary = json.loads((out / "summary.json").read_text(), parse_constant=strict)
+    assert np.isfinite(summary["max_ledger_residual"])
+    assert summary["max_ledger_residual"] <= 1e-3 * summary["peak_energy"]
+    assert main(["converge", path, "--levels", "2"]) == EXIT_OK
 
 
 def test_certify_accepts_a_row_scaled_law(tmp_path, capsys):

@@ -1,21 +1,28 @@
 import numpy as np
 import pytest
 
+from cablefield import geometry
 from cablefield.coupling import assemble_P_el, assemble_P_mag, lift_voltage
 from cablefield.errors import ConfigError, CouplingError
 from cablefield.geometry import (
+    CableCurve,
     CircularArc,
     GeometrySpec,
     StraightSegment,
-    TubeChart,
     build_chart,
     build_frame,
     collar_candidates,
     cutoff_reach,
+    nearest_curve_sample,
     validate_geometry,
 )
 from cablefield.maxwell import build_grid
 from cablefield.tline import build_line_grid
+
+
+def collar_coords(chart, pts):
+    """Collar coordinates of arbitrary points, Newton from their nearest sample."""
+    return chart.psi_hat(pts, nearest_curve_sample(chart.curve, pts)[0])
 
 
 def straight_chart(n_eta, n_theta, radius=0.1, length=1.0, collar=0.3):
@@ -65,7 +72,7 @@ def test_pmag_quadrature_ring_integral_oracle():
         chart = straight_chart(8, m, radius=r)
         lg = build_line_grid(8, 1)
         cp = assemble_P_el([chart], lg)
-        Pq = assemble_P_mag(cp, mode="quadrature")
+        Pq = assemble_P_mag(cp)
         g = np.tile([0.0, 0.0, h_amp], chart.n_quad)
         out = Pq @ g
         errs.append(np.abs(out - 2 * np.pi * r * h_amp).max())
@@ -86,7 +93,7 @@ def test_pmag_azimuthal_field_no_axial_pickup():
     chart = straight_chart(8, 48, radius=0.1)
     lg = build_line_grid(8, 1)
     cp = assemble_P_el([chart], lg)
-    Pq = assemble_P_mag(cp, mode="quadrature")
+    Pq = assemble_P_mag(cp)
     th = chart.theta
     azim = np.stack([np.cos(th), -np.sin(th), np.zeros_like(th)], axis=1)
     g = np.tile(azim, (chart.n_eta, 1)).reshape(-1)
@@ -120,7 +127,7 @@ def test_adjoint_vs_quadrature_convergence_curved():
         chart = arc_chart(n, m)
         lg = build_line_grid(n, 1)
         cp = assemble_P_el([chart], lg)
-        Pq = assemble_P_mag(cp, mode="quadrature")
+        Pq = assemble_P_mag(cp)
         pts = chart.quad_points()
         g = np.stack([np.sin(pts[:, 1]), np.cos(2 * pts[:, 0]), pts[:, 2] ** 2], axis=1).reshape(-1)
         diffs.append(np.abs(cp.Pmag @ g - Pq @ g).max())
@@ -174,7 +181,7 @@ def test_lift_linear_voltage_axial_field(lift_setup):
     assert lift.support.size > 0
     mids = grid.edge_midpoints(lift.support)
     dirs = grid.edge_direction(lift.support)
-    coords = np.atleast_2d(chart.psi_hat(mids))
+    coords = collar_coords(chart, mids)
     chi = chart.chi(coords[:, 2], coords[:, 0])
     # interior field = chi / l * z_hat: z-edges carry chi/l, x/y edges 0
     expected = np.where(dirs == 2, chi / chart.curve.length, 0.0)
@@ -196,7 +203,7 @@ def test_lift_plateau_values_exact_for_any_voltage(lift_setup):
 
     mids = grid.edge_midpoints(lift.support)
     dirs = grid.edge_direction(lift.support)
-    coords = np.atleast_2d(chart.psi_hat(mids))
+    coords = collar_coords(chart, mids)
     plateau = (chart.chi(coords[:, 2], coords[:, 0]) >= 1.0 - 1e-12)
     assert plateau.sum() > 0
     cell = np.clip((coords[plateau, 0] * lg.n).astype(int), 0, lg.n - 1)
@@ -216,7 +223,7 @@ def test_lift_trace_matches_pel(lift_setup):
     import scipy.sparse as sps
     mids = grid.edge_midpoints()
     dirs_all = grid.edge_direction(np.arange(mids.shape[0]))
-    coords = np.atleast_2d(chart.psi_hat(mids[lift.support]))
+    coords = collar_coords(chart, mids[lift.support])
     plateau_ids = lift.support[chart.chi(coords[:, 2], coords[:, 0]) >= 1.0 - 1e-12]
     pts = chart.quad_points()
     sampled = np.zeros_like(target)
@@ -240,22 +247,53 @@ def test_lift_inverts_only_the_cutoff_band(lift_setup, monkeypatch):
     spec, grid, lg, chart = lift_setup
     mids = grid.edge_midpoints()
     reach = cutoff_reach(chart.collar_halfwidth)
-    outer = collar_candidates(chart.curve, mids, reach, reach)
-    band = collar_candidates(chart.curve, mids, reach, reach, s_min=-reach)
+    outer, _ = collar_candidates(chart.curve, mids, reach, reach)
+    band, _ = collar_candidates(chart.curve, mids, reach, reach, s_min=-reach)
     assert (outer.size, band.size) == (8016, 6116)
     dropped = np.setdiff1d(outer, band)
-    assert np.atleast_2d(chart.psi_hat(mids[dropped]))[:, 2].max() < -reach
+    assert collar_coords(chart, mids[dropped])[:, 2].max() < -reach
 
-    inverted = []
-    psi_hat = TubeChart.psi_hat
+    # one nearest-sample query and one Newton batch, of the band only
+    calls = []
+    sample = geometry.nearest_curve_sample
+    newton = CableCurve.nearest_parameter_batch
 
-    def counted(self, p):
-        inverted.append(np.atleast_2d(p).shape[0])
-        return psi_hat(self, p)
+    def counted_sample(curve, pts):
+        calls.append(("sample", len(pts)))
+        return sample(curve, pts)
 
-    monkeypatch.setattr(TubeChart, "psi_hat", counted)
+    def counted_newton(self, pts, eta=None):
+        calls.append(("newton", len(pts)))
+        return newton(self, pts, eta)
+
+    monkeypatch.setattr(geometry, "nearest_curve_sample", counted_sample)
+    monkeypatch.setattr(CableCurve, "nearest_parameter_batch", counted_newton)
     lift_voltage(chart, grid, np.sin(np.pi * lg.nodes), lg)
-    assert inverted[0] == band.size
+    assert [c[0] for c in calls] == ["sample", "newton"]
+    assert calls[1][1] == band.size
+
+
+def test_lift_matches_independent_inversions(lift_setup):
+    # inverting each candidate once gives the same arrays as inverting the
+    # band and then the live edges again, each from a fresh sample query
+    spec, grid, lg, chart = lift_setup
+    V = np.sin(np.pi * lg.nodes)
+    lift = lift_voltage(chart, grid, V, lg)
+
+    mids = grid.edge_midpoints()
+    reach = cutoff_reach(chart.collar_halfwidth)
+    band, _ = collar_candidates(chart.curve, mids, reach, reach, s_min=-reach)
+    coords = collar_coords(chart, mids[band])
+    chi = chart.chi(coords[:, 2], coords[:, 0])
+    live = chi > 0
+    sel = band[live]
+    grad = chart.grad_eta(collar_coords(chart, mids[sel]))
+    cell = np.clip((coords[live, 0] * lg.n).astype(int), 0, lg.n - 1)
+    values = np.zeros(mids.shape[0])
+    values[sel] = (chi[live] * ((V[1:] - V[:-1]) * lg.n)[cell]
+                   * grad[np.arange(sel.size), grid.edge_direction(sel)])
+    assert np.array_equal(lift.values, values)
+    assert np.array_equal(lift.support, np.nonzero(values)[0])
 
 
 def test_lift_rejects_thin_collar():

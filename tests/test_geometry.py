@@ -14,6 +14,7 @@ from cablefield.geometry import (
     build_frame,
     classify_point,
     is_inside_tube,
+    nearest_curve_sample,
     validate_curve,
     validate_geometry,
 )
@@ -255,7 +256,7 @@ def test_collar_roundtrip():
         theta = rng.uniform(-np.pi, np.pi, 40)
         s = rng.uniform(-0.2, 0.2, 40)
         pts = chart.phi_hat(eta, theta, s)
-        coords = chart.psi_hat(pts)
+        coords = chart.psi_hat(pts, nearest_curve_sample(curve, pts)[0])
         assert np.abs(coords[:, 0] - eta).max() <= 1e-8
         assert np.abs(coords[:, 2] - s).max() <= 1e-8
         dth = np.angle(np.exp(1j * (coords[:, 1] - theta)))
@@ -325,7 +326,12 @@ def test_grad_eta_straight_cylinder():
     frame = build_frame(curve, n_eta=(np.arange(16) + 0.5) / 16)
     chart = build_chart(curve, frame, 16, 12)
     pts = chart.phi_hat(np.array([0.3, 0.6]), np.array([0.4, -1.0]), np.array([0.05, -0.05]))
-    g = chart.grad_eta(pts)
+    coords = chart.psi_hat(pts, nearest_curve_sample(curve, pts)[0])
+    g = chart.grad_eta(coords)
+    # one point is a batch of one: (1, 3) like every other batch
+    one = chart.psi_hat(pts[:1], nearest_curve_sample(curve, pts[:1])[0])
+    assert coords.shape == g.shape == (2, 3)
+    assert one.shape == chart.grad_eta(one).shape == (1, 3)
     assert np.abs(g - np.array([0.0, 0.0, 1.0])).max() <= 1e-9
 
 
@@ -386,7 +392,6 @@ def with_dense_query(monkeypatch, fn):
 @pytest.mark.parametrize("kind", sorted(ORACLE_CURVES))
 def test_curve_query_matches_dense_oracle(kind, monkeypatch):
     from cablefield.coupling import lift_voltage
-    from cablefield.geometry import nearest_curve_sample
     from cablefield.maxwell import build_grid
     from cablefield.tline import build_line_grid
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from cablefield.coupling import assemble_P_el
 from cablefield.errors import GridError, MaterialsError
 from cablefield.geometry import GeometrySpec, StraightSegment, classify_point
 from cablefield.maxwell import (
@@ -13,8 +14,10 @@ from cablefield.maxwell import (
     assemble_curls,
     build_grid,
     surface_trace,
+    tangential_trace,
     validate_field_materials,
 )
+from cablefield.tline import build_line_grid
 
 from oracles import divergence_matrix, periodic_curl_pair
 
@@ -287,12 +290,11 @@ def traced():
     spec = tube_spec()
     grid = build_grid(spec, (10, 10, 14))
     chart = spec.chart(0, n_eta=12, n_theta=16)
-    R_tan, R_nu, M_surf = surface_trace(grid, [chart])
-    return spec, grid, chart, R_tan, R_nu, M_surf
+    return spec, grid, chart, tangential_trace(grid, [chart]), surface_trace(grid, [chart])
 
 
 def test_trace_reproduces_constant_tangential_field(traced):
-    spec, grid, chart, R_tan, R_nu, _ = traced
+    spec, grid, chart, R_tan, R_nu = traced
     dirs = grid.edge_direction(grid.free_edges)
     e = (dirs == 2).astype(float)     # unit z-directed field
     vals = (R_tan @ e).reshape(-1, 3)
@@ -308,7 +310,7 @@ def test_trace_reproduces_constant_tangential_field(traced):
 
 
 def test_trace_exact_on_linear_field(traced):
-    spec, grid, chart, R_tan, _, _ = traced
+    spec, grid, chart, R_tan, _ = traced
     mids = grid.edge_midpoints(grid.free_edges)
     dirs = grid.edge_direction(grid.free_edges)
     # linear scalar profile on the z component only
@@ -328,7 +330,7 @@ def test_trace_second_order_on_smooth_field():
     for n in ((10, 10, 14), (20, 20, 28), (40, 40, 56)):
         grid = build_grid(spec, n)
         chart = spec.chart(0, n_eta=8, n_theta=8)
-        R_tan, _, _ = surface_trace(grid, [chart])
+        R_tan = tangential_trace(grid, [chart])
         mids = grid.edge_midpoints(grid.free_edges)
         dirs = grid.edge_direction(grid.free_edges)
         e = np.where(dirs == 2, np.sin(2 * mids[:, 0]) * np.cos(mids[:, 2]), 0.0)
@@ -345,7 +347,8 @@ def test_trace_second_order_on_smooth_field():
 
 
 def test_trace_injection_adjointness(traced):
-    spec, grid, chart, R_tan, _, M_surf = traced
+    spec, grid, chart, R_tan, _ = traced
+    M_surf = assemble_P_el([chart], build_line_grid(chart.n_eta, 1)).M_surf
     rng = np.random.default_rng(1)
     e = rng.standard_normal(grid.n_free_edges)
     g = rng.standard_normal(3 * chart.n_quad)

@@ -24,7 +24,7 @@ from cablefield.sim import (
 )
 from cablefield.tline import LineMaterials
 
-from oracles import reverse_run, used_ports
+from oracles import completion_form, reverse_run, used_ports
 from test_acceptance import criterion3_bundle
 from test_assembly import make_setup
 
@@ -47,11 +47,35 @@ def skew_law(k):
     return PortLaw(W_B_inp=W_B, W_B_0=np.zeros((0, 4 * k)), W_C_out=W_C[:2 * k], k=k)
 
 
-def strict_law(k, completion=True):
+def strict_law(k, W_C_out=None):
     W_B = np.hstack([np.eye(2 * k), np.eye(2 * k)])
-    W_C = build_colocated_output(W_B)
-    return PortLaw(W_B_inp=W_B, W_B_0=np.zeros((0, 4 * k)), W_C_out=W_C, k=k,
-                   W_C_full=W_C if completion else None)
+    if W_C_out is None:
+        W_C_out = build_colocated_output(W_B)
+    return PortLaw(W_B_inp=W_B, W_B_0=np.zeros((0, 4 * k)), W_C_out=W_C_out, k=k)
+
+
+def mixed_law():
+    # I(0) + V(0) = u1 and I(1) = u2: K = diag(2, 0), neither strict nor skew
+    W_B = np.array([[1.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
+    return PortLaw(W_B_inp=W_B, W_B_0=np.zeros((0, 4)),
+                   W_C_out=build_colocated_output(W_B), k=1)
+
+
+def sine_run(loop, dt, x0):
+    law = loop.law
+    cfg = SimConfig(dt=dt, T=0.4, input=InputSignal(m=law.m, kind="sine", freq=1.5,
+                                                    amplitude=0.5 * np.ones(law.m)))
+    return run(loop, cfg, x0=x0)
+
+
+def ledger_ratios(loop, x0):
+    """Ledger residual / peak energy of the sine run at dt = 2e-3, 1e-3 and
+    5e-4, and the two observed orders."""
+    res = []
+    for dt in (2e-3, 1e-3, 5e-4):
+        led = sine_run(loop, dt, x0).ledger
+        res.append(led["max_residual"] / led["peak_energy"])
+    return res, (np.log2(res[0] / res[1]), np.log2(res[1] / res[2]))
 
 
 def test_zero_input_zero_state(lossless):
@@ -119,29 +143,39 @@ def test_ledger_exact_at_midpoints_and_second_order_in_records(lossy):
     # the recorded-trapezoid ledger residual decreases at order 2 in dt;
     # smooth initial data keeps the quadrature constant small
     _, _, _, _, _, bundle, _ = lossy
-    law = strict_law(bundle.k)
-    loop = build_closed_loop(bundle, law)
-    x0 = smooth_state(bundle, scale=1.0)
-    res = []
-    for dt in (2e-3, 1e-3, 5e-4):
-        cfg = SimConfig(dt=dt, T=0.4,
-                        input=InputSignal(m=law.m, kind="sine", freq=1.5,
-                                          amplitude=0.5 * np.ones(law.m)))
-        traj = run(loop, cfg, x0=x0)
-        res.append(traj.ledger["max_residual"] / traj.ledger["peak_energy"])
-    rates = np.log2(res[0] / res[1]), np.log2(res[1] / res[2])
+    loop = build_closed_loop(bundle, strict_law(bundle.k))
+    res, rates = ledger_ratios(loop, smooth_state(bundle, scale=1.0))
     assert 1.5 < min(rates) and max(rates) < 2.5
     assert res[-1] <= 1e-5
 
 
-def test_ledger_partial_without_completion(lossy):
+def test_ledger_closes_for_every_law(lossy):
+    # the boundary term is the port power less the supply, so the ledger of
+    # a skew law and of a strict law whose output is not co-located closes
+    # at order 2 like that of a co-located output
     _, _, _, _, _, bundle, _ = lossy
-    law = strict_law(bundle.k, completion=False)
-    loop = build_closed_loop(bundle, law)
-    cfg = SimConfig(dt=1e-2, T=0.1, input=InputSignal(m=law.m, kind="step"))
-    traj = run(loop, cfg)
-    assert traj.ledger["partial"]
-    assert np.isnan(traj.ledger["max_residual"])
+    k = bundle.k
+    anti = strict_law(k, W_C_out=-np.hstack([np.eye(2 * k), np.zeros((2 * k, 2 * k))]))
+    assert wellposedness_constants(anti, 1.0, 1.0).colocated is False
+    x0 = smooth_state(bundle, scale=1.0)
+    for law in (skew_law(k), anti):
+        res, rates = ledger_ratios(build_closed_loop(bundle, law), x0)
+        assert 1.5 <= min(rates) and max(rates) <= 2.5, (res, rates)
+
+
+@pytest.mark.parametrize("make_law", [lambda: strict_law(1), mixed_law],
+                         ids=["strict", "mixed"])
+def test_ledger_boundary_term_is_the_completion_form(lossy, make_law):
+    # with a co-located completion W_C, the port power less the supply is
+    # z^H (Sigma - [W_B; W_C]^H Sigma [W_B; W_C]) z / 2 on the port vector
+    _, _, _, _, _, bundle, _ = lossy
+    law = make_law()
+    traj = sine_run(build_closed_loop(bundle, law), 1e-2, smooth_state(bundle))
+    form = completion_form(law.W_B, build_colocated_output(law.W_B), traj.zeta)
+    ref = np.r_[0.0, np.cumsum(0.5 * np.diff(traj.times) * (form[1:] + form[:-1]))]
+    err = np.abs(traj.ledger["boundary"] - ref).max()
+    assert np.abs(ref).max() > 0
+    assert err <= 1e-12 * np.abs(ref).max()
 
 
 def test_wp_bound_series(lossy):
@@ -280,7 +314,7 @@ def test_lifted_initial_state():
         assemble_line(LineMaterials(k=1), lg),
         assemble_curls(grid, FieldMaterials()),
         coupling=assemble_P_el([chart], lg),
-        traces=surface_trace(grid, [chart]),
+        R_nu=surface_trace(grid, [chart]),
     )
     V0 = np.sin(np.pi * lg.nodes)
     x0 = lifted_state(bundle, grid, chart, lg, V0)
