@@ -41,6 +41,7 @@ skew laws used here).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -54,6 +55,14 @@ from .tline import LineBlocks
 
 COUPLING_SIGN = -1.0   # orientation of the lateral coupling insertions;
                        # pinned against the staircase-lift Faraday route
+
+# Rows of one slab of the block-pair Green check (_green_residual).  The
+# check's traced peak at pair scale 3 (209,784 faces) is 16.1 MB at 16,384
+# rows, 18.7 MB at 32,768, 24.9 MB at 65,536 and 46.6 MB in one slab per
+# pair, in 68, 43, 46 and 58 ms (best of 11, 2 cores); at scale 4, 35.3,
+# 37.4, 42.1 and 110.6 MB in 108, 102, 101 and 101 ms.  Below 32,768 rows
+# the per-slab calls start to cost time.
+GREEN_ROW_BLOCK = 32768
 
 
 @dataclass(frozen=True)
@@ -87,13 +96,29 @@ class BlockLayout:
         return slice(self.total - self.n_edges, self.total)
 
 
+def _j_blocks(line: LineBlocks, curls: CurlPair, K_V, Pm_T) -> dict:
+    """The nonzero blocks of J as {(a, b): (sign, block)}, J_ab = sign * block,
+    with a, b indexing the block order (I, H, V, E) of BlockLayout."""
+    g = line.grid
+    blocks = {(0, 2): (-1.0, g.D), (1, 3): (-1.0, curls.C_E),
+              (2, 0): (-1.0, g.Dt), (3, 1): (1.0, curls.C_H)}
+    if K_V is not None:
+        blocks[1, 2] = (-1.0, K_V)
+        blocks[2, 1] = (1.0, g.Dt @ Pm_T)
+    return blocks
+
+
 @dataclass
 class OperatorBundle:
-    """Assembled (J, R, H) triple with masses and boundary extraction."""
+    """Assembled (J, R, H) triple with masses and boundary extraction.
+
+    J is not stored: it is assembled from the line, curl and coupling
+    blocks the first time it is read (the closed loop and the operator
+    export read it; certification does not) and kept from then on.
+    """
 
     layout: BlockLayout
     k: int
-    J: sp.csr_matrix          # skew core + coupling insertions (real)
     Rd: sp.csr_matrix         # damping on efforts (Hermitian part PSD)
     Hd: sp.csr_matrix         # material Hodge (Hermitian positive definite)
     M: sp.csr_matrix          # weighted inner product (diagonal, positive)
@@ -103,12 +128,21 @@ class OperatorBundle:
     K_V: Optional[sp.csr_matrix]
     Lg_state: sp.csr_matrix   # ghost endpoint currents -> q-block rows
     green_residual: float
-    line: LineBlocks = None
-    curls: CurlPair = None
+    line: LineBlocks
+    curls: CurlPair
 
     @property
     def n(self):
         return self.layout.total
+
+    @cached_property
+    def J(self) -> sp.csr_matrix:
+        """Skew core + coupling insertions (real), N x N."""
+        grid = [[None] * 4 for _ in range(4)]
+        for (a, b), (sign, block) in _j_blocks(self.line, self.curls, self.K_V,
+                                               self.Pm_T).items():
+            grid[a][b] = block if sign > 0 else -block
+        return sp.bmat(grid, format="csr")
 
     def effort(self, x: np.ndarray) -> np.ndarray:
         return self.Hd @ x
@@ -132,18 +166,15 @@ def assemble_system(line: LineBlocks, curls: CurlPair,
 
     The Green check compares lhs = M J + J^T M with B1^T B2 + B2^T B1 and
     raises AssemblyError when max |lhs - rhs| / max |lhs| exceeds green_tol.
-    M is diagonal, so J^T M = (M J)^T entry for entry (m_j J_ji either way):
-    M J is formed once and lhs = M J + (M J)^T, with no product for J^T M.
-    Both maxima are read off the stored entries of lhs and of lhs - rhs.
-    The skew curl blocks cancel exactly in lhs, so it and the difference
-    are small; Rd, Hd and Lg_state are built after the check, into the
-    memory that its full-size temporaries freed.
+    It never forms J: _green_residual reads both sides block pair by block
+    pair from the blocks J is made of.  J itself is assembled only when
+    OperatorBundle.J is first read.  Rd, Hd and Lg_state are built after
+    the check.
     """
     g = line.grid
     grid = curls.grid
     lay = BlockLayout(n_cells=g.n_cells, n_faces=grid.n_dof_faces,
                       n_nodes=g.n_nodes, n_edges=grid.n_free_edges)
-    N = lay.total
     h3 = grid.h ** 3
 
     if coupling is not None:
@@ -154,13 +185,6 @@ def assemble_system(line: LineBlocks, curls: CurlPair,
     else:
         Pm_T = None
         K_V = None
-
-    J = sp.bmat([
-        [None, None, -g.D, None],
-        [None, None, -K_V if K_V is not None else None, -curls.C_E],
-        [-g.Dt, (g.Dt @ Pm_T) if Pm_T is not None else None, None, None],
-        [None, curls.C_H, None, None],
-    ], format="csr")
 
     M = sp.block_diag([
         g.Mc,
@@ -188,12 +212,8 @@ def assemble_system(line: LineBlocks, curls: CurlPair,
         zeros(two_k, lay.n_edges),
     ]).tocsr()
 
-    MJ = M @ J
-    lhs = MJ + MJ.T
-    del MJ
-    diff = lhs - (B1.T @ B2 + B2.T @ B1)
-    scale = max(_abs_max(lhs.data), 1e-30)
-    green_residual = float(_abs_max(diff.data) / scale)
+    green_residual = _green_residual(_j_blocks(line, curls, K_V, Pm_T), M.diagonal(),
+                                     B1, B2, lay)
     if green_residual > green_tol:
         raise AssemblyError(f"discrete Green identity violated: residual {green_residual:.3e}")
 
@@ -216,10 +236,63 @@ def assemble_system(line: LineBlocks, curls: CurlPair,
         zeros(lay.n_edges, two_k),
     ]).tocsr()
 
-    return OperatorBundle(layout=lay, k=g.k, J=J, Rd=Rd, Hd=Hd, M=M,
+    return OperatorBundle(layout=lay, k=g.k, Rd=Rd, Hd=Hd, M=M,
                           B1=B1, B2=B2, Pm_T=Pm_T, K_V=K_V,
                           Lg_state=Lg_state, green_residual=green_residual,
                           line=line, curls=curls)
+
+
+def _green_residual(blocks: dict, m: np.ndarray, B1, B2, lay: BlockLayout) -> float:
+    """max |lhs - rhs| / max |lhs| of the Green identity, one block pair at a time.
+
+    blocks are J's as _j_blocks gives them and m is the diagonal of M.
+    lhs = M J + J^T M and rhs = B1^T B2 + B2^T B1 are both symmetric, so
+    the pairs (a, b) with a <= b hold every value.  M is diagonal, so
+    lhs_ab = M_a J_ab + (M_b J_ba)^T is the sum of a row-scaled J_ab and a
+    column-scaled J_ba^T.  A pair is taken in slabs of GREEN_ROW_BLOCK rows
+    of a, read from J_ab and one CSR copy of J_ba^T; that copy (C_H^T for
+    the curl pair) is the largest temporary.  rhs has a few entries per
+    port and is formed whole.  Each entry goes through the same
+    floating-point operations as in M J + (M J)^T - rhs, so the residual
+    is bit-identical to that full formula.
+    """
+    rhs = (B1.T @ B2 + B2.T @ B1).tocsr()
+    sls = (lay.sl_I, lay.sl_H, lay.sl_V, lay.sl_E)
+    lhs_max = diff_max = 0.0
+    for a, sa in enumerate(sls):
+        for b in range(a, len(sls)):
+            sb = sls[b]
+            rhs_ab = rhs[sa, sb]
+            ab, ba = blocks.get((a, b)), blocks.get((b, a))
+            if ab is None and ba is None:
+                diff_max = max(diff_max, _abs_max(rhs_ab.data))
+                continue
+            J_ab = ab[1].tocsr() if ab is not None else None
+            J_baT = ba[1].T.tocsr() if ba is not None else None
+            n_a = sa.stop - sa.start
+            for r0 in range(0, n_a, GREEN_ROW_BLOCK):
+                rows = slice(r0, min(r0 + GREEN_ROW_BLOCK, n_a))
+                lhs = sp.csr_matrix((rows.stop - rows.start, sb.stop - sb.start))
+                if J_ab is not None:
+                    lhs = _scaled_rows(J_ab, rows, row_scale=ab[0] * m[sa][rows])
+                if J_baT is not None:
+                    lhs = lhs + _scaled_rows(J_baT, rows, col_scale=ba[0] * m[sb])
+                lhs_max = max(lhs_max, _abs_max(lhs.data))
+                diff = lhs - rhs_ab[rows] if rhs_ab.nnz else lhs
+                diff_max = max(diff_max, _abs_max(diff.data))
+    return float(diff_max / max(lhs_max, 1e-30))
+
+
+def _scaled_rows(X: sp.csr_matrix, rows: slice, row_scale=None, col_scale=None):
+    """Rows ``rows`` of the CSR matrix X with each stored x_ij multiplied by
+    row_scale[i - rows.start] or by col_scale[j]; shares X's column indices."""
+    lo, hi = X.indptr[rows.start], X.indptr[rows.stop]
+    indptr = X.indptr[rows.start:rows.stop + 1] - lo
+    indices = X.indices[lo:hi]
+    scale = (np.repeat(row_scale, np.diff(indptr)) if row_scale is not None
+             else col_scale[indices])
+    return sp.csr_matrix((X.data[lo:hi] * scale, indices, indptr),
+                         shape=(rows.stop - rows.start, X.shape[1]))
 
 
 def _abs_max(data: np.ndarray) -> float:

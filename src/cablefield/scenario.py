@@ -23,7 +23,8 @@ matrix, and a 2-port amplitude [0.5, 0.0] is two real amplitudes.
     boundary.W_C_out     p x 4k, or "colocated" to derive the
                           co-located output from W_B; any output closes the
                           energy ledger, and the certificate reports whether
-                          it is co-located
+                          it is co-located; with a sim section p must equal
+                          the m rows of W_B_inp
     sim.dt, sim.T, sim.input {kind, amplitude (m,), freq, phase, t_on,
                           ramp, table_t, table_u}, sim.initial {kind: zero|
                           smooth|random|lift, seed, scale, V0},
@@ -139,9 +140,17 @@ def _port_law_rows(bc: dict, k: int):
     return W_B_inp, W_B_0
 
 
-def _sim_section(sc: dict, m: int, n_nodes: int):
-    """(SimConfig, initial spec) of the sim section; a given V0 is parsed
-    against (n_nodes,) and must be real."""
+def _sim_section(sc: dict, m: int, p: int, n_nodes: int):
+    """(SimConfig, initial spec) of the sim section for a law with m inputs
+    and p outputs; a given V0 is parsed against (n_nodes,) and must be real.
+
+    The energy ledger pairs each input with its output (supply Re(u^H y)),
+    so a law with p != m is a ConfigError here, before anything runs.
+    """
+    if p != m:
+        raise ConfigError(f"simulate needs as many outputs as inputs: the law has "
+                          f"p = {p} outputs (boundary.W_C_out) and m = {m} inputs "
+                          f"(boundary.W_B_inp)")
     inp = sc.get("input", {"kind": "zero"})
     amplitude = inp.get("amplitude")
     if amplitude is not None:
@@ -220,7 +229,14 @@ class Scenario:
         raise ConfigError(f"unknown initial condition kind {kind!r}")
 
     def closed_loop(self) -> assembly.ClosedLoop:
-        return assembly.build_closed_loop(self.bundle, self.law)
+        """The closed loop of the port law.  The first call also assembles J;
+        build records the time (closed_loop_s) and the peak RSS after it
+        (peak_rss_mb.closed_loop)."""
+        clock = time.perf_counter()
+        loop = assembly.build_closed_loop(self.bundle, self.law)
+        self.build["closed_loop_s"] = time.perf_counter() - clock
+        self.build["peak_rss_mb"]["closed_loop"] = _peak_rss_mb()
+        return loop
 
     def simulate(self) -> sim.Trajectory:
         if self.sim_config is None:
@@ -300,7 +316,7 @@ def build_scenario(config: dict) -> Scenario:
     sim_cfg = None
     initial_spec = {}
     if "sim" in config:
-        sim_cfg, initial_spec = _sim_section(config["sim"], law.m, n_cells + 1)
+        sim_cfg, initial_spec = _sim_section(config["sim"], law.m, law.p, n_cells + 1)
 
     return Scenario(config=config, seed=seed, geometry=spec,
                     line_grid=line_grid, line_materials=lm, line_blocks=line_blocks,
@@ -343,12 +359,15 @@ def validate_scenario(config: dict) -> dict:
     report["passed"] &= field_rep["passed"]
 
     W_B_inp, W_B_0 = _port_law_rows(bc, k)
-    if bc.get("W_C_out", "colocated") != "colocated":
-        _port_matrix(bc, "W_C_out", k)
+    m = W_B_inp.shape[0]
+    if bc.get("W_C_out", "colocated") == "colocated":
+        p = m or 2 * k          # build_scenario's co-located rows
+    else:
+        p = _port_matrix(bc, "W_C_out", k).shape[0]
     adm = certify.check_admissible(np.vstack([W_B_inp, W_B_0]))
     report["boundary"] = adm
     report["passed"] &= adm["admissible"]
     if "sim" in config:
-        _sim_section(config["sim"], W_B_inp.shape[0], n_cells + 1)
+        _sim_section(config["sim"], m, p, n_cells + 1)
     report["passed"] = bool(report["passed"])
     return report

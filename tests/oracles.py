@@ -5,8 +5,8 @@ derivative pairs (dispersion and eigenvalue references), the cell
 divergence of the masked face field, the backwards midpoint march of
 the reversibility checks, the port values a closed loop enforces, the
 node-domain flow and output maps of a port law, the homogeneous closed
-loop of the spectral checks, and the completion form of the energy
-ledger's boundary term.
+loop of the spectral checks, the completion form of the energy
+ledger's boundary term, and the Green residual by its full formula.
 """
 
 import numpy as np
@@ -116,6 +116,15 @@ def reverse_run(loop: ClosedLoop, x: np.ndarray, dt: float, n_steps: int,
     for _ in range(n_steps):
         x, _ = stepper.step(x, np.zeros(loop.law.m))
     return x
+
+
+def green_residual(bundle: OperatorBundle) -> float:
+    """The Green identity's residual from the assembled J:
+    max |M J + (M J)^T - (B1^T B2 + B2^T B1)| / max |M J + (M J)^T|."""
+    MJ = bundle.M @ bundle.J
+    lhs = MJ + MJ.T
+    diff = lhs - (bundle.B1.T @ bundle.B2 + bundle.B2.T @ bundle.B1)
+    return float(abs(diff).max() / max(abs(lhs).max(), 1e-30))
 
 
 def ports(bundle: OperatorBundle, e: np.ndarray) -> np.ndarray:

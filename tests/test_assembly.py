@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
+from cablefield import assembly
 from cablefield.assembly import assemble_system, build_closed_loop
 from cablefield.certify import PortLaw, sigma_matrix
 from cablefield.coupling import assemble_P_el, lift_voltage
@@ -15,6 +15,7 @@ from oracles import (
     apply_KL,
     constrained_generator,
     ghost_currents,
+    green_residual,
     ports,
     used_ports,
 )
@@ -57,7 +58,8 @@ def random_efforts(bundle, rng, count):
 
 def test_green_identity_random_pairs(setup):
     _, _, _, _, _, bundle, _ = setup
-    assert bundle.green_residual <= 1e-12
+    # the block-pair check reproduces the full formula bit for bit
+    assert bundle.green_residual == green_residual(bundle) <= 1e-12
     rng = np.random.default_rng(0)
     M, J, B1, B2 = bundle.M, bundle.J, bundle.B1, bundle.B2
     for _ in range(25):
@@ -68,26 +70,33 @@ def test_green_identity_random_pairs(setup):
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
 
 
-def test_green_check_rejects_one_perturbed_entry(setup):
-    import dataclasses
+# one stored entry of J in each off-diagonal block pair: (E, H) is C_H,
+# (V, H) is Dt Pm_T and (V, I) is -Dt
+@pytest.mark.parametrize("block", [(3, 1), (2, 1), (2, 0)], ids=["C_H", "Dt_Pm_T", "Dt"])
+def test_green_check_rejects_one_perturbed_entry(setup, monkeypatch, block):
     import re
 
     _, _, _, _, cp, bundle, R_nu = setup
-    lay = bundle.layout
-    C_H = bundle.curls.C_H.tocoo()
-    i, j, delta = C_H.row[0], C_H.col[0], 1e-6
-    pert = bundle.curls.C_H.tolil()
-    pert[i, j] += delta
-    bad = dataclasses.replace(bundle.curls, C_H=pert.tocsr())
-    # the residual of the perturbed J by the identity's defining formula
-    J = bundle.J + sp.csr_matrix(([delta], ([lay.sl_E.start + i], [lay.sl_H.start + j])),
-                                 shape=bundle.J.shape)
-    M, B1, B2 = bundle.M, bundle.B1, bundle.B2
-    lhs = M @ J + J.T @ M
-    ref = abs(lhs - (B1.T @ B2 + B2.T @ B1)).max() / abs(lhs).max()
+    delta = 1e-6
+    j_blocks = assembly._j_blocks
+
+    def perturbed(*args):
+        blocks = j_blocks(*args)
+        sign, mat = blocks[block]
+        mat = mat.tocsr(copy=True)
+        mat.data[0] += delta
+        blocks[block] = (sign, mat)
+        return blocks
+
+    monkeypatch.setattr(assembly, "_j_blocks", perturbed)
+    bad = assemble_system(bundle.line, bundle.curls, coupling=cp, R_nu=R_nu,
+                          green_tol=np.inf)
+    assert (bad.J != bundle.J).nnz == 1
+    ref = green_residual(bad)
     assert ref > 1e-12
+    assert bad.green_residual == ref
     with pytest.raises(AssemblyError, match=re.escape(f"residual {ref:.3e}")):
-        assemble_system(bundle.line, bad, coupling=cp, R_nu=R_nu)
+        assemble_system(bundle.line, bundle.curls, coupling=cp, R_nu=R_nu)
 
 
 def test_uncoupled_assembly_block_diagonal(setup):
@@ -95,6 +104,7 @@ def test_uncoupled_assembly_block_diagonal(setup):
     blocks = assemble_line(LineMaterials(k=lg.k), lg)
     curls = assemble_curls(grid, FieldMaterials())
     plain = assemble_system(blocks, curls, coupling=None)
+    assert plain.green_residual == green_residual(plain)
     lay = plain.layout
     J = plain.J
     # no cross blocks between line and field unknowns

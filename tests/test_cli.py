@@ -63,15 +63,19 @@ def test_certify_emits_constants(scenario_path, capsys):
 BUILD_STAGES = {"grid_s", "curls_s", "trace_s", "assembly_s"}
 
 
-def check_build_report(build):
-    # straight_pair_config at scale 1: two 12 x 12 charts
-    assert set(build) == BUILD_STAGES | {"peak_rss_mb", "free_edges", "band_edges", "dof_faces",
-                                         "quad_points"}
-    assert all(build[k] > 0.0 for k in BUILD_STAGES)
+def check_build_report(build, simulated=False):
+    # straight_pair_config at scale 1: two 12 x 12 charts; simulate also
+    # builds the closed loop, and certify does not
+    stages = BUILD_STAGES | ({"closed_loop_s"} if simulated else set())
+    assert set(build) == stages | {"peak_rss_mb", "free_edges", "band_edges", "dof_faces",
+                                   "quad_points"}
+    assert all(build[k] > 0.0 for k in stages)
     # peak RSS read after each stage, in stage order: never decreasing
     peaks = build["peak_rss_mb"]
-    assert set(peaks) == {"grid", "curls", "trace", "assembly"}
+    assert set(peaks) == {"grid", "curls", "trace", "assembly"} | (
+        {"closed_loop"} if simulated else set())
     assert 0.0 < peaks["grid"] <= peaks["curls"] <= peaks["trace"] <= peaks["assembly"]
+    assert not simulated or peaks["assembly"] <= peaks["closed_loop"]
     assert build["quad_points"] == 2 * 12 * 12
     assert build["dof_faces"] == 7456
     assert build["free_edges"] > 0 and build["band_edges"] > 0
@@ -142,6 +146,17 @@ def test_certify_builds_the_completion_once(scenario_path, monkeypatch, capsys):
     assert len(calls) == 1
 
 
+def test_certify_never_assembles_J(scenario_path, monkeypatch, capsys):
+    from cablefield.assembly import OperatorBundle
+
+    def refuse(bundle):
+        raise AssertionError("certify read OperatorBundle.J")
+
+    monkeypatch.setattr(OperatorBundle, "J", property(refuse))
+    assert main(["certify", scenario_path]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["green_residual"] <= 1e-12
+
+
 def single_cable_config(dt, T):
     """The lossy single-cable scenario of the benchmark (perfbench/workloads.py)."""
     path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
@@ -149,6 +164,19 @@ def single_cable_config(dt, T):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module._single_config(dt, T)
+
+
+def test_output_count_must_match_input_count(tmp_path, capsys):
+    # the ledger's supply pairs y with u: three outputs for two inputs is a
+    # ConfigError (exit 2) in validate and in simulate, not a numpy error
+    config = single_cable_config(0.01, 0.05)
+    config["boundary"]["W_C_out"] = np.eye(3, 4).tolist()
+    path = write(tmp_path, config)
+    assert main(["validate", path]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "p = 3 outputs" in err and "m = 2 inputs" in err
+    assert main(["simulate", path, "--output-dir", str(tmp_path / "out")]) == EXIT_USAGE
+    assert capsys.readouterr().err == err
 
 
 def test_mixed_law_certifies_and_simulates(tmp_path, capsys):
@@ -218,7 +246,7 @@ def test_simulate_writes_csv_and_summary(scenario_path, tmp_path, capsys):
     assert solver["method"] == "gmres"                   # above the size rule
     assert 0 < solver["iterations_mean"] <= solver["iterations_max"] <= 30
     assert 0.0 < solver["max_rel_residual"] <= 1e-10
-    check_build_report(summary["build"])
+    check_build_report(summary["build"], simulated=True)
     assert summary["wp_bound_satisfied"]
     assert summary["max_ledger_residual"] <= 1e-3 * max(summary["peak_energy"], 1e-30)
     data = np.loadtxt(os.path.join(out, "trajectory.csv"), delimiter=",", skiprows=1)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from cablefield import sim
 from cablefield.errors import ConfigError
@@ -139,3 +140,21 @@ def test_zero_imaginary_amplitudes_run_real():
     assert np.iscomplexobj(x)
     assert np.linalg.norm(traj.x_final - x) <= 1e-12 * np.linalg.norm(x)
     assert np.allclose(traj.energy, energy, rtol=1e-12, atol=0)
+
+
+def test_J_is_assembled_on_first_use(scenario_config):
+    scn = build_scenario(scenario_config)
+    scn.certificate()
+    bundle = scn.bundle
+    assert "J" not in vars(bundle)          # build and certify never read J
+    g, curls = bundle.line.grid, bundle.curls
+    ref = sp.bmat([
+        [None, None, -g.D, None],
+        [None, None, -bundle.K_V, -curls.C_E],
+        [-g.Dt, g.Dt @ bundle.Pm_T, None, None],
+        [None, curls.C_H, None, None],
+    ], format="csr")
+    J = bundle.J
+    for name in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(J, name), getattr(ref, name))
+    assert bundle.J is J                    # kept after the first read
