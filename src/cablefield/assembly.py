@@ -57,11 +57,10 @@ COUPLING_SIGN = -1.0   # orientation of the lateral coupling insertions;
                        # pinned against the staircase-lift Faraday route
 
 # Rows of one slab of the block-pair Green check (_green_residual).  The
-# check's traced peak at pair scale 3 (209,784 faces) is 16.1 MB at 16,384
-# rows, 18.7 MB at 32,768, 24.9 MB at 65,536 and 46.6 MB in one slab per
-# pair, in 68, 43, 46 and 58 ms (best of 11, 2 cores); at scale 4, 35.3,
-# 37.4, 42.1 and 110.6 MB in 108, 102, 101 and 101 ms.  Below 32,768 rows
-# the per-slab calls start to cost time.
+# check's traced temporaries at pair scale 3 (209,784 faces) are 5.4 MB at
+# 16,384 rows, 6.3 MB at 32,768, 12.5 MB at 65,536 and 34.2 MB in one slab
+# per pair, in 29, 24, 27 and 30 ms (best of 11, 2 cores); at scale 4, 9.3,
+# 10.1, 12.7 and 81.2 MB in 73, 77, 74 and 64 ms.
 GREEN_ROW_BLOCK = 32768
 
 
@@ -112,16 +111,15 @@ def _j_blocks(line: LineBlocks, curls: CurlPair, K_V, Pm_T) -> dict:
 class OperatorBundle:
     """Assembled (J, R, H) triple with masses and boundary extraction.
 
-    J is not stored: it is assembled from the line, curl and coupling
-    blocks the first time it is read (the closed loop and the operator
-    export read it; certification does not) and kept from then on.
+    J, Rd, Hd and M are not stored: each is assembled from the line, curl
+    and coupling blocks the bundle holds the first time it is read, and
+    kept from then on.  The closed loop and the operator export read them;
+    certification reads none (the Green check and hodge_extremes work on
+    the blocks).
     """
 
     layout: BlockLayout
     k: int
-    Rd: sp.csr_matrix         # damping on efforts (Hermitian part PSD)
-    Hd: sp.csr_matrix         # material Hodge (Hermitian positive definite)
-    M: sp.csr_matrix          # weighted inner product (diagonal, positive)
     B1: sp.csr_matrix         # efforts -> C^{2k}: (I_tot(0), I_tot(1))
     B2: sp.csr_matrix         # efforts -> C^{2k}: (V(0), -V(1))
     Pm_T: Optional[sp.csr_matrix]
@@ -143,6 +141,31 @@ class OperatorBundle:
                                                self.Pm_T).items():
             grid[a][b] = block if sign > 0 else -block
         return sp.bmat(grid, format="csr")
+
+    @cached_property
+    def Rd(self) -> sp.csr_matrix:
+        """Damping on efforts (Hermitian part PSD), N x N."""
+        return sp.block_diag([
+            self.line.Rm,
+            sp.csr_matrix((self.layout.n_faces, self.layout.n_faces)),
+            self.line.Gm,
+            sp.diags(self.curls.sigma_edge),
+        ], format="csr")
+
+    @cached_property
+    def Hd(self) -> sp.csr_matrix:
+        """Material Hodge (Hermitian positive definite), N x N."""
+        return sp.block_diag([
+            self.line.Linv,
+            sp.diags(self.curls.mu_inv()),
+            self.line.Cinv,
+            sp.diags(self.curls.eps_inv()),
+        ], format="csr")
+
+    @cached_property
+    def M(self) -> sp.csr_matrix:
+        """Weighted inner product (diagonal, positive), N x N."""
+        return sp.diags(np.concatenate(_mass_blocks(self.line, self.curls)), format="csr")
 
     def effort(self, x: np.ndarray) -> np.ndarray:
         return self.Hd @ x
@@ -166,32 +189,25 @@ def assemble_system(line: LineBlocks, curls: CurlPair,
 
     The Green check compares lhs = M J + J^T M with B1^T B2 + B2^T B1 and
     raises AssemblyError when max |lhs - rhs| / max |lhs| exceeds green_tol.
-    It never forms J: _green_residual reads both sides block pair by block
-    pair from the blocks J is made of.  J itself is assembled only when
-    OperatorBundle.J is first read.  Rd, Hd and Lg_state are built after
-    the check.
+    It forms neither J nor M: _green_residual reads both sides block pair
+    by block pair from the blocks J is made of and the diagonal of M.  The
+    bundle keeps only those blocks, the boundary maps and Lg_state; J, Rd,
+    Hd and M are assembled when first read.
     """
     g = line.grid
     grid = curls.grid
     lay = BlockLayout(n_cells=g.n_cells, n_faces=grid.n_dof_faces,
                       n_nodes=g.n_nodes, n_edges=grid.n_free_edges)
-    h3 = grid.h ** 3
 
     if coupling is not None:
         if R_nu is None:
             raise AssemblyError("coupled assembly needs the surface trace R_nu")
         Pm_T = (-COUPLING_SIGN) * (coupling.Pmag @ R_nu)
-        K_V = (COUPLING_SIGN / h3) * (R_nu.T @ (coupling.M_surf @ (coupling.Pel @ g.D)))
+        K_V = (COUPLING_SIGN / grid.h ** 3) * (
+            R_nu.T @ (coupling.M_surf @ (coupling.Pel @ g.D)))
     else:
         Pm_T = None
         K_V = None
-
-    M = sp.block_diag([
-        g.Mc,
-        sp.identity(lay.n_faces) * h3,
-        g.Mn,
-        sp.identity(lay.n_edges) * h3,
-    ], format="csr")
 
     Rex = sp.vstack([g.R0, g.R1]).tocsr()
     two_k = 2 * g.k
@@ -212,23 +228,11 @@ def assemble_system(line: LineBlocks, curls: CurlPair,
         zeros(two_k, lay.n_edges),
     ]).tocsr()
 
-    green_residual = _green_residual(_j_blocks(line, curls, K_V, Pm_T), M.diagonal(),
-                                     B1, B2, lay)
+    green_residual = _green_residual(_j_blocks(line, curls, K_V, Pm_T),
+                                     _mass_blocks(line, curls), B1, B2, lay)
     if green_residual > green_tol:
         raise AssemblyError(f"discrete Green identity violated: residual {green_residual:.3e}")
 
-    Rd = sp.block_diag([
-        line.Rm,
-        sp.csr_matrix((lay.n_faces, lay.n_faces)),
-        line.Gm,
-        sp.diags(curls.sigma_edge),
-    ], format="csr")
-    Hd = sp.block_diag([
-        line.Linv,
-        sp.diags(curls.mu_inv()),
-        line.Cinv,
-        sp.diags(curls.eps_inv()),
-    ], format="csr")
     Lg_state = sp.vstack([
         zeros(lay.n_cells, two_k),
         zeros(lay.n_faces, two_k),
@@ -236,36 +240,54 @@ def assemble_system(line: LineBlocks, curls: CurlPair,
         zeros(lay.n_edges, two_k),
     ]).tocsr()
 
-    return OperatorBundle(layout=lay, k=g.k, Rd=Rd, Hd=Hd, M=M,
-                          B1=B1, B2=B2, Pm_T=Pm_T, K_V=K_V,
+    return OperatorBundle(layout=lay, k=g.k, B1=B1, B2=B2, Pm_T=Pm_T, K_V=K_V,
                           Lg_state=Lg_state, green_residual=green_residual,
                           line=line, curls=curls)
 
 
-def _green_residual(blocks: dict, m: np.ndarray, B1, B2, lay: BlockLayout) -> float:
+def _mass_blocks(line: LineBlocks, curls: CurlPair) -> list:
+    """The diagonal of M, one array per block (I, H, V, E): the line's cell
+    and node quadrature masses, and h^3 on every face and edge unknown (a
+    read-only broadcast, so the field blocks take no memory)."""
+    h3 = curls.grid.h ** 3
+    return [line.grid.Mc.diagonal(),
+            np.broadcast_to(h3, (curls.grid.n_dof_faces,)),
+            line.grid.Mn.diagonal(),
+            np.broadcast_to(h3, (curls.grid.n_free_edges,))]
+
+
+def _green_residual(blocks: dict, m: list, B1, B2, lay: BlockLayout) -> float:
     """max |lhs - rhs| / max |lhs| of the Green identity, one block pair at a time.
 
-    blocks are J's as _j_blocks gives them and m is the diagonal of M.
+    blocks are J's as _j_blocks gives them and m holds the diagonal of M
+    block by block, as _mass_blocks gives it.
     lhs = M J + J^T M and rhs = B1^T B2 + B2^T B1 are both symmetric, so
     the pairs (a, b) with a <= b hold every value.  M is diagonal, so
     lhs_ab = M_a J_ab + (M_b J_ba)^T is the sum of a row-scaled J_ab and a
     column-scaled J_ba^T.  A pair is taken in slabs of GREEN_ROW_BLOCK rows
-    of a, read from J_ab and one CSR copy of J_ba^T; that copy (C_H^T for
-    the curl pair) is the largest temporary.  rhs has a few entries per
-    port and is formed whole.  Each entry goes through the same
+    of a, read from J_ab and J_ba^T in CSR.  For the curl pair J_ba^T is
+    C_H^T = C_E itself, so no block is copied whole; the line blocks are
+    converted, and they are small.  rhs_ab = B1_a^T B2_b + B2_a^T B1_b is
+    formed whole from the column blocks of B1 and B2, and only when one of
+    its terms can be nonzero (B1 reaches the I and H blocks, B2 the V
+    block), so no N x N matrix is formed.  Each entry goes through the same
     floating-point operations as in M J + (M J)^T - rhs, so the residual
     is bit-identical to that full formula.
     """
-    rhs = (B1.T @ B2 + B2.T @ B1).tocsr()
     sls = (lay.sl_I, lay.sl_H, lay.sl_V, lay.sl_E)
+    B1s = [B1[:, s] for s in sls]
+    B2s = [B2[:, s] for s in sls]
     lhs_max = diff_max = 0.0
     for a, sa in enumerate(sls):
         for b in range(a, len(sls)):
             sb = sls[b]
-            rhs_ab = rhs[sa, sb]
+            terms = [X.T @ Y for X, Y in ((B1s[a], B2s[b]), (B2s[a], B1s[b]))
+                     if X.nnz and Y.nnz]
+            rhs_ab = sum(terms[1:], terms[0]).tocsr() if terms else None
             ab, ba = blocks.get((a, b)), blocks.get((b, a))
             if ab is None and ba is None:
-                diff_max = max(diff_max, _abs_max(rhs_ab.data))
+                if rhs_ab is not None:
+                    diff_max = max(diff_max, _abs_max(rhs_ab.data))
                 continue
             J_ab = ab[1].tocsr() if ab is not None else None
             J_baT = ba[1].T.tocsr() if ba is not None else None
@@ -274,11 +296,11 @@ def _green_residual(blocks: dict, m: np.ndarray, B1, B2, lay: BlockLayout) -> fl
                 rows = slice(r0, min(r0 + GREEN_ROW_BLOCK, n_a))
                 lhs = sp.csr_matrix((rows.stop - rows.start, sb.stop - sb.start))
                 if J_ab is not None:
-                    lhs = _scaled_rows(J_ab, rows, row_scale=ab[0] * m[sa][rows])
+                    lhs = _scaled_rows(J_ab, rows, row_scale=ab[0] * m[a][rows])
                 if J_baT is not None:
-                    lhs = lhs + _scaled_rows(J_baT, rows, col_scale=ba[0] * m[sb])
+                    lhs = lhs + _scaled_rows(J_baT, rows, col_scale=ba[0] * m[b])
                 lhs_max = max(lhs_max, _abs_max(lhs.data))
-                diff = lhs - rhs_ab[rows] if rhs_ab.nnz else lhs
+                diff = lhs - rhs_ab[rows] if rhs_ab is not None else lhs
                 diff_max = max(diff_max, _abs_max(diff.data))
     return float(diff_max / max(lhs_max, 1e-30))
 
@@ -346,17 +368,17 @@ def hodge_extremes(bundle: OperatorBundle):
     """Eigenvalue extremes of the material Hodge in the weighted metric.
 
     The masses are scalar within each material block, so these are the
-    plain eigenvalue extremes of Hd: diagonal on the field blocks, small
-    Hermitian blocks on the line blocks.
+    plain eigenvalue extremes of Hd, read from its blocks: the diagonals
+    mu^-1 and eps^-1 on the field blocks, and small Hermitian blocks
+    L^-1 and C^-1 on the line blocks.
     """
-    lay = bundle.layout
-    d = bundle.Hd.diagonal()
-    lo = min(d[lay.sl_H].min(), d[lay.sl_E].min())
-    hi = max(d[lay.sl_H].max(), d[lay.sl_E].max())
-    for sl in (lay.sl_I, lay.sl_V):
-        block = bundle.Hd[sl, sl].toarray()
+    curls, line = bundle.curls, bundle.line
+    mu_inv, eps_inv = curls.mu_inv(), curls.eps_inv()
+    lo = min(mu_inv.min(), eps_inv.min())
+    hi = max(mu_inv.max(), eps_inv.max())
+    for block in (line.Linv, line.Cinv):
+        block = block.toarray()
         lam = np.linalg.eigvalsh(0.5 * (block + block.conj().T))
         lo = min(lo, lam.min())
         hi = max(hi, lam.max())
     return float(lo), float(hi)
-

@@ -118,16 +118,36 @@ def _face_shapes(n):
     return [(nx + 1, ny, nz), (nx, ny + 1, nz), (nx, ny, nz + 1)]
 
 
-def _lattice_midpoints(origin, h, shape, half_axes):
-    """Midpoints of a lattice; coordinates in half_axes are offset by h/2."""
-    axes = []
+# axes on which lattice d of the edges / faces is offset by h/2
+_EDGE_HALVES = ({0}, {1}, {2})
+_FACE_HALVES = ({1, 2}, {0, 2}, {0, 1})
+
+
+def _lattice_midpoints(origin, h, shape, half_axes, local=None):
+    """Midpoints of the points ``local`` (flat indices into ``shape``, all
+    of them by default) of a lattice; coordinates in half_axes are offset
+    by h/2."""
+    ijk = np.unravel_index(np.arange(int(np.prod(shape))) if local is None else local, shape)
+    pts = np.empty((ijk[0].size, 3))
     for d in range(3):
-        idx = np.arange(shape[d], dtype=float)
+        idx = ijk[d].astype(float)
         if d in half_axes:
-            idx = idx + 0.5
-        axes.append(origin[d] + idx * h)
-    g = np.meshgrid(*axes, indexing="ij")
-    return np.stack([a.reshape(-1) for a in g], axis=1)
+            idx += 0.5
+        pts[:, d] = origin[d] + idx * h
+    return pts
+
+
+def _family_midpoints(origin, h, shapes, offsets, halves, ids=None):
+    """Midpoints of the global ids (all by default) of the three edge or
+    face lattices ``shapes``, lattice d starting at offsets[d] and offset
+    by h/2 on the axes halves[d].  Only the requested points are formed."""
+    ids = np.arange(offsets[-1]) if ids is None else np.asarray(ids)
+    lattice = np.searchsorted(offsets[1:], ids, side="right")
+    pts = np.empty((ids.size, 3))
+    for d in range(3):
+        sel = lattice == d
+        pts[sel] = _lattice_midpoints(origin, h, shapes[d], halves[d], ids[sel] - offsets[d])
+    return pts
 
 
 @dataclass
@@ -162,15 +182,12 @@ class YeeGrid:
     # -- global id helpers ---------------------------------------------------
 
     def edge_midpoints(self, ids=None):
-        pts = _all_edge_midpoints(self.origin, self.h, self.n)
-        return pts if ids is None else pts[ids]
+        return _family_midpoints(self.origin, self.h, _edge_shapes(self.n),
+                                 self.edge_offsets, _EDGE_HALVES, ids)
 
     def face_midpoints(self, ids=None):
-        pts = np.concatenate([
-            _lattice_midpoints(self.origin, self.h, shp, {0, 1, 2} - {d})
-            for d, shp in enumerate(_face_shapes(self.n))
-        ])
-        return pts if ids is None else pts[ids]
+        return _family_midpoints(self.origin, self.h, _face_shapes(self.n),
+                                 self.face_offsets, _FACE_HALVES, ids)
 
     def edge_direction(self, ids):
         """Lattice axis (0/1/2) of each global edge id."""
@@ -225,7 +242,8 @@ def build_grid(spec: GeometrySpec, n: Sequence[int]) -> YeeGrid:
     # split surface edges into lateral band and end caps via the curve parameter
     band_ids = np.nonzero(edge_status == EDGE_BAND)[0]
     if band_ids.size:
-        mids = _all_edge_midpoints(origin, h, n)[band_ids]
+        mids = _family_midpoints(origin, h, _edge_shapes(n), edge_offsets, _EDGE_HALVES,
+                                 band_ids)
         for ci, curve in enumerate(spec.cables):
             sel = edge_cable[band_ids] == ci
             if not sel.any():
@@ -256,13 +274,6 @@ def build_grid(spec: GeometrySpec, n: Sequence[int]) -> YeeGrid:
         dof_faces=np.nonzero(face_dof)[0],
         edge_offsets=edge_offsets, face_offsets=face_offsets,
     )
-
-
-def _all_edge_midpoints(origin, h, n):
-    return np.concatenate([
-        _lattice_midpoints(origin, h, shp, {d})
-        for d, shp in enumerate(_edge_shapes(n))
-    ])
 
 
 def _offsets(shapes):
@@ -312,10 +323,10 @@ def _curl_block(n, h, faces, edges) -> sp.csr_matrix:
     fshapes = _face_shapes(n)
     eoff = _offsets(eshapes)
     foff = _offsets(fshapes)
-    column = np.full(eoff[-1], -1, dtype=np.intp)     # global edge id -> column
+    column = np.full(eoff[-1], -1, dtype=np.int32)    # global edge id -> column
     column[edges] = np.arange(edges.size)
 
-    cols = np.empty((faces.size, 4), dtype=np.intp)
+    cols = np.empty((faces.size, 4), dtype=np.int32)  # the index dtype the CSR keeps
     vals = np.empty((faces.size, 4))
     first = np.searchsorted(faces, foff)
     for d in range(3):
@@ -341,15 +352,19 @@ class CurlPair:
     masses M_E = M_H = h^3), so the discrete curl adjointness
     <C_E e, h>_MH - <e, C_H h>_ME = 0 holds for the retained unknowns;
     the boundary functional of the full-grid identity lives entirely on
-    the discarded BAND columns.
+    the discarded BAND columns.  C_H is the CSC view C_E.T: it shares
+    C_E's arrays, so the curl is stored once.
     """
 
     grid: YeeGrid
     C_E: sp.csr_matrix
-    C_H: sp.csr_matrix
     eps_edge: np.ndarray
     mu_face: np.ndarray
     sigma_edge: np.ndarray
+
+    @property
+    def C_H(self) -> sp.csc_matrix:
+        return self.C_E.T
 
     def eps_inv(self):
         return 1.0 / self.eps_edge
@@ -364,14 +379,13 @@ def assemble_curls(grid: YeeGrid, m: FieldMaterials) -> CurlPair:
         raise MaterialsError(f"field material assumptions violated: {rep}")
 
     C_E = _curl_block(grid.n, grid.h, grid.dof_faces, grid.free_edges)
-    C_H = C_E.T.tocsr()
 
     # material averaging onto edges / faces (harmonic across edges for eps,
     # arithmetic on faces for mu, arithmetic for sigma)
     eps_e = _average(grid, m, "eps", _edge_cells, harmonic=True)[grid.free_edges]
     sig_e = _average(grid, m, "sigma", _edge_cells, harmonic=False)[grid.free_edges]
     mu_f = _average(grid, m, "mu", _face_cells, harmonic=False)[grid.dof_faces]
-    return CurlPair(grid=grid, C_E=C_E, C_H=C_H,
+    return CurlPair(grid=grid, C_E=C_E,
                     eps_edge=eps_e, mu_face=mu_f, sigma_edge=sig_e)
 
 
@@ -396,9 +410,12 @@ def _average(grid, m, name, lattice, harmonic):
 # ---------------------------------------------------------------------------
 
 # cell list of _ball_pairs: cells a little over radius / _PAIR_CELLS_PER_RADIUS
-# on an edge; candidate pairs are tested _PAIR_CHUNK at a time
+# on an edge; candidate pairs are tested _PAIR_CHUNK at a time.  A chunk's
+# temporaries are about 50 bytes per candidate: at pair scale 3, 2^18
+# candidates held 13 MB of them and 2^16 hold 8 MB, with the surface trace
+# equally fast (median of 9, scales 3 and 4)
 _PAIR_CELLS_PER_RADIUS = 2
-_PAIR_CHUNK = 1 << 18
+_PAIR_CHUNK = 1 << 16
 _PAIR_SLACK = 1e-6          # relative widening of the cell search against roundoff
 
 
@@ -572,8 +589,8 @@ def surface_trace(grid: YeeGrid, charts: Sequence[TubeChart]) -> sp.csr_matrix:
     ``CouplingMatrices.M_surf``.
     """
     normals = _chart_normals(charts)
-    H_interp = _component_interp(grid, charts, grid.dof_faces, grid.face_midpoints(),
-                                 grid.face_normal_axis(grid.dof_faces))
+    H_interp = _component_interp(grid, charts, grid.dof_faces, grid.face_offsets,
+                                 grid.face_midpoints)
     return (_block_diag_csr(_cross_matrices(-normals)) @ H_interp).tocsr()
 
 
@@ -583,8 +600,8 @@ def tangential_trace(grid: YeeGrid, charts: Sequence[TubeChart]) -> sp.csr_matri
     does not read it; it serves the trace checks of ``cablefield converge``.
     """
     normals = _chart_normals(charts)
-    E_interp = _component_interp(grid, charts, grid.free_edges, grid.edge_midpoints(),
-                                 grid.edge_direction(grid.free_edges))
+    E_interp = _component_interp(grid, charts, grid.free_edges, grid.edge_offsets,
+                                 grid.edge_midpoints)
     P_tan = _block_diag_csr(np.eye(3)[None] - normals[:, :, None] * normals[:, None, :])
     return (P_tan @ E_interp).tocsr()
 
@@ -593,10 +610,12 @@ def _chart_normals(charts):
     return np.concatenate([ch.normal.reshape(-1, 3) for ch in charts])
 
 
-def _component_interp(grid, charts, ids, mids, axes):
-    """Per-component interpolation of the unknowns ``ids`` (midpoints
-    ``mids[ids]``, component ``axes``) to the chart quadrature points,
-    interleaved row-wise: row 3*q + c."""
+def _component_interp(grid, charts, ids, offsets, midpoints):
+    """Per-component interpolation of the unknowns ``ids`` (ascending global
+    ids; lattice c starts at offsets[c] and holds component c; positions
+    ``midpoints(ids)``) to the chart quadrature points, interleaved
+    row-wise: row 3*q + c.  The midpoints are formed one component at a
+    time, for the unknowns only."""
     quad_pts = np.concatenate([ch.quad_points() for ch in charts])
     nq = quad_pts.shape[0]
     first = np.cumsum([0] + [ch.n_quad for ch in charts])
@@ -607,26 +626,43 @@ def _component_interp(grid, charts, ids, mids, axes):
         return (f"(cable {i}, eta {charts[i].eta[ie]:.4g}, "
                 f"theta {charts[i].theta[it]:.4g})")
 
-    rows, cols, vals = [], [], []
+    bounds = np.searchsorted(ids, offsets)
+    stencils = []
     for c in range(3):
-        sel = np.nonzero(axes == c)[0]
-        if sel.size == 0:
+        lo, hi = bounds[c], bounds[c + 1]
+        if lo == hi:
             raise GridError("grid has no unknowns of some component near the surface")
-        r, k, v = _interp_rows(quad_pts, mids[ids[sel]], grid.h, describe=describe)
-        rows.append(3 * r + c)
-        cols.append(sel[k])
-        vals.append(v)
-    return sp.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(3 * nq, ids.size))
+        stencils.append(_interp_rows(quad_pts, midpoints(ids[lo:hi]), grid.h,
+                                     describe=describe))
+    # row 3*q + c is the stencil of target q in component c, written in
+    # place: the stencils come sorted by (target, source), so each row's
+    # columns ascend
+    counts = np.stack([np.bincount(r, minlength=nq) for r, _, _ in stencils], axis=1)
+    indptr = np.r_[0, np.cumsum(counts)]
+    indices = np.empty(indptr[-1], dtype=np.int32)
+    data = np.empty(indptr[-1])
+    for c, (r, k, v) in enumerate(stencils):
+        dest = indptr[3 * r + c] + np.arange(r.size) - np.searchsorted(r, r)
+        indices[dest] = bounds[c] + k
+        data[dest] = v
+    return sp.csr_matrix((data, indices, indptr), shape=(3 * nq, ids.size))
 
 
 def _block_diag_csr(blocks):
-    """CSR of the block diagonal of (m, 3, 3) blocks, explicit zeros kept."""
+    """CSR of the block diagonal of (m, 3, 3) blocks, zeros not stored.
+
+    A product with it then reserves room only for the terms that can be
+    nonzero.  The product is the same as with the zeros stored: each
+    caller's right factor holds component c's unknowns in rows 3*q + c
+    only, so every entry of the product has one term, and a sparse product
+    drops the entries that sum to zero.
+    """
     m = blocks.shape[0]
     indices = np.repeat(3 * np.arange(m), 9) + np.tile([0, 1, 2], 3 * m)
-    return sp.csr_matrix((blocks.reshape(-1), indices, np.arange(0, 9 * m + 1, 3)),
-                         shape=(3 * m, 3 * m))
+    X = sp.csr_matrix((blocks.reshape(-1), indices, np.arange(0, 9 * m + 1, 3)),
+                      shape=(3 * m, 3 * m))
+    X.eliminate_zeros()
+    return X
 
 
 def _cross_matrices(v):

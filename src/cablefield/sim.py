@@ -174,6 +174,11 @@ class SimConfig:
     def __post_init__(self):
         if self.dt <= 0 or self.T < self.dt:
             raise ConfigError("need dt > 0 and T >= dt")
+        steps = self.T / self.dt
+        if abs(steps - round(steps)) > 1e-9 * steps:
+            raise ConfigError(f"T = {self.T:g} is not a whole number of steps dt = {self.dt:g} "
+                              f"(T / dt = {steps:.6g}); the nearest whole-step T is "
+                              f"{round(steps) * self.dt:g}")
         if self.record_stride < 1:
             raise ConfigError("record_stride must be >= 1")
         tab = self.input.table_t

@@ -6,7 +6,9 @@ divergence of the masked face field, the backwards midpoint march of
 the reversibility checks, the port values a closed loop enforces, the
 node-domain flow and output maps of a port law, the homogeneous closed
 loop of the spectral checks, the completion form of the energy
-ledger's boundary term, and the Green residual by its full formula.
+ledger's boundary term, the Green residual by its full formula, the
+bundle's N x N operators by their block_diag construction, and the Hodge
+extremes read from the assembled Hd.
 """
 
 import numpy as np
@@ -125,6 +127,44 @@ def green_residual(bundle: OperatorBundle) -> float:
     lhs = MJ + MJ.T
     diff = lhs - (bundle.B1.T @ bundle.B2 + bundle.B2.T @ bundle.B1)
     return float(abs(diff).max() / max(abs(lhs).max(), 1e-30))
+
+
+def block_operators(bundle: OperatorBundle) -> dict:
+    """J, Rd, Hd and M of the bundle, each assembled whole in one
+    sp.bmat / sp.block_diag from the line, curl and coupling blocks, with
+    C_H stored as its own CSR copy of C_E^T."""
+    line, curls, lay = bundle.line, bundle.curls, bundle.layout
+    g, h3 = line.grid, curls.grid.h ** 3
+    C_H = curls.C_E.T.tocsr()
+    coupled = bundle.K_V is not None
+    J = sp.bmat([
+        [None, None, -g.D, None],
+        [None, None, -bundle.K_V if coupled else None, -curls.C_E],
+        [-g.Dt, g.Dt @ bundle.Pm_T if coupled else None, None, None],
+        [None, C_H, None, None],
+    ], format="csr")
+    Rd = sp.block_diag([line.Rm, sp.csr_matrix((lay.n_faces, lay.n_faces)), line.Gm,
+                        sp.diags(curls.sigma_edge)], format="csr")
+    Hd = sp.block_diag([line.Linv, sp.diags(curls.mu_inv()), line.Cinv,
+                        sp.diags(curls.eps_inv())], format="csr")
+    M = sp.block_diag([g.Mc, sp.identity(lay.n_faces) * h3, g.Mn,
+                       sp.identity(lay.n_edges) * h3], format="csr")
+    return {"J": J, "Rd": Rd, "Hd": Hd, "M": M}
+
+
+def hodge_extremes_from_Hd(bundle: OperatorBundle):
+    """Eigenvalue extremes of the assembled Hd: its diagonal on the field
+    blocks, dense Hermitian eigenvalues of its line blocks."""
+    lay = bundle.layout
+    d = bundle.Hd.diagonal()
+    lo = min(d[lay.sl_H].min(), d[lay.sl_E].min())
+    hi = max(d[lay.sl_H].max(), d[lay.sl_E].max())
+    for sl in (lay.sl_I, lay.sl_V):
+        block = bundle.Hd[sl, sl].toarray()
+        lam = np.linalg.eigvalsh(0.5 * (block + block.conj().T))
+        lo = min(lo, lam.min())
+        hi = max(hi, lam.max())
+    return float(lo), float(hi)
 
 
 def ports(bundle: OperatorBundle, e: np.ndarray) -> np.ndarray:

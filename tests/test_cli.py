@@ -146,13 +146,14 @@ def test_certify_builds_the_completion_once(scenario_path, monkeypatch, capsys):
     assert len(calls) == 1
 
 
-def test_certify_never_assembles_J(scenario_path, monkeypatch, capsys):
+def test_certify_never_assembles_the_operators(scenario_path, monkeypatch, capsys):
     from cablefield.assembly import OperatorBundle
 
-    def refuse(bundle):
-        raise AssertionError("certify read OperatorBundle.J")
+    for name in ("J", "Rd", "Hd", "M"):
+        def refuse(bundle, name=name):
+            raise AssertionError(f"certify read OperatorBundle.{name}")
 
-    monkeypatch.setattr(OperatorBundle, "J", property(refuse))
+        monkeypatch.setattr(OperatorBundle, name, property(refuse))
     assert main(["certify", scenario_path]) == EXIT_OK
     assert json.loads(capsys.readouterr().out)["green_residual"] <= 1e-12
 
@@ -164,6 +165,20 @@ def single_cable_config(dt, T):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module._single_config(dt, T)
+
+
+def test_T_must_be_a_whole_number_of_steps(tmp_path, capsys):
+    # T = 0.1 is 2.5 steps of dt = 0.04: a ConfigError (exit 2) that names
+    # the nearest whole-step T, in validate and in simulate, not a run that
+    # silently ends early
+    path = write(tmp_path, single_cable_config(0.04, 0.1))
+    assert main(["validate", path]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "T = 0.1" in err and "dt = 0.04" in err
+    assert f"nearest whole-step T is {round(0.1 / 0.04) * 0.04:g}" in err
+    assert main(["simulate", path, "--output-dir", str(tmp_path / "out")]) == EXIT_USAGE
+    assert capsys.readouterr().err == err
+    assert not (tmp_path / "out").exists()
 
 
 def test_output_count_must_match_input_count(tmp_path, capsys):

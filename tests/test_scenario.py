@@ -1,10 +1,13 @@
+import copy
+
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from cablefield import sim
+from cablefield.assembly import hodge_extremes
 from cablefield.errors import ConfigError
 from cablefield.scenario import build_scenario, parse_complex, validate_scenario
+from oracles import block_operators, hodge_extremes_from_Hd
 
 MUTUAL = [[1.0, 0.1], [0.1, 1.0]]
 
@@ -142,19 +145,37 @@ def test_zero_imaginary_amplitudes_run_real():
     assert np.allclose(traj.energy, energy, rtol=1e-12, atol=0)
 
 
-def test_J_is_assembled_on_first_use(scenario_config):
-    scn = build_scenario(scenario_config)
+OPERATORS = ("J", "Rd", "Hd", "M")
+
+
+@pytest.mark.parametrize("case", ["pair", "single"])
+def test_operators_are_assembled_on_first_read(scenario_config, case):
+    config = scenario_config if case == "pair" else single_cable_config()
+    scn = build_scenario(config)
     scn.certificate()
     bundle = scn.bundle
-    assert "J" not in vars(bundle)          # build and certify never read J
-    g, curls = bundle.line.grid, bundle.curls
-    ref = sp.bmat([
-        [None, None, -g.D, None],
-        [None, None, -bundle.K_V, -curls.C_E],
-        [-g.Dt, g.Dt @ bundle.Pm_T, None, None],
-        [None, curls.C_H, None, None],
-    ], format="csr")
-    J = bundle.J
-    for name in ("data", "indices", "indptr"):
-        assert np.array_equal(getattr(J, name), getattr(ref, name))
-    assert bundle.J is J                    # kept after the first read
+    # build and certify assemble none of the N x N operators, and store
+    # the curl once: C_H is a view of C_E's arrays
+    assert not set(OPERATORS) & set(vars(bundle))
+    assert np.shares_memory(bundle.curls.C_H.data, bundle.curls.C_E.data)
+    ref = block_operators(bundle)
+    for op in OPERATORS:
+        A = getattr(bundle, op)
+        for name in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(A, name), getattr(ref[op], name)), (op, name)
+        assert getattr(bundle, op) is A     # kept after the first read
+
+
+def test_hodge_extremes_read_from_the_blocks(scenario_config):
+    mutual = copy.deepcopy(scenario_config)
+    # a k = 2 line with off-diagonal L and C, and anisotropic field materials
+    mutual["line"].update(L=[[1.0, 0.3], [0.3, 0.8]], C=[[2.0, -0.4], [-0.4, 1.5]])
+    mutual["fields"]["eps"] = [1.0, 2.0, 1.5]
+    for config in (single_cable_config(), scenario_config, mutual):
+        bundle = build_scenario(config).bundle
+        extremes = hodge_extremes(bundle)
+        assert "Hd" not in vars(bundle)
+        assert extremes == hodge_extremes_from_Hd(bundle)
+    # both extremes come from the line blocks: eig(C^-1) down to 0.45,
+    # eig(L^-1) up to 1.71, against eps^-1 in [0.5, 1] and mu^-1 = 1
+    assert extremes[0] < 0.5 and extremes[1] > 1.5
