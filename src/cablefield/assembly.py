@@ -111,11 +111,11 @@ def _j_blocks(line: LineBlocks, curls: CurlPair, K_V, Pm_T) -> dict:
 class OperatorBundle:
     """Assembled (J, R, H) triple with masses and boundary extraction.
 
-    J, Rd, Hd and M are not stored: each is assembled from the line, curl
-    and coupling blocks the bundle holds the first time it is read, and
-    kept from then on.  The closed loop and the operator export read them;
-    certification reads none (the Green check and hodge_extremes work on
-    the blocks).
+    J, Rd, Hd, M and Lg_state are not stored: each is assembled from the
+    line, curl and coupling blocks the bundle holds the first time it is
+    read, and kept from then on.  The closed loop and the operator export
+    read them; certification reads none (the Green check and
+    hodge_extremes work on the blocks).
     """
 
     layout: BlockLayout
@@ -124,7 +124,6 @@ class OperatorBundle:
     B2: sp.csr_matrix         # efforts -> C^{2k}: (V(0), -V(1))
     Pm_T: Optional[sp.csr_matrix]
     K_V: Optional[sp.csr_matrix]
-    Lg_state: sp.csr_matrix   # ghost endpoint currents -> q-block rows
     green_residual: float
     line: LineBlocks
     curls: CurlPair
@@ -141,6 +140,17 @@ class OperatorBundle:
                                                self.Pm_T).items():
             grid[a][b] = block if sign > 0 else -block
         return sp.bmat(grid, format="csr")
+
+    @cached_property
+    def Lg_state(self) -> sp.csr_matrix:
+        """Ghost endpoint currents -> q-block rows, N x 2k."""
+        lay, two_k = self.layout, 2 * self.k
+        return sp.vstack([
+            sp.csr_matrix((lay.n_cells, two_k)),
+            sp.csr_matrix((lay.n_faces, two_k)),
+            self.line.grid.Lg,
+            sp.csr_matrix((lay.n_edges, two_k)),
+        ]).tocsr()
 
     @cached_property
     def Rd(self) -> sp.csr_matrix:
@@ -191,8 +201,8 @@ def assemble_system(line: LineBlocks, curls: CurlPair,
     raises AssemblyError when max |lhs - rhs| / max |lhs| exceeds green_tol.
     It forms neither J nor M: _green_residual reads both sides block pair
     by block pair from the blocks J is made of and the diagonal of M.  The
-    bundle keeps only those blocks, the boundary maps and Lg_state; J, Rd,
-    Hd and M are assembled when first read.
+    bundle keeps only those blocks and the boundary maps; J, Rd, Hd, M
+    and Lg_state are assembled when first read.
     """
     g = line.grid
     grid = curls.grid
@@ -233,16 +243,8 @@ def assemble_system(line: LineBlocks, curls: CurlPair,
     if green_residual > green_tol:
         raise AssemblyError(f"discrete Green identity violated: residual {green_residual:.3e}")
 
-    Lg_state = sp.vstack([
-        zeros(lay.n_cells, two_k),
-        zeros(lay.n_faces, two_k),
-        g.Lg,
-        zeros(lay.n_edges, two_k),
-    ]).tocsr()
-
     return OperatorBundle(layout=lay, k=g.k, B1=B1, B2=B2, Pm_T=Pm_T, K_V=K_V,
-                          Lg_state=Lg_state, green_residual=green_residual,
-                          line=line, curls=curls)
+                          green_residual=green_residual, line=line, curls=curls)
 
 
 def _mass_blocks(line: LineBlocks, curls: CurlPair) -> list:

@@ -10,28 +10,35 @@ and edges and f the faces,
     S = L_rr - L_rf L_fr,   S x_r = rhs_r - L_rf rhs_f,   x_f = rhs_f - L_fr x_r.
 
 How S x_r = P rhs is solved is decided by one size rule on the reduced
-unknowns, DIRECT_MAX_UNKNOWNS = 3000:
+unknowns, DIRECT_MAX_UNKNOWNS = 1500:
 
-  * At or below it, S is factorized once per (loop, dt) by SuperLU (MMD
-    ordering on S^T + S), in real arithmetic when the law and the materials
-    are real; a complex right-hand side on a real factor is solved as its
-    real and imaginary parts.  On the 412-unknown single cable a step takes
-    about 0.09 ms on this path and 0.6 ms on the GMRES one.
-  * Above it, no factor is built.  S is solved by restarted GMRES
+  * At or below it, S is inverted once per (loop, dt) as a dense matrix
+    (np.linalg.inv), in real arithmetic when the law and the materials are
+    real, and a step solve is one matrix-vector product; a complex
+    right-hand side on a real inverse is solved as two real products, of
+    its real and imaginary parts.  On the 412-unknown single cable the
+    inverse is 1.4 MB and the set-up, S included, takes 0.015-0.02 s
+    (a SuperLU set-up took 0.09 s, most of it importing
+    scipy.sparse.linalg).  The solve is one 32 us product against
+    SuperLU's 37-40 us, so a step takes 0.10-0.13 ms on either, against
+    0.6 ms on GMRES.
+  * Above it, no inverse is built.  S is solved by restarted GMRES
     (Saad-Schultz), right-preconditioned by the Jacobi diagonal 1/diag(S),
     in complex arithmetic when S or the right-hand side is complex.  At the
     usual steps S is close to I - dt/2 A, so a solve takes 9-26 iterations
     (pair at scales 1-4, dt = 0.01).  Each solve starts from the previous
     solve's x_r, the midpoint one step before (the first from zero).  The
-    set-up only assembles S (0.01 s on the 6,396-unknown pair, whose factor
-    takes 0.33 s), and the memory stays linear in the unknowns:
-    GMRES_RESTART + 1 basis vectors.
-  * Measured per-step cost, direct against GMRES on 2 cores: 0.6 against
-    1.1 ms at 1,781 reduced unknowns, 2.0-2.3 against 2.4 ms at 4,719 and
-    4.0 against 2.5 ms at 6,396.  The rule also keeps splu off systems
-    whose factor the machine cannot hold: the scale-2 pair (56,482) took
-    18 s and 1.4 GB to factorize and scale 3 (199,516) does not fit in
-    7 GB, while GMRES steps scale 3 in 0.38 GB.
+    set-up only assembles S (0.01 s on the 6,396-unknown pair), and the
+    memory stays linear in the unknowns: GMRES_RESTART + 1 basis vectors.
+  * Measured per-step cost, dense against GMRES, on single-cable grids at
+    dt = 5e-3 on 2 cores: 0.29 against 0.69 ms at 657 reduced unknowns,
+    0.75 against 0.78-0.99 ms at 1,769, 0.81 against 0.71 ms at 1,977,
+    2.2 against 0.94 ms at 2,614 and 6.8 against 2.1 ms at 4,695.  The
+    rule sits below the crossover (about 1,800-1,900), where the inverse
+    is at most 18 MB real (36 MB complex) and its set-up is about 0.25 s
+    (measured: 0.14 s at 1,073, 0.36-0.42 s and 25 MB at 1,769).  Above
+    it the inverse's n^2 memory and n^3 set-up grow past anything the
+    step saves: 36 s and 0.85 GB at 10,313.
   * The GMRES tolerance derives from solver_tol: it stops at
     ||P rhs - S x_r|| <= GMRES_TOL_FACTOR solver_tol ||P rhs|| (1e-13 at the
     default 1e-10).  The face rows are solved exactly, so this is also the
@@ -61,18 +68,23 @@ enforced port vector z, less the dissipation, for every admissible law
 power less the supply Re(u^H y), so the ledger needs neither the law nor
 a co-located completion, and it closes for every law.
 
-scipy.sparse.linalg is imported where it is used: by the direct branch of
-MidpointStepper (splu) and by lifted_state (spsolve).  A GMRES-path run
-loads no SciPy solver module; GMRES solves its small Hessenberg system with
-np.linalg.solve, in complex arithmetic when the data are complex.
+No SciPy solver module is loaded by any run: the direct branch inverts
+with np.linalg.inv, GMRES solves its small Hessenberg system with
+np.linalg.solve, in complex arithmetic when the data are complex, and
+lifted_state solves the line's node blocks of C^-1 q = V with one batched
+np.linalg.solve.
 
 run() records in blocks: each recorded state is copied into a column of
 an (n, B) buffer, and a full buffer is reduced at once (energy, ||x||_M,
 efforts, enforced ports zeta, outputs y, dissipation rate) with sparse
 matrix x dense block products into preallocated trajectory arrays.  B is
-set by the byte budget RECORD_BLOCK_BYTES (2 MiB): B = budget // (itemsize n)
-clamped to [1, RECORD_BLOCK_MAX_COLUMNS = 256], so a large system keeps a
-few columns (about 18 at n = 13,852) and adds no memory to speak of.
+set by the byte budget RECORD_BLOCK_BYTES (256 KiB): B = budget // (itemsize
+n) clamped to [1, RECORD_BLOCK_MAX_COLUMNS = 256], so the single cable
+(n = 1,152) keeps 28 columns and the pair (n = 13,852) 2.  A flush's
+temporaries (M Hd X, M X, the efforts and M Rd E) are each the size of the
+block, so the budget sets the run's record memory about five times over:
+2 MiB added 2.7 MB of peak RSS on the single cable and 4.0 MB on the pair
+against 256 KiB, and made run() no faster.
 """
 
 from __future__ import annotations
@@ -90,12 +102,12 @@ from .errors import ConfigError, DomainError, SolverError
 
 # Byte budget of run()'s block of recorded states: the block holds
 # clamp(budget // (itemsize n), 1, RECORD_BLOCK_MAX_COLUMNS) columns.
-RECORD_BLOCK_BYTES = 2 * 2 ** 20
+RECORD_BLOCK_BYTES = 256 * 2 ** 10
 RECORD_BLOCK_MAX_COLUMNS = 256
 
-# Size rule of the step solve: S is factorized by splu up to this many
+# Size rule of the step solve: S is inverted densely up to this many
 # reduced unknowns and solved by Jacobi-preconditioned GMRES above it.
-DIRECT_MAX_UNKNOWNS = 3000
+DIRECT_MAX_UNKNOWNS = 1500
 # GMRES stops at ||b - S x|| <= GMRES_TOL_FACTOR solver_tol ||b||, restarts
 # every GMRES_RESTART iterations and gives up after GMRES_MAX_ITERATIONS.
 GMRES_TOL_FACTOR = 1e-3
@@ -249,14 +261,18 @@ def lifted_state(bundle: OperatorBundle, grid, chart, line_grid, V0: np.ndarray,
                  line: int = 0) -> np.ndarray:
     """State with charge C V0 on the line and D = eps * lift(V0) so the
     initial tangential trace matches the coupling condition."""
-    import scipy.sparse.linalg as spla
-
     from .coupling import lift_voltage
 
     lay = bundle.layout
-    V_full = np.zeros(lay.n_nodes)
-    V_full[line::line_grid.k] = V0
-    q = spla.spsolve(bundle.line.Cinv.tocsc(), V_full)
+    k = line_grid.k
+    nodes = lay.n_nodes // k
+    V_full = np.zeros((nodes, k))
+    V_full[:, line] = V0
+    # q = C V node by node: C^-1 is block diagonal, sample-major, with one
+    # k x k block per node (the line's few nodes make the dense copy small)
+    Cinv = bundle.line.Cinv.toarray().reshape(nodes, k, nodes, k)
+    blocks = Cinv[np.arange(nodes), :, np.arange(nodes), :]
+    q = np.linalg.solve(blocks, V_full[..., None]).ravel()
     lift = lift_voltage(chart, grid, np.asarray(V0, dtype=float), line_grid)
     d = lift.values[grid.free_edges] / bundle.curls.eps_inv()
     x = np.zeros(bundle.n, dtype=np.result_type(q, d))
@@ -273,13 +289,15 @@ class MidpointStepper:
     """Implicit-midpoint stepper for one (loop, dt) pair.
 
     Builds the face-eliminated step system S once and, by the size rule of
-    the module docstring, factorizes it or sets up its Jacobi-GMRES solve.
-    The per-step operators are the input columns dt/2 Bu[:, :m] (dense) and
-    P = [I_r | -L_rf], which maps the right-hand side to S's in one product.
+    the module docstring, inverts it densely or sets up its Jacobi-GMRES
+    solve.  The per-step operators are the input columns dt/2 Bu[:, :m]
+    (dense) and P = [I_r | -L_rf], which maps the right-hand side to S's in
+    one product; every step's residual is then checked against the full L.
     ``stats`` reports the size, the method ("direct" or "gmres"), the
-    set-up time (``factor_s``), the LU fill (direct) or the maximum and mean
-    GMRES iterations per solve, the number of step solves and the worst
-    relative step residual so far.
+    set-up time (``factor_s``), the bytes of the inverse (direct,
+    ``inverse_bytes``) or the maximum and mean GMRES iterations per solve,
+    the number of step solves and the worst relative step residual so far.
+    A singular S raises SolverError.
     """
 
     def __init__(self, loop: ClosedLoop, dt: float, solver_tol: float = 1e-10):
@@ -304,11 +322,10 @@ class MidpointStepper:
         self._Bu = (half * loop.Bu[:, :self._m]).toarray()
         S = (sp.identity(r.size, dtype=A.dtype, format="csr") - half * A[r][:, r]
              - Arf @ self._Afr)
-        self._real = S.dtype.kind != "c"
-        self._lu = None
         self.solves = 0
         self.max_rel_residual = 0.0
         self.iterations = []        # GMRES iterations of each solve
+        self._Sinv = None
         if r.size > DIRECT_MAX_UNKNOWNS:
             self._S = S.tocsr()
             diag = self._S.diagonal()
@@ -320,32 +337,30 @@ class MidpointStepper:
             self._x_r = np.zeros(r.size, dtype=S.dtype)
             self._stats = {"reduced_unknowns": int(r.size), "method": "gmres"}
         else:
-            import scipy.sparse.linalg as spla
-
             try:
-                self._lu = spla.splu(S.tocsc(), permc_spec="MMD_AT_PLUS_A")
-            except RuntimeError as exc:
-                raise SolverError(f"step matrix factorization failed: {exc}") from exc
+                self._Sinv = np.linalg.inv(S.toarray())
+            except np.linalg.LinAlgError as exc:
+                raise SolverError(f"step matrix inversion failed: {exc}") from exc
             self._stats = {"reduced_unknowns": int(r.size), "method": "direct",
-                           "lu_fill": int(self._lu.L.nnz + self._lu.U.nnz)}
+                           "inverse_bytes": int(self._Sinv.nbytes)}
         self._stats["factor_s"] = time.perf_counter() - t0
 
     def stats(self) -> dict:
         out = {**self._stats, "solves": self.solves,
                "max_rel_residual": self.max_rel_residual}
-        if self._lu is None:
+        if self._Sinv is None:
             out["iterations_max"] = max(self.iterations, default=0)
             out["iterations_mean"] = float(np.mean(self.iterations)) if self.iterations else 0.0
         return out
 
     def _solve_reduced(self, b: np.ndarray) -> np.ndarray:
-        if self._lu is None:
+        Sinv = self._Sinv
+        if Sinv is None:
             self._x_r = self._gmres(b, self._x_r)
             return self._x_r
-        if self._real and np.iscomplexobj(b):
-            z = self._lu.solve(np.column_stack([b.real, b.imag]))
-            return z[:, 0] + 1j * z[:, 1]
-        return self._lu.solve(b)
+        if np.iscomplexobj(b) and Sinv.dtype.kind != "c":
+            return Sinv @ b.real + 1j * (Sinv @ b.imag)
+        return Sinv @ b
 
     def _gmres(self, b: np.ndarray, x: np.ndarray) -> np.ndarray:
         """Solve S x = b by restarted GMRES(GMRES_RESTART), right-preconditioned
@@ -448,7 +463,7 @@ class Trajectory:
     x_final: np.ndarray
     x0: np.ndarray
     ledger: Optional[dict] = None
-    solver: Optional[dict] = None  # MidpointStepper.stats() of the run
+    solver: Optional[dict] = None  # MidpointStepper.stats() and the step-loop timing
 
 
 def _column_forms(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -463,7 +478,9 @@ def run(loop: ClosedLoop, cfg: SimConfig, x0: Optional[np.ndarray] = None) -> Tr
     samples (``energy_ledger``).
 
     Recorded states are copied into a block of columns and reduced a block
-    at a time (see the module docstring).
+    at a time (see the module docstring).  ``solver`` holds the stepper's
+    stats and the step loop's wall time, records included: ``stepping_s``
+    (time.perf_counter) and ``steps_per_s``.
     """
     bundle, law = loop.bundle, loop.law
     if x0 is None:
@@ -517,6 +534,7 @@ def run(loop: ClosedLoop, cfg: SimConfig, x0: Optional[np.ndarray] = None) -> Tr
             flush()
 
     record(0.0, x, u0)
+    clock = time.perf_counter()
     for i in range(n_steps):
         t_mid = (i + 0.5) * cfg.dt
         u_mid = cfg.input(t_mid)
@@ -527,12 +545,15 @@ def run(loop: ClosedLoop, cfg: SimConfig, x0: Optional[np.ndarray] = None) -> Tr
         if (i + 1) % cfg.record_stride == 0 or i == n_steps - 1:
             t = (i + 1) * cfg.dt
             record(t, x, cfg.input(t))
+    stepping_s = time.perf_counter() - clock
     if filled:
         flush()
 
+    solver = {**stepper.stats(), "stepping_s": stepping_s,
+              "steps_per_s": n_steps / stepping_s}
     traj = Trajectory(
         times=times, energy=energy, xnorm=xnorm, u=u_rec, y=zeta @ law.W_C_out.T,
-        zeta=zeta, diss_rate=diss, x_final=x, x0=x0, solver=stepper.stats(),
+        zeta=zeta, diss_rate=diss, x_final=x, x0=x0, solver=solver,
     )
     traj.ledger = energy_ledger(traj)
     return traj

@@ -3,7 +3,8 @@
 These are oracles for the package, not part of it: the periodic curl and
 derivative pairs (dispersion and eigenvalue references), the cell
 divergence of the masked face field, the backwards midpoint march of
-the reversibility checks, the port values a closed loop enforces, the
+the reversibility checks, the midpoint step by a sparse LU of the whole
+step system, the port values a closed loop enforces, the
 node-domain flow and output maps of a port law, the homogeneous closed
 loop of the spectral checks, the completion form of the energy
 ledger's boundary term, the Green residual by its full formula, the
@@ -120,6 +121,33 @@ def reverse_run(loop: ClosedLoop, x: np.ndarray, dt: float, n_steps: int,
     return x
 
 
+class FullLUStepper:
+    """Implicit-midpoint step by a SuperLU factor of the whole
+    L = I - dt/2 A: no face elimination and no size rule.  It has
+    MidpointStepper's constructor, ``step`` and ``stats``, so a run can be
+    put on it, as the reference of the package's reduced solves.  A complex
+    right-hand side on a real factor is a TypeError from SuperLU."""
+
+    def __init__(self, loop: ClosedLoop, dt: float, solver_tol: float = 1e-10):
+        import scipy.sparse.linalg as spla
+
+        half = 0.5 * dt
+        A = loop.A.tocsc()
+        self._m = loop.law.m
+        self._Bu = (half * loop.Bu[:, :self._m]).toarray()
+        self._lu = spla.splu((sp.identity(A.shape[0], dtype=A.dtype, format="csc")
+                              - half * A).tocsc())
+        self.solves = 0
+
+    def stats(self) -> dict:
+        return {"method": "full_lu", "solves": self.solves}
+
+    def step(self, x: np.ndarray, u_mid) -> tuple:
+        x_mid = self._lu.solve(x + self._Bu @ np.atleast_1d(u_mid))
+        self.solves += 1
+        return 2.0 * x_mid - x, x_mid
+
+
 def green_residual(bundle: OperatorBundle) -> float:
     """The Green identity's residual from the assembled J:
     max |M J + (M J)^T - (B1^T B2 + B2^T B1)| / max |M J + (M J)^T|."""
@@ -130,7 +158,7 @@ def green_residual(bundle: OperatorBundle) -> float:
 
 
 def block_operators(bundle: OperatorBundle) -> dict:
-    """J, Rd, Hd and M of the bundle, each assembled whole in one
+    """J, Rd, Hd, M and Lg_state of the bundle, each assembled whole in one
     sp.bmat / sp.block_diag from the line, curl and coupling blocks, with
     C_H stored as its own CSR copy of C_E^T."""
     line, curls, lay = bundle.line, bundle.curls, bundle.layout
@@ -149,7 +177,10 @@ def block_operators(bundle: OperatorBundle) -> dict:
                         sp.diags(curls.eps_inv())], format="csr")
     M = sp.block_diag([g.Mc, sp.identity(lay.n_faces) * h3, g.Mn,
                        sp.identity(lay.n_edges) * h3], format="csr")
-    return {"J": J, "Rd": Rd, "Hd": Hd, "M": M}
+    two_k = 2 * bundle.k
+    Lg_state = sp.bmat([[sp.csr_matrix((lay.n_cells + lay.n_faces, two_k))], [g.Lg],
+                        [sp.csr_matrix((lay.n_edges, two_k))]], format="csr")
+    return {"J": J, "Rd": Rd, "Hd": Hd, "M": M, "Lg_state": Lg_state}
 
 
 def hodge_extremes_from_Hd(bundle: OperatorBundle):

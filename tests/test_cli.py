@@ -255,8 +255,12 @@ def test_simulate_writes_csv_and_summary(scenario_path, tmp_path, capsys):
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     solver = summary["solver"]
     assert set(solver) == {"reduced_unknowns", "method", "factor_s", "iterations_max",
-                           "iterations_mean", "solves", "max_rel_residual"}
+                           "iterations_mean", "solves", "max_rel_residual",
+                           "stepping_s", "steps_per_s"}
     assert solver["solves"] == summary["records"] - 1 == 30     # T / dt = 0.3 / 0.01
+    # the step loop's wall time and rate
+    assert solver["stepping_s"] > 0 and solver["steps_per_s"] > 0
+    assert solver["steps_per_s"] * solver["stepping_s"] == pytest.approx(30)
     assert solver["reduced_unknowns"] == 13852 - 7456    # all unknowns but the faces
     assert solver["method"] == "gmres"                   # above the size rule
     assert 0 < solver["iterations_mean"] <= solver["iterations_max"] <= 30
@@ -354,9 +358,9 @@ sys.stderr.write(json.dumps(seen))
 
 def test_cli_import_leaves_the_spline_module_unloaded(tmp_path, scenario_config):
     # each command imports only what it runs: scipy.interpolate (and
-    # scipy.optimize behind it) only for a spline cable, scipy.sparse.linalg
-    # (and the scipy.linalg under it) only for the direct step solve, and no
-    # command scipy.spatial or scipy.special
+    # scipy.optimize behind it) only for a spline cable, and no command
+    # scipy.spatial, scipy.linalg, scipy.sparse.linalg or scipy.special;
+    # both step solves, the dense inverse and GMRES, run on numpy alone
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(pathlib.Path(__file__).resolve().parents[1] / "src"),
@@ -376,6 +380,4 @@ def test_cli_import_leaves_the_spline_module_unloaded(tmp_path, scenario_config)
                           env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]
     seen = json.loads(proc.stderr.strip().splitlines()[-1])
-    assert seen["import"] == seen["certify"] == seen["gmres"] == []
-    # splu: scipy.sparse.linalg, with the scipy.linalg it is built on
-    assert seen["direct"] == ["scipy.linalg", "scipy.sparse.linalg"]
+    assert seen["import"] == seen["certify"] == seen["gmres"] == seen["direct"] == []

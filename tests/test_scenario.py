@@ -7,7 +7,7 @@ from cablefield import sim
 from cablefield.assembly import hodge_extremes
 from cablefield.errors import ConfigError
 from cablefield.scenario import build_scenario, parse_complex, validate_scenario
-from oracles import block_operators, hodge_extremes_from_Hd
+from oracles import FullLUStepper, block_operators, hodge_extremes_from_Hd
 
 MUTUAL = [[1.0, 0.1], [0.1, 1.0]]
 
@@ -90,31 +90,46 @@ def test_real_data_stay_real(scenario_config):
     assert traj.solver["max_rel_residual"] <= scn.sim_config.solver_tol
 
 
-def test_krylov_and_direct_steps_agree_on_the_pair(scenario_config, monkeypatch):
-    # the pair (6,396 reduced unknowns) is above the size rule; lifting the
-    # rule puts the same run on the factorized solve
+def test_krylov_steps_match_a_full_system_lu_on_the_pair(scenario_config, monkeypatch):
+    # the pair (6,396 reduced unknowns) is above the size rule and steps by
+    # GMRES; the reference run factorizes the whole step system instead
     scn = build_scenario(scenario_config)
     krylov = scn.simulate()
-    monkeypatch.setattr(sim, "DIRECT_MAX_UNKNOWNS", scn.bundle.n)
-    direct = scn.simulate()
-    assert (krylov.solver["method"], direct.solver["method"]) == ("gmres", "direct")
+    monkeypatch.setattr(sim, "MidpointStepper", FullLUStepper)
+    full = scn.simulate()
+    assert (krylov.solver["method"], full.solver["method"]) == ("gmres", "full_lu")
     assert krylov.solver["max_rel_residual"] <= 1e-3 * scn.sim_config.solver_tol
-    diff = np.linalg.norm(krylov.x_final - direct.x_final)
-    assert diff <= 1e-10 * np.linalg.norm(direct.x_final)
-    assert np.allclose(krylov.energy, direct.energy, rtol=1e-10, atol=0.0)
+    diff = np.linalg.norm(krylov.x_final - full.x_final)
+    assert diff <= 1e-10 * np.linalg.norm(full.x_final)
+    assert np.allclose(krylov.energy, full.energy, rtol=1e-10, atol=0.0)
 
 
-def test_single_cable_benchmark_system_stays_direct():
-    # the single_n1152 benchmark scenario (412 reduced unknowns, dt = 2e-5)
+def benchmark_single_cable_config():
+    """The single_n1152 benchmark scenario (412 reduced unknowns, dt = 2e-5),
+    over 10 steps."""
     cfg = single_cable_config()
     cfg["sim"].update(dt=2e-5, T=2e-4)
     cfg["sim"]["input"] = {"kind": "sine", "freq": 0.3,
                            "amplitude": [[0.3, 0.0], [0.3, 0.0]], "phase": 0.0}
     cfg["sim"]["initial"] = {"kind": "smooth", "scale": 1.0}
-    solver = build_scenario(cfg).simulate().solver
+    return cfg
+
+
+def test_single_cable_benchmark_system_stays_direct():
+    solver = build_scenario(benchmark_single_cable_config()).simulate().solver
     assert solver["reduced_unknowns"] == 412 <= sim.DIRECT_MAX_UNKNOWNS
-    assert solver["method"] == "direct" and solver["lu_fill"] > 0
+    assert solver["method"] == "direct"
+    assert solver["inverse_bytes"] == 412 * 412 * 8        # one real dense inverse
     assert "iterations_max" not in solver
+
+
+@pytest.mark.parametrize("limit, method", [(412, "direct"), (411, "gmres")])
+def test_size_rule_boundary(monkeypatch, limit, method):
+    # the rule is inclusive: a system of exactly DIRECT_MAX_UNKNOWNS is direct
+    monkeypatch.setattr(sim, "DIRECT_MAX_UNKNOWNS", limit)
+    scn = build_scenario(benchmark_single_cable_config())
+    solver = sim.MidpointStepper(scn.closed_loop(), scn.sim_config.dt).stats()
+    assert (solver["reduced_unknowns"], solver["method"]) == (412, method)
 
 
 def test_zero_imaginary_amplitudes_run_real():
@@ -145,7 +160,7 @@ def test_zero_imaginary_amplitudes_run_real():
     assert np.allclose(traj.energy, energy, rtol=1e-12, atol=0)
 
 
-OPERATORS = ("J", "Rd", "Hd", "M")
+OPERATORS = ("J", "Rd", "Hd", "M", "Lg_state")
 
 
 @pytest.mark.parametrize("case", ["pair", "single"])
@@ -154,7 +169,7 @@ def test_operators_are_assembled_on_first_read(scenario_config, case):
     scn = build_scenario(config)
     scn.certificate()
     bundle = scn.bundle
-    # build and certify assemble none of the N x N operators, and store
+    # build and certify assemble none of the N-row operators, and store
     # the curl once: C_H is a view of C_E's arrays
     assert not set(OPERATORS) & set(vars(bundle))
     assert np.shares_memory(bundle.curls.C_H.data, bundle.curls.C_E.data)
