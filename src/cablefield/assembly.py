@@ -5,12 +5,14 @@ Efforts e = (I, H, V, E) = Hd x share the block layout.  The coupled
 skew part acts as
 
     d/dt psi = -D V                                (line cells)
-    d/dt B   = -C_E E - K_V V                      (faces)
+    d/dt B   = -(1/h) D_F E - K_V V                (faces)
     d/dt q   = -Dt (I - Pm_T H)                    (line nodes)
-    d/dt D   =  C_H H                              (edges)
+    d/dt D   =  (1/h) D_F^T H                      (edges)
 
-where K_V injects the lifted tangential voltage field into the Faraday
-row through the mass-weighted adjoint of the surface trace, and
+where D_F is the field's signed edge->face incidence (maxwell.CurlPair;
+the curls are C_E = D_F / h and C_H = D_F^T / h), K_V injects the lifted
+tangential voltage field into the Faraday row through the mass-weighted
+adjoint of the surface trace, and
 Pm_T = -sign * Pmag . R_nu corrects the total line current by the ring
 functional of nu x H.  The relative sign of the two insertions is forced
 by the exact discrete Green identity
@@ -96,11 +98,14 @@ class BlockLayout:
 
 
 def _j_blocks(line: LineBlocks, curls: CurlPair, K_V, Pm_T) -> dict:
-    """The nonzero blocks of J as {(a, b): (sign, block)}, J_ab = sign * block,
-    with a, b indexing the block order (I, H, V, E) of BlockLayout."""
+    """The nonzero blocks of J as {(a, b): (factor, block)}, J_ab = factor * block,
+    with a, b indexing the block order (I, H, V, E) of BlockLayout.  The
+    curl pair is the integer incidence with the factors -1/h and 1/h; its
+    (E, H) block is the CSC view D^T, which shares D's arrays."""
     g = line.grid
-    blocks = {(0, 2): (-1.0, g.D), (1, 3): (-1.0, curls.C_E),
-              (2, 0): (-1.0, g.Dt), (3, 1): (1.0, curls.C_H)}
+    D, h = curls.incidence, curls.grid.h
+    blocks = {(0, 2): (-1.0, g.D), (1, 3): (-1.0 / h, D),
+              (2, 0): (-1.0, g.Dt), (3, 1): (1.0 / h, D.T)}
     if K_V is not None:
         blocks[1, 2] = (-1.0, K_V)
         blocks[2, 1] = (1.0, g.Dt @ Pm_T)
@@ -136,9 +141,9 @@ class OperatorBundle:
     def J(self) -> sp.csr_matrix:
         """Skew core + coupling insertions (real), N x N."""
         grid = [[None] * 4 for _ in range(4)]
-        for (a, b), (sign, block) in _j_blocks(self.line, self.curls, self.K_V,
-                                               self.Pm_T).items():
-            grid[a][b] = block if sign > 0 else -block
+        for (a, b), (factor, block) in _j_blocks(self.line, self.curls, self.K_V,
+                                                 self.Pm_T).items():
+            grid[a][b] = factor * block
         return sp.bmat(grid, format="csr")
 
     @cached_property
@@ -266,9 +271,10 @@ def _green_residual(blocks: dict, m: list, B1, B2, lay: BlockLayout) -> float:
     lhs = M J + J^T M and rhs = B1^T B2 + B2^T B1 are both symmetric, so
     the pairs (a, b) with a <= b hold every value.  M is diagonal, so
     lhs_ab = M_a J_ab + (M_b J_ba)^T is the sum of a row-scaled J_ab and a
-    column-scaled J_ba^T.  A pair is taken in slabs of GREEN_ROW_BLOCK rows
-    of a, read from J_ab and J_ba^T in CSR.  For the curl pair J_ba^T is
-    C_H^T = C_E itself, so no block is copied whole; the line blocks are
+    column-scaled J_ba^T, the factor of each block folded into the scale.
+    A pair is taken in slabs of GREEN_ROW_BLOCK rows of a, read from J_ab
+    and J_ba^T in CSR.  For the curl pair both are the int8 incidence D
+    itself, so no block is copied whole; the line blocks are
     converted, and they are small.  rhs_ab = B1_a^T B2_b + B2_a^T B1_b is
     formed whole from the column blocks of B1 and B2, and only when one of
     its terms can be nonzero (B1 reaches the I and H blocks, B2 the V

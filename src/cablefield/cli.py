@@ -3,12 +3,18 @@ Command-line front end: validate | certify | simulate | converge.
 
 Exit codes: 0 success, 1 validation/certification failure, 2 usage or
 parse error, 3 runtime solver error.  Run as ``python -m cablefield``.
+
+With -v (--verbose) a command logs to stderr one line per build stage (its
+seconds and the peak RSS after it, both from Scenario.build) and, for
+simulate, one line each for the closed loop, the step solver's set-up,
+the stepping and the energy ledger.  Without it the output is the same.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import logging
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -20,6 +26,8 @@ from .errors import CableFieldError, ConfigError, SolverError
 from .scenario import build_scenario, load_config, validate_scenario
 
 EXIT_OK, EXIT_FAIL, EXIT_USAGE, EXIT_SOLVER = 0, 1, 2, 3
+
+log = logging.getLogger("cablefield")
 
 
 def _json_default(obj):
@@ -38,6 +46,28 @@ def _emit(payload: dict, path: str = None):
         with open(path, "w") as f:
             f.write(text + "\n")
     print(text)
+
+
+def _log_stages(build: dict, stages=("grid", "curls", "trace", "assembly")):
+    """One log line per build stage: its seconds and the peak RSS after it."""
+    for stage in stages:
+        log.info("%-13s %7.3f s  peak RSS %.1f MB", stage.replace("_", " "),
+                 build[f"{stage}_s"], build["peak_rss_mb"][stage])
+
+
+def _log_run(traj):
+    """Log lines of the step solver's set-up, the stepping and the ledger."""
+    s = traj.solver
+    log.info("%-13s %7.3f s  %s, %d reduced unknowns", "solver set-up", s["factor_s"],
+             s["method"], s["reduced_unknowns"])
+    iterations = (f", GMRES iterations mean {s['iterations_mean']:.1f} max "
+                  f"{s['iterations_max']}" if s["method"] == "gmres" else "")
+    log.info("%-13s %7.3f s  %d steps, %.1f steps/s, worst step residual %.2e%s",
+             "stepping", s["stepping_s"], s["solves"], s["steps_per_s"],
+             s["max_rel_residual"], iterations)
+    led = traj.ledger
+    log.info("%-13s max residual %.3e, peak energy %.6g, final energy %.6g", "ledger",
+             led["max_residual"], led["peak_energy"], traj.energy[-1])
 
 
 def _outdir(args) -> str:
@@ -60,6 +90,7 @@ def cmd_validate(args) -> int:
 def cmd_certify(args) -> int:
     config = load_config(args.scenario)
     scn = build_scenario(config)
+    _log_stages(scn.build)
     cert = scn.certificate()
     payload = cert.as_dict()
     payload["green_residual"] = scn.bundle.green_residual
@@ -75,8 +106,11 @@ def cmd_simulate(args) -> int:
     if args.seed is not None:
         config["seed"] = args.seed
     scn = build_scenario(config)
+    _log_stages(scn.build)
     cert = scn.certificate()
     traj = scn.simulate()
+    _log_stages(scn.build, ("closed_loop",))
+    _log_run(traj)
     out = _outdir(args)
     csv_path = os.path.join(out, "trajectory.csv")
     write_trajectory_csv(traj, csv_path)
@@ -112,6 +146,7 @@ def cmd_converge(args) -> int:
     config = load_config(args.scenario)
     levels = args.levels
     scn = build_scenario(config)
+    _log_stages(scn.build)
 
     rows = []
     rows += _coupling_convergence(config, levels, args.threads)
@@ -287,6 +322,8 @@ def make_parser() -> argparse.ArgumentParser:
         q = sub.add_parser(name)
         q.add_argument("scenario", help="path to the scenario JSON file")
         q.add_argument("--output-dir", default=None)
+        q.add_argument("-v", "--verbose", action="store_true",
+                       help="log each stage's time and peak memory to stderr")
         q.set_defaults(func=fn)
     simulate = sub.choices["simulate"]
     simulate.add_argument("--seed", type=int, default=None)
@@ -301,6 +338,21 @@ def make_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
+    if not args.verbose:
+        return _run(args)
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("cablefield: %(message)s"))
+    log.addHandler(handler)
+    log.setLevel(logging.INFO)
+    try:
+        return _run(args)
+    finally:
+        log.removeHandler(handler)
+        log.setLevel(logging.NOTSET)
+
+
+def _run(args) -> int:
+    """The command's exit code; a CableFieldError is reported on stderr."""
     try:
         return args.func(args)
     except ConfigError as exc:

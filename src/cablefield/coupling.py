@@ -166,6 +166,15 @@ class LiftField:
     support: np.ndarray       # global edge ids with nonzero values
 
 
+def check_lift_resolution(collar_halfwidth: float, radius: float, h: float) -> None:
+    """CouplingError unless the collar of a cable of this radius spans at
+    least two grid cells of spacing h: a thinner cutoff cannot be
+    represented on the grid."""
+    if collar_halfwidth * radius < 2.0 * h:
+        raise CouplingError(f"collar halfwidth {collar_halfwidth * radius:.4g} m is thinner "
+                            f"than two grid cells (h={h:.4g})")
+
+
 def lift_voltage(chart: TubeChart, grid: YeeGrid, V: np.ndarray,
                  line_grid: LineGrid, cable: int = 0) -> LiftField:
     """Evaluate chi * grad(V o Psi_hat) on grid edges.
@@ -175,14 +184,11 @@ def lift_voltage(chart: TubeChart, grid: YeeGrid, V: np.ndarray,
     the cutoff support |s| < 2 eps / 3 (``collar_candidates``) are inverted
     by ``psi_hat``, once each, from their nearest-sample eta; the gradient
     reads the same collar coordinates.
-    Raises if the collar is thinner than two grid cells (the cutoff cannot
-    be represented).
+    Raises if the collar is thinner than two grid cells
+    (``check_lift_resolution``).
     """
     eps = chart.collar_halfwidth
-    r = chart.curve.radius
-    if eps * r < 2.0 * grid.h:
-        raise CouplingError(
-            f"collar halfwidth {eps * r:.4g} m is thinner than two grid cells (h={grid.h:.4g})")
+    check_lift_resolution(eps, chart.curve.radius, grid.h)
     V = np.asarray(V)
     if V.shape != (line_grid.n + 1,):
         raise CouplingError(f"V must have {line_grid.n + 1} nodal samples")

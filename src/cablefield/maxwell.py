@@ -6,9 +6,10 @@ Layout (uniform spacing h, standard staggering):
     E, D  on edges:   x-edges (nx, ny+1, nz+1), midpoint ((i+.5)h, jh, kh)
     B, H  on faces:   x-faces (nx+1, ny, nz),   center (ih, (j+.5)h, (k+.5)h)
 
-with y/z lattices cyclic.  The full-grid curl C maps edges to faces with
-entries +-1/h; the face->edge curl is its transpose with the same scale,
-so with the uniform masses M_E = M_H = h^3 the pair is exactly adjoint.
+with y/z lattices cyclic.  The full-grid curl maps edges to faces as
+D / h, with D the signed edge->face incidence (entries +-1, stored as
+int8); the face->edge curl is D^T / h, so with the uniform masses
+M_E = M_H = h^3 the pair is exactly adjoint.
 
 Unknown selection around the staircased tubes:
 
@@ -21,9 +22,9 @@ Unknown selection around the staircased tubes:
     face    dropped if on the outer box or buried between tube cells,
             else a B/H unknown
 
-Restricting the full curl to (dof faces) x (free edges) keeps the exact
-transpose identity; the discarded columns at BAND edges carry the lateral
-coupling, which enters through the surface trace instead.
+Restricting the full incidence to (dof faces) x (free edges) keeps the
+exact transpose identity; the discarded columns at BAND edges carry the
+lateral coupling, which enters through the surface trace instead.
 
 The cells around each edge and face are shifted slice views of one cell
 array with a one-cell border (``_edge_cells``, ``_face_cells``).  Grid
@@ -35,6 +36,7 @@ ones, both bordered by 0, so each mean runs over the cells inside the box.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -152,7 +154,8 @@ def _family_midpoints(origin, h, shapes, offsets, halves, ids=None):
 
 @dataclass
 class YeeGrid:
-    """Masked staggered grid over a geometry's box."""
+    """Masked staggered grid over a geometry's box.  The id arrays
+    free_edges, band_edges and dof_faces are int32."""
 
     spec: GeometrySpec
     n: tuple                     # (nx, ny, nz) cells
@@ -200,14 +203,19 @@ class YeeGrid:
         return _lattice_midpoints(self.origin, self.h, self.n, {0, 1, 2})
 
 
+def grid_spacing(spec: GeometrySpec, n: Sequence[int]) -> float:
+    """The spacing h of an (nx, ny, nz) grid on spec.box; a GridError
+    unless it is the same on all three axes."""
+    hs = (spec.box[:, 1] - spec.box[:, 0]) / np.asarray(n, dtype=float)
+    if np.abs(hs - hs[0]).max() > 1e-9 * hs[0]:
+        raise GridError(f"box/resolution give unequal spacings {hs.tolist()}; use a uniform h")
+    return float(hs[0])
+
+
 def build_grid(spec: GeometrySpec, n: Sequence[int]) -> YeeGrid:
     """Classify cells, edges and faces of an (nx, ny, nz) grid on spec.box."""
     n = tuple(int(v) for v in n)
-    lengths = spec.box[:, 1] - spec.box[:, 0]
-    hs = lengths / np.asarray(n, dtype=float)
-    if np.abs(hs - hs[0]).max() > 1e-9 * hs[0]:
-        raise GridError(f"box/resolution give unequal spacings {hs.tolist()}; use a uniform h")
-    h = float(hs[0])
+    h = grid_spacing(spec, n)
     origin = spec.box[:, 0].copy()
 
     for c in spec.cables:
@@ -269,11 +277,16 @@ def build_grid(spec: GeometrySpec, n: Sequence[int]) -> YeeGrid:
         spec=spec, n=n, h=h, origin=origin,
         cell_cable=cell_cable,
         edge_status=edge_status, edge_cable=edge_cable,
-        free_edges=np.nonzero(edge_status == EDGE_FREE)[0],
-        band_edges=np.nonzero(edge_status == EDGE_BAND)[0],
-        dof_faces=np.nonzero(face_dof)[0],
+        free_edges=_ids(edge_status == EDGE_FREE),
+        band_edges=_ids(edge_status == EDGE_BAND),
+        dof_faces=_ids(face_dof),
         edge_offsets=edge_offsets, face_offsets=face_offsets,
     )
+
+
+def _ids(mask):
+    """Positions of the true entries of ``mask``, as int32."""
+    return np.flatnonzero(mask).astype(np.int32)
 
 
 def _offsets(shapes):
@@ -311,60 +324,100 @@ def _face_cells(pad, d):
 # curls and Hodge blocks
 # ---------------------------------------------------------------------------
 
-def _curl_block(n, h, faces, edges) -> sp.csr_matrix:
+def _curl_block(n, faces, edges) -> sp.csr_matrix:
     """Rows ``faces`` and columns ``edges`` (ascending global ids) of the
-    full-grid edge->face curl, entries +-1/h, as canonical CSR.
+    full-grid signed edge->face incidence D, as canonical CSR with int8
+    entries +-1 and int32 indices and indptr.  The curl is D / h.
 
     Each face row holds its four lattice edges, written in ascending global
     id (by component, then by the shifted index), so the kept columns of a
-    row come out sorted; edges outside the column set are dropped.
+    row come out sorted; edges outside the column set are dropped.  Two
+    passes run over the rows of each lattice direction: the first counts
+    the kept columns per row into indptr, the second writes them straight
+    into the final arrays.
     """
     eshapes = _edge_shapes(n)
     fshapes = _face_shapes(n)
     eoff = _offsets(eshapes)
     foff = _offsets(fshapes)
     column = np.full(eoff[-1], -1, dtype=np.int32)    # global edge id -> column
-    column[edges] = np.arange(edges.size)
-
-    cols = np.empty((faces.size, 4), dtype=np.int32)  # the index dtype the CSR keeps
-    vals = np.empty((faces.size, 4))
+    column[edges] = np.arange(edges.size, dtype=np.int32)
     first = np.searchsorted(faces, foff)
-    for d in range(3):
+
+    def slots(d):
+        """(sign, column or -1) of the four edges of the d-faces, in
+        ascending global edge id: per component, the edge at the face's own
+        lattice index and the one a step up the other tangential axis."""
         a, b = (d + 1) % 3, (d + 2) % 3   # (curl E)_d = dE_b/da - dE_a/db
-        rows = slice(first[d], first[d + 1])
-        ijk = np.unravel_index(faces[rows] - foff[d], fshapes[d])
-        terms = sorted([(b, 0, a, -1.0), (b, 1, a, 1.0), (a, 0, b, 1.0), (a, 1, b, -1.0)])
-        for slot, (comp, shift, axis, sign) in enumerate(terms):
-            idx = list(ijk)
-            idx[axis] = idx[axis] + shift
-            cols[rows, slot] = column[eoff[comp] + np.ravel_multi_index(idx, eshapes[comp])]
-            vals[rows, slot] = sign / h
-    kept = cols >= 0
-    indptr = np.r_[0, np.cumsum(kept.sum(axis=1))]
-    return sp.csr_matrix((vals[kept], cols[kept], indptr), shape=(faces.size, edges.size))
+        ijk = np.unravel_index(faces[first[d]:first[d + 1]] - foff[d], fshapes[d])
+        for comp, axis, signs in sorted([(a, b, (1, -1)), (b, a, (-1, 1))]):
+            base = eoff[comp] + np.ravel_multi_index(ijk, eshapes[comp])
+            step = int(np.prod(eshapes[comp][axis + 1:]))
+            for shift, sign in enumerate(signs):
+                yield sign, column[base + shift * step]
+
+    counts = np.zeros(faces.size, dtype=np.int32)
+    for d in range(3):
+        for _, cols in slots(d):
+            counts[first[d]:first[d + 1]] += cols >= 0
+    indptr = np.zeros(faces.size + 1, dtype=np.int32)
+    np.cumsum(counts, out=indptr[1:])
+    nxt = np.subtract(indptr[1:], counts, out=counts)  # next free slot of each row
+    indices = np.empty(indptr[-1], dtype=np.int32)
+    data = np.empty(indptr[-1], dtype=np.int8)
+    for d in range(3):
+        rows = nxt[first[d]:first[d + 1]]
+        for sign, cols in slots(d):
+            kept = np.nonzero(cols >= 0)[0]
+            dest = rows[kept]
+            indices[dest] = cols[kept]
+            data[dest] = sign
+            rows[kept] += 1
+    return sp.csr_matrix((data, indices, indptr), shape=(faces.size, edges.size))
 
 
 @dataclass
 class CurlPair:
-    """Masked curls and diagonal material Hodge blocks.
+    """Masked curls as the signed incidence, and diagonal material Hodge
+    blocks.
 
-    C_E maps free edges to dof faces; C_H is exactly its transpose (uniform
-    masses M_E = M_H = h^3), so the discrete curl adjointness
-    <C_E e, h>_MH - <e, C_H h>_ME = 0 holds for the retained unknowns;
-    the boundary functional of the full-grid identity lives entirely on
-    the discarded BAND columns.  C_H is the CSC view C_E.T: it shares
-    C_E's arrays, so the curl is stored once.
+    A Yee field's discrete curl is topological: C_E = D / h maps free edges
+    to dof faces, with D the signed edge->face incidence, entries +-1, and
+    the mesh size enters only as a scalar (Bossavit, Computational
+    Electromagnetism, 1998).  Only D is stored, as int8 (``incidence``).
+    C_H = D^T / h is exactly the transpose of C_E (uniform masses
+    M_E = M_H = h^3), so the discrete curl adjointness
+    <C_E e, h>_MH - <e, C_H h>_ME = 0 holds for the retained unknowns; the
+    boundary functional of the full-grid identity lives entirely on the
+    discarded BAND columns.  D^T is read as the CSC view D.T, which shares
+    D's arrays.
+
+    The edge and face material averages (eps_edge, sigma_edge, mu_face)
+    are computed from the grid and the materials the first time each is
+    read, and kept from then on.
     """
 
     grid: YeeGrid
-    C_E: sp.csr_matrix
-    eps_edge: np.ndarray
-    mu_face: np.ndarray
-    sigma_edge: np.ndarray
+    incidence: sp.csr_matrix
+    materials: FieldMaterials
 
-    @property
-    def C_H(self) -> sp.csc_matrix:
-        return self.C_E.T
+    @cached_property
+    def eps_edge(self) -> np.ndarray:
+        g = self.grid
+        return _average(g, self.materials, "eps", True, _edge_cells, g.free_edges,
+                        g.edge_offsets)
+
+    @cached_property
+    def sigma_edge(self) -> np.ndarray:
+        g = self.grid
+        return _average(g, self.materials, "sigma", False, _edge_cells, g.free_edges,
+                        g.edge_offsets)
+
+    @cached_property
+    def mu_face(self) -> np.ndarray:
+        g = self.grid
+        return _average(g, self.materials, "mu", False, _face_cells, g.dof_faces,
+                        g.face_offsets)
 
     def eps_inv(self):
         return 1.0 / self.eps_edge
@@ -374,35 +427,36 @@ class CurlPair:
 
 
 def assemble_curls(grid: YeeGrid, m: FieldMaterials) -> CurlPair:
+    """The incidence of the grid's unknowns, with the materials checked at
+    the cell centres; the material averages (harmonic across edges for
+    eps, arithmetic on faces for mu, arithmetic for sigma) wait for their
+    first read."""
     rep = validate_field_materials(m, grid.cell_centers())
     if not rep["passed"]:
         raise MaterialsError(f"field material assumptions violated: {rep}")
-
-    C_E = _curl_block(grid.n, grid.h, grid.dof_faces, grid.free_edges)
-
-    # material averaging onto edges / faces (harmonic across edges for eps,
-    # arithmetic on faces for mu, arithmetic for sigma)
-    eps_e = _average(grid, m, "eps", _edge_cells, harmonic=True)[grid.free_edges]
-    sig_e = _average(grid, m, "sigma", _edge_cells, harmonic=False)[grid.free_edges]
-    mu_f = _average(grid, m, "mu", _face_cells, harmonic=False)[grid.dof_faces]
-    return CurlPair(grid=grid, C_E=C_E,
-                    eps_edge=eps_e, mu_face=mu_f, sigma_edge=sig_e)
+    return CurlPair(grid=grid, incidence=_curl_block(grid.n, grid.dof_faces, grid.free_edges),
+                    materials=m)
 
 
-def _average(grid, m, name, lattice, harmonic):
+def _average(grid, m, name, harmonic, lattice, ids, offsets):
     """Arithmetic (or ``harmonic``) mean of material ``name`` over the cells
-    inside the box around every edge (``lattice=_edge_cells``) or face
-    (``_face_cells``), in global id order; lattice d averages component d."""
+    inside the box around the edges (``lattice=_edge_cells``) or faces
+    (``_face_cells``) ``ids``, ascending global ids with lattice d starting
+    at offsets[d]; lattice d averages component d.  Each lattice's means
+    are formed whole, then read at its ids."""
     vals = m.sample(name, grid.cell_centers()).reshape(grid.n + (3,))
     if harmonic:
         vals = 1.0 / vals
     count = _padded(np.ones(grid.n), 0.0)
-    out = []
+    bounds = np.searchsorted(ids, offsets)
+    out = np.empty(ids.size)
     for d in range(3):
         total = sum(lattice(_padded(vals[..., d], 0.0), d))
         inside = sum(lattice(count, d))
-        out.append((inside / total if harmonic else total / inside).reshape(-1))
-    return np.concatenate(out)
+        mean = (inside / total if harmonic else total / inside).reshape(-1)
+        sel = slice(bounds[d], bounds[d + 1])
+        out[sel] = mean[ids[sel] - offsets[d]]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +475,7 @@ _PAIR_SLACK = 1e-6          # relative widening of the cell search against round
 
 def _ball_pairs(targets, sources, radius):
     """Every (target, source) pair with dx*dx + dy*dy + dz*dz <= radius**2,
-    the squares summed left to right, as two index arrays sorted by
+    the squares summed left to right, as two int32 index arrays sorted by
     (target, source).
 
     A fixed-radius search by cell list (Allen & Tildesley, Computer
@@ -434,14 +488,15 @@ def _ball_pairs(targets, sources, radius):
     ball's half-height over the column's nearest point.  The ball is
     widened by _PAIR_SLACK, so roundoff in the cell arithmetic can only add
     candidates.  Targets are processed in chunks of about _PAIR_CHUNK
-    candidates; each chunk's pairs are tested exactly and sorted by the key
-    target * len(sources) + source.
+    candidates; each chunk's pairs are tested exactly, sorted by the key
+    target * len(sources) + source and split into int32 (target, source)
+    before the next chunk.
     """
     targets = np.asarray(targets, dtype=float)
     sources = np.asarray(sources, dtype=float)
     nt, ns = targets.shape[0], sources.shape[0]
     if nt == 0 or ns == 0:
-        return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)
+        return np.zeros(0, dtype=np.int32), np.zeros(0, dtype=np.int32)
     m = _PAIR_CELLS_PER_RADIUS
     pad = radius * (1.0 + _PAIR_SLACK)
     lo = targets.min(axis=0) - pad
@@ -488,7 +543,7 @@ def _ball_pairs(targets, sources, radius):
     cum = np.cumsum(per)
 
     r2 = radius * radius
-    keys = []                   # target * ns + source of the pairs, chunk by chunk
+    pairs = []                  # (targets, sources) of the pairs, chunk by chunk
     t0 = 0
     while t0 < nt:
         t1 = max(t0 + 1, int(np.searchsorted(cum, (cum[t0 - 1] if t0 else 0) + _PAIR_CHUNK,
@@ -503,9 +558,13 @@ def _ball_pairs(targets, sources, radius):
         d = zs[pos] - np.repeat(targets[t0:t1, 2], reps)
         d2 += d * d
         hit = np.nonzero(d2 <= r2)[0]
-        keys.append(np.sort(np.repeat(np.arange(t0, t1), reps)[hit] * ns + src[pos[hit]]))
+        tgt = np.repeat(np.arange(t0, t1), reps)[hit]
+        # the targets ascend, so sorting the keys reorders each target's
+        # sources only, and the targets of the sorted keys are tgt itself
+        keys = np.sort(tgt * ns + src[pos[hit]])
+        pairs.append((tgt.astype(np.int32), (keys - tgt * ns).astype(np.int32)))
         t0 = t1
-    return np.divmod(np.concatenate(keys), ns)
+    return tuple(np.concatenate(part) for part in zip(*pairs))
 
 
 def _interp_rows(points, values_pts, h, radius_factor=2.25, rank_tol=1e-7, describe=None):
@@ -530,8 +589,9 @@ def _interp_rows(points, values_pts, h, radius_factor=2.25, rank_tol=1e-7, descr
     trial; only the stencils that fail run the greedy column sequence,
     one stacked SVD per kept-column pattern.  The normal equations are one
     stacked ``np.linalg.solve`` per final pattern.  ``describe(i)``, when
-    given, names target i in the error raised for a target without
-    neighbours.  Returns (rows, cols, vals) as arrays, stencil by stencil.
+    given, names target i in the GridError raised for a target without
+    neighbours or with singular normal equations.  Returns (rows, cols,
+    vals) as arrays, stencil by stencil.
     """
     radius = radius_factor * h
     rows, cols = _ball_pairs(points, values_pts, radius)
@@ -568,9 +628,22 @@ def _interp_rows(points, values_pts, h, radius_factor=2.25, rank_tol=1e-7, descr
             G = (phi_s * w[sel][:, :, None]).transpose(0, 2, 1) @ phi_s
             rhs = np.zeros(G.shape[:2] + (1,))
             rhs[:, 0] = 1.0
-            coeff = np.linalg.solve(G, rhs)
+            try:
+                coeff = np.linalg.solve(G, rhs)
+            except np.linalg.LinAlgError:
+                # the first stencil whose LU has a zero pivot, as in the solve
+                i = stencils[sel[np.argmax(np.linalg.det(G) == 0)]]
+                raise GridError(_singular_stencil_message(points, i, n, radius,
+                                                          describe)) from None
             vals[slots[sel]] = w[sel] * (phi_s @ coeff)[:, :, 0]
     return rows, cols, vals
+
+
+def _singular_stencil_message(points, i, n, radius, describe):
+    where = f" {describe(i)}" if describe is not None else ""
+    return (f"surface quadrature point {points[i].tolist()}{where} has a degenerate "
+            f"stencil: the least-squares fit over its {n} field unknowns within the "
+            f"stencil radius {radius:.4g} is singular")
 
 
 def _empty_stencil_message(points, values_pts, radius, i, describe):

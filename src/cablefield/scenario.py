@@ -368,6 +368,11 @@ def validate_scenario(config: dict) -> dict:
     report["boundary"] = adm
     report["passed"] &= adm["admissible"]
     if "sim" in config:
-        _sim_section(config["sim"], m, p, n_cells + 1)
+        _, initial_spec = _sim_section(config["sim"], m, p, n_cells + 1)
+        if initial_spec.get("kind") == "lift":
+            # the check lift_voltage makes when simulate starts
+            cable = spec.cables[int(initial_spec.get("line", 0))]
+            coupling.check_lift_resolution(spec.collar_halfwidth, cable.radius,
+                                           maxwell.grid_spacing(spec, fc["grid"]))
     report["passed"] = bool(report["passed"])
     return report

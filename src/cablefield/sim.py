@@ -215,11 +215,11 @@ def random_state(bundle: OperatorBundle, seed: int = 0, scale: float = 1.0) -> n
     x = np.zeros(bundle.n)
     x[lay.sl_I] = scale * (rng.standard_normal(lay.n_cells))
     x[lay.sl_V] = scale * (rng.standard_normal(lay.n_nodes))
-    curls = bundle.curls
+    inc = bundle.curls.incidence     # h times the curl
     a = rng.standard_normal(lay.n_edges)
-    x[lay.sl_H] = scale * bundle.curls.grid.h * (curls.C_E @ a)
+    x[lay.sl_H] = scale * (inc @ a)
     b = rng.standard_normal(lay.n_faces)
-    x[lay.sl_E] = scale * bundle.curls.grid.h * (curls.C_H @ b)
+    x[lay.sl_E] = scale * (inc.T @ b)
     return x
 
 
@@ -250,10 +250,10 @@ def smooth_state(bundle: OperatorBundle, scale: float = 1.0,
 
     emids = grid.edge_midpoints(grid.free_edges)
     a = potential(emids, grid.edge_direction(grid.free_edges))
-    x[lay.sl_H] = scale * grid.h * (bundle.curls.C_E @ a)
+    x[lay.sl_H] = scale * (bundle.curls.incidence @ a)
     fmids = grid.face_midpoints(grid.dof_faces)
     b = potential(fmids, grid.face_normal_axis(grid.dof_faces))
-    x[lay.sl_E] = scale * grid.h * (bundle.curls.C_H @ b)
+    x[lay.sl_E] = scale * (bundle.curls.incidence.T @ b)
     return x
 
 

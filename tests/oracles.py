@@ -8,8 +8,9 @@ step system, the port values a closed loop enforces, the
 node-domain flow and output maps of a port law, the homogeneous closed
 loop of the spectral checks, the completion form of the energy
 ledger's boundary term, the Green residual by its full formula, the
-bundle's N x N operators by their block_diag construction, and the Hodge
-extremes read from the assembled Hd.
+bundle's N x N operators by their block_diag construction, the Hodge
+extremes read from the assembled Hd, the masked curl as a float +-1/h
+matrix, and the edge and face material averages cell by cell.
 """
 
 import numpy as np
@@ -18,7 +19,7 @@ import scipy.sparse as sp
 from cablefield.assembly import ClosedLoop, OperatorBundle, build_closed_loop
 from cablefield.certify import PortLaw, sigma_matrix
 from cablefield.errors import DomainError
-from cablefield.maxwell import YeeGrid, _face_shapes
+from cablefield.maxwell import FieldMaterials, YeeGrid, _edge_shapes, _face_shapes, _offsets
 from cablefield.sim import MidpointStepper
 
 _DOMAIN_TOL = 1e-8     # max |W_B z - (u, 0)| accepted by apply_FG
@@ -160,14 +161,15 @@ def green_residual(bundle: OperatorBundle) -> float:
 def block_operators(bundle: OperatorBundle) -> dict:
     """J, Rd, Hd, M and Lg_state of the bundle, each assembled whole in one
     sp.bmat / sp.block_diag from the line, curl and coupling blocks, with
-    C_H stored as its own CSR copy of C_E^T."""
+    the curls C_E = D / h and C_H stored as its own CSR copy of C_E^T."""
     line, curls, lay = bundle.line, bundle.curls, bundle.layout
     g, h3 = line.grid, curls.grid.h ** 3
-    C_H = curls.C_E.T.tocsr()
+    C_E = curls.incidence / curls.grid.h
+    C_H = C_E.T.tocsr()
     coupled = bundle.K_V is not None
     J = sp.bmat([
         [None, None, -g.D, None],
-        [None, None, -bundle.K_V if coupled else None, -curls.C_E],
+        [None, None, -bundle.K_V if coupled else None, -C_E],
         [-g.Dt, g.Dt @ bundle.Pm_T if coupled else None, None, None],
         [None, C_H, None, None],
     ], format="csr")
@@ -238,3 +240,70 @@ def completion_form(W_B: np.ndarray, W_C: np.ndarray, zeta: np.ndarray) -> np.nd
     sig = sigma_matrix(W_B.shape[0])
     Q = sig - M.conj().T @ sig @ M
     return 0.5 * np.real(np.einsum("ij,jk,ik->i", np.conj(zeta), Q, zeta))
+
+
+def float_curl_block(n, h, faces, edges) -> sp.csr_matrix:
+    """Rows ``faces`` and columns ``edges`` (ascending global ids) of the
+    full-grid edge->face curl with float64 entries +-1/h, as canonical CSR:
+    every face's four edges written into a (faces x 4) table, then the
+    columns outside ``edges`` dropped."""
+    eshapes, fshapes = _edge_shapes(n), _face_shapes(n)
+    eoff, foff = _offsets(eshapes), _offsets(fshapes)
+    column = np.full(eoff[-1], -1, dtype=np.int32)
+    column[edges] = np.arange(edges.size)
+    cols = np.empty((faces.size, 4), dtype=np.int32)
+    vals = np.empty((faces.size, 4))
+    first = np.searchsorted(faces, foff)
+    for d in range(3):
+        a, b = (d + 1) % 3, (d + 2) % 3   # (curl E)_d = dE_b/da - dE_a/db
+        rows = slice(first[d], first[d + 1])
+        ijk = np.unravel_index(faces[rows] - foff[d], fshapes[d])
+        terms = sorted([(b, 0, a, -1.0), (b, 1, a, 1.0), (a, 0, b, 1.0), (a, 1, b, -1.0)])
+        for slot, (comp, shift, axis, sign) in enumerate(terms):
+            idx = list(ijk)
+            idx[axis] = idx[axis] + shift
+            cols[rows, slot] = column[eoff[comp] + np.ravel_multi_index(idx, eshapes[comp])]
+            vals[rows, slot] = sign / h
+    kept = cols >= 0
+    indptr = np.r_[0, np.cumsum(kept.sum(axis=1))]
+    return sp.csr_matrix((vals[kept], cols[kept], indptr), shape=(faces.size, edges.size))
+
+
+def material_averages(grid: YeeGrid, materials: FieldMaterials) -> dict:
+    """eps_edge (harmonic), sigma_edge and mu_face (arithmetic) of the grid's
+    unknowns, each the mean of material component d over the cells inside
+    the box around a d-edge (4 cells at most) or a d-face (2), read cell by
+    cell from unravelled lattice indices and summed in the package's order."""
+    n = np.asarray(grid.n)
+    centers = grid.cell_centers()
+
+    def mean(name, ids, shapes, offsets, harmonic, edge):
+        vals = materials.sample(name, centers)
+        if harmonic:
+            vals = 1.0 / vals
+        lattice = np.searchsorted(offsets[1:], ids, side="right")
+        total, count = np.zeros(ids.size), np.zeros(ids.size)
+        for d in range(3):
+            sel = np.nonzero(lattice == d)[0]
+            node = np.array(np.unravel_index(ids[sel] - offsets[d], shapes[d]))
+            # the cells touching a d-edge sit one step below or at its node
+            # on both transverse axes; those of a d-face, along axis d
+            axes = [a for a in range(3) if a != d] if edge else [d]
+            for shift in np.ndindex(*([2] * len(axes))):
+                cell = node.copy()
+                for axis, s in zip(axes, shift):
+                    cell[axis] += s - 1
+                inside = np.all((cell >= 0) & (cell < n[:, None]), axis=0)
+                flat = np.ravel_multi_index(np.where(inside, cell, 0), grid.n)
+                total[sel] += np.where(inside, vals[flat, d], 0.0)
+                count[sel] += inside
+        return count / total if harmonic else total / count
+
+    return {
+        "eps_edge": mean("eps", grid.free_edges, _edge_shapes(grid.n), grid.edge_offsets,
+                         True, True),
+        "sigma_edge": mean("sigma", grid.free_edges, _edge_shapes(grid.n),
+                           grid.edge_offsets, False, True),
+        "mu_face": mean("mu", grid.dof_faces, _face_shapes(grid.n), grid.face_offsets,
+                        False, False),
+    }

@@ -70,8 +70,9 @@ def test_green_identity_random_pairs(setup):
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
 
 
-# one stored entry of J in each off-diagonal block pair: (E, H) is C_H,
-# (V, H) is Dt Pm_T and (V, I) is -Dt
+# one stored entry of J in each off-diagonal block pair: (E, H) is C_H
+# (the int8 incidence D^T with the factor 1/h), (V, H) is Dt Pm_T and (V, I)
+# is -Dt; the entry is perturbed in a float copy of the block
 @pytest.mark.parametrize("block", [(3, 1), (2, 1), (2, 0)], ids=["C_H", "Dt_Pm_T", "Dt"])
 def test_green_check_rejects_one_perturbed_entry(setup, monkeypatch, block):
     import re
@@ -82,10 +83,10 @@ def test_green_check_rejects_one_perturbed_entry(setup, monkeypatch, block):
 
     def perturbed(*args):
         blocks = j_blocks(*args)
-        sign, mat = blocks[block]
-        mat = mat.tocsr(copy=True)
+        factor, mat = blocks[block]
+        mat = mat.tocsr(copy=True).astype(float)
         mat.data[0] += delta
-        blocks[block] = (sign, mat)
+        blocks[block] = (factor, mat)
         return blocks
 
     monkeypatch.setattr(assembly, "_j_blocks", perturbed)
@@ -147,7 +148,7 @@ def test_coupling_sign_matches_staircase_faraday():
     R_nu = surface_trace(grid, [chart])
     cp = assemble_P_el([chart], lg)
     bundle = assemble_system(blocks, curls, coupling=cp, R_nu=R_nu)
-    C_band = _curl_block(grid.n, grid.h, grid.dof_faces, grid.band_edges)
+    C_band = _curl_block(grid.n, grid.dof_faces, grid.band_edges) / grid.h
     V = lg.nodes.copy()
     lift = lift_voltage(chart, grid, V, lg)
     # both routes enter the Faraday row with the same leading minus, so

@@ -60,6 +60,25 @@ def test_certify_emits_constants(scenario_path, capsys):
     check_build_report(cert["build"])
 
 
+def test_certify_verbose_logs_each_build_stage(scenario_path, capsys):
+    assert main(["certify", scenario_path]) == EXIT_OK
+    quiet = capsys.readouterr()
+    assert quiet.err == ""
+    assert main(["certify", "-v", scenario_path]) == EXIT_OK
+    loud = capsys.readouterr()
+    cert = json.loads(loud.out)
+    # the same report on stdout; on stderr one line per build stage, with
+    # its seconds and peak RSS as the report's build section holds them
+    assert set(cert) == set(json.loads(quiet.out))
+    build = cert["build"]
+    lines = loud.err.splitlines()
+    assert len(lines) == len(BUILD_STAGES)
+    for line, stage in zip(lines, ("grid", "curls", "trace", "assembly")):
+        assert line.startswith(f"cablefield: {stage} ")
+        assert f"{build[stage + '_s']:.3f} s" in line
+        assert f"peak RSS {build['peak_rss_mb'][stage]:.1f} MB" in line
+
+
 BUILD_STAGES = {"grid_s", "curls_s", "trace_s", "assembly_s"}
 
 
@@ -270,6 +289,25 @@ def test_simulate_writes_csv_and_summary(scenario_path, tmp_path, capsys):
     assert summary["max_ledger_residual"] <= 1e-3 * max(summary["peak_energy"], 1e-30)
     data = np.loadtxt(os.path.join(out, "trajectory.csv"), delimiter=",", skiprows=1)
     assert data.shape[0] == summary["records"]
+    assert capsys.readouterr().err == ""       # nothing is logged without -v
+
+
+def test_simulate_verbose_logs_the_run(scenario_path, tmp_path, capsys):
+    out = str(tmp_path / "out")
+    assert main(["simulate", "--verbose", scenario_path, "--output-dir", out]) == EXIT_OK
+    captured = capsys.readouterr()
+    summary = json.loads(captured.out)
+    labels = [line.split("  ")[0] for line in captured.err.splitlines()]
+    assert labels == ["cablefield: grid", "cablefield: curls", "cablefield: trace",
+                      "cablefield: assembly", "cablefield: closed loop",
+                      "cablefield: solver set-up", "cablefield: stepping",
+                      "cablefield: ledger"]
+    solver = summary["solver"]
+    err = captured.err
+    assert f"peak RSS {summary['build']['peak_rss_mb']['closed_loop']:.1f} MB" in err
+    assert f"{solver['factor_s']:.3f} s  gmres, {solver['reduced_unknowns']} reduced" in err
+    assert f"{solver['stepping_s']:.3f} s  30 steps" in err
+    assert f"max residual {summary['max_ledger_residual']:.3e}" in err
 
 
 def test_simulate_zero_everything_all_zero_rows(tmp_path, scenario_config, capsys):

@@ -19,7 +19,7 @@ from cablefield.maxwell import (
 )
 from cablefield.tline import build_line_grid
 
-from oracles import divergence_matrix, periodic_curl_pair
+from oracles import divergence_matrix, float_curl_block, material_averages, periodic_curl_pair
 
 
 def empty_spec(box=((0, 1), (0, 1), (0, 1))):
@@ -191,13 +191,15 @@ def test_material_averages_match_brute_force_neighbours():
 def test_curl_pair_exact_transpose():
     grid = build_grid(tube_spec(), (10, 10, 14))
     cp = assemble_curls(grid, FieldMaterials())
-    assert (cp.C_H - cp.C_E.T).nnz == 0
+    C_E = cp.incidence / grid.h
+    C_H = cp.incidence.T / grid.h
+    assert (C_H - C_E.T).nnz == 0
     # adjointness <C_E e, h>_MH = <e, C_H h>_ME for random fields
     rng = np.random.default_rng(7)
     e = rng.standard_normal(grid.n_free_edges)
     hf = rng.standard_normal(grid.n_dof_faces)
-    lhs = grid.h ** 3 * np.dot(hf, cp.C_E @ e)
-    rhs = grid.h ** 3 * np.dot(cp.C_H @ hf, e)
+    lhs = grid.h ** 3 * np.dot(hf, C_E @ e)
+    rhs = grid.h ** 3 * np.dot(C_H @ hf, e)
     assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
 
 
@@ -206,18 +208,63 @@ def test_curl_block_is_the_sliced_full_curl():
 
     grid = build_grid(tube_spec(), (10, 10, 14))
     n_faces, n_edges = grid.face_offsets[-1], grid.edge_offsets[-1]
-    full = _curl_block(grid.n, grid.h, np.arange(n_faces), np.arange(n_edges))
+    full = _curl_block(grid.n, np.arange(n_faces), np.arange(n_edges))
     assert np.array_equal(np.diff(full.indptr), np.full(n_faces, 4))
-    # each face row: two edges of each tangential component, one +1/h and
-    # one -1/h per component, so the row sums vanish
+    # each face row: two edges of each tangential component, one +1 and
+    # one -1 per component, so the row sums vanish
     assert np.abs(full @ np.ones(n_edges)).max() == 0.0
-    block = _curl_block(grid.n, grid.h, grid.dof_faces, grid.band_edges)
+    block = _curl_block(grid.n, grid.dof_faces, grid.band_edges)
     ref = full[grid.dof_faces, :][:, grid.band_edges].tocsr()
     ref.sort_indices()
     assert block.has_canonical_format
     for a, b in ((block.data, ref.data), (block.indices, ref.indices),
                  (block.indptr, ref.indptr)):
         assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("n", [(10, 10, 14), (9, 7, 12)])
+def test_incidence_is_int8_and_the_curl_times_h(n):
+    from cablefield.maxwell import _curl_block
+
+    spec = tube_spec()
+    spec.box[:, 1] = 0.1 * np.asarray(n)
+    grid = build_grid(spec, n)
+    cp = assemble_curls(grid, FieldMaterials())
+    for D, edges in ((cp.incidence, grid.free_edges),
+                     (_curl_block(grid.n, grid.dof_faces, grid.band_edges), grid.band_edges)):
+        assert D.dtype == np.int8 and set(np.unique(D.data)) == {-1, 1}
+        assert D.indices.dtype == np.int32 and D.indptr.dtype == np.int32
+        assert D.has_canonical_format
+        ref = float_curl_block(grid.n, grid.h, grid.dof_faces, edges)
+        C = D / grid.h
+        for name in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(C, name), getattr(ref, name)), name
+
+
+def test_grid_ids_are_int32():
+    grid = build_grid(tube_spec(), (10, 10, 14))
+    for ids, status in ((grid.free_edges, EDGE_FREE), (grid.band_edges, EDGE_BAND)):
+        assert ids.dtype == np.int32
+        assert np.array_equal(ids, np.nonzero(grid.edge_status == status)[0])
+    assert grid.dof_faces.dtype == np.int32 and grid.n_dof_faces > 0
+
+
+def test_material_averages_are_read_on_first_use():
+    grid = build_grid(tube_spec(), (10, 10, 14))
+
+    def eps(x):
+        return np.stack([1.0 + x[:, 0], 2.0 + np.sin(3.0 * x[:, 1]),
+                         1.5 + x[:, 0] * x[:, 2]], axis=1)
+
+    fm = FieldMaterials(eps=eps, mu=[1.0, 2.0, 3.0], sigma=lambda x: 0.1 + x[:, 2])
+    cp = assemble_curls(grid, fm)
+    names = ("eps_edge", "sigma_edge", "mu_face")
+    assert not set(names) & set(vars(cp))
+    ref = material_averages(grid, fm)
+    for name in names:
+        got = getattr(cp, name)
+        assert np.array_equal(got, ref[name]), name
+        assert getattr(cp, name) is got        # kept after the first read
 
 
 def test_uniform_field_has_zero_curl_in_interior():
@@ -228,9 +275,10 @@ def test_uniform_field_has_zero_curl_in_interior():
     # touching the PEC boundary see the clamped jump instead
     dirs = grid.edge_direction(grid.free_edges)
     e = (dirs == 0).astype(float)
-    interior = np.asarray((cp.C_E != 0).sum(axis=1)).ravel() == 4
+    C_E = cp.incidence / grid.h
+    interior = np.asarray((C_E != 0).sum(axis=1)).ravel() == 4
     assert interior.sum() > 0
-    assert np.abs((cp.C_E @ e)[interior]).max() <= 1e-13
+    assert np.abs((C_E @ e)[interior]).max() <= 1e-13
 
 
 def test_dispersion_relation():
@@ -278,7 +326,7 @@ def test_divergence_of_curl_vanishes():
     rng = np.random.default_rng(2)
     e = rng.standard_normal(grid.n_free_edges)
     # .. on complete cells, including cells adjacent to band edges
-    assert np.abs(div @ (cp.C_E @ e)).max() <= 1e-12
+    assert np.abs(div @ ((cp.incidence / grid.h) @ e)).max() <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -481,6 +529,27 @@ def test_interp_rows_empty_stencil_raises():
     assert f"{nearest:.4g}" in str(err.value) and "0.225" in str(err.value)
 
 
+def test_singular_stencil_is_a_grid_error(scenario_config, monkeypatch):
+    import functools
+
+    import cablefield.maxwell as maxwell
+    from cablefield.scenario import _geometry_spec
+
+    # at half the stencil radius the pair's first ring point keeps two
+    # field unknowns, too few for the gradient columns the rank test admits
+    spec = _geometry_spec(scenario_config["geometry"])
+    grid = build_grid(spec, scenario_config["fields"]["grid"])
+    charts = [spec.chart(i, n_eta=12, n_theta=12) for i in range(2)]
+    monkeypatch.setattr(maxwell, "_interp_rows",
+                        functools.partial(maxwell._interp_rows, radius_factor=1.125))
+    with pytest.raises(GridError) as err:
+        surface_trace(grid, charts)
+    msg = str(err.value)
+    assert "degenerate stencil" in msg and "stencil radius 0.1125 is singular" in msg
+    assert f"(cable 0, eta {charts[0].eta[0]:.4g}, theta {charts[0].theta[0]:.4g})" in msg
+    assert str(charts[0].quad_points()[0].tolist()) in msg
+
+
 def test_trace_failure_names_cable_and_chart_coordinates():
     spec = tube_spec()
     grid = build_grid(spec, (10, 10, 14))
@@ -537,6 +606,7 @@ def test_ball_pairs_match_kd_tree_on_random_clouds(kind, monkeypatch):
     for chunk in (maxwell._PAIR_CHUNK, 64):           # one chunk, then many
         monkeypatch.setattr(maxwell, "_PAIR_CHUNK", chunk)
         got = maxwell._ball_pairs(tgt, src, radius)
+        assert got[0].dtype == got[1].dtype == np.int32
         assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
 
 

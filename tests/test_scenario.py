@@ -5,9 +5,9 @@ import pytest
 
 from cablefield import sim
 from cablefield.assembly import hodge_extremes
-from cablefield.errors import ConfigError
+from cablefield.errors import ConfigError, CouplingError
 from cablefield.scenario import build_scenario, parse_complex, validate_scenario
-from oracles import FullLUStepper, block_operators, hodge_extremes_from_Hd
+from oracles import FullLUStepper, block_operators, hodge_extremes_from_Hd, material_averages
 
 MUTUAL = [[1.0, 0.1], [0.1, 1.0]]
 
@@ -68,6 +68,25 @@ def test_lift_V0_must_be_real():
     for check in (validate_scenario, build_scenario):
         with pytest.raises(ConfigError, match="sim.initial.V0"):
             check(cfg)
+
+
+def test_validate_rejects_a_lift_the_grid_cannot_carry():
+    # the collar (0.3 x 0.2 m) is thinner than two cells of h = 0.1: validate
+    # raises what the lift raises when simulate starts, with the same message
+    cfg = single_cable_config()
+    with pytest.raises(CouplingError) as at_simulate:
+        build_scenario(cfg).initial_state()
+    with pytest.raises(CouplingError) as at_validate:
+        validate_scenario(cfg)
+    assert str(at_validate.value) == str(at_simulate.value)
+    assert "thinner than two grid cells (h=0.1)" in str(at_validate.value)
+    # the same scenario validates with another initial state, or on a grid
+    # of h = 0.025 <= 0.06 / 2
+    cfg["sim"]["initial"] = {"kind": "smooth"}
+    assert validate_scenario(cfg)["passed"]
+    cfg["sim"]["initial"] = {"kind": "lift"}
+    cfg["fields"]["grid"] = [24, 24, 40]
+    assert validate_scenario(cfg)["passed"]
 
 
 def test_table_input_outside_its_range_is_rejected():
@@ -170,15 +189,36 @@ def test_operators_are_assembled_on_first_read(scenario_config, case):
     scn.certificate()
     bundle = scn.bundle
     # build and certify assemble none of the N-row operators, and store
-    # the curl once: C_H is a view of C_E's arrays
+    # the curl once, as the int8 incidence
     assert not set(OPERATORS) & set(vars(bundle))
-    assert np.shares_memory(bundle.curls.C_H.data, bundle.curls.C_E.data)
+    assert bundle.curls.incidence.dtype == np.int8
     ref = block_operators(bundle)
     for op in OPERATORS:
         A = getattr(bundle, op)
         for name in ("data", "indices", "indptr"):
             assert np.array_equal(getattr(A, name), getattr(ref[op], name)), (op, name)
         assert getattr(bundle, op) is A     # kept after the first read
+
+
+MATERIALS = ("eps_edge", "sigma_edge", "mu_face")
+
+
+@pytest.mark.parametrize("case", ["pair", "single"])
+def test_field_materials_are_averaged_on_first_read(scenario_config, case):
+    config = scenario_config if case == "pair" else single_cable_config()
+    scn = build_scenario(config)
+    curls = scn.curls
+    # the build averages none of the field materials ...
+    assert not set(MATERIALS) & set(vars(curls))
+    # ... the certificate reads eps and mu (the Hodge extremes), and only
+    # the damping Rd reads sigma; each, once read, is the oracle's and kept
+    scn.certificate()
+    assert set(MATERIALS) & set(vars(curls)) == {"eps_edge", "mu_face"}
+    ref = material_averages(scn.grid, scn.field_materials)
+    for name in MATERIALS:
+        got = getattr(curls, name)
+        assert np.array_equal(got, ref[name]), name
+        assert getattr(curls, name) is got
 
 
 def test_hodge_extremes_read_from_the_blocks(scenario_config):
