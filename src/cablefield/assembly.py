@@ -188,9 +188,6 @@ class OperatorBundle:
     def energy(self, x: np.ndarray) -> float:
         return 0.5 * float(np.real(np.vdot(x, self.M @ (self.Hd @ x))))
 
-    def energy_metric(self) -> sp.csr_matrix:
-        return (self.M @ self.Hd).tocsr()
-
 
 def assemble_system(line: LineBlocks, curls: CurlPair,
                     coupling: Optional[CouplingMatrices] = None,

@@ -66,8 +66,9 @@ def _log_run(traj):
              "stepping", s["stepping_s"], s["solves"], s["steps_per_s"],
              s["max_rel_residual"], iterations)
     led = traj.ledger
-    log.info("%-13s max residual %.3e, peak energy %.6g, final energy %.6g", "ledger",
-             led["max_residual"], led["peak_energy"], traj.energy[-1])
+    log.info("%-13s max residual %.3e, energy drift %.3e, peak energy %.6g, "
+             "final energy %.6g", "ledger", led["max_residual"], led["energy_drift"],
+             led["peak_energy"], traj.energy[-1])
 
 
 def _outdir(args) -> str:
@@ -119,6 +120,7 @@ def cmd_simulate(args) -> int:
         "final_energy": float(traj.energy[-1]),
         "peak_energy": float(traj.ledger["peak_energy"]),
         "max_ledger_residual": traj.ledger["max_residual"],
+        "energy_drift": traj.ledger["energy_drift"],
         "records": int(len(traj.times)),
         "csv": csv_path,
         "solver": traj.solver,

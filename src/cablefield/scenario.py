@@ -24,11 +24,13 @@ matrix, and a 2-port amplitude [0.5, 0.0] is two real amplitudes.
                           co-located output from W_B; any output closes the
                           energy ledger, and the certificate reports whether
                           it is co-located; with a sim section p must equal
-                          the m rows of W_B_inp
+                          the m rows of W_B_inp, unless m = 0 (an
+                          autonomous run)
     sim.dt, sim.T, sim.input {kind, amplitude (m,), freq, phase, t_on,
                           ramp, table_t, table_u}, sim.initial {kind: zero|
                           smooth|random|lift, seed, scale, V0},
-                          sim.solver_tol, sim.record_stride
+                          sim.solver_tol (finite, > 0, default 1e-10),
+                          sim.record_stride (a whole number >= 1, default 1)
 
 All boundary matrices act on the stacked port (I_tot(0), I_tot(1), V(0),
 -V(1)) and end up in one certify.PortLaw; see the assembly module docstring.
@@ -145,9 +147,11 @@ def _sim_section(sc: dict, m: int, p: int, n_nodes: int):
     and p outputs; a given V0 is parsed against (n_nodes,) and must be real.
 
     The energy ledger pairs each input with its output (supply Re(u^H y)),
-    so a law with p != m is a ConfigError here, before anything runs.
+    so a law with inputs and p != m is a ConfigError here, before anything
+    runs.  A law with no inputs (m = 0) runs autonomously: it supplies
+    nothing, whatever its outputs.
     """
-    if p != m:
+    if m and p != m:
         raise ConfigError(f"simulate needs as many outputs as inputs: the law has "
                           f"p = {p} outputs (boundary.W_C_out) and m = {m} inputs "
                           f"(boundary.W_B_inp)")
@@ -164,7 +168,7 @@ def _sim_section(sc: dict, m: int, p: int, n_nodes: int):
     sim_cfg = sim.SimConfig(dt=float(_required(sc, "dt", "sim")),
                             T=float(_required(sc, "T", "sim")), input=signal,
                             solver_tol=float(sc.get("solver_tol", 1e-10)),
-                            record_stride=int(sc.get("record_stride", 1)))
+                            record_stride=sc.get("record_stride", 1))
     initial_spec = dict(sc.get("initial", {"kind": "zero"}))
     v0 = initial_spec.get("V0")
     if v0 is not None and not isinstance(v0, str):

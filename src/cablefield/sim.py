@@ -19,9 +19,8 @@ unknowns, DIRECT_MAX_UNKNOWNS = 1500:
     its real and imaginary parts.  On the 412-unknown single cable the
     inverse is 1.4 MB and the set-up, S included, takes 0.015-0.02 s
     (a SuperLU set-up took 0.09 s, most of it importing
-    scipy.sparse.linalg).  The solve is one 32 us product against
-    SuperLU's 37-40 us, so a step takes 0.10-0.13 ms on either, against
-    0.6 ms on GMRES.
+    scipy.sparse.linalg).  The solve is one 28-32 us product against
+    SuperLU's 37-40 us, and a step on GMRES takes 0.6 ms.
   * Above it, no inverse is built.  S is solved by restarted GMRES
     (Saad-Schultz), right-preconditioned by the Jacobi diagonal 1/diag(S),
     in complex arithmetic when S or the right-hand side is complex.  At the
@@ -51,8 +50,36 @@ unknowns, DIRECT_MAX_UNKNOWNS = 1500:
 Input data is real too unless it is complex: InputSignal keeps amplitudes
 and tables whose imaginary parts are all zero (the schema's [re, im] form
 with im = 0) as float64, so a real law with such an input runs a real
-state.  Every step's residual is checked against the full L, and every
-midpoint input must be finite (DomainError naming the time otherwise).
+state.
+
+run() advances the loop B steps at a time (MidpointStepper.advance), with
+B the width of the record block below: 28 steps on the single cable, 2 on
+the pair.  A step does only what the recurrence needs (MidpointStepper.step):
+
+    rhs = x + dt/2 Bu u,  x_r = S^-1 (P rhs),  the face rows
+    x_f = rhs_f - L_fr x_r between the two slices of x_r around them, and
+    x+ = 2 x_mid - x written into row j of a row-major (B, n) block.
+
+Everything else runs once per block, and still covers every step:
+
+  * the input at all midpoint and record times of the block, from one
+    InputSignal call on an array of times, and its finite check: a
+    non-finite midpoint input is a DomainError naming the first such time;
+  * dt/2 Bu u for all B steps, summed port by port on the rows Bu acts on;
+  * every step's residual against the full L, in one sparse product
+    L X_mid^T - RHS^T: each step must meet ||L x_mid - rhs|| <=
+    solver_tol max(1, ||rhs||), and the first that does not is a
+    SolverError naming the step and its midpoint time;
+  * the record forms (below).
+
+Measured on the single cable (412 reduced unknowns, dt = 2e-5, 2 BLAS
+threads, timeit best of 5 on a shared 2-core Xeon whose timings move by
+30 % from hour to hour): S^-1 b 28-30 us, P rhs 8-11 us, L_fr x_r 8 us;
+a step 56-58 us, and a step with its share of the block work 64-76 us,
+where a loop doing all of that work step by step took 87-139 us a step
+(its residual product and norms 17-28 us of it).  The block's residual
+check is 7.5-9 us a step, and run() takes 1.1-1.6 s for 15,000 steps
+against 1.7-2.9 s.
 
 The scheme is A-stable, time-reversible and preserves the quadratic energy
 exactly for skew flows, so the recorded energy ledger
@@ -74,17 +101,21 @@ np.linalg.solve, in complex arithmetic when the data are complex, and
 lifted_state solves the line's node blocks of C^-1 q = V with one batched
 np.linalg.solve.
 
-run() records in blocks: each recorded state is copied into a column of
-an (n, B) buffer, and a full buffer is reduced at once (energy, ||x||_M,
-efforts, enforced ports zeta, outputs y, dissipation rate) with sparse
-matrix x dense block products into preallocated trajectory arrays.  B is
-set by the byte budget RECORD_BLOCK_BYTES (256 KiB): B = budget // (itemsize
-n) clamped to [1, RECORD_BLOCK_MAX_COLUMNS = 256], so the single cable
-(n = 1,152) keeps 28 columns and the pair (n = 13,852) 2.  A flush's
-temporaries (M Hd X, M X, the efforts and M Rd E) are each the size of the
-block, so the budget sets the run's record memory about five times over:
-2 MiB added 2.7 MB of peak RSS on the single cable and 4.0 MB on the pair
-against 256 KiB, and made run() no faster.
+The record block holds the recorded states as rows: at record_stride 1
+every state of a step block, else the states at every record_stride-th
+step and the last.  A full block is reduced at once from
+one transposed copy, with sparse matrix x dense block products into
+preallocated trajectory arrays: the efforts E = Hd X, the energy
+Re(x^H M E) / 2 and ||x||_M with the diagonal M, the dissipation rate
+Re(E^H M Rd E), the enforced ports zeta and the outputs y.  Its width is
+set by the byte budget RECORD_BLOCK_BYTES (256 KiB): B = budget //
+(itemsize n) clamped to [1, RECORD_BLOCK_MAX_COLUMNS = 256], so the single
+cable (n = 1,152) keeps 28 rows and the pair (n = 13,852) 2.  A flush's
+temporaries (the transposed copy, the efforts and Rd E) are each the size
+of the block, as are advance()'s right-hand sides, midpoints and states,
+so the budget sets the run's block memory several times over: 2 MiB added
+2.7 MB of peak RSS on the single cable and 4.0 MB on the pair against
+256 KiB, and made run() no faster.
 """
 
 from __future__ import annotations
@@ -164,15 +195,34 @@ class InputSignal:
                 raise ConfigError(f"table_u has shape {self.table_u.shape}, expected "
                                   f"({self.table_t.size}, {self.m})")
 
-    def __call__(self, t: float) -> np.ndarray:
+    def __call__(self, t) -> np.ndarray:
+        """u(t): (m,) at a scalar time, (len(t), m) at a 1-D array of times.
+
+        A scalar is evaluated as a one-element array, so a scalar call and
+        the same time inside an array call agree bit for bit.
+        """
+        times = np.reshape(np.asarray(t, dtype=float), (-1, 1))
         if self.kind == "zero":
-            return np.zeros(self.m)
-        if self.kind == "step":
-            return self.amplitude * _smoothstep((t - self.t_on) / max(self.ramp, 1e-300))
-        if self.kind == "sine":
-            return self.amplitude * np.sin(2.0 * np.pi * self.freq * t + self.phase)
-        cols = [np.interp(t, self.table_t, self.table_u[:, j]) for j in range(self.m)]
-        return np.asarray(cols)
+            u = np.zeros((times.shape[0], self.m))
+        elif self.kind == "step":
+            u = self.amplitude * _smoothstep((times - self.t_on) / max(self.ramp, 1e-300))
+        elif self.kind == "sine":
+            u = self.amplitude * np.sin(2.0 * np.pi * self.freq * times + self.phase)
+        else:
+            u = np.empty((times.shape[0], self.m), dtype=self.table_u.dtype)
+            for j in range(self.m):
+                u[:, j] = np.interp(times[:, 0], self.table_t, self.table_u[:, j])
+        return u[0] if np.ndim(t) == 0 else u
+
+
+def _whole_number(value, key: str) -> int:
+    """``value`` as an int; a bool, a non-number or a number with a fractional
+    part is a ConfigError naming ``key`` (int() would read 2.5 as 2, true as 1)."""
+    if (isinstance(value, (bool, np.bool_))
+            or not isinstance(value, (int, float, np.integer, np.floating))
+            or not float(value).is_integer()):
+        raise ConfigError(f"{key} must be a whole number, got {value!r}")
+    return int(value)
 
 
 @dataclass
@@ -184,6 +234,13 @@ class SimConfig:
     record_stride: int = 1
 
     def __post_init__(self):
+        for key in ("dt", "T", "solver_tol"):
+            value = getattr(self, key)
+            if not np.isfinite(value):
+                raise ConfigError(f"sim.{key} must be a finite number, got {value!r}")
+        if not self.solver_tol > 0:
+            raise ConfigError(f"sim.solver_tol must be > 0, got {self.solver_tol!r}")
+        self.record_stride = _whole_number(self.record_stride, "sim.record_stride")
         if self.dt <= 0 or self.T < self.dt:
             raise ConfigError("need dt > 0 and T >= dt")
         steps = self.T / self.dt
@@ -192,7 +249,7 @@ class SimConfig:
                               f"(T / dt = {steps:.6g}); the nearest whole-step T is "
                               f"{round(steps) * self.dt:g}")
         if self.record_stride < 1:
-            raise ConfigError("record_stride must be >= 1")
+            raise ConfigError("sim.record_stride must be >= 1")
         tab = self.input.table_t
         if self.input.kind == "table" and (tab[0] > 0.0 or tab[-1] < self.T):
             raise ConfigError(f"table input covers [{tab[0]:g}, {tab[-1]:g}], "
@@ -290,18 +347,20 @@ class MidpointStepper:
 
     Builds the face-eliminated step system S once and, by the size rule of
     the module docstring, inverts it densely or sets up its Jacobi-GMRES
-    solve.  The per-step operators are the input columns dt/2 Bu[:, :m]
-    (dense) and P = [I_r | -L_rf], which maps the right-hand side to S's in
-    one product; every step's residual is then checked against the full L.
-    ``stats`` reports the size, the method ("direct" or "gmres"), the
-    set-up time (``factor_s``), the bytes of the inverse (direct,
-    ``inverse_bytes``) or the maximum and mean GMRES iterations per solve,
-    the number of step solves and the worst relative step residual so far.
-    A singular S raises SolverError.
+    solve.  ``advance`` runs a block of steps: the input columns dt/2 Bu
+    enter as one block product, each step (``step``) maps its right-hand
+    side to S's with P = [I_r | -L_rf], solves and writes the face rows, and
+    every step's residual is then checked against the full L in one sparse
+    product over the block.  ``stats`` reports the size, the method
+    ("direct" or "gmres"), the set-up time (``factor_s``), the bytes of the
+    inverse (direct, ``inverse_bytes``) or the maximum and mean GMRES
+    iterations per solve, the number of step solves and the worst relative
+    step residual so far.  A singular S raises SolverError.
     """
 
     def __init__(self, loop: ClosedLoop, dt: float, solver_tol: float = 1e-10):
         t0 = time.perf_counter()
+        self.dt = dt
         self.solver_tol = solver_tol
         lay = loop.bundle.layout
         n = loop.bundle.n
@@ -313,13 +372,15 @@ class MidpointStepper:
         r = np.r_[lay.sl_I, lay.sl_V.start:n]
         half = 0.5 * dt
         eye = sp.identity(n, dtype=A.dtype, format="csr")
-        self._r, self._f = r, f
+        self._f = f                                    # r is everything around f
         self._m = loop.law.m
         self._lhs = (eye - half * A).tocsr()
         Arf = half * A[r][:, f]                        # -L_rf
         self._Afr = (half * A[f][:, r]).tocsr()        # -L_fr
         self._P = (eye[r] + Arf @ eye[f]).tocsr()
-        self._Bu = (half * loop.Bu[:, :self._m]).toarray()
+        Bu = (half * loop.Bu[:, :self._m]).tocsr()
+        self._bu_rows = np.unique(Bu.nonzero()[0])
+        self._BuT = Bu[self._bu_rows].toarray().T       # the rows dt/2 Bu acts on
         S = (sp.identity(r.size, dtype=A.dtype, format="csr") - half * A[r][:, r]
              - Arf @ self._Afr)
         self.solves = 0
@@ -427,24 +488,68 @@ class MidpointStepper:
         self.iterations.append(its)
         return x
 
-    def step(self, x: np.ndarray, u_mid) -> tuple:
-        """Advance one step with the input u_mid (m,) at the midpoint time;
-        returns (x_next, x_mid)."""
-        u = np.atleast_1d(u_mid)
-        if u.shape != (self._m,):
-            raise DomainError(f"input has {u.size} ports, port law expects {self._m}")
-        rhs = x + self._Bu @ u
+    def advance(self, x: np.ndarray, U: np.ndarray, first_step: int = 0) -> tuple:
+        """Advance len(U) steps from x with the midpoint inputs U (steps x m);
+        returns (X, X_mid), whose row j is the state after step j + 1 and
+        that step's midpoint.
+
+        ``first_step`` is the number of steps before the block; it numbers
+        the steps in errors.  Each step's residual ||L x_mid - rhs|| must be
+        at most solver_tol max(1, ||rhs||): the block's are checked in one
+        sparse product, and the first step over the bound is a SolverError
+        naming the step and its midpoint time.
+        """
+        U = np.asarray(U)
+        if U.ndim != 2 or U.shape[1] != self._m:
+            raise DomainError(f"input block has shape {U.shape}, port law expects "
+                              f"(steps, {self._m})")
+        steps, n = U.shape[0], self._lhs.shape[0]
+        # dt/2 Bu u of every step on the rows Bu acts on, summed port by port
+        # in a fixed order, so that a row does not depend on its block
+        bu = np.zeros((steps, self._bu_rows.size), dtype=np.result_type(U, self._BuT))
+        for k in range(self._m):
+            bu += U[:, k:k + 1] * self._BuT[k]
+        BU = np.zeros((steps, n), dtype=bu.dtype)
+        BU[:, self._bu_rows] = bu
+        solve_dtype = (self._S if self._Sinv is None else self._Sinv).dtype
+        dtype = np.result_type(x, BU, solve_dtype)
+        rhs = np.empty((steps, n), dtype=dtype)
+        X_mid = np.empty((steps, n), dtype=dtype)
+        X = np.empty((steps, n), dtype=dtype)
+        step = self.step
+        for j in range(steps):
+            step(x, BU[j], rhs[j], X_mid[j], X[j])
+            x = X[j]
+        self.solves += steps
+        # one transposed copy in, one out: the sparse product wants columns
+        residual = np.ascontiguousarray((self._lhs @ np.ascontiguousarray(X_mid.T)).T)
+        residual -= rhs
+        res = np.linalg.norm(residual, axis=1)
+        scale = np.maximum(1.0, np.linalg.norm(rhs, axis=1))
+        bad = ~(res <= self.solver_tol * scale)        # NaN included
+        if bad.any():
+            j = int(np.argmax(bad))
+            raise SolverError(f"midpoint solve residual {res[j]:.3e} exceeds tolerance "
+                              f"{self.solver_tol:.1e} at step {first_step + j + 1} "
+                              f"(t = {(first_step + j + 0.5) * self.dt:.6g})")
+        self.max_rel_residual = max(self.max_rel_residual,
+                                    float(np.max(res / scale, initial=0.0)))
+        return X, X_mid
+
+    def step(self, x: np.ndarray, bu: np.ndarray, rhs: np.ndarray, x_mid: np.ndarray,
+             x_next: np.ndarray) -> None:
+        """One step of ``advance``, written into its rows rhs, x_mid and
+        x_next: rhs = x + bu, S x_r = P rhs, the face rows
+        x_f = rhs_f - L_fr x_r and x_next = 2 x_mid - x.  Its residual is
+        checked by ``advance``."""
+        np.add(x, bu, out=rhs)
         x_r = self._solve_reduced(self._P @ rhs)
-        self.solves += 1
-        x_mid = np.empty(rhs.shape, dtype=x_r.dtype)
-        x_mid[self._r] = x_r
-        x_mid[self._f] = rhs[self._f] + self._Afr @ x_r
-        res = np.linalg.norm(self._lhs @ x_mid - rhs)
-        scale = max(1.0, np.linalg.norm(rhs))
-        if not np.isfinite(res) or res > self.solver_tol * scale:
-            raise SolverError(f"midpoint solve residual {res:.3e} exceeds tolerance")
-        self.max_rel_residual = max(self.max_rel_residual, res / scale)
-        return 2.0 * x_mid - x, x_mid
+        a, b = self._f.start, self._f.stop
+        x_mid[:a] = x_r[:a]
+        x_mid[b:] = x_r[a:]
+        np.add(rhs[a:b], self._Afr @ x_r, out=x_mid[a:b])
+        np.multiply(x_mid, 2.0, out=x_next)
+        x_next -= x
 
 
 # ---------------------------------------------------------------------------
@@ -466,20 +571,21 @@ class Trajectory:
     solver: Optional[dict] = None  # MidpointStepper.stats() and the step-loop timing
 
 
-def _column_forms(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Re <X[:, j], Y[:, j]> for every column j."""
+def _column_forms(X: np.ndarray, Y: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Re sum_i w_i conj(X[i, j]) Y[i, j] for every column j (w real)."""
     if np.iscomplexobj(X):
         X = X.conj()
-    return np.real(np.einsum("ij,ij->j", X, Y))
+    return w @ np.real(X * Y)
 
 
 def run(loop: ClosedLoop, cfg: SimConfig, x0: Optional[np.ndarray] = None) -> Trajectory:
     """Integrate and record; attaches the energy ledger of the recorded
     samples (``energy_ledger``).
 
-    Recorded states are copied into a block of columns and reduced a block
-    at a time (see the module docstring).  ``solver`` holds the stepper's
-    stats and the step loop's wall time, records included: ``stepping_s``
+    The steps run in blocks of ``MidpointStepper.advance``, and recorded
+    states are copied into a block of rows and reduced a block at a time
+    (see the module docstring).  ``solver`` holds the stepper's stats and
+    the step loop's wall time, records included: ``stepping_s``
     (time.perf_counter) and ``steps_per_s``.
     """
     bundle, law = loop.bundle, loop.law
@@ -496,55 +602,70 @@ def run(loop: ClosedLoop, cfg: SimConfig, x0: Optional[np.ndarray] = None) -> Tr
 
     stepper = MidpointStepper(loop, cfg.dt, cfg.solver_tol)
     n_steps = int(round(cfg.T / cfg.dt))
-    # records: t = 0, every record_stride-th step and the last step
-    n_rec = 1 + n_steps // cfg.record_stride + (n_steps % cfg.record_stride != 0)
+    stride = cfg.record_stride
+    # records: t = 0, every stride-th step and the last step
+    n_rec = 1 + n_steps // stride + (n_steps % stride != 0)
     x = x0.astype(np.result_type(x0, loop.A.dtype, loop.Bu.dtype, u0), copy=True)
-    MHd = bundle.energy_metric()
-    MRd = (bundle.M @ bundle.Rd).tocsr()
+    mass = bundle.M.diagonal()              # M is the diagonal mass matrix
     W1_inp = loop.W1_inv[:, :law.m]         # W1^-1 u_hat(u) = W1_inp u
     z_dtype = np.result_type(x, bundle.Hd.dtype, loop.G_fb, loop.W1_inv, u0)
     times = np.empty(n_rec)
     energy, xnorm, diss = np.empty(n_rec), np.empty(n_rec), np.empty(n_rec)
     u_rec = np.empty((n_rec, law.m), dtype=u0.dtype)
-    zeta = np.empty((n_rec, 4 * law.k), dtype=z_dtype)
-    width = min(max(RECORD_BLOCK_BYTES // (x.itemsize * bundle.n), 1),
-                RECORD_BLOCK_MAX_COLUMNS, n_rec)
-    block = np.empty((bundle.n, width), dtype=x.dtype)
-    filled, done = 0, 0         # columns in the block; records reduced before it
+    two_k = 2 * law.k
+    zeta = np.empty((n_rec, 2 * two_k), dtype=z_dtype)
+    # steps per advance() block, and rows of the record block
+    B = min(max(RECORD_BLOCK_BYTES // (x.itemsize * bundle.n), 1), RECORD_BLOCK_MAX_COLUMNS)
+    width = min(B, n_rec)
+    block = np.empty((width, bundle.n), dtype=x.dtype)
+    filled, done = 0, 0         # rows in the block; records reduced before it
 
     def flush():
         nonlocal filled, done
-        X = block[:, :filled]
+        X = np.ascontiguousarray(block[:filled].T)
         sl = slice(done, done + filled)
-        energy[sl] = 0.5 * _column_forms(X, MHd @ X)
-        xnorm[sl] = np.sqrt(_column_forms(X, bundle.M @ X))
         E = bundle.effort(X)
-        diss[sl] = _column_forms(E, MRd @ E)
-        zeta[sl] = np.vstack([loop.G_fb @ E + W1_inp @ u_rec[sl].T, bundle.B2 @ E]).T
+        energy[sl] = 0.5 * _column_forms(X, E, mass)
+        xnorm[sl] = np.sqrt(_column_forms(X, X, mass))
+        diss[sl] = _column_forms(E, bundle.Rd @ E, mass)
+        zeta[sl, :two_k] = (loop.G_fb @ E + W1_inp @ u_rec[sl].T).T
+        zeta[sl, two_k:] = (bundle.B2 @ E).T
         done += filled
         filled = 0
 
-    def record(t, x, u_t):
+    def record(t, X, U):
+        """Record the rows of X at the times t with the inputs U."""
         nonlocal filled
-        times[done + filled] = t
-        u_rec[done + filled] = u_t
-        block[:, filled] = x
-        filled += 1
-        if filled == width:
-            flush()
+        k = 0
+        while k < len(t):
+            take = min(width - filled, len(t) - k)
+            sl = slice(done + filled, done + filled + take)
+            times[sl] = t[k:k + take]
+            u_rec[sl] = U[k:k + take]
+            block[filled:filled + take] = X[k:k + take]
+            filled += take
+            k += take
+            if filled == width:
+                flush()
 
-    record(0.0, x, u0)
+    record([0.0], x[None], u0[None])
     clock = time.perf_counter()
-    for i in range(n_steps):
+    for start in range(0, n_steps, B):
+        i = np.arange(start, min(start + B, n_steps))
         t_mid = (i + 0.5) * cfg.dt
-        u_mid = cfg.input(t_mid)
-        if not np.isfinite(u_mid).all():
-            raise DomainError(f"input signal is not finite at t = {t_mid:.6g} "
-                              f"(midpoint of step {i + 1})")
-        x, _ = stepper.step(x, u_mid)
-        if (i + 1) % cfg.record_stride == 0 or i == n_steps - 1:
-            t = (i + 1) * cfg.dt
-            record(t, x, cfg.input(t))
+        U = cfg.input(t_mid)
+        finite = np.isfinite(U).all(axis=1)
+        if not finite.all():
+            j = int(np.argmin(finite))
+            raise DomainError(f"input signal is not finite at t = {t_mid[j]:.6g} "
+                              f"(midpoint of step {i[j] + 1})")
+        X, _ = stepper.advance(x, U, start)
+        x = X[-1]
+        if stride > 1:
+            recorded = ((i + 1) % stride == 0) | (i == n_steps - 1)
+            X, i = X[recorded], i[recorded]
+        t = (i + 1) * cfg.dt
+        record(t, X, cfg.input(t))
     stepping_s = time.perf_counter() - clock
     if filled:
         flush()
@@ -553,7 +674,7 @@ def run(loop: ClosedLoop, cfg: SimConfig, x0: Optional[np.ndarray] = None) -> Tr
               "steps_per_s": n_steps / stepping_s}
     traj = Trajectory(
         times=times, energy=energy, xnorm=xnorm, u=u_rec, y=zeta @ law.W_C_out.T,
-        zeta=zeta, diss_rate=diss, x_final=x, x0=x0, solver=solver,
+        zeta=zeta, diss_rate=diss, x_final=x.copy(), x0=x0, solver=solver,
     )
     traj.ledger = energy_ledger(traj)
     return traj
@@ -570,28 +691,35 @@ def _cumtrapz(y, t):
 def energy_ledger(traj: Trajectory) -> dict:
     """Trapezoid-quadrature energy balance over the recorded samples.
 
-    The rates are the supply Re(u^H y), the dissipation and the boundary
-    term Re(z[:2k]^H z[2k:]) - Re(u^H y), the port power of the recorded
-    port vector z less the supply; residual = dE - supplied + dissipated
-    - boundary.
+    The rates are the supply Re(u^H y) (0 for a law with no inputs), the
+    dissipation and the boundary term Re(z[:2k]^H z[2k:]) - Re(u^H y), the
+    port power of the recorded port vector z less the supply; residual =
+    dE - supplied + dissipated - boundary.  ``energy_drift`` is
+    max_t |E(t) - E(0)| / peak energy (0 when the energy stays 0).
     """
     def rate(a, b):
         return np.real(np.einsum("ij,ij->i", np.conj(a), b))
 
     two_k = traj.zeta.shape[1] // 2
-    supplied_rate = rate(traj.u, traj.y)
+    if traj.u.shape[1]:
+        supplied_rate = rate(traj.u, traj.y)
+    else:                       # an autonomous run supplies nothing
+        supplied_rate = np.zeros(len(traj.times))
     port_rate = rate(traj.zeta[:, :two_k], traj.zeta[:, two_k:])
     supplied = _cumtrapz(supplied_rate, traj.times)
     dissipated = _cumtrapz(traj.diss_rate, traj.times)
     boundary = _cumtrapz(port_rate - supplied_rate, traj.times)
     residual = traj.energy - traj.energy[0] - supplied + dissipated - boundary
+    peak = float(traj.energy.max())
+    drift = float(np.abs(traj.energy - traj.energy[0]).max())
     return {
         "supplied": supplied,
         "dissipated": dissipated,
         "boundary": boundary,
         "residual": residual,
         "max_residual": float(np.abs(residual).max()),
-        "peak_energy": float(traj.energy.max()),
+        "peak_energy": peak,
+        "energy_drift": drift / peak if peak > 0 else 0.0,
     }
 
 
@@ -610,7 +738,7 @@ def write_trajectory_csv(traj: Trajectory, path: str) -> None:
     u_1..u_m, y_1..y_p (real parts; *_im columns appended when complex)."""
     led = traj.ledger
     m, p = traj.u.shape[1], traj.y.shape[1]
-    complex_io = np.abs(traj.u.imag).max() > 0 or np.abs(traj.y.imag).max() > 0
+    complex_io = bool(np.any(traj.u.imag) or np.any(traj.y.imag))
     cols = ["t", "energy", "supplied", "dissipated", "boundary_term", "residual"]
     cols += [f"u_{j+1}" for j in range(m)] + [f"y_{j+1}" for j in range(p)]
     if complex_io:

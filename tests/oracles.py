@@ -2,15 +2,15 @@
 
 These are oracles for the package, not part of it: the periodic curl and
 derivative pairs (dispersion and eigenvalue references), the cell
-divergence of the masked face field, the backwards midpoint march of
-the reversibility checks, the midpoint step by a sparse LU of the whole
-step system, the port values a closed loop enforces, the
-node-domain flow and output maps of a port law, the homogeneous closed
-loop of the spectral checks, the completion form of the energy
-ledger's boundary term, the Green residual by its full formula, the
-bundle's N x N operators by their block_diag construction, the Hodge
-extremes read from the assembled Hd, the masked curl as a float +-1/h
-matrix, and the edge and face material averages cell by cell.
+divergence of the masked face field, the checked single midpoint step
+and the backwards march of the reversibility checks, the midpoint steps
+by a sparse LU of the whole step system, the port values a closed loop
+enforces, the node-domain flow and output maps of a port law, the
+homogeneous closed loop of the spectral checks, the completion form of
+the energy ledger's boundary term, the Green residual by its full
+formula, the bundle's N x N operators by their block_diag construction,
+the Hodge extremes read from the assembled Hd, the masked curl as a
+float +-1/h matrix, and the edge and face material averages cell by cell.
 """
 
 import numpy as np
@@ -112,22 +112,29 @@ def used_ports(loop: ClosedLoop, e: np.ndarray, u) -> np.ndarray:
     return np.concatenate([ghost_currents(loop, e, u), loop.bundle.B2 @ e])
 
 
+def midpoint_step(stepper, x: np.ndarray, u_mid) -> tuple:
+    """One checked midpoint step with the input u_mid (m,): a one-step
+    ``advance``; returns (x_next, x_mid)."""
+    X, X_mid = stepper.advance(x, np.atleast_1d(u_mid)[None, :])
+    return X[0], X_mid[0]
+
+
 def reverse_run(loop: ClosedLoop, x: np.ndarray, dt: float, n_steps: int,
                 solver_tol: float = 1e-10) -> np.ndarray:
     """March n_steps backwards (autonomous); exact inverse of the forward
     midpoint map up to solver roundoff."""
     stepper = MidpointStepper(loop, -dt, solver_tol)
     for _ in range(n_steps):
-        x, _ = stepper.step(x, np.zeros(loop.law.m))
+        x, _ = midpoint_step(stepper, x, np.zeros(loop.law.m))
     return x
 
 
 class FullLUStepper:
     """Implicit-midpoint step by a SuperLU factor of the whole
     L = I - dt/2 A: no face elimination and no size rule.  It has
-    MidpointStepper's constructor, ``step`` and ``stats``, so a run can be
-    put on it, as the reference of the package's reduced solves.  A complex
-    right-hand side on a real factor is a TypeError from SuperLU."""
+    MidpointStepper's constructor, ``advance`` and ``stats``, so a run can
+    be put on it, as the reference of the package's reduced solves.  A
+    complex right-hand side on a real factor is a TypeError from SuperLU."""
 
     def __init__(self, loop: ClosedLoop, dt: float, solver_tol: float = 1e-10):
         import scipy.sparse.linalg as spla
@@ -143,10 +150,14 @@ class FullLUStepper:
     def stats(self) -> dict:
         return {"method": "full_lu", "solves": self.solves}
 
-    def step(self, x: np.ndarray, u_mid) -> tuple:
-        x_mid = self._lu.solve(x + self._Bu @ np.atleast_1d(u_mid))
-        self.solves += 1
-        return 2.0 * x_mid - x, x_mid
+    def advance(self, x: np.ndarray, U: np.ndarray, first_step: int = 0) -> tuple:
+        X, X_mid = [], []
+        for u in U:
+            X_mid.append(self._lu.solve(x + self._Bu @ u))
+            x = 2.0 * X_mid[-1] - x
+            X.append(x)
+        self.solves += len(U)
+        return np.array(X), np.array(X_mid)
 
 
 def green_residual(bundle: OperatorBundle) -> float:

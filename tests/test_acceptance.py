@@ -29,7 +29,16 @@ from cablefield.certify import (
     wellposedness_constants,
 )
 from cablefield.coupling import assemble_P_el, assemble_P_mag
-from cablefield.geometry import GeometrySpec, StraightSegment, build_chart, build_frame
+from cablefield.geometry import (
+    CircularArc,
+    GeometrySpec,
+    Helix,
+    SplineCurve,
+    StraightSegment,
+    build_chart,
+    build_frame,
+    validate_geometry,
+)
 from cablefield.maxwell import FieldMaterials, assemble_curls, build_grid, surface_trace
 from cablefield.sim import (
     InputSignal,
@@ -266,6 +275,69 @@ def test_criterion_5_energy_balance():
                        + "/".join(f"{r:.2f}" for r in ratios))
     elapsed = time.time() - t0
     assert report(5, ok, "; ".join(details) + f", {elapsed:.0f} s")
+
+
+# ---------------------------------------------------------------------------
+# criteria 1, 4 and 5 on curved cables
+# ---------------------------------------------------------------------------
+
+# One cable of each curved kind in a box sized to it: h = 0.1 and r = 2h (the
+# fewest cells across a tube), with the collar shell inside the box.
+CURVED_CABLES = {
+    "arc": ([[0, 0.7], [0, 0.7], [0, 1.2]], (7, 7, 12),
+            lambda: CircularArc(center=(-0.6, 0.35, 0.6), u=(1, 0, 0), v=(0, 0, 1), rho=1.0,
+                                phi0=-0.33, phi1=0.33, radius=0.2)),
+    "helix": ([[0, 0.7], [0, 0.7], [0, 1.2]], (7, 7, 12),
+              lambda: Helix(base=(0.35, 0.35, 0.25), axis=(0, 0, 1), a=0.06, b=0.15,
+                            turns=0.74, radius=0.2)),
+    "spline": ([[0, 0.7], [0, 0.7], [0, 1.3]], (7, 7, 13),
+               lambda: SplineCurve(np.array([[0.35, 0.34, 0.29], [0.36, 0.35, 0.52],
+                                             [0.34, 0.36, 0.76], [0.35, 0.35, 0.99]]),
+                                   radius=0.2)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(CURVED_CABLES))
+def test_curved_cable_end_to_end(kind):
+    # the Green identity, criterion 4's lossless conservation and
+    # reversibility, and criterion 5's second-order ledger, on a curved cable
+    t0 = time.time()
+    box, n, cable = CURVED_CABLES[kind]
+    spec, _, _, _, lossless = build_bundle(n, 12, 1, [cable()], box)
+    assert validate_geometry(spec).passed
+    green = lossless.green_residual
+
+    skew = PortLaw(W_B_inp=np.hstack([np.eye(2), np.zeros((2, 2))]), W_B_0=np.zeros((0, 4)),
+                   W_C_out=np.hstack([np.zeros((2, 2)), np.eye(2)]), k=1)
+    loop = build_closed_loop(lossless, skew)
+    x0 = random_state(lossless, seed=4)
+    cfg = SimConfig(dt=5e-3, T=5.0, input=InputSignal(m=skew.m))
+    traj = run(loop, cfg, x0=x0)
+    drift = np.abs(traj.energy - traj.energy[0]).max() / traj.energy[0]
+    back = reverse_run(loop, traj.x_final, cfg.dt, 1000)
+    rev_err = np.linalg.norm(back - x0) / np.linalg.norm(x0)
+
+    _, _, _, _, lossy = build_bundle(n, 12, 1, [cable()], box,
+                                     line_mats=LineMaterials(k=1, R=0.2, G=0.1),
+                                     field_mats=FieldMaterials(sigma=0.2))
+    W_B = np.hstack([np.eye(2), np.eye(2)])
+    strict = PortLaw(W_B_inp=W_B, W_B_0=np.zeros((0, 4)),
+                     W_C_out=build_colocated_output(W_B), k=1)
+    loop_l = build_closed_loop(lossy, strict)
+    x0_l = smooth_state(lossy)
+    residuals = []
+    for dt in (2e-3, 1e-3):
+        sine = InputSignal(m=strict.m, kind="sine", freq=1.5, amplitude=0.5 * np.ones(2))
+        led = run(loop_l, SimConfig(dt=dt, T=0.4, input=sine), x0=x0_l).ledger
+        residuals.append(led["max_residual"] / led["peak_energy"])
+    ratio = residuals[0] / residuals[1]
+
+    elapsed = time.time() - t0
+    ok = (green <= 1e-12 and drift <= 1e-10 and rev_err <= 1e-8
+          and 2 ** 1.5 <= ratio <= 2 ** 2.5)
+    assert report(f"1, 4, 5 on a curved {kind}", ok,
+                  f"green {green:.2e}, drift {drift:.2e}, reversibility {rev_err:.2e}, "
+                  f"ledger ratio dt/(dt/2) {ratio:.2f}, {elapsed:.1f} s")
 
 
 # ---------------------------------------------------------------------------

@@ -251,7 +251,7 @@ def test_closed_loop_energy_identity(setup):
     law = strict_law(bundle.k)
     loop = build_closed_loop(bundle, law)
     rng = np.random.default_rng(2)
-    ME = bundle.energy_metric()
+    ME = bundle.M @ bundle.Hd
     for _ in range(5):
         x = rng.standard_normal(bundle.n) + 1j * rng.standard_normal(bundle.n)
         u = rng.standard_normal(law.m) + 1j * rng.standard_normal(law.m)

@@ -213,6 +213,51 @@ def test_output_count_must_match_input_count(tmp_path, capsys):
     assert capsys.readouterr().err == err
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("solver_tol", 0.0, "sim.solver_tol must be > 0"),
+    ("solver_tol", -1e-10, "sim.solver_tol must be > 0"),
+    ("record_stride", 2.5, "sim.record_stride must be a whole number"),
+    ("record_stride", True, "sim.record_stride must be a whole number"),
+    ("dt", float("nan"), "sim.dt must be a finite number"),
+    ("T", float("nan"), "sim.T must be a finite number"),
+])
+def test_sim_numbers_are_checked_by_key(tmp_path, capsys, key, value, message):
+    # a tolerance <= 0 used to fail every step's residual check after the
+    # whole build, a stride of 2.5 or true was truncated to 2 or read as 1,
+    # and a NaN dt or T (json reads the NaN literal) escaped as ValueError
+    config = single_cable_config(0.01, 0.05)
+    config["sim"][key] = value
+    path = write(tmp_path, config)
+    assert main(["validate", path]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert message in err
+    assert main(["simulate", path, "--output-dir", str(tmp_path / "out")]) == EXIT_USAGE
+    assert capsys.readouterr().err == err
+
+
+def test_a_law_without_inputs_runs_autonomously(tmp_path, capsys):
+    # the single cable's strict law with both rows in W_B_0: m = 0, and the
+    # co-located output keeps its 2k rows; the run supplies nothing
+    config = single_cable_config(0.01, 0.5)
+    config["boundary"]["W_B_0"] = config["boundary"]["W_B_inp"]
+    config["boundary"]["W_B_inp"] = []
+    config["sim"]["input"] = {"kind": "zero"}
+    path = write(tmp_path, config)
+    assert main(["certify", path]) == EXIT_OK
+    cert = json.loads(capsys.readouterr().out)
+    assert cert["strict"] and cert["colocated"] is None     # p = 2 outputs, m = 0
+    out = tmp_path / "out"
+    assert main(["simulate", path, "--output-dir", str(out)]) == EXIT_OK
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["wp_bound_satisfied"]
+    assert summary["max_ledger_residual"] <= 1e-3 * summary["peak_energy"]
+    data = np.loadtxt(out / "trajectory.csv", delimiter=",", skiprows=1)
+    energy, supplied = data[:, 1], data[:, 2]
+    assert np.all(np.diff(energy) <= 1e-12 * energy[0]) and energy[-1] < energy[0]
+    assert np.abs(supplied).max() == 0.0
+    assert data.shape[1] == 6 + 2           # no input columns, two outputs
+
+
 def test_mixed_law_certifies_and_simulates(tmp_path, capsys):
     # one end resistive (I(0) + V(0) = u1), the other an imposed current
     # (I(1) = u2): K = diag(2, 0), neither strict nor skew
@@ -289,6 +334,11 @@ def test_simulate_writes_csv_and_summary(scenario_path, tmp_path, capsys):
     assert summary["max_ledger_residual"] <= 1e-3 * max(summary["peak_energy"], 1e-30)
     data = np.loadtxt(os.path.join(out, "trajectory.csv"), delimiter=",", skiprows=1)
     assert data.shape[0] == summary["records"]
+    # energy drift: max_t |E(t) - E(0)| / peak energy, from the energy column
+    energy = data[:, 1]
+    drift = np.abs(energy - energy[0]).max() / summary["peak_energy"]
+    assert summary["energy_drift"] == pytest.approx(drift, rel=1e-12)
+    assert 0.0 < summary["energy_drift"] <= 1.0
     assert capsys.readouterr().err == ""       # nothing is logged without -v
 
 
@@ -308,6 +358,7 @@ def test_simulate_verbose_logs_the_run(scenario_path, tmp_path, capsys):
     assert f"{solver['factor_s']:.3f} s  gmres, {solver['reduced_unknowns']} reduced" in err
     assert f"{solver['stepping_s']:.3f} s  30 steps" in err
     assert f"max residual {summary['max_ledger_residual']:.3e}" in err
+    assert f"energy drift {summary['energy_drift']:.3e}" in err
 
 
 def test_simulate_zero_everything_all_zero_rows(tmp_path, scenario_config, capsys):

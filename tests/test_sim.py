@@ -24,7 +24,7 @@ from cablefield.sim import (
 )
 from cablefield.tline import LineMaterials
 
-from oracles import completion_form, reverse_run, used_ports
+from oracles import completion_form, midpoint_step, reverse_run, used_ports
 from test_acceptance import criterion3_bundle
 from test_assembly import make_setup
 
@@ -197,7 +197,7 @@ def recorded_states(loop, cfg, x0):
     n_steps = int(round(cfg.T / cfg.dt))
     x, states = x0.copy(), [x0.copy()]
     for i in range(n_steps):
-        x, _ = stepper.step(x, cfg.input((i + 0.5) * cfg.dt))
+        x, _ = midpoint_step(stepper, x, cfg.input((i + 0.5) * cfg.dt))
         if (i + 1) % cfg.record_stride == 0 or i == n_steps - 1:
             states.append(x)
     return states
@@ -251,6 +251,33 @@ def test_input_must_be_finite_on_every_step(lossless):
         run(loop, cfg, x0=random_state(bundle, seed=8))
 
 
+def test_a_bad_solve_inside_a_block_names_its_step(lossy, monkeypatch):
+    # the residuals are checked a block at a time, but against every step:
+    # one corrupted solve in the middle of the second block is a SolverError
+    # that names that step
+    _, _, _, _, _, bundle, _ = lossy
+    law = strict_law(bundle.k)
+    loop = build_closed_loop(bundle, law)
+    width = min(max(sim.RECORD_BLOCK_BYTES // (8 * bundle.n), 1),
+                sim.RECORD_BLOCK_MAX_COLUMNS)
+    bad = width + width // 2
+    solve = MidpointStepper._solve_reduced
+    calls = []
+
+    def corrupted(self, b):
+        calls.append(1)
+        x_r = solve(self, b)
+        return x_r + 1e-6 if len(calls) == bad else x_r
+
+    monkeypatch.setattr(MidpointStepper, "_solve_reduced", corrupted)
+    cfg = SimConfig(dt=1e-3, T=4 * width * 1e-3, input=InputSignal(m=law.m, kind="sine"))
+    t_mid = (bad - 0.5) * cfg.dt
+    with pytest.raises(SolverError, match=rf"exceeds tolerance .* at step {bad} "
+                                          rf"\(t = {t_mid:.6g}\)"):
+        run(loop, cfg, x0=random_state(bundle, seed=8))
+    assert len(calls) == 2 * width       # the error ends the run with its block
+
+
 def test_run_rejects_bad_initial_shape(lossless):
     _, _, _, _, _, bundle, _ = lossless
     law = strict_law(bundle.k)
@@ -274,6 +301,24 @@ def test_input_signals():
     assert abs(tab(0.5)[0] - 1.0) < 1e-14
     assert InputSignal(m=2)(0.3).dtype == np.float64
     assert tab(0.5).dtype == np.float64
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("zero", {}),
+    ("step", {"t_on": 0.013, "ramp": 0.07, "amplitude": [0.3, -1.7]}),
+    ("sine", {"freq": 3.1, "phase": 0.4, "amplitude": [0.3, 0.2 + 0.1j]}),
+    ("table", {"table_t": [0.0, 0.031, 0.07, 0.2],
+               "table_u": [[0.0, 1.0], [0.4, -0.3], [0.1, 0.2], [0.0, 0.7]]}),
+])
+def test_array_input_is_the_scalar_input_bit_for_bit(kind, params):
+    # run() evaluates the input at a block of times at once; every sample
+    # must equal the scalar call at that time
+    sig = InputSignal(m=2, kind=kind, **params)
+    t = (np.arange(57) + 0.5) * 3e-3
+    U = sig(t)
+    assert U.shape == (57, 2) and U.dtype == sig(0.1).dtype
+    for j, tj in enumerate(t):
+        assert np.array_equal(U[j], sig(float(tj)))
 
 
 def test_table_input_must_cover_the_interval():
@@ -372,7 +417,7 @@ def check_step_against_full_solve(bundle, case):
     u = np.array([0.3, -0.2])
     if case == "real_law_complex_input":
         u = u + 1j * np.array([0.1, 0.4])
-    x_next, x_mid = stepper.step(x, u)
+    x_next, x_mid = midpoint_step(stepper, x, u)
 
     lhs = (sp.identity(bundle.n, dtype=complex) - 0.5 * dt * loop.A.astype(complex)).tocsc()
     rhs = (x + 0.5 * dt * (loop.Bu @ law.u_hat(u))).astype(complex)
@@ -456,4 +501,4 @@ def test_gmres_iteration_cap_is_a_solver_error(criterion3_bundles, krylov, monke
     stepper = MidpointStepper(build_closed_loop(bundle, law), 1e-2)
     with pytest.raises(SolverError, match=r"GMRES did not converge in 3 iterations: "
                                           r"relative residual \d"):
-        stepper.step(random_state(bundle, seed=2), np.zeros(law.m))
+        midpoint_step(stepper, random_state(bundle, seed=2), np.zeros(law.m))
