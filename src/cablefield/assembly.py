@@ -375,12 +375,15 @@ def hodge_extremes(bundle: OperatorBundle):
     The masses are scalar within each material block, so these are the
     plain eigenvalue extremes of Hd, read from its blocks: the diagonals
     mu^-1 and eps^-1 on the field blocks, and small Hermitian blocks
-    L^-1 and C^-1 on the line blocks.
+    L^-1 and C^-1 on the line blocks.  The field averages are formed one at
+    a time for this call and not kept (``CurlPair.average``): only Hd, which
+    simulate reads, keeps them.
     """
     curls, line = bundle.curls, bundle.line
-    mu_inv, eps_inv = curls.mu_inv(), curls.eps_inv()
-    lo = min(mu_inv.min(), eps_inv.min())
-    hi = max(mu_inv.max(), eps_inv.max())
+    lo, hi = np.inf, -np.inf
+    for name in ("mu", "eps"):
+        inv = 1.0 / curls.average(name)
+        lo, hi = min(lo, inv.min()), max(hi, inv.max())
     for block in (line.Linv, line.Cinv):
         block = block.toarray()
         lam = np.linalg.eigvalsh(0.5 * (block + block.conj().T))

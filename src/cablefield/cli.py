@@ -58,8 +58,10 @@ def _log_stages(build: dict, stages=("grid", "curls", "trace", "assembly")):
 def _log_run(traj):
     """Log lines of the step solver's set-up, the stepping and the ledger."""
     s = traj.solver
-    log.info("%-13s %7.3f s  %s, %d reduced unknowns", "solver set-up", s["factor_s"],
-             s["method"], s["reduced_unknowns"])
+    inverse = (f", inverse {s['inverse_bytes'] / 1e6:.3f} MB at fill {s['inverse_fill']:.3f}"
+               if s["method"] == "direct" else "")
+    log.info("%-13s %7.3f s  %s, %d reduced unknowns%s", "solver set-up", s["factor_s"],
+             s["method"], s["reduced_unknowns"], inverse)
     iterations = (f", GMRES iterations mean {s['iterations_mean']:.1f} max "
                   f"{s['iterations_max']}" if s["method"] == "gmres" else "")
     log.info("%-13s %7.3f s  %d steps, %.1f steps/s, worst step residual %.2e%s",

@@ -394,30 +394,34 @@ class CurlPair:
 
     The edge and face material averages (eps_edge, sigma_edge, mu_face)
     are computed from the grid and the materials the first time each is
-    read, and kept from then on.
+    read, and kept from then on; ``average`` forms one without keeping it.
     """
 
     grid: YeeGrid
     incidence: sp.csr_matrix
     materials: FieldMaterials
 
+    def average(self, name: str) -> np.ndarray:
+        """The face average of mu, or the edge average of eps (harmonic) or
+        sigma, formed anew on each call."""
+        g = self.grid
+        if name == "mu":
+            return _average(g, self.materials, "mu", False, _face_cells, g.dof_faces,
+                            g.face_offsets)
+        return _average(g, self.materials, name, name == "eps", _edge_cells, g.free_edges,
+                        g.edge_offsets)
+
     @cached_property
     def eps_edge(self) -> np.ndarray:
-        g = self.grid
-        return _average(g, self.materials, "eps", True, _edge_cells, g.free_edges,
-                        g.edge_offsets)
+        return self.average("eps")
 
     @cached_property
     def sigma_edge(self) -> np.ndarray:
-        g = self.grid
-        return _average(g, self.materials, "sigma", False, _edge_cells, g.free_edges,
-                        g.edge_offsets)
+        return self.average("sigma")
 
     @cached_property
     def mu_face(self) -> np.ndarray:
-        g = self.grid
-        return _average(g, self.materials, "mu", False, _face_cells, g.dof_faces,
-                        g.face_offsets)
+        return self.average("mu")
 
     def eps_inv(self):
         return 1.0 / self.eps_edge

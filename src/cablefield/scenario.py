@@ -82,16 +82,30 @@ def _required(section: dict, key: str, where: str):
     return section[key]
 
 
+def _number(section: dict, key: str, where: str, default=None, whole: bool = False):
+    """section[key] as a float, or with ``whole`` as an int; ``default`` when
+    the key is absent, which a None default makes required.  A value that
+    float() cannot read, or a ``whole`` one with a fractional part, is a
+    ConfigError naming ``where.key``."""
+    value = _required(section, key, where) if default is None else section.get(key, default)
+    name = f"{where}.{key}" if where else key
+    try:
+        number = float(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{name} must be a number, got {value!r}") from exc
+    return sim._whole_number(number, name) if whole else number
+
+
 def _build_cable(entry: dict, where: str):
     def vec(key):
         return np.asarray(_required(entry, key, where), dtype=float)
 
     def num(key):
-        return float(_required(entry, key, where))
+        return _number(entry, key, where)
 
     kind = entry.get("type", "segment")
     radius = num("radius")
-    line = int(entry.get("line", 0))
+    line = _number(entry, "line", where, 0, whole=True)
     if kind == "segment":
         return StraightSegment(p0=vec("p0"), direction=vec("direction"),
                                length=num("length"), radius=radius, line=line)
@@ -102,7 +116,7 @@ def _build_cable(entry: dict, where: str):
     if kind == "helix":
         return Helix(base=vec("base"), axis=vec("axis"), a=num("a"), b=num("b"),
                      turns=num("turns"), radius=radius,
-                     phase=float(entry.get("phase", 0.0)), line=line)
+                     phase=_number(entry, "phase", where, 0.0), line=line)
     if kind == "spline":
         return SplineCurve(points=vec("points"), radius=radius, line=line)
     raise ConfigError(f"unknown cable type {kind!r}")
@@ -121,7 +135,7 @@ def _geometry_spec(geo: dict) -> GeometrySpec:
               for i, e in enumerate(geo.get("cables", []))]
     return GeometrySpec(box=np.asarray(_required(geo, "box", "geometry"), dtype=float),
                         cables=cables,
-                        collar_halfwidth=float(geo.get("collar_halfwidth", 0.3)))
+                        collar_halfwidth=_number(geo, "collar_halfwidth", "geometry", 0.3))
 
 
 def _port_matrix(bc: dict, key: str, k: int) -> np.ndarray:
@@ -161,13 +175,15 @@ def _sim_section(sc: dict, m: int, p: int, n_nodes: int):
         amplitude = parse_complex(amplitude, (m,), "sim.input.amplitude", scalar=m == 1)
     signal = sim.InputSignal(
         m=m, kind=inp.get("kind", "zero"), amplitude=amplitude,
-        freq=float(inp.get("freq", 1.0)), phase=float(inp.get("phase", 0.0)),
-        t_on=float(inp.get("t_on", 0.0)), ramp=float(inp.get("ramp", 0.05)),
+        freq=_number(inp, "freq", "sim.input", 1.0),
+        phase=_number(inp, "phase", "sim.input", 0.0),
+        t_on=_number(inp, "t_on", "sim.input", 0.0),
+        ramp=_number(inp, "ramp", "sim.input", 0.05),
         table_t=inp.get("table_t"), table_u=inp.get("table_u"),
     )
-    sim_cfg = sim.SimConfig(dt=float(_required(sc, "dt", "sim")),
-                            T=float(_required(sc, "T", "sim")), input=signal,
-                            solver_tol=float(sc.get("solver_tol", 1e-10)),
+    sim_cfg = sim.SimConfig(dt=_number(sc, "dt", "sim"), T=_number(sc, "T", "sim"),
+                            input=signal,
+                            solver_tol=_number(sc, "solver_tol", "sim", 1e-10),
                             record_stride=sc.get("record_stride", 1))
     initial_spec = dict(sc.get("initial", {"kind": "zero"}))
     v0 = initial_spec.get("V0")
@@ -214,20 +230,21 @@ class Scenario:
 
     def initial_state(self) -> np.ndarray:
         kind = self.initial_spec.get("kind", "zero")
-        scale = float(self.initial_spec.get("scale", 1.0))
+        scale = _number(self.initial_spec, "scale", "sim.initial", 1.0)
         if kind == "zero":
             return sim.zero_state(self.bundle)
         if kind == "smooth":
             return sim.smooth_state(self.bundle, scale=scale)
         if kind == "random":
             return sim.random_state(self.bundle,
-                                    seed=int(self.initial_spec.get("seed", self.seed)),
+                                    seed=_number(self.initial_spec, "seed", "sim.initial",
+                                                self.seed, whole=True),
                                     scale=scale)
         if kind == "lift":
             v0 = self.initial_spec.get("V0", "sine")
             if isinstance(v0, str):
                 v0 = np.sin(np.pi * self.line_grid.nodes) * scale
-            line = int(self.initial_spec.get("line", 0))
+            line = _number(self.initial_spec, "line", "sim.initial", 0, whole=True)
             return sim.lifted_state(self.bundle, self.grid, self.charts[line],
                                     self.line_grid, v0, line=line)
         raise ConfigError(f"unknown initial condition kind {kind!r}")
@@ -264,12 +281,12 @@ def _peak_rss_mb() -> float:
 
 def build_scenario(config: dict) -> Scenario:
     geo, lc, fc, bc = _sections(config)
-    seed = int(config.get("seed", 0))
+    seed = _number(config, "seed", "", 0, whole=True)
     spec = _geometry_spec(geo)
     cables = spec.cables
 
-    k = int(_required(lc, "k", "line"))
-    n_cells = int(_required(lc, "n_cells", "line"))
+    k = _number(lc, "k", "line", whole=True)
+    n_cells = _number(lc, "n_cells", "line", whole=True)
     line_grid = tline.build_line_grid(n_cells, k)
     lm = tline.LineMaterials(k=k, **_line_material_kwargs(lc, k))
     line_blocks = tline.assemble_line(lm, line_grid)
@@ -291,7 +308,7 @@ def build_scenario(config: dict) -> Scenario:
     if len(lines_used) != len(cables):
         raise ConfigError("two cables reference the same line component")
 
-    n_theta = int(fc.get("n_theta", 16))
+    n_theta = _number(fc, "n_theta", "fields", 16, whole=True)
     clock = time.perf_counter()
     charts = [spec.chart(i, n_eta=n_cells, n_theta=n_theta) for i in range(len(cables))]
     if cables:
@@ -333,6 +350,7 @@ def validate_scenario(config: dict) -> dict:
     """Assumption checks without full assembly; used by the validate command."""
     report = {"passed": True}
     geo, lc, fc, bc = _sections(config)
+    _number(config, "seed", "", 0, whole=True)
     try:
         spec = _geometry_spec(geo)
         gr = validate_geometry(spec)
@@ -346,14 +364,15 @@ def validate_scenario(config: dict) -> dict:
     except CableFieldError as exc:
         raise ConfigError(f"geometry section invalid: {exc}") from exc
 
-    k = int(_required(lc, "k", "line"))
-    n_cells = int(_required(lc, "n_cells", "line"))
+    k = _number(lc, "k", "line", whole=True)
+    n_cells = _number(lc, "n_cells", "line", whole=True)
     lm = tline.LineMaterials(k=k, **_line_material_kwargs(lc, k))
     line_rep = tline.validate_line_materials(lm)
     report["line_materials"] = line_rep
     report["passed"] &= line_rep["passed"]
 
     _required(fc, "grid", "fields")
+    _number(fc, "n_theta", "fields", 16, whole=True)
     fm = maxwell.FieldMaterials(eps=fc.get("eps", 1.0), mu=fc.get("mu", 1.0),
                                 sigma=fc.get("sigma", 0.0))
     probe = np.asarray(np.meshgrid(*[np.linspace(*b, 5) for b in
@@ -375,7 +394,7 @@ def validate_scenario(config: dict) -> dict:
         _, initial_spec = _sim_section(config["sim"], m, p, n_cells + 1)
         if initial_spec.get("kind") == "lift":
             # the check lift_voltage makes when simulate starts
-            cable = spec.cables[int(initial_spec.get("line", 0))]
+            cable = spec.cables[_number(initial_spec, "line", "sim.initial", 0, whole=True)]
             coupling.check_lift_resolution(spec.collar_halfwidth, cable.radius,
                                            maxwell.grid_spacing(spec, fc["grid"]))
     report["passed"] = bool(report["passed"])

@@ -17,10 +17,43 @@ unknowns, DIRECT_MAX_UNKNOWNS = 1500:
     real, and a step solve is one matrix-vector product; a complex
     right-hand side on a real inverse is solved as two real products, of
     its real and imaginary parts.  On the 412-unknown single cable the
-    inverse is 1.4 MB and the set-up, S included, takes 0.015-0.02 s
+    dense inverse is 1.4 MB and the set-up, S included, takes 0.015-0.025 s
     (a SuperLU set-up took 0.09 s, most of it importing
-    scipy.sparse.linalg).  The solve is one 28-32 us product against
-    SuperLU's 37-40 us, and a step on GMRES takes 0.6 ms.
+    scipy.sparse.linalg), and a step on GMRES takes 0.6 ms.
+  * Only the above-roundoff entries of the inverse are kept.  With
+    w = diag(M) diag(Hd) on the reduced unknowns, T_ij = |S^-1_ij|
+    sqrt(w_i / w_j) is the inverse in the energy scaling, and the entries
+    with T_ij <= u max T (u the unit roundoff of the dtype) are dropped.
+    The step map contracts in the energy norm, so max T is about 1
+    (0.999999 at dt = 2e-5), and a dropped part changes a solve by at most
+    u max T ||b~||_1, b~ the right-hand side in that scaling: no more than
+    the dense product's own worst-case rounding.  The scaling makes the
+    rule independent of units: an SI copy of the single cable (C = 1e-10,
+    L = 2.5e-7, eps0, mu0, dt / 3e8) keeps 7.9 % against 8.0 %.  The
+    inverses of well-conditioned sparse matrices decay away from their
+    pattern (Demko, Moss & Smith 1984; Benzi 2016), so at small dt few
+    entries remain.  Kept fraction (fill) by dt on the single cable:
+
+        dt     2e-5   4e-5   6e-5   8e-5   1e-4   1e-3   5e-3
+        fill   0.080  0.117  0.188  0.305  0.403  0.741  0.966
+
+    When the fill is at most SPARSE_INVERSE_MAX_FILL = 0.2, the kept
+    entries are stored as CSR (int32 indices; 165 KB at dt = 2e-5, and
+    the dense inverse is freed); otherwise the dense inverse is kept
+    untouched, so such a run is bit for bit the run without the rule.
+    advance() per step, dense against CSR, 28-step blocks (us, medians of
+    7 on a shared 2-core Xeon whose timings move by 30 %; the product
+    alone in brackets):
+
+        fill    0.08     0.12     0.19     0.25      0.31     0.40     0.60
+        dense   74 (28)  71 (23)  83 (27)  111 (31)  93 (28)  72 (22)  80 (28)
+        CSR     52 (14)  59 (18)  66 (27)  113 (51)  86 (46)  95 (53)  125 (82)
+
+    The steps break even between fills of 0.2 and 0.3 (a tie at 0.25; a
+    second run had CSR 5 us behind at 0.31), the products alone near 0.19,
+    and the switch sits below both.  At the smallest fills the CSR step saves more than its
+    product does, which fits the dense stream evicting the block arrays
+    from the 2 MB L2 cache (not verified).
   * Above it, no inverse is built.  S is solved by restarted GMRES
     (Saad-Schultz), right-preconditioned by the Jacobi diagonal 1/diag(S),
     in complex arithmetic when S or the right-hand side is complex.  At the
@@ -74,12 +107,12 @@ Everything else runs once per block, and still covers every step:
 
 Measured on the single cable (412 reduced unknowns, dt = 2e-5, 2 BLAS
 threads, timeit best of 5 on a shared 2-core Xeon whose timings move by
-30 % from hour to hour): S^-1 b 28-30 us, P rhs 8-11 us, L_fr x_r 8 us;
-a step 56-58 us, and a step with its share of the block work 64-76 us,
-where a loop doing all of that work step by step took 87-139 us a step
-(its residual product and norms 17-28 us of it).  The block's residual
-check is 7.5-9 us a step, and run() takes 1.1-1.6 s for 15,000 steps
-against 1.7-2.9 s.
+30 % from hour to hour): S^-1 b 12-20 us on the CSR inverse (25-30 us
+dense), P rhs 8-11 us, L_fr x_r 8 us; a step with its share of the block
+work 41-47 us on the CSR inverse and 64-76 us dense, where a loop doing
+all of that work step by step took 87-139 us a step (its residual
+product and norms 17-28 us of it).  The block's residual check is 7.5-9
+us a step.
 
 The scheme is A-stable, time-reversible and preserves the quadratic energy
 exactly for skew flows, so the recorded energy ledger
@@ -139,6 +172,11 @@ RECORD_BLOCK_MAX_COLUMNS = 256
 # Size rule of the step solve: S is inverted densely up to this many
 # reduced unknowns and solved by Jacobi-preconditioned GMRES above it.
 DIRECT_MAX_UNKNOWNS = 1500
+# The inverse is stored as CSR of its above-roundoff entries when they are
+# at most this fraction of its n^2 entries, and dense otherwise.
+SPARSE_INVERSE_MAX_FILL = 0.2
+# rows of S^-1 scaled at a time while its above-roundoff entries are found
+_MASK_ROWS = 64
 # GMRES stops at ||b - S x|| <= GMRES_TOL_FACTOR solver_tol ||b||, restarts
 # every GMRES_RESTART iterations and gives up after GMRES_MAX_ITERATIONS.
 GMRES_TOL_FACTOR = 1e-3
@@ -342,18 +380,48 @@ def lifted_state(bundle: OperatorBundle, grid, chart, line_grid, V0: np.ndarray,
 # stepping
 # ---------------------------------------------------------------------------
 
+def _above_roundoff(Sinv: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Mask of the entries with T_ij = |Sinv_ij| s_i / s_j > u max T, u the
+    unit roundoff of Sinv's dtype.
+
+    T is formed _MASK_ROWS rows at a time, twice (for its maximum, then for
+    the mask), so the mask is the only n x n temporary.
+    """
+    blocks = [slice(i, i + _MASK_ROWS) for i in range(0, Sinv.shape[0], _MASK_ROWS)]
+
+    def scaled(rows):
+        return np.abs(Sinv[rows]) * (s[rows, None] / s)
+
+    floor = np.finfo(Sinv.dtype).eps * max(scaled(rows).max() for rows in blocks)
+    keep = np.empty(Sinv.shape, dtype=bool)
+    for rows in blocks:
+        np.greater(scaled(rows), floor, out=keep[rows])
+    return keep
+
+
+def _csr_of(Sinv: np.ndarray, keep: np.ndarray) -> sp.csr_matrix:
+    """The entries of Sinv where ``keep`` holds, as CSR with int32 indices."""
+    indptr = np.zeros(Sinv.shape[0] + 1, dtype=np.int32)
+    np.cumsum(np.count_nonzero(keep, axis=1), out=indptr[1:])
+    indices = np.nonzero(keep)[1].astype(np.int32)
+    return sp.csr_matrix((Sinv[keep], indices, indptr), shape=Sinv.shape)
+
+
 class MidpointStepper:
     """Implicit-midpoint stepper for one (loop, dt) pair.
 
-    Builds the face-eliminated step system S once and, by the size rule of
-    the module docstring, inverts it densely or sets up its Jacobi-GMRES
-    solve.  ``advance`` runs a block of steps: the input columns dt/2 Bu
-    enter as one block product, each step (``step``) maps its right-hand
-    side to S's with P = [I_r | -L_rf], solves and writes the face rows, and
-    every step's residual is then checked against the full L in one sparse
-    product over the block.  ``stats`` reports the size, the method
-    ("direct" or "gmres"), the set-up time (``factor_s``), the bytes of the
-    inverse (direct, ``inverse_bytes``) or the maximum and mean GMRES
+    Builds the face-eliminated step system S once and, by the rules of the
+    module docstring, inverts it (keeping the above-roundoff entries, as
+    CSR when few remain) or sets up its Jacobi-GMRES solve.  ``advance``
+    runs a block of steps: the input columns dt/2 Bu enter as one block
+    product, each step (``step``) maps its right-hand side to S's with
+    P = [I_r | -L_rf], solves and writes the face rows, and every step's
+    residual is then checked against the full L in one sparse product over
+    the block.  ``stats`` reports the size, the method ("direct" or
+    "gmres"), the set-up time (``factor_s``), the stored bytes of the
+    inverse (direct, ``inverse_bytes``: CSR data, indices and indptr, or
+    the dense array) and the fraction of its entries above roundoff
+    (``inverse_fill``), or the maximum and mean GMRES
     iterations per solve, the number of step solves and the worst relative
     step residual so far.  A singular S raises SolverError.
     """
@@ -399,11 +467,21 @@ class MidpointStepper:
             self._stats = {"reduced_unknowns": int(r.size), "method": "gmres"}
         else:
             try:
-                self._Sinv = np.linalg.inv(S.toarray())
+                Sinv = np.linalg.inv(S.toarray())
             except np.linalg.LinAlgError as exc:
                 raise SolverError(f"step matrix inversion failed: {exc}") from exc
+            bundle = loop.bundle
+            weight = (bundle.M.diagonal() * bundle.Hd.diagonal().real)[r]
+            keep = _above_roundoff(Sinv, np.sqrt(weight))
+            kept = int(np.count_nonzero(keep))
+            if kept <= SPARSE_INVERSE_MAX_FILL * keep.size:
+                Sinv = _csr_of(Sinv, keep)
+                nbytes = Sinv.data.nbytes + Sinv.indices.nbytes + Sinv.indptr.nbytes
+            else:
+                nbytes = Sinv.nbytes
+            self._Sinv = Sinv
             self._stats = {"reduced_unknowns": int(r.size), "method": "direct",
-                           "inverse_bytes": int(self._Sinv.nbytes)}
+                           "inverse_bytes": int(nbytes), "inverse_fill": kept / keep.size}
         self._stats["factor_s"] = time.perf_counter() - t0
 
     def stats(self) -> dict:

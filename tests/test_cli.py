@@ -100,12 +100,19 @@ def check_build_report(build, simulated=False):
     assert build["free_edges"] > 0 and build["band_edges"] > 0
 
 
-def drop(config, dotted):
-    """Delete one dotted key such as geometry.cables[0].radius."""
+def parent(config, dotted):
+    """(the section holding one dotted key such as geometry.cables[0].radius,
+    the key's last part)."""
     *path, last = dotted.replace("[", ".").replace("]", "").split(".")
     for part in path:
         config = config[int(part)] if part.isdigit() else config[part]
-    del config[last]
+    return config, last
+
+
+def drop(config, dotted):
+    """Delete one dotted key."""
+    section, last = parent(config, dotted)
+    del section[last]
 
 
 @pytest.mark.parametrize("command", ["validate", "simulate"])
@@ -235,6 +242,27 @@ def test_sim_numbers_are_checked_by_key(tmp_path, capsys, key, value, message):
     assert capsys.readouterr().err == err
 
 
+def put(config, dotted, value):
+    """Set one dotted key."""
+    section, last = parent(config, dotted)
+    section[last] = value
+
+
+@pytest.mark.parametrize("command", ["validate", "certify"])
+@pytest.mark.parametrize("key, value", [
+    ("sim.dt", "abc"), ("sim.T", [1, 2]), ("sim.input.freq", "x"), ("sim.solver_tol", "x"),
+    ("line.n_cells", "x"), ("geometry.collar_halfwidth", "x"),
+    ("geometry.cables[0].radius", "x"), ("fields.n_theta", "x"), ("seed", "x"),
+])
+def test_a_non_number_exits_2_naming_its_key(tmp_path, capsys, command, key, value):
+    # each used to escape as a ValueError or TypeError traceback, and
+    # fields.n_theta and seed passed validate to crash certify
+    config = single_cable_config(0.01, 0.05)
+    put(config, key, value)
+    assert main([command, write(tmp_path, config)]) == EXIT_USAGE
+    assert f"{key} must be a number, got {value!r}" in capsys.readouterr().err
+
+
 def test_a_law_without_inputs_runs_autonomously(tmp_path, capsys):
     # the single cable's strict law with both rows in W_B_0: m = 0, and the
     # co-located output keeps its 2k rows; the run supplies nothing
@@ -359,6 +387,21 @@ def test_simulate_verbose_logs_the_run(scenario_path, tmp_path, capsys):
     assert f"{solver['stepping_s']:.3f} s  30 steps" in err
     assert f"max residual {summary['max_ledger_residual']:.3e}" in err
     assert f"energy drift {summary['energy_drift']:.3e}" in err
+
+
+def test_simulate_verbose_logs_the_stored_inverse(tmp_path, capsys):
+    # the single cable at the benchmark's dt = 2e-5 steps on a direct
+    # inverse stored sparse: its bytes and fill are in summary.json and in
+    # the set-up line
+    path = write(tmp_path, single_cable_config(2e-5, 2e-4))
+    assert main(["simulate", "--verbose", path, "--output-dir", str(tmp_path / "out")]) == EXIT_OK
+    captured = capsys.readouterr()
+    solver = json.loads(captured.out)["solver"]
+    assert solver["method"] == "direct" and solver["solves"] == 10
+    assert solver["inverse_bytes"] < 412 * 412 * 8 and 0.0 < solver["inverse_fill"] < 0.2
+    assert (f"{solver['factor_s']:.3f} s  direct, 412 reduced unknowns, inverse "
+            f"{solver['inverse_bytes'] / 1e6:.3f} MB at fill {solver['inverse_fill']:.3f}"
+            in captured.err)
 
 
 def test_simulate_zero_everything_all_zero_rows(tmp_path, scenario_config, capsys):

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 
 import numpy as np
 import pytest
@@ -139,7 +140,11 @@ def test_single_cable_benchmark_system_stays_direct():
     solver = build_scenario(benchmark_single_cable_config()).simulate().solver
     assert solver["reduced_unknowns"] == 412 <= sim.DIRECT_MAX_UNKNOWNS
     assert solver["method"] == "direct"
-    assert solver["inverse_bytes"] == 412 * 412 * 8        # one real dense inverse
+    # about 8 % of the inverse lies above roundoff at dt = 2e-5: it is kept
+    # as one real CSR, 8-byte values and int32 indices
+    assert 0.07 < solver["inverse_fill"] <= sim.SPARSE_INVERSE_MAX_FILL
+    kept = round(solver["inverse_fill"] * 412 * 412)
+    assert solver["inverse_bytes"] == kept * (8 + 4) + (412 + 1) * 4
     assert "iterations_max" not in solver
 
 
@@ -150,6 +155,54 @@ def test_size_rule_boundary(monkeypatch, limit, method):
     scn = build_scenario(benchmark_single_cable_config())
     solver = sim.MidpointStepper(scn.closed_loop(), scn.sim_config.dt).stats()
     assert (solver["reduced_unknowns"], solver["method"]) == (412, method)
+
+
+def si_single_cable_config():
+    """The benchmark single cable in SI units: a 50-ohm line at 2e8 m/s in
+    vacuum, time scaled by 1 / 3e8, every loss rate and the input kept."""
+    tau = 1.0 / 3e8
+    eps0, mu0 = 8.8541878128e-12, 1.25663706212e-6
+    cfg = benchmark_single_cable_config()
+    cfg["line"].update(C=1e-10, L=2.5e-7, R=0.2 * 2.5e-7 / tau, G=0.1 * 1e-10 / tau)
+    cfg["fields"].update(eps=eps0, mu=mu0, sigma=0.2 * eps0 / tau)
+    cfg["sim"].update(dt=2e-5 * tau, T=2e-4 * tau)
+    cfg["sim"]["input"]["freq"] = 0.3 / tau
+    return cfg
+
+
+@pytest.mark.parametrize("units", ["normalised", "SI"])
+def test_sparse_inverse_steps_match_the_dense_inverse(monkeypatch, units):
+    # the rule reads the inverse in the energy scaling, so it keeps the same
+    # ~8 % of the entries in either unit system, and 1,000 steps on the kept
+    # entries stay within 1e-12 of the dense inverse's in the energy norm
+    cfg = benchmark_single_cable_config() if units == "normalised" else si_single_cable_config()
+    scn = build_scenario(cfg)
+    loop, x0 = scn.closed_loop(), scn.initial_state()
+    run_cfg = dataclasses.replace(scn.sim_config, T=1000 * scn.sim_config.dt)
+    sparse = sim.run(loop, run_cfg, x0=x0)
+    monkeypatch.setattr(sim, "SPARSE_INVERSE_MAX_FILL", 0.0)
+    dense = sim.run(loop, run_cfg, x0=x0)
+    assert 0.07 < sparse.solver["inverse_fill"] == dense.solver["inverse_fill"] < 0.09
+    assert sparse.solver["inverse_bytes"] < dense.solver["inverse_bytes"] == 412 * 412 * 8
+    diff = scn.bundle.energy(sparse.x_final - dense.x_final)
+    assert np.sqrt(diff / scn.bundle.energy(dense.x_final)) <= 1e-12
+    assert sparse.solver["max_rel_residual"] <= scn.sim_config.solver_tol
+
+
+@pytest.mark.parametrize("extra, stored", [(0.5, "sparse"), (-0.5, "dense")])
+def test_storage_switch_boundary(monkeypatch, extra, stored):
+    # the switch counts kept entries against SPARSE_INVERSE_MAX_FILL n^2:
+    # half an entry above the kept count is sparse, half an entry below dense
+    scn = build_scenario(benchmark_single_cable_config())
+    loop, dt = scn.closed_loop(), scn.sim_config.dt
+    fill = sim.MidpointStepper(loop, dt).stats()["inverse_fill"]
+    kept = round(fill * 412 * 412)
+    monkeypatch.setattr(sim, "SPARSE_INVERSE_MAX_FILL", (kept + extra) / (412 * 412))
+    solver = sim.MidpointStepper(loop, dt).stats()
+    assert solver["inverse_fill"] == fill
+    dense_bytes = 412 * 412 * 8
+    assert (solver["inverse_bytes"] < dense_bytes) == (stored == "sparse")
+    assert (solver["inverse_bytes"] == dense_bytes) == (stored == "dense")
 
 
 def test_zero_imaginary_amplitudes_run_real():
@@ -209,11 +262,13 @@ def test_field_materials_are_averaged_on_first_read(scenario_config, case):
     config = scenario_config if case == "pair" else single_cable_config()
     scn = build_scenario(config)
     curls = scn.curls
-    # the build averages none of the field materials ...
-    assert not set(MATERIALS) & set(vars(curls))
-    # ... the certificate reads eps and mu (the Hodge extremes), and only
-    # the damping Rd reads sigma; each, once read, is the oracle's and kept
+    # neither the build nor the certificate keeps a field material average
+    # (the Hodge extremes form theirs for the call) ...
     scn.certificate()
+    assert not set(MATERIALS) & set(vars(curls))
+    # ... Hd keeps eps and mu, and only the damping Rd reads sigma; each,
+    # once read, is the oracle's and kept
+    scn.bundle.Hd
     assert set(MATERIALS) & set(vars(curls)) == {"eps_edge", "mu_face"}
     ref = material_averages(scn.grid, scn.field_materials)
     for name in MATERIALS:

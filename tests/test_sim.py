@@ -403,6 +403,20 @@ def test_stepper_matches_full_complex_solve(criterion3_bundles, which, case):
     assert stats["method"] == "direct"
 
 
+@pytest.mark.parametrize("case", ["real_law_real_input", "real_law_complex_input",
+                                  "complex_law"])
+def test_sparse_stored_step_matches_full_complex_solve(criterion3_bundles, monkeypatch,
+                                                       case):
+    # with the switch at fill 1 every inverse is stored as CSR: a complex
+    # right-hand side on a real CSR inverse and a complex CSR inverse
+    monkeypatch.setattr(sim, "SPARSE_INVERSE_MAX_FILL", 1.0)
+    stats = check_step_against_full_solve(criterion3_bundles["lossy"], case)
+    n, itemsize = stats["reduced_unknowns"], 16 if case == "complex_law" else 8
+    kept = round(stats["inverse_fill"] * n * n)
+    assert stats["method"] == "direct" and 0.9 < stats["inverse_fill"] < 1.0
+    assert stats["inverse_bytes"] == kept * (itemsize + 4) + (n + 1) * 4
+
+
 def check_step_against_full_solve(bundle, case):
     """One step against a complex spsolve of the full system; returns stats."""
     k = bundle.k
@@ -502,3 +516,24 @@ def test_gmres_iteration_cap_is_a_solver_error(criterion3_bundles, krylov, monke
     with pytest.raises(SolverError, match=r"GMRES did not converge in 3 iterations: "
                                           r"relative residual \d"):
         midpoint_step(stepper, random_state(bundle, seed=2), np.zeros(law.m))
+
+
+# ---------------------------------------------------------------------------
+# the direct path on the above-roundoff entries of the inverse, stored sparse
+# ---------------------------------------------------------------------------
+
+def test_sparse_inverse_keeps_criterion_4(criterion3_bundles):
+    # acceptance criterion 4's skew loop and bounds at dt = 2e-5, where 8 %
+    # of the inverse lies above roundoff and it is kept as CSR
+    lossless = criterion3_bundles["lossless"]
+    loop = build_closed_loop(lossless, skew_law(lossless.k))
+    x0 = random_state(lossless, seed=4)
+    cfg = SimConfig(dt=2e-5, T=0.02, input=InputSignal(m=loop.law.m))
+    traj = run(loop, cfg, x0=x0)
+    n = traj.solver["reduced_unknowns"]
+    assert traj.solver["inverse_fill"] <= sim.SPARSE_INVERSE_MAX_FILL
+    assert traj.solver["inverse_bytes"] < n * n * 8
+    drift = np.abs(traj.energy - traj.energy[0]).max() / traj.energy[0]
+    back = reverse_run(loop, traj.x_final, cfg.dt, 1000)
+    rev_err = np.linalg.norm(back - x0) / np.linalg.norm(x0)
+    assert drift <= 1e-10 and rev_err <= 1e-8
