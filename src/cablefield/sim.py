@@ -51,9 +51,9 @@ unknowns, DIRECT_MAX_UNKNOWNS = 1500:
 
     The steps break even between fills of 0.2 and 0.3 (a tie at 0.25; a
     second run had CSR 5 us behind at 0.31), the products alone near 0.19,
-    and the switch sits below both.  At the smallest fills the CSR step saves more than its
-    product does, which fits the dense stream evicting the block arrays
-    from the 2 MB L2 cache (not verified).
+    and the switch sits below both.  At the smallest fills the CSR step
+    saves more than its product does, which fits the dense stream evicting
+    the block arrays from the 2 MB L2 cache (not verified).
   * Above it, no inverse is built.  S is solved by restarted GMRES
     (Saad-Schultz), right-preconditioned by the Jacobi diagonal 1/diag(S),
     in complex arithmetic when S or the right-hand side is complex.  At the

@@ -394,7 +394,8 @@ def test_simulate_verbose_logs_the_stored_inverse(tmp_path, capsys):
     # inverse stored sparse: its bytes and fill are in summary.json and in
     # the set-up line
     path = write(tmp_path, single_cable_config(2e-5, 2e-4))
-    assert main(["simulate", "--verbose", path, "--output-dir", str(tmp_path / "out")]) == EXIT_OK
+    out = str(tmp_path / "out")
+    assert main(["simulate", "--verbose", path, "--output-dir", out]) == EXIT_OK
     captured = capsys.readouterr()
     solver = json.loads(captured.out)["solver"]
     assert solver["method"] == "direct" and solver["solves"] == 10
