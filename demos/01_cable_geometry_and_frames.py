@@ -70,7 +70,7 @@ spec = GeometrySpec(
     ],
 )
 report = validate_geometry(spec)
-print(f"\ntwo-cable geometry passes: {report.passed} "
-      f"(pair clearance {report.min_pair_clearance:.3f} m)")
+print(f"\ntwo-cable geometry passes: {report['passed']} "
+      f"(pair clearance {report['min_pair_clearance']:.3f} m)")
 for p in [(-0.6, 0.0, 0.5), (-0.6 + 0.08, 0.0, 0.5), (0.0, 0.0, 0.5), (3.0, 0, 0)]:
     print(f"  classify {p}: {classify_point(spec, np.array(p))}")

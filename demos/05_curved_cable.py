@@ -15,7 +15,7 @@ import numpy as np
 
 from cablefield.assembly import build_closed_loop
 from cablefield.certify import PortLaw
-from cablefield.scenario import build_scenario, validate_scenario
+from cablefield.scenario import build_scenario, check_scenario, read_scenario
 from cablefield.sim import InputSignal, SimConfig, run, smooth_state, wp_bound_series
 
 config = {
@@ -41,7 +41,7 @@ config = {
     },
 }
 
-geo = validate_scenario(config)["geometry"]
+geo = check_scenario(read_scenario(config))["geometry"]
 arc = geo["cables"][0]
 print(f"geometry valid: {geo['passed']} (curvature margin {arc['curvature_margin']:.2f}, "
       f"collar shell {arc['containment_margin']:.3f} m inside the box)")

@@ -46,7 +46,8 @@ from .geometry import (      # noqa: E402
     validate_geometry,
 )
 from .maxwell import FieldMaterials, assemble_curls, build_grid, surface_trace  # noqa: E402
-from .scenario import Scenario, build_scenario, load_config, validate_scenario  # noqa: E402
+from .scenario import (Scenario, build_scenario, check_scenario, load_config,  # noqa: E402
+                       read_scenario)
 from .sim import InputSignal, MidpointStepper, SimConfig, Trajectory, run  # noqa: E402
 from .tline import LineGrid, LineMaterials, assemble_line, build_line_grid  # noqa: E402
 

@@ -344,7 +344,7 @@ class ClosedLoop:
     law: PortLaw
     A: sp.csr_matrix          # N x N generator (J_cl - Rd) Hd
     Bu: sp.csr_matrix         # N x 2k input injection (takes u_hat)
-    G_fb: np.ndarray          # 2k x N: effort -> ghost currents, u = 0 part
+    G_fb: np.ndarray          # 2k x 2k: voltages B2 e -> ghost currents, u = 0 part
     W1_inv: np.ndarray
 
 
@@ -359,14 +359,13 @@ def build_closed_loop(bundle: OperatorBundle, law: PortLaw) -> ClosedLoop:
             "be solved for the endpoint currents (strictly dissipative and "
             "current-injecting skew laws avoid this)")
     W1_inv = np.linalg.inv(W1)
-    G_fb = -W1_inv @ W2 @ bundle.B2.toarray()      # ghost currents for u = 0
+    G_fb = -W1_inv @ W2                             # ghost currents for u = 0
 
-    delta = sp.csr_matrix(G_fb) - bundle.B1        # replace extrapolation by law
+    delta = sp.csr_matrix(G_fb) @ bundle.B2 - bundle.B1   # replace extrapolation by law
     J_cl = bundle.J + bundle.Lg_state @ delta
     A = ((J_cl - bundle.Rd) @ bundle.Hd).tocsr()
     Bu = (bundle.Lg_state @ sp.csr_matrix(W1_inv)).tocsr()
-    return ClosedLoop(bundle=bundle, law=law, A=A, Bu=Bu,
-                      G_fb=np.asarray(G_fb), W1_inv=W1_inv)
+    return ClosedLoop(bundle=bundle, law=law, A=A, Bu=Bu, G_fb=G_fb, W1_inv=W1_inv)
 
 
 def hodge_extremes(bundle: OperatorBundle):
@@ -375,9 +374,9 @@ def hodge_extremes(bundle: OperatorBundle):
     The masses are scalar within each material block, so these are the
     plain eigenvalue extremes of Hd, read from its blocks: the diagonals
     mu^-1 and eps^-1 on the field blocks, and small Hermitian blocks
-    L^-1 and C^-1 on the line blocks.  The field averages are formed one at
-    a time for this call and not kept (``CurlPair.average``): only Hd, which
-    simulate reads, keeps them.
+    L^-1 and C^-1 on the line blocks.  A field average Hd has not kept is
+    formed for this call only (``CurlPair.average``): certify keeps none,
+    and simulate, which reads Hd first, forms each once.
     """
     curls, line = bundle.curls, bundle.line
     lo, hi = np.inf, -np.inf

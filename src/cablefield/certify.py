@@ -181,9 +181,10 @@ def check_admissible(W_B: np.ndarray) -> dict:
     """Full row rank and positivity of W1 W2^H + W2 W1^H, with margins.
 
     The eigenvalue margins are relative to ||W_B||_2^2: K is quadratic in
-    W_B, so a law and its row-scaled copies get the same verdict.
+    W_B, so a law and its row-scaled copies get the same verdict.  A real
+    W_B is checked in real arithmetic.
     """
-    W_B = np.asarray(W_B, dtype=complex)
+    W_B = _real_if_real(W_B)
     W1, W2 = _split(W_B)
     sv = np.linalg.svd(W_B, compute_uv=False)
     full_rank = sv[-1] > 1e-10 * sv[0]

@@ -4,6 +4,11 @@ Command-line front end: validate | certify | simulate | converge.
 Exit codes: 0 success, 1 validation/certification failure, 2 usage or
 parse error, 3 runtime solver error.  Run as ``python -m cablefield``.
 
+Every command reads the scenario the same way and runs validate's checks
+on it (``scenario.read_scenario``, ``check_scenario``): a key that does not
+parse exits 2, and a scenario that fails validation exits 1, whatever the
+command.
+
 With -v (--verbose) a command logs to stderr one line per build stage (its
 seconds and the peak RSS after it, both from Scenario.build) and, for
 simulate, one line each for the closed loop, the step solver's set-up,
@@ -23,7 +28,7 @@ import numpy as np
 
 from . import __version__
 from .errors import CableFieldError, ConfigError, SolverError
-from .scenario import build_scenario, load_config, validate_scenario
+from .scenario import build_scenario, check_scenario, load_config, read_scenario
 
 EXIT_OK, EXIT_FAIL, EXIT_USAGE, EXIT_SOLVER = 0, 1, 2, 3
 
@@ -85,7 +90,7 @@ def _outdir(args) -> str:
 
 def cmd_validate(args) -> int:
     config = load_config(args.scenario)
-    report = validate_scenario(config)
+    report = check_scenario(read_scenario(config))
     _emit(report, os.path.join(_outdir(args), "validate.json") if args.output_dir else None)
     return EXIT_OK if report["passed"] else EXIT_FAIL
 
@@ -110,8 +115,8 @@ def cmd_simulate(args) -> int:
         config["seed"] = args.seed
     scn = build_scenario(config)
     _log_stages(scn.build)
-    cert = scn.certificate()
     traj = scn.simulate()
+    cert = scn.certificate()        # after the run: the Hodge extremes read Hd's averages
     _log_stages(scn.build, ("closed_loop",))
     _log_run(traj)
     out = _outdir(args)
@@ -153,9 +158,10 @@ def cmd_converge(args) -> int:
     _log_stages(scn.build)
 
     rows = []
-    rows += _coupling_convergence(config, levels, args.threads)
+    cable = scn.geometry.cables[0]
+    rows += _coupling_convergence(cable, levels, args.threads)
     rows += _trace_constant_row(scn)
-    rows += _quadrature_convergence(config, levels)
+    rows += _quadrature_convergence(cable, levels)
     rows += _ledger_convergence(scn, levels, args.threads)
 
     width = max(len(r[0]) for r in rows)
@@ -178,13 +184,11 @@ def _orders(errs):
     return out
 
 
-def _coupling_convergence(config, levels, threads):
+def _coupling_convergence(cable, levels, threads):
     from .coupling import assemble_P_el, assemble_P_mag
     from .geometry import build_chart, build_frame
-    from .scenario import _build_cable
     from .tline import build_line_grid
 
-    cable = _build_cable(config["geometry"]["cables"][0], "geometry.cables[0]")
     base_n, base_m = 8, 12
 
     def level(j):
@@ -223,11 +227,9 @@ def _trace_constant_row(scn):
     return [("trace_constant_field", [max(e, 1e-300) for e in errs], [])]
 
 
-def _quadrature_convergence(config, levels):
+def _quadrature_convergence(cable, levels):
     from .geometry import build_chart, build_frame
-    from .scenario import _build_cable
 
-    cable = _build_cable(config["geometry"]["cables"][0], "geometry.cables[0]")
     vals = []
     n_theta = 64         # fixed: isolates the second-order eta rule
     for j in range(levels + 1):

@@ -394,7 +394,8 @@ class CurlPair:
 
     The edge and face material averages (eps_edge, sigma_edge, mu_face)
     are computed from the grid and the materials the first time each is
-    read, and kept from then on; ``average`` forms one without keeping it.
+    read, and kept from then on; ``average`` returns a kept one, and
+    otherwise forms it without keeping it.
     """
 
     grid: YeeGrid
@@ -403,7 +404,10 @@ class CurlPair:
 
     def average(self, name: str) -> np.ndarray:
         """The face average of mu, or the edge average of eps (harmonic) or
-        sigma, formed anew on each call."""
+        sigma: the kept one if it was read, else formed anew."""
+        kept = vars(self).get(f"{name}_face" if name == "mu" else f"{name}_edge")
+        if kept is not None:
+            return kept
         g = self.grid
         if name == "mu":
             return _average(g, self.materials, "mu", False, _face_cells, g.dof_faces,
@@ -591,11 +595,12 @@ def _interp_rows(points, values_pts, h, radius_factor=2.25, rank_tol=1e-7, descr
     singular value nor raise the largest (interlacing), so a stencil of at
     least 4 points that passes with all four columns passes every greedy
     trial; only the stencils that fail run the greedy column sequence,
-    one stacked SVD per kept-column pattern.  The normal equations are one
-    stacked ``np.linalg.solve`` per final pattern.  ``describe(i)``, when
-    given, names target i in the GridError raised for a target without
-    neighbours or with singular normal equations.  Returns (rows, cols,
-    vals) as arrays, stencil by stencil.
+    one stacked SVD per kept-column pattern.  A trial column is admitted
+    only while the columns number no more than the stencil's points.  The
+    normal equations are one stacked ``np.linalg.solve`` per final pattern.
+    ``describe(i)``, when given, names target i in the GridError raised for
+    a target without neighbours or with singular normal equations.  Returns
+    (rows, cols, vals) as arrays, stencil by stencil.
     """
     radius = radius_factor * h
     rows, cols = _ball_pairs(points, values_pts, radius)
@@ -618,12 +623,15 @@ def _interp_rows(points, values_pts, h, radius_factor=2.25, rank_tol=1e-7, descr
             sv = np.linalg.svd(b, compute_uv=False)
             keep[sv[:, -1] > rank_tol * sv[:, 0]] = 15
         # greedy basis selection on the rest: keep gradient columns only
-        # while the weighted design stays numerically full rank
+        # while the weighted design stays numerically full rank and has no
+        # more columns than points (an n x k SVD has min(n, k) values)
         rest = np.nonzero(keep == 1)[0]
         for c in (1, 2, 3):
             for pattern in np.unique(keep[rest]):
                 sel = rest[keep[rest] == pattern]
                 trial = np.nonzero(bits & (pattern | bits[c]))[0]
+                if trial.size > n:
+                    continue
                 sv = np.linalg.svd(b[sel][:, :, trial], compute_uv=False)
                 keep[sel[sv[:, -1] > rank_tol * sv[:, 0]]] |= bits[c]
         for pattern in np.unique(keep):

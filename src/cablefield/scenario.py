@@ -1,13 +1,21 @@
 """
 Scenario configuration: one JSON file -> assembled, certified system.
 
+Every command reads a scenario the same way: ``read_scenario`` parses each
+key typed (a key that does not parse is a ConfigError naming it, exit 2),
+and ``check_scenario`` runs validate's checks on what it read.
+``build_scenario`` runs them before it builds the grid, so a scenario that
+fails validation exits 1 under every command.
+
 Schema (SI units).  Numeric entries are parsed against the shape the key
 expects: a value of exactly that shape is real; the same shape with one
 extra trailing axis of length 2 holds [re, im] pairs; where a scalar is
 accepted (scalar materials, a 1-port amplitude) a bare number is real and
 one [re, im] pair is complex.  Any other shape is a ConfigError naming the
 key.  Hence a k = 2 material [[1.0, 0.1], [0.1, 1.0]] is a real 2 x 2
-matrix, and a 2-port amplitude [0.5, 0.0] is two real amplitudes.
+matrix, and a 2-port amplitude [0.5, 0.0] is two real amplitudes.  The
+geometry, the grid, the field materials and table_t are real only, and the
+grid and every count are whole numbers.
 
     seed                 int, default 0
     geometry.box         [[x0,x1],[y0,y1],[z0,z1]], meters
@@ -15,7 +23,8 @@ matrix, and a 2-port amplitude [0.5, 0.0] is two real amplitudes.
                           0 < eps <= 0.6527 (its cutoff reaches 2 eps / 3
                           past the cable ends), default 0.3
     geometry.cables      list of {type: segment|arc|helix|spline, radius,
-                          line, ...type-specific parameters}
+                          line, ...type-specific parameters}; each cable
+                          carries its own line component
     line.k, line.n_cells, line.C/L/R/G   scalar or k x k matrix
     fields.grid          [nx, ny, nz]; fields.eps/mu/sigma scalar or
                           per-axis [ax, ay, az]; fields.n_theta
@@ -28,7 +37,7 @@ matrix, and a 2-port amplitude [0.5, 0.0] is two real amplitudes.
                           autonomous run)
     sim.dt, sim.T, sim.input {kind, amplitude (m,), freq, phase, t_on,
                           ramp, table_t, table_u}, sim.initial {kind: zero|
-                          smooth|random|lift, seed, scale, V0},
+                          smooth|random|lift, seed, scale, line, V0},
                           sim.solver_tol (finite, > 0, default 1e-10),
                           sim.record_stride (a whole number >= 1, default 1)
 
@@ -48,7 +57,7 @@ from typing import Optional
 import numpy as np
 
 from . import assembly, certify, coupling, maxwell, sim, tline
-from .errors import CableFieldError, ConfigError
+from .errors import CertificateError, ConfigError, GeometryError, MaterialsError
 from .geometry import (
     CircularArc,
     GeometrySpec,
@@ -59,46 +68,62 @@ from .geometry import (
 )
 
 
-def parse_complex(value, shape, key: str, scalar: bool = False) -> np.ndarray:
-    """Numeric entry of the expected ``shape`` (real), or of ``shape + (2,)``
-    ([re, im] pairs, complex); with ``scalar`` also a number or one pair."""
+def parse_complex(value, shape, key: str, scalar: bool = False, real: bool = False,
+                  whole: bool = False) -> np.ndarray:
+    """Numeric entry of the expected ``shape`` (real), or unless ``real`` of
+    ``shape + (2,)`` ([re, im] pairs, complex); with ``scalar`` also a
+    number or one pair.  A None in ``shape`` takes any length.  ``whole``
+    entries must be whole numbers and come back as ints.  Anything else is
+    a ConfigError naming ``key``."""
+    number = shape == ()
     try:
-        arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{key}: cannot parse numeric entry {value!r}") from exc
+        arr = np.asarray(value)
+    except ValueError:                 # a ragged list
+        arr = np.asarray(None)
+    kind = arr.dtype.kind
+    if kind not in "iuf" and not (whole and kind == "b"):
+        raise ConfigError(f"{key} must be {'a number' if number else 'numbers'}, got {value!r}")
+    arr = arr.astype(float)
     shapes = [tuple(shape)] + ([()] if scalar else [])
-    if arr.shape in shapes:
-        return arr
-    if arr.shape[-1:] == (2,) and arr.shape[:-1] in shapes:
+
+    def fits(got):
+        return any(len(got) == len(want) and all(w is None or g == w for g, w in zip(got, want))
+                   for want in shapes)
+
+    if fits(arr.shape):
+        if whole and (kind == "b" or not np.all(np.isfinite(arr) & (arr == np.round(arr)))):
+            raise ConfigError(f"{key} must be {'a whole number' if number else 'whole numbers'}, "
+                              f"got {value!r}")
+        return arr.astype(int) if whole else arr
+    if not real and arr.shape[-1:] == (2,) and fits(arr.shape[:-1]):
         return arr[..., 0] + 1j * arr[..., 1]
-    raise ConfigError(f"{key} has shape {arr.shape}, expected {tuple(shape)} (real) "
-                      f"or {tuple(shape) + (2,)} ([re, im] pairs)")
+    if number:
+        raise ConfigError(f"{key} must be a number, got {value!r}")
+    expected = f"{tuple(shape)} (real)"
+    if not real:
+        expected += f" or {tuple(shape) + (2,)} ([re, im] pairs)"
+    raise ConfigError(f"{key} has shape {arr.shape}, expected {expected}".replace("None", "n"))
 
 
 def _required(section: dict, key: str, where: str):
     """section[key]; a missing key is a ConfigError naming ``where.key``."""
     if key not in section:
-        raise ConfigError(f"scenario is missing the required key {where}.{key}")
+        raise ConfigError("scenario is missing the required key "
+                          + (f"{where}.{key}" if where else key))
     return section[key]
 
 
 def _number(section: dict, key: str, where: str, default=None, whole: bool = False):
-    """section[key] as a float, or with ``whole`` as an int; ``default`` when
-    the key is absent, which a None default makes required.  A value that
-    float() cannot read, or a ``whole`` one with a fractional part, is a
-    ConfigError naming ``where.key``."""
+    """section[key] as a float, or with ``whole`` as an int (``parse_complex``);
+    ``default`` when the key is absent, which a None default makes required."""
     value = _required(section, key, where) if default is None else section.get(key, default)
-    name = f"{where}.{key}" if where else key
-    try:
-        number = float(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{name} must be a number, got {value!r}") from exc
-    return sim._whole_number(number, name) if whole else number
+    return parse_complex(value, (), f"{where}.{key}" if where else key, real=True,
+                         whole=whole).item()
 
 
 def _build_cable(entry: dict, where: str):
-    def vec(key):
-        return np.asarray(_required(entry, key, where), dtype=float)
+    def vec(key, shape=(3,)):
+        return parse_complex(_required(entry, key, where), shape, f"{where}.{key}", real=True)
 
     def num(key):
         return _number(entry, key, where)
@@ -118,22 +143,21 @@ def _build_cable(entry: dict, where: str):
                      turns=num("turns"), radius=radius,
                      phase=_number(entry, "phase", where, 0.0), line=line)
     if kind == "spline":
-        return SplineCurve(points=vec("points"), radius=radius, line=line)
+        return SplineCurve(points=vec("points", (None, 3)), radius=radius, line=line)
     raise ConfigError(f"unknown cable type {kind!r}")
 
 
-def _sections(config: dict):
-    """The four required sections of a scenario, in schema order."""
-    for section in ("geometry", "line", "fields", "boundary"):
-        if section not in config:
-            raise ConfigError(f"scenario config is missing the {section!r} section")
-    return config["geometry"], config["line"], config["fields"], config["boundary"]
-
-
-def _geometry_spec(geo: dict) -> GeometrySpec:
+def _geometry_spec(geo: dict, k: int) -> GeometrySpec:
+    """The geometry section; each cable carries its own one of the k lines."""
     cables = [_build_cable(e, f"geometry.cables[{i}]")
               for i, e in enumerate(geo.get("cables", []))]
-    return GeometrySpec(box=np.asarray(_required(geo, "box", "geometry"), dtype=float),
+    lines_used = sorted({c.line for c in cables})
+    if any(l < 0 or l >= k for l in lines_used):
+        raise ConfigError(f"cable line indices {lines_used} out of range for k={k}")
+    if len(lines_used) != len(cables):
+        raise ConfigError("two cables reference the same line component")
+    return GeometrySpec(box=parse_complex(_required(geo, "box", "geometry"), (3, 2),
+                                          "geometry.box", real=True),
                         cables=cables,
                         collar_halfwidth=_number(geo, "collar_halfwidth", "geometry", 0.3))
 
@@ -142,29 +166,14 @@ def _port_matrix(bc: dict, key: str, k: int) -> np.ndarray:
     value = bc.get(key)
     if value is None or (isinstance(value, list) and len(value) == 0):
         return np.zeros((0, 4 * k))
-    rows = len(value) if isinstance(value, list) else 1
-    return parse_complex(value, (rows, 4 * k), f"boundary.{key}")
+    return parse_complex(value, (None, 4 * k), f"boundary.{key}")
 
 
-def _port_law_rows(bc: dict, k: int):
-    """(W_B_inp, W_B_0) of the boundary section, stacking to 2k rows."""
-    W_B_inp = _port_matrix(bc, "W_B_inp", k)
-    W_B_0 = _port_matrix(bc, "W_B_0", k)
-    if W_B_inp.shape[0] + W_B_0.shape[0] != 2 * k:
-        raise ConfigError("boundary matrices must provide 2k rows in total "
-                          f"(got {W_B_inp.shape[0]} + {W_B_0.shape[0]}, k={k})")
-    return W_B_inp, W_B_0
-
-
-def _sim_section(sc: dict, m: int, p: int, n_nodes: int):
-    """(SimConfig, initial spec) of the sim section for a law with m inputs
-    and p outputs; a given V0 is parsed against (n_nodes,) and must be real.
-
-    The energy ledger pairs each input with its output (supply Re(u^H y)),
-    so a law with inputs and p != m is a ConfigError here, before anything
-    runs.  A law with no inputs (m = 0) runs autonomously: it supplies
-    nothing, whatever its outputs.
-    """
+def _sim_section(sc: dict, m: int, p: int):
+    """The SimConfig of the sim section for a law with m inputs and p outputs.
+    The ledger's supply Re(u^H y) pairs each input with an output, so p != m
+    is a ConfigError, unless the law has no inputs (m = 0): it then runs
+    autonomously and supplies nothing, whatever its outputs."""
     if m and p != m:
         raise ConfigError(f"simulate needs as many outputs as inputs: the law has "
                           f"p = {p} outputs (boundary.W_C_out) and m = {m} inputs "
@@ -173,81 +182,155 @@ def _sim_section(sc: dict, m: int, p: int, n_nodes: int):
     amplitude = inp.get("amplitude")
     if amplitude is not None:
         amplitude = parse_complex(amplitude, (m,), "sim.input.amplitude", scalar=m == 1)
+    tables = {key: parse_complex(inp[key], shape, f"sim.input.{key}", real=key == "table_t")
+              for key, shape in (("table_t", (None,)), ("table_u", (None, m))) if key in inp}
     signal = sim.InputSignal(
         m=m, kind=inp.get("kind", "zero"), amplitude=amplitude,
         freq=_number(inp, "freq", "sim.input", 1.0),
         phase=_number(inp, "phase", "sim.input", 0.0),
         t_on=_number(inp, "t_on", "sim.input", 0.0),
-        ramp=_number(inp, "ramp", "sim.input", 0.05),
-        table_t=inp.get("table_t"), table_u=inp.get("table_u"),
+        ramp=_number(inp, "ramp", "sim.input", 0.05), **tables,
     )
-    sim_cfg = sim.SimConfig(dt=_number(sc, "dt", "sim"), T=_number(sc, "T", "sim"),
-                            input=signal,
-                            solver_tol=_number(sc, "solver_tol", "sim", 1e-10),
-                            record_stride=sc.get("record_stride", 1))
-    initial_spec = dict(sc.get("initial", {"kind": "zero"}))
-    v0 = initial_spec.get("V0")
-    if v0 is not None and not isinstance(v0, str):
-        v0 = parse_complex(v0, (n_nodes,), "sim.initial.V0")
-        if np.iscomplexobj(v0) and np.any(v0.imag):
-            raise ConfigError("sim.initial.V0 must be real: the lifted line voltage "
-                              "has no imaginary part")
-        initial_spec["V0"] = np.asarray(v0.real, dtype=float)
-    return sim_cfg, initial_spec
+    return sim.SimConfig(dt=_number(sc, "dt", "sim"), T=_number(sc, "T", "sim"),
+                         input=signal,
+                         solver_tol=_number(sc, "solver_tol", "sim", 1e-10),
+                         record_stride=_number(sc, "record_stride", "sim", 1, whole=True))
 
 
-def _line_material_kwargs(lc: dict, k: int) -> dict:
-    return {name: parse_complex(lc[name], (k, k), f"line.{name}", scalar=True)
-            for name in ("C", "L", "R", "G") if name in lc}
+def _initial(init: dict, seed: int, n_nodes: int, n_cables: int) -> dict:
+    """The sim.initial section, typed: kind, scale, seed (the scenario's by
+    default), line (the cable a lift runs on) and V0, a lift's nodal
+    voltages, real (the lifted voltage has no imaginary part) and None for
+    the default sine."""
+    kind = init.get("kind", "zero")
+    if kind not in ("zero", "smooth", "random", "lift"):
+        raise ConfigError(f"unknown initial condition kind {kind!r}")
+    line = _number(init, "line", "sim.initial", 0, whole=True)
+    if kind == "lift" and not 0 <= line < n_cables:
+        raise ConfigError(f"sim.initial.line = {line} names none of the {n_cables} cables")
+    v0 = init.get("V0")
+    return {"kind": kind, "scale": _number(init, "scale", "sim.initial", 1.0),
+            "seed": _number(init, "seed", "sim.initial", seed, whole=True), "line": line,
+            "V0": None if v0 is None else parse_complex(v0, (n_nodes,), "sim.initial.V0",
+                                                        real=True)}
 
 
 @dataclass
-class Scenario:
-    config: dict
-    seed: int
+class ScenarioSpec:
+    """A scenario read and typed, before anything is built.  W_C_out is None
+    for the co-located output; initial is the typed sim.initial section."""
+
     geometry: GeometrySpec
-    line_grid: tline.LineGrid
+    k: int
+    n_cells: int
     line_materials: tline.LineMaterials
-    line_blocks: tline.LineBlocks
-    grid: maxwell.YeeGrid
+    grid_shape: tuple
     field_materials: maxwell.FieldMaterials
+    n_theta: int
+    W_B_inp: np.ndarray
+    W_B_0: np.ndarray
+    W_C_out: Optional[np.ndarray]
+    sim_config: Optional[sim.SimConfig]
+    initial: dict
+
+
+def read_scenario(config: dict) -> ScenarioSpec:
+    """Every key of a scenario, parsed; a key that does not parse, or that
+    contradicts another, is a ConfigError naming it."""
+    geo, lc, fc, bc = (_required(config, section, "")
+                       for section in ("geometry", "line", "fields", "boundary"))
+    seed = _number(config, "seed", "", 0, whole=True)
+    k = _number(lc, "k", "line", whole=True)
+    n_cells = _number(lc, "n_cells", "line", whole=True)
+    geometry = _geometry_spec(geo, k)
+    W_B_inp, W_B_0 = _port_matrix(bc, "W_B_inp", k), _port_matrix(bc, "W_B_0", k)
+    m = W_B_inp.shape[0]
+    if m + W_B_0.shape[0] != 2 * k:
+        raise ConfigError("boundary matrices must provide 2k rows in total "
+                          f"(got {m} + {W_B_0.shape[0]}, k={k})")
+    W_C_out = None
+    if bc.get("W_C_out", "colocated") != "colocated":
+        W_C_out = _port_matrix(bc, "W_C_out", k)
+    sc = config.get("sim")
+    return ScenarioSpec(
+        geometry=geometry, k=k, n_cells=n_cells,
+        line_materials=tline.LineMaterials(k=k, **{
+            name: parse_complex(lc[name], (k, k), f"line.{name}", scalar=True)
+            for name in ("C", "L", "R", "G") if name in lc}),
+        grid_shape=tuple(parse_complex(_required(fc, "grid", "fields"), (3,), "fields.grid",
+                                       real=True, whole=True).tolist()),
+        field_materials=maxwell.FieldMaterials(**{
+            name: parse_complex(fc.get(name, default), (3,), f"fields.{name}", scalar=True,
+                                real=True)
+            for name, default in (("eps", 1.0), ("mu", 1.0), ("sigma", 0.0))}),
+        n_theta=_number(fc, "n_theta", "fields", 16, whole=True),
+        W_B_inp=W_B_inp, W_B_0=W_B_0, W_C_out=W_C_out,
+        # the co-located output has m rows, or 2k without inputs
+        sim_config=None if sc is None else _sim_section(
+            sc, m, (m or 2 * k) if W_C_out is None else len(W_C_out)),
+        initial=_initial({} if sc is None else sc.get("initial", {}), seed, n_cells + 1,
+                         len(geometry.cables)))
+
+
+# validate's checks: the report key of each, the key of its verdict, and the
+# error build_scenario raises when it fails
+_CHECKS = (("geometry", "passed", GeometryError),
+           ("line_materials", "passed", MaterialsError),
+           ("field_materials", "passed", MaterialsError),
+           ("boundary", "admissible", CertificateError))
+
+
+def check_scenario(spec: ScenarioSpec) -> dict:
+    """validate's report on a scenario read: each check of ``_CHECKS`` and
+    whether all passed.  A lift the grid cannot carry raises the
+    CouplingError that the lift itself would raise."""
+    probe = np.asarray(np.meshgrid(*[np.linspace(*b, 5) for b in
+                                     spec.geometry.box])).reshape(3, -1).T
+    report = {
+        "geometry": validate_geometry(spec.geometry),
+        "line_materials": tline.validate_line_materials(spec.line_materials),
+        "field_materials": maxwell.validate_field_materials(spec.field_materials, probe),
+        "boundary": certify.check_admissible(np.vstack([spec.W_B_inp, spec.W_B_0])),
+    }
+    report["passed"] = all(bool(report[name][verdict]) for name, verdict, _ in _CHECKS)
+    if spec.initial["kind"] == "lift":
+        cable = spec.geometry.cables[spec.initial["line"]]
+        coupling.check_lift_resolution(spec.geometry.collar_halfwidth, cable.radius,
+                                       maxwell.grid_spacing(spec.geometry, spec.grid_shape))
+    return report
+
+
+@dataclass
+class Scenario(ScenarioSpec):
+    """A scenario read, checked and built (``build_scenario``)."""
+
+    line_grid: tline.LineGrid
+    grid: maxwell.YeeGrid
     curls: maxwell.CurlPair
     charts: list
     coupling: Optional[coupling.CouplingMatrices]
     bundle: assembly.OperatorBundle
     law: certify.PortLaw
-    sim_config: Optional[sim.SimConfig]
-    initial_spec: dict = field(default_factory=dict)
     build: dict = field(default_factory=dict)   # stage timings, peak RSS, problem sizes
-
-    @property
-    def k(self):
-        return self.line_grid.k
 
     def certificate(self) -> certify.Certificate:
         lo, hi = assembly.hodge_extremes(self.bundle)
         return certify.wellposedness_constants(self.law, lo, hi)
 
     def initial_state(self) -> np.ndarray:
-        kind = self.initial_spec.get("kind", "zero")
-        scale = _number(self.initial_spec, "scale", "sim.initial", 1.0)
+        init = self.initial
+        kind, scale, line = init["kind"], init["scale"], init["line"]
         if kind == "zero":
             return sim.zero_state(self.bundle)
         if kind == "smooth":
             return sim.smooth_state(self.bundle, scale=scale)
         if kind == "random":
-            return sim.random_state(self.bundle,
-                                    seed=_number(self.initial_spec, "seed", "sim.initial",
-                                                self.seed, whole=True),
-                                    scale=scale)
-        if kind == "lift":
-            v0 = self.initial_spec.get("V0", "sine")
-            if isinstance(v0, str):
-                v0 = np.sin(np.pi * self.line_grid.nodes) * scale
-            line = _number(self.initial_spec, "line", "sim.initial", 0, whole=True)
-            return sim.lifted_state(self.bundle, self.grid, self.charts[line],
-                                    self.line_grid, v0, line=line)
-        raise ConfigError(f"unknown initial condition kind {kind!r}")
+            return sim.random_state(self.bundle, seed=init["seed"], scale=scale)
+        v0 = init["V0"]
+        if v0 is None:
+            v0 = np.sin(np.pi * self.line_grid.nodes) * scale
+        return sim.lifted_state(self.bundle, self.grid, self.charts[line], self.line_grid,
+                                v0, line=line)
 
     def closed_loop(self) -> assembly.ClosedLoop:
         """The closed loop of the port law.  The first call also assembles J;
@@ -280,38 +363,32 @@ def _peak_rss_mb() -> float:
 
 
 def build_scenario(config: dict) -> Scenario:
-    geo, lc, fc, bc = _sections(config)
-    seed = _number(config, "seed", "", 0, whole=True)
-    spec = _geometry_spec(geo)
-    cables = spec.cables
-
-    k = _number(lc, "k", "line", whole=True)
-    n_cells = _number(lc, "n_cells", "line", whole=True)
-    line_grid = tline.build_line_grid(n_cells, k)
-    lm = tline.LineMaterials(k=k, **_line_material_kwargs(lc, k))
-    line_blocks = tline.assemble_line(lm, line_grid)
+    """The scenario read, checked and built.  A failed check of validate
+    raises its typed error (exit 1), naming the check, before the grid is
+    built."""
+    spec = read_scenario(config)
+    report = check_scenario(spec)
+    for name, verdict, error in _CHECKS:
+        if not report[name][verdict]:
+            raise error(f"the {name} check failed, the scenario is not admissible: "
+                        f"{report[name]}")
+    geometry, n_cells = spec.geometry, spec.n_cells
+    line_grid = tline.build_line_grid(n_cells, spec.k)
+    line_blocks = tline.assemble_line(spec.line_materials, line_grid)
 
     clock = time.perf_counter()
-    grid = maxwell.build_grid(spec, _required(fc, "grid", "fields"))
+    grid = maxwell.build_grid(geometry, spec.grid_shape)
     build = {"grid_s": time.perf_counter() - clock}
     peak = {"grid": _peak_rss_mb()}
-    fm = maxwell.FieldMaterials(eps=fc.get("eps", 1.0), mu=fc.get("mu", 1.0),
-                                sigma=fc.get("sigma", 0.0))
     clock = time.perf_counter()
-    curls = maxwell.assemble_curls(grid, fm)
+    curls = maxwell.assemble_curls(grid, spec.field_materials)
     build["curls_s"] = time.perf_counter() - clock
     peak["curls"] = _peak_rss_mb()
 
-    lines_used = sorted({c.line for c in cables})
-    if any(l < 0 or l >= k for l in lines_used):
-        raise ConfigError(f"cable line indices {lines_used} out of range for k={k}")
-    if len(lines_used) != len(cables):
-        raise ConfigError("two cables reference the same line component")
-
-    n_theta = _number(fc, "n_theta", "fields", 16, whole=True)
     clock = time.perf_counter()
-    charts = [spec.chart(i, n_eta=n_cells, n_theta=n_theta) for i in range(len(cables))]
-    if cables:
+    charts = [geometry.chart(i, n_eta=n_cells, n_theta=spec.n_theta)
+              for i in range(len(geometry.cables))]
+    if charts:
         cp = coupling.assemble_P_el(charts, line_grid)
         R_nu = maxwell.surface_trace(grid, charts)
     else:
@@ -325,77 +402,9 @@ def build_scenario(config: dict) -> Scenario:
     build.update(peak_rss_mb=peak, free_edges=grid.n_free_edges, band_edges=grid.n_band_edges,
                  dof_faces=grid.n_dof_faces, quad_points=sum(ch.n_quad for ch in charts))
 
-    W_B_inp, W_B_0 = _port_law_rows(bc, k)
-    if bc.get("W_C_out", "colocated") == "colocated":
-        W_C = certify.build_colocated_output(np.vstack([W_B_inp, W_B_0]))
-        m = W_B_inp.shape[0]
-        W_C_out = W_C[:m] if m > 0 else W_C
-    else:
-        W_C_out = _port_matrix(bc, "W_C_out", k)
-    law = certify.PortLaw(W_B_inp=W_B_inp, W_B_0=W_B_0, W_C_out=W_C_out, k=k)
-
-    sim_cfg = None
-    initial_spec = {}
-    if "sim" in config:
-        sim_cfg, initial_spec = _sim_section(config["sim"], law.m, law.p, n_cells + 1)
-
-    return Scenario(config=config, seed=seed, geometry=spec,
-                    line_grid=line_grid, line_materials=lm, line_blocks=line_blocks,
-                    grid=grid, field_materials=fm, curls=curls, charts=charts,
-                    coupling=cp, bundle=bundle, law=law, sim_config=sim_cfg,
-                    initial_spec=initial_spec, build=build)
-
-
-def validate_scenario(config: dict) -> dict:
-    """Assumption checks without full assembly; used by the validate command."""
-    report = {"passed": True}
-    geo, lc, fc, bc = _sections(config)
-    _number(config, "seed", "", 0, whole=True)
-    try:
-        spec = _geometry_spec(geo)
-        gr = validate_geometry(spec)
-        report["geometry"] = {
-            "passed": gr.passed,
-            "disjoint_ok": gr.disjoint_ok,
-            "min_pair_clearance": gr.min_pair_clearance,
-            "cables": gr.cables,
-        }
-        report["passed"] &= gr.passed
-    except CableFieldError as exc:
-        raise ConfigError(f"geometry section invalid: {exc}") from exc
-
-    k = _number(lc, "k", "line", whole=True)
-    n_cells = _number(lc, "n_cells", "line", whole=True)
-    lm = tline.LineMaterials(k=k, **_line_material_kwargs(lc, k))
-    line_rep = tline.validate_line_materials(lm)
-    report["line_materials"] = line_rep
-    report["passed"] &= line_rep["passed"]
-
-    _required(fc, "grid", "fields")
-    _number(fc, "n_theta", "fields", 16, whole=True)
-    fm = maxwell.FieldMaterials(eps=fc.get("eps", 1.0), mu=fc.get("mu", 1.0),
-                                sigma=fc.get("sigma", 0.0))
-    probe = np.asarray(np.meshgrid(*[np.linspace(*b, 5) for b in
-                                     spec.box])).reshape(3, -1).T
-    field_rep = maxwell.validate_field_materials(fm, probe)
-    report["field_materials"] = field_rep
-    report["passed"] &= field_rep["passed"]
-
-    W_B_inp, W_B_0 = _port_law_rows(bc, k)
-    m = W_B_inp.shape[0]
-    if bc.get("W_C_out", "colocated") == "colocated":
-        p = m or 2 * k          # build_scenario's co-located rows
-    else:
-        p = _port_matrix(bc, "W_C_out", k).shape[0]
-    adm = certify.check_admissible(np.vstack([W_B_inp, W_B_0]))
-    report["boundary"] = adm
-    report["passed"] &= adm["admissible"]
-    if "sim" in config:
-        _, initial_spec = _sim_section(config["sim"], m, p, n_cells + 1)
-        if initial_spec.get("kind") == "lift":
-            # the check lift_voltage makes when simulate starts
-            cable = spec.cables[_number(initial_spec, "line", "sim.initial", 0, whole=True)]
-            coupling.check_lift_resolution(spec.collar_halfwidth, cable.radius,
-                                           maxwell.grid_spacing(spec, fc["grid"]))
-    report["passed"] = bool(report["passed"])
-    return report
+    W_C_out, m = spec.W_C_out, spec.W_B_inp.shape[0]
+    if W_C_out is None:     # the co-located rows of the m inputs, all 2k without inputs
+        W_C_out = certify.build_colocated_output(np.vstack([spec.W_B_inp, spec.W_B_0]))[:m or None]
+    law = certify.PortLaw(W_B_inp=spec.W_B_inp, W_B_0=spec.W_B_0, W_C_out=W_C_out, k=spec.k)
+    return Scenario(**vars(spec), line_grid=line_grid, grid=grid, curls=curls, charts=charts,
+                    coupling=cp, bundle=bundle, law=law, build=build)

@@ -223,10 +223,7 @@ class InputSignal:
             if self.table_t is None or self.table_u is None:
                 raise ConfigError("table input needs table_t and table_u")
             self.table_t = np.asarray(self.table_t, dtype=float)
-            try:
-                self.table_u = np.atleast_2d(_real_if_real(self.table_u))
-            except (TypeError, ValueError) as exc:
-                raise ConfigError("table_u must hold numbers") from exc
+            self.table_u = np.atleast_2d(_real_if_real(self.table_u))
             if self.table_t.ndim != 1 or np.any(np.diff(self.table_t) <= 0):
                 raise ConfigError("table_t must be a strictly increasing list of times")
             if self.table_u.shape != (self.table_t.size, self.m):
@@ -253,16 +250,6 @@ class InputSignal:
         return u[0] if np.ndim(t) == 0 else u
 
 
-def _whole_number(value, key: str) -> int:
-    """``value`` as an int; a bool, a non-number or a number with a fractional
-    part is a ConfigError naming ``key`` (int() would read 2.5 as 2, true as 1)."""
-    if (isinstance(value, (bool, np.bool_))
-            or not isinstance(value, (int, float, np.integer, np.floating))
-            or not float(value).is_integer()):
-        raise ConfigError(f"{key} must be a whole number, got {value!r}")
-    return int(value)
-
-
 @dataclass
 class SimConfig:
     dt: float
@@ -278,7 +265,6 @@ class SimConfig:
                 raise ConfigError(f"sim.{key} must be a finite number, got {value!r}")
         if not self.solver_tol > 0:
             raise ConfigError(f"sim.solver_tol must be > 0, got {self.solver_tol!r}")
-        self.record_stride = _whole_number(self.record_stride, "sim.record_stride")
         if self.dt <= 0 or self.T < self.dt:
             raise ConfigError("need dt > 0 and T >= dt")
         steps = self.T / self.dt
@@ -706,8 +692,9 @@ def run(loop: ClosedLoop, cfg: SimConfig, x0: Optional[np.ndarray] = None) -> Tr
         energy[sl] = 0.5 * _column_forms(X, E, mass)
         xnorm[sl] = np.sqrt(_column_forms(X, X, mass))
         diss[sl] = _column_forms(E, bundle.Rd @ E, mass)
-        zeta[sl, :two_k] = (loop.G_fb @ E + W1_inp @ u_rec[sl].T).T
-        zeta[sl, two_k:] = (bundle.B2 @ E).T
+        voltages = bundle.B2 @ E
+        zeta[sl, :two_k] = (loop.G_fb @ voltages + W1_inp @ u_rec[sl].T).T
+        zeta[sl, two_k:] = voltages.T
         done += filled
         filled = 0
 

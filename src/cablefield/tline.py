@@ -45,6 +45,7 @@ from .errors import MaterialsError
 MatrixFunc = Callable[[np.ndarray], np.ndarray]
 
 _EIG_FLOOR = -1e-12
+_MATERIAL_SAMPLES = 64     # cell-centre samples of validate_line_materials
 
 
 # ---------------------------------------------------------------------------
@@ -98,13 +99,13 @@ class LineMaterials:
         return getattr(self, "_" + name)(eta)
 
 
-def validate_line_materials(m: LineMaterials, n_samples: int = 64) -> dict:
-    """Check the positivity assumptions on a sampling grid.
+def validate_line_materials(m: LineMaterials) -> dict:
+    """Check the positivity assumptions at _MATERIAL_SAMPLES cell centres.
 
     Returns a report dict with per-law eigenvalue margins; ``passed`` is
     True iff C, L are HPD and R, G have PSD Hermitian part everywhere.
     """
-    eta = (np.arange(n_samples) + 0.5) / n_samples
+    eta = (np.arange(_MATERIAL_SAMPLES) + 0.5) / _MATERIAL_SAMPLES
     report = {"passed": True, "margins": {}, "checks": {}}
     for name, definite in (("C", True), ("L", True), ("R", False), ("G", False)):
         samples = m.sample(name, eta)

@@ -104,7 +104,7 @@ def periodic_derivative_pair(n: int, h: float = None):
 
 
 def ghost_currents(loop: ClosedLoop, e: np.ndarray, u) -> np.ndarray:
-    return loop.G_fb @ e + loop.W1_inv @ loop.law.u_hat(u)
+    return loop.G_fb @ (loop.bundle.B2 @ e) + loop.W1_inv @ loop.law.u_hat(u)
 
 
 def used_ports(loop: ClosedLoop, e: np.ndarray, u) -> np.ndarray:

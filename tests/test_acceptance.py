@@ -304,7 +304,7 @@ def test_curved_cable_end_to_end(kind):
     t0 = time.time()
     box, n, cable = CURVED_CABLES[kind]
     spec, _, _, _, lossless = build_bundle(n, 12, 1, [cable()], box)
-    assert validate_geometry(spec).passed
+    assert validate_geometry(spec)["passed"]
     green = lossless.green_residual
 
     skew = PortLaw(W_B_inp=np.hstack([np.eye(2), np.zeros((2, 2))]), W_B_0=np.zeros((0, 4)),

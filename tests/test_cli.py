@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from cablefield.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, main
-from cablefield.scenario import build_scenario, validate_scenario
+from cablefield.scenario import build_scenario
 
 
 def write(tmp_path, config, name="scn.json"):
@@ -156,6 +156,37 @@ def test_validate_rejects_what_simulate_rejects(tmp_path, scenario_config, capsy
     assert capsys.readouterr().err == validate_err
 
 
+SIGMA_NEGATIVE = np.hstack([np.eye(4), -np.eye(4)]).tolist()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("geometry.cables[1].p0", [0.85, 0.5, 0.4]),     # the two collars overlap
+    ("geometry.cables[0].length", 1.35),             # a collar leaves the box
+    ("line.C", 0.0),
+    ("boundary.W_B_inp", SIGMA_NEGATIVE),
+    ("sim.initial", {"kind": "lift"}),               # collar 0.06 m, h = 0.1
+])
+def test_every_command_refuses_what_validate_refuses(tmp_path, scenario_config, capsys,
+                                                     monkeypatch, key, value):
+    # certify and simulate used to exit 0 on both geometries: the build never
+    # ran validate's geometry check.  Now every command refuses before the
+    # grid is built.
+    import cablefield.maxwell as maxwell
+
+    def refuse(*args):
+        raise AssertionError("build_grid ran on a scenario that fails validation")
+
+    put(scenario_config, key, value)
+    path = write(tmp_path, scenario_config)
+    assert main(["validate", path]) == EXIT_FAIL
+    capsys.readouterr()
+    monkeypatch.setattr(maxwell, "build_grid", refuse)
+    for command in ("certify", "simulate", "converge"):
+        assert main([command, path, "--output-dir", str(tmp_path / "out")]) == EXIT_FAIL
+        err = capsys.readouterr().err
+        assert "not admissible" in err or "thinner than two grid cells" in err, command
+
+
 def test_certify_builds_the_completion_once(scenario_path, monkeypatch, capsys):
     import cablefield.certify as certify
 
@@ -261,6 +292,46 @@ def test_a_non_number_exits_2_naming_its_key(tmp_path, capsys, command, key, val
     put(config, key, value)
     assert main([command, write(tmp_path, config)]) == EXIT_USAGE
     assert f"{key} must be a number, got {value!r}" in capsys.readouterr().err
+
+
+TABLE = {"kind": "table", "table_t": ["x"], "table_u": [[0.0, 0.0]]}
+
+
+@pytest.mark.parametrize("command", ["validate", "certify"])
+@pytest.mark.parametrize("key, value", [
+    ("geometry.box", "x"), ("geometry.cables[0].p0", "x"), ("fields.grid", ["a", 10, 18]),
+    ("fields.grid", [16.5, 10, 18]), ("fields.grid", [16, 10]), ("fields.eps", "x"),
+    ("sim.input.table_t", TABLE),
+])
+def test_an_array_key_that_does_not_parse_exits_2_naming_it(tmp_path, capsys, command,
+                                                             key, value):
+    # each used to escape as a raw ValueError, to pass validate and crash
+    # certify, or (16.5 cells) to be truncated silently
+    config = single_cable_config(0.01, 0.05)
+    if key == "sim.input.table_t":
+        config["sim"]["input"] = value
+    else:
+        put(config, key, value)
+    assert main([command, write(tmp_path, config)]) == EXIT_USAGE
+    assert key in capsys.readouterr().err
+
+
+def test_simulate_averages_each_material_once(tmp_path, monkeypatch, capsys):
+    # Hd keeps the eps and mu averages and Rd the sigma one; the certificate,
+    # formed after the run, reads the kept ones
+    import cablefield.maxwell as maxwell
+
+    names = []
+    average = maxwell._average
+
+    def counted(grid, m, name, *args):
+        names.append(name)
+        return average(grid, m, name, *args)
+
+    monkeypatch.setattr(maxwell, "_average", counted)
+    path = write(tmp_path, single_cable_config(0.01, 0.05))
+    assert main(["simulate", path, "--output-dir", str(tmp_path / "out")]) == EXIT_OK
+    assert sorted(names) == ["eps", "mu", "sigma"]
 
 
 def test_a_law_without_inputs_runs_autonomously(tmp_path, capsys):

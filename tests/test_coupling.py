@@ -319,7 +319,7 @@ def test_lift_on_short_cable_inverts_every_candidate():
                                 length=0.6, radius=0.12)],
         collar_halfwidth=0.3,
     )
-    assert validate_geometry(spec).passed
+    assert validate_geometry(spec)["passed"]
     grid = build_grid(spec, (36, 36, 72))
     lg = build_line_grid(12, 1)
     V = np.sin(np.pi * lg.nodes)

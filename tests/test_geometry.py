@@ -288,19 +288,19 @@ def test_validate_geometry_examples():
         ],
     )
     rep = validate_geometry(spec)
-    assert rep.passed
+    assert rep["passed"]
 
     overlapping = GeometrySpec(
         box=np.array([[-2, 2], [-2, 2], [-1, 2]]),
         cables=[straight(), straight(p0=(0.05, 0, 0.3))],
     )
-    assert not validate_geometry(overlapping).disjoint_ok
+    assert not validate_geometry(overlapping)["disjoint_ok"]
 
     poking_out = GeometrySpec(
         box=np.array([[-0.05, 0.05], [-1, 1], [-1, 2]]),
         cables=[straight(radius=0.06)],
     )
-    assert not validate_geometry(poking_out).passed
+    assert not validate_geometry(poking_out)["passed"]
 
 
 def test_geometry_spec_rejects_bad_collar():

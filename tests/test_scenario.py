@@ -7,11 +7,16 @@ import pytest
 from cablefield import sim
 from cablefield.assembly import hodge_extremes
 from cablefield.errors import ConfigError, CouplingError
-from cablefield.scenario import build_scenario, parse_complex, validate_scenario
+from cablefield.scenario import build_scenario, check_scenario, parse_complex, read_scenario
 from oracles import (FullLUStepper, block_operators, hodge_extremes_from_Hd,
                      material_averages, midpoint_step)
 
 MUTUAL = [[1.0, 0.1], [0.1, 1.0]]
+
+
+def validate_scenario(config):
+    """validate's report on a scenario config."""
+    return check_scenario(read_scenario(config))
 
 
 @pytest.mark.parametrize("key, value, n, expected", [
@@ -54,15 +59,17 @@ def single_cable_config():
         "boundary": {"W_B_inp": [[1.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 1.0]],
                      "W_C_out": "colocated"},
         "sim": {"dt": 0.01, "T": 0.1, "input": {"kind": "zero"},
-                "initial": {"kind": "lift"}},
+                "initial": {"kind": "smooth"}},
     }
 
 
 def test_lift_V0_must_be_real():
+    # the collar of this grid is too thin for a lift to run, but V0 is
+    # read, and refused, before any check
     cfg = single_cable_config()
     nodes = np.linspace(0.0, 1.0, 13)
-    cfg["sim"]["initial"]["V0"] = np.sin(np.pi * nodes).tolist()
-    v0 = build_scenario(cfg).initial_spec["V0"]
+    cfg["sim"]["initial"] = {"kind": "lift", "V0": np.sin(np.pi * nodes).tolist()}
+    v0 = read_scenario(cfg).initial["V0"]
     assert v0.dtype == np.float64 and np.array_equal(v0, np.sin(np.pi * nodes))
     # [re, im] pairs with an imaginary part used to be cast to float with
     # only a ComplexWarning
@@ -74,10 +81,11 @@ def test_lift_V0_must_be_real():
 
 def test_validate_rejects_a_lift_the_grid_cannot_carry():
     # the collar (0.3 x 0.2 m) is thinner than two cells of h = 0.1: validate
-    # raises what the lift raises when simulate starts, with the same message
+    # and the build raise what the lift raises, with the same message
     cfg = single_cable_config()
+    cfg["sim"]["initial"] = {"kind": "lift"}
     with pytest.raises(CouplingError) as at_simulate:
-        build_scenario(cfg).initial_state()
+        build_scenario(cfg)
     with pytest.raises(CouplingError) as at_validate:
         validate_scenario(cfg)
     assert str(at_validate.value) == str(at_simulate.value)
