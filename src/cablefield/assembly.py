@@ -118,8 +118,11 @@ class OperatorBundle:
 
     J, Rd, Hd, M and Lg_state are not stored: each is assembled from the
     line, curl and coupling blocks the bundle holds the first time it is
-    read, and kept from then on.  The closed loop and the operator export
-    read them; certification reads none (the Green check and
+    read, and kept from then on.  The closed loop reads Rd, Hd and
+    Lg_state, but forms J_cl from a J of ``assemble_J``, which is not kept
+    (0.91 MB on the pair at scale 1, 22.6 MB at scale 3), so a simulate run
+    holds one N x N generator, the loop's A.  Only the operator export
+    reads J itself; certification reads none (the Green check and
     hodge_extremes work on the blocks).
     """
 
@@ -140,6 +143,10 @@ class OperatorBundle:
     @cached_property
     def J(self) -> sp.csr_matrix:
         """Skew core + coupling insertions (real), N x N."""
+        return self.assemble_J()
+
+    def assemble_J(self) -> sp.csr_matrix:
+        """J assembled from its blocks, and not kept."""
         grid = [[None] * 4 for _ in range(4)]
         for (a, b), (factor, block) in _j_blocks(self.line, self.curls, self.K_V,
                                                  self.Pm_T).items():
@@ -362,7 +369,7 @@ def build_closed_loop(bundle: OperatorBundle, law: PortLaw) -> ClosedLoop:
     G_fb = -W1_inv @ W2                             # ghost currents for u = 0
 
     delta = sp.csr_matrix(G_fb) @ bundle.B2 - bundle.B1   # replace extrapolation by law
-    J_cl = bundle.J + bundle.Lg_state @ delta
+    J_cl = bundle.assemble_J() + bundle.Lg_state @ delta   # J is not kept
     A = ((J_cl - bundle.Rd) @ bundle.Hd).tocsr()
     Bu = (bundle.Lg_state @ sp.csr_matrix(W1_inv)).tocsr()
     return ClosedLoop(bundle=bundle, law=law, A=A, Bu=Bu, G_fb=G_fb, W1_inv=W1_inv)

@@ -65,8 +65,9 @@ def _log_run(traj):
     s = traj.solver
     inverse = (f", inverse {s['inverse_bytes'] / 1e6:.3f} MB at fill {s['inverse_fill']:.3f}"
                if s["method"] == "direct" else "")
-    log.info("%-13s %7.3f s  %s, %d reduced unknowns%s", "solver set-up", s["factor_s"],
-             s["method"], s["reduced_unknowns"], inverse)
+    log.info("%-13s %7.3f s  %s, %d reduced unknowns%s, step operators %.3f MB",
+             "solver set-up", s["factor_s"], s["method"], s["reduced_unknowns"], inverse,
+             s["operator_bytes"] / 1e6)
     iterations = (f", GMRES iterations mean {s['iterations_mean']:.1f} max "
                   f"{s['iterations_max']}" if s["method"] == "gmres" else "")
     log.info("%-13s %7.3f s  %d steps, %.1f steps/s, worst step residual %.2e%s",

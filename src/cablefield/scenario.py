@@ -25,8 +25,8 @@ grid and every count are whole numbers.
     geometry.cables      list of {type: segment|arc|helix|spline, radius,
                           line, ...type-specific parameters}; each cable
                           carries its own line component
-    line.k, line.n_cells, line.C/L/R/G   scalar or k x k matrix
-    fields.grid          [nx, ny, nz]; fields.eps/mu/sigma scalar or
+    line.k, line.n_cells (>= 3), line.C/L/R/G   scalar or k x k matrix
+    fields.grid          [nx, ny, nz], each >= 1; fields.eps/mu/sigma scalar or
                           per-axis [ax, ay, az]; fields.n_theta
     boundary.W_B_inp     m x 4k; boundary.W_B_0 (2k-m) x 4k
     boundary.W_C_out     p x 4k, or "colocated" to derive the
@@ -242,6 +242,13 @@ def read_scenario(config: dict) -> ScenarioSpec:
     seed = _number(config, "seed", "", 0, whole=True)
     k = _number(lc, "k", "line", whole=True)
     n_cells = _number(lc, "n_cells", "line", whole=True)
+    if n_cells < 3:
+        raise ConfigError(f"line.n_cells must be at least 3 (the boundary closures "
+                          f"need 3 cells), got {n_cells}")
+    grid_shape = tuple(parse_complex(_required(fc, "grid", "fields"), (3,), "fields.grid",
+                                     real=True, whole=True).tolist())
+    if min(grid_shape) < 1:
+        raise ConfigError(f"fields.grid entries must be at least 1, got {list(grid_shape)}")
     geometry = _geometry_spec(geo, k)
     W_B_inp, W_B_0 = _port_matrix(bc, "W_B_inp", k), _port_matrix(bc, "W_B_0", k)
     m = W_B_inp.shape[0]
@@ -257,8 +264,7 @@ def read_scenario(config: dict) -> ScenarioSpec:
         line_materials=tline.LineMaterials(k=k, **{
             name: parse_complex(lc[name], (k, k), f"line.{name}", scalar=True)
             for name in ("C", "L", "R", "G") if name in lc}),
-        grid_shape=tuple(parse_complex(_required(fc, "grid", "fields"), (3,), "fields.grid",
-                                       real=True, whole=True).tolist()),
+        grid_shape=grid_shape,
         field_materials=maxwell.FieldMaterials(**{
             name: parse_complex(fc.get(name, default), (3,), f"fields.{name}", scalar=True,
                                 real=True)
@@ -333,8 +339,9 @@ class Scenario(ScenarioSpec):
                                 v0, line=line)
 
     def closed_loop(self) -> assembly.ClosedLoop:
-        """The closed loop of the port law.  The first call also assembles J;
-        build records the time (closed_loop_s) and the peak RSS after it
+        """The closed loop of the port law.  The first call also assembles
+        Rd, Hd and Lg_state (J is assembled for it and dropped); build
+        records the time (closed_loop_s) and the peak RSS after it
         (peak_rss_mb.closed_loop)."""
         clock = time.perf_counter()
         loop = assembly.build_closed_loop(self.bundle, self.law)

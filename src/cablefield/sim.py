@@ -1,13 +1,25 @@
 """
 Implicit-midpoint integration of the boundary-controlled coupled system.
 
-The step solves L x_mid = x + dt/2 Bu u_hat(t_mid), L = I - dt/2 A, then
-x+ = 2 x_mid - x.  The generator has no face-face block (the Faraday rows
-read only the node and edge efforts), so the face block of L is
-the identity and the faces are eliminated exactly: with r the cells, nodes
-and edges and f the faces,
+With h = dt/2, the step solves (I - h A) x_mid = x + h Bu u_hat(t_mid) =
+rhs, then x+ = 2 x_mid - x.  The generator has no face-face block (the
+Faraday rows read only the node and edge efforts), so the face block of
+I - h A is the identity and the faces are eliminated exactly: with r the
+cells, nodes and edges and f the faces,
 
-    S = L_rr - L_rf L_fr,   S x_r = rhs_r - L_rf rhs_f,   x_f = rhs_f - L_fr x_r.
+    S = I - h A_rr - (h A_rf)(h A_fr),   S x_r = P rhs = rhs_r + h A_rf rhs_f,
+    x_f = rhs_f + h A_fr x_r.
+
+The stepper stores the generator once, as its blocks with h folded in: the
+stacked CSR h [A_rr; A_fr] (rows r then f, columns r) and h A_rf, with
+h A_fr a view of the stacked matrix's tail that shares its arrays.  Every
+step forms P rhs, the face rows and (per block) the residual check from
+these blocks and the loop's A, whichever way S x_r = P rhs is solved.  On
+the pair at scale 1 they are 1.09 MB (``operator_bytes``, the Jacobi
+diagonal and the input columns included) against 0.98 MB for A itself,
+where an assembled I - h A, P, L_fr and S took 3.3 MB; the peak RSS of a
+scale-1 run fell from 66.3 to 63.3 MB, and at scales 2 and 3 from 127 to
+105 MB and from 298 to 224 MB (BENCH_step_blocks.json).
 
 How S x_r = P rhs is solved is decided by one size rule on the reduced
 unknowns, DIRECT_MAX_UNKNOWNS = 1500:
@@ -16,7 +28,8 @@ unknowns, DIRECT_MAX_UNKNOWNS = 1500:
     (np.linalg.inv), in real arithmetic when the law and the materials are
     real, and a step solve is one matrix-vector product; a complex
     right-hand side on a real inverse is solved as two real products, of
-    its real and imaginary parts.  On the 412-unknown single cable the
+    its real and imaginary parts.  S is formed from the blocks for the
+    inversion only and then dropped.  On the 412-unknown single cable the
     dense inverse is 1.4 MB and the set-up, S included, takes 0.015-0.025 s
     (a SuperLU set-up took 0.09 s, most of it importing
     scipy.sparse.linalg), and a step on GMRES takes 0.6 ms.
@@ -54,14 +67,21 @@ unknowns, DIRECT_MAX_UNKNOWNS = 1500:
     and the switch sits below both.  At the smallest fills the CSR step
     saves more than its product does, which fits the dense stream evicting
     the block arrays from the 2 MB L2 cache (not verified).
-  * Above it, no inverse is built.  S is solved by restarted GMRES
-    (Saad-Schultz), right-preconditioned by the Jacobi diagonal 1/diag(S),
-    in complex arithmetic when S or the right-hand side is complex.  At the
-    usual steps S is close to I - dt/2 A, so a solve takes 9-26 iterations
-    (pair at scales 1-4, dt = 0.01).  Each solve starts from the previous
-    solve's x_r, the midpoint one step before (the first from zero).  The
-    set-up only assembles S (0.01 s on the 6,396-unknown pair), and the
-    memory stays linear in the unknowns: GMRES_RESTART + 1 basis vectors.
+  * Above it, neither an inverse nor S is built.  S is solved by restarted
+    GMRES (Saad-Schultz) through the block product
+    S x = x - t_r - (h A_rf) t_f, t = h [A_rr; A_fr] x, right-preconditioned
+    by the Jacobi diagonal 1/diag(S), diag(S) = 1 - h diag(A_rr) - the row
+    sums of (h A_rf) o (h A_fr)^T, in complex arithmetic when A or the
+    right-hand side is complex.  At the usual steps S is close to
+    I - h A, so a solve takes 9-26 iterations (pair at scales 1-4,
+    dt = 0.01).  Each solve starts from the previous solve's x_r, the
+    midpoint one step before (the first from zero), and its last
+    true-residual product already holds t_f = h A_fr x_r for the face rows.
+    The block product costs about what a product with an assembled S did
+    (64-82 against 67-90 us at scale 1, 0.55-0.59 against 0.51-0.59 ms at
+    scale 2, 2.4-2.6 against 2.6-2.8 ms at scale 3), the set-up takes
+    0.003 s on the 6,396-unknown pair, and the memory stays linear in the
+    unknowns: GMRES_RESTART + 1 basis vectors.
   * Measured per-step cost, dense against GMRES, on single-cable grids at
     dt = 5e-3 on 2 cores: 0.29 against 0.69 ms at 657 reduced unknowns,
     0.75 against 0.78-0.99 ms at 1,769, 0.81 against 0.71 ms at 1,977,
@@ -89,8 +109,8 @@ run() advances the loop B steps at a time (MidpointStepper.advance), with
 B the width of the record block below: 28 steps on the single cable, 2 on
 the pair.  A step does only what the recurrence needs (MidpointStepper.step):
 
-    rhs = x + dt/2 Bu u,  x_r = S^-1 (P rhs),  the face rows
-    x_f = rhs_f - L_fr x_r between the two slices of x_r around them, and
+    rhs = x + h Bu u,  x_r = S^-1 (rhs_r + h A_rf rhs_f),  the face rows
+    x_f = rhs_f + h A_fr x_r between the two slices of x_r around them, and
     x+ = 2 x_mid - x written into row j of a row-major (B, n) block.
 
 Everything else runs once per block, and still covers every step:
@@ -98,21 +118,22 @@ Everything else runs once per block, and still covers every step:
   * the input at all midpoint and record times of the block, from one
     InputSignal call on an array of times, and its finite check: a
     non-finite midpoint input is a DomainError naming the first such time;
-  * dt/2 Bu u for all B steps, summed port by port on the rows Bu acts on;
-  * every step's residual against the full L, in one sparse product
-    L X_mid^T - RHS^T: each step must meet ||L x_mid - rhs|| <=
-    solver_tol max(1, ||rhs||), and the first that does not is a
-    SolverError naming the step and its midpoint time;
+  * h Bu u for all B steps, summed port by port on the rows Bu acts on;
+  * every step's residual against the full system, read from the loop's A
+    in one sparse product: X_mid - h A X_mid - RHS.  Each step must meet
+    ||x_mid - h A x_mid - rhs|| <= solver_tol max(1, ||rhs||), and the
+    first that does not is a SolverError naming the step and its midpoint
+    time;
   * the record forms (below).
 
 Measured on the single cable (412 reduced unknowns, dt = 2e-5, 2 BLAS
 threads, timeit best of 5 on a shared 2-core Xeon whose timings move by
 30 % from hour to hour): S^-1 b 12-20 us on the CSR inverse (25-30 us
-dense), P rhs 8-11 us, L_fr x_r 8 us; a step with its share of the block
-work 41-47 us on the CSR inverse and 64-76 us dense, where a loop doing
-all of that work step by step took 87-139 us a step (its residual
-product and norms 17-28 us of it).  The block's residual check is 7.5-9
-us a step.
+dense), P rhs 8-9 us (h A_rf rhs_f 7 us, the two slices of rhs_r added
+1.5 us), h A_fr x_r 8 us; a step with its share of the block work 41-52
+us on the CSR inverse and 64-76 us dense, where a loop doing all of that
+work step by step took 87-139 us a step (its residual product and norms
+17-28 us of it).  The block's residual check is 7.5-9 us a step.
 
 The scheme is A-stable, time-reversible and preserves the quadratic energy
 exactly for skew flows, so the recorded energy ledger
@@ -393,23 +414,44 @@ def _csr_of(Sinv: np.ndarray, keep: np.ndarray) -> sp.csr_matrix:
     return sp.csr_matrix((Sinv[keep], indices, indptr), shape=Sinv.shape)
 
 
+def _csr_rows(X: sp.csr_matrix, lo: int, hi: int) -> sp.csr_matrix:
+    """Rows lo:hi of the CSR matrix X as a CSR view: it shares X's data and
+    indices, and only its row pointers are new."""
+    indptr = X.indptr[lo:hi + 1] - X.indptr[lo]
+    start, stop = X.indptr[lo], X.indptr[hi]
+    return sp.csr_matrix((X.data[start:stop], X.indices[start:stop], indptr),
+                         shape=(hi - lo, X.shape[1]))
+
+
+def _nbytes(*arrays) -> int:
+    """Stored bytes of arrays and sparse matrices (data, indices, indptr)."""
+    total = 0
+    for a in arrays:
+        parts = (a.data, a.indices, a.indptr) if sp.issparse(a) else (a,)
+        total += sum(part.nbytes for part in parts)
+    return total
+
+
 class MidpointStepper:
     """Implicit-midpoint stepper for one (loop, dt) pair.
 
-    Builds the face-eliminated step system S once and, by the rules of the
-    module docstring, inverts it (keeping the above-roundoff entries, as
-    CSR when few remain) or sets up its Jacobi-GMRES solve.  ``advance``
-    runs a block of steps: the input columns dt/2 Bu enter as one block
-    product, each step (``step``) maps its right-hand side to S's with
-    P = [I_r | -L_rf], solves and writes the face rows, and every step's
-    residual is then checked against the full L in one sparse product over
-    the block.  ``stats`` reports the size, the method ("direct" or
-    "gmres"), the set-up time (``factor_s``), the stored bytes of the
-    inverse (direct, ``inverse_bytes``: CSR data, indices and indptr, or
-    the dense array) and the fraction of its entries above roundoff
-    (``inverse_fill``), or the maximum and mean GMRES
-    iterations per solve, the number of step solves and the worst relative
-    step residual so far.  A singular S raises SolverError.
+    Stores the generator's blocks with h = dt/2 folded in, the stacked
+    h [A_rr; A_fr] and h A_rf, and by the rules of the module docstring
+    either inverts S once (keeping the above-roundoff entries, as CSR when
+    few remain) or solves it by Jacobi-GMRES through the block product.
+    ``advance`` runs a block of steps: the input columns dt/2 Bu enter as
+    one block product, each step (``step``) forms P rhs, solves and writes
+    the face rows, and every step's residual is then checked against
+    I - h A, read from the loop's A, in one sparse product over the block.
+    ``stats`` reports the size, the method ("direct" or "gmres"), the
+    set-up time (``factor_s``), the stored bytes of the step operators
+    (``operator_bytes``: the blocks, the input columns, and the Jacobi
+    diagonal or the inverse), the stored bytes of the inverse (direct,
+    ``inverse_bytes``: CSR data, indices and indptr, or the dense array)
+    and the fraction of its entries above roundoff (``inverse_fill``), or
+    the maximum and mean GMRES iterations per solve, the number of step
+    solves and the worst relative step residual so far.  A singular S
+    raises SolverError.
     """
 
     def __init__(self, loop: ClosedLoop, dt: float, solver_tol: float = 1e-10):
@@ -420,54 +462,62 @@ class MidpointStepper:
         n = loop.bundle.n
         A = loop.A.tocsr()
         f = lay.sl_H
-        if A[f, f].count_nonzero():
+        a, b = f.start, f.stop
+        r = np.r_[lay.sl_I, lay.sl_V.start:n]
+        nr = r.size
+        half = 0.5 * dt
+        self._A, self._half, self._f, self._m = A, half, f, loop.law.m
+        Af = A[:, f]
+        if _csr_rows(Af, a, b).count_nonzero():
             raise SolverError("the generator has a nonzero face-face block; the "
                               "face elimination of the midpoint step needs it empty")
-        r = np.r_[lay.sl_I, lay.sl_V.start:n]
-        half = 0.5 * dt
-        eye = sp.identity(n, dtype=A.dtype, format="csr")
-        self._f = f                                    # r is everything around f
-        self._m = loop.law.m
-        self._lhs = (eye - half * A).tocsr()
-        Arf = half * A[r][:, f]                        # -L_rf
-        self._Afr = (half * A[f][:, r]).tocsr()        # -L_fr
-        self._P = (eye[r] + Arf @ eye[f]).tocsr()
+        # h A_rf, and h [A_rr; A_fr]: the rows r then f of A's columns r
+        Arf = Af[r]
+        Arf.data *= half
+        stacked = A[:, r][np.r_[r, a:b]]
+        stacked.data *= half
+        self._stacked, self._Arf = stacked, Arf
+        self._Afr = _csr_rows(stacked, nr, stacked.shape[0])
         Bu = (half * loop.Bu[:, :self._m]).tocsr()
         self._bu_rows = np.unique(Bu.nonzero()[0])
         self._BuT = Bu[self._bu_rows].toarray().T       # the rows dt/2 Bu acts on
-        S = (sp.identity(r.size, dtype=A.dtype, format="csr") - half * A[r][:, r]
-             - Arf @ self._Afr)
         self.solves = 0
         self.max_rel_residual = 0.0
         self.iterations = []        # GMRES iterations of each solve
         self._Sinv = None
-        if r.size > DIRECT_MAX_UNKNOWNS:
-            self._S = S.tocsr()
-            diag = self._S.diagonal()
+        Arr = _csr_rows(stacked, 0, nr)
+        if nr > DIRECT_MAX_UNKNOWNS:
+            # diag(S) = 1 - h diag(A_rr) - sum_j (h A_rf)_ij (h A_fr)_ji
+            diag = (1.0 - Arr.diagonal()
+                    - np.asarray(Arf.multiply(self._Afr.T).sum(axis=1)).ravel())
             if not np.all(np.isfinite(diag) & (diag != 0)):
                 raise SolverError("step matrix has a zero diagonal entry; the "
                                   "Jacobi preconditioner needs every one nonzero")
             self._dinv = 1.0 / diag
             self._gmres_tol = GMRES_TOL_FACTOR * solver_tol
-            self._x_r = np.zeros(r.size, dtype=S.dtype)
-            self._stats = {"reduced_unknowns": int(r.size), "method": "gmres"}
+            self._x_r = np.zeros(nr, dtype=stacked.dtype)
+            self._stats = {"reduced_unknowns": int(nr), "method": "gmres"}
+            solve_bytes = self._dinv.nbytes
         else:
+            S = sp.identity(nr, dtype=A.dtype, format="csr") - Arr - Arf @ self._Afr
             try:
                 Sinv = np.linalg.inv(S.toarray())
             except np.linalg.LinAlgError as exc:
                 raise SolverError(f"step matrix inversion failed: {exc}") from exc
+            del S
             bundle = loop.bundle
             weight = (bundle.M.diagonal() * bundle.Hd.diagonal().real)[r]
             keep = _above_roundoff(Sinv, np.sqrt(weight))
             kept = int(np.count_nonzero(keep))
             if kept <= SPARSE_INVERSE_MAX_FILL * keep.size:
                 Sinv = _csr_of(Sinv, keep)
-                nbytes = Sinv.data.nbytes + Sinv.indices.nbytes + Sinv.indptr.nbytes
-            else:
-                nbytes = Sinv.nbytes
             self._Sinv = Sinv
-            self._stats = {"reduced_unknowns": int(r.size), "method": "direct",
-                           "inverse_bytes": int(nbytes), "inverse_fill": kept / keep.size}
+            solve_bytes = _nbytes(Sinv)
+            self._stats = {"reduced_unknowns": int(nr), "method": "direct",
+                           "inverse_bytes": int(solve_bytes),
+                           "inverse_fill": kept / keep.size}
+        self._stats["operator_bytes"] = int(
+            _nbytes(stacked, Arf, self._Afr.indptr, self._BuT, self._bu_rows) + solve_bytes)
         self._stats["factor_s"] = time.perf_counter() - t0
 
     def stats(self) -> dict:
@@ -478,18 +528,31 @@ class MidpointStepper:
             out["iterations_mean"] = float(np.mean(self.iterations)) if self.iterations else 0.0
         return out
 
-    def _solve_reduced(self, b: np.ndarray) -> np.ndarray:
+    def _apply_S(self, x: np.ndarray) -> tuple:
+        """(S x, h A_fr x): with t = h [A_rr; A_fr] x, S x = x - t_r - (h A_rf) t_f."""
+        t = self._stacked @ x
+        t_f = t[x.shape[0]:]
+        Sx = self._Arf @ t_f
+        Sx += t[:x.shape[0]]
+        np.subtract(x, Sx, out=Sx)
+        return Sx, t_f
+
+    def _solve_reduced(self, b: np.ndarray) -> tuple:
+        """(x_r, h A_fr x_r) with S x_r = b."""
         Sinv = self._Sinv
         if Sinv is None:
-            self._x_r = self._gmres(b, self._x_r)
-            return self._x_r
+            self._x_r, t_f = self._gmres(b, self._x_r)
+            return self._x_r, t_f
         if np.iscomplexobj(b) and Sinv.dtype.kind != "c":
-            return Sinv @ b.real + 1j * (Sinv @ b.imag)
-        return Sinv @ b
+            x_r = Sinv @ b.real + 1j * (Sinv @ b.imag)
+        else:
+            x_r = Sinv @ b
+        return x_r, self._Afr @ x_r
 
-    def _gmres(self, b: np.ndarray, x: np.ndarray) -> np.ndarray:
+    def _gmres(self, b: np.ndarray, x: np.ndarray) -> tuple:
         """Solve S x = b by restarted GMRES(GMRES_RESTART), right-preconditioned
-        by D^-1 = 1 / diag(S), from the start x, to ||b - S x|| <= tol ||b||.
+        by D^-1 = 1 / diag(S), from the start x, to ||b - S x|| <= tol ||b||;
+        returns x and h A_fr x, the face part of the last true-residual product.
 
         Classical Gram-Schmidt with one reorthogonalization builds the Arnoldi
         basis; Givens rotations keep the Hessenberg least-squares residual,
@@ -497,15 +560,16 @@ class MidpointStepper:
         Appends the iteration count to ``iterations``; raises SolverError
         after GMRES_MAX_ITERATIONS.
         """
-        S, dinv = self._S, self._dinv
-        dtype = np.result_type(S.dtype, b.dtype)
+        S, dinv = self._apply_S, self._dinv
+        dtype = np.result_type(self._stacked.dtype, b.dtype)
         bnorm = np.linalg.norm(b)
         # a real solve after a complex one starts from the real part
         x = (x if dtype.kind == "c" else x.real).astype(dtype, copy=True)
         if bnorm == 0:
             x[:] = 0
         target = self._gmres_tol * bnorm
-        r = b - S @ x
+        Sx, t_f = S(x)
+        r = b - Sx
         beta = np.linalg.norm(r)
         m = GMRES_RESTART
         V = np.empty((m + 1, b.size), dtype=dtype)
@@ -520,7 +584,7 @@ class MidpointStepper:
             g = np.zeros(m + 1, dtype=dtype)
             g[0] = beta
             for j in range(m):
-                w = S @ (dinv * V[j])
+                w = S(dinv * V[j])[0]
                 Vj = V[:j + 1]
                 h = (Vj @ w.conj()).conj()
                 w -= h @ Vj
@@ -547,10 +611,11 @@ class MidpointStepper:
             k = j + 1
             y = np.linalg.solve(H[:k, :k], g[:k])
             x += dinv * (y @ V[:k])
-            r = b - S @ x
+            Sx, t_f = S(x)
+            r = b - Sx
             beta = np.linalg.norm(r)
         self.iterations.append(its)
-        return x
+        return x, t_f
 
     def advance(self, x: np.ndarray, U: np.ndarray, first_step: int = 0) -> tuple:
         """Advance len(U) steps from x with the midpoint inputs U (steps x m);
@@ -558,16 +623,16 @@ class MidpointStepper:
         that step's midpoint.
 
         ``first_step`` is the number of steps before the block; it numbers
-        the steps in errors.  Each step's residual ||L x_mid - rhs|| must be
-        at most solver_tol max(1, ||rhs||): the block's are checked in one
-        sparse product, and the first step over the bound is a SolverError
-        naming the step and its midpoint time.
+        the steps in errors.  Each step's residual ||x_mid - h A x_mid - rhs||
+        (h = dt/2) must be at most solver_tol max(1, ||rhs||): the block's
+        are checked in one sparse product, and the first step over the bound
+        is a SolverError naming the step and its midpoint time.
         """
         U = np.asarray(U)
         if U.ndim != 2 or U.shape[1] != self._m:
             raise DomainError(f"input block has shape {U.shape}, port law expects "
                               f"(steps, {self._m})")
-        steps, n = U.shape[0], self._lhs.shape[0]
+        steps, n = U.shape[0], self._A.shape[0]
         # dt/2 Bu u of every step on the rows Bu acts on, summed port by port
         # in a fixed order, so that a row does not depend on its block
         bu = np.zeros((steps, self._bu_rows.size), dtype=np.result_type(U, self._BuT))
@@ -575,8 +640,7 @@ class MidpointStepper:
             bu += U[:, k:k + 1] * self._BuT[k]
         BU = np.zeros((steps, n), dtype=bu.dtype)
         BU[:, self._bu_rows] = bu
-        solve_dtype = (self._S if self._Sinv is None else self._Sinv).dtype
-        dtype = np.result_type(x, BU, solve_dtype)
+        dtype = np.result_type(x, BU, self._stacked.dtype)
         rhs = np.empty((steps, n), dtype=dtype)
         X_mid = np.empty((steps, n), dtype=dtype)
         X = np.empty((steps, n), dtype=dtype)
@@ -585,8 +649,11 @@ class MidpointStepper:
             step(x, BU[j], rhs[j], X_mid[j], X[j])
             x = X[j]
         self.solves += steps
-        # one transposed copy in, one out: the sparse product wants columns
-        residual = np.ascontiguousarray((self._lhs @ np.ascontiguousarray(X_mid.T)).T)
+        # X_mid - h A X_mid - rhs; one transposed copy in, one out: the
+        # sparse product wants columns
+        residual = np.ascontiguousarray((self._A @ np.ascontiguousarray(X_mid.T)).T)
+        residual *= -self._half
+        residual += X_mid
         residual -= rhs
         res = np.linalg.norm(residual, axis=1)
         scale = np.maximum(1.0, np.linalg.norm(rhs, axis=1))
@@ -603,15 +670,18 @@ class MidpointStepper:
     def step(self, x: np.ndarray, bu: np.ndarray, rhs: np.ndarray, x_mid: np.ndarray,
              x_next: np.ndarray) -> None:
         """One step of ``advance``, written into its rows rhs, x_mid and
-        x_next: rhs = x + bu, S x_r = P rhs, the face rows
-        x_f = rhs_f - L_fr x_r and x_next = 2 x_mid - x.  Its residual is
-        checked by ``advance``."""
+        x_next: rhs = x + bu, S x_r = P rhs = rhs_r + h A_rf rhs_f, the face
+        rows x_f = rhs_f + h A_fr x_r and x_next = 2 x_mid - x.  Its residual
+        is checked by ``advance``."""
         np.add(x, bu, out=rhs)
-        x_r = self._solve_reduced(self._P @ rhs)
         a, b = self._f.start, self._f.stop
+        p = self._Arf @ rhs[a:b]
+        p[:a] += rhs[:a]
+        p[a:] += rhs[b:]
+        x_r, t_f = self._solve_reduced(p)
         x_mid[:a] = x_r[:a]
         x_mid[b:] = x_r[a:]
-        np.add(rhs[a:b], self._Afr @ x_r, out=x_mid[a:b])
+        np.add(rhs[a:b], t_f, out=x_mid[a:b])
         np.multiply(x_mid, 2.0, out=x_next)
         x_next -= x
 

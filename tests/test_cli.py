@@ -316,6 +316,23 @@ def test_an_array_key_that_does_not_parse_exits_2_naming_it(tmp_path, capsys, co
     assert key in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["validate", "certify"])
+@pytest.mark.parametrize("key, value, message", [
+    ("line.n_cells", 2, "line.n_cells must be at least 3"),
+    ("line.n_cells", 0, "line.n_cells must be at least 3"),
+    ("fields.grid", [0, 6, 10], "fields.grid entries must be at least 1"),
+    ("fields.grid", [6, -6, 10], "fields.grid entries must be at least 1"),
+])
+def test_a_count_below_its_minimum_exits_2_naming_its_key(tmp_path, capsys, command, key,
+                                                          value, message):
+    # too few line cells used to pass validate and crash certify on a raw
+    # ValueError; a grid count of 0 reached the build as h = inf
+    config = single_cable_config(0.01, 0.05)
+    put(config, key, value)
+    assert main([command, write(tmp_path, config)]) == EXIT_USAGE
+    assert message in capsys.readouterr().err
+
+
 def test_simulate_averages_each_material_once(tmp_path, monkeypatch, capsys):
     # Hd keeps the eps and mu averages and Rd the sigma one; the certificate,
     # formed after the run, reads the kept ones
@@ -417,9 +434,9 @@ def test_simulate_writes_csv_and_summary(scenario_path, tmp_path, capsys):
     assert main(["simulate", scenario_path, "--output-dir", out]) == EXIT_OK
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     solver = summary["solver"]
-    assert set(solver) == {"reduced_unknowns", "method", "factor_s", "iterations_max",
-                           "iterations_mean", "solves", "max_rel_residual",
-                           "stepping_s", "steps_per_s"}
+    assert set(solver) == {"reduced_unknowns", "method", "factor_s", "operator_bytes",
+                           "iterations_max", "iterations_mean", "solves",
+                           "max_rel_residual", "stepping_s", "steps_per_s"}
     assert solver["solves"] == summary["records"] - 1 == 30     # T / dt = 0.3 / 0.01
     # the step loop's wall time and rate
     assert solver["stepping_s"] > 0 and solver["steps_per_s"] > 0
@@ -454,7 +471,8 @@ def test_simulate_verbose_logs_the_run(scenario_path, tmp_path, capsys):
     solver = summary["solver"]
     err = captured.err
     assert f"peak RSS {summary['build']['peak_rss_mb']['closed_loop']:.1f} MB" in err
-    assert f"{solver['factor_s']:.3f} s  gmres, {solver['reduced_unknowns']} reduced" in err
+    assert (f"{solver['factor_s']:.3f} s  gmres, {solver['reduced_unknowns']} reduced "
+            f"unknowns, step operators {solver['operator_bytes'] / 1e6:.3f} MB") in err
     assert f"{solver['stepping_s']:.3f} s  30 steps" in err
     assert f"max residual {summary['max_ledger_residual']:.3e}" in err
     assert f"energy drift {summary['energy_drift']:.3e}" in err
@@ -472,8 +490,9 @@ def test_simulate_verbose_logs_the_stored_inverse(tmp_path, capsys):
     assert solver["method"] == "direct" and solver["solves"] == 10
     assert solver["inverse_bytes"] < 412 * 412 * 8 and 0.0 < solver["inverse_fill"] < 0.2
     assert (f"{solver['factor_s']:.3f} s  direct, 412 reduced unknowns, inverse "
-            f"{solver['inverse_bytes'] / 1e6:.3f} MB at fill {solver['inverse_fill']:.3f}"
-            in captured.err)
+            f"{solver['inverse_bytes'] / 1e6:.3f} MB at fill {solver['inverse_fill']:.3f}, "
+            f"step operators {solver['operator_bytes'] / 1e6:.3f} MB" in captured.err)
+    assert solver["operator_bytes"] > solver["inverse_bytes"]
 
 
 def test_simulate_zero_everything_all_zero_rows(tmp_path, scenario_config, capsys):

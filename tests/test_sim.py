@@ -251,10 +251,13 @@ def test_input_must_be_finite_on_every_step(lossless):
         run(loop, cfg, x0=random_state(bundle, seed=8))
 
 
-def test_a_bad_solve_inside_a_block_names_its_step(lossy, monkeypatch):
-    # the residuals are checked a block at a time, but against every step:
-    # one corrupted solve in the middle of the second block is a SolverError
-    # that names that step
+@pytest.mark.parametrize("path", ["direct", "krylov"])
+def test_a_bad_solve_inside_a_block_names_its_step(lossy, monkeypatch, path):
+    # the residuals are checked a block at a time, but against every step and
+    # against the loop's A itself: one corrupted solve in the middle of the
+    # second block is a SolverError that names that step, on either solve
+    if path == "krylov":
+        monkeypatch.setattr(sim, "DIRECT_MAX_UNKNOWNS", 0)
     _, _, _, _, _, bundle, _ = lossy
     law = strict_law(bundle.k)
     loop = build_closed_loop(bundle, law)
@@ -266,8 +269,8 @@ def test_a_bad_solve_inside_a_block_names_its_step(lossy, monkeypatch):
 
     def corrupted(self, b):
         calls.append(1)
-        x_r = solve(self, b)
-        return x_r + 1e-6 if len(calls) == bad else x_r
+        x_r, face = solve(self, b)
+        return (x_r + 1e-6 if len(calls) == bad else x_r), face
 
     monkeypatch.setattr(MidpointStepper, "_solve_reduced", corrupted)
     cfg = SimConfig(dt=1e-3, T=4 * width * 1e-3, input=InputSignal(m=law.m, kind="sine"))
@@ -506,6 +509,77 @@ def test_krylov_path_keeps_criterion_4(criterion3_bundles, krylov):
                  SimConfig(dt=1e-2, T=2.0, input=InputSignal(m=strict.m)),
                  x0=random_state(lossy, seed=5))
     assert np.all(np.diff(traj_l.energy) <= 1e-12 * traj_l.energy[0])
+
+
+def assembled_step_matrix(loop, dt):
+    """S = I - h A_rr - (h A_rf)(h A_fr), h = dt/2, assembled from loop.A."""
+    lay = loop.bundle.layout
+    r = np.r_[lay.sl_I, lay.sl_V.start:loop.bundle.n]
+    f = np.arange(lay.sl_H.start, lay.sl_H.stop)
+    hA = 0.5 * dt * loop.A.tocsr()
+    return (sp.identity(r.size, format="csr") - hA[r][:, r]
+            - hA[r][:, f] @ hA[f][:, r]).tocsr(), hA[f][:, r]
+
+
+@pytest.fixture(scope="module")
+def pair_loop():
+    from conftest import straight_pair_config
+    from cablefield.scenario import build_scenario
+
+    return build_scenario(straight_pair_config()).closed_loop()
+
+
+@pytest.mark.parametrize("case", ["pair", "complex_law"])
+def test_block_product_is_the_assembled_step_matrix(criterion3_bundles, pair_loop, krylov,
+                                                    case):
+    # the GMRES step holds only h [A_rr; A_fr] and h A_rf: its product and
+    # its Jacobi diagonal are those of S assembled here, to roundoff
+    if case == "pair":
+        loop = pair_loop
+    else:
+        bundle = criterion3_bundles["lossy"]
+        k = bundle.k
+        law = PortLaw(W_B_inp=np.hstack([np.eye(2 * k), (1.0 + 0.5j) * np.eye(2 * k)]),
+                      W_B_0=np.zeros((0, 4 * k)), W_C_out=np.zeros((1, 4 * k)), k=k)
+        loop = build_closed_loop(bundle, law)
+    dt = 1e-2
+    stepper = MidpointStepper(loop, dt)
+    S, hAfr = assembled_step_matrix(loop, dt)
+    assert np.iscomplexobj(S.data) == (case == "complex_law")
+    rng = np.random.default_rng(3)
+    for x in (rng.standard_normal(S.shape[0]),
+              rng.standard_normal(S.shape[0]) + 1j * rng.standard_normal(S.shape[0])):
+        Sx, face = stepper._apply_S(x)
+        ref = S @ x
+        assert np.linalg.norm(Sx - ref) <= 1e-15 * np.linalg.norm(ref)
+        assert np.linalg.norm(face - hAfr @ x) <= 1e-15 * np.linalg.norm(hAfr @ x)
+    diag = S.diagonal()
+    assert np.abs(1.0 / stepper._dinv - diag).max() <= 1e-15 * np.abs(diag).max()
+
+
+def test_the_step_stores_no_more_than_the_generator(pair_loop, krylov):
+    # pair scale 1: the step's operators are A's entries, re-indexed, plus a
+    # few vectors of the reduced size (row pointers, the Jacobi diagonal)
+    stats = MidpointStepper(pair_loop, 1e-2).stats()
+    A = pair_loop.A
+    a_bytes = A.data.nbytes + A.indices.nbytes + A.indptr.nbytes
+    n_r = stats["reduced_unknowns"]
+    assert stats["method"] == "gmres"
+    assert a_bytes < stats["operator_bytes"] <= a_bytes + 24 * n_r
+
+
+def test_the_closed_loop_keeps_no_J():
+    # J is assembled for the closed loop and dropped, and A is bit for bit
+    # the closed loop of the kept J; reading J still assembles and keeps it
+    bundle = make_setup(n=(6, 6, 10), n_line=12)[5]
+    loop = build_closed_loop(bundle, strict_law(bundle.k))
+    assert "J" not in vars(bundle)
+    J = bundle.J
+    assert "J" in vars(bundle) and bundle.J is J
+    delta = sp.csr_matrix(loop.G_fb) @ bundle.B2 - bundle.B1
+    ref = ((J + bundle.Lg_state @ delta - bundle.Rd) @ bundle.Hd).tocsr()
+    for name in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(loop.A, name), getattr(ref, name))
 
 
 def test_gmres_iteration_cap_is_a_solver_error(criterion3_bundles, krylov, monkeypatch):
