@@ -16,10 +16,10 @@ h A_fr a view of the stacked matrix's tail that shares its arrays.  Every
 step forms P rhs, the face rows and (per block) the residual check from
 these blocks and the loop's A, whichever way S x_r = P rhs is solved.  On
 the pair at scale 1 they are 1.09 MB (``operator_bytes``, the Jacobi
-diagonal and the input columns included) against 0.98 MB for A itself,
-where an assembled I - h A, P, L_fr and S took 3.3 MB; the peak RSS of a
-scale-1 run fell from 66.3 to 63.3 MB, and at scales 2 and 3 from 127 to
-105 MB and from 298 to 224 MB (BENCH_step_blocks.json).
+diagonal and the input columns included) against 0.98 MB for A itself and
+3.3 MB for an assembled I - h A, P, L_fr and S; storing those instead
+raises the peak RSS of a run by 3 MB at scale 1, 22 MB at scale 2 and
+74 MB at scale 3 (BENCH_step_blocks.json).
 
 How S x_r = P rhs is solved is decided by one size rule on the reduced
 unknowns, DIRECT_MAX_UNKNOWNS = 1500:
@@ -77,7 +77,7 @@ unknowns, DIRECT_MAX_UNKNOWNS = 1500:
     dt = 0.01).  Each solve starts from the previous solve's x_r, the
     midpoint one step before (the first from zero), and its last
     true-residual product already holds t_f = h A_fr x_r for the face rows.
-    The block product costs about what a product with an assembled S did
+    The block product costs about what a product with an assembled S does
     (64-82 against 67-90 us at scale 1, 0.55-0.59 against 0.51-0.59 ms at
     scale 2, 2.4-2.6 against 2.6-2.8 ms at scale 3), the set-up takes
     0.003 s on the 6,396-unknown pair, and the memory stays linear in the
