@@ -58,6 +58,10 @@ from .tline import LineBlocks
 COUPLING_SIGN = -1.0   # orientation of the lateral coupling insertions;
                        # pinned against the staircase-lift Faraday route
 
+# Largest Green residual max |M J + J^T M - (B1^T B2 + B2^T B1)| / max |M J + J^T M|
+# that assemble_system accepts.
+GREEN_TOL = 1e-12
+
 # Rows of one slab of the block-pair Green check (_green_residual).  The
 # check's traced temporaries at pair scale 3 (209,784 faces) are 5.4 MB at
 # 16,384 rows, 6.3 MB at 32,768, 12.5 MB at 65,536 and 34.2 MB in one slab
@@ -117,13 +121,13 @@ class OperatorBundle:
     """Assembled (J, R, H) triple with masses and boundary extraction.
 
     J, Rd, Hd, M and Lg_state are not stored: each is assembled from the
-    line, curl and coupling blocks the bundle holds the first time it is
-    read, and kept from then on.  The closed loop reads Rd, Hd and
-    Lg_state, but forms J_cl from a J of ``assemble_J``, which is not kept
-    (0.91 MB on the pair at scale 1, 22.6 MB at scale 3), so a simulate run
-    holds one N x N generator, the loop's A.  Only the operator export
-    reads J itself; certification reads none (the Green check and
-    hodge_extremes work on the blocks).
+    line, curl and coupling blocks the bundle holds.  Rd, Hd, M and
+    Lg_state are assembled the first time they are read and kept from then
+    on.  J is assembled on every read and never kept (0.91 MB on the pair
+    at scale 1, 22.6 MB at scale 3): the closed loop reads it once to form
+    J_cl, so a simulate run holds one N x N generator, the loop's A, and
+    the operator export reads it once.  Certification reads none of them
+    (the Green check and hodge_extremes work on the blocks).
     """
 
     layout: BlockLayout
@@ -140,13 +144,10 @@ class OperatorBundle:
     def n(self):
         return self.layout.total
 
-    @cached_property
+    @property
     def J(self) -> sp.csr_matrix:
-        """Skew core + coupling insertions (real), N x N."""
-        return self.assemble_J()
-
-    def assemble_J(self) -> sp.csr_matrix:
-        """J assembled from its blocks, and not kept."""
+        """Skew core + coupling insertions (real), N x N, assembled from its
+        blocks on every read."""
         grid = [[None] * 4 for _ in range(4)]
         for (a, b), (factor, block) in _j_blocks(self.line, self.curls, self.K_V,
                                                  self.Pm_T).items():
@@ -192,13 +193,10 @@ class OperatorBundle:
     def effort(self, x: np.ndarray) -> np.ndarray:
         return self.Hd @ x
 
-    def energy(self, x: np.ndarray) -> float:
-        return 0.5 * float(np.real(np.vdot(x, self.M @ (self.Hd @ x))))
-
 
 def assemble_system(line: LineBlocks, curls: CurlPair,
                     coupling: Optional[CouplingMatrices] = None,
-                    R_nu=None, green_tol: float = 1e-12) -> OperatorBundle:
+                    R_nu=None) -> OperatorBundle:
     """Build the coupled bundle; verifies the Green identity exactly.
 
     With coupling=None the line and field blocks are independent (used
@@ -207,7 +205,7 @@ def assemble_system(line: LineBlocks, curls: CurlPair,
     quadrature mass is coupling.M_surf.
 
     The Green check compares lhs = M J + J^T M with B1^T B2 + B2^T B1 and
-    raises AssemblyError when max |lhs - rhs| / max |lhs| exceeds green_tol.
+    raises AssemblyError when max |lhs - rhs| / max |lhs| exceeds GREEN_TOL.
     It forms neither J nor M: _green_residual reads both sides block pair
     by block pair from the blocks J is made of and the diagonal of M.  The
     bundle keeps only those blocks and the boundary maps; J, Rd, Hd, M
@@ -249,7 +247,7 @@ def assemble_system(line: LineBlocks, curls: CurlPair,
 
     green_residual = _green_residual(_j_blocks(line, curls, K_V, Pm_T),
                                      _mass_blocks(line, curls), B1, B2, lay)
-    if green_residual > green_tol:
+    if green_residual > GREEN_TOL:
         raise AssemblyError(f"discrete Green identity violated: residual {green_residual:.3e}")
 
     return OperatorBundle(layout=lay, k=g.k, B1=B1, B2=B2, Pm_T=Pm_T, K_V=K_V,
@@ -342,17 +340,19 @@ def _abs_max(data: np.ndarray) -> float:
 class ClosedLoop:
     """State-space realization with the port law folded into the flow.
 
-    x' = A x + Bu (u, 0),  boundary values used in the flux rows satisfy
+    x' = A x + Bu u with the m inputs u: the ghost endpoint currents
+    g = G_fb (B2 e) + W1_inp u used in the flux rows satisfy
     W1 g + W2 (B2 e) = (u, 0) exactly, so the discrete energy balance
-    carries over verbatim.
+    carries over verbatim.  W1_inp is the first m columns of W1^-1, the
+    only ones the zero rows of (u, 0) leave, and Bu = Lg_state W1_inp.
     """
 
     bundle: OperatorBundle
     law: PortLaw
     A: sp.csr_matrix          # N x N generator (J_cl - Rd) Hd
-    Bu: sp.csr_matrix         # N x 2k input injection (takes u_hat)
+    Bu: sp.csr_matrix         # N x m input injection
     G_fb: np.ndarray          # 2k x 2k: voltages B2 e -> ghost currents, u = 0 part
-    W1_inv: np.ndarray
+    W1_inp: np.ndarray        # 2k x m: inputs u -> ghost currents
 
 
 def build_closed_loop(bundle: OperatorBundle, law: PortLaw) -> ClosedLoop:
@@ -367,12 +367,13 @@ def build_closed_loop(bundle: OperatorBundle, law: PortLaw) -> ClosedLoop:
             "current-injecting skew laws avoid this)")
     W1_inv = np.linalg.inv(W1)
     G_fb = -W1_inv @ W2                             # ghost currents for u = 0
+    W1_inp = W1_inv[:, :law.m]
 
     delta = sp.csr_matrix(G_fb) @ bundle.B2 - bundle.B1   # replace extrapolation by law
-    J_cl = bundle.assemble_J() + bundle.Lg_state @ delta   # J is not kept
+    J_cl = bundle.J + bundle.Lg_state @ delta
     A = ((J_cl - bundle.Rd) @ bundle.Hd).tocsr()
-    Bu = (bundle.Lg_state @ sp.csr_matrix(W1_inv)).tocsr()
-    return ClosedLoop(bundle=bundle, law=law, A=A, Bu=Bu, G_fb=G_fb, W1_inv=W1_inv)
+    Bu = (bundle.Lg_state @ sp.csr_matrix(W1_inp)).tocsr()
+    return ClosedLoop(bundle=bundle, law=law, A=A, Bu=Bu, G_fb=G_fb, W1_inp=W1_inp)
 
 
 def hodge_extremes(bundle: OperatorBundle):

@@ -63,7 +63,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import CertificateError, DomainError
+from .errors import CertificateError
 
 _EIG_TOL = 1e-10
 _COMPLETION_TOL = 1e-12    # relative residual of the completion equations
@@ -120,12 +120,6 @@ class PortLaw:
     @property
     def p(self):
         return self.W_C_out.shape[0]
-
-    def u_hat(self, u) -> np.ndarray:
-        u = np.atleast_1d(np.asarray(u))
-        if u.size != self.m:
-            raise DomainError(f"input has {u.size} ports, port law expects {self.m}")
-        return np.concatenate([u, np.zeros(2 * self.k - self.m)])
 
 
 def _real_if_real(W) -> np.ndarray:
@@ -249,9 +243,10 @@ def build_colocated_output(W_B: np.ndarray) -> np.ndarray:
     the unitary polar factor of G+^-1 G- (module docstring).  The result
     is checked against both defining equations to
     1e-12 max(1, ||W_B||_2 ||W_C||_2), the output inequality and the
-    conditioning of the completion (``_completion_cond``).
+    conditioning of the completion (``_completion_cond``).  A real W_B is
+    completed in real arithmetic.
     """
-    W_B = np.asarray(W_B, dtype=complex)
+    W_B = _real_if_real(W_B)
     adm = check_admissible(W_B)
     if not adm["admissible"]:
         raise CertificateError(f"W_B is not admissible: {adm}")
@@ -261,13 +256,12 @@ def build_colocated_output(W_B: np.ndarray) -> np.ndarray:
     if adm["strict"]:
         W_C = _strict_completion(W_B)
     else:
-        W = _real_if_real(W_B)          # real arithmetic for a real law
         eye = np.eye(two_k)
         P = np.block([[eye, eye], [eye, -eye]]) / np.sqrt(2.0)
-        G = W @ P
+        G = W_B @ P
         U, _, Vh = np.linalg.svd(np.linalg.solve(G[:, :two_k], G[:, two_k:]))
         L = np.hstack([eye, -U @ Vh]) @ P
-        W_C = np.linalg.inv(L @ sig @ W.conj().T) @ L
+        W_C = np.linalg.inv(L @ sig @ W_B.conj().T) @ L
 
     res = max(np.abs(W_B @ sig @ W_C.conj().T - np.eye(two_k)).max(),
               np.abs(W_C @ sig @ W_C.conj().T).max())
@@ -312,10 +306,11 @@ def is_colocated(W_B: np.ndarray, W_C_out: np.ndarray) -> bool:
     W_C_out over the trailing rows of the builder's completion.  It
     qualifies when it satisfies the output inequality with [W_B; W_C]
     invertible (``_completion_cond``).  False when W_C_out has more rows
-    than W_B or the builder fails.
+    than W_B or the builder fails.  Real data is checked in real
+    arithmetic.
     """
-    W_B = np.asarray(W_B, dtype=complex)
-    W_C = np.atleast_2d(np.asarray(W_C_out, dtype=complex))
+    W_B = _real_if_real(W_B)
+    W_C = np.atleast_2d(_real_if_real(W_C_out))
     m, two_k = W_C.shape[0], W_B.shape[0]
     if m > two_k:
         return False

@@ -11,7 +11,8 @@ A = [d Phi/d eta, d Phi/d theta] (3x2) the column is
 the unique tangential field whose eta-component matches f by the chain
 rule; on a straight cylinder of length l this is (f / l) * z_hat.
 
-P_mag = M_line^{-1} P_el^T M_surf (CouplingMatrices.Pmag) is the exact
+P_mag = M_line^{-1} P_el^T M_surf (CouplingMatrices.Pmag, M_line the line
+grid's cell mass Mc) is the exact
 quadrature-mass adjoint, used in assembly so the coupled block structure
 stays symmetric.  assemble_P_mag builds an independent discretization of
 the ring integral closing around the cable,  sum_m  g . (nu x ds),  from
@@ -47,7 +48,6 @@ class CouplingMatrices:
     line_grid: LineGrid
     Pel: sp.csr_matrix            # (3*nq_total) x (n*k)
     Pmag: sp.csr_matrix           # (n*k) x (3*nq_total), quadrature-mass adjoint
-    M_line: sp.csr_matrix         # cell quadrature mass
     M_surf: sp.csr_matrix         # surface quadrature mass (3-vector samples)
     quad_offsets: np.ndarray      # start of each cable's quad block
 
@@ -70,19 +70,14 @@ def _pel_columns(chart: TubeChart) -> np.ndarray:
     return (je * (g22 / det)[:, None] - jt * (g12 / det)[:, None])
 
 
-def assemble_P_el(charts: Sequence[TubeChart], line_grid: LineGrid,
-                  cable_lines=None) -> CouplingMatrices:
+def assemble_P_el(charts: Sequence[TubeChart], line_grid: LineGrid) -> CouplingMatrices:
     """Assemble P_el for all cables and derive the adjoint P_mag.
 
     Every chart must sample eta at the line grid's cell midpoints (same
-    count); cable_lines[i] names the line component fed by cable i.
+    count); its curve's ``line`` names the line component the cable feeds.
     """
     n, k = line_grid.n, line_grid.k
-    if cable_lines is None:
-        cable_lines = np.array([ch.curve.line for ch in charts], dtype=int)
-    cable_lines = np.asarray(cable_lines, dtype=int)
-    if cable_lines.size != len(charts):
-        raise CouplingError("need one line index per cable")
+    cable_lines = np.array([ch.curve.line for ch in charts], dtype=int)
     if len(set(cable_lines.tolist())) != cable_lines.size:
         raise CouplingError("two cables feed the same line component")
     if cable_lines.size and (cable_lines.min() < 0 or cable_lines.max() >= k):
@@ -121,7 +116,7 @@ def assemble_P_el(charts: Sequence[TubeChart], line_grid: LineGrid,
     Pmag = (M_line_inv @ Pel.T @ M_surf).tocsr()
     return CouplingMatrices(
         charts=list(charts), cable_lines=cable_lines, line_grid=line_grid,
-        Pel=Pel, Pmag=Pmag, M_line=line_grid.Mc.tocsr(), M_surf=M_surf,
+        Pel=Pel, Pmag=Pmag, M_surf=M_surf,
         quad_offsets=np.asarray(offsets),
     )
 
@@ -161,7 +156,6 @@ class LiftField:
     """Edge samples (one tangential value per grid edge) of the lifted
     voltage field, supported in one cable's collar."""
 
-    cable: int
     values: np.ndarray        # (n_edges_total,) over global edge ids
     support: np.ndarray       # global edge ids with nonzero values
 
@@ -176,7 +170,7 @@ def check_lift_resolution(collar_halfwidth: float, radius: float, h: float) -> N
 
 
 def lift_voltage(chart: TubeChart, grid: YeeGrid, V: np.ndarray,
-                 line_grid: LineGrid, cable: int = 0) -> LiftField:
+                 line_grid: LineGrid) -> LiftField:
     """Evaluate chi * grad(V o Psi_hat) on grid edges.
 
     V holds nodal samples of one line component; its cell-wise discrete
@@ -211,4 +205,4 @@ def lift_voltage(chart: TubeChart, grid: YeeGrid, V: np.ndarray,
             tangential = grad[np.arange(sel.size), dirs]
             values[sel] = chi[live] * dV[cell] * tangential
     support = np.nonzero(values)[0]
-    return LiftField(cable=cable, values=values, support=support)
+    return LiftField(values=values, support=support)

@@ -68,6 +68,7 @@ from .errors import ConfigError, GeometryError
 
 _CURVATURE_SLACK = 1.0 - 1e-6   # strictness margin on the curvature bound
 _ARCLEN_TOL = 1e-6              # relative tolerance on |alpha'| = l
+_SPLINE_NODES = 2049            # SplineCurve: equal-arclength nodes of the resampled spline
 _ARC_GAUSS_POINTS = 8           # SplineCurve arclength: Gauss-Legendre points per piece,
 _ARC_PIECES = 4                 # pieces per knot interval,
 _ARC_NEWTON_TOL = 1e-14         # relative residual of the equal-arclength nodes
@@ -382,7 +383,7 @@ class Helix(CableCurve):
 
 class SplineCurve(CableCurve):
     """C^2 cubic spline through control points, reparameterized to
-    constant speed on a dense equal-arclength grid.
+    constant speed on a dense grid of _SPLINE_NODES equal-arclength nodes.
 
     The chord-length spline is a cubic on each knot interval, so its speed
     is smooth there: the arclength is integrated by _ARC_GAUSS_POINTS-point
@@ -391,8 +392,7 @@ class SplineCurve(CableCurve):
     the arclength residual is below _ARC_NEWTON_TOL relative.
     """
 
-    def __init__(self, points: np.ndarray, radius: float, line: int = 0,
-                 n_resample: int = 2049):
+    def __init__(self, points: np.ndarray, radius: float, line: int = 0):
         # imported here: scipy.interpolate (and the scipy.optimize it pulls
         # in) would otherwise cost every import of the package
         from scipy.interpolate import CubicSpline
@@ -408,7 +408,7 @@ class SplineCurve(CableCurve):
             raise GeometryError("degenerate tangent: repeated control points")
         chord = np.r_[0.0, np.cumsum(seg)] / seg.sum()
         raw = CubicSpline(chord, pts, axis=0)
-        speed = np.linalg.norm(raw(np.linspace(0.0, 1.0, 16 * n_resample), 1), axis=1)
+        speed = np.linalg.norm(raw(np.linspace(0.0, 1.0, 16 * _SPLINE_NODES), 1), axis=1)
         if speed.min() < 1e-12 * seg.sum():
             raise GeometryError("degenerate tangent along spline")
         gx, gw = np.polynomial.legendre.leggauss(_ARC_GAUSS_POINTS)
@@ -422,7 +422,7 @@ class SplineCurve(CableCurve):
 
         cum = np.r_[0.0, np.cumsum(arc(edges[:-1], edges[1:]))]
         self.length = float(cum[-1])
-        targets = np.linspace(0.0, self.length, n_resample)
+        targets = np.linspace(0.0, self.length, _SPLINE_NODES)
         t_of_s = np.interp(targets, cum, edges)
         for _ in range(_ARC_NEWTON_MAX):
             piece = np.clip(np.searchsorted(edges, t_of_s, side="right") - 1, 0, edges.size - 2)
@@ -430,7 +430,7 @@ class SplineCurve(CableCurve):
             if np.abs(res).max() <= _ARC_NEWTON_TOL * self.length:
                 break
             t_of_s = np.clip(t_of_s - res / np.linalg.norm(raw(t_of_s, 1), axis=1), 0.0, 1.0)
-        self._spline = CubicSpline(np.linspace(0.0, 1.0, n_resample), raw(t_of_s),
+        self._spline = CubicSpline(np.linspace(0.0, 1.0, _SPLINE_NODES), raw(t_of_s),
                                    axis=0, extrapolate=True)
 
     def alpha(self, eta):

@@ -1,117 +1,72 @@
 """
 Implicit-midpoint integration of the boundary-controlled coupled system.
 
-With h = dt/2, the step solves (I - h A) x_mid = x + h Bu u_hat(t_mid) =
-rhs, then x+ = 2 x_mid - x.  The generator has no face-face block (the
-Faraday rows read only the node and edge efforts), so the face block of
-I - h A is the identity and the faces are eliminated exactly: with r the
-cells, nodes and edges and f the faces,
+The step.  With h = dt/2 and the m inputs u, a step solves
+(I - h A) x_mid = x + h Bu u(t_mid) = rhs, then x+ = 2 x_mid - x.  The
+generator has no face-face block (the Faraday rows read only the node and
+edge efforts), so the face block of I - h A is the identity and the faces
+are eliminated exactly: with r the cells, nodes and edges and f the faces,
 
     S = I - h A_rr - (h A_rf)(h A_fr),   S x_r = P rhs = rhs_r + h A_rf rhs_f,
     x_f = rhs_f + h A_fr x_r.
 
-The stepper stores the generator once, as its blocks with h folded in: the
-stacked CSR h [A_rr; A_fr] (rows r then f, columns r) and h A_rf, with
-h A_fr a view of the stacked matrix's tail that shares its arrays.  Every
-step forms P rhs, the face rows and (per block) the residual check from
-these blocks and the loop's A, whichever way S x_r = P rhs is solved.  On
-the pair at scale 1 they are 1.09 MB (``operator_bytes``, the Jacobi
-diagonal and the input columns included) against 0.98 MB for A itself and
-3.3 MB for an assembled I - h A, P, L_fr and S; storing those instead
-raises the peak RSS of a run by 3 MB at scale 1, 22 MB at scale 2 and
-74 MB at scale 3 (BENCH_step_blocks.json).
+The storage rule.  The stepper stores the generator once, as its blocks
+with h folded in: the stacked CSR h [A_rr; A_fr] (rows r then f, columns
+r) and h A_rf, with h A_fr a view of the stacked matrix's tail that shares
+its arrays, and dt/2 Bu on the rows it acts on.  P rhs, the face rows and
+the residual check are formed from these blocks and the loop's A,
+whichever way S x_r = P rhs is solved.
 
-How S x_r = P rhs is solved is decided by one size rule on the reduced
-unknowns, DIRECT_MAX_UNKNOWNS = 1500:
+The size rule.  How S x_r = P rhs is solved is decided by the reduced
+unknowns against DIRECT_MAX_UNKNOWNS = 1500:
 
-  * At or below it, S is inverted once per (loop, dt) as a dense matrix
-    (np.linalg.inv), in real arithmetic when the law and the materials are
-    real, and a step solve is one matrix-vector product; a complex
-    right-hand side on a real inverse is solved as two real products, of
-    its real and imaginary parts.  S is formed from the blocks for the
-    inversion only and then dropped.  On the 412-unknown single cable the
-    dense inverse is 1.4 MB and the set-up, S included, takes 0.015-0.025 s
-    (a SuperLU set-up took 0.09 s, most of it importing
-    scipy.sparse.linalg), and a step on GMRES takes 0.6 ms.
-  * Only the above-roundoff entries of the inverse are kept.  With
+  * At or below it, S is formed from the blocks, inverted once per
+    (loop, dt) as a dense matrix (np.linalg.inv) and dropped; a step solve
+    is one matrix-vector product.  The inverse is real when the law and
+    the materials are real, and a complex right-hand side on a real
+    inverse is solved as two real products, of its real and imaginary
+    parts.  Only the above-roundoff entries of the inverse are kept: with
     w = diag(M) diag(Hd) on the reduced unknowns, T_ij = |S^-1_ij|
     sqrt(w_i / w_j) is the inverse in the energy scaling, and the entries
     with T_ij <= u max T (u the unit roundoff of the dtype) are dropped.
-    The step map contracts in the energy norm, so max T is about 1
-    (0.999999 at dt = 2e-5), and a dropped part changes a solve by at most
-    u max T ||b~||_1, b~ the right-hand side in that scaling: no more than
-    the dense product's own worst-case rounding.  The scaling makes the
-    rule independent of units: an SI copy of the single cable (C = 1e-10,
-    L = 2.5e-7, eps0, mu0, dt / 3e8) keeps 7.9 % against 8.0 %.  The
-    inverses of well-conditioned sparse matrices decay away from their
-    pattern (Demko, Moss & Smith 1984; Benzi 2016), so at small dt few
-    entries remain.  Kept fraction (fill) by dt on the single cable:
-
-        dt     2e-5   4e-5   6e-5   8e-5   1e-4   1e-3   5e-3
-        fill   0.080  0.117  0.188  0.305  0.403  0.741  0.966
-
-    When the fill is at most SPARSE_INVERSE_MAX_FILL = 0.2, the kept
-    entries are stored as CSR (int32 indices; 165 KB at dt = 2e-5, and
-    the dense inverse is freed); otherwise the dense inverse is kept
-    untouched, so such a run is bit for bit the run without the rule.
-    advance() per step, dense against CSR, 28-step blocks (us, medians of
-    7 on a shared 2-core Xeon whose timings move by 30 %; the product
-    alone in brackets):
-
-        fill    0.08     0.12     0.19     0.25      0.31     0.40     0.60
-        dense   74 (28)  71 (23)  83 (27)  111 (31)  93 (28)  72 (22)  80 (28)
-        CSR     52 (14)  59 (18)  66 (27)  113 (51)  86 (46)  95 (53)  125 (82)
-
-    The steps break even between fills of 0.2 and 0.3 (a tie at 0.25; a
-    second run had CSR 5 us behind at 0.31), the products alone near 0.19,
-    and the switch sits below both.  At the smallest fills the CSR step
-    saves more than its product does, which fits the dense stream evicting
-    the block arrays from the 2 MB L2 cache (not verified).
+    The step map contracts in the energy norm, so max T is about 1 and a
+    dropped part changes a solve by at most u max T ||b~||_1, b~ the
+    right-hand side in that scaling: no more than the dense product's own
+    worst-case rounding, in any units.  When the kept entries are at most
+    SPARSE_INVERSE_MAX_FILL = 0.2 of n^2 they are stored as CSR (int32
+    indices) and the dense inverse is freed; otherwise the dense inverse
+    is kept untouched.
   * Above it, neither an inverse nor S is built.  S is solved by restarted
     GMRES (Saad-Schultz) through the block product
     S x = x - t_r - (h A_rf) t_f, t = h [A_rr; A_fr] x, right-preconditioned
     by the Jacobi diagonal 1/diag(S), diag(S) = 1 - h diag(A_rr) - the row
     sums of (h A_rf) o (h A_fr)^T, in complex arithmetic when A or the
-    right-hand side is complex.  At the usual steps S is close to
-    I - h A, so a solve takes 9-26 iterations (pair at scales 1-4,
-    dt = 0.01).  Each solve starts from the previous solve's x_r, the
-    midpoint one step before (the first from zero), and its last
-    true-residual product already holds t_f = h A_fr x_r for the face rows.
-    The block product costs about what a product with an assembled S does
-    (64-82 against 67-90 us at scale 1, 0.55-0.59 against 0.51-0.59 ms at
-    scale 2, 2.4-2.6 against 2.6-2.8 ms at scale 3), the set-up takes
-    0.003 s on the 6,396-unknown pair, and the memory stays linear in the
-    unknowns: GMRES_RESTART + 1 basis vectors.
-  * Measured per-step cost, dense against GMRES, on single-cable grids at
-    dt = 5e-3 on 2 cores: 0.29 against 0.69 ms at 657 reduced unknowns,
-    0.75 against 0.78-0.99 ms at 1,769, 0.81 against 0.71 ms at 1,977,
-    2.2 against 0.94 ms at 2,614 and 6.8 against 2.1 ms at 4,695.  The
-    rule sits below the crossover (about 1,800-1,900), where the inverse
-    is at most 18 MB real (36 MB complex) and its set-up is about 0.25 s
-    (measured: 0.14 s at 1,073, 0.36-0.42 s and 25 MB at 1,769).  Above
-    it the inverse's n^2 memory and n^3 set-up grow past anything the
-    step saves: 36 s and 0.85 GB at 10,313.
-  * The GMRES tolerance derives from solver_tol: it stops at
-    ||P rhs - S x_r|| <= GMRES_TOL_FACTOR solver_tol ||P rhs|| (1e-13 at the
-    default 1e-10).  The face rows are solved exactly, so this is also the
-    residual of the full step system; the margin of 1e-3 keeps the energy
-    drift and the reversibility error of 1000 lossless steps within the
-    1e-10 and 1e-8 of acceptance criterion 4.  A solve that does not meet
-    it within GMRES_MAX_ITERATIONS raises SolverError with the count and
-    the residual reached.
+    right-hand side is complex.  Each solve starts from the previous
+    solve's x_r (the first from zero), and its last true-residual product
+    already holds t_f = h A_fr x_r for the face rows.  The memory stays
+    linear in the unknowns: GMRES_RESTART + 1 basis vectors.
 
-Input data is real too unless it is complex: InputSignal keeps amplitudes
-and tables whose imaginary parts are all zero (the schema's [re, im] form
-with im = 0) as float64, so a real law with such an input runs a real
-state.
+The GMRES tolerance.  GMRES stops at ||P rhs - S x_r|| <= GMRES_TOL_FACTOR
+solver_tol ||P rhs|| (1e-13 at the default 1e-10).  The face rows are
+solved exactly, so this is also the residual of the full step system; the
+margin of 1e-3 keeps the energy drift and the reversibility error of 1000
+lossless steps within the 1e-10 and 1e-8 of acceptance criterion 4.  A
+solve that does not meet it within GMRES_MAX_ITERATIONS raises SolverError
+with the count and the residual reached.
 
-run() advances the loop B steps at a time (MidpointStepper.advance), with
-B the width of the record block below: 28 steps on the single cable, 2 on
-the pair.  A step does only what the recurrence needs (MidpointStepper.step):
+Input data is real unless it is complex: InputSignal keeps amplitudes and
+tables whose imaginary parts are all zero as float64, so a real law with
+such an input runs a real state.
+
+The block loop.  run() advances the loop B steps at a time
+(MidpointStepper.advance), B = RECORD_BLOCK_BYTES // (itemsize n) clamped
+to [1, RECORD_BLOCK_MAX_COLUMNS]: 28 steps on the single cable
+(n = 1,152), 2 on the pair (n = 13,852).  A step (MidpointStepper.step)
+does only what the recurrence needs:
 
     rhs = x + h Bu u,  x_r = S^-1 (rhs_r + h A_rf rhs_f),  the face rows
-    x_f = rhs_f + h A_fr x_r between the two slices of x_r around them, and
-    x+ = 2 x_mid - x written into row j of a row-major (B, n) block.
+    x_f = rhs_f + h A_fr x_r, and x+ = 2 x_mid - x written into row j of
+    a row-major (B, n) block.
 
 Everything else runs once per block, and still covers every step:
 
@@ -124,16 +79,16 @@ Everything else runs once per block, and still covers every step:
     ||x_mid - h A x_mid - rhs|| <= solver_tol max(1, ||rhs||), and the
     first that does not is a SolverError naming the step and its midpoint
     time;
-  * the record forms (below).
+  * the records.
 
-Measured on the single cable (412 reduced unknowns, dt = 2e-5, 2 BLAS
-threads, timeit best of 5 on a shared 2-core Xeon whose timings move by
-30 % from hour to hour): S^-1 b 12-20 us on the CSR inverse (25-30 us
-dense), P rhs 8-9 us (h A_rf rhs_f 7 us, the two slices of rhs_r added
-1.5 us), h A_fr x_r 8 us; a step with its share of the block work 41-52
-us on the CSR inverse and 64-76 us dense, where a loop doing all of that
-work step by step took 87-139 us a step (its residual product and norms
-17-28 us of it).  The block's residual check is 7.5-9 us a step.
+The records.  The recorded rows of each block (all of them at
+record_stride 1, else every record_stride-th step and the last) are
+reduced where the block lands, from one transposed copy, with sparse
+matrix x dense block products into preallocated trajectory arrays: the
+efforts E = Hd X, the energy Re(x^H M E) / 2 and ||x||_M with the diagonal
+M, the dissipation rate Re(E^H M Rd E), the enforced ports
+zeta = (G_fb B2 E + W1_inp u, B2 E) and the outputs y = W_C_out zeta.  The
+initial state is one more record, of one row.
 
 The scheme is A-stable, time-reversible and preserves the quadratic energy
 exactly for skew flows, so the recorded energy ledger
@@ -151,25 +106,12 @@ a co-located completion, and it closes for every law.
 
 No SciPy solver module is loaded by any run: the direct branch inverts
 with np.linalg.inv, GMRES solves its small Hessenberg system with
-np.linalg.solve, in complex arithmetic when the data are complex, and
-lifted_state solves the line's node blocks of C^-1 q = V with one batched
-np.linalg.solve.
+np.linalg.solve, and lifted_state solves the line's node blocks of
+C^-1 q = V with one batched np.linalg.solve.
 
-The record block holds the recorded states as rows: at record_stride 1
-every state of a step block, else the states at every record_stride-th
-step and the last.  A full block is reduced at once from
-one transposed copy, with sparse matrix x dense block products into
-preallocated trajectory arrays: the efforts E = Hd X, the energy
-Re(x^H M E) / 2 and ||x||_M with the diagonal M, the dissipation rate
-Re(E^H M Rd E), the enforced ports zeta and the outputs y.  Its width is
-set by the byte budget RECORD_BLOCK_BYTES (256 KiB): B = budget //
-(itemsize n) clamped to [1, RECORD_BLOCK_MAX_COLUMNS = 256], so the single
-cable (n = 1,152) keeps 28 rows and the pair (n = 13,852) 2.  A flush's
-temporaries (the transposed copy, the efforts and Rd E) are each the size
-of the block, as are advance()'s right-hand sides, midpoints and states,
-so the budget sets the run's block memory several times over: 2 MiB added
-2.7 MB of peak RSS on the single cable and 4.0 MB on the pair against
-256 KiB, and made run() no faster.
+The measurements behind these rules (the size rule's crossover, the fill
+switch, the block width, the storage of the blocks) are in the
+BENCH_*.json files at the repository root and in CHANGES.md.
 """
 
 from __future__ import annotations
@@ -185,8 +127,8 @@ from .assembly import ClosedLoop, OperatorBundle
 from .certify import _real_if_real
 from .errors import ConfigError, DomainError, SolverError
 
-# Byte budget of run()'s block of recorded states: the block holds
-# clamp(budget // (itemsize n), 1, RECORD_BLOCK_MAX_COLUMNS) columns.
+# Byte budget of one state block of run(): each MidpointStepper.advance()
+# call runs clamp(budget // (itemsize n), 1, RECORD_BLOCK_MAX_COLUMNS) steps.
 RECORD_BLOCK_BYTES = 256 * 2 ** 10
 RECORD_BLOCK_MAX_COLUMNS = 256
 
@@ -325,8 +267,7 @@ def random_state(bundle: OperatorBundle, seed: int = 0, scale: float = 1.0) -> n
     return x
 
 
-def smooth_state(bundle: OperatorBundle, scale: float = 1.0,
-                 waves=(2.0, 1.0, 1.0)) -> np.ndarray:
+def smooth_state(bundle: OperatorBundle, scale: float = 1.0) -> np.ndarray:
     """Low-frequency divergence-consistent state (smooth vector potentials
     for both field blocks, sinusoidal line profiles).
 
@@ -344,7 +285,7 @@ def smooth_state(bundle: OperatorBundle, scale: float = 1.0,
     x[lay.sl_V] = scale * np.repeat(np.sin(np.pi * g.nodes) ** 2, g.k)
 
     def potential(pts, comps):
-        kx, ky, kz = waves
+        kx, ky, kz = 2.0, 1.0, 1.0      # wave numbers along x, y, z
         f = np.sin(np.pi * kx * pts[:, 0]) * np.cos(np.pi * ky * pts[:, 1]) \
             * np.cos(np.pi * kz * pts[:, 2])
         signs = np.array([1.0, -0.5, 0.25])
@@ -478,7 +419,7 @@ class MidpointStepper:
         stacked.data *= half
         self._stacked, self._Arf = stacked, Arf
         self._Afr = _csr_rows(stacked, nr, stacked.shape[0])
-        Bu = (half * loop.Bu[:, :self._m]).tocsr()
+        Bu = (half * loop.Bu).tocsr()
         self._bu_rows = np.unique(Bu.nonzero()[0])
         self._BuT = Bu[self._bu_rows].toarray().T       # the rows dt/2 Bu acts on
         self.solves = 0
@@ -700,7 +641,6 @@ class Trajectory:
     zeta: np.ndarray           # (nrec, 4k) enforced port vector
     diss_rate: np.ndarray      # Re <e, Rd e>_M
     x_final: np.ndarray
-    x0: np.ndarray
     ledger: Optional[dict] = None
     solver: Optional[dict] = None  # MidpointStepper.stats() and the step-loop timing
 
@@ -716,11 +656,11 @@ def run(loop: ClosedLoop, cfg: SimConfig, x0: Optional[np.ndarray] = None) -> Tr
     """Integrate and record; attaches the energy ledger of the recorded
     samples (``energy_ledger``).
 
-    The steps run in blocks of ``MidpointStepper.advance``, and recorded
-    states are copied into a block of rows and reduced a block at a time
-    (see the module docstring).  ``solver`` holds the stepper's stats and
-    the step loop's wall time, records included: ``stepping_s``
-    (time.perf_counter) and ``steps_per_s``.
+    The steps run in blocks of ``MidpointStepper.advance``, and the
+    recorded rows of each block are reduced into the trajectory where the
+    block lands (see the module docstring).  ``solver`` holds the
+    stepper's stats and the step loop's wall time, records included:
+    ``stepping_s`` (time.perf_counter) and ``steps_per_s``.
     """
     bundle, law = loop.bundle, loop.law
     if x0 is None:
@@ -730,7 +670,9 @@ def run(loop: ClosedLoop, cfg: SimConfig, x0: Optional[np.ndarray] = None) -> Tr
     if x0.shape != (bundle.n,):
         raise DomainError(f"initial state has shape {x0.shape}, expected ({bundle.n},)")
     u0 = np.atleast_1d(cfg.input(0.0))
-    if not np.all(np.isfinite(law.u_hat(u0))):
+    if u0.shape != (law.m,):
+        raise DomainError(f"input has {u0.size} ports, port law expects {law.m}")
+    if not np.all(np.isfinite(u0)):
         raise DomainError("input signal is not finite at t = 0; (x0, u(0)) "
                           "must lie in the system-node domain")
 
@@ -741,47 +683,31 @@ def run(loop: ClosedLoop, cfg: SimConfig, x0: Optional[np.ndarray] = None) -> Tr
     n_rec = 1 + n_steps // stride + (n_steps % stride != 0)
     x = x0.astype(np.result_type(x0, loop.A.dtype, loop.Bu.dtype, u0), copy=True)
     mass = bundle.M.diagonal()              # M is the diagonal mass matrix
-    W1_inp = loop.W1_inv[:, :law.m]         # W1^-1 u_hat(u) = W1_inp u
-    z_dtype = np.result_type(x, bundle.Hd.dtype, loop.G_fb, loop.W1_inv, u0)
+    z_dtype = np.result_type(x, bundle.Hd.dtype, loop.G_fb, loop.W1_inp, u0)
     times = np.empty(n_rec)
     energy, xnorm, diss = np.empty(n_rec), np.empty(n_rec), np.empty(n_rec)
     u_rec = np.empty((n_rec, law.m), dtype=u0.dtype)
     two_k = 2 * law.k
     zeta = np.empty((n_rec, 2 * two_k), dtype=z_dtype)
-    # steps per advance() block, and rows of the record block
+    # steps per advance() block
     B = min(max(RECORD_BLOCK_BYTES // (x.itemsize * bundle.n), 1), RECORD_BLOCK_MAX_COLUMNS)
-    width = min(B, n_rec)
-    block = np.empty((width, bundle.n), dtype=x.dtype)
-    filled, done = 0, 0         # rows in the block; records reduced before it
+    written = 0
 
-    def flush():
-        nonlocal filled, done
-        X = np.ascontiguousarray(block[:filled].T)
-        sl = slice(done, done + filled)
+    def record(t, X, U):
+        """Reduce the states X (rows) at the times t with the inputs U into
+        the next len(t) records."""
+        nonlocal written
+        sl = slice(written, written + len(t))
+        written = sl.stop
+        times[sl], u_rec[sl] = t, U
+        X = np.ascontiguousarray(X.T)
         E = bundle.effort(X)
         energy[sl] = 0.5 * _column_forms(X, E, mass)
         xnorm[sl] = np.sqrt(_column_forms(X, X, mass))
         diss[sl] = _column_forms(E, bundle.Rd @ E, mass)
         voltages = bundle.B2 @ E
-        zeta[sl, :two_k] = (loop.G_fb @ voltages + W1_inp @ u_rec[sl].T).T
+        zeta[sl, :two_k] = (loop.G_fb @ voltages + loop.W1_inp @ U.T).T
         zeta[sl, two_k:] = voltages.T
-        done += filled
-        filled = 0
-
-    def record(t, X, U):
-        """Record the rows of X at the times t with the inputs U."""
-        nonlocal filled
-        k = 0
-        while k < len(t):
-            take = min(width - filled, len(t) - k)
-            sl = slice(done + filled, done + filled + take)
-            times[sl] = t[k:k + take]
-            u_rec[sl] = U[k:k + take]
-            block[filled:filled + take] = X[k:k + take]
-            filled += take
-            k += take
-            if filled == width:
-                flush()
 
     record([0.0], x[None], u0[None])
     clock = time.perf_counter()
@@ -802,14 +728,12 @@ def run(loop: ClosedLoop, cfg: SimConfig, x0: Optional[np.ndarray] = None) -> Tr
         t = (i + 1) * cfg.dt
         record(t, X, cfg.input(t))
     stepping_s = time.perf_counter() - clock
-    if filled:
-        flush()
 
     solver = {**stepper.stats(), "stepping_s": stepping_s,
               "steps_per_s": n_steps / stepping_s}
     traj = Trajectory(
         times=times, energy=energy, xnorm=xnorm, u=u_rec, y=zeta @ law.W_C_out.T,
-        zeta=zeta, diss_rate=diss, x_final=x.copy(), x0=x0, solver=solver,
+        zeta=zeta, diss_rate=diss, x_final=x.copy(), solver=solver,
     )
     traj.ledger = energy_ledger(traj)
     return traj

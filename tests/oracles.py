@@ -4,7 +4,8 @@ These are oracles for the package, not part of it: the periodic curl and
 derivative pairs (dispersion and eigenvalue references), the cell
 divergence of the masked face field, the checked single midpoint step
 and the backwards march of the reversibility checks, the midpoint steps
-by a sparse LU of the whole step system, the port values a closed loop
+by a sparse LU of the whole step system, the bundle's quadratic energy,
+the padded input (u, 0) of a port law, the port values a closed loop
 enforces, the node-domain flow and output maps of a port law, the
 homogeneous closed loop of the spectral checks, the completion form of
 the energy ledger's boundary term, the Green residual by its full
@@ -103,8 +104,21 @@ def periodic_derivative_pair(n: int, h: float = None):
     return d, (-d.T).tocsr()
 
 
+def energy(bundle: OperatorBundle, x: np.ndarray) -> float:
+    """The quadratic energy Re(x^H M Hd x) / 2."""
+    return 0.5 * float(np.real(np.vdot(x, bundle.M @ (bundle.Hd @ x))))
+
+
+def u_hat(law: PortLaw, u) -> np.ndarray:
+    """The right-hand side (u, 0) of W_B z = (u, 0) for the m inputs u."""
+    u = np.atleast_1d(np.asarray(u))
+    if u.size != law.m:
+        raise DomainError(f"input has {u.size} ports, port law expects {law.m}")
+    return np.concatenate([u, np.zeros(2 * law.k - law.m)])
+
+
 def ghost_currents(loop: ClosedLoop, e: np.ndarray, u) -> np.ndarray:
-    return loop.G_fb @ (loop.bundle.B2 @ e) + loop.W1_inv @ loop.law.u_hat(u)
+    return loop.G_fb @ (loop.bundle.B2 @ e) + loop.W1_inp @ np.atleast_1d(u)
 
 
 def used_ports(loop: ClosedLoop, e: np.ndarray, u) -> np.ndarray:
@@ -142,7 +156,7 @@ class FullLUStepper:
         half = 0.5 * dt
         A = loop.A.tocsc()
         self._m = loop.law.m
-        self._Bu = (half * loop.Bu[:, :self._m]).toarray()
+        self._Bu = (half * loop.Bu).toarray()
         self._lu = spla.splu((sp.identity(A.shape[0], dtype=A.dtype, format="csc")
                               - half * A).tocsc())
         self.solves = 0
@@ -219,7 +233,7 @@ def ports(bundle: OperatorBundle, e: np.ndarray) -> np.ndarray:
 def apply_FG(bundle: OperatorBundle, law: PortLaw, e: np.ndarray, u) -> np.ndarray:
     """(J - R) e with the boundary-compatibility check of the node domain."""
     z = ports(bundle, e)
-    defect = np.abs(law.W_B @ z - law.u_hat(u)).max()
+    defect = np.abs(law.W_B @ z - u_hat(law, u)).max()
     if defect > _DOMAIN_TOL:
         raise DomainError(
             f"(e, u) violates the boundary constraint by {defect:.3e} "

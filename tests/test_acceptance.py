@@ -145,7 +145,7 @@ def test_criterion_2_coupling_adjointness():
     lg = build_line_grid(16, 1)
     cp = assemble_P_el([chart], lg)
     lhs = cp.Pmag.toarray()
-    rhs = np.diag(1.0 / cp.M_line.diagonal()) @ cp.Pel.T.toarray() @ cp.M_surf.toarray()
+    rhs = np.diag(1.0 / cp.line_grid.Mc.diagonal()) @ cp.Pel.T.toarray() @ cp.M_surf.toarray()
     entry_err = np.abs(lhs - rhs).max() / np.abs(rhs).max()
 
     # independent loop-quadrature oracle: ring value 2 pi r h for the

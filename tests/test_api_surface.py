@@ -1,4 +1,5 @@
-"""Every public function, class and method of cablefield has a caller.
+"""Every public function, class and method of cablefield has a caller, and
+every defaulted parameter of one is set by some caller.
 
 A public name that only tests reach is API without a user: reference
 operators and checks that exist for the tests belong in tests/oracles.py.
@@ -7,6 +8,13 @@ as a name, an attribute or an imported name in any module of the package
 or in any demo.  The re-exports of ``__init__`` do not count: a name that
 only ``__init__`` imports has no caller.  Dunders and underscore names are
 exempt.
+
+A defaulted parameter that no caller sets is a knob without a user: a
+value only a test changes is a module constant the test can patch.  A
+parameter counts as set when some call of the function's name (of the
+class, for ``__init__``) in the package, a demo or perfbench (whose op
+calls ``cli.main(argv)``) passes it by keyword or by position, or passes
+``*args`` or ``**kwargs``.
 """
 
 import ast
@@ -15,6 +23,7 @@ import pathlib
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src" / "cablefield").glob("*.py"))
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+PERFBENCH = sorted((ROOT / "perfbench").glob("*.py"))
 
 
 def public_definitions(tree):
@@ -51,3 +60,61 @@ def test_every_public_name_has_a_caller_outside_the_tests():
               for qualified, name in public_definitions(trees[path])
               if name not in used]
     assert not unused, f"public names that nothing in src/ or demos/ uses: {unused}"
+
+
+def public_callables(tree):
+    """(qualified name, called name, definition, is a method) of the
+    module's public functions and of its public classes' ``__init__``
+    (called by the class name) and public methods."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            yield node.name, node.name, node, False
+        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            for item in node.body:
+                if not isinstance(item, ast.FunctionDef):
+                    continue
+                if item.name == "__init__":
+                    yield node.name, node.name, item, True
+                elif not item.name.startswith("_"):
+                    yield f"{node.name}.{item.name}", item.name, item, True
+
+
+def defaulted_parameters(tree):
+    """(qualified name, called name, parameter, position) of every defaulted
+    parameter of a public callable.  The position counts the arguments of a
+    call, so a method's skips ``self``; a keyword-only parameter has none."""
+    for qualified, called, fn, method in public_callables(tree):
+        args = fn.args
+        positional = args.posonlyargs + args.args
+        first = len(positional) - len(args.defaults)
+        for i, arg in enumerate(positional[first:], start=first):
+            yield qualified, called, arg.arg, i - 1 if method else i
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                yield qualified, called, arg.arg, None
+
+
+def sets_parameter(call, name, position):
+    """Whether the call passes the parameter, or may through *args/**kwargs."""
+    if any(kw.arg in (name, None) for kw in call.keywords):
+        return True
+    if any(isinstance(arg, ast.Starred) for arg in call.args):
+        return True
+    return position is not None and len(call.args) > position
+
+
+def test_every_defaulted_parameter_is_set_by_a_caller_outside_the_tests():
+    calls = {}
+    for path in SOURCES + DEMOS + PERFBENCH:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Call):
+                fn = node.func
+                name = getattr(fn, "id", None) or getattr(fn, "attr", None)
+                calls.setdefault(name, []).append(node)
+    unset = [f"{path.stem}.{qualified}({param})"
+             for path in SOURCES
+             for qualified, called, param, position in
+             defaulted_parameters(ast.parse(path.read_text(), filename=str(path)))
+             if not any(sets_parameter(call, param, position)
+                        for call in calls.get(called, []))]
+    assert not unset, f"defaulted parameters that no caller in src/, demos/ or perfbench/ sets: {unset}"

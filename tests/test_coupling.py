@@ -106,7 +106,7 @@ def test_adjointness_identity_exact():
     cp = assemble_P_el([chart], lg)
     # Pmag == M_line^-1 Pel^T M_surf entrywise
     lhs = cp.Pmag.toarray()
-    rhs = (np.diag(1.0 / cp.M_line.diagonal()) @ cp.Pel.T.toarray() @ cp.M_surf.toarray())
+    rhs = (np.diag(1.0 / cp.line_grid.Mc.diagonal()) @ cp.Pel.T.toarray() @ cp.M_surf.toarray())
     denom = np.abs(rhs).max()
     assert np.abs(lhs - rhs).max() <= 1e-13 * max(denom, 1.0)
 
@@ -115,7 +115,7 @@ def test_adjointness_identity_exact():
     f = rng.standard_normal(12) + 1j * rng.standard_normal(12)
     g = rng.standard_normal(3 * chart.n_quad) + 1j * rng.standard_normal(3 * chart.n_quad)
     lhs = np.vdot(g, cp.M_surf @ (cp.Pel @ f))
-    rhs = np.vdot(cp.Pmag @ g, cp.M_line @ f)
+    rhs = np.vdot(cp.Pmag @ g, cp.line_grid.Mc @ f)
     assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
 
 
