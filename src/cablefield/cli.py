@@ -63,10 +63,12 @@ def _log_stages(build: dict, stages=("grid", "curls", "trace", "assembly")):
 def _log_run(traj):
     """Log lines of the step solver's set-up, the stepping and the ledger."""
     s = traj.solver
-    inverse = (f", inverse {s['inverse_bytes'] / 1e6:.3f} MB at fill {s['inverse_fill']:.3f}"
-               if s["method"] == "direct" else "")
+    if s["method"] == "direct":
+        solve = f", inverse {s['inverse_bytes'] / 1e6:.3f} MB at fill {s['inverse_fill']:.3f}"
+    else:
+        solve = f", line block {s['line_block_unknowns']} unknowns"
     log.info("%-13s %7.3f s  %s, %d reduced unknowns%s, step operators %.3f MB",
-             "solver set-up", s["factor_s"], s["method"], s["reduced_unknowns"], inverse,
+             "solver set-up", s["factor_s"], s["method"], s["reduced_unknowns"], solve,
              s["operator_bytes"] / 1e6)
     iterations = (f", GMRES iterations mean {s['iterations_mean']:.1f} max "
                   f"{s['iterations_max']}" if s["method"] == "gmres" else "")

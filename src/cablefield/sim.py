@@ -38,13 +38,29 @@ unknowns against DIRECT_MAX_UNKNOWNS = 1500:
     is kept untouched.
   * Above it, neither an inverse nor S is built.  S is solved by restarted
     GMRES (Saad-Schultz) through the block product
-    S x = x - t_r - (h A_rf) t_f, t = h [A_rr; A_fr] x, right-preconditioned
-    by the Jacobi diagonal 1/diag(S), diag(S) = 1 - h diag(A_rr) - the row
-    sums of (h A_rf) o (h A_fr)^T, in complex arithmetic when A or the
-    right-hand side is complex.  Each solve starts from the previous
-    solve's x_r (the first from zero), and its last true-residual product
-    already holds t_f = h A_fr x_r for the face rows.  The memory stays
-    linear in the unknowns: GMRES_RESTART + 1 basis vectors.
+    S x = x - t_r - (h A_rf) t_f, t = h [A_rr; A_fr] x, in complex
+    arithmetic when A or the right-hand side is complex.  It is
+    right-preconditioned by M = blockdiag(S_LL, diag(S_EE)): the line
+    unknowns L (the cells and nodes, the first nl of the reduced numbering)
+    meet the field only through the lateral trace, so their block is the
+    one a diagonal serves worst, and it is small (50 of 6,396 reduced
+    unknowns on the two-cable pair at grid scale 1, 146 at scale 3).
+    S_LL = I - (h A_rr)_LL - (h A_rf)_L. (h A_fr)_.L is formed from the
+    first nl rows of the stored blocks and inverted densely once per
+    (loop, dt); only the nl x nl inverse is kept.  On the field unknowns E,
+    diag(S) = 1 - h diag(A_rr) - the row sums of (h A_rf) o (h A_fr)^T.
+    M^-1 v is one nl x nl product and one diagonal scaling.  Each solve
+    starts from the previous solve's x_r (the first from zero) and from the
+    product S x_r that its last true-residual check formed, so a solve
+    takes one S product per iteration and one for that check; the product
+    is formed anew only when the solve's dtype changes or the right-hand
+    side is zero.  Its face part is t_f = h A_fr x_r for the face rows.
+    The memory stays linear in the unknowns: the nl x nl inverse and at
+    most GMRES_RESTART + 1 basis vectors.  The first solve allocates all of
+    them; a later one allocates one more than the previous solve's
+    iterations and grows to all of them only if it needs more: the rows
+    a solve touches are the same either way, but the smaller allocation
+    lowers the process peak.
 
 The GMRES tolerance.  GMRES stops at ||P rhs - S x_r|| <= GMRES_TOL_FACTOR
 solver_tol ||P rhs|| (1e-13 at the default 1e-10).  The face rows are
@@ -133,7 +149,8 @@ RECORD_BLOCK_BYTES = 256 * 2 ** 10
 RECORD_BLOCK_MAX_COLUMNS = 256
 
 # Size rule of the step solve: S is inverted densely up to this many
-# reduced unknowns and solved by Jacobi-preconditioned GMRES above it.
+# reduced unknowns and solved by GMRES, preconditioned by the exact line
+# block and the field diagonal, above it.
 DIRECT_MAX_UNKNOWNS = 1500
 # The inverse is stored as CSR of its above-roundoff entries when they are
 # at most this fraction of its n^2 entries, and dense otherwise.
@@ -379,19 +396,22 @@ class MidpointStepper:
     Stores the generator's blocks with h = dt/2 folded in, the stacked
     h [A_rr; A_fr] and h A_rf, and by the rules of the module docstring
     either inverts S once (keeping the above-roundoff entries, as CSR when
-    few remain) or solves it by Jacobi-GMRES through the block product.
+    few remain) or solves it by GMRES through the block product, with the
+    exact line block and the field diagonal as its preconditioner.
     ``advance`` runs a block of steps: the input columns dt/2 Bu enter as
     one block product, each step (``step``) forms P rhs, solves and writes
     the face rows, and every step's residual is then checked against
     I - h A, read from the loop's A, in one sparse product over the block.
     ``stats`` reports the size, the method ("direct" or "gmres"), the
     set-up time (``factor_s``), the stored bytes of the step operators
-    (``operator_bytes``: the blocks, the input columns, and the Jacobi
-    diagonal or the inverse), the stored bytes of the inverse (direct,
-    ``inverse_bytes``: CSR data, indices and indptr, or the dense array)
-    and the fraction of its entries above roundoff (``inverse_fill``), or
-    the maximum and mean GMRES iterations per solve, the number of step
-    solves and the worst relative step residual so far.  A singular S
+    (``operator_bytes``: the blocks, the input columns, and the
+    preconditioner's field diagonal and line-block inverse or the inverse
+    of S), the stored bytes of the inverse (direct, ``inverse_bytes``: CSR
+    data, indices and indptr, or the dense array) and the fraction of its
+    entries above roundoff (``inverse_fill``), or the line block's size
+    (``line_block_unknowns``) and the maximum and mean GMRES iterations per
+    solve, the number of step solves and the worst relative step residual
+    so far.  A singular S, or a singular line block on the GMRES branch,
     raises SolverError.
     """
 
@@ -428,17 +448,29 @@ class MidpointStepper:
         self._Sinv = None
         Arr = _csr_rows(stacked, 0, nr)
         if nr > DIRECT_MAX_UNKNOWNS:
-            # diag(S) = 1 - h diag(A_rr) - sum_j (h A_rf)_ij (h A_fr)_ji
+            nl = lay.n_cells + lay.n_nodes      # the line unknowns lead r
+            # diag(S) = 1 - h diag(A_rr) - sum_j (h A_rf)_ij (h A_fr)_ji on
+            # the field unknowns
             diag = (1.0 - Arr.diagonal()
-                    - np.asarray(Arf.multiply(self._Afr.T).sum(axis=1)).ravel())
+                    - np.asarray(Arf.multiply(self._Afr.T).sum(axis=1)).ravel())[nl:]
             if not np.all(np.isfinite(diag) & (diag != 0)):
-                raise SolverError("step matrix has a zero diagonal entry; the "
-                                  "Jacobi preconditioner needs every one nonzero")
+                raise SolverError("step matrix has a zero diagonal entry on the field "
+                                  "unknowns; the preconditioner needs every one nonzero")
             self._dinv = 1.0 / diag
+            # S_LL = I - (h A_rr)_LL - (h A_rf)_L. (h A_fr)_.L
+            S_LL = np.identity(nl) - (Arr[:nl, :nl] + Arf[:nl] @ self._Afr[:, :nl]).toarray()
+            try:
+                self._line_inv = np.linalg.inv(S_LL)
+            except np.linalg.LinAlgError as exc:
+                raise SolverError(f"step matrix line block inversion failed: {exc}") from exc
             self._gmres_tol = GMRES_TOL_FACTOR * solver_tol
-            self._x_r = np.zeros(nr, dtype=stacked.dtype)
-            self._stats = {"reduced_unknowns": int(nr), "method": "gmres"}
-            solve_bytes = self._dinv.nbytes
+            # the warm start: x_r and its product (S x_r, h A_fr x_r), of x_r = 0
+            zero = np.zeros(nr, dtype=stacked.dtype)
+            self._warm = (zero, zero, np.zeros(b - a, dtype=stacked.dtype))
+            self._basis_rows = GMRES_RESTART + 1
+            self._stats = {"reduced_unknowns": int(nr), "method": "gmres",
+                           "line_block_unknowns": int(nl)}
+            solve_bytes = self._dinv.nbytes + self._line_inv.nbytes
         else:
             S = sp.identity(nr, dtype=A.dtype, format="csr") - Arr - Arf @ self._Afr
             try:
@@ -482,38 +514,55 @@ class MidpointStepper:
         """(x_r, h A_fr x_r) with S x_r = b."""
         Sinv = self._Sinv
         if Sinv is None:
-            self._x_r, t_f = self._gmres(b, self._x_r)
-            return self._x_r, t_f
+            self._warm = self._gmres(b, *self._warm)
+            x_r, _, t_f = self._warm
+            return x_r, t_f
         if np.iscomplexobj(b) and Sinv.dtype.kind != "c":
             x_r = Sinv @ b.real + 1j * (Sinv @ b.imag)
         else:
             x_r = Sinv @ b
         return x_r, self._Afr @ x_r
 
-    def _gmres(self, b: np.ndarray, x: np.ndarray) -> tuple:
-        """Solve S x = b by restarted GMRES(GMRES_RESTART), right-preconditioned
-        by D^-1 = 1 / diag(S), from the start x, to ||b - S x|| <= tol ||b||;
-        returns x and h A_fr x, the face part of the last true-residual product.
+    def _precondition(self, v: np.ndarray) -> np.ndarray:
+        """M^-1 v, M = blockdiag(S_LL, diag(S_EE)): the line block's inverse
+        on the first nl entries, 1/diag(S) on the rest."""
+        nl = self._line_inv.shape[0]
+        z = np.empty_like(v)
+        np.matmul(self._line_inv, v[:nl], out=z[:nl])
+        np.multiply(self._dinv, v[nl:], out=z[nl:])
+        return z
 
-        Classical Gram-Schmidt with one reorthogonalization builds the Arnoldi
-        basis; Givens rotations keep the Hessenberg least-squares residual,
-        which ends each cycle, and the true residual decides the restart.
-        Appends the iteration count to ``iterations``; raises SolverError
-        after GMRES_MAX_ITERATIONS.
+    def _gmres(self, b: np.ndarray, x: np.ndarray, Sx: np.ndarray, t_f: np.ndarray) -> tuple:
+        """Solve S x = b by restarted GMRES(GMRES_RESTART), right-preconditioned
+        by M = blockdiag(S_LL, diag(S_EE)), to ||b - S x|| <= tol ||b||, from
+        the start x and its product (Sx, t_f) = (S x, h A_fr x); returns the
+        solution and its product, formed by the last true-residual check.
+
+        The start's product is formed anew when the solve's dtype is not
+        that of Sx (a real solve after a complex one starts from the real
+        part) or when b = 0 (the start is then zero).  Classical Gram-Schmidt
+        with one reorthogonalization builds the Arnoldi basis; Givens
+        rotations keep the Hessenberg least-squares residual, which ends each
+        cycle, and the true residual decides the restart.  The basis has room
+        for one iteration more than the previous solve took (all
+        GMRES_RESTART + 1 vectors on the first solve) and grows to
+        GMRES_RESTART + 1 when a cycle needs more.  Appends the iteration
+        count to ``iterations``; raises SolverError after
+        GMRES_MAX_ITERATIONS.
         """
-        S, dinv = self._apply_S, self._dinv
+        S, precondition = self._apply_S, self._precondition
         dtype = np.result_type(self._stacked.dtype, b.dtype)
         bnorm = np.linalg.norm(b)
-        # a real solve after a complex one starts from the real part
         x = (x if dtype.kind == "c" else x.real).astype(dtype, copy=True)
         if bnorm == 0:
             x[:] = 0
+        if bnorm == 0 or Sx.dtype != dtype:
+            Sx, t_f = S(x)
         target = self._gmres_tol * bnorm
-        Sx, t_f = S(x)
         r = b - Sx
         beta = np.linalg.norm(r)
         m = GMRES_RESTART
-        V = np.empty((m + 1, b.size), dtype=dtype)
+        V = np.empty((self._basis_rows, b.size), dtype=dtype)
         H = np.zeros((m + 1, m), dtype=dtype)
         cs, sn = np.zeros(m), np.zeros(m, dtype=dtype)
         its = 0
@@ -525,7 +574,7 @@ class MidpointStepper:
             g = np.zeros(m + 1, dtype=dtype)
             g[0] = beta
             for j in range(m):
-                w = S(dinv * V[j])[0]
+                w = S(precondition(V[j]))[0]
                 Vj = V[:j + 1]
                 h = (Vj @ w.conj()).conj()
                 w -= h @ Vj
@@ -548,15 +597,21 @@ class MidpointStepper:
                 its += 1
                 if abs(g[j + 1]) <= target or hn == 0.0 or its >= GMRES_MAX_ITERATIONS:
                     break
+                if j + 1 == V.shape[0]:
+                    full = np.empty((m + 1, b.size), dtype=dtype)
+                    full[:j + 1] = V
+                    V = full
                 V[j + 1] = w / hn
             k = j + 1
             y = np.linalg.solve(H[:k, :k], g[:k])
-            x += dinv * (y @ V[:k])
+            x += precondition(y @ V[:k])
             Sx, t_f = S(x)
             r = b - Sx
             beta = np.linalg.norm(r)
         self.iterations.append(its)
-        return x, t_f
+        # a cycle of k iterations writes k rows: room for one more next time
+        self._basis_rows = min(m + 1, its + 1)
+        return x, Sx, t_f
 
     def advance(self, x: np.ndarray, U: np.ndarray, first_step: int = 0) -> tuple:
         """Advance len(U) steps from x with the midpoint inputs U (steps x m);

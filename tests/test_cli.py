@@ -435,7 +435,7 @@ def test_simulate_writes_csv_and_summary(scenario_path, tmp_path, capsys):
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     solver = summary["solver"]
     assert set(solver) == {"reduced_unknowns", "method", "factor_s", "operator_bytes",
-                           "iterations_max", "iterations_mean", "solves",
+                           "line_block_unknowns", "iterations_max", "iterations_mean", "solves",
                            "max_rel_residual", "stepping_s", "steps_per_s"}
     assert solver["solves"] == summary["records"] - 1 == 30     # T / dt = 0.3 / 0.01
     # the step loop's wall time and rate
@@ -443,6 +443,7 @@ def test_simulate_writes_csv_and_summary(scenario_path, tmp_path, capsys):
     assert solver["steps_per_s"] * solver["stepping_s"] == pytest.approx(30)
     assert solver["reduced_unknowns"] == 13852 - 7456    # all unknowns but the faces
     assert solver["method"] == "gmres"                   # above the size rule
+    assert solver["line_block_unknowns"] == 2 * (12 + 13)     # cells and nodes of 2 lines
     assert 0 < solver["iterations_mean"] <= solver["iterations_max"] <= 30
     assert 0.0 < solver["max_rel_residual"] <= 1e-10
     check_build_report(summary["build"], simulated=True)
@@ -472,7 +473,8 @@ def test_simulate_verbose_logs_the_run(scenario_path, tmp_path, capsys):
     err = captured.err
     assert f"peak RSS {summary['build']['peak_rss_mb']['closed_loop']:.1f} MB" in err
     assert (f"{solver['factor_s']:.3f} s  gmres, {solver['reduced_unknowns']} reduced "
-            f"unknowns, step operators {solver['operator_bytes'] / 1e6:.3f} MB") in err
+            f"unknowns, line block {solver['line_block_unknowns']} unknowns, step operators "
+            f"{solver['operator_bytes'] / 1e6:.3f} MB") in err
     assert f"{solver['stepping_s']:.3f} s  30 steps" in err
     assert f"max residual {summary['max_ledger_residual']:.3e}" in err
     assert f"energy drift {summary['energy_drift']:.3e}" in err

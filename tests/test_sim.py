@@ -466,20 +466,27 @@ def test_stepper_rejects_face_face_block(criterion3_bundles):
         MidpointStepper(dataclasses.replace(loop, A=loop.A + poke), 1e-2)
 
 
-def test_singular_step_matrix_is_a_solver_error(criterion3_bundles):
+def test_singular_step_matrix_is_a_solver_error(criterion3_bundles, monkeypatch):
     # A's first row 2/dt e_0 makes row 0 of L = I - dt/2 A, and so of S,
-    # exactly zero: the dense inversion fails and is reported typed
+    # exactly zero: the dense inversion fails and is reported typed.  Row 0
+    # is a line cell, so on the GMRES branch the line block S_LL is singular
+    # and its inversion fails the same way
     bundle = criterion3_bundles["lossy"]
     loop = build_closed_loop(bundle, strict_law(bundle.k))
     A = loop.A.tolil()
     A[0, :] = 0.0
     A[0, 0] = 200.0
-    with pytest.raises(SolverError, match="inversion failed"):
-        MidpointStepper(dataclasses.replace(loop, A=A.tocsr()), 1e-2)
+    tampered = dataclasses.replace(loop, A=A.tocsr())
+    with pytest.raises(SolverError, match="step matrix inversion failed"):
+        MidpointStepper(tampered, 1e-2)
+    monkeypatch.setattr(sim, "DIRECT_MAX_UNKNOWNS", 0)
+    with pytest.raises(SolverError, match="line block inversion failed"):
+        MidpointStepper(tampered, 1e-2)
 
 
 # ---------------------------------------------------------------------------
-# the Jacobi-GMRES path, forced by setting the size rule to 0
+# the GMRES path (exact line block, field diagonal), forced by setting the
+# size rule to 0
 # ---------------------------------------------------------------------------
 
 @pytest.fixture()
@@ -541,8 +548,9 @@ def pair_loop():
 @pytest.mark.parametrize("case", ["pair", "complex_law"])
 def test_block_product_is_the_assembled_step_matrix(criterion3_bundles, pair_loop, krylov,
                                                     case):
-    # the GMRES step holds only h [A_rr; A_fr] and h A_rf: its product and
-    # its Jacobi diagonal are those of S assembled here, to roundoff
+    # the GMRES step holds only h [A_rr; A_fr] and h A_rf: its product, its
+    # field diagonal and its line block's inverse are those of S assembled
+    # here, to roundoff
     if case == "pair":
         loop = pair_loop
     else:
@@ -562,19 +570,80 @@ def test_block_product_is_the_assembled_step_matrix(criterion3_bundles, pair_loo
         ref = S @ x
         assert np.linalg.norm(Sx - ref) <= 1e-15 * np.linalg.norm(ref)
         assert np.linalg.norm(face - hAfr @ x) <= 1e-15 * np.linalg.norm(hAfr @ x)
-    diag = S.diagonal()
+    lay = loop.bundle.layout
+    nl = stepper.stats()["line_block_unknowns"]
+    assert nl == lay.n_cells + lay.n_nodes
+    diag = S.diagonal()[nl:]
     assert np.abs(1.0 / stepper._dinv - diag).max() <= 1e-15 * np.abs(diag).max()
+    product = stepper._line_inv @ S[:nl, :nl].toarray()
+    assert np.abs(product - np.eye(nl)).max() <= nl * np.finfo(float).eps
 
 
 def test_the_step_stores_no_more_than_the_generator(pair_loop, krylov):
-    # pair scale 1: the step's operators are A's entries, re-indexed, plus a
-    # few vectors of the reduced size (row pointers, the Jacobi diagonal)
+    # pair scale 1: the step's operators are A's entries, re-indexed, a few
+    # vectors of the reduced size (row pointers, the field diagonal) and the
+    # nl x nl inverse of the line block
     stats = MidpointStepper(pair_loop, 1e-2).stats()
     A = pair_loop.A
     a_bytes = A.data.nbytes + A.indices.nbytes + A.indptr.nbytes
-    n_r = stats["reduced_unknowns"]
+    n_r, nl = stats["reduced_unknowns"], stats["line_block_unknowns"]
     assert stats["method"] == "gmres"
-    assert a_bytes < stats["operator_bytes"] <= a_bytes + 24 * n_r
+    assert a_bytes < stats["operator_bytes"] <= a_bytes + 24 * n_r + 8 * nl ** 2
+
+
+def test_line_block_cuts_the_pair_iterations(pair_loop):
+    # the scenario's run at dt = 1e-2: with the exact line block GMRES takes
+    # 6 iterations a step, where 1/diag(S) alone as the preconditioner
+    # takes 9.27
+    cfg = SimConfig(dt=1e-2, T=0.3, input=InputSignal(m=4, kind="sine",
+                                                      amplitude=[0.3, 0.0, 0.1, 0.0]))
+    traj = run(pair_loop, cfg, x0=smooth_state(pair_loop.bundle, scale=0.5))
+    assert traj.solver["method"] == "gmres"
+    assert traj.solver["iterations_mean"] <= 6
+
+
+def test_krylov_solve_reuses_the_last_product(criterion3_bundles, krylov, monkeypatch):
+    # a solve starts from the product S x_r of the previous solve's last
+    # true-residual check: one S product per iteration and one more, and
+    # the kept product is bit for bit S x_r
+    bundle = criterion3_bundles["lossy"]
+    law = strict_law(bundle.k)
+    stepper = MidpointStepper(build_closed_loop(bundle, law), 1e-2)
+    calls = []
+    apply_S = stepper._apply_S
+
+    def counted(x):
+        calls.append(1)
+        return apply_S(x)
+
+    monkeypatch.setattr(stepper, "_apply_S", counted)
+    u = np.sin(np.arange(4)[:, None] + np.arange(law.m))
+    stepper.advance(random_state(bundle, seed=2), u)
+    assert stepper.solves == 4 and min(stepper.iterations) > 0
+    assert len(calls) == sum(stepper.iterations) + 4
+    x_r, Sx, t_f = stepper._warm
+    ref, ref_f = apply_S(x_r)
+    assert np.array_equal(Sx, ref) and np.array_equal(t_f, ref_f)
+    # a complex solve after real ones forms its start's product anew
+    del calls[:]
+    stepper.advance(random_state(bundle, seed=3), 1j * u[:1])
+    assert len(calls) == stepper.iterations[-1] + 2
+
+
+def test_krylov_basis_grows_when_a_solve_needs_more(criterion3_bundles, krylov):
+    # a solve allocates the basis for one iteration more than the last one
+    # took; a basis too small for the solve grows and changes nothing
+    bundle = criterion3_bundles["lossy"]
+    law = strict_law(bundle.k)
+    loop = build_closed_loop(bundle, law)
+    x, u = random_state(bundle, seed=2), np.zeros(law.m)
+    full, small = MidpointStepper(loop, 1e-2), MidpointStepper(loop, 1e-2)
+    small._basis_rows = 1
+    x_full, _ = midpoint_step(full, x, u)
+    x_small, _ = midpoint_step(small, x, u)
+    assert small.iterations == full.iterations and full.iterations[0] > 1
+    assert np.array_equal(x_small, x_full)
+    assert small._basis_rows == full._basis_rows == full.iterations[0] + 1
 
 
 def test_the_closed_loop_keeps_no_J():
