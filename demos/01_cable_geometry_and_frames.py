@@ -51,7 +51,7 @@ print("\nhelix frame: max orthonormality residual "
       f"{np.abs(gram - np.eye(3)).max():.2e}")
 
 # chart and collar round trip
-chart = build_chart(curve, frame, n_eta=48, n_theta=32)
+chart = build_chart(curve, n_eta=48, n_theta=32)
 print(f"helix lateral surface area (quadrature): {chart.quad_weights().sum():.6f}")
 pts = chart.phi_hat(np.array([0.3, 0.7]), np.array([0.5, -2.0]), np.array([0.1, -0.1]))
 coords = chart.psi_hat(pts, nearest_curve_sample(curve, pts)[0])

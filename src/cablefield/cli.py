@@ -13,6 +13,23 @@ With -v (--verbose) a command logs to stderr one line per build stage (its
 seconds and the peak RSS after it, both from Scenario.build) and, for
 simulate, one line each for the closed loop, the step solver's set-up,
 the stepping and the energy ledger.  Without it the output is the same.
+
+converge builds the scenario and prints four rows, each a study's errors
+and their observed orders, in one thread; its one option, --levels L
+(default 3), sets the number of refinements:
+
+    pmag_adjoint_vs_quadrature  the adjoint Pmag of assemble_P_el against
+                                the ring-integral assemble_P_mag on cable
+                                0's chart, refined L times in eta and theta
+    trace_constant_field        the scenario's surface trace R_nu (the one
+                                the assembly reads) on the constant fields,
+                                against nu x H; no order, zero expected
+    surface_quadrature          the chart quadrature of a smooth function on
+                                cable 0, refined L + 1 times in eta
+    ledger_residual             the energy ledger's residual relative to the
+                                peak energy at dt, dt/2, ..., dt/2^(L-1)
+
+A scenario without a cable or without a sim section exits 2.
 """
 
 from __future__ import annotations
@@ -22,7 +39,6 @@ import json
 import logging
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -160,12 +176,16 @@ def cmd_converge(args) -> int:
     scn = build_scenario(config)
     _log_stages(scn.build)
 
+    if not scn.charts:
+        raise ConfigError("converge studies the lateral surface of cable 0, and the "
+                          "scenario has no cables")
+
     rows = []
     cable = scn.geometry.cables[0]
-    rows += _coupling_convergence(cable, levels, args.threads)
+    rows += _coupling_convergence(cable, levels)
     rows += _trace_constant_row(scn)
     rows += _quadrature_convergence(cable, levels)
-    rows += _ledger_convergence(scn, levels, args.threads)
+    rows += _ledger_convergence(scn, levels)
 
     width = max(len(r[0]) for r in rows)
     print(f"{'study':<{width}}  errors | observed orders")
@@ -187,58 +207,46 @@ def _orders(errs):
     return out
 
 
-def _coupling_convergence(cable, levels, threads):
+def _coupling_convergence(cable, levels):
     from .coupling import assemble_P_el, assemble_P_mag
-    from .geometry import build_chart, build_frame
+    from .geometry import build_chart
     from .tline import build_line_grid
 
-    base_n, base_m = 8, 12
-
-    def level(j):
-        n, m = base_n * 2 ** j, base_m * 2 ** j
-        frame = build_frame(cable, n_eta=(np.arange(n) + 0.5) / n)
-        chart = build_chart(cable, frame, n, m)
-        lg = build_line_grid(n, 1)
-        cp = assemble_P_el([chart], lg)
-        Pq = assemble_P_mag(cp)
+    diffs = []
+    for j in range(levels):
+        n, m = 8 * 2 ** j, 12 * 2 ** j
+        chart = build_chart(cable, n, m)
+        lg = build_line_grid(n, cable.line + 1)     # lines up to the cable's own
         pts = chart.quad_points()
         g = np.stack([np.sin(3 * pts[:, 1]), np.cos(2 * pts[:, 0]), pts[:, 2]],
                      axis=1).reshape(-1)
-        return float(np.abs(cp.Pmag @ g - Pq @ g).max())
-
-    with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
-        diffs = list(pool.map(level, range(levels)))
+        Pq = assemble_P_mag([chart], lg)
+        diffs.append(float(np.abs(assemble_P_el([chart], lg).Pmag @ g - Pq @ g).max()))
     return [("pmag_adjoint_vs_quadrature", diffs, _orders(diffs))]
 
 
 def _trace_constant_row(scn):
-    """Constant tangential fields are reproduced exactly by the surface
-    trace interpolation (single-row study, zero error expected)."""
-    from .maxwell import tangential_trace
+    """The assembled surface trace R_nu maps each constant field H to
+    nu x H exactly (single-row study, zero error expected)."""
+    from .maxwell import surface_trace
 
-    R_tan = tangential_trace(scn.grid, scn.charts)
-    dirs = scn.grid.edge_direction(scn.grid.free_edges)
+    R_nu = surface_trace(scn.grid, scn.charts)
+    axes = scn.grid.face_normal_axis(scn.grid.dof_faces)
+    nu = -np.concatenate([ch.normal.reshape(-1, 3) for ch in scn.charts])
     errs = []
     for c in range(3):
-        e = (dirs == c).astype(float)
-        vals = (R_tan @ e).reshape(-1, 3)
-        normals = np.concatenate([ch.normal.reshape(-1, 3) for ch in scn.charts])
-        unit = np.zeros(3)
-        unit[c] = 1.0
-        proj = unit[None, :] - normals * normals[:, c:c + 1]
-        errs.append(float(np.abs(vals - proj).max()))
+        vals = (R_nu @ (axes == c).astype(float)).reshape(-1, 3)
+        errs.append(float(np.abs(vals - np.cross(nu, np.eye(3)[c])).max()))
     return [("trace_constant_field", [max(e, 1e-300) for e in errs], [])]
 
 
 def _quadrature_convergence(cable, levels):
-    from .geometry import build_chart, build_frame
+    from .geometry import build_chart
 
     vals = []
     n_theta = 64         # fixed: isolates the second-order eta rule
     for j in range(levels + 1):
-        n = 8 * 2 ** j
-        frame = build_frame(cable, n_eta=(np.arange(n) + 0.5) / n)
-        chart = build_chart(cable, frame, n, n_theta)
+        chart = build_chart(cable, 8 * 2 ** j, n_theta)
         f = np.cos(2 * chart.points[..., 0] + chart.points[..., 1]
                    + 3 * chart.points[..., 2])
         vals.append(float((chart.weights * f).sum()))
@@ -247,22 +255,20 @@ def _quadrature_convergence(cable, levels):
     return [("surface_quadrature", errs, _orders(errs))]
 
 
-def _ledger_convergence(scn, levels, threads):
+def _ledger_convergence(scn, levels):
+    import dataclasses
+
     from .sim import run
 
     if scn.sim_config is None:
         raise ConfigError("converge needs a sim section for the ledger study")
     loop = scn.closed_loop()
     x0 = scn.initial_state()
-
-    def level(j):
-        import dataclasses
+    errs = []
+    for j in range(levels):
         cfg = dataclasses.replace(scn.sim_config, dt=scn.sim_config.dt / 2 ** j)
-        traj = run(loop, cfg, x0=x0)
-        return traj.ledger["max_residual"] / max(traj.ledger["peak_energy"], 1e-300)
-
-    with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
-        errs = list(pool.map(level, range(levels)))
+        led = run(loop, cfg, x0=x0).ledger
+        errs.append(led["max_residual"] / max(led["peak_energy"], 1e-300))
     return [("ledger_residual", errs, _orders(errs))]
 
 
@@ -308,7 +314,9 @@ def _export_fields_vtk(scn, x, path):
         f.write("# vtk DataFile Version 3.0\ncablefield snapshot\nASCII\n")
         f.write("DATASET STRUCTURED_POINTS\n")
         f.write(f"DIMENSIONS {nx} {ny} {nz}\n")
-        f.write(f"ORIGIN {grid.origin[0]} {grid.origin[1]} {grid.origin[2]}\n")
+        # point data: each cell average sits at its cell centre
+        centre = grid.origin + 0.5 * grid.h
+        f.write(f"ORIGIN {centre[0]} {centre[1]} {centre[2]}\n")
         f.write(f"SPACING {grid.h} {grid.h} {grid.h}\n")
         f.write(f"POINT_DATA {nx * ny * nz}\n")
         for name, data in (("E_mag", emag), ("B_mag", bmag)):
@@ -339,7 +347,6 @@ def make_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--export-operators", action="store_true")
     simulate.add_argument("--export-fields", action="store_true")
     converge = sub.choices["converge"]
-    converge.add_argument("--threads", type=int, default=1)
     converge.add_argument("--levels", type=int, default=3)
     return p
 

@@ -14,11 +14,12 @@ rule; on a straight cylinder of length l this is (f / l) * z_hat.
 P_mag = M_line^{-1} P_el^T M_surf (CouplingMatrices.Pmag, M_line the line
 grid's cell mass Mc) is the exact
 quadrature-mass adjoint, used in assembly so the coupled block structure
-stays symmetric.  assemble_P_mag builds an independent discretization of
-the ring integral closing around the cable,  sum_m  g . (nu x ds),  from
-finite-difference tangents and geometric normals (domain-outward, i.e.
-pointing at the cable axis).  It serves only as a cross check; it agrees
-with the adjoint to second order in the angular step.
+stays symmetric.  assemble_P_mag builds, from the same charts and line
+grid, an independent discretization of the ring integral closing around
+the cable,  sum_m  g . (nu x ds),  from finite-difference tangents and
+geometric normals (domain-outward, i.e. pointing at the cable axis).  It
+serves only as a cross check; it agrees with the adjoint to second order
+in the angular step.
 
 The voltage lift evaluates chi * V'(eta) * grad(eta) at edge midpoints
 inside the tube collar, reproducing the coupled tangential trace on the
@@ -43,17 +44,9 @@ from .tline import LineGrid
 class CouplingMatrices:
     """Discrete port operators for all cables on a shared line grid."""
 
-    charts: Sequence[TubeChart]
-    cable_lines: np.ndarray       # line index per cable
-    line_grid: LineGrid
     Pel: sp.csr_matrix            # (3*nq_total) x (n*k)
     Pmag: sp.csr_matrix           # (n*k) x (3*nq_total), quadrature-mass adjoint
     M_surf: sp.csr_matrix         # surface quadrature mass (3-vector samples)
-    quad_offsets: np.ndarray      # start of each cable's quad block
-
-    @property
-    def n_quad_total(self):
-        return self.quad_offsets[-1]
 
 
 def _pel_columns(chart: TubeChart) -> np.ndarray:
@@ -83,10 +76,9 @@ def assemble_P_el(charts: Sequence[TubeChart], line_grid: LineGrid) -> CouplingM
     if cable_lines.size and (cable_lines.min() < 0 or cable_lines.max() >= k):
         raise CouplingError(f"cable line indices must lie in [0, {k})")
 
-    rows, cols, vals = [], [], []
-    weights = []
-    offsets = [0]
-    for ci, chart in enumerate(charts):
+    rows, cols, vals, weights = [], [], [], []
+    base = 0                                     # start of the chart's quad block
+    for chart in charts:
         if chart.n_eta != n:
             raise CouplingError(
                 f"chart eta sampling ({chart.n_eta}) must match the line grid cells ({n})")
@@ -95,37 +87,32 @@ def assemble_P_el(charts: Sequence[TubeChart], line_grid: LineGrid) -> CouplingM
         direction = _pel_columns(chart)            # (nq, 3)
         nq = chart.n_quad
         q_eta = np.repeat(np.arange(n), chart.n_theta)   # ring index per quad point
-        line = cable_lines[ci]
-        base = offsets[-1]
         for comp in range(3):
             rows.append(3 * (base + np.arange(nq)) + comp)
-            cols.append(q_eta * k + line)
+            cols.append(q_eta * k + chart.curve.line)
             vals.append(direction[:, comp])
         weights.append(chart.quad_weights())
-        offsets.append(base + nq)
+        base += nq
 
-    nq_total = offsets[-1]
     Pel = sp.csr_matrix(
         (np.concatenate(vals) if vals else np.zeros(0),
          (np.concatenate(rows) if rows else np.zeros(0, dtype=int),
           np.concatenate(cols) if cols else np.zeros(0, dtype=int))),
-        shape=(3 * nq_total, n * k),
+        shape=(3 * base, n * k),
     )
     M_surf = sp.diags(np.repeat(np.concatenate(weights) if weights else np.zeros(0), 3)).tocsr()
     M_line_inv = sp.diags(1.0 / line_grid.Mc.diagonal())
     Pmag = (M_line_inv @ Pel.T @ M_surf).tocsr()
-    return CouplingMatrices(
-        charts=list(charts), cable_lines=cable_lines, line_grid=line_grid,
-        Pel=Pel, Pmag=Pmag, M_surf=M_surf,
-        quad_offsets=np.asarray(offsets),
-    )
+    return CouplingMatrices(Pel=Pel, Pmag=Pmag, M_surf=M_surf)
 
 
-def assemble_P_mag(cp: CouplingMatrices) -> sp.csr_matrix:
-    """Ring-integral P_mag, the independent cross check of ``cp.Pmag``."""
-    n, k = cp.line_grid.n, cp.line_grid.k
+def assemble_P_mag(charts: Sequence[TubeChart], line_grid: LineGrid) -> sp.csr_matrix:
+    """Ring-integral P_mag of the charts that ``assemble_P_el`` takes, the
+    independent cross check of its ``Pmag``."""
+    n, k = line_grid.n, line_grid.k
     rows, cols, vals = [], [], []
-    for ci, chart in enumerate(cp.charts):
+    base = 0                                     # start of the chart's quad block
+    for chart in charts:
         m = chart.n_theta
         pts = chart.points                       # (n_eta, m, 3)
         axis = chart.curve.alpha(chart.eta)      # (n_eta, 3)
@@ -134,16 +121,15 @@ def assemble_P_mag(cp: CouplingMatrices) -> sp.csr_matrix:
         nu = axis[:, None, :] - pts              # domain-outward: toward the axis
         nu = nu / np.linalg.norm(nu, axis=2, keepdims=True)
         coeff = np.cross(nu, t_fd)               # g . (nu x t) = (g x nu) . t
-        line = cp.cable_lines[ci]
-        base = cp.quad_offsets[ci]
         q_eta = np.repeat(np.arange(n), m)
         for comp in range(3):
-            rows.append(q_eta * k + line)
+            rows.append(q_eta * k + chart.curve.line)
             cols.append(3 * (base + np.arange(chart.n_quad)) + comp)
             vals.append(coeff[:, :, comp].reshape(-1))
+        base += chart.n_quad
     return sp.csr_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n * k, 3 * cp.n_quad_total),
+        shape=(n * k, 3 * base),
     )
 
 

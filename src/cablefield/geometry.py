@@ -692,13 +692,13 @@ class TubeChart:
         return out
 
 
-def build_chart(curve: CableCurve, frame: AdaptedFrame, n_eta: int, n_theta: int,
+def build_chart(curve: CableCurve, n_eta: int, n_theta: int,
                 collar_halfwidth: float = 0.3) -> TubeChart:
-    """Sample the lateral surface on cell-midpoint eta and uniform theta."""
-    if frame.curve is not curve:
-        raise GeometryError("frame was built from a different curve")
+    """Sample the lateral surface on cell-midpoint eta and uniform theta,
+    in the curve's frame built with those eta among its samples."""
     check_collar_halfwidth(collar_halfwidth)
     eta = (np.arange(n_eta) + 0.5) / n_eta
+    frame = build_frame(curve, n_eta=eta)
     theta = -np.pi + 2.0 * np.pi * np.arange(n_theta) / n_theta
     d_eta, d_theta = 1.0 / n_eta, 2.0 * np.pi / n_theta
 
@@ -761,9 +761,7 @@ class GeometrySpec:
     def chart(self, i: int, n_eta: int = 64, n_theta: int = 32) -> TubeChart:
         key = (i, n_eta, n_theta)
         if key not in self._charts:
-            curve = self.cables[i]
-            frame = build_frame(curve, n_eta=(np.arange(n_eta) + 0.5) / n_eta)
-            self._charts[key] = build_chart(curve, frame, n_eta, n_theta,
+            self._charts[key] = build_chart(self.cables[i], n_eta, n_theta,
                                             collar_halfwidth=self.collar_halfwidth)
         return self._charts[key]
 

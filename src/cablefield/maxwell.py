@@ -24,7 +24,9 @@ Unknown selection around the staircased tubes:
 
 Restricting the full incidence to (dof faces) x (free edges) keeps the
 exact transpose identity; the discarded columns at BAND edges carry the
-lateral coupling, which enters through the surface trace instead.
+lateral coupling, which enters through the surface trace instead.  There
+is one: R_nu (``surface_trace``) interpolates H from the dof faces to the
+chart quadrature points and takes nu x H there.
 
 The cells around each edge and face are shifted slice views of one cell
 array with a one-cell border (``_edge_cells``, ``_face_cells``).  Grid
@@ -670,37 +672,19 @@ def surface_trace(grid: YeeGrid, charts: Sequence[TubeChart]) -> sp.csr_matrix:
     """R_nu: dof faces -> samples of nu x H at the chart quadrature points
     (component-major: row 3*q+c), with nu the domain-outward normal (i.e.
     minus the chart normal, which points out of the tube).  This is the
-    one trace the coupled assembly reads; the quadrature mass is
-    ``CouplingMatrices.M_surf``.
+    field's only surface trace: the coupled assembly reads it, and
+    ``cablefield converge`` and the trace tests check it.  The quadrature
+    mass is ``CouplingMatrices.M_surf``.
     """
-    normals = _chart_normals(charts)
-    H_interp = _component_interp(grid, charts, grid.dof_faces, grid.face_offsets,
-                                 grid.face_midpoints)
-    return (_block_diag_csr(_cross_matrices(-normals)) @ H_interp).tocsr()
+    normals = np.concatenate([ch.normal.reshape(-1, 3) for ch in charts])
+    return (_block_diag_csr(_cross_matrices(-normals)) @ _component_interp(grid, charts)).tocsr()
 
 
-def tangential_trace(grid: YeeGrid, charts: Sequence[TubeChart]) -> sp.csr_matrix:
-    """R_tan: free edges -> tangential 3-vector samples pi_tau(E) at the
-    chart quadrature points (component-major: row 3*q+c).  The assembly
-    does not read it; it serves the trace checks of ``cablefield converge``.
-    """
-    normals = _chart_normals(charts)
-    E_interp = _component_interp(grid, charts, grid.free_edges, grid.edge_offsets,
-                                 grid.edge_midpoints)
-    P_tan = _block_diag_csr(np.eye(3)[None] - normals[:, :, None] * normals[:, None, :])
-    return (P_tan @ E_interp).tocsr()
-
-
-def _chart_normals(charts):
-    return np.concatenate([ch.normal.reshape(-1, 3) for ch in charts])
-
-
-def _component_interp(grid, charts, ids, offsets, midpoints):
-    """Per-component interpolation of the unknowns ``ids`` (ascending global
-    ids; lattice c starts at offsets[c] and holds component c; positions
-    ``midpoints(ids)``) to the chart quadrature points, interleaved
-    row-wise: row 3*q + c.  The midpoints are formed one component at a
-    time, for the unknowns only."""
+def _component_interp(grid, charts):
+    """Per-component interpolation of the dof faces (ascending global ids;
+    face lattice c holds component c of H) to the chart quadrature points,
+    interleaved row-wise: row 3*q + c.  The face midpoints are formed one
+    component at a time, for the dof faces only."""
     quad_pts = np.concatenate([ch.quad_points() for ch in charts])
     nq = quad_pts.shape[0]
     first = np.cumsum([0] + [ch.n_quad for ch in charts])
@@ -711,13 +695,14 @@ def _component_interp(grid, charts, ids, offsets, midpoints):
         return (f"(cable {i}, eta {charts[i].eta[ie]:.4g}, "
                 f"theta {charts[i].theta[it]:.4g})")
 
-    bounds = np.searchsorted(ids, offsets)
+    ids = grid.dof_faces
+    bounds = np.searchsorted(ids, grid.face_offsets)
     stencils = []
     for c in range(3):
         lo, hi = bounds[c], bounds[c + 1]
         if lo == hi:
             raise GridError("grid has no unknowns of some component near the surface")
-        stencils.append(_interp_rows(quad_pts, midpoints(ids[lo:hi]), grid.h,
+        stencils.append(_interp_rows(quad_pts, grid.face_midpoints(ids[lo:hi]), grid.h,
                                      describe=describe))
     # row 3*q + c is the stencil of target q in component c, written in
     # place: the stencils come sorted by (target, source), so each row's
@@ -737,10 +722,10 @@ def _block_diag_csr(blocks):
     """CSR of the block diagonal of (m, 3, 3) blocks, zeros not stored.
 
     A product with it then reserves room only for the terms that can be
-    nonzero.  The product is the same as with the zeros stored: each
-    caller's right factor holds component c's unknowns in rows 3*q + c
-    only, so every entry of the product has one term, and a sparse product
-    drops the entries that sum to zero.
+    nonzero.  The product is the same as with the zeros stored: the right
+    factor (``_component_interp``) holds component c's unknowns in rows
+    3*q + c only, so every entry of the product has one term, and a sparse
+    product drops the entries that sum to zero.
     """
     m = blocks.shape[0]
     indices = np.repeat(3 * np.arange(m), 9) + np.tile([0, 1, 2], 3 * m)

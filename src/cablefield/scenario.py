@@ -22,12 +22,13 @@ grid and every count are whole numbers.
     geometry.collar_halfwidth   dimensionless s-range of the tube collar,
                           0 < eps <= 0.6527 (its cutoff reaches 2 eps / 3
                           past the cable ends), default 0.3
-    geometry.cables      list of {type: segment|arc|helix|spline, radius,
-                          line, ...type-specific parameters}; each cable
-                          carries its own line component
+    geometry.cables      list of {type: segment|arc|helix|spline, radius
+                          (> 0), line, ...type-specific parameters}; each
+                          cable carries its own line component
     line.k, line.n_cells (>= 3), line.C/L/R/G   scalar or k x k matrix
     fields.grid          [nx, ny, nz], each >= 1; fields.eps/mu/sigma scalar or
-                          per-axis [ax, ay, az]; fields.n_theta
+                          per-axis [ax, ay, az]; fields.n_theta (>= 1,
+                          default 16)
     boundary.W_B_inp     m x 4k; boundary.W_B_0 (2k-m) x 4k
     boundary.W_C_out     p x 4k, or "colocated" to derive the
                           co-located output from W_B; any output closes the
@@ -37,7 +38,9 @@ grid and every count are whole numbers.
                           autonomous run)
     sim.dt, sim.T, sim.input {kind, amplitude (m,), freq, phase, t_on,
                           ramp, table_t, table_u}, sim.initial {kind: zero|
-                          smooth|random|lift, seed, scale, line, V0},
+                          smooth|random|lift, seed, scale, line (the index
+                          into geometry.cables of the cable a lift runs on),
+                          V0},
                           sim.solver_tol (finite, > 0, default 1e-10),
                           sim.record_stride (a whole number >= 1, default 1)
 
@@ -130,6 +133,8 @@ def _build_cable(entry: dict, where: str):
 
     kind = entry.get("type", "segment")
     radius = num("radius")
+    if not radius > 0:
+        raise ConfigError(f"{where}.radius must be positive, got {radius}")
     line = _number(entry, "line", where, 0, whole=True)
     if kind == "segment":
         return StraightSegment(p0=vec("p0"), direction=vec("direction"),
@@ -249,6 +254,9 @@ def read_scenario(config: dict) -> ScenarioSpec:
                                      real=True, whole=True).tolist())
     if min(grid_shape) < 1:
         raise ConfigError(f"fields.grid entries must be at least 1, got {list(grid_shape)}")
+    n_theta = _number(fc, "n_theta", "fields", 16, whole=True)
+    if n_theta < 1:
+        raise ConfigError(f"fields.n_theta must be at least 1, got {n_theta}")
     geometry = _geometry_spec(geo, k)
     W_B_inp, W_B_0 = _port_matrix(bc, "W_B_inp", k), _port_matrix(bc, "W_B_0", k)
     m = W_B_inp.shape[0]
@@ -269,7 +277,7 @@ def read_scenario(config: dict) -> ScenarioSpec:
             name: parse_complex(fc.get(name, default), (3,), f"fields.{name}", scalar=True,
                                 real=True)
             for name, default in (("eps", 1.0), ("mu", 1.0), ("sigma", 0.0))}),
-        n_theta=_number(fc, "n_theta", "fields", 16, whole=True),
+        n_theta=n_theta,
         W_B_inp=W_B_inp, W_B_0=W_B_0, W_C_out=W_C_out,
         # the co-located output has m rows, or 2k without inputs
         sim_config=None if sc is None else _sim_section(
@@ -325,7 +333,7 @@ class Scenario(ScenarioSpec):
 
     def initial_state(self) -> np.ndarray:
         init = self.initial
-        kind, scale, line = init["kind"], init["scale"], init["line"]
+        kind, scale = init["kind"], init["scale"]
         if kind == "zero":
             return sim.zero_state(self.bundle)
         if kind == "smooth":
@@ -335,8 +343,7 @@ class Scenario(ScenarioSpec):
         v0 = init["V0"]
         if v0 is None:
             v0 = np.sin(np.pi * self.line_grid.nodes) * scale
-        return sim.lifted_state(self.bundle, self.grid, self.charts[line], self.line_grid,
-                                v0, line=line)
+        return sim.lifted_state(self.bundle, self.charts[init["line"]], v0)
 
     def closed_loop(self) -> assembly.ClosedLoop:
         """The closed loop of the port law.  The first call also assembles

@@ -317,17 +317,18 @@ def smooth_state(bundle: OperatorBundle, scale: float = 1.0) -> np.ndarray:
     return x
 
 
-def lifted_state(bundle: OperatorBundle, grid, chart, line_grid, V0: np.ndarray,
-                 line: int = 0) -> np.ndarray:
-    """State with charge C V0 on the line and D = eps * lift(V0) so the
+def lifted_state(bundle: OperatorBundle, chart, V0: np.ndarray) -> np.ndarray:
+    """State with charge C V0 on the line component of the chart's cable
+    (``chart.curve.line``) and D = eps * lift(V0) around that cable, so the
     initial tangential trace matches the coupling condition."""
     from .coupling import lift_voltage
 
     lay = bundle.layout
+    grid, line_grid = bundle.curls.grid, bundle.line.grid
     k = line_grid.k
     nodes = lay.n_nodes // k
     V_full = np.zeros((nodes, k))
-    V_full[:, line] = V0
+    V_full[:, chart.curve.line] = V0
     # q = C V node by node: C^-1 is block diagonal, sample-major, with one
     # k x k block per node (the line's few nodes make the dense copy small)
     Cinv = bundle.line.Cinv.toarray().reshape(nodes, k, nodes, k)

@@ -36,7 +36,6 @@ from cablefield.geometry import (
     SplineCurve,
     StraightSegment,
     build_chart,
-    build_frame,
     validate_geometry,
 )
 from cablefield.maxwell import FieldMaterials, assemble_curls, build_grid, surface_trace
@@ -140,23 +139,21 @@ def test_criterion_2_coupling_adjointness():
     cable = StraightSegment(p0=(0, 0, 0), direction=(0, 0, 1), length=1.0,
                             radius=r, line=0)
     # exact mass-weighted adjoint, entrywise
-    frame = build_frame(cable, n_eta=(np.arange(16) + 0.5) / 16)
-    chart = build_chart(cable, frame, 16, 24)
+    chart = build_chart(cable, 16, 24)
     lg = build_line_grid(16, 1)
     cp = assemble_P_el([chart], lg)
     lhs = cp.Pmag.toarray()
-    rhs = np.diag(1.0 / cp.line_grid.Mc.diagonal()) @ cp.Pel.T.toarray() @ cp.M_surf.toarray()
+    rhs = np.diag(1.0 / lg.Mc.diagonal()) @ cp.Pel.T.toarray() @ cp.M_surf.toarray()
     entry_err = np.abs(lhs - rhs).max() / np.abs(rhs).max()
 
     # independent loop-quadrature oracle: ring value 2 pi r h for the
     # constant axial field, and order >= 1.9 agreement on a smooth field
     ring_errs, diffs = [], []
     for n, m in ((16, 24), (32, 48), (64, 96)):
-        frame = build_frame(cable, n_eta=(np.arange(n) + 0.5) / n)
-        chart = build_chart(cable, frame, n, m)
+        chart = build_chart(cable, n, m)
         lg = build_line_grid(n, 1)
         cpk = assemble_P_el([chart], lg)
-        Pq = assemble_P_mag(cpk)
+        Pq = assemble_P_mag([chart], lg)
         const = np.tile([0.0, 0.0, 2.0], chart.n_quad)
         ring_errs.append(np.abs(Pq @ const - 2 * np.pi * r * 2.0).max())
         pts = chart.quad_points()

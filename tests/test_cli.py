@@ -322,11 +322,17 @@ def test_an_array_key_that_does_not_parse_exits_2_naming_it(tmp_path, capsys, co
     ("line.n_cells", 0, "line.n_cells must be at least 3"),
     ("fields.grid", [0, 6, 10], "fields.grid entries must be at least 1"),
     ("fields.grid", [6, -6, 10], "fields.grid entries must be at least 1"),
+    ("fields.n_theta", 0, "fields.n_theta must be at least 1"),
+    ("fields.n_theta", -3, "fields.n_theta must be at least 1"),
+    ("geometry.cables[0].radius", 0.0, "geometry.cables[0].radius must be positive"),
+    ("geometry.cables[0].radius", -0.2, "geometry.cables[0].radius must be positive"),
 ])
 def test_a_count_below_its_minimum_exits_2_naming_its_key(tmp_path, capsys, command, key,
                                                           value, message):
     # too few line cells used to pass validate and crash certify on a raw
-    # ValueError; a grid count of 0 reached the build as h = inf
+    # ValueError; a grid count of 0 reached the build as h = inf; n_theta
+    # <= 0 passed validate to crash certify, and a radius of 0 crashed both
+    # on a division by zero
     config = single_cable_config(0.01, 0.05)
     put(config, key, value)
     assert main([command, write(tmp_path, config)]) == EXIT_USAGE
@@ -529,6 +535,10 @@ def test_exports(tmp_path, scenario_config):
     vtk = open(os.path.join(out, "fields.vtk")).read().splitlines()
     assert vtk[0].startswith("# vtk DataFile")
     assert any(line.startswith("SCALARS E_mag") for line in vtk)
+    # one point per cell, at the cell centre: the box corner plus h / 2
+    assert "DIMENSIONS 16 10 18" in vtk
+    origin = next(line for line in vtk if line.startswith("ORIGIN")).split()[1:]
+    assert np.allclose([float(v) for v in origin], 0.05, rtol=0, atol=1e-15)
 
 
 def test_converge_reports_orders(tmp_path, scenario_config, capsys):
@@ -536,14 +546,35 @@ def test_converge_reports_orders(tmp_path, scenario_config, capsys):
     scenario_config["sim"]["initial"] = {"kind": "smooth", "scale": 1.0}
     path = write(tmp_path, scenario_config)
     out = str(tmp_path / "out")
-    assert main(["converge", path, "--levels", "3", "--output-dir", out,
-                 "--threads", "2"]) == EXIT_OK
+    assert main(["converge", path, "--levels", "3", "--output-dir", out]) == EXIT_OK
     rows = json.loads((tmp_path / "out" / "converge.json").read_text())["rows"]
     names = {r["study"]: r for r in rows}
     assert min(names["pmag_adjoint_vs_quadrature"]["orders"]) >= 1.9
     assert max(names["trace_constant_field"]["errors"]) <= 1e-10
     assert min(names["surface_quadrature"]["orders"]) >= 1.8
     assert 1.5 <= min(names["ledger_residual"]["orders"]) <= 2.5
+
+
+def test_converge_studies_a_cable_on_any_line(tmp_path, scenario_config, capsys):
+    # cable 0 on line 1 used to fail the coupling row: its cross-check built
+    # a one-line grid, and assemble_P_el refused line index 1
+    cables = scenario_config["geometry"]["cables"]
+    cables[0]["line"], cables[1]["line"] = 1, 0
+    scenario_config["sim"]["T"] = 0.1
+    path = write(tmp_path, scenario_config)
+    assert main(["converge", path, "--levels", "2"]) == EXIT_OK
+    assert "pmag_adjoint_vs_quadrature" in capsys.readouterr().out
+
+
+def test_converge_without_cables_exits_2(tmp_path, capsys):
+    # it used to raise an uncaught IndexError at the first cable
+    config = single_cable_config(0.01, 0.05)
+    config["geometry"]["cables"] = []
+    path = write(tmp_path, config)
+    assert main(["certify", path]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["converge", path]) == EXIT_USAGE
+    assert "the scenario has no cables" in capsys.readouterr().err
 
 
 def test_scenario_referential_consistency(tmp_path, scenario_config):

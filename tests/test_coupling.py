@@ -10,7 +10,6 @@ from cablefield.geometry import (
     GeometrySpec,
     StraightSegment,
     build_chart,
-    build_frame,
     collar_candidates,
     cutoff_reach,
     nearest_curve_sample,
@@ -28,15 +27,13 @@ def collar_coords(chart, pts):
 def straight_chart(n_eta, n_theta, radius=0.1, length=1.0, collar=0.3):
     curve = StraightSegment(p0=(0.0, 0.0, 0.0), direction=(0, 0, 1),
                             length=length, radius=radius)
-    frame = build_frame(curve, n_eta=(np.arange(n_eta) + 0.5) / n_eta)
-    return build_chart(curve, frame, n_eta, n_theta, collar_halfwidth=collar)
+    return build_chart(curve, n_eta, n_theta, collar_halfwidth=collar)
 
 
 def arc_chart(n_eta, n_theta, radius=0.1, rho=1.5):
     curve = CircularArc(center=np.zeros(3), u=[1.0, 0, 0], v=[0, 1.0, 0],
                         rho=rho, phi0=0.0, phi1=1.0, radius=radius)
-    frame = build_frame(curve, n_eta=(np.arange(n_eta) + 0.5) / n_eta)
-    return build_chart(curve, frame, n_eta, n_theta)
+    return build_chart(curve, n_eta, n_theta)
 
 
 def test_pel_constant_gradient_straight_cylinder():
@@ -70,9 +67,7 @@ def test_pmag_quadrature_ring_integral_oracle():
     errs = []
     for m in (16, 32, 64):
         chart = straight_chart(8, m, radius=r)
-        lg = build_line_grid(8, 1)
-        cp = assemble_P_el([chart], lg)
-        Pq = assemble_P_mag(cp)
+        Pq = assemble_P_mag([chart], build_line_grid(8, 1))
         g = np.tile([0.0, 0.0, h_amp], chart.n_quad)
         out = Pq @ g
         errs.append(np.abs(out - 2 * np.pi * r * h_amp).max())
@@ -91,9 +86,7 @@ def test_pmag_azimuthal_field_no_axial_pickup():
     # purely azimuthal constant-magnitude field contributes nothing to the
     # (g x nu) . t functional on a straight cylinder
     chart = straight_chart(8, 48, radius=0.1)
-    lg = build_line_grid(8, 1)
-    cp = assemble_P_el([chart], lg)
-    Pq = assemble_P_mag(cp)
+    Pq = assemble_P_mag([chart], build_line_grid(8, 1))
     th = chart.theta
     azim = np.stack([np.cos(th), -np.sin(th), np.zeros_like(th)], axis=1)
     g = np.tile(azim, (chart.n_eta, 1)).reshape(-1)
@@ -106,7 +99,7 @@ def test_adjointness_identity_exact():
     cp = assemble_P_el([chart], lg)
     # Pmag == M_line^-1 Pel^T M_surf entrywise
     lhs = cp.Pmag.toarray()
-    rhs = (np.diag(1.0 / cp.line_grid.Mc.diagonal()) @ cp.Pel.T.toarray() @ cp.M_surf.toarray())
+    rhs = (np.diag(1.0 / lg.Mc.diagonal()) @ cp.Pel.T.toarray() @ cp.M_surf.toarray())
     denom = np.abs(rhs).max()
     assert np.abs(lhs - rhs).max() <= 1e-13 * max(denom, 1.0)
 
@@ -115,7 +108,7 @@ def test_adjointness_identity_exact():
     f = rng.standard_normal(12) + 1j * rng.standard_normal(12)
     g = rng.standard_normal(3 * chart.n_quad) + 1j * rng.standard_normal(3 * chart.n_quad)
     lhs = np.vdot(g, cp.M_surf @ (cp.Pel @ f))
-    rhs = np.vdot(cp.Pmag @ g, cp.line_grid.Mc @ f)
+    rhs = np.vdot(cp.Pmag @ g, lg.Mc @ f)
     assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
 
 
@@ -127,7 +120,7 @@ def test_adjoint_vs_quadrature_convergence_curved():
         chart = arc_chart(n, m)
         lg = build_line_grid(n, 1)
         cp = assemble_P_el([chart], lg)
-        Pq = assemble_P_mag(cp)
+        Pq = assemble_P_mag([chart], lg)
         pts = chart.quad_points()
         g = np.stack([np.sin(pts[:, 1]), np.cos(2 * pts[:, 0]), pts[:, 2] ** 2], axis=1).reshape(-1)
         diffs.append(np.abs(cp.Pmag @ g - Pq @ g).max())
@@ -357,6 +350,5 @@ def test_chart_rejects_collar_beyond_the_eta_window():
     # it, before lift_voltage could fail to invert a candidate
     curve = StraightSegment(p0=(0.5, 0.5, 0.6), direction=(0, 0, 1),
                             length=1.0, radius=0.1)
-    frame = build_frame(curve, n_eta=(np.arange(12) + 0.5) / 12)
     with pytest.raises(ConfigError, match="collar_halfwidth"):
-        build_chart(curve, frame, 12, 16, collar_halfwidth=0.9)
+        build_chart(curve, 12, 16, collar_halfwidth=0.9)

@@ -202,8 +202,7 @@ def test_spline_reparameterization_is_admitted(points):
 
 def test_chart_straight_cylinder_area_and_normals():
     curve = straight(radius=0.1, length=1.0)
-    frame = build_frame(curve, n_eta=(np.arange(64) + 0.5) / 64)
-    chart = build_chart(curve, frame, 64, 64)
+    chart = build_chart(curve, 64, 64)
     area = chart.quad_weights().sum()
     assert abs(area - 2 * np.pi * 0.1 * 1.0) / (2 * np.pi * 0.1) <= 1e-3
 
@@ -221,8 +220,7 @@ def test_chart_straight_cylinder_area_and_normals():
 
 def test_chart_invariants_on_curved_tube():
     curve = quarter_arc()
-    frame = build_frame(curve, n_eta=(np.arange(32) + 0.5) / 32)
-    chart = build_chart(curve, frame, 32, 24)
+    chart = build_chart(curve, 32, 24)
     nrm = np.linalg.norm(chart.normal, axis=2)
     assert np.abs(nrm - 1.0).max() <= 1e-10
     for jac in (chart.jac_eta, chart.jac_theta):
@@ -236,8 +234,7 @@ def test_chart_quadrature_order_two():
     curve = quarter_arc()
 
     def integrate(n):
-        frame = build_frame(curve, n_eta=(np.arange(n) + 0.5) / n)
-        chart = build_chart(curve, frame, n, n)
+        chart = build_chart(curve, n, n)
         f = np.sin(3 * chart.points[..., 0]) * np.cos(2 * chart.points[..., 1])
         return (chart.weights * f).sum()
 
@@ -249,8 +246,7 @@ def test_chart_quadrature_order_two():
 
 def test_collar_roundtrip():
     for curve in [straight(), quarter_arc()]:
-        frame = build_frame(curve, n_eta=(np.arange(24) + 0.5) / 24)
-        chart = build_chart(curve, frame, 24, 16)
+        chart = build_chart(curve, 24, 16)
         rng = np.random.default_rng(3)
         eta = rng.uniform(0.05, 0.95, 40)
         theta = rng.uniform(-np.pi, np.pi, 40)
@@ -323,8 +319,7 @@ def test_is_inside_tube_matches_classify():
 
 def test_grad_eta_straight_cylinder():
     curve = straight(radius=0.1, length=1.0)
-    frame = build_frame(curve, n_eta=(np.arange(16) + 0.5) / 16)
-    chart = build_chart(curve, frame, 16, 12)
+    chart = build_chart(curve, 16, 12)
     pts = chart.phi_hat(np.array([0.3, 0.6]), np.array([0.4, -1.0]), np.array([0.05, -0.05]))
     coords = chart.psi_hat(pts, nearest_curve_sample(curve, pts)[0])
     g = chart.grad_eta(coords)

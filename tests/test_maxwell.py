@@ -14,7 +14,6 @@ from cablefield.maxwell import (
     assemble_curls,
     build_grid,
     surface_trace,
-    tangential_trace,
     validate_field_materials,
 )
 from cablefield.tline import build_line_grid
@@ -338,38 +337,34 @@ def traced():
     spec = tube_spec()
     grid = build_grid(spec, (10, 10, 14))
     chart = spec.chart(0, n_eta=12, n_theta=16)
-    return spec, grid, chart, tangential_trace(grid, [chart]), surface_trace(grid, [chart])
+    return spec, grid, chart, surface_trace(grid, [chart])
+
+
+def nu_cross(chart, field):
+    """nu x field at the chart's quadrature points, nu = -chart normal (the
+    domain-outward normal)."""
+    return np.cross(-chart.normal.reshape(-1, 3), field)
 
 
 def test_trace_reproduces_constant_tangential_field(traced):
-    spec, grid, chart, R_tan, R_nu = traced
-    dirs = grid.edge_direction(grid.free_edges)
-    e = (dirs == 2).astype(float)     # unit z-directed field
-    vals = (R_tan @ e).reshape(-1, 3)
-    # pi_tau(z_hat) on a straight z-cylinder is z_hat itself
-    assert np.abs(vals - np.array([0, 0, 1.0])).max() <= 1e-12
-
-    hf = (grid.face_normal_axis(grid.dof_faces) == 2).astype(float)
-    vals = (R_nu @ hf).reshape(-1, 3)
-    # nu_Omega x z_hat with nu_Omega = -radial
-    normals = chart.normal.reshape(-1, 3)
-    expected = np.cross(-normals, np.tile([0, 0, 1.0], (normals.shape[0], 1)))
-    assert np.abs(vals - expected).max() <= 1e-12
+    spec, grid, chart, R_nu = traced
+    axes = grid.face_normal_axis(grid.dof_faces)
+    for c in range(3):
+        vals = (R_nu @ (axes == c).astype(float)).reshape(-1, 3)
+        assert np.abs(vals - nu_cross(chart, np.eye(3)[c])).max() <= 1e-12
 
 
 def test_trace_exact_on_linear_field(traced):
-    spec, grid, chart, R_tan, _ = traced
-    mids = grid.edge_midpoints(grid.free_edges)
-    dirs = grid.edge_direction(grid.free_edges)
+    spec, grid, chart, R_nu = traced
+    mids = grid.face_midpoints(grid.dof_faces)
+    axes = grid.face_normal_axis(grid.dof_faces)
     # linear scalar profile on the z component only
-    e = np.where(dirs == 2, 0.3 * mids[:, 0] + 0.2 * mids[:, 2] - 0.1, 0.0)
-    vals = (R_tan @ e).reshape(-1, 3)
+    h = np.where(axes == 2, 0.3 * mids[:, 0] + 0.2 * mids[:, 2] - 0.1, 0.0)
+    vals = (R_nu @ h).reshape(-1, 3)
     pts = chart.quad_points()
     field = np.zeros_like(vals)
     field[:, 2] = 0.3 * pts[:, 0] + 0.2 * pts[:, 2] - 0.1
-    normals = chart.normal.reshape(-1, 3)
-    proj = field - normals * (normals * field).sum(axis=1, keepdims=True)
-    assert np.abs(vals - proj).max() <= 1e-10
+    assert np.abs(vals - nu_cross(chart, field)).max() <= 1e-10
 
 
 def test_trace_second_order_on_smooth_field():
@@ -378,30 +373,28 @@ def test_trace_second_order_on_smooth_field():
     for n in ((10, 10, 14), (20, 20, 28), (40, 40, 56)):
         grid = build_grid(spec, n)
         chart = spec.chart(0, n_eta=8, n_theta=8)
-        R_tan = tangential_trace(grid, [chart])
-        mids = grid.edge_midpoints(grid.free_edges)
-        dirs = grid.edge_direction(grid.free_edges)
-        e = np.where(dirs == 2, np.sin(2 * mids[:, 0]) * np.cos(mids[:, 2]), 0.0)
-        vals = (R_tan @ e).reshape(-1, 3)
+        R_nu = surface_trace(grid, [chart])
+        mids = grid.face_midpoints(grid.dof_faces)
+        axes = grid.face_normal_axis(grid.dof_faces)
+        h = np.where(axes == 2, np.sin(2 * mids[:, 0]) * np.cos(mids[:, 2]), 0.0)
+        vals = (R_nu @ h).reshape(-1, 3)
         pts = chart.quad_points()
         field = np.zeros_like(vals)
         field[:, 2] = np.sin(2 * pts[:, 0]) * np.cos(pts[:, 2])
-        normals = chart.normal.reshape(-1, 3)
-        proj = field - normals * (normals * field).sum(axis=1, keepdims=True)
-        errs.append(np.abs(vals - proj).max())
+        errs.append(np.abs(vals - nu_cross(chart, field)).max())
     rate = np.log2(errs[0] / errs[1]), np.log2(errs[1] / errs[2])
     assert min(rate) > 1.5
     assert errs[-1] < 5e-3
 
 
 def test_trace_injection_adjointness(traced):
-    spec, grid, chart, R_tan, _ = traced
+    spec, grid, chart, R_nu = traced
     M_surf = assemble_P_el([chart], build_line_grid(chart.n_eta, 1)).M_surf
     rng = np.random.default_rng(1)
-    e = rng.standard_normal(grid.n_free_edges)
+    h = rng.standard_normal(grid.n_dof_faces)
     g = rng.standard_normal(3 * chart.n_quad)
-    lhs = np.dot(g, M_surf @ (R_tan @ e))
-    rhs = np.dot(R_tan.T @ (M_surf @ g), e)
+    lhs = np.dot(g, M_surf @ (R_nu @ h))
+    rhs = np.dot(R_nu.T @ (M_surf @ g), h)
     assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
 
 

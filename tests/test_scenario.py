@@ -99,6 +99,26 @@ def test_validate_rejects_a_lift_the_grid_cannot_carry():
     assert validate_scenario(cfg)["passed"]
 
 
+def test_a_lift_charges_the_line_of_its_cable(scenario_config):
+    # cable 0 feeds line 1 and cable 1 line 0: the lift of cable 0 puts its
+    # charge on line component 1 and its D around cable 0 (x = 0.45, cable 1
+    # at x = 1.15); the charge used to land on component 0, cable 1's line
+    cables = scenario_config["geometry"]["cables"]
+    cables[0]["line"], cables[1]["line"] = 1, 0
+    scenario_config["geometry"]["collar_halfwidth"] = 0.5
+    scenario_config["fields"]["grid"] = [32, 20, 36]
+    scenario_config["sim"]["initial"] = {"kind": "lift", "line": 0}
+    scn = build_scenario(scenario_config)
+    x0 = scn.initial_state()
+    lay = scn.bundle.layout
+    q = x0[lay.sl_V].reshape(-1, scn.k)                # unit C: q = V0
+    assert np.abs(q[:, 1] - np.sin(np.pi * scn.line_grid.nodes)).max() <= 1e-12
+    assert not q[:, 0].any()
+    d = x0[lay.sl_E]
+    x = scn.grid.edge_midpoints(scn.grid.free_edges)[d != 0, 0]
+    assert x.size and x.max() < 0.8
+
+
 def test_table_input_outside_its_range_is_rejected():
     cfg = single_cable_config()
     cfg["sim"]["T"] = 0.3

@@ -374,7 +374,7 @@ def test_lifted_initial_state():
         R_nu=surface_trace(grid, [chart]),
     )
     V0 = np.sin(np.pi * lg.nodes)
-    x0 = lifted_state(bundle, grid, chart, lg, V0)
+    x0 = lifted_state(bundle, chart, V0)
     lay = bundle.layout
     assert np.abs(x0[lay.sl_V] - V0).max() <= 1e-12     # unit C
     assert np.abs(x0[lay.sl_E]).max() > 0
