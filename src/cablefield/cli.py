@@ -86,8 +86,8 @@ def _log_run(traj):
     log.info("%-13s %7.3f s  %s, %d reduced unknowns%s, step operators %.3f MB",
              "solver set-up", s["factor_s"], s["method"], s["reduced_unknowns"], solve,
              s["operator_bytes"] / 1e6)
-    iterations = (f", GMRES iterations mean {s['iterations_mean']:.1f} max "
-                  f"{s['iterations_max']}" if s["method"] == "gmres" else "")
+    iterations = (f", BiCGStab iterations mean {s['iterations_mean']:.1f} max "
+                  f"{s['iterations_max']}" if s["method"] == "bicgstab" else "")
     log.info("%-13s %7.3f s  %d steps, %.1f steps/s, worst step residual %.2e%s",
              "stepping", s["stepping_s"], s["solves"], s["steps_per_s"],
              s["max_rel_residual"], iterations)
@@ -172,6 +172,8 @@ def cmd_simulate(args) -> int:
 
 def cmd_converge(args) -> int:
     config = load_config(args.scenario)
+    if "sim" not in config or config["sim"] is None:
+        raise ConfigError("converge needs a sim section for the ledger study")
     levels = args.levels
     scn = build_scenario(config)
     _log_stages(scn.build)
@@ -260,8 +262,6 @@ def _ledger_convergence(scn, levels):
 
     from .sim import run
 
-    if scn.sim_config is None:
-        raise ConfigError("converge needs a sim section for the ledger study")
     loop = scn.closed_loop()
     x0 = scn.initial_state()
     errs = []

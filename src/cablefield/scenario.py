@@ -75,9 +75,9 @@ def parse_complex(value, shape, key: str, scalar: bool = False, real: bool = Fal
                   whole: bool = False) -> np.ndarray:
     """Numeric entry of the expected ``shape`` (real), or unless ``real`` of
     ``shape + (2,)`` ([re, im] pairs, complex); with ``scalar`` also a
-    number or one pair.  A None in ``shape`` takes any length.  ``whole``
-    entries must be whole numbers and come back as ints.  Anything else is
-    a ConfigError naming ``key``."""
+    number or one pair.  A None in ``shape`` takes any length.  Every entry
+    must be finite, and ``whole`` entries must be whole numbers and come
+    back as ints.  Anything else is a ConfigError naming ``key``."""
     number = shape == ()
     try:
         arr = np.asarray(value)
@@ -87,6 +87,9 @@ def parse_complex(value, shape, key: str, scalar: bool = False, real: bool = Fal
     if kind not in "iuf" and not (whole and kind == "b"):
         raise ConfigError(f"{key} must be {'a number' if number else 'numbers'}, got {value!r}")
     arr = arr.astype(float)
+    if not np.all(np.isfinite(arr)):
+        raise ConfigError(f"{key} must be {'a finite number' if number else 'finite numbers'}, "
+                          f"got {value!r}")
     shapes = [tuple(shape)] + ([()] if scalar else [])
 
     def fits(got):
@@ -94,7 +97,7 @@ def parse_complex(value, shape, key: str, scalar: bool = False, real: bool = Fal
                    for want in shapes)
 
     if fits(arr.shape):
-        if whole and (kind == "b" or not np.all(np.isfinite(arr) & (arr == np.round(arr)))):
+        if whole and (kind == "b" or not np.all(arr == np.round(arr))):
             raise ConfigError(f"{key} must be {'a whole number' if number else 'whole numbers'}, "
                               f"got {value!r}")
         return arr.astype(int) if whole else arr
@@ -154,8 +157,10 @@ def _build_cable(entry: dict, where: str):
 
 def _geometry_spec(geo: dict, k: int) -> GeometrySpec:
     """The geometry section; each cable carries its own one of the k lines."""
-    cables = [_build_cable(e, f"geometry.cables[{i}]")
-              for i, e in enumerate(geo.get("cables", []))]
+    entries = geo.get("cables", [])
+    if not (isinstance(entries, list) and all(isinstance(e, dict) for e in entries)):
+        raise ConfigError(f"geometry.cables must be a list of cable objects, got {entries!r}")
+    cables = [_build_cable(e, f"geometry.cables[{i}]") for i, e in enumerate(entries)]
     lines_used = sorted({c.line for c in cables})
     if any(l < 0 or l >= k for l in lines_used):
         raise ConfigError(f"cable line indices {lines_used} out of range for k={k}")
@@ -296,7 +301,8 @@ _CHECKS = (("geometry", "passed", GeometryError),
 
 def check_scenario(spec: ScenarioSpec) -> dict:
     """validate's report on a scenario read: each check of ``_CHECKS`` and
-    whether all passed.  A lift the grid cannot carry raises the
+    whether all passed.  Unequal grid spacings raise the GridError that
+    build_grid would raise, and a lift the grid cannot carry the
     CouplingError that the lift itself would raise."""
     probe = np.asarray(np.meshgrid(*[np.linspace(*b, 5) for b in
                                      spec.geometry.box])).reshape(3, -1).T
@@ -307,10 +313,10 @@ def check_scenario(spec: ScenarioSpec) -> dict:
         "boundary": certify.check_admissible(np.vstack([spec.W_B_inp, spec.W_B_0])),
     }
     report["passed"] = all(bool(report[name][verdict]) for name, verdict, _ in _CHECKS)
+    h = maxwell.grid_spacing(spec.geometry, spec.grid_shape)
     if spec.initial["kind"] == "lift":
         cable = spec.geometry.cables[spec.initial["line"]]
-        coupling.check_lift_resolution(spec.geometry.collar_halfwidth, cable.radius,
-                                       maxwell.grid_spacing(spec.geometry, spec.grid_shape))
+        coupling.check_lift_resolution(spec.geometry.collar_halfwidth, cable.radius, h)
     return report
 
 

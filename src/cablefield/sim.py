@@ -36,8 +36,8 @@ unknowns against DIRECT_MAX_UNKNOWNS = 1500:
     SPARSE_INVERSE_MAX_FILL = 0.2 of n^2 they are stored as CSR (int32
     indices) and the dense inverse is freed; otherwise the dense inverse
     is kept untouched.
-  * Above it, neither an inverse nor S is built.  S is solved by restarted
-    GMRES (Saad-Schultz) through the block product
+  * Above it, neither an inverse nor S is built.  S is solved by BiCGStab
+    (van der Vorst) through the block product
     S x = x - t_r - (h A_rf) t_f, t = h [A_rr; A_fr] x, in complex
     arithmetic when A or the right-hand side is complex.  It is
     right-preconditioned by M = blockdiag(S_LL, diag(S_EE)): the line
@@ -52,23 +52,24 @@ unknowns against DIRECT_MAX_UNKNOWNS = 1500:
     M^-1 v is one nl x nl product and one diagonal scaling.  Each solve
     starts from the previous solve's x_r (the first from zero) and from the
     product S x_r that its last true-residual check formed, so a solve
-    takes one S product per iteration and one for that check; the product
+    takes two S products per iteration and one for that check; the product
     is formed anew only when the solve's dtype changes or the right-hand
     side is zero.  Its face part is t_f = h A_fr x_r for the face rows.
-    The memory stays linear in the unknowns: the nl x nl inverse and at
-    most GMRES_RESTART + 1 basis vectors.  The first solve allocates all of
-    them; a later one allocates one more than the previous solve's
-    iterations and grows to all of them only if it needs more: the rows
-    a solve touches are the same either way, but the smaller allocation
-    lowers the process peak.
+    The memory stays linear in the unknowns: the nl x nl inverse and five
+    work vectors of the reduced size, allocated once per solve and
+    updated in place.
 
-The GMRES tolerance.  GMRES stops at ||P rhs - S x_r|| <= GMRES_TOL_FACTOR
-solver_tol ||P rhs|| (1e-13 at the default 1e-10).  The face rows are
-solved exactly, so this is also the residual of the full step system; the
-margin of 1e-3 keeps the energy drift and the reversibility error of 1000
-lossless steps within the 1e-10 and 1e-8 of acceptance criterion 4.  A
-solve that does not meet it within GMRES_MAX_ITERATIONS raises SolverError
-with the count and the residual reached.
+The Krylov tolerance.  BiCGStab stops at the true residual
+||P rhs - S x_r|| <= KRYLOV_TOL_FACTOR solver_tol ||P rhs|| (1e-13 at the
+default 1e-10).  The face rows are solved exactly, so this is also the
+residual of the full step system; the margin of 1e-3 keeps the energy
+drift and the reversibility error of 1000 lossless steps within the 1e-10
+and 1e-8 of acceptance criterion 4.  A breakdown (<r^, r> = 0,
+<r^, v> = 0 or omega = 0) restarts it from the current x_r with the
+shadow residual r^ = r.  Every iteration, restarts included, counts
+toward KRYLOV_MAX_ITERATIONS, and a solve that does not meet the
+tolerance within them raises SolverError with the count and the residual
+reached.
 
 Input data is real unless it is complex: InputSignal keeps amplitudes and
 tables whose imaginary parts are all zero as float64, so a real law with
@@ -121,8 +122,8 @@ power less the supply Re(u^H y), so the ledger needs neither the law nor
 a co-located completion, and it closes for every law.
 
 No SciPy solver module is loaded by any run: the direct branch inverts
-with np.linalg.inv, GMRES solves its small Hessenberg system with
-np.linalg.solve, and lifted_state solves the line's node blocks of
+with np.linalg.inv, BiCGStab needs only products and inner products,
+and lifted_state solves the line's node blocks of
 C^-1 q = V with one batched np.linalg.solve.
 
 The measurements behind these rules (the size rule's crossover, the fill
@@ -149,7 +150,7 @@ RECORD_BLOCK_BYTES = 256 * 2 ** 10
 RECORD_BLOCK_MAX_COLUMNS = 256
 
 # Size rule of the step solve: S is inverted densely up to this many
-# reduced unknowns and solved by GMRES, preconditioned by the exact line
+# reduced unknowns and solved by BiCGStab, preconditioned by the exact line
 # block and the field diagonal, above it.
 DIRECT_MAX_UNKNOWNS = 1500
 # The inverse is stored as CSR of its above-roundoff entries when they are
@@ -157,11 +158,10 @@ DIRECT_MAX_UNKNOWNS = 1500
 SPARSE_INVERSE_MAX_FILL = 0.2
 # rows of S^-1 scaled at a time while its above-roundoff entries are found
 _MASK_ROWS = 64
-# GMRES stops at ||b - S x|| <= GMRES_TOL_FACTOR solver_tol ||b||, restarts
-# every GMRES_RESTART iterations and gives up after GMRES_MAX_ITERATIONS.
-GMRES_TOL_FACTOR = 1e-3
-GMRES_RESTART = 30
-GMRES_MAX_ITERATIONS = 500
+# BiCGStab stops at ||b - S x|| <= KRYLOV_TOL_FACTOR solver_tol ||b|| and
+# gives up after KRYLOV_MAX_ITERATIONS iterations.
+KRYLOV_TOL_FACTOR = 1e-3
+KRYLOV_MAX_ITERATIONS = 500
 
 # ---------------------------------------------------------------------------
 # input signals
@@ -239,14 +239,10 @@ class SimConfig:
     record_stride: int = 1
 
     def __post_init__(self):
-        for key in ("dt", "T", "solver_tol"):
-            value = getattr(self, key)
-            if not np.isfinite(value):
-                raise ConfigError(f"sim.{key} must be a finite number, got {value!r}")
         if not self.solver_tol > 0:
             raise ConfigError(f"sim.solver_tol must be > 0, got {self.solver_tol!r}")
-        if self.dt <= 0 or self.T < self.dt:
-            raise ConfigError("need dt > 0 and T >= dt")
+        if not 0 < self.dt <= self.T < np.inf:         # NaN included
+            raise ConfigError("need dt > 0 and T >= dt, both finite")
         steps = self.T / self.dt
         if abs(steps - round(steps)) > 1e-9 * steps:
             raise ConfigError(f"T = {self.T:g} is not a whole number of steps dt = {self.dt:g} "
@@ -397,23 +393,23 @@ class MidpointStepper:
     Stores the generator's blocks with h = dt/2 folded in, the stacked
     h [A_rr; A_fr] and h A_rf, and by the rules of the module docstring
     either inverts S once (keeping the above-roundoff entries, as CSR when
-    few remain) or solves it by GMRES through the block product, with the
-    exact line block and the field diagonal as its preconditioner.
+    few remain) or solves it by BiCGStab through the block product, with
+    the exact line block and the field diagonal as its preconditioner.
     ``advance`` runs a block of steps: the input columns dt/2 Bu enter as
     one block product, each step (``step``) forms P rhs, solves and writes
     the face rows, and every step's residual is then checked against
     I - h A, read from the loop's A, in one sparse product over the block.
-    ``stats`` reports the size, the method ("direct" or "gmres"), the
+    ``stats`` reports the size, the method ("direct" or "bicgstab"), the
     set-up time (``factor_s``), the stored bytes of the step operators
     (``operator_bytes``: the blocks, the input columns, and the
     preconditioner's field diagonal and line-block inverse or the inverse
     of S), the stored bytes of the inverse (direct, ``inverse_bytes``: CSR
     data, indices and indptr, or the dense array) and the fraction of its
     entries above roundoff (``inverse_fill``), or the line block's size
-    (``line_block_unknowns``) and the maximum and mean GMRES iterations per
-    solve, the number of step solves and the worst relative step residual
-    so far.  A singular S, or a singular line block on the GMRES branch,
-    raises SolverError.
+    (``line_block_unknowns``) and the maximum and mean BiCGStab iterations
+    per solve (two S products each), the number of step solves and the
+    worst relative step residual so far.  A singular S, or a singular line
+    block on the BiCGStab branch, raises SolverError.
     """
 
     def __init__(self, loop: ClosedLoop, dt: float, solver_tol: float = 1e-10):
@@ -445,7 +441,7 @@ class MidpointStepper:
         self._BuT = Bu[self._bu_rows].toarray().T       # the rows dt/2 Bu acts on
         self.solves = 0
         self.max_rel_residual = 0.0
-        self.iterations = []        # GMRES iterations of each solve
+        self.iterations = []        # BiCGStab iterations of each solve
         self._Sinv = None
         Arr = _csr_rows(stacked, 0, nr)
         if nr > DIRECT_MAX_UNKNOWNS:
@@ -464,12 +460,11 @@ class MidpointStepper:
                 self._line_inv = np.linalg.inv(S_LL)
             except np.linalg.LinAlgError as exc:
                 raise SolverError(f"step matrix line block inversion failed: {exc}") from exc
-            self._gmres_tol = GMRES_TOL_FACTOR * solver_tol
+            self._krylov_tol = KRYLOV_TOL_FACTOR * solver_tol
             # the warm start: x_r and its product (S x_r, h A_fr x_r), of x_r = 0
             zero = np.zeros(nr, dtype=stacked.dtype)
             self._warm = (zero, zero, np.zeros(b - a, dtype=stacked.dtype))
-            self._basis_rows = GMRES_RESTART + 1
-            self._stats = {"reduced_unknowns": int(nr), "method": "gmres",
+            self._stats = {"reduced_unknowns": int(nr), "method": "bicgstab",
                            "line_block_unknowns": int(nl)}
             solve_bytes = self._dinv.nbytes + self._line_inv.nbytes
         else:
@@ -515,7 +510,7 @@ class MidpointStepper:
         """(x_r, h A_fr x_r) with S x_r = b."""
         Sinv = self._Sinv
         if Sinv is None:
-            self._warm = self._gmres(b, *self._warm)
+            self._warm = self._bicgstab(b, *self._warm)
             x_r, _, t_f = self._warm
             return x_r, t_f
         if np.iscomplexobj(b) and Sinv.dtype.kind != "c":
@@ -524,32 +519,31 @@ class MidpointStepper:
             x_r = Sinv @ b
         return x_r, self._Afr @ x_r
 
-    def _precondition(self, v: np.ndarray) -> np.ndarray:
-        """M^-1 v, M = blockdiag(S_LL, diag(S_EE)): the line block's inverse
-        on the first nl entries, 1/diag(S) on the rest."""
+    def _precondition(self, v: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """M^-1 v written into ``out``, M = blockdiag(S_LL, diag(S_EE)): the
+        line block's inverse on the first nl entries, 1/diag(S) on the rest."""
         nl = self._line_inv.shape[0]
-        z = np.empty_like(v)
-        np.matmul(self._line_inv, v[:nl], out=z[:nl])
-        np.multiply(self._dinv, v[nl:], out=z[nl:])
-        return z
+        np.matmul(self._line_inv, v[:nl], out=out[:nl])
+        np.multiply(self._dinv, v[nl:], out=out[nl:])
+        return out
 
-    def _gmres(self, b: np.ndarray, x: np.ndarray, Sx: np.ndarray, t_f: np.ndarray) -> tuple:
-        """Solve S x = b by restarted GMRES(GMRES_RESTART), right-preconditioned
-        by M = blockdiag(S_LL, diag(S_EE)), to ||b - S x|| <= tol ||b||, from
-        the start x and its product (Sx, t_f) = (S x, h A_fr x); returns the
-        solution and its product, formed by the last true-residual check.
+    def _bicgstab(self, b: np.ndarray, x: np.ndarray, Sx: np.ndarray, t_f: np.ndarray) -> tuple:
+        """Solve S x = b by BiCGStab, right-preconditioned by
+        M = blockdiag(S_LL, diag(S_EE)), to the true residual
+        ||b - S x|| <= tol ||b||, from the start x and its product
+        (Sx, t_f) = (S x, h A_fr x); returns the solution and its product,
+        formed by the last true-residual check.
 
         The start's product is formed anew when the solve's dtype is not
         that of Sx (a real solve after a complex one starts from the real
-        part) or when b = 0 (the start is then zero).  Classical Gram-Schmidt
-        with one reorthogonalization builds the Arnoldi basis; Givens
-        rotations keep the Hessenberg least-squares residual, which ends each
-        cycle, and the true residual decides the restart.  The basis has room
-        for one iteration more than the previous solve took (all
-        GMRES_RESTART + 1 vectors on the first solve) and grows to
-        GMRES_RESTART + 1 when a cycle needs more.  Appends the iteration
-        count to ``iterations``; raises SolverError after
-        GMRES_MAX_ITERATIONS.
+        part) or when b = 0 (the start is then zero).  The work vectors r,
+        the shadow residual r^, p, v and a scratch row are one block
+        allocated per solve and updated in place.  A pass ends when the
+        recursive residual meets the tolerance or on a breakdown
+        (<r^, r> = 0, <r^, v> = 0 or omega = 0); the true residual then
+        decides whether a new pass starts from x with r^ = r.  Appends the
+        iteration count, restarts included, to ``iterations``; raises
+        SolverError after KRYLOV_MAX_ITERATIONS.
         """
         S, precondition = self._apply_S, self._precondition
         dtype = np.result_type(self._stacked.dtype, b.dtype)
@@ -559,59 +553,53 @@ class MidpointStepper:
             x[:] = 0
         if bnorm == 0 or Sx.dtype != dtype:
             Sx, t_f = S(x)
-        target = self._gmres_tol * bnorm
-        r = b - Sx
-        beta = np.linalg.norm(r)
-        m = GMRES_RESTART
-        V = np.empty((self._basis_rows, b.size), dtype=dtype)
-        H = np.zeros((m + 1, m), dtype=dtype)
-        cs, sn = np.zeros(m), np.zeros(m, dtype=dtype)
+        target = self._krylov_tol * bnorm
+        r, shadow, p, v, z = np.empty((5, b.size), dtype=dtype)
+        np.subtract(b, Sx, out=r)
+        rnorm = np.linalg.norm(r)
         its = 0
-        while beta > target:
-            if its >= GMRES_MAX_ITERATIONS:
-                raise SolverError(f"GMRES did not converge in {its} iterations: "
-                                  f"relative residual {beta / bnorm:.3e}")
-            V[0] = r / beta
-            g = np.zeros(m + 1, dtype=dtype)
-            g[0] = beta
-            for j in range(m):
-                w = S(precondition(V[j]))[0]
-                Vj = V[:j + 1]
-                h = (Vj @ w.conj()).conj()
-                w -= h @ Vj
-                h2 = (Vj @ w.conj()).conj()
-                w -= h2 @ Vj
-                H[:j + 1, j] = h + h2
-                H[j + 1, j] = hn = np.linalg.norm(w)
-                for i in range(j):
-                    hi, hi1 = H[i, j], H[i + 1, j]
-                    H[i, j] = cs[i] * hi + sn[i] * hi1
-                    H[i + 1, j] = -np.conj(sn[i]) * hi + cs[i] * hi1
-                a = H[j, j]
-                rho = np.hypot(abs(a), hn)
-                cs[j] = abs(a) / rho
-                sn[j] = (a / abs(a) if a != 0 else 1.0) * hn / rho
-                H[j, j] = cs[j] * a + sn[j] * hn
-                H[j + 1, j] = 0.0
-                g[j + 1] = -np.conj(sn[j]) * g[j]
-                g[j] = cs[j] * g[j]
+        while not rnorm <= target:          # NaN included
+            if its >= KRYLOV_MAX_ITERATIONS:
+                raise SolverError(f"BiCGStab did not converge in {its} iterations: "
+                                  f"relative residual {rnorm / bnorm:.3e}")
+            shadow[:] = r
+            p[:] = r
+            rho = np.vdot(shadow, r)
+            while its < KRYLOV_MAX_ITERATIONS:
                 its += 1
-                if abs(g[j + 1]) <= target or hn == 0.0 or its >= GMRES_MAX_ITERATIONS:
+                v[:] = S(precondition(p, z))[0]
+                sigma = np.vdot(shadow, v)
+                if sigma == 0:
                     break
-                if j + 1 == V.shape[0]:
-                    full = np.empty((m + 1, b.size), dtype=dtype)
-                    full[:j + 1] = V
-                    V = full
-                V[j + 1] = w / hn
-            k = j + 1
-            y = np.linalg.solve(H[:k, :k], g[:k])
-            x += precondition(y @ V[:k])
+                alpha = rho / sigma
+                z *= alpha
+                x += z
+                np.multiply(v, alpha, out=z)
+                r -= z
+                if np.linalg.norm(r) <= target:
+                    break
+                t = S(precondition(r, z))[0]
+                tt = np.vdot(t, t).real
+                omega = np.vdot(t, r) / tt if tt else 0.0
+                if omega == 0:
+                    break
+                z *= omega
+                x += z
+                t *= omega
+                r -= t
+                rho_next = np.vdot(shadow, r)
+                if rho_next == 0 or np.linalg.norm(r) <= target:
+                    break
+                # p = r + beta (p - omega v)
+                v *= omega
+                p -= v
+                p *= rho_next / rho * alpha / omega
+                p += r
+                rho = rho_next
             Sx, t_f = S(x)
-            r = b - Sx
-            beta = np.linalg.norm(r)
+            np.subtract(b, Sx, out=r)
+            rnorm = np.linalg.norm(r)
         self.iterations.append(its)
-        # a cycle of k iterations writes k rows: room for one more next time
-        self._basis_rows = min(m + 1, its + 1)
         return x, Sx, t_f
 
     def advance(self, x: np.ndarray, U: np.ndarray, first_step: int = 0) -> tuple:

@@ -165,6 +165,7 @@ SIGMA_NEGATIVE = np.hstack([np.eye(4), -np.eye(4)]).tolist()
     ("line.C", 0.0),
     ("boundary.W_B_inp", SIGMA_NEGATIVE),
     ("sim.initial", {"kind": "lift"}),               # collar 0.06 m, h = 0.1
+    ("fields.grid", [2, 2, 2]),                      # spacings 0.8, 0.5, 0.9
 ])
 def test_every_command_refuses_what_validate_refuses(tmp_path, scenario_config, capsys,
                                                      monkeypatch, key, value):
@@ -184,7 +185,8 @@ def test_every_command_refuses_what_validate_refuses(tmp_path, scenario_config, 
     for command in ("certify", "simulate", "converge"):
         assert main([command, path, "--output-dir", str(tmp_path / "out")]) == EXIT_FAIL
         err = capsys.readouterr().err
-        assert "not admissible" in err or "thinner than two grid cells" in err, command
+        assert ("not admissible" in err or "thinner than two grid cells" in err
+                or "unequal spacings" in err), command
 
 
 def test_certify_builds_the_completion_once(scenario_path, monkeypatch, capsys):
@@ -258,13 +260,17 @@ def test_output_count_must_match_input_count(tmp_path, capsys):
     ("record_stride", True, "sim.record_stride must be a whole number"),
     ("dt", float("nan"), "sim.dt must be a finite number"),
     ("T", float("nan"), "sim.T must be a finite number"),
+    ("input.freq", float("nan"), "sim.input.freq must be a finite number"),
+    ("initial.scale", float("inf"), "sim.initial.scale must be a finite number"),
 ])
 def test_sim_numbers_are_checked_by_key(tmp_path, capsys, key, value, message):
     # a tolerance <= 0 used to fail every step's residual check after the
     # whole build, a stride of 2.5 or true was truncated to 2 or read as 1,
-    # and a NaN dt or T (json reads the NaN literal) escaped as ValueError
+    # a NaN dt or T (json reads the NaN literal) escaped as ValueError, and
+    # a NaN frequency or an infinite initial scale passed validate to end
+    # simulate in a DomainError or a NaN residual
     config = single_cable_config(0.01, 0.05)
-    config["sim"][key] = value
+    put(config, f"sim.{key}", value)
     path = write(tmp_path, config)
     assert main(["validate", path]) == EXIT_USAGE
     err = capsys.readouterr().err
@@ -292,6 +298,17 @@ def test_a_non_number_exits_2_naming_its_key(tmp_path, capsys, command, key, val
     put(config, key, value)
     assert main([command, write(tmp_path, config)]) == EXIT_USAGE
     assert f"{key} must be a number, got {value!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["validate", "simulate"])
+@pytest.mark.parametrize("value", ["x", ["x"], {"type": "segment"}])
+def test_cables_that_are_not_a_list_of_objects_exit_2(tmp_path, capsys, command, value):
+    # a string used to escape as a raw AttributeError from the cable reader
+    config = single_cable_config(0.01, 0.05)
+    config["geometry"]["cables"] = value
+    path = write(tmp_path, config)
+    assert main([command, path, "--output-dir", str(tmp_path / "out")]) == EXIT_USAGE
+    assert "geometry.cables must be a list of cable objects" in capsys.readouterr().err
 
 
 TABLE = {"kind": "table", "table_t": ["x"], "table_u": [[0.0, 0.0]]}
@@ -448,7 +465,7 @@ def test_simulate_writes_csv_and_summary(scenario_path, tmp_path, capsys):
     assert solver["stepping_s"] > 0 and solver["steps_per_s"] > 0
     assert solver["steps_per_s"] * solver["stepping_s"] == pytest.approx(30)
     assert solver["reduced_unknowns"] == 13852 - 7456    # all unknowns but the faces
-    assert solver["method"] == "gmres"                   # above the size rule
+    assert solver["method"] == "bicgstab"                # above the size rule
     assert solver["line_block_unknowns"] == 2 * (12 + 13)     # cells and nodes of 2 lines
     assert 0 < solver["iterations_mean"] <= solver["iterations_max"] <= 30
     assert 0.0 < solver["max_rel_residual"] <= 1e-10
@@ -478,10 +495,12 @@ def test_simulate_verbose_logs_the_run(scenario_path, tmp_path, capsys):
     solver = summary["solver"]
     err = captured.err
     assert f"peak RSS {summary['build']['peak_rss_mb']['closed_loop']:.1f} MB" in err
-    assert (f"{solver['factor_s']:.3f} s  gmres, {solver['reduced_unknowns']} reduced "
+    assert (f"{solver['factor_s']:.3f} s  bicgstab, {solver['reduced_unknowns']} reduced "
             f"unknowns, line block {solver['line_block_unknowns']} unknowns, step operators "
             f"{solver['operator_bytes'] / 1e6:.3f} MB") in err
     assert f"{solver['stepping_s']:.3f} s  30 steps" in err
+    assert (f"BiCGStab iterations mean {solver['iterations_mean']:.1f} max "
+            f"{solver['iterations_max']}") in err
     assert f"max residual {summary['max_ledger_residual']:.3e}" in err
     assert f"energy drift {summary['energy_drift']:.3e}" in err
 
@@ -577,6 +596,24 @@ def test_converge_without_cables_exits_2(tmp_path, capsys):
     assert "the scenario has no cables" in capsys.readouterr().err
 
 
+def test_converge_without_a_sim_section_exits_2_before_the_build(tmp_path, monkeypatch,
+                                                                 capsys):
+    # it used to build the scenario and compute the coupling, trace and
+    # quadrature rows before the ledger row refused the missing section
+    import cablefield.cli as cli
+
+    def refuse(*args):
+        raise AssertionError("converge worked on a scenario without a sim section")
+
+    config = single_cable_config(0.01, 0.05)
+    del config["sim"]
+    path = write(tmp_path, config)
+    monkeypatch.setattr(cli, "build_scenario", refuse)
+    monkeypatch.setattr(cli, "_coupling_convergence", refuse)
+    assert main(["converge", path]) == EXIT_USAGE
+    assert "converge needs a sim section" in capsys.readouterr().err
+
+
 def test_scenario_referential_consistency(tmp_path, scenario_config):
     scenario_config["geometry"]["cables"][1]["line"] = 0   # duplicate line
     with pytest.raises(Exception):
@@ -604,7 +641,7 @@ def loaded():
 pair, single, out = sys.argv[1:4]
 seen = {"import": loaded()}
 for name, args in (("certify", ["certify", pair]),
-                   ("gmres", ["simulate", pair, "--output-dir", out]),
+                   ("bicgstab", ["simulate", pair, "--output-dir", out]),
                    ("direct", ["simulate", single, "--output-dir", out])):
     assert main(args) == 0, name
     seen[name] = loaded()
@@ -616,12 +653,12 @@ def test_cli_import_leaves_the_spline_module_unloaded(tmp_path, scenario_config)
     # each command imports only what it runs: scipy.interpolate (and
     # scipy.optimize behind it) only for a spline cable, and no command
     # scipy.spatial, scipy.linalg, scipy.sparse.linalg or scipy.special;
-    # both step solves, the dense inverse and GMRES, run on numpy alone
+    # both step solves, the dense inverse and BiCGStab, run on numpy alone
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(pathlib.Path(__file__).resolve().parents[1] / "src"),
                     env.get("PYTHONPATH")) if p)
-    scenario_config["sim"]["T"] = 0.02                       # GMRES path, 2 steps
+    scenario_config["sim"]["T"] = 0.02                       # BiCGStab path, 2 steps
     single = copy.deepcopy(scenario_config)
     single["geometry"].update(box=[[0.0, 0.6], [0.0, 0.6], [0.0, 1.0]], cables=[
         {"type": "segment", "p0": [0.3, 0.3, 0.15], "direction": [0, 0, 1],
@@ -636,4 +673,4 @@ def test_cli_import_leaves_the_spline_module_unloaded(tmp_path, scenario_config)
                           env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]
     seen = json.loads(proc.stderr.strip().splitlines()[-1])
-    assert seen["import"] == seen["certify"] == seen["gmres"] == seen["direct"] == []
+    assert seen["import"] == seen["certify"] == seen["bicgstab"] == seen["direct"] == []

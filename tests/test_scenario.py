@@ -141,12 +141,12 @@ def test_real_data_stay_real(scenario_config):
 
 def test_krylov_steps_match_a_full_system_lu_on_the_pair(scenario_config, monkeypatch):
     # the pair (6,396 reduced unknowns) is above the size rule and steps by
-    # GMRES; the reference run factorizes the whole step system instead
+    # BiCGStab; the reference run factorizes the whole step system instead
     scn = build_scenario(scenario_config)
     krylov = scn.simulate()
     monkeypatch.setattr(sim, "MidpointStepper", FullLUStepper)
     full = scn.simulate()
-    assert (krylov.solver["method"], full.solver["method"]) == ("gmres", "full_lu")
+    assert (krylov.solver["method"], full.solver["method"]) == ("bicgstab", "full_lu")
     assert krylov.solver["max_rel_residual"] <= 1e-3 * scn.sim_config.solver_tol
     diff = np.linalg.norm(krylov.x_final - full.x_final)
     assert diff <= 1e-10 * np.linalg.norm(full.x_final)
@@ -176,7 +176,7 @@ def test_single_cable_benchmark_system_stays_direct():
     assert "iterations_max" not in solver
 
 
-@pytest.mark.parametrize("limit, method", [(412, "direct"), (411, "gmres")])
+@pytest.mark.parametrize("limit, method", [(412, "direct"), (411, "bicgstab")])
 def test_size_rule_boundary(monkeypatch, limit, method):
     # the rule is inclusive: a system of exactly DIRECT_MAX_UNKNOWNS is direct
     monkeypatch.setattr(sim, "DIRECT_MAX_UNKNOWNS", limit)

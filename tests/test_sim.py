@@ -469,7 +469,7 @@ def test_stepper_rejects_face_face_block(criterion3_bundles):
 def test_singular_step_matrix_is_a_solver_error(criterion3_bundles, monkeypatch):
     # A's first row 2/dt e_0 makes row 0 of L = I - dt/2 A, and so of S,
     # exactly zero: the dense inversion fails and is reported typed.  Row 0
-    # is a line cell, so on the GMRES branch the line block S_LL is singular
+    # is a line cell, so on the BiCGStab branch the line block S_LL is singular
     # and its inversion fails the same way
     bundle = criterion3_bundles["lossy"]
     loop = build_closed_loop(bundle, strict_law(bundle.k))
@@ -485,7 +485,7 @@ def test_singular_step_matrix_is_a_solver_error(criterion3_bundles, monkeypatch)
 
 
 # ---------------------------------------------------------------------------
-# the GMRES path (exact line block, field diagonal), forced by setting the
+# the BiCGStab path (exact line block, field diagonal), forced by setting the
 # size rule to 0
 # ---------------------------------------------------------------------------
 
@@ -498,12 +498,12 @@ def krylov(monkeypatch):
                                   "complex_law"])
 def test_krylov_step_matches_full_complex_solve(criterion3_bundles, krylov, case):
     stats = check_step_against_full_solve(criterion3_bundles["lossy"], case)
-    assert stats["method"] == "gmres" and "inverse_bytes" not in stats
+    assert stats["method"] == "bicgstab" and "inverse_bytes" not in stats
     assert stats["solves"] == 1 and stats["iterations_max"] == stats["iterations_mean"] > 0
 
 
 def test_krylov_path_keeps_criterion_4(criterion3_bundles, krylov):
-    # acceptance criterion 4 with its bundles, laws and bounds on the GMRES solve
+    # acceptance criterion 4 with its bundles, laws and bounds on the BiCGStab solve
     lossless = criterion3_bundles["lossless"]
     k = lossless.k
     skew = skew_law(k)
@@ -511,7 +511,7 @@ def test_krylov_path_keeps_criterion_4(criterion3_bundles, krylov):
     x0 = random_state(lossless, seed=4)
     cfg = SimConfig(dt=5e-3, T=5.0, input=InputSignal(m=skew.m))
     traj = run(loop, cfg, x0=x0)
-    assert traj.solver["method"] == "gmres"
+    assert traj.solver["method"] == "bicgstab"
     drift = np.abs(traj.energy - traj.energy[0]).max() / traj.energy[0]
     back = reverse_run(loop, traj.x_final, cfg.dt, 1000)
     rev_err = np.linalg.norm(back - x0) / np.linalg.norm(x0)
@@ -548,7 +548,7 @@ def pair_loop():
 @pytest.mark.parametrize("case", ["pair", "complex_law"])
 def test_block_product_is_the_assembled_step_matrix(criterion3_bundles, pair_loop, krylov,
                                                     case):
-    # the GMRES step holds only h [A_rr; A_fr] and h A_rf: its product, its
+    # the BiCGStab step holds only h [A_rr; A_fr] and h A_rf: its product, its
     # field diagonal and its line block's inverse are those of S assembled
     # here, to roundoff
     if case == "pair":
@@ -587,63 +587,52 @@ def test_the_step_stores_no_more_than_the_generator(pair_loop, krylov):
     A = pair_loop.A
     a_bytes = A.data.nbytes + A.indices.nbytes + A.indptr.nbytes
     n_r, nl = stats["reduced_unknowns"], stats["line_block_unknowns"]
-    assert stats["method"] == "gmres"
+    assert stats["method"] == "bicgstab"
     assert a_bytes < stats["operator_bytes"] <= a_bytes + 24 * n_r + 8 * nl ** 2
 
 
 def test_line_block_cuts_the_pair_iterations(pair_loop):
-    # the scenario's run at dt = 1e-2: with the exact line block GMRES takes
-    # 6 iterations a step, where 1/diag(S) alone as the preconditioner
-    # takes 9.27
+    # the scenario's run at dt = 1e-2: with the exact line block a step
+    # takes 3 iterations of two S products each
     cfg = SimConfig(dt=1e-2, T=0.3, input=InputSignal(m=4, kind="sine",
                                                       amplitude=[0.3, 0.0, 0.1, 0.0]))
     traj = run(pair_loop, cfg, x0=smooth_state(pair_loop.bundle, scale=0.5))
-    assert traj.solver["method"] == "gmres"
+    assert traj.solver["method"] == "bicgstab"
     assert traj.solver["iterations_mean"] <= 6
 
 
 def test_krylov_solve_reuses_the_last_product(criterion3_bundles, krylov, monkeypatch):
     # a solve starts from the product S x_r of the previous solve's last
-    # true-residual check: one S product per iteration and one more, and
-    # the kept product is bit for bit S x_r
+    # true-residual check: each S product but that check's follows an
+    # M^-1 product, so at most two per iteration and one more, and the kept
+    # product is bit for bit S x_r
     bundle = criterion3_bundles["lossy"]
     law = strict_law(bundle.k)
     stepper = MidpointStepper(build_closed_loop(bundle, law), 1e-2)
-    calls = []
-    apply_S = stepper._apply_S
+    calls, preconditioned = [], []
+    apply_S, precondition = stepper._apply_S, stepper._precondition
 
     def counted(x):
         calls.append(1)
         return apply_S(x)
 
+    def counted_precondition(v, out):
+        preconditioned.append(1)
+        return precondition(v, out)
+
     monkeypatch.setattr(stepper, "_apply_S", counted)
+    monkeypatch.setattr(stepper, "_precondition", counted_precondition)
     u = np.sin(np.arange(4)[:, None] + np.arange(law.m))
     stepper.advance(random_state(bundle, seed=2), u)
     assert stepper.solves == 4 and min(stepper.iterations) > 0
-    assert len(calls) == sum(stepper.iterations) + 4
+    assert len(calls) == len(preconditioned) + 4 <= 2 * sum(stepper.iterations) + 4
     x_r, Sx, t_f = stepper._warm
     ref, ref_f = apply_S(x_r)
     assert np.array_equal(Sx, ref) and np.array_equal(t_f, ref_f)
     # a complex solve after real ones forms its start's product anew
-    del calls[:]
+    del calls[:], preconditioned[:]
     stepper.advance(random_state(bundle, seed=3), 1j * u[:1])
-    assert len(calls) == stepper.iterations[-1] + 2
-
-
-def test_krylov_basis_grows_when_a_solve_needs_more(criterion3_bundles, krylov):
-    # a solve allocates the basis for one iteration more than the last one
-    # took; a basis too small for the solve grows and changes nothing
-    bundle = criterion3_bundles["lossy"]
-    law = strict_law(bundle.k)
-    loop = build_closed_loop(bundle, law)
-    x, u = random_state(bundle, seed=2), np.zeros(law.m)
-    full, small = MidpointStepper(loop, 1e-2), MidpointStepper(loop, 1e-2)
-    small._basis_rows = 1
-    x_full, _ = midpoint_step(full, x, u)
-    x_small, _ = midpoint_step(small, x, u)
-    assert small.iterations == full.iterations and full.iterations[0] > 1
-    assert np.array_equal(x_small, x_full)
-    assert small._basis_rows == full._basis_rows == full.iterations[0] + 1
+    assert len(calls) == len(preconditioned) + 2 <= 2 * stepper.iterations[-1] + 2
 
 
 def test_the_closed_loop_keeps_no_J():
@@ -660,14 +649,46 @@ def test_the_closed_loop_keeps_no_J():
         assert np.array_equal(getattr(loop.A, name), getattr(ref, name))
 
 
-def test_gmres_iteration_cap_is_a_solver_error(criterion3_bundles, krylov, monkeypatch):
-    monkeypatch.setattr(sim, "GMRES_MAX_ITERATIONS", 3)
+def test_krylov_iteration_cap_is_a_solver_error(criterion3_bundles, krylov, monkeypatch):
+    monkeypatch.setattr(sim, "KRYLOV_MAX_ITERATIONS", 3)
     bundle = criterion3_bundles["lossy"]
     law = strict_law(bundle.k)
     stepper = MidpointStepper(build_closed_loop(bundle, law), 1e-2)
-    with pytest.raises(SolverError, match=r"GMRES did not converge in 3 iterations: "
+    with pytest.raises(SolverError, match=r"BiCGStab did not converge in 3 iterations: "
                                           r"relative residual \d"):
         midpoint_step(stepper, random_state(bundle, seed=2), np.zeros(law.m))
+
+
+def test_krylov_breakdown_restarts_until_the_cap(criterion3_bundles, krylov, monkeypatch):
+    # S rotates each pair of unknowns by 90 degrees and M = I, so with the
+    # shadow r^ = r every pass breaks down at once on <r^, S M^-1 r> = 0:
+    # each restart counts, and the solve ends in a SolverError at the cap,
+    # neither in a hang nor in a NaN
+    bundle = criterion3_bundles["lossy"]
+    stepper = MidpointStepper(build_closed_loop(bundle, strict_law(bundle.k)), 1e-2)
+    n_r, n_f = stepper.stats()["reduced_unknowns"], bundle.layout.n_faces
+    pairs = n_r - n_r % 2
+    passes = []
+
+    def rotate(x):
+        Sx = x.copy()
+        Sx[0:pairs:2], Sx[1:pairs:2] = -x[1:pairs:2], x[0:pairs:2]
+        return Sx, np.zeros(n_f, dtype=x.dtype)
+
+    def identity(v, out):
+        passes.append(1)
+        out[:] = v
+        return out
+
+    monkeypatch.setattr(stepper, "_apply_S", rotate)
+    monkeypatch.setattr(stepper, "_precondition", identity)
+    b = np.zeros(n_r)
+    b[0] = 1.0
+    with pytest.raises(SolverError, match=r"BiCGStab did not converge in "
+                                          rf"{sim.KRYLOV_MAX_ITERATIONS} iterations: "
+                                          r"relative residual 1\.000e\+00"):
+        stepper._bicgstab(b, *stepper._warm)
+    assert len(passes) == sim.KRYLOV_MAX_ITERATIONS
 
 
 # ---------------------------------------------------------------------------
