@@ -11,8 +11,9 @@ command.
 
 With -v (--verbose) a command logs to stderr one line per build stage (its
 seconds and the peak RSS after it, both from Scenario.build) and, for
-simulate, one line each for the closed loop, the step solver's set-up,
-the stepping and the energy ledger.  Without it the output is the same.
+simulate, one line each for the closed loop, the step solver's set-up
+(with the BLAS thread count of the stepping), the stepping and the energy
+ledger.  Without it the output is the same.
 
 converge builds the scenario and prints four rows, each a study's errors
 and their observed orders, in one thread; its one option, --levels L
@@ -83,9 +84,10 @@ def _log_run(traj):
         solve = f", inverse {s['inverse_bytes'] / 1e6:.3f} MB at fill {s['inverse_fill']:.3f}"
     else:
         solve = f", line block {s['line_block_unknowns']} unknowns"
-    log.info("%-13s %7.3f s  %s, %d reduced unknowns%s, step operators %.3f MB",
-             "solver set-up", s["factor_s"], s["method"], s["reduced_unknowns"], solve,
-             s["operator_bytes"] / 1e6)
+    threads = "unknown" if s["blas_threads"] is None else s["blas_threads"]
+    log.info("%-13s %7.3f s  %s, %d reduced unknowns%s, step operators %.3f MB, "
+             "BLAS threads %s", "solver set-up", s["factor_s"], s["method"],
+             s["reduced_unknowns"], solve, s["operator_bytes"] / 1e6, threads)
     iterations = (f", BiCGStab iterations mean {s['iterations_mean']:.1f} max "
                   f"{s['iterations_max']}" if s["method"] == "bicgstab" else "")
     log.info("%-13s %7.3f s  %d steps, %.1f steps/s, worst step residual %.2e%s",

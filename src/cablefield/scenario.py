@@ -119,6 +119,17 @@ def _required(section: dict, key: str, where: str):
     return section[key]
 
 
+def _object(section: dict, key: str, where: str, default=None) -> dict:
+    """section[key], which must be a JSON object: ``default`` when the key is
+    absent, which a None default makes required.  Anything but an object is
+    a ConfigError naming ``where.key``."""
+    value = _required(section, key, where) if default is None else section.get(key, default)
+    if not isinstance(value, dict):
+        name = f"{where}.{key}" if where else key
+        raise ConfigError(f"{name} must be an object, got {value!r}")
+    return value
+
+
 def _number(section: dict, key: str, where: str, default=None, whole: bool = False):
     """section[key] as a float, or with ``whole`` as an int (``parse_complex``);
     ``default`` when the key is absent, which a None default makes required."""
@@ -188,7 +199,7 @@ def _sim_section(sc: dict, m: int, p: int):
         raise ConfigError(f"simulate needs as many outputs as inputs: the law has "
                           f"p = {p} outputs (boundary.W_C_out) and m = {m} inputs "
                           f"(boundary.W_B_inp)")
-    inp = sc.get("input", {"kind": "zero"})
+    inp = _object(sc, "input", "sim", {"kind": "zero"})
     amplitude = inp.get("amplitude")
     if amplitude is not None:
         amplitude = parse_complex(amplitude, (m,), "sim.input.amplitude", scalar=m == 1)
@@ -247,7 +258,7 @@ class ScenarioSpec:
 def read_scenario(config: dict) -> ScenarioSpec:
     """Every key of a scenario, parsed; a key that does not parse, or that
     contradicts another, is a ConfigError naming it."""
-    geo, lc, fc, bc = (_required(config, section, "")
+    geo, lc, fc, bc = (_object(config, section, "")
                        for section in ("geometry", "line", "fields", "boundary"))
     seed = _number(config, "seed", "", 0, whole=True)
     k = _number(lc, "k", "line", whole=True)
@@ -271,7 +282,7 @@ def read_scenario(config: dict) -> ScenarioSpec:
     W_C_out = None
     if bc.get("W_C_out", "colocated") != "colocated":
         W_C_out = _port_matrix(bc, "W_C_out", k)
-    sc = config.get("sim")
+    sc = None if config.get("sim") is None else _object(config, "sim", "")
     return ScenarioSpec(
         geometry=geometry, k=k, n_cells=n_cells,
         line_materials=tline.LineMaterials(k=k, **{
@@ -287,8 +298,8 @@ def read_scenario(config: dict) -> ScenarioSpec:
         # the co-located output has m rows, or 2k without inputs
         sim_config=None if sc is None else _sim_section(
             sc, m, (m or 2 * k) if W_C_out is None else len(W_C_out)),
-        initial=_initial({} if sc is None else sc.get("initial", {}), seed, n_cells + 1,
-                         len(geometry.cables)))
+        initial=_initial({} if sc is None else _object(sc, "initial", "sim", {}), seed,
+                         n_cells + 1, len(geometry.cables)))
 
 
 # validate's checks: the report key of each, the key of its verdict, and the
@@ -369,11 +380,16 @@ class Scenario(ScenarioSpec):
 
 
 def load_config(path: str) -> dict:
+    """The scenario file's JSON object; a file that cannot be read, or that
+    holds anything else, is a ConfigError."""
     try:
         with open(path) as f:
-            return json.load(f)
+            config = json.load(f)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read scenario file {path}: {exc}") from exc
+    if not isinstance(config, dict):
+        raise ConfigError(f"scenario file {path} must hold a JSON object, got {config!r}")
+    return config
 
 
 def _peak_rss_mb() -> float:

@@ -126,13 +126,34 @@ with np.linalg.inv, BiCGStab needs only products and inner products,
 and lifted_state solves the line's node blocks of
 C^-1 q = V with one batched np.linalg.solve.
 
+Threads.  A second BLAS thread does not pay on the small dense kernels of
+a run.  With 2 OpenBLAS threads on a 2-core machine, the 412 x 412 inverse
+of the single cable's S took about 0.2 s in a fresh process, against
+0.02 s on one thread, and the record reductions and the Krylov inner
+products wait on the second thread.  From order 1000 on it does pay: an
+inverse of order 1000 took 0.06-0.07 s against 0.09-0.13 s, one of order
+6001 5.8 s against 10.3 s, and a matrix-vector product of order 6001 12 ms
+against 24 ms.  So a dense kernel below _THREADED_MIN_ORDER = 1000 runs on
+one thread, and a larger one on the caller's count.  The rule is applied to
+each inverse of the set-up (S, or the line block) and to the block loop
+with its records, by the order of the dense operator a step multiplies by
+(the dense inverse, the line block's inverse, none for a CSR inverse).
+run() reports the loop's count as solver["blas_threads"].  The count is set
+on the OpenBLAS that numpy loaded, found once from /proc/self/maps, and the
+caller's is restored on exit, also when the block raises.  Where no
+OpenBLAS is found (another BLAS, another OS) nothing is set and
+blas_threads is None.
+
 The measurements behind these rules (the size rule's crossover, the fill
-switch, the block width, the storage of the blocks) are in the
-BENCH_*.json files at the repository root and in CHANGES.md.
+switch, the block width, the storage of the blocks, the thread rule) are in
+the BENCH_*.json files at the repository root and in CHANGES.md.
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
+import os
 import time
 from dataclasses import dataclass
 from typing import Optional
@@ -162,6 +183,82 @@ _MASK_ROWS = 64
 # gives up after KRYLOV_MAX_ITERATIONS iterations.
 KRYLOV_TOL_FACTOR = 1e-3
 KRYLOV_MAX_ITERATIONS = 500
+# Dense kernels (an inverse, or the products with one) of at least this order
+# run on the caller's BLAS threads, smaller ones on one thread (the module
+# docstring's "Threads").
+_THREADED_MIN_ORDER = 1000
+# the thread-count entry points of an OpenBLAS, in the order tried: numpy >= 2
+# wheels, other 64-bit-integer builds, the plain build
+_OPENBLAS_THREAD_FUNCTIONS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+# ---------------------------------------------------------------------------
+# BLAS threads
+# ---------------------------------------------------------------------------
+
+@functools.cache
+def _openblas_threads() -> Optional[tuple]:
+    """The (get, set) thread-count functions of the first OpenBLAS mapped
+    into this process (a file name containing "openblas" in /proc/self/maps)
+    that has a pair of _OPENBLAS_THREAD_FUNCTIONS, found on the first call;
+    None where there is none (another BLAS, another OS).  A command maps
+    numpy's only: SciPy's own OpenBLAS is loaded with scipy.linalg, and its
+    functions have none of these names."""
+    import ctypes
+
+    try:
+        with open("/proc/self/maps") as maps:
+            fields = [line.split(maxsplit=5) for line in maps]
+    except OSError:
+        return None
+    paths = sorted({f[5].strip() for f in fields
+                    if len(f) == 6 and "openblas" in os.path.basename(f[5]).lower()})
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for get_name, set_name in _OPENBLAS_THREAD_FUNCTIONS:
+            if hasattr(lib, get_name) and hasattr(lib, set_name):
+                get, put = getattr(lib, get_name), getattr(lib, set_name)
+                get.restype, get.argtypes = ctypes.c_int, []
+                put.restype, put.argtypes = None, [ctypes.c_int]
+                return get, put
+    return None
+
+
+@contextlib.contextmanager
+def _blas_threads_for(order: int):
+    """Run the block on the BLAS threads that pay for dense kernels of this
+    order: one thread below _THREADED_MIN_ORDER, the caller's count from it
+    on.  The caller's count is restored on exit, also when the block
+    raises.  Yields the count the block runs with, or None where no
+    OpenBLAS was found (nothing is set then)."""
+    control = _openblas_threads()
+    if control is None:
+        yield None
+        return
+    get, put = control
+    caller = get()
+    if order < _THREADED_MIN_ORDER:
+        put(1)
+    try:
+        yield get()
+    finally:
+        put(caller)
+
+
+def _inverse(M: np.ndarray, what: str) -> np.ndarray:
+    """np.linalg.inv(M) on the BLAS threads of ``_blas_threads_for``; a
+    singular M is a SolverError naming ``what``."""
+    try:
+        with _blas_threads_for(M.shape[0]):
+            return np.linalg.inv(M)
+    except np.linalg.LinAlgError as exc:
+        raise SolverError(f"{what} inversion failed: {exc}") from exc
 
 # ---------------------------------------------------------------------------
 # input signals
@@ -456,10 +553,8 @@ class MidpointStepper:
             self._dinv = 1.0 / diag
             # S_LL = I - (h A_rr)_LL - (h A_rf)_L. (h A_fr)_.L
             S_LL = np.identity(nl) - (Arr[:nl, :nl] + Arf[:nl] @ self._Afr[:, :nl]).toarray()
-            try:
-                self._line_inv = np.linalg.inv(S_LL)
-            except np.linalg.LinAlgError as exc:
-                raise SolverError(f"step matrix line block inversion failed: {exc}") from exc
+            self._line_inv = _inverse(S_LL, "step matrix line block")
+            self._dense_order = nl      # of a step's dense operator, for its BLAS threads
             self._krylov_tol = KRYLOV_TOL_FACTOR * solver_tol
             # the warm start: x_r and its product (S x_r, h A_fr x_r), of x_r = 0
             zero = np.zeros(nr, dtype=stacked.dtype)
@@ -469,10 +564,7 @@ class MidpointStepper:
             solve_bytes = self._dinv.nbytes + self._line_inv.nbytes
         else:
             S = sp.identity(nr, dtype=A.dtype, format="csr") - Arr - Arf @ self._Afr
-            try:
-                Sinv = np.linalg.inv(S.toarray())
-            except np.linalg.LinAlgError as exc:
-                raise SolverError(f"step matrix inversion failed: {exc}") from exc
+            Sinv = _inverse(S.toarray(), "step matrix")
             del S
             bundle = loop.bundle
             weight = (bundle.M.diagonal() * bundle.Hd.diagonal().real)[r]
@@ -481,6 +573,7 @@ class MidpointStepper:
             if kept <= SPARSE_INVERSE_MAX_FILL * keep.size:
                 Sinv = _csr_of(Sinv, keep)
             self._Sinv = Sinv
+            self._dense_order = 0 if sp.issparse(Sinv) else nr     # as above
             solve_bytes = _nbytes(Sinv)
             self._stats = {"reduced_unknowns": int(nr), "method": "direct",
                            "inverse_bytes": int(solve_bytes),
@@ -686,7 +779,7 @@ class Trajectory:
     diss_rate: np.ndarray      # Re <e, Rd e>_M
     x_final: np.ndarray
     ledger: Optional[dict] = None
-    solver: Optional[dict] = None  # MidpointStepper.stats() and the step-loop timing
+    solver: Optional[dict] = None  # MidpointStepper.stats(), the step-loop timing and threads
 
 
 def _column_forms(X: np.ndarray, Y: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -703,8 +796,10 @@ def run(loop: ClosedLoop, cfg: SimConfig, x0: Optional[np.ndarray] = None) -> Tr
     The steps run in blocks of ``MidpointStepper.advance``, and the
     recorded rows of each block are reduced into the trajectory where the
     block lands (see the module docstring).  ``solver`` holds the
-    stepper's stats and the step loop's wall time, records included:
-    ``stepping_s`` (time.perf_counter) and ``steps_per_s``.
+    stepper's stats, the step loop's wall time, records included:
+    ``stepping_s`` (time.perf_counter) and ``steps_per_s``, and the BLAS
+    thread count the loop ran with, ``blas_threads`` (None where no
+    OpenBLAS was found; see "Threads" in the module docstring).
     """
     bundle, law = loop.bundle, loop.law
     if x0 is None:
@@ -753,28 +848,29 @@ def run(loop: ClosedLoop, cfg: SimConfig, x0: Optional[np.ndarray] = None) -> Tr
         zeta[sl, :two_k] = (loop.G_fb @ voltages + loop.W1_inp @ U.T).T
         zeta[sl, two_k:] = voltages.T
 
-    record([0.0], x[None], u0[None])
-    clock = time.perf_counter()
-    for start in range(0, n_steps, B):
-        i = np.arange(start, min(start + B, n_steps))
-        t_mid = (i + 0.5) * cfg.dt
-        U = cfg.input(t_mid)
-        finite = np.isfinite(U).all(axis=1)
-        if not finite.all():
-            j = int(np.argmin(finite))
-            raise DomainError(f"input signal is not finite at t = {t_mid[j]:.6g} "
-                              f"(midpoint of step {i[j] + 1})")
-        X, _ = stepper.advance(x, U, start)
-        x = X[-1]
-        if stride > 1:
-            recorded = ((i + 1) % stride == 0) | (i == n_steps - 1)
-            X, i = X[recorded], i[recorded]
-        t = (i + 1) * cfg.dt
-        record(t, X, cfg.input(t))
-    stepping_s = time.perf_counter() - clock
+    with _blas_threads_for(stepper._dense_order) as blas_threads:
+        record([0.0], x[None], u0[None])
+        clock = time.perf_counter()
+        for start in range(0, n_steps, B):
+            i = np.arange(start, min(start + B, n_steps))
+            t_mid = (i + 0.5) * cfg.dt
+            U = cfg.input(t_mid)
+            finite = np.isfinite(U).all(axis=1)
+            if not finite.all():
+                j = int(np.argmin(finite))
+                raise DomainError(f"input signal is not finite at t = {t_mid[j]:.6g} "
+                                  f"(midpoint of step {i[j] + 1})")
+            X, _ = stepper.advance(x, U, start)
+            x = X[-1]
+            if stride > 1:
+                recorded = ((i + 1) % stride == 0) | (i == n_steps - 1)
+                X, i = X[recorded], i[recorded]
+            t = (i + 1) * cfg.dt
+            record(t, X, cfg.input(t))
+        stepping_s = time.perf_counter() - clock
 
     solver = {**stepper.stats(), "stepping_s": stepping_s,
-              "steps_per_s": n_steps / stepping_s}
+              "steps_per_s": n_steps / stepping_s, "blas_threads": blas_threads}
     traj = Trajectory(
         times=times, energy=energy, xnorm=xnorm, u=u_rec, y=zeta @ law.W_C_out.T,
         zeta=zeta, diss_rate=diss, x_final=x.copy(), solver=solver,

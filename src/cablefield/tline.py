@@ -175,26 +175,21 @@ def build_line_grid(n: int, k: int = 1) -> LineGrid:
 
     # R0/R1: linear extrapolation from the two nearest cell midpoints,
     # second order at the endpoints
-    r0 = np.zeros((1, n)); r0[0, 0], r0[0, 1] = 1.5, -0.5
-    r1 = np.zeros((1, n)); r1[0, -1], r1[0, -2] = 1.5, -0.5
+    r0 = sp.csr_matrix(([1.5, -0.5], ([0, 0], [0, 1])), shape=(1, n))
+    r1 = sp.csr_matrix(([1.5, -0.5], ([0, 0], [n - 1, n - 2])), shape=(1, n))
+    # E0/E1: the endpoint nodes, so that e0 = en0^T and e1 = en1^T
+    en0 = sp.csr_matrix(([1.0], ([0], [0])), shape=(1, n + 1))
+    en1 = sp.csr_matrix(([1.0], ([0], [n])), shape=(1, n + 1))
 
     # Dt rows follow from the exactness requirement
     #   Mn Dt + D^T Mc = e1 r1 - e0 r0
     mn = np.full(n + 1, h); mn[0] = mn[-1] = 0.5 * h
-    e0 = np.zeros((n + 1, 1)); e0[0, 0] = 1.0
-    e1 = np.zeros((n + 1, 1)); e1[-1, 0] = 1.0
-    rhs = sp.csr_matrix(e1 @ r1 - e0 @ r0) - d.T * h
+    rhs = en1.T @ r1 - en0.T @ r0 - d.T * h
     dt = sp.diags(1.0 / mn) @ rhs
 
     # Lg1 injects externally supplied endpoint values of the cell field
     # into the boundary rows, in place of the extrapolation [r0; r1]
-    lg1 = sp.lil_matrix((n + 1, 2))
-    lg1[0, 0] = 2.0 / h
-    lg1[-1, 1] = -2.0 / h
-    lg1 = lg1.tocsr()
-
-    en0 = sp.csr_matrix(e0.T)
-    en1 = sp.csr_matrix(e1.T)
+    lg1 = sp.csr_matrix(([2.0 / h, -2.0 / h], ([0, n], [0, 1])), shape=(n + 1, 2))
 
     return LineGrid(
         n=n, k=k, h=h,
@@ -202,7 +197,7 @@ def build_line_grid(n: int, k: int = 1) -> LineGrid:
         cells=(np.arange(n) + 0.5) * h,
         D=kr(d), Dt=kr(dt), Lg=kr(lg1),
         Mn=kr(sp.diags(mn)), Mc=kr(sp.identity(n) * h),
-        R0=kr(sp.csr_matrix(r0)), R1=kr(sp.csr_matrix(r1)),
+        R0=kr(r0), R1=kr(r1),
         E0=kr(en0), E1=kr(en1),
     )
 

@@ -146,9 +146,13 @@ def reverse_run(loop: ClosedLoop, x: np.ndarray, dt: float, n_steps: int,
 class FullLUStepper:
     """Implicit-midpoint step by a SuperLU factor of the whole
     L = I - dt/2 A: no face elimination and no size rule.  It has
-    MidpointStepper's constructor, ``advance`` and ``stats``, so a run can
-    be put on it, as the reference of the package's reduced solves.  A
-    complex right-hand side on a real factor is a TypeError from SuperLU."""
+    MidpointStepper's constructor, ``advance``, ``stats`` and the dense
+    operator order that sets the BLAS threads of run()'s loop (none: 0), so
+    a run can be put on it, as the reference of the package's reduced
+    solves.  A complex right-hand side on a real factor is a TypeError from
+    SuperLU."""
+
+    _dense_order = 0
 
     def __init__(self, loop: ClosedLoop, dt: float, solver_tol: float = 1e-10):
         import scipy.sparse.linalg as spla

@@ -9,6 +9,7 @@ import sys
 import numpy as np
 import pytest
 
+from cablefield import sim
 from cablefield.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, main
 from cablefield.scenario import build_scenario
 
@@ -311,6 +312,28 @@ def test_cables_that_are_not_a_list_of_objects_exit_2(tmp_path, capsys, command,
     assert "geometry.cables must be a list of cable objects" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["validate", "certify", "simulate", "converge"])
+@pytest.mark.parametrize("key, value", [
+    (None, 5), (None, None), ("line", 5), ("fields", 7), ("geometry", "g"), ("sim", "x"),
+    ("boundary", 3), ("sim.input", 4), ("sim.initial", "a"),
+])
+def test_a_section_that_is_not_an_object_exits_2_naming_it(tmp_path, capsys, command, key,
+                                                            value):
+    # each used to escape as a raw TypeError or AttributeError traceback
+    config = single_cable_config(0.01, 0.05)
+    if key is None:                 # the whole file
+        config = value
+    else:
+        put(config, key, value)
+    path = write(tmp_path, config)
+    assert main([command, path, "--output-dir", str(tmp_path / "out")]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    if key is None:
+        assert f"scenario file {path} must hold a JSON object, got {value!r}" in err
+    else:
+        assert f"error: {key} must be an object, got {value!r}" in err
+
+
 TABLE = {"kind": "table", "table_t": ["x"], "table_u": [[0.0, 0.0]]}
 
 
@@ -459,7 +482,9 @@ def test_simulate_writes_csv_and_summary(scenario_path, tmp_path, capsys):
     solver = summary["solver"]
     assert set(solver) == {"reduced_unknowns", "method", "factor_s", "operator_bytes",
                            "line_block_unknowns", "iterations_max", "iterations_mean", "solves",
-                           "max_rel_residual", "stepping_s", "steps_per_s"}
+                           "max_rel_residual", "stepping_s", "steps_per_s", "blas_threads"}
+    # the stepping runs on one OpenBLAS thread, or reports None without one
+    assert solver["blas_threads"] == (1 if sim._openblas_threads() else None)
     assert solver["solves"] == summary["records"] - 1 == 30     # T / dt = 0.3 / 0.01
     # the step loop's wall time and rate
     assert solver["stepping_s"] > 0 and solver["steps_per_s"] > 0
@@ -497,7 +522,8 @@ def test_simulate_verbose_logs_the_run(scenario_path, tmp_path, capsys):
     assert f"peak RSS {summary['build']['peak_rss_mb']['closed_loop']:.1f} MB" in err
     assert (f"{solver['factor_s']:.3f} s  bicgstab, {solver['reduced_unknowns']} reduced "
             f"unknowns, line block {solver['line_block_unknowns']} unknowns, step operators "
-            f"{solver['operator_bytes'] / 1e6:.3f} MB") in err
+            f"{solver['operator_bytes'] / 1e6:.3f} MB, BLAS threads "
+            f"{solver['blas_threads'] or 'unknown'}") in err
     assert f"{solver['stepping_s']:.3f} s  30 steps" in err
     assert (f"BiCGStab iterations mean {solver['iterations_mean']:.1f} max "
             f"{solver['iterations_max']}") in err
@@ -634,18 +660,21 @@ LOADED_AFTER_EACH_COMMAND = """
 import json, sys
 import cablefield.cli
 from cablefield.cli import main
+from cablefield.sim import _openblas_threads
 
 def loaded():
     return sorted(m for m in sys.argv[4:] if m in sys.modules)
 
 pair, single, out = sys.argv[1:4]
 seen = {"import": loaded()}
+lookups = [_openblas_threads.cache_info().misses]
 for name, args in (("certify", ["certify", pair]),
                    ("bicgstab", ["simulate", pair, "--output-dir", out]),
                    ("direct", ["simulate", single, "--output-dir", out])):
     assert main(args) == 0, name
     seen[name] = loaded()
-sys.stderr.write(json.dumps(seen))
+    lookups.append(_openblas_threads.cache_info().misses)
+sys.stderr.write(json.dumps({"modules": seen, "blas_lookups": lookups}))
 """
 
 
@@ -672,5 +701,9 @@ def test_cli_import_leaves_the_spline_module_unloaded(tmp_path, scenario_config)
                            str(tmp_path / "out"), *HEAVY_SCIPY],
                           env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]
-    seen = json.loads(proc.stderr.strip().splitlines()[-1])
+    report = json.loads(proc.stderr.strip().splitlines()[-1])
+    seen = report["modules"]
     assert seen["import"] == seen["certify"] == seen["bicgstab"] == seen["direct"] == []
+    # the OpenBLAS lookup runs on the first run(), not on import or certify,
+    # and once
+    assert report["blas_lookups"] == [0, 0, 1, 1]

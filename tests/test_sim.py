@@ -484,6 +484,66 @@ def test_singular_step_matrix_is_a_solver_error(criterion3_bundles, monkeypatch)
         MidpointStepper(tampered, 1e-2)
 
 
+@pytest.fixture()
+def two_blas_threads():
+    """The OpenBLAS of the process set to 2 threads for the test, and its
+    get; the test is skipped where no OpenBLAS is mapped into the process."""
+    control = sim._openblas_threads()
+    if control is None:
+        pytest.skip("no OpenBLAS in this process")
+    get, put = control
+    saved = get()
+    put(2)
+    yield get
+    put(saved)
+
+
+def test_run_steps_on_one_blas_thread_and_restores_the_callers(
+        criterion3_bundles, monkeypatch, two_blas_threads):
+    # the single cable's inverse and stepping run on 1 thread; from
+    # _THREADED_MIN_ORDER on, both keep the caller's 2
+    get = two_blas_threads
+    seen = []
+    inv, advance = np.linalg.inv, MidpointStepper.advance
+
+    def counting_inv(M):
+        seen.append(("inv", get()))
+        return inv(M)
+
+    def counting_advance(self, *args):
+        seen.append(("advance", get()))
+        return advance(self, *args)
+
+    bundle = criterion3_bundles["lossy"]
+    loop = build_closed_loop(bundle, strict_law(bundle.k))
+    cfg = SimConfig(dt=1e-2, T=2e-2, input=InputSignal(m=loop.law.m, kind="sine"))
+    monkeypatch.setattr(np.linalg, "inv", counting_inv)
+    monkeypatch.setattr(MidpointStepper, "advance", counting_advance)
+    assert run(loop, cfg).solver["blas_threads"] == 1
+    assert seen == [("inv", 1), ("advance", 1)] and get() == 2
+    # the singular step matrix of test_singular_step_matrix_is_a_solver_error:
+    # the set-up raises inside the scope, and the caller's count is restored
+    A = loop.A.tolil()
+    A[0, :] = 0.0
+    A[0, 0] = 200.0
+    with pytest.raises(SolverError, match="step matrix inversion failed"):
+        run(dataclasses.replace(loop, A=A.tocsr()), cfg)
+    assert get() == 2
+    seen.clear()
+    monkeypatch.setattr(sim, "_THREADED_MIN_ORDER", 0)
+    assert run(loop, cfg).solver["blas_threads"] == 2
+    assert seen == [("inv", 2), ("advance", 2)] and get() == 2
+
+
+def test_run_without_openblas_reports_no_thread_count(lossless, monkeypatch):
+    monkeypatch.setattr(sim, "_openblas_threads", lambda: None)
+    bundle = lossless[5]
+    loop = build_closed_loop(bundle, skew_law(bundle.k))
+    cfg = SimConfig(dt=1e-2, T=5e-2, input=InputSignal(m=loop.law.m, kind="sine"))
+    traj = run(loop, cfg)
+    assert traj.solver["blas_threads"] is None and traj.solver["solves"] == 5
+
+
 # ---------------------------------------------------------------------------
 # the BiCGStab path (exact line block, field diagonal), forced by setting the
 # size rule to 0

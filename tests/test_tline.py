@@ -23,6 +23,24 @@ def test_sbp_identity_exact():
         assert np.abs(lhs - rhs).max() <= 1e-13
 
 
+def test_boundary_rows_are_built_sparse():
+    # the SBP closure e1 R1 - e0 R0 used to be formed as a dense (n + 1) x n
+    # outer product: 8 TB at n = 10^6.  The closed form of the boundary
+    # rows: Dt V-row 0 is (I_1 - I_0) / h and row n is (I_{n-1} - I_{n-2}) / h
+    n = 10 ** 6
+    g = build_line_grid(n)
+    h = 1.0 / n
+    assert g.Dt.shape == (n + 1, n) and g.Dt.nnz == 2 * (n + 1)
+    for row, cols in ((0, [0, 1]), (n, [n - 2, n - 1])):
+        dt = g.Dt[row]
+        assert dt.indices.tolist() == cols
+        assert np.allclose(dt.data, [-1.0 / h, 1.0 / h], rtol=1e-12, atol=0)
+    assert (g.R0.indices.tolist(), g.R0.data.tolist()) == ([0, 1], [1.5, -0.5])
+    assert (g.R1.indices.tolist(), g.R1.data.tolist()) == ([n - 2, n - 1], [-0.5, 1.5])
+    assert g.E0.indices.tolist() == [0] and g.E1.indices.tolist() == [n]
+    assert (g.Lg[0, 0], g.Lg[n, 1], g.Lg.nnz) == (2.0 / h, -2.0 / h, 2)
+
+
 def test_line_green_identity_random():
     # <-D V, I>_Mc + <V, -Dt I>_Mn = <V(0), I(0)> - <V(1), I(1)>
     # with <x, y> = y^H x; holds exactly by the SBP closure
