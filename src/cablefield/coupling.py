@@ -137,15 +137,6 @@ def assemble_P_mag(charts: Sequence[TubeChart], line_grid: LineGrid) -> sp.csr_m
 # voltage lifting
 # ---------------------------------------------------------------------------
 
-@dataclass
-class LiftField:
-    """Edge samples (one tangential value per grid edge) of the lifted
-    voltage field, supported in one cable's collar."""
-
-    values: np.ndarray        # (n_edges_total,) over global edge ids
-    support: np.ndarray       # global edge ids with nonzero values
-
-
 def check_lift_resolution(collar_halfwidth: float, radius: float, h: float) -> None:
     """CouplingError unless the collar of a cable of this radius spans at
     least two grid cells of spacing h: a thinner cutoff cannot be
@@ -156,8 +147,9 @@ def check_lift_resolution(collar_halfwidth: float, radius: float, h: float) -> N
 
 
 def lift_voltage(chart: TubeChart, grid: YeeGrid, V: np.ndarray,
-                 line_grid: LineGrid) -> LiftField:
-    """Evaluate chi * grad(V o Psi_hat) on grid edges.
+                 line_grid: LineGrid) -> np.ndarray:
+    """chi * grad(V o Psi_hat) on the grid edges: one tangential value per
+    global edge id, zero outside the cable's collar.
 
     V holds nodal samples of one line component; its cell-wise discrete
     derivative drives the tangential field.  Only the collar candidates of
@@ -190,5 +182,4 @@ def lift_voltage(chart: TubeChart, grid: YeeGrid, V: np.ndarray,
             dirs = grid.edge_direction(sel)
             tangential = grad[np.arange(sel.size), dirs]
             values[sel] = chi[live] * dV[cell] * tangential
-    support = np.nonzero(values)[0]
-    return LiftField(values=values, support=support)
+    return values

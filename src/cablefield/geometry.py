@@ -9,9 +9,9 @@ cable length).  Admissibility requires the curvature bound
 |alpha''| < l^2 / r, which keeps the tube chart injective.
 
 The frame (alpha'/l, kappa1, kappa2) is a right-handed orthonormal triple
-at every sample; kappa1/kappa2 are propagated by the double-reflection
-(rotation-minimizing) recurrence, so their derivatives are purely
-tangential:  kappa' = -(kappa . alpha'') alpha' / l^2.
+at every sample; kappa1 is propagated by the double-reflection (rotation-
+minimizing) recurrence and kappa2 = alpha'/l x kappa1, so both derivatives
+are purely tangential:  kappa' = -(kappa . alpha'') alpha' / l^2.
 
 Lateral surface chart:
 
@@ -473,12 +473,12 @@ def validate_curve(curve: CableCurve) -> dict:
 
 @dataclass
 class AdaptedFrame:
-    """Samples of the twist-free orthonormal frame along a cable curve."""
+    """Samples of kappa1 of the twist-free frame along a cable curve; ``at``
+    completes the frame with t and kappa2 = t x kappa1 at each query."""
 
     curve: CableCurve
     eta: np.ndarray          # (m,) includes any collar extension
     kappa1: np.ndarray       # (m,3)
-    kappa2: np.ndarray       # (m,3)
 
     def tangent(self, eta):
         d = self.curve.d1(np.atleast_1d(eta))
@@ -585,8 +585,7 @@ def build_frame(curve: CableCurve, n_eta=129) -> AdaptedFrame:
     k1 = _double_reflection(pts, tangents, r0)
     k1 -= (k1 * tangents).sum(axis=1, keepdims=True) * tangents
     k1 /= np.linalg.norm(k1, axis=1, keepdims=True)
-    k2 = np.cross(tangents, k1)
-    return AdaptedFrame(curve=curve, eta=grid, kappa1=k1, kappa2=k2)
+    return AdaptedFrame(curve=curve, eta=grid, kappa1=k1)
 
 
 # ---------------------------------------------------------------------------
@@ -616,7 +615,7 @@ class TubeChart:
     jac_theta: np.ndarray    # (n_eta, n_theta, 3)
     normal: np.ndarray       # (n_eta, n_theta, 3), outward from the tube
     weights: np.ndarray      # (n_eta, n_theta) surface quadrature
-    collar_halfwidth: float = 0.3
+    collar_halfwidth: float = 0.3    # build_chart's and GeometrySpec's default too
 
     @property
     def n_eta(self):
@@ -681,19 +680,17 @@ class TubeChart:
         ], axis=2)
         return np.linalg.inv(J)[:, 0, :]
 
-    def chi(self, s, eta=None):
-        """Collar cutoff: radial C^2 bump, tapered axially past the ends so
-        the lift stays supported inside the extended chart domain."""
-        out = smooth_bump(s, self.collar_halfwidth)
-        if eta is not None:
-            eta = np.asarray(eta, dtype=float)
-            overshoot = np.maximum(0.0, np.maximum(eta - 1.0, -eta))
-            out = out * smooth_bump(overshoot, self.collar_halfwidth)
-        return out
+    def chi(self, s, eta):
+        """Collar cutoff at (s, eta): radial C^2 bump, tapered axially past
+        the ends by the same bump of eta's overshoot, so the lift stays
+        supported inside the extended chart domain."""
+        eta = np.asarray(eta, dtype=float)
+        overshoot = np.maximum(0.0, np.maximum(eta - 1.0, -eta))
+        return smooth_bump(s, self.collar_halfwidth) * smooth_bump(overshoot, self.collar_halfwidth)
 
 
 def build_chart(curve: CableCurve, n_eta: int, n_theta: int,
-                collar_halfwidth: float = 0.3) -> TubeChart:
+                collar_halfwidth: float = TubeChart.collar_halfwidth) -> TubeChart:
     """Sample the lateral surface on cell-midpoint eta and uniform theta,
     in the curve's frame built with those eta among its samples."""
     check_collar_halfwidth(collar_halfwidth)
@@ -749,7 +746,7 @@ class GeometrySpec:
 
     box: np.ndarray                  # (3,2) axis-aligned bounds, meters
     cables: Sequence[CableCurve]
-    collar_halfwidth: float = 0.3
+    collar_halfwidth: float = TubeChart.collar_halfwidth
 
     def __post_init__(self):
         self.box = np.asarray(self.box, dtype=float).reshape(3, 2)

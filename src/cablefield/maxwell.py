@@ -156,16 +156,12 @@ def _family_midpoints(origin, h, shapes, offsets, halves, ids=None):
 
 @dataclass
 class YeeGrid:
-    """Masked staggered grid over a geometry's box.  The id arrays
-    free_edges, band_edges and dof_faces are int32."""
+    """Masked staggered grid over a geometry's box: the int32 global ids of
+    its unknowns and band edges, not their classification (``_classify``)."""
 
-    spec: GeometrySpec
     n: tuple                     # (nx, ny, nz) cells
     h: float
     origin: np.ndarray
-    cell_cable: np.ndarray       # (ncells,) -1 for field cells, else cable id
-    edge_status: np.ndarray      # (n_edges_total,) EDGE_* codes
-    edge_cable: np.ndarray       # cable id for BAND edges, else -1
     free_edges: np.ndarray       # global edge ids with a D unknown
     band_edges: np.ndarray
     dof_faces: np.ndarray        # global face ids with a B unknown
@@ -215,7 +211,8 @@ def grid_spacing(spec: GeometrySpec, n: Sequence[int]) -> float:
 
 
 def build_grid(spec: GeometrySpec, n: Sequence[int]) -> YeeGrid:
-    """Classify cells, edges and faces of an (nx, ny, nz) grid on spec.box."""
+    """The grid (nx, ny, nz) on spec.box, with the ids of the unknowns and
+    band edges of its classification (``_classify``)."""
     n = tuple(int(v) for v in n)
     h = grid_spacing(spec, n)
     origin = spec.box[:, 0].copy()
@@ -224,6 +221,21 @@ def build_grid(spec: GeometrySpec, n: Sequence[int]) -> YeeGrid:
         if 2.0 * c.radius < 4.0 * h - 1e-12:
             raise GridError(f"tube radius {c.radius} needs >= 4 cells across the diameter (h={h})")
 
+    _, edge_status, _, face_dof = _classify(spec, n, h, origin)
+    return YeeGrid(
+        n=n, h=h, origin=origin,
+        free_edges=_ids(edge_status == EDGE_FREE),
+        band_edges=_ids(edge_status == EDGE_BAND),
+        dof_faces=_ids(face_dof),
+        edge_offsets=_offsets(_edge_shapes(n)), face_offsets=_offsets(_face_shapes(n)),
+    )
+
+
+def _classify(spec: GeometrySpec, n: tuple, h: float, origin: np.ndarray):
+    """Cells, edges and faces of the grid (n, h, origin) on spec.box, as the
+    module docstring classifies them: each cell's cable id (-1: field), each
+    global edge's EDGE_* code and BAND cable id (-1: not BAND), and the mask
+    of the global faces that are unknowns."""
     # cells ------------------------------------------------------------------
     centers = _lattice_midpoints(origin, h, n, {0, 1, 2})
     cell_cable = np.full(centers.shape[0], -1, dtype=np.int32)
@@ -266,24 +278,13 @@ def build_grid(spec: GeometrySpec, n: Sequence[int]) -> YeeGrid:
             edge_cable[ids] = -1
 
     # faces --------------------------------------------------------------------
-    face_offsets = _offsets(_face_shapes(n))
     face_dof = []
     for d in range(3):
         lo, hi = _face_cells(pad, d)
         on_bnd = (lo == -2) | (hi == -2)
         buried = (lo >= 0) & (hi >= 0)
         face_dof.append((~on_bnd & ~buried).reshape(-1))
-    face_dof = np.concatenate(face_dof)
-
-    return YeeGrid(
-        spec=spec, n=n, h=h, origin=origin,
-        cell_cable=cell_cable,
-        edge_status=edge_status, edge_cable=edge_cable,
-        free_edges=_ids(edge_status == EDGE_FREE),
-        band_edges=_ids(edge_status == EDGE_BAND),
-        dof_faces=_ids(face_dof),
-        edge_offsets=edge_offsets, face_offsets=face_offsets,
-    )
+    return cell_cable, edge_status, edge_cable, np.concatenate(face_dof)
 
 
 def _ids(mask):

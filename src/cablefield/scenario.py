@@ -25,10 +25,11 @@ grid and every count are whole numbers.
     geometry.cables      list of {type: segment|arc|helix|spline, radius
                           (> 0), line, ...type-specific parameters}; each
                           cable carries its own line component
-    line.k, line.n_cells (>= 3), line.C/L/R/G   scalar or k x k matrix
+    line.k, line.n_cells (>= 3), line.C/L/R/G   scalar or k x k matrix,
+                          default 1, 1, 0, 0
     fields.grid          [nx, ny, nz], each >= 1; fields.eps/mu/sigma scalar or
-                          per-axis [ax, ay, az]; fields.n_theta (>= 1,
-                          default 16)
+                          per-axis [ax, ay, az], default 1, 1, 0;
+                          fields.n_theta (>= 1, default 16)
     boundary.W_B_inp     m x 4k; boundary.W_B_0 (2k-m) x 4k
     boundary.W_C_out     p x 4k, or "colocated" to derive the
                           co-located output from W_B; any output closes the
@@ -36,8 +37,9 @@ grid and every count are whole numbers.
                           it is co-located; with a sim section p must equal
                           the m rows of W_B_inp, unless m = 0 (an
                           autonomous run)
-    sim.dt, sim.T, sim.input {kind, amplitude (m,), freq, phase, t_on,
-                          ramp, table_t, table_u}, sim.initial {kind: zero|
+    sim.dt, sim.T, sim.input {kind (default zero), amplitude (m,),
+                          freq, phase, t_on, ramp (default 1, 0, 0, 0.05),
+                          table_t, table_u}, sim.initial {kind: zero|
                           smooth|random|lift, seed, scale, line (the index
                           into geometry.cables of the cable a lift runs on),
                           V0},
@@ -138,6 +140,13 @@ def _number(section: dict, key: str, where: str, default=None, whole: bool = Fal
                          whole=whole).item()
 
 
+def _numbers(section: dict, keys, where: str, whole=()) -> dict:
+    """The ``keys`` the section has, as ``_number`` reads them (``whole`` ones
+    as ints): keywords that leave a constructor's defaults in place."""
+    return {key: _number(section, key, where, whole=key in whole)
+            for key in keys if key in section}
+
+
 def _build_cable(entry: dict, where: str):
     def vec(key, shape=(3,)):
         return parse_complex(_required(entry, key, where), shape, f"{where}.{key}", real=True)
@@ -179,8 +188,7 @@ def _geometry_spec(geo: dict, k: int) -> GeometrySpec:
         raise ConfigError("two cables reference the same line component")
     return GeometrySpec(box=parse_complex(_required(geo, "box", "geometry"), (3, 2),
                                           "geometry.box", real=True),
-                        cables=cables,
-                        collar_halfwidth=_number(geo, "collar_halfwidth", "geometry", 0.3))
+                        cables=cables, **_numbers(geo, ("collar_halfwidth",), "geometry"))
 
 
 def _port_matrix(bc: dict, key: str, k: int) -> np.ndarray:
@@ -199,23 +207,19 @@ def _sim_section(sc: dict, m: int, p: int):
         raise ConfigError(f"simulate needs as many outputs as inputs: the law has "
                           f"p = {p} outputs (boundary.W_C_out) and m = {m} inputs "
                           f"(boundary.W_B_inp)")
-    inp = _object(sc, "input", "sim", {"kind": "zero"})
+    inp = _object(sc, "input", "sim", {})
     amplitude = inp.get("amplitude")
     if amplitude is not None:
         amplitude = parse_complex(amplitude, (m,), "sim.input.amplitude", scalar=m == 1)
     tables = {key: parse_complex(inp[key], shape, f"sim.input.{key}", real=key == "table_t")
               for key, shape in (("table_t", (None,)), ("table_u", (None, m))) if key in inp}
     signal = sim.InputSignal(
-        m=m, kind=inp.get("kind", "zero"), amplitude=amplitude,
-        freq=_number(inp, "freq", "sim.input", 1.0),
-        phase=_number(inp, "phase", "sim.input", 0.0),
-        t_on=_number(inp, "t_on", "sim.input", 0.0),
-        ramp=_number(inp, "ramp", "sim.input", 0.05), **tables,
-    )
+        m=m, kind=inp.get("kind", sim.InputSignal.kind), amplitude=amplitude, **tables,
+        **_numbers(inp, ("freq", "phase", "t_on", "ramp"), "sim.input"))
     return sim.SimConfig(dt=_number(sc, "dt", "sim"), T=_number(sc, "T", "sim"),
                          input=signal,
-                         solver_tol=_number(sc, "solver_tol", "sim", 1e-10),
-                         record_stride=_number(sc, "record_stride", "sim", 1, whole=True))
+                         **_numbers(sc, ("solver_tol", "record_stride"), "sim",
+                                    whole=("record_stride",)))
 
 
 def _initial(init: dict, seed: int, n_nodes: int, n_cables: int) -> dict:
@@ -290,9 +294,8 @@ def read_scenario(config: dict) -> ScenarioSpec:
             for name in ("C", "L", "R", "G") if name in lc}),
         grid_shape=grid_shape,
         field_materials=maxwell.FieldMaterials(**{
-            name: parse_complex(fc.get(name, default), (3,), f"fields.{name}", scalar=True,
-                                real=True)
-            for name, default in (("eps", 1.0), ("mu", 1.0), ("sigma", 0.0))}),
+            name: parse_complex(fc[name], (3,), f"fields.{name}", scalar=True, real=True)
+            for name in ("eps", "mu", "sigma") if name in fc}),
         n_theta=n_theta,
         W_B_inp=W_B_inp, W_B_0=W_B_0, W_C_out=W_C_out,
         # the co-located output has m rows, or 2k without inputs

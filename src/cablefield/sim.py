@@ -423,12 +423,13 @@ def lifted_state(bundle: OperatorBundle, chart, V0: np.ndarray) -> np.ndarray:
     V_full = np.zeros((nodes, k))
     V_full[:, chart.curve.line] = V0
     # q = C V node by node: C^-1 is block diagonal, sample-major, with one
-    # k x k block per node (the line's few nodes make the dense copy small)
-    Cinv = bundle.line.Cinv.toarray().reshape(nodes, k, nodes, k)
-    blocks = Cinv[np.arange(nodes), :, np.arange(nodes), :]
+    # k x k block per node, read from its stored entries
+    Cinv = bundle.line.Cinv.tocoo()
+    blocks = np.zeros((nodes, k, k), dtype=Cinv.dtype)
+    blocks[Cinv.row // k, Cinv.row % k, Cinv.col % k] = Cinv.data
     q = np.linalg.solve(blocks, V_full[..., None]).ravel()
     lift = lift_voltage(chart, grid, np.asarray(V0, dtype=float), line_grid)
-    d = lift.values[grid.free_edges] / bundle.curls.eps_inv()
+    d = lift[grid.free_edges] / bundle.curls.eps_inv()
     x = np.zeros(bundle.n, dtype=np.result_type(q, d))
     x[lay.sl_V] = q
     x[lay.sl_E] = d
@@ -509,7 +510,7 @@ class MidpointStepper:
     block on the BiCGStab branch, raises SolverError.
     """
 
-    def __init__(self, loop: ClosedLoop, dt: float, solver_tol: float = 1e-10):
+    def __init__(self, loop: ClosedLoop, dt: float, solver_tol: float = SimConfig.solver_tol):
         t0 = time.perf_counter()
         self.dt = dt
         self.solver_tol = solver_tol

@@ -168,7 +168,12 @@ def build_line_grid(n: int, k: int = 1) -> LineGrid:
     Ik = sp.identity(k, format="csr")
 
     def kr(a):
-        return sp.kron(sp.csr_matrix(a), Ik, format="csr")
+        """a (x) I_k as canonical CSR; a itself for one line."""
+        a = sp.csr_matrix(a)
+        if k > 1:
+            return sp.kron(a, Ik, format="csr")
+        a.sum_duplicates()
+        return a
 
     # D: exact staggered difference, no boundary closure needed
     d = sp.diags([-np.ones(n), np.ones(n)], [0, 1], shape=(n, n + 1)) / h

@@ -20,7 +20,9 @@ import scipy.sparse as sp
 from cablefield.assembly import ClosedLoop, OperatorBundle, build_closed_loop
 from cablefield.certify import PortLaw, sigma_matrix
 from cablefield.errors import DomainError
-from cablefield.maxwell import FieldMaterials, YeeGrid, _edge_shapes, _face_shapes, _offsets
+from cablefield.geometry import GeometrySpec
+from cablefield.maxwell import (FieldMaterials, YeeGrid, _classify, _edge_shapes, _face_shapes,
+                                _offsets)
 from cablefield.sim import MidpointStepper
 
 _DOMAIN_TOL = 1e-8     # max |W_B z - (u, 0)| accepted by apply_FG
@@ -55,9 +57,10 @@ def periodic_curl_pair(n: int, h: float):
     return C, C.T.tocsr()
 
 
-def divergence_matrix(grid: YeeGrid) -> sp.csr_matrix:
-    """Cell divergence of the face field, restricted to field cells whose
-    six faces are all unknowns (the staircase-free subgrid)."""
+def divergence_matrix(spec: GeometrySpec, grid: YeeGrid) -> sp.csr_matrix:
+    """Cell divergence of the face field, restricted to the field cells of
+    the grid built on ``spec`` whose six faces are all unknowns (the
+    staircase-free subgrid)."""
     n, h = grid.n, grid.h
     fshapes = _face_shapes(n)
     foff = grid.face_offsets
@@ -83,7 +86,7 @@ def divergence_matrix(grid: YeeGrid) -> sp.csr_matrix:
     dof_mask = np.zeros(foff[-1], dtype=bool)
     dof_mask[grid.dof_faces] = True
     complete = np.asarray((np.abs(D) > 0).astype(float) @ (~dof_mask).astype(float) == 0).reshape(-1)
-    complete &= grid.cell_cable == -1
+    complete &= _classify(spec, n, h, grid.origin)[0] == -1
     Dr = D[np.nonzero(complete)[0], :][:, grid.dof_faces]
     return Dr.tocsr()
 

@@ -15,6 +15,11 @@ parameter counts as set when some call of the function's name (of the
 class, for ``__init__``) in the package, a demo or perfbench (whose op
 calls ``cli.main(argv)``) passes it by keyword or by position, or passes
 ``*args`` or ``**kwargs``.
+
+An annotated field that nothing reads is state without a user: every
+annotated field of a class of the package must appear as an attribute in
+some module of the package or in some demo (``__init__`` again does not
+count), so an object keeps no data that only tests look at.
 """
 
 import ast
@@ -118,3 +123,23 @@ def test_every_defaulted_parameter_is_set_by_a_caller_outside_the_tests():
              if not any(sets_parameter(call, param, position)
                         for call in calls.get(called, []))]
     assert not unset, f"defaulted parameters that no caller in src/, demos/ or perfbench/ sets: {unset}"
+
+
+def annotated_fields(tree):
+    """(qualified name, name) of the annotated fields of the module's classes."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    yield f"{node.name}.{item.target.id}", item.target.id
+
+
+def test_every_field_is_read_outside_the_tests():
+    trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES + DEMOS}
+    read = {node.attr for path, tree in trees.items() if path.name != "__init__.py"
+            for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    unread = [f"{path.stem}.{qualified}"
+              for path in SOURCES
+              for qualified, name in annotated_fields(trees[path])
+              if name not in read]
+    assert not unread, f"fields that nothing in src/ or demos/ reads: {unread}"

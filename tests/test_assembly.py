@@ -156,7 +156,7 @@ def test_coupling_sign_matches_staircase_faraday():
     lift = lift_voltage(chart, grid, V, lg)
     # both routes enter the Faraday row with the same leading minus, so
     # K_V itself must agree with the curl of the lifted band values
-    f_lift = C_band @ lift.values[grid.band_edges]
+    f_lift = C_band @ lift[grid.band_edges]
     f_adj = bundle.K_V @ V
 
     # both pair with a smooth azimuthal test field to the ring functional

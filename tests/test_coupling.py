@@ -164,25 +164,26 @@ def lift_setup():
 def test_lift_constant_voltage_is_zero(lift_setup):
     spec, grid, lg, chart = lift_setup
     lift = lift_voltage(chart, grid, np.full(lg.n + 1, 5.0), lg)
-    assert not lift.values.any()
+    assert not lift.any()
 
 
 def test_lift_linear_voltage_axial_field(lift_setup):
     spec, grid, lg, chart = lift_setup
     V = lg.nodes.copy()            # V(eta) = eta
     lift = lift_voltage(chart, grid, V, lg)
-    assert lift.support.size > 0
-    mids = grid.edge_midpoints(lift.support)
-    dirs = grid.edge_direction(lift.support)
+    support = np.nonzero(lift)[0]
+    assert support.size > 0
+    mids = grid.edge_midpoints(support)
+    dirs = grid.edge_direction(support)
     coords = collar_coords(chart, mids)
     chi = chart.chi(coords[:, 2], coords[:, 0])
     # interior field = chi / l * z_hat: z-edges carry chi/l, x/y edges 0
     expected = np.where(dirs == 2, chi / chart.curve.length, 0.0)
-    assert np.abs(lift.values[lift.support] - expected).max() <= 1e-9
+    assert np.abs(lift[support] - expected).max() <= 1e-9
 
     # identically zero outside the cutoff support
-    outside = np.setdiff1d(np.arange(grid.edge_offsets[-1]), lift.support)
-    assert not lift.values[outside].any()
+    outside = np.setdiff1d(np.arange(grid.edge_offsets[-1]), support)
+    assert not lift[outside].any()
 
 
 def test_lift_plateau_values_exact_for_any_voltage(lift_setup):
@@ -194,14 +195,15 @@ def test_lift_plateau_values_exact_for_any_voltage(lift_setup):
     lift = lift_voltage(chart, grid, V, lg)
     dV = (lg.D @ V)
 
-    mids = grid.edge_midpoints(lift.support)
-    dirs = grid.edge_direction(lift.support)
+    support = np.nonzero(lift)[0]
+    mids = grid.edge_midpoints(support)
+    dirs = grid.edge_direction(support)
     coords = collar_coords(chart, mids)
     plateau = (chart.chi(coords[:, 2], coords[:, 0]) >= 1.0 - 1e-12)
     assert plateau.sum() > 0
     cell = np.clip((coords[plateau, 0] * lg.n).astype(int), 0, lg.n - 1)
     expected = np.where(dirs[plateau] == 2, dV[cell] / chart.curve.length, 0.0)
-    assert np.abs(lift.values[lift.support][plateau] - expected).max() <= 1e-9
+    assert np.abs(lift[support][plateau] - expected).max() <= 1e-9
 
 
 def test_lift_trace_matches_pel(lift_setup):
@@ -216,8 +218,9 @@ def test_lift_trace_matches_pel(lift_setup):
     import scipy.sparse as sps
     mids = grid.edge_midpoints()
     dirs_all = grid.edge_direction(np.arange(mids.shape[0]))
-    coords = collar_coords(chart, mids[lift.support])
-    plateau_ids = lift.support[chart.chi(coords[:, 2], coords[:, 0]) >= 1.0 - 1e-12]
+    support = np.nonzero(lift)[0]
+    coords = collar_coords(chart, mids[support])
+    plateau_ids = support[chart.chi(coords[:, 2], coords[:, 0]) >= 1.0 - 1e-12]
     pts = chart.quad_points()
     sampled = np.zeros_like(target)
     for c in range(3):
@@ -229,7 +232,7 @@ def test_lift_trace_matches_pel(lift_setup):
             continue
         rows, cols, vals = _interp_rows(pts, mids[sel], grid.h, radius_factor=2.5)
         R = sps.csr_matrix((vals, (rows, cols)), shape=(pts.shape[0], sel.size))
-        sampled[:, c] = R @ lift.values[sel]
+        sampled[:, c] = R @ lift[sel]
     err = np.abs(sampled - target).max()
     assert err <= 0.3 * np.abs(target).max()
 
@@ -285,8 +288,7 @@ def test_lift_matches_independent_inversions(lift_setup):
     values = np.zeros(mids.shape[0])
     values[sel] = (chi[live] * ((V[1:] - V[:-1]) * lg.n)[cell]
                    * grad[np.arange(sel.size), grid.edge_direction(sel)])
-    assert np.array_equal(lift.values, values)
-    assert np.array_equal(lift.support, np.nonzero(values)[0])
+    assert np.array_equal(lift, values)
 
 
 def test_lift_rejects_thin_collar():
@@ -317,7 +319,7 @@ def test_lift_on_short_cable_inverts_every_candidate():
     lg = build_line_grid(12, 1)
     V = np.sin(np.pi * lg.nodes)
     lift = lift_voltage(spec.chart(0, n_eta=12, n_theta=16), grid, V, lg)
-    assert lift.support.size > 0
+    assert lift.any()
 
 
 def test_lift_support_is_the_whole_cutoff_support():
@@ -342,7 +344,7 @@ def test_lift_support_is_the_whole_cutoff_support():
     eta = (mids[z_edges, 2] - z0) / length
     expected = z_edges[chart.chi(rho / radius - 1.0, eta) > 0]
     assert expected.size > 0
-    assert np.array_equal(lift.support, expected)
+    assert np.array_equal(np.nonzero(lift)[0], expected)
 
 
 def test_chart_rejects_collar_beyond_the_eta_window():

@@ -11,6 +11,7 @@ from cablefield.maxwell import (
     EDGE_FREE,
     EDGE_PEC,
     FieldMaterials,
+    _classify,
     assemble_curls,
     build_grid,
     surface_trace,
@@ -23,6 +24,11 @@ from oracles import divergence_matrix, float_curl_block, material_averages, peri
 
 def empty_spec(box=((0, 1), (0, 1), (0, 1))):
     return GeometrySpec(box=np.array(box, dtype=float), cables=[])
+
+
+def cell_cable(spec, grid):
+    """The cable id of each cell of the grid (-1 for field cells)."""
+    return _classify(spec, grid.n, grid.h, grid.origin)[0]
 
 
 def tube_spec(n_cells=10, radius=0.2):
@@ -40,8 +46,9 @@ def tube_spec(n_cells=10, radius=0.2):
 # ---------------------------------------------------------------------------
 
 def test_empty_box_all_field_cells():
-    grid = build_grid(empty_spec(), (6, 6, 6))
-    assert (grid.cell_cable == -1).all()
+    spec = empty_spec()
+    grid = build_grid(spec, (6, 6, 6))
+    assert (cell_cable(spec, grid) == -1).all()
     assert grid.n_band_edges == 0
     # interior edges of each lattice: nx*(ny-1)*(nz-1) etc.
     assert grid.n_free_edges == 3 * 6 * 5 * 5
@@ -66,17 +73,17 @@ def test_tube_volume_fraction():
     )
     grid = build_grid(spec, (32, 32, 32))
     expected = np.pi * 0.1 ** 2 * 0.8
-    assert abs((grid.cell_cable >= 0).mean() - expected) / expected < 0.10
+    assert abs((cell_cable(spec, grid) >= 0).mean() - expected) / expected < 0.10
 
 
 def test_masks_consistent_with_classifier():
     spec = tube_spec()
     grid = build_grid(spec, (10, 10, 14))
-    centers = grid.cell_centers()
+    centers, tags = grid.cell_centers(), cell_cable(spec, grid)
     rng = np.random.default_rng(5)
     for idx in rng.choice(centers.shape[0], 80, replace=False):
         tag = classify_point(spec, centers[idx])
-        if grid.cell_cable[idx] >= 0:
+        if tags[idx] >= 0:
             assert tag[0] == "inside_tube"
         else:
             assert tag[0] != "inside_tube"
@@ -86,18 +93,19 @@ def test_masks_mirror_symmetric():
     spec = tube_spec()
     n = (10, 10, 14)
     grid = build_grid(spec, n)
-    cells = grid.cell_cable.reshape(n)
+    cells = cell_cable(spec, grid).reshape(n)
     assert (cells == cells[::-1, :, :]).all()
     assert (cells == cells[:, ::-1, :]).all()
 
 
 def test_band_edges_exist_and_caps_are_pec():
-    grid = build_grid(tube_spec(), (10, 10, 14))
+    spec = tube_spec()
+    grid = build_grid(spec, (10, 10, 14))
     assert grid.n_band_edges > 0
     # every band edge touches the tube laterally: its nearest curve
     # parameter lies strictly inside (0, 1)
     mids = grid.edge_midpoints(grid.band_edges)
-    curve = grid.spec.cables[0]
+    curve = spec.cables[0]
     eta, gap, _ = curve.nearest_parameter_batch(mids)
     assert eta.min() > 0.0 and eta.max() < 1.0
     rad = np.linalg.norm(gap, axis=1)
@@ -121,12 +129,13 @@ def test_classification_matches_brute_force_neighbours(box_z, n):
     spec = GeometrySpec(box=np.array([[0, 1], [0, 1], [0, box_z]], dtype=float),
                         cables=spec.cables)
     grid = build_grid(spec, n)
-    h, centers, tags = grid.h, grid.cell_centers(), grid.cell_cable
+    tags, edge_status, edge_cable, face_dof = _classify(spec, grid.n, grid.h, grid.origin)
+    h, centers = grid.h, grid.cell_centers()
     edges = brute_force_neighbours(grid.edge_midpoints(), centers, h / np.sqrt(2.0))
     seen = set()
     for i, cells in enumerate(edges):
         tube, field = (tags[cells] >= 0).any(), (tags[cells] == -1).any()
-        status = grid.edge_status[i]
+        status = edge_status[i]
         if tube and not field:
             assert status == EDGE_EXCLUDED
         elif cells.size < 4:                   # in an outer box face
@@ -135,7 +144,7 @@ def test_classification_matches_brute_force_neighbours(box_z, n):
             assert status in (EDGE_BAND, EDGE_PEC)
         else:
             assert status == EDGE_FREE
-        assert grid.edge_cable[i] == (tags[cells].max() if status == EDGE_BAND else -1)
+        assert edge_cable[i] == (tags[cells].max() if status == EDGE_BAND else -1)
         seen.add((bool(tube), bool(field), cells.size == 4, int(status)))
     # every rule is exercised: excluded, band, cap PEC, box PEC, free, and
     # where the box cuts the tube, box PEC before band and excluded on the box
@@ -147,6 +156,7 @@ def test_classification_matches_brute_force_neighbours(box_z, n):
 
     faces = brute_force_neighbours(grid.face_midpoints(), centers, h / 2.0)
     dof = np.array([cells.size == 2 and (tags[cells] == -1).any() for cells in faces])
+    assert np.array_equal(dof, face_dof)
     assert np.array_equal(np.nonzero(dof)[0], grid.dof_faces)
     assert any(cells.size == 2 and (tags[cells] >= 0).all() for cells in faces)
 
@@ -241,10 +251,12 @@ def test_incidence_is_int8_and_the_curl_times_h(n):
 
 
 def test_grid_ids_are_int32():
-    grid = build_grid(tube_spec(), (10, 10, 14))
+    spec = tube_spec()
+    grid = build_grid(spec, (10, 10, 14))
+    edge_status = _classify(spec, grid.n, grid.h, grid.origin)[1]
     for ids, status in ((grid.free_edges, EDGE_FREE), (grid.band_edges, EDGE_BAND)):
         assert ids.dtype == np.int32
-        assert np.array_equal(ids, np.nonzero(grid.edge_status == status)[0])
+        assert np.array_equal(ids, np.nonzero(edge_status == status)[0])
     assert grid.dof_faces.dtype == np.int32 and grid.n_dof_faces > 0
 
 
@@ -319,9 +331,10 @@ def test_materials_validation_and_hodge():
 
 
 def test_divergence_of_curl_vanishes():
-    grid = build_grid(tube_spec(), (10, 10, 14))
+    spec = tube_spec()
+    grid = build_grid(spec, (10, 10, 14))
     cp = assemble_curls(grid, FieldMaterials())
-    div = divergence_matrix(grid)
+    div = divergence_matrix(spec, grid)
     rng = np.random.default_rng(2)
     e = rng.standard_normal(grid.n_free_edges)
     # .. on complete cells, including cells adjacent to band edges

@@ -350,8 +350,9 @@ def test_table_input_must_cover_the_interval():
         InputSignal(m=2, kind="table", table_t=[0.0, 1.0], table_u=[[0.0], [1.0]])
 
 
-def test_lifted_initial_state():
-    import numpy as np
+def lift_bundle(line_mats):
+    """The bundle of a straight cable on line 0 whose collar the grid
+    resolves, and its chart."""
     from cablefield.geometry import GeometrySpec, StraightSegment
     from cablefield.maxwell import assemble_curls, build_grid, surface_trace
     from cablefield.coupling import assemble_P_el
@@ -365,20 +366,46 @@ def test_lifted_initial_state():
         collar_halfwidth=0.5,
     )
     grid = build_grid(spec, (24, 24, 24))
-    lg = build_line_grid(12, 1)
+    lg = build_line_grid(12, line_mats.k)
     chart = spec.chart(0, n_eta=12, n_theta=16)
     bundle = assemble_system(
-        assemble_line(LineMaterials(k=1), lg),
+        assemble_line(line_mats, lg),
         assemble_curls(grid, FieldMaterials()),
         coupling=assemble_P_el([chart], lg),
         R_nu=surface_trace(grid, [chart]),
     )
-    V0 = np.sin(np.pi * lg.nodes)
+    return bundle, chart
+
+
+def test_lifted_initial_state():
+    bundle, chart = lift_bundle(LineMaterials(k=1))
+    V0 = np.sin(np.pi * bundle.line.grid.nodes)
     x0 = lifted_state(bundle, chart, V0)
     lay = bundle.layout
     assert np.abs(x0[lay.sl_V] - V0).max() <= 1e-12     # unit C
     assert np.abs(x0[lay.sl_E]).max() > 0
     assert energy(bundle, x0) > 0
+
+
+def test_lifted_state_reads_the_line_blocks_sparse(monkeypatch):
+    # q = C V0 node by node, from the stored k x k blocks of C^-1: a dense
+    # copy of C^-1 holds (nodes k)^2 floats, 3.2 GB at 10^4 cells with k = 2
+    off = np.array([[0.0, 0.3], [0.3, 0.0]])
+    bundle, chart = lift_bundle(LineMaterials(k=2, C=lambda eta: np.eye(2) * (1.0 + eta) + off))
+    nodes = bundle.line.grid.n + 1
+    V0 = np.sin(np.pi * bundle.line.grid.nodes)
+    V = np.zeros((nodes, 2))
+    V[:, chart.curve.line] = V0
+    dense = bundle.line.Cinv.toarray().reshape(nodes, 2, nodes, 2)
+    expected = np.linalg.solve(dense[np.arange(nodes), :, np.arange(nodes), :],
+                               V[..., None]).ravel()
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("dense copy of a sparse matrix")
+
+    monkeypatch.setattr(type(bundle.line.Cinv), "toarray", refuse)
+    x0 = lifted_state(bundle, chart, V0)
+    assert np.array_equal(x0[bundle.layout.sl_V], expected)
 
 
 def test_csv_writer(tmp_path, lossy):

@@ -41,6 +41,33 @@ def test_boundary_rows_are_built_sparse():
     assert (g.Lg[0, 0], g.Lg[n, 1], g.Lg.nnz) == (2.0 / h, -2.0 / h, 2)
 
 
+def test_one_line_grid_forms_no_kron(monkeypatch):
+    # a kron with the 1 x 1 identity copies every operator: at n = 10^6 the
+    # traced peak of build_line_grid falls from 236 to 168 MB without it.
+    # The operators stay the kron's, bit for bit: canonical CSR, int32 ids
+    import scipy.sparse as sp
+
+    names = ("D", "Dt", "Lg", "Mn", "Mc", "R0", "R1", "E0", "E1")
+    kron = sp.kron
+
+    def no_unit_kron(a, b, *args, **kwargs):
+        assert b.shape != (1, 1), "kron with a 1 x 1 factor"
+        return kron(a, b, *args, **kwargs)
+
+    for n in (3, 12, 37):
+        with monkeypatch.context() as m:
+            m.setattr(sp, "kron", no_unit_kron)
+            g = build_line_grid(n, 1)
+        for name in names:
+            op = getattr(g, name)
+            ref = kron(op, sp.identity(1), format="csr")
+            assert op.format == "csr" and op.has_canonical_format, name
+            for part in ("data", "indices", "indptr"):
+                got, want = getattr(op, part), getattr(ref, part)
+                assert got.dtype == want.dtype and np.array_equal(got, want), (name, part)
+            assert op.indices.dtype == np.int32
+
+
 def test_line_green_identity_random():
     # <-D V, I>_Mc + <V, -Dt I>_Mn = <V(0), I(0)> - <V(1), I(1)>
     # with <x, y> = y^H x; holds exactly by the SBP closure
