@@ -121,13 +121,15 @@ class OperatorBundle:
     """Assembled (J, R, H) triple with masses and boundary extraction.
 
     J, Rd, Hd, M and Lg_state are not stored: each is assembled from the
-    line, curl and coupling blocks the bundle holds.  Rd, Hd, M and
-    Lg_state are assembled the first time they are read and kept from then
-    on.  J is assembled on every read and never kept (0.91 MB on the pair
-    at scale 1, 22.6 MB at scale 3): the closed loop reads it once to form
-    J_cl, so a simulate run holds one N x N generator, the loop's A, and
-    the operator export reads it once.  Certification reads none of them
-    (the Green check and hodge_extremes work on the blocks).
+    line, curl and coupling blocks the bundle holds (the field diagonals
+    of Hd and Rd from the constant materials, ``CurlPair``).  Rd, Hd, M
+    and Lg_state are assembled the first time they are read and kept from
+    then on.  J is assembled on every read and never kept (0.91 MB on the
+    pair at scale 1, 22.6 MB at scale 3): the closed loop reads it once to
+    form J_cl, so a simulate run holds one N x N generator, the loop's A,
+    and the operator export reads it once.  Certification reads none of
+    them (the Green check works on the blocks, hodge_extremes on the
+    materials).
     """
 
     layout: BlockLayout
@@ -172,7 +174,7 @@ class OperatorBundle:
             self.line.Rm,
             sp.csr_matrix((self.layout.n_faces, self.layout.n_faces)),
             self.line.Gm,
-            sp.diags(self.curls.sigma_edge),
+            sp.diags(self.curls.sigma_edge()),
         ], format="csr")
 
     @cached_property
@@ -380,20 +382,14 @@ def hodge_extremes(bundle: OperatorBundle):
     """Eigenvalue extremes of the material Hodge in the weighted metric.
 
     The masses are scalar within each material block, so these are the
-    plain eigenvalue extremes of Hd, read from its blocks: the diagonals
-    mu^-1 and eps^-1 on the field blocks, and small Hermitian blocks
-    L^-1 and C^-1 on the line blocks.  A field average Hd has not kept is
-    formed for this call only (``CurlPair.average``): certify keeps none,
-    and simulate, which reads Hd first, forms each once.
+    plain eigenvalue extremes of Hd, read from the constant materials it
+    repeats: 1/eps_d and 1/mu_d on each edge or face lattice d that holds
+    unknowns, and the Hermitian eigenvalues of the one k x k L^-1 and C^-1
+    of the line blocks.  No block of Hd is formed.
     """
     curls, line = bundle.curls, bundle.line
-    lo, hi = np.inf, -np.inf
-    for name in ("mu", "eps"):
-        inv = 1.0 / curls.average(name)
-        lo, hi = min(lo, inv.min()), max(hi, inv.max())
-    for block in (line.Linv, line.Cinv):
-        block = block.toarray()
-        lam = np.linalg.eigvalsh(0.5 * (block + block.conj().T))
-        lo = min(lo, lam.min())
-        hi = max(hi, lam.max())
-    return float(lo), float(hi)
+    m, grid = curls.materials, curls.grid
+    values = [1.0 / m.eps[grid.edges_per_axis() > 0], 1.0 / m.mu[grid.faces_per_axis() > 0]]
+    values += [np.linalg.eigvalsh(0.5 * (b + b.conj().T)) for b in (line.Linv_k, line.Cinv_k)]
+    values = np.concatenate(values)
+    return float(values.min()), float(values.max())

@@ -137,7 +137,7 @@ def cmd_simulate(args) -> int:
     scn = build_scenario(config)
     _log_stages(scn.build)
     traj = scn.simulate()
-    cert = scn.certificate()        # after the run: the Hodge extremes read Hd's averages
+    cert = scn.certificate()
     _log_stages(scn.build, ("closed_loop",))
     _log_run(traj)
     out = _outdir(args)

@@ -29,17 +29,18 @@ is one: R_nu (``surface_trace``) interpolates H from the dof faces to the
 chart quadrature points and takes nu x H there.
 
 The cells around each edge and face are shifted slice views of one cell
-array with a one-cell border (``_edge_cells``, ``_face_cells``).  Grid
-classification reads them on the cell tags bordered by -2 (outside the
-box); material averaging reads them on the cell samples and on a count of
-ones, both bordered by 0, so each mean runs over the cells inside the box.
+array with a one-cell border (``_edge_cells``, ``_face_cells``), which grid
+classification reads on the cell tags bordered by -2 (outside the box).
+
+The materials eps, mu, sigma are constant with a diagonal (per-axis)
+tensor (``FieldMaterials``): every d-edge unknown carries component d of
+eps and sigma, and every d-face unknown component d of mu.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -57,54 +58,42 @@ _CAP_MARGIN_CELLS = 0.95   # surface edges within this many cells of a tube
 # materials
 # ---------------------------------------------------------------------------
 
-def _as_axis_func(value) -> Callable[[np.ndarray], np.ndarray]:
-    """Promote scalar / length-3 / callable to pts -> (m,3) per-axis samples."""
-    if callable(value):
-        def func(pts):
-            out = np.asarray(value(pts))
-            if out.ndim == 1:
-                out = np.repeat(out[:, None], 3, axis=1)
-            return out
-        return func
-    arr = np.asarray(value, dtype=float)
-    if arr.ndim == 0:
-        arr = np.full(3, float(arr))
+def _as_axis(value, name: str) -> np.ndarray:
+    """A scalar or length-3 diagonal as a length-3 float array."""
+    arr = np.asarray(value)
+    if arr.dtype.kind not in "biuf":
+        raise MaterialsError(f"field material {name} must be a real scalar or length-3 "
+                             f"diagonal, got {type(value).__name__}")
+    arr = np.full(3, float(arr)) if arr.ndim == 0 else arr.astype(float)
     if arr.shape != (3,):
-        raise MaterialsError("field material must be a scalar, length-3 diagonal, or callable")
-
-    def const(pts):
-        return np.broadcast_to(arr, (pts.shape[0], 3)).copy()
-    return const
+        raise MaterialsError(f"field material {name} has shape {arr.shape}, expected a "
+                             "scalar or a length-3 diagonal")
+    return arr
 
 
 @dataclass
 class FieldMaterials:
-    """Permittivity, permeability, conductivity as scalars, per-axis
-    diagonals, or callables of position (diagonal anisotropy only)."""
+    """Permittivity, permeability and conductivity, each constant over the
+    box with a diagonal tensor: a scalar or per-axis [ax, ay, az]."""
 
-    eps: object = 1.0
-    mu: object = 1.0
-    sigma: object = 0.0
+    eps: np.ndarray = 1.0
+    mu: np.ndarray = 1.0
+    sigma: np.ndarray = 0.0
 
     def __post_init__(self):
-        self._eps = _as_axis_func(self.eps)
-        self._mu = _as_axis_func(self.mu)
-        self._sigma = _as_axis_func(self.sigma)
-
-    def sample(self, name: str, pts: np.ndarray) -> np.ndarray:
-        return getattr(self, "_" + name)(np.atleast_2d(pts))
+        for name in ("eps", "mu", "sigma"):
+            setattr(self, name, _as_axis(getattr(self, name), name))
 
 
-def validate_field_materials(m: FieldMaterials, pts: np.ndarray) -> dict:
-    eps = m.sample("eps", pts)
-    mu = m.sample("mu", pts)
-    sig = m.sample("sigma", pts)
+def validate_field_materials(m: FieldMaterials) -> dict:
+    """The smallest component of each material; ``passed`` iff eps and mu
+    are positive and sigma is nonnegative."""
     report = {
-        "eps_min": float(eps.min()),
-        "mu_min": float(mu.min()),
-        "sigma_min": float(sig.min()),
+        "eps_min": float(m.eps.min()),
+        "mu_min": float(m.mu.min()),
+        "sigma_min": float(m.sigma.min()),
     }
-    report["passed"] = eps.min() > 0 and mu.min() > 0 and sig.min() >= -1e-12
+    report["passed"] = m.eps.min() > 0 and m.mu.min() > 0 and m.sigma.min() >= -1e-12
     return report
 
 
@@ -197,8 +186,13 @@ class YeeGrid:
     def face_normal_axis(self, ids):
         return np.searchsorted(self.face_offsets[1:], ids, side="right")
 
-    def cell_centers(self):
-        return _lattice_midpoints(self.origin, self.h, self.n, {0, 1, 2})
+    def edges_per_axis(self):
+        """The number of free edges on each of the three edge lattices."""
+        return np.diff(np.searchsorted(self.free_edges, self.edge_offsets))
+
+    def faces_per_axis(self):
+        """The number of dof faces on each of the three face lattices."""
+        return np.diff(np.searchsorted(self.dof_faces, self.face_offsets))
 
 
 def grid_spacing(spec: GeometrySpec, n: Sequence[int]) -> float:
@@ -245,7 +239,7 @@ def _classify(spec: GeometrySpec, n: tuple, h: float, origin: np.ndarray):
 
     # edges --------------------------------------------------------------------
     edge_offsets = _offsets(_edge_shapes(n))
-    pad = _padded(cell_cable.reshape(n), -2)     # -2: outside the box
+    pad = np.pad(cell_cable.reshape(n), 1, constant_values=-2)   # -2: outside the box
     edge_status, edge_cable = [], []
     for d in range(3):
         adj = _edge_cells(pad, d)
@@ -295,11 +289,6 @@ def _ids(mask):
 def _offsets(shapes):
     """Start of each lattice's block in the global ids, and the total."""
     return np.r_[0, np.cumsum([int(np.prod(s)) for s in shapes])]
-
-
-def _padded(cells, fill):
-    """Cell array (nx, ny, nz) with a one-cell border of ``fill``."""
-    return np.pad(cells, 1, constant_values=fill)
 
 
 # slices of a padded cell array along one axis: the cells themselves, and the
@@ -381,8 +370,7 @@ def _curl_block(n, faces, edges) -> sp.csr_matrix:
 
 @dataclass
 class CurlPair:
-    """Masked curls as the signed incidence, and diagonal material Hodge
-    blocks.
+    """Masked curls as the signed incidence, and the field materials.
 
     A Yee field's discrete curl is topological: C_E = D / h maps free edges
     to dof faces, with D the signed edge->face incidence, entries +-1, and
@@ -395,79 +383,32 @@ class CurlPair:
     discarded BAND columns.  D^T is read as the CSC view D.T, which shares
     D's arrays.
 
-    The edge and face material averages (eps_edge, sigma_edge, mu_face)
-    are computed from the grid and the materials the first time each is
-    read, and kept from then on; ``average`` returns a kept one, and
-    otherwise forms it without keeping it.
+    The diagonal material Hodge and damping blocks are formed on each call
+    (``eps_inv``, ``mu_inv``, ``sigma_edge``): component d of the constant
+    material, repeated over lattice d's unknowns.
     """
 
     grid: YeeGrid
     incidence: sp.csr_matrix
     materials: FieldMaterials
 
-    def average(self, name: str) -> np.ndarray:
-        """The face average of mu, or the edge average of eps (harmonic) or
-        sigma: the kept one if it was read, else formed anew."""
-        kept = vars(self).get(f"{name}_face" if name == "mu" else f"{name}_edge")
-        if kept is not None:
-            return kept
-        g = self.grid
-        if name == "mu":
-            return _average(g, self.materials, "mu", False, _face_cells, g.dof_faces,
-                            g.face_offsets)
-        return _average(g, self.materials, name, name == "eps", _edge_cells, g.free_edges,
-                        g.edge_offsets)
+    def eps_inv(self) -> np.ndarray:
+        return 1.0 / np.repeat(self.materials.eps, self.grid.edges_per_axis())
 
-    @cached_property
-    def eps_edge(self) -> np.ndarray:
-        return self.average("eps")
+    def mu_inv(self) -> np.ndarray:
+        return 1.0 / np.repeat(self.materials.mu, self.grid.faces_per_axis())
 
-    @cached_property
     def sigma_edge(self) -> np.ndarray:
-        return self.average("sigma")
-
-    @cached_property
-    def mu_face(self) -> np.ndarray:
-        return self.average("mu")
-
-    def eps_inv(self):
-        return 1.0 / self.eps_edge
-
-    def mu_inv(self):
-        return 1.0 / self.mu_face
+        return np.repeat(self.materials.sigma, self.grid.edges_per_axis())
 
 
 def assemble_curls(grid: YeeGrid, m: FieldMaterials) -> CurlPair:
-    """The incidence of the grid's unknowns, with the materials checked at
-    the cell centres; the material averages (harmonic across edges for
-    eps, arithmetic on faces for mu, arithmetic for sigma) wait for their
-    first read."""
-    rep = validate_field_materials(m, grid.cell_centers())
+    """The incidence of the grid's unknowns, with the materials checked."""
+    rep = validate_field_materials(m)
     if not rep["passed"]:
         raise MaterialsError(f"field material assumptions violated: {rep}")
     return CurlPair(grid=grid, incidence=_curl_block(grid.n, grid.dof_faces, grid.free_edges),
                     materials=m)
-
-
-def _average(grid, m, name, harmonic, lattice, ids, offsets):
-    """Arithmetic (or ``harmonic``) mean of material ``name`` over the cells
-    inside the box around the edges (``lattice=_edge_cells``) or faces
-    (``_face_cells``) ``ids``, ascending global ids with lattice d starting
-    at offsets[d]; lattice d averages component d.  Each lattice's means
-    are formed whole, then read at its ids."""
-    vals = m.sample(name, grid.cell_centers()).reshape(grid.n + (3,))
-    if harmonic:
-        vals = 1.0 / vals
-    count = _padded(np.ones(grid.n), 0.0)
-    bounds = np.searchsorted(ids, offsets)
-    out = np.empty(ids.size)
-    for d in range(3):
-        total = sum(lattice(_padded(vals[..., d], 0.0), d))
-        inside = sum(lattice(count, d))
-        mean = (inside / total if harmonic else total / inside).reshape(-1)
-        sel = slice(bounds[d], bounds[d + 1])
-        out[sel] = mean[ids[sel] - offsets[d]]
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -46,6 +46,10 @@ grid and every count are whole numbers.
                           sim.solver_tol (finite, > 0, default 1e-10),
                           sim.record_stride (a whole number >= 1, default 1)
 
+Every material is constant: line.C/L/R/G hold along the whole line, and
+fields.eps/mu/sigma over the whole box (``tline.LineMaterials``,
+``maxwell.FieldMaterials``).
+
 All boundary matrices act on the stacked port (I_tot(0), I_tot(1), V(0),
 -V(1)) and end up in one certify.PortLaw; see the assembly module docstring.
 """
@@ -318,12 +322,10 @@ def check_scenario(spec: ScenarioSpec) -> dict:
     whether all passed.  Unequal grid spacings raise the GridError that
     build_grid would raise, and a lift the grid cannot carry the
     CouplingError that the lift itself would raise."""
-    probe = np.asarray(np.meshgrid(*[np.linspace(*b, 5) for b in
-                                     spec.geometry.box])).reshape(3, -1).T
     report = {
         "geometry": validate_geometry(spec.geometry),
         "line_materials": tline.validate_line_materials(spec.line_materials),
-        "field_materials": maxwell.validate_field_materials(spec.field_materials, probe),
+        "field_materials": maxwell.validate_field_materials(spec.field_materials),
         "boundary": certify.check_admissible(np.vstack([spec.W_B_inp, spec.W_B_0])),
     }
     report["passed"] = all(bool(report[name][verdict]) for name, verdict, _ in _CHECKS)

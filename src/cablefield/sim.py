@@ -422,12 +422,8 @@ def lifted_state(bundle: OperatorBundle, chart, V0: np.ndarray) -> np.ndarray:
     nodes = lay.n_nodes // k
     V_full = np.zeros((nodes, k))
     V_full[:, chart.curve.line] = V0
-    # q = C V node by node: C^-1 is block diagonal, sample-major, with one
-    # k x k block per node, read from its stored entries
-    Cinv = bundle.line.Cinv.tocoo()
-    blocks = np.zeros((nodes, k, k), dtype=Cinv.dtype)
-    blocks[Cinv.row // k, Cinv.row % k, Cinv.col % k] = Cinv.data
-    q = np.linalg.solve(blocks, V_full[..., None]).ravel()
+    # q = C V node by node, solved with the one k x k C^-1 of every node
+    q = np.linalg.solve(bundle.line.Cinv_k, V_full[..., None]).ravel()
     lift = lift_voltage(chart, grid, np.asarray(V0, dtype=float), line_grid)
     d = lift[grid.free_edges] / bundle.curls.eps_inv()
     x = np.zeros(bundle.n, dtype=np.result_type(q, d))

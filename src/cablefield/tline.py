@@ -30,88 +30,72 @@ parts identity holds exactly as a matrix identity:
 downstream leans on.  `Lg` injects externally supplied endpoint values of
 the cell field into the boundary rows of Dt, used when boundary data comes
 from a port law instead of interior extrapolation.
+
+The material laws C, L, R, G (``LineMaterials``) are constant k x k
+matrices, so each material block of ``assemble_line`` is one k x k matrix
+repeated over the nodes or cells; C and L are inverted once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import MaterialsError
-
-MatrixFunc = Callable[[np.ndarray], np.ndarray]
+from .errors import ConfigError, MaterialsError
 
 _EIG_FLOOR = -1e-12
-_MATERIAL_SAMPLES = 64     # cell-centre samples of validate_line_materials
 
 
 # ---------------------------------------------------------------------------
 # materials
 # ---------------------------------------------------------------------------
 
-def _as_matrix_func(value, k: int) -> MatrixFunc:
-    """Promote a scalar / (k,k) array / callable to eta -> (m,k,k) samples."""
-    if callable(value):
-        def func(eta):
-            eta = np.atleast_1d(np.asarray(eta, dtype=float))
-            out = np.stack([np.atleast_2d(np.asarray(value(e))) for e in eta])
-            if out.shape[1:] != (k, k):
-                raise MaterialsError(f"material callable returned shape {out.shape[1:]}, expected ({k},{k})")
-            return out
-        return func
+def _as_matrix(value, k: int, name: str) -> np.ndarray:
+    """A scalar (times I_k) or (k,k) array as a (k,k) array."""
     arr = np.asarray(value)
+    if arr.dtype.kind not in "biufc":
+        raise MaterialsError(f"line material {name} must be a number or a ({k},{k}) "
+                             f"array, got {type(value).__name__}")
     if arr.ndim == 0:
         arr = arr * np.eye(k)
     if arr.shape != (k, k):
-        raise MaterialsError(f"material constant has shape {arr.shape}, expected ({k},{k})")
-
-    def const(eta):
-        eta = np.atleast_1d(np.asarray(eta, dtype=float))
-        return np.broadcast_to(arr, (eta.size, k, k)).copy()
-    return const
+        raise MaterialsError(f"line material {name} has shape {arr.shape}, expected ({k},{k})")
+    return arr
 
 
 @dataclass
 class LineMaterials:
     """Per-unit-parameter material laws C, L, R, G of a k-line bundle.
 
-    Each entry is a constant (scalar or (k,k) array) or a callable of eta
-    returning a (k,k) array.  C and L must be Hermitian positive definite,
-    R + R^H and G + G^H positive semidefinite.
+    Each law is one constant along the line: a (k,k) array, or a scalar
+    that stands for that multiple of I_k.  C and L must be Hermitian
+    positive definite, R + R^H and G + G^H positive semidefinite.
     """
 
     k: int
-    C: object = 1.0
-    L: object = 1.0
-    R: object = 0.0
-    G: object = 0.0
+    C: np.ndarray = 1.0
+    L: np.ndarray = 1.0
+    R: np.ndarray = 0.0
+    G: np.ndarray = 0.0
 
     def __post_init__(self):
-        self._C = _as_matrix_func(self.C, self.k)
-        self._L = _as_matrix_func(self.L, self.k)
-        self._R = _as_matrix_func(self.R, self.k)
-        self._G = _as_matrix_func(self.G, self.k)
-
-    def sample(self, name: str, eta: np.ndarray) -> np.ndarray:
-        return getattr(self, "_" + name)(eta)
+        for name in ("C", "L", "R", "G"):
+            setattr(self, name, _as_matrix(getattr(self, name), self.k, name))
 
 
 def validate_line_materials(m: LineMaterials) -> dict:
-    """Check the positivity assumptions at _MATERIAL_SAMPLES cell centres.
+    """Check the positivity assumptions on the matrix of each law.
 
     Returns a report dict with per-law eigenvalue margins; ``passed`` is
-    True iff C, L are HPD and R, G have PSD Hermitian part everywhere.
+    True iff C, L are HPD and R, G have PSD Hermitian part.
     """
-    eta = (np.arange(_MATERIAL_SAMPLES) + 0.5) / _MATERIAL_SAMPLES
     report = {"passed": True, "margins": {}, "checks": {}}
     for name, definite in (("C", True), ("L", True), ("R", False), ("G", False)):
-        samples = m.sample(name, eta)
-        herm_defect = float(np.abs(samples - samples.conj().transpose(0, 2, 1)).max()) if definite else 0.0
-        eigs = np.linalg.eigvalsh(0.5 * (samples + samples.conj().transpose(0, 2, 1)))
-        margin = float(eigs.min())
+        a = getattr(m, name)
+        herm_defect = float(np.abs(a - a.conj().T).max()) if definite else 0.0
+        margin = float(np.linalg.eigvalsh(0.5 * (a + a.conj().T)).min())
         ok = margin > 0.0 if definite else margin >= _EIG_FLOOR
         if definite and herm_defect > 1e-10:
             ok = False
@@ -121,12 +105,9 @@ def validate_line_materials(m: LineMaterials) -> dict:
     return report
 
 
-def _block_diag_samples(samples: np.ndarray) -> sp.csr_matrix:
-    """(m,k,k) samples -> sparse block-diagonal matrix, sample-major."""
-    m, k, _ = samples.shape
-    if k == 1:
-        return sp.diags(samples[:, 0, 0]).tocsr()
-    return sp.block_diag([samples[j] for j in range(m)], format="csr")
+def _repeat_block(block: np.ndarray, count: int) -> sp.csr_matrix:
+    """``count`` copies of the (k,k) ``block`` down the diagonal, as CSR."""
+    return sp.kron(sp.identity(count, format="csr"), block, format="csr")
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +144,8 @@ class LineGrid:
 
 def build_line_grid(n: int, k: int = 1) -> LineGrid:
     if n < 3:
-        raise ValueError("need at least 3 cells for the boundary closures")
+        raise ConfigError(f"a line grid needs at least 3 cells for the boundary "
+                          f"closures, got {n}")
     h = 1.0 / n
     Ik = sp.identity(k, format="csr")
 
@@ -222,14 +204,18 @@ class LineBlocks:
         d/dt q   = -Dt I_tot - G V     (nodes)
 
     with I_tot = I on an uncoupled line; the field-coupling correction to
-    I_tot is inserted at global assembly time.
+    I_tot is inserted at global assembly time.  The materials are
+    constant, so each block repeats one k x k matrix down its diagonal;
+    the inverses C^-1 and L^-1 are also kept as that one matrix.
     """
 
     grid: LineGrid
-    Cinv: sp.csr_matrix      # node block-diagonal C(eta)^-1
-    Linv: sp.csr_matrix      # cell block-diagonal L(eta)^-1
-    Rm: sp.csr_matrix        # cell block-diagonal R(eta)
-    Gm: sp.csr_matrix        # node block-diagonal G(eta)
+    Cinv_k: np.ndarray       # (k,k) C^-1
+    Linv_k: np.ndarray       # (k,k) L^-1
+    Cinv: sp.csr_matrix      # node block-diagonal C^-1
+    Linv: sp.csr_matrix      # cell block-diagonal L^-1
+    Rm: sp.csr_matrix        # cell block-diagonal R
+    Gm: sp.csr_matrix        # node block-diagonal G
 
 
 def assemble_line(m: LineMaterials, g: LineGrid) -> LineBlocks:
@@ -240,12 +226,12 @@ def assemble_line(m: LineMaterials, g: LineGrid) -> LineBlocks:
         bad = [name for name, ok in report["checks"].items() if not ok]
         raise MaterialsError(f"material assumptions violated for {bad}: margins {report['margins']}")
 
-    c_nodes = m.sample("C", g.nodes)
-    l_cells = m.sample("L", g.cells)
+    Cinv_k, Linv_k = np.linalg.inv(m.C), np.linalg.inv(m.L)
+    nodes, cells = g.n + 1, g.n
     return LineBlocks(
-        grid=g,
-        Cinv=_block_diag_samples(np.linalg.inv(c_nodes)),
-        Linv=_block_diag_samples(np.linalg.inv(l_cells)),
-        Rm=_block_diag_samples(m.sample("R", g.cells)),
-        Gm=_block_diag_samples(m.sample("G", g.nodes)),
+        grid=g, Cinv_k=Cinv_k, Linv_k=Linv_k,
+        Cinv=_repeat_block(Cinv_k, nodes),
+        Linv=_repeat_block(Linv_k, cells),
+        Rm=_repeat_block(m.R, cells),
+        Gm=_repeat_block(m.G, nodes),
     )

@@ -10,8 +10,8 @@ enforces, the node-domain flow and output maps of a port law, the
 homogeneous closed loop of the spectral checks, the completion form of
 the energy ledger's boundary term, the Green residual by its full
 formula, the bundle's N x N operators by their block_diag construction,
-the Hodge extremes read from the assembled Hd, the masked curl as a
-float +-1/h matrix, and the edge and face material averages cell by cell.
+the Hodge extremes read from the assembled Hd, and the masked curl as a
+float +-1/h matrix.
 """
 
 import numpy as np
@@ -21,8 +21,7 @@ from cablefield.assembly import ClosedLoop, OperatorBundle, build_closed_loop
 from cablefield.certify import PortLaw, sigma_matrix
 from cablefield.errors import DomainError
 from cablefield.geometry import GeometrySpec
-from cablefield.maxwell import (FieldMaterials, YeeGrid, _classify, _edge_shapes, _face_shapes,
-                                _offsets)
+from cablefield.maxwell import YeeGrid, _classify, _edge_shapes, _face_shapes, _offsets
 from cablefield.sim import MidpointStepper
 
 _DOMAIN_TOL = 1e-8     # max |W_B z - (u, 0)| accepted by apply_FG
@@ -206,7 +205,7 @@ def block_operators(bundle: OperatorBundle) -> dict:
         [None, C_H, None, None],
     ], format="csr")
     Rd = sp.block_diag([line.Rm, sp.csr_matrix((lay.n_faces, lay.n_faces)), line.Gm,
-                        sp.diags(curls.sigma_edge)], format="csr")
+                        sp.diags(curls.sigma_edge())], format="csr")
     Hd = sp.block_diag([line.Linv, sp.diags(curls.mu_inv()), line.Cinv,
                         sp.diags(curls.eps_inv())], format="csr")
     M = sp.block_diag([g.Mc, sp.identity(lay.n_faces) * h3, g.Mn,
@@ -299,43 +298,3 @@ def float_curl_block(n, h, faces, edges) -> sp.csr_matrix:
     kept = cols >= 0
     indptr = np.r_[0, np.cumsum(kept.sum(axis=1))]
     return sp.csr_matrix((vals[kept], cols[kept], indptr), shape=(faces.size, edges.size))
-
-
-def material_averages(grid: YeeGrid, materials: FieldMaterials) -> dict:
-    """eps_edge (harmonic), sigma_edge and mu_face (arithmetic) of the grid's
-    unknowns, each the mean of material component d over the cells inside
-    the box around a d-edge (4 cells at most) or a d-face (2), read cell by
-    cell from unravelled lattice indices and summed in the package's order."""
-    n = np.asarray(grid.n)
-    centers = grid.cell_centers()
-
-    def mean(name, ids, shapes, offsets, harmonic, edge):
-        vals = materials.sample(name, centers)
-        if harmonic:
-            vals = 1.0 / vals
-        lattice = np.searchsorted(offsets[1:], ids, side="right")
-        total, count = np.zeros(ids.size), np.zeros(ids.size)
-        for d in range(3):
-            sel = np.nonzero(lattice == d)[0]
-            node = np.array(np.unravel_index(ids[sel] - offsets[d], shapes[d]))
-            # the cells touching a d-edge sit one step below or at its node
-            # on both transverse axes; those of a d-face, along axis d
-            axes = [a for a in range(3) if a != d] if edge else [d]
-            for shift in np.ndindex(*([2] * len(axes))):
-                cell = node.copy()
-                for axis, s in zip(axes, shift):
-                    cell[axis] += s - 1
-                inside = np.all((cell >= 0) & (cell < n[:, None]), axis=0)
-                flat = np.ravel_multi_index(np.where(inside, cell, 0), grid.n)
-                total[sel] += np.where(inside, vals[flat, d], 0.0)
-                count[sel] += inside
-        return count / total if harmonic else total / count
-
-    return {
-        "eps_edge": mean("eps", grid.free_edges, _edge_shapes(grid.n), grid.edge_offsets,
-                         True, True),
-        "sigma_edge": mean("sigma", grid.free_edges, _edge_shapes(grid.n),
-                           grid.edge_offsets, False, True),
-        "mu_face": mean("mu", grid.dof_faces, _face_shapes(grid.n), grid.face_offsets,
-                        False, False),
-    }

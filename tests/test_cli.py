@@ -379,22 +379,21 @@ def test_a_count_below_its_minimum_exits_2_naming_its_key(tmp_path, capsys, comm
     assert message in capsys.readouterr().err
 
 
-def test_simulate_averages_each_material_once(tmp_path, monkeypatch, capsys):
-    # Hd keeps the eps and mu averages and Rd the sigma one; the certificate,
-    # formed after the run, reads the kept ones
-    import cablefield.maxwell as maxwell
-
-    names = []
-    average = maxwell._average
-
-    def counted(grid, m, name, *args):
-        names.append(name)
-        return average(grid, m, name, *args)
-
-    monkeypatch.setattr(maxwell, "_average", counted)
-    path = write(tmp_path, single_cable_config(0.01, 0.05))
+def test_a_grid_without_field_unknowns_certifies_and_runs(tmp_path, capsys):
+    # a unit box without cables on one cell: every edge and face lies on the
+    # box, so the field has no unknowns; the Hodge extremes are the line's
+    config = single_cable_config(0.01, 0.05)
+    config["geometry"].update(box=[[0.0, 1.0]] * 3, cables=[])
+    config["fields"]["grid"] = [1, 1, 1]
+    path = write(tmp_path, config)
+    assert main(["validate", path]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["certify", path]) == EXIT_OK
+    cert = json.loads(capsys.readouterr().out)
+    assert cert["strict"] and cert["c"] == 1.0          # unit C and L
     assert main(["simulate", path, "--output-dir", str(tmp_path / "out")]) == EXIT_OK
-    assert sorted(names) == ["eps", "mu", "sigma"]
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["wp_bound_satisfied"] is True
 
 
 def test_a_law_without_inputs_runs_autonomously(tmp_path, capsys):

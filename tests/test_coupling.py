@@ -181,9 +181,14 @@ def test_lift_linear_voltage_axial_field(lift_setup):
     expected = np.where(dirs == 2, chi / chart.curve.length, 0.0)
     assert np.abs(lift[support] - expected).max() <= 1e-9
 
-    # identically zero outside the cutoff support
-    outside = np.setdiff1d(np.arange(grid.edge_offsets[-1]), support)
-    assert not lift[outside].any()
+    # identically zero outside the cutoff support: the nonzeros are the
+    # z-edges with chi(s, eta) > 0, s and eta in the cylinder's closed form
+    curve = spec.cables[0]
+    all_mids = grid.edge_midpoints()
+    z_edges = np.nonzero(grid.edge_direction(np.arange(all_mids.shape[0])) == 2)[0]
+    rho = np.hypot(all_mids[z_edges, 0] - 0.5, all_mids[z_edges, 1] - 0.5)
+    eta = (all_mids[z_edges, 2] - 0.15) / curve.length
+    assert np.array_equal(support, z_edges[chart.chi(rho / curve.radius - 1.0, eta) > 0])
 
 
 def test_lift_plateau_values_exact_for_any_voltage(lift_setup):

@@ -12,6 +12,7 @@ from cablefield.maxwell import (
     EDGE_PEC,
     FieldMaterials,
     _classify,
+    _lattice_midpoints,
     assemble_curls,
     build_grid,
     surface_trace,
@@ -19,7 +20,7 @@ from cablefield.maxwell import (
 )
 from cablefield.tline import build_line_grid
 
-from oracles import divergence_matrix, float_curl_block, material_averages, periodic_curl_pair
+from oracles import divergence_matrix, float_curl_block, periodic_curl_pair
 
 
 def empty_spec(box=((0, 1), (0, 1), (0, 1))):
@@ -29,6 +30,11 @@ def empty_spec(box=((0, 1), (0, 1), (0, 1))):
 def cell_cable(spec, grid):
     """The cable id of each cell of the grid (-1 for field cells)."""
     return _classify(spec, grid.n, grid.h, grid.origin)[0]
+
+
+def cell_centers(grid):
+    """The centre of each cell of the grid, in the cells' flat order."""
+    return _lattice_midpoints(grid.origin, grid.h, grid.n, {0, 1, 2})
 
 
 def tube_spec(n_cells=10, radius=0.2):
@@ -79,7 +85,7 @@ def test_tube_volume_fraction():
 def test_masks_consistent_with_classifier():
     spec = tube_spec()
     grid = build_grid(spec, (10, 10, 14))
-    centers, tags = grid.cell_centers(), cell_cable(spec, grid)
+    centers, tags = cell_centers(grid), cell_cable(spec, grid)
     rng = np.random.default_rng(5)
     for idx in rng.choice(centers.shape[0], 80, replace=False):
         tag = classify_point(spec, centers[idx])
@@ -130,7 +136,7 @@ def test_classification_matches_brute_force_neighbours(box_z, n):
                         cables=spec.cables)
     grid = build_grid(spec, n)
     tags, edge_status, edge_cable, face_dof = _classify(spec, grid.n, grid.h, grid.origin)
-    h, centers = grid.h, grid.cell_centers()
+    h, centers = grid.h, cell_centers(grid)
     edges = brute_force_neighbours(grid.edge_midpoints(), centers, h / np.sqrt(2.0))
     seen = set()
     for i, cells in enumerate(edges):
@@ -159,38 +165,6 @@ def test_classification_matches_brute_force_neighbours(box_z, n):
     assert np.array_equal(dof, face_dof)
     assert np.array_equal(np.nonzero(dof)[0], grid.dof_faces)
     assert any(cells.size == 2 and (tags[cells] >= 0).all() for cells in faces)
-
-
-def test_material_averages_match_brute_force_neighbours():
-    grid = build_grid(tube_spec(), (10, 10, 14))
-    h, centers = grid.h, grid.cell_centers()
-
-    def eps(x):
-        return np.stack([1.0 + x[:, 0], 2.0 + np.sin(3.0 * x[:, 1]),
-                         1.5 + x[:, 0] * x[:, 2]], axis=1)
-
-    def mu(x):
-        return np.stack([1.0 + 0.5 * x[:, 0] ** 2, 1.0 + 0.2 * x[:, 2],
-                         3.0 - x[:, 1]], axis=1)
-
-    sigma = [0.1, 0.2, 0.3]
-    cp = assemble_curls(grid, FieldMaterials(eps=eps, mu=mu, sigma=sigma))
-    eps_cells, mu_cells = eps(centers), mu(centers)
-    sigma_cells = np.tile(sigma, (centers.shape[0], 1))
-
-    edges = brute_force_neighbours(grid.edge_midpoints(grid.free_edges), centers,
-                                   h / np.sqrt(2.0))
-    for i, (cells, d) in enumerate(zip(edges, grid.edge_direction(grid.free_edges))):
-        assert cells.size == 4
-        harmonic = cells.size / np.sum(1.0 / eps_cells[cells, d])
-        assert cp.eps_edge[i] == pytest.approx(harmonic, rel=1e-15)
-        assert cp.sigma_edge[i] == pytest.approx(np.mean(sigma_cells[cells, d]), rel=1e-15)
-
-    faces = brute_force_neighbours(grid.face_midpoints(grid.dof_faces), centers, h / 2.0)
-    for i, (cells, d) in enumerate(zip(faces, grid.face_normal_axis(grid.dof_faces))):
-        assert cells.size == 2
-        assert cp.mu_face[i] == pytest.approx(np.mean(mu_cells[cells, d]), rel=1e-15)
-    assert np.ptp(cp.eps_edge) > 0.5 and np.ptp(cp.mu_face) > 0.1
 
 
 # ---------------------------------------------------------------------------
@@ -260,24 +234,6 @@ def test_grid_ids_are_int32():
     assert grid.dof_faces.dtype == np.int32 and grid.n_dof_faces > 0
 
 
-def test_material_averages_are_read_on_first_use():
-    grid = build_grid(tube_spec(), (10, 10, 14))
-
-    def eps(x):
-        return np.stack([1.0 + x[:, 0], 2.0 + np.sin(3.0 * x[:, 1]),
-                         1.5 + x[:, 0] * x[:, 2]], axis=1)
-
-    fm = FieldMaterials(eps=eps, mu=[1.0, 2.0, 3.0], sigma=lambda x: 0.1 + x[:, 2])
-    cp = assemble_curls(grid, fm)
-    names = ("eps_edge", "sigma_edge", "mu_face")
-    assert not set(names) & set(vars(cp))
-    ref = material_averages(grid, fm)
-    for name in names:
-        got = getattr(cp, name)
-        assert np.array_equal(got, ref[name]), name
-        assert getattr(cp, name) is got        # kept after the first read
-
-
 def test_uniform_field_has_zero_curl_in_interior():
     grid = build_grid(empty_spec(), (8, 8, 8))
     cp = assemble_curls(grid, FieldMaterials())
@@ -320,14 +276,30 @@ def test_dispersion_relation():
 def test_materials_validation_and_hodge():
     grid = build_grid(empty_spec(), (6, 6, 6))
     cp = assemble_curls(grid, FieldMaterials(eps=2.0, mu=4.0, sigma=0.5))
-    assert np.allclose(cp.eps_edge, 2.0)
-    assert np.allclose(cp.mu_face, 4.0)
-    assert np.allclose(cp.sigma_edge, 0.5)
+    assert np.array_equal(cp.eps_inv(), np.full(grid.n_free_edges, 0.5))
+    assert np.array_equal(cp.mu_inv(), np.full(grid.n_dof_faces, 0.25))
+    assert np.array_equal(cp.sigma_edge(), np.full(grid.n_free_edges, 0.5))
 
-    rep = validate_field_materials(FieldMaterials(eps=-1.0), grid.cell_centers())
+    # per-axis [1, 2, 3]: lattice d of the edges and faces carries d + 1,
+    # also on a grid whose tube removes unknowns from every lattice
+    grid = build_grid(tube_spec(), (10, 10, 14))
+    axes = np.array([1.0, 2.0, 3.0])
+    cp = assemble_curls(grid, FieldMaterials(eps=axes, mu=axes, sigma=axes))
+    on_edges = grid.edge_direction(grid.free_edges) + 1.0
+    on_faces = grid.face_normal_axis(grid.dof_faces) + 1.0
+    assert np.array_equal(cp.eps_inv(), 1.0 / on_edges)
+    assert np.array_equal(cp.sigma_edge(), on_edges)
+    assert np.array_equal(cp.mu_inv(), 1.0 / on_faces)
+
+    rep = validate_field_materials(FieldMaterials(eps=-1.0))
     assert not rep["passed"]
     with pytest.raises(MaterialsError):
         assemble_curls(grid, FieldMaterials(eps=-1.0))
+
+
+def test_field_materials_are_constants():
+    with pytest.raises(MaterialsError, match="mu must be a real scalar"):
+        FieldMaterials(mu=lambda x: np.ones(len(x)))
 
 
 def test_divergence_of_curl_vanishes():

@@ -8,8 +8,7 @@ from cablefield import sim
 from cablefield.assembly import hodge_extremes
 from cablefield.errors import ConfigError, CouplingError
 from cablefield.scenario import build_scenario, check_scenario, parse_complex, read_scenario
-from oracles import (FullLUStepper, block_operators, energy, hodge_extremes_from_Hd,
-                     material_averages, midpoint_step)
+from oracles import FullLUStepper, block_operators, energy, hodge_extremes_from_Hd, midpoint_step
 
 MUTUAL = [[1.0, 0.1], [0.1, 1.0]]
 
@@ -285,29 +284,6 @@ def test_operators_are_assembled_on_first_read(scenario_config, case):
             assert getattr(bundle, op) is A
 
 
-MATERIALS = ("eps_edge", "sigma_edge", "mu_face")
-
-
-@pytest.mark.parametrize("case", ["pair", "single"])
-def test_field_materials_are_averaged_on_first_read(scenario_config, case):
-    config = scenario_config if case == "pair" else single_cable_config()
-    scn = build_scenario(config)
-    curls = scn.curls
-    # neither the build nor the certificate keeps a field material average
-    # (the Hodge extremes form theirs for the call) ...
-    scn.certificate()
-    assert not set(MATERIALS) & set(vars(curls))
-    # ... Hd keeps eps and mu, and only the damping Rd reads sigma; each,
-    # once read, is the oracle's and kept
-    scn.bundle.Hd
-    assert set(MATERIALS) & set(vars(curls)) == {"eps_edge", "mu_face"}
-    ref = material_averages(scn.grid, scn.field_materials)
-    for name in MATERIALS:
-        got = getattr(curls, name)
-        assert np.array_equal(got, ref[name]), name
-        assert getattr(curls, name) is got
-
-
 def test_hodge_extremes_read_from_the_blocks(scenario_config):
     mutual = copy.deepcopy(scenario_config)
     # a k = 2 line with off-diagonal L and C, and anisotropic field materials
@@ -321,3 +297,38 @@ def test_hodge_extremes_read_from_the_blocks(scenario_config):
     # both extremes come from the line blocks: eig(C^-1) down to 0.45,
     # eig(L^-1) up to 1.71, against eps^-1 in [0.5, 1] and mu^-1 = 1
     assert extremes[0] < 0.5 and extremes[1] > 1.5
+
+
+def test_hodge_extremes_form_no_dense_copy(scenario_config, monkeypatch):
+    # the line blocks hold (n k)^2 entries dense: 1.7 GB at 10^4 cells with
+    # k = 2; the extremes read the one k x k L^-1 and C^-1 instead
+    bundle = build_scenario(scenario_config).bundle
+    expected = hodge_extremes_from_Hd(bundle)
+    vars(bundle).pop("Hd")
+    eigvalsh = np.linalg.eigvalsh
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("dense copy of a sparse matrix")
+
+    def small(a):
+        assert a.shape == (bundle.k, bundle.k), a.shape
+        return eigvalsh(a)
+
+    monkeypatch.setattr(type(bundle.line.Cinv), "toarray", refuse)
+    monkeypatch.setattr(np.linalg, "eigvalsh", small)
+    assert hodge_extremes(bundle) == expected
+    assert "Hd" not in vars(bundle)
+
+
+def test_hodge_extremes_skip_the_lattices_without_unknowns():
+    # one cell in z: the x- and y-edges and the z-faces all lie on the box,
+    # so eps_x, eps_y and mu_z enter no unknown and no extreme
+    cfg = single_cable_config()
+    cfg["geometry"].update(box=[[0.0, 1.0], [0.0, 1.0], [0.0, 0.25]], cables=[])
+    cfg["line"].update(C=1.25, L=1.25)
+    cfg["fields"].update(grid=[4, 4, 1], eps=[0.1, 0.1, 2.0], mu=[1.0, 1.0, 10.0])
+    bundle = build_scenario(cfg).bundle
+    grid = bundle.curls.grid
+    assert grid.edges_per_axis().tolist() == [0, 0, grid.n_free_edges]
+    assert grid.faces_per_axis()[2] == 0
+    assert hodge_extremes(bundle) == hodge_extremes_from_Hd(bundle) == (0.5, 1.0)

@@ -388,10 +388,10 @@ def test_lifted_initial_state():
 
 
 def test_lifted_state_reads_the_line_blocks_sparse(monkeypatch):
-    # q = C V0 node by node, from the stored k x k blocks of C^-1: a dense
+    # q = C V0 node by node, from the one k x k C^-1 of the line: a dense
     # copy of C^-1 holds (nodes k)^2 floats, 3.2 GB at 10^4 cells with k = 2
-    off = np.array([[0.0, 0.3], [0.3, 0.0]])
-    bundle, chart = lift_bundle(LineMaterials(k=2, C=lambda eta: np.eye(2) * (1.0 + eta) + off))
+    C = np.array([[1.5, 0.3], [0.3, 1.0]])
+    bundle, chart = lift_bundle(LineMaterials(k=2, C=C))
     nodes = bundle.line.grid.n + 1
     V0 = np.sin(np.pi * bundle.line.grid.nodes)
     V = np.zeros((nodes, 2))
@@ -406,6 +406,7 @@ def test_lifted_state_reads_the_line_blocks_sparse(monkeypatch):
     monkeypatch.setattr(type(bundle.line.Cinv), "toarray", refuse)
     x0 = lifted_state(bundle, chart, V0)
     assert np.array_equal(x0[bundle.layout.sl_V], expected)
+    assert np.allclose(x0[bundle.layout.sl_V], (V @ C.T).ravel(), rtol=0, atol=1e-14)
 
 
 def test_csv_writer(tmp_path, lossy):

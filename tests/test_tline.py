@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cablefield.errors import MaterialsError
+from cablefield.errors import ConfigError, MaterialsError
 from cablefield.tline import (
     LineMaterials,
     assemble_line,
@@ -174,11 +174,26 @@ def test_periodic_lossless_spectrum():
     assert eigs.real.max() <= -r + 1e-10
 
 
-def test_matrix_valued_materials_sampled_per_position():
-    m = LineMaterials(k=2, C=lambda eta: np.eye(2) * (1.0 + eta), L=np.eye(2))
+def test_constant_materials_repeat_one_block_per_sample():
+    C = np.array([[2.0, 0.3], [0.3, 1.0]])
+    m = LineMaterials(k=2, C=C, L=0.5, R=0.2)
     g = build_line_grid(5, 2)
     blocks = assemble_line(m, g)
-    # node 0 has C = I, so Cinv block is I; last node has C = 2 I
-    dense = blocks.Cinv.toarray()
-    assert np.allclose(dense[:2, :2], np.eye(2))
-    assert np.allclose(dense[-2:, -2:], 0.5 * np.eye(2))
+    assert np.array_equal(blocks.Cinv_k, np.linalg.inv(C))
+    assert np.array_equal(blocks.Linv_k, 2.0 * np.eye(2))
+    for block, k_by_k, count in ((blocks.Cinv, blocks.Cinv_k, g.n + 1),
+                                 (blocks.Linv, blocks.Linv_k, g.n),
+                                 (blocks.Rm, 0.2 * np.eye(2), g.n),
+                                 (blocks.Gm, np.zeros((2, 2)), g.n + 1)):
+        assert np.array_equal(block.toarray(), np.kron(np.eye(count), k_by_k))
+
+
+def test_line_materials_are_constants():
+    with pytest.raises(MaterialsError, match="C must be a number"):
+        LineMaterials(k=2, C=lambda eta: np.eye(2))
+
+
+def test_line_grid_needs_three_cells():
+    build_line_grid(3)
+    with pytest.raises(ConfigError, match="at least 3 cells"):
+        build_line_grid(2)
