@@ -120,10 +120,10 @@ def _j_blocks(line: LineBlocks, curls: CurlPair, K_V, Pm_T) -> dict:
 class OperatorBundle:
     """Assembled (J, R, H) triple with masses and boundary extraction.
 
-    J, Rd, Hd, M and Lg_state are not stored: each is assembled from the
-    line, curl and coupling blocks the bundle holds (the field diagonals
-    of Hd and Rd from the constant materials, ``CurlPair``).  Rd, Hd, M
-    and Lg_state are assembled the first time they are read and kept from
+    J, Rd, Hd and M are not stored: each is assembled from the line, curl
+    and coupling blocks the bundle holds (the material blocks of Hd and
+    Rd from the constant materials, ``LineBlocks`` and ``CurlPair``).
+    Rd, Hd and M are assembled the first time they are read and kept from
     then on.  J is assembled on every read and never kept (0.91 MB on the
     pair at scale 1, 22.6 MB at scale 3): the closed loop reads it once to
     form J_cl, so a simulate run holds one N x N generator, the loop's A,
@@ -157,23 +157,12 @@ class OperatorBundle:
         return sp.bmat(grid, format="csr")
 
     @cached_property
-    def Lg_state(self) -> sp.csr_matrix:
-        """Ghost endpoint currents -> q-block rows, N x 2k."""
-        lay, two_k = self.layout, 2 * self.k
-        return sp.vstack([
-            sp.csr_matrix((lay.n_cells, two_k)),
-            sp.csr_matrix((lay.n_faces, two_k)),
-            self.line.grid.Lg,
-            sp.csr_matrix((lay.n_edges, two_k)),
-        ]).tocsr()
-
-    @cached_property
     def Rd(self) -> sp.csr_matrix:
         """Damping on efforts (Hermitian part PSD), N x N."""
         return sp.block_diag([
-            self.line.Rm,
+            self.line.rm(),
             sp.csr_matrix((self.layout.n_faces, self.layout.n_faces)),
-            self.line.Gm,
+            self.line.gm(),
             sp.diags(self.curls.sigma_edge()),
         ], format="csr")
 
@@ -181,9 +170,9 @@ class OperatorBundle:
     def Hd(self) -> sp.csr_matrix:
         """Material Hodge (Hermitian positive definite), N x N."""
         return sp.block_diag([
-            self.line.Linv,
+            self.line.linv(),
             sp.diags(self.curls.mu_inv()),
-            self.line.Cinv,
+            self.line.cinv(),
             sp.diags(self.curls.eps_inv()),
         ], format="csr")
 
@@ -191,9 +180,6 @@ class OperatorBundle:
     def M(self) -> sp.csr_matrix:
         """Weighted inner product (diagonal, positive), N x N."""
         return sp.diags(np.concatenate(_mass_blocks(self.line, self.curls)), format="csr")
-
-    def effort(self, x: np.ndarray) -> np.ndarray:
-        return self.Hd @ x
 
 
 def assemble_system(line: LineBlocks, curls: CurlPair,
@@ -210,8 +196,8 @@ def assemble_system(line: LineBlocks, curls: CurlPair,
     raises AssemblyError when max |lhs - rhs| / max |lhs| exceeds GREEN_TOL.
     It forms neither J nor M: _green_residual reads both sides block pair
     by block pair from the blocks J is made of and the diagonal of M.  The
-    bundle keeps only those blocks and the boundary maps; J, Rd, Hd, M
-    and Lg_state are assembled when first read.
+    bundle keeps only those blocks and the boundary maps; J, Rd, Hd and M
+    are assembled when first read.
     """
     g = line.grid
     grid = curls.grid
@@ -346,7 +332,8 @@ class ClosedLoop:
     g = G_fb (B2 e) + W1_inp u used in the flux rows satisfy
     W1 g + W2 (B2 e) = (u, 0) exactly, so the discrete energy balance
     carries over verbatim.  W1_inp is the first m columns of W1^-1, the
-    only ones the zero rows of (u, 0) leave, and Bu = Lg_state W1_inp.
+    only ones the zero rows of (u, 0) leave, and Bu = Lg_state W1_inp,
+    Lg_state the line grid's Lg on the node rows (build_closed_loop's).
     """
 
     bundle: OperatorBundle
@@ -371,10 +358,15 @@ def build_closed_loop(bundle: OperatorBundle, law: PortLaw) -> ClosedLoop:
     G_fb = -W1_inv @ W2                             # ghost currents for u = 0
     W1_inp = W1_inv[:, :law.m]
 
+    # ghost endpoint currents -> q-block rows, N x 2k
+    lay = bundle.layout
+    Lg_state = sp.vstack([sp.csr_matrix((lay.n_cells + lay.n_faces, 2 * k)),
+                          bundle.line.grid.Lg, sp.csr_matrix((lay.n_edges, 2 * k))],
+                         format="csr")
     delta = sp.csr_matrix(G_fb) @ bundle.B2 - bundle.B1   # replace extrapolation by law
-    J_cl = bundle.J + bundle.Lg_state @ delta
+    J_cl = bundle.J + Lg_state @ delta
     A = ((J_cl - bundle.Rd) @ bundle.Hd).tocsr()
-    Bu = (bundle.Lg_state @ sp.csr_matrix(W1_inp)).tocsr()
+    Bu = (Lg_state @ sp.csr_matrix(W1_inp)).tocsr()
     return ClosedLoop(bundle=bundle, law=law, A=A, Bu=Bu, G_fb=G_fb, W1_inp=W1_inp)
 
 
@@ -385,11 +377,12 @@ def hodge_extremes(bundle: OperatorBundle):
     plain eigenvalue extremes of Hd, read from the constant materials it
     repeats: 1/eps_d and 1/mu_d on each edge or face lattice d that holds
     unknowns, and the Hermitian eigenvalues of the one k x k L^-1 and C^-1
-    of the line blocks.  No block of Hd is formed.
+    of the line materials.  No block of Hd is formed.
     """
-    curls, line = bundle.curls, bundle.line
-    m, grid = curls.materials, curls.grid
-    values = [1.0 / m.eps[grid.edges_per_axis() > 0], 1.0 / m.mu[grid.faces_per_axis() > 0]]
-    values += [np.linalg.eigvalsh(0.5 * (b + b.conj().T)) for b in (line.Linv_k, line.Cinv_k)]
+    field, grid, line = bundle.curls.materials, bundle.curls.grid, bundle.line.materials
+    values = [1.0 / field.eps[grid.edges_per_axis() > 0],
+              1.0 / field.mu[grid.faces_per_axis() > 0]]
+    values += [np.linalg.eigvalsh(0.5 * (b + b.conj().T))
+               for b in (np.linalg.inv(line.L), np.linalg.inv(line.C))]
     values = np.concatenate(values)
     return float(values.min()), float(values.max())

@@ -16,8 +16,8 @@ simulate, one line each for the closed loop, the step solver's set-up
 ledger.  Without it the output is the same.
 
 converge builds the scenario and prints four rows, each a study's errors
-and their observed orders, in one thread; its one option, --levels L
-(default 3), sets the number of refinements:
+and their observed orders, in one thread; its one option, --levels L >= 1
+(default 3; below 1 exits 2), sets the number of refinements:
 
     pmag_adjoint_vs_quadrature  the adjoint Pmag of assemble_P_el against
                                 the ring-integral assemble_P_mag on cable
@@ -173,6 +173,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_converge(args) -> int:
+    if args.levels < 1:
+        raise ConfigError(f"--levels must be at least 1, got {args.levels}")
     config = load_config(args.scenario)
     if "sim" not in config or config["sim"] is None:
         raise ConfigError("converge needs a sim section for the ledger study")
@@ -296,7 +298,7 @@ def _export_fields_vtk(scn, x, path):
     """Cell-averaged |E| and |B| on the structured grid, legacy ASCII VTK."""
     grid = scn.grid
     lay = scn.bundle.layout
-    e = scn.bundle.effort(x)
+    e = scn.bundle.Hd @ x
     nx, ny, nz = grid.n
 
     def cell_average(values, ids, midf):

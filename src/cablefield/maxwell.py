@@ -197,11 +197,16 @@ class YeeGrid:
 
 def grid_spacing(spec: GeometrySpec, n: Sequence[int]) -> float:
     """The spacing h of an (nx, ny, nz) grid on spec.box; a GridError
-    unless it is the same on all three axes."""
+    unless it is the same on all three axes and every cable's tube is at
+    least 4 cells across."""
     hs = (spec.box[:, 1] - spec.box[:, 0]) / np.asarray(n, dtype=float)
     if np.abs(hs - hs[0]).max() > 1e-9 * hs[0]:
         raise GridError(f"box/resolution give unequal spacings {hs.tolist()}; use a uniform h")
-    return float(hs[0])
+    h = float(hs[0])
+    for c in spec.cables:
+        if 2.0 * c.radius < 4.0 * h - 1e-12:
+            raise GridError(f"tube radius {c.radius} needs >= 4 cells across the diameter (h={h})")
+    return h
 
 
 def build_grid(spec: GeometrySpec, n: Sequence[int]) -> YeeGrid:
@@ -210,11 +215,6 @@ def build_grid(spec: GeometrySpec, n: Sequence[int]) -> YeeGrid:
     n = tuple(int(v) for v in n)
     h = grid_spacing(spec, n)
     origin = spec.box[:, 0].copy()
-
-    for c in spec.cables:
-        if 2.0 * c.radius < 4.0 * h - 1e-12:
-            raise GridError(f"tube radius {c.radius} needs >= 4 cells across the diameter (h={h})")
-
     _, edge_status, _, face_dof = _classify(spec, n, h, origin)
     return YeeGrid(
         n=n, h=h, origin=origin,
@@ -519,11 +519,17 @@ def _ball_pairs(targets, sources, radius):
     return tuple(np.concatenate(part) for part in zip(*pairs))
 
 
-def _interp_rows(points, values_pts, h, radius_factor=2.25, rank_tol=1e-7, describe=None):
+# _interp_rows: stencil radius in units of h, and the relative singular value
+# under which a gradient column of the weighted design is dropped
+_RADIUS_FACTOR = 2.25
+_RANK_TOL = 1e-7
+
+
+def _interp_rows(points, values_pts, h, describe=None):
     """Moving-least-squares linear interpolation weights.
 
     For each target point, weights over source points within
-    radius_factor*h.  The local basis (1, dx, dy, dz) is reduced by a
+    _RADIUS_FACTOR*h.  The local basis (1, dx, dy, dz) is reduced by a
     greedy rank test so near-coplanar stencils drop the unresolvable
     gradient directions instead of going singular; the constant mode is
     always kept, so constants are reproduced exactly and linear fields
@@ -531,7 +537,7 @@ def _interp_rows(points, values_pts, h, radius_factor=2.25, rank_tol=1e-7, descr
 
     The stencils come from one cell-list search (``_ball_pairs``), sorted
     by (target, source).  A source is in a stencil iff
-    dx*dx + dy*dy + dz*dz <= (radius_factor*h)**2, summed left to right.
+    dx*dx + dy*dy + dz*dz <= (_RADIUS_FACTOR*h)**2, summed left to right.
 
     Stencils are processed in batches grouped by neighbour count.  The
     rank test first takes one stacked ``np.linalg.svd`` of the full
@@ -546,7 +552,7 @@ def _interp_rows(points, values_pts, h, radius_factor=2.25, rank_tol=1e-7, descr
     a target without neighbours or with singular normal equations.  Returns
     (rows, cols, vals) as arrays, stencil by stencil.
     """
-    radius = radius_factor * h
+    radius = _RADIUS_FACTOR * h
     rows, cols = _ball_pairs(points, values_pts, radius)
     counts = np.bincount(rows, minlength=points.shape[0])
     if counts.size and counts.min() == 0:
@@ -565,7 +571,7 @@ def _interp_rows(points, values_pts, h, radius_factor=2.25, rank_tol=1e-7, descr
         keep = np.ones(stencils.size, dtype=np.intp)               # bit mask, constant kept
         if n >= 4:
             sv = np.linalg.svd(b, compute_uv=False)
-            keep[sv[:, -1] > rank_tol * sv[:, 0]] = 15
+            keep[sv[:, -1] > _RANK_TOL * sv[:, 0]] = 15
         # greedy basis selection on the rest: keep gradient columns only
         # while the weighted design stays numerically full rank and has no
         # more columns than points (an n x k SVD has min(n, k) values)
@@ -577,7 +583,7 @@ def _interp_rows(points, values_pts, h, radius_factor=2.25, rank_tol=1e-7, descr
                 if trial.size > n:
                     continue
                 sv = np.linalg.svd(b[sel][:, :, trial], compute_uv=False)
-                keep[sel[sv[:, -1] > rank_tol * sv[:, 0]]] |= bits[c]
+                keep[sel[sv[:, -1] > _RANK_TOL * sv[:, 0]]] |= bits[c]
         for pattern in np.unique(keep):
             sel = np.nonzero(keep == pattern)[0]
             phi_s = phi[sel][:, :, np.nonzero(bits & pattern)[0]]

@@ -319,8 +319,9 @@ _CHECKS = (("geometry", "passed", GeometryError),
 
 def check_scenario(spec: ScenarioSpec) -> dict:
     """validate's report on a scenario read: each check of ``_CHECKS`` and
-    whether all passed.  Unequal grid spacings raise the GridError that
-    build_grid would raise, and a lift the grid cannot carry the
+    whether all passed.  Unequal grid spacings or a tube under 4 cells
+    across raise the GridError that build_grid would raise
+    (``maxwell.grid_spacing``), and a lift the grid cannot carry the
     CouplingError that the lift itself would raise."""
     report = {
         "geometry": validate_geometry(spec.geometry),
@@ -369,8 +370,8 @@ class Scenario(ScenarioSpec):
 
     def closed_loop(self) -> assembly.ClosedLoop:
         """The closed loop of the port law.  The first call also assembles
-        Rd, Hd and Lg_state (J is assembled for it and dropped); build
-        records the time (closed_loop_s) and the peak RSS after it
+        Rd and Hd (J is assembled for it and dropped); build records the
+        time (closed_loop_s) and the peak RSS after it
         (peak_rss_mb.closed_loop)."""
         clock = time.perf_counter()
         loop = assembly.build_closed_loop(self.bundle, self.law)

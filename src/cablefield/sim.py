@@ -13,8 +13,8 @@ are eliminated exactly: with r the cells, nodes and edges and f the faces,
 The storage rule.  The stepper stores the generator once, as its blocks
 with h folded in: the stacked CSR h [A_rr; A_fr] (rows r then f, columns
 r) and h A_rf, with h A_fr a view of the stacked matrix's tail that shares
-its arrays, and dt/2 Bu on the rows it acts on.  P rhs, the face rows and
-the residual check are formed from these blocks and the loop's A,
+its arrays, and dt/2 Bu as CSC, by its m columns.  P rhs, the face rows
+and the residual check are formed from these blocks and the loop's A,
 whichever way S x_r = P rhs is solved.
 
 The size rule.  How S x_r = P rhs is solved is decided by the reduced
@@ -90,7 +90,8 @@ Everything else runs once per block, and still covers every step:
   * the input at all midpoint and record times of the block, from one
     InputSignal call on an array of times, and its finite check: a
     non-finite midpoint input is a DomainError naming the first such time;
-  * h Bu u for all B steps, summed port by port on the rows Bu acts on;
+  * h Bu u for all B steps, as one product (h Bu) U^T of the CSC columns
+    with the (B, m) inputs U, summing each row over the ports in order;
   * every step's residual against the full system, read from the loop's A
     in one sparse product: X_mid - h A X_mid - RHS.  Each step must meet
     ||x_mid - h A x_mid - rhs|| <= solver_tol max(1, ||rhs||), and the
@@ -122,9 +123,7 @@ power less the supply Re(u^H y), so the ledger needs neither the law nor
 a co-located completion, and it closes for every law.
 
 No SciPy solver module is loaded by any run: the direct branch inverts
-with np.linalg.inv, BiCGStab needs only products and inner products,
-and lifted_state solves the line's node blocks of
-C^-1 q = V with one batched np.linalg.solve.
+with np.linalg.inv, and BiCGStab needs only products and inner products.
 
 Threads.  A second BLAS thread does not pay on the small dense kernels of
 a run.  With 2 OpenBLAS threads on a 2-core machine, the 412 x 412 inverse
@@ -422,8 +421,7 @@ def lifted_state(bundle: OperatorBundle, chart, V0: np.ndarray) -> np.ndarray:
     nodes = lay.n_nodes // k
     V_full = np.zeros((nodes, k))
     V_full[:, chart.curve.line] = V0
-    # q = C V node by node, solved with the one k x k C^-1 of every node
-    q = np.linalg.solve(bundle.line.Cinv_k, V_full[..., None]).ravel()
+    q = (V_full @ bundle.line.materials.C.T).ravel()       # q = C V node by node
     lift = lift_voltage(chart, grid, np.asarray(V0, dtype=float), line_grid)
     d = lift[grid.free_edges] / bundle.curls.eps_inv()
     x = np.zeros(bundle.n, dtype=np.result_type(q, d))
@@ -495,11 +493,12 @@ class MidpointStepper:
     I - h A, read from the loop's A, in one sparse product over the block.
     ``stats`` reports the size, the method ("direct" or "bicgstab"), the
     set-up time (``factor_s``), the stored bytes of the step operators
-    (``operator_bytes``: the blocks, the input columns, and the
-    preconditioner's field diagonal and line-block inverse or the inverse
-    of S), the stored bytes of the inverse (direct, ``inverse_bytes``: CSR
-    data, indices and indptr, or the dense array) and the fraction of its
-    entries above roundoff (``inverse_fill``), or the line block's size
+    (``operator_bytes``: the blocks, the CSC input columns dt/2 Bu (data,
+    indices and indptr), and the preconditioner's field diagonal and
+    line-block inverse or the inverse of S), the stored bytes of the
+    inverse (direct, ``inverse_bytes``: CSR data, indices and indptr, or
+    the dense array) and the fraction of its entries above roundoff
+    (``inverse_fill``), or the line block's size
     (``line_block_unknowns``) and the maximum and mean BiCGStab iterations
     per solve (two S products each), the number of step solves and the
     worst relative step residual so far.  A singular S, or a singular line
@@ -518,7 +517,7 @@ class MidpointStepper:
         r = np.r_[lay.sl_I, lay.sl_V.start:n]
         nr = r.size
         half = 0.5 * dt
-        self._A, self._half, self._f, self._m = A, half, f, loop.law.m
+        self._A, self._half, self._f = A, half, f
         Af = A[:, f]
         if _csr_rows(Af, a, b).count_nonzero():
             raise SolverError("the generator has a nonzero face-face block; the "
@@ -530,9 +529,7 @@ class MidpointStepper:
         stacked.data *= half
         self._stacked, self._Arf = stacked, Arf
         self._Afr = _csr_rows(stacked, nr, stacked.shape[0])
-        Bu = (half * loop.Bu).tocsr()
-        self._bu_rows = np.unique(Bu.nonzero()[0])
-        self._BuT = Bu[self._bu_rows].toarray().T       # the rows dt/2 Bu acts on
+        self._Bu = (half * loop.Bu).tocsc()             # dt/2 Bu by its m columns
         self.solves = 0
         self.max_rel_residual = 0.0
         self.iterations = []        # BiCGStab iterations of each solve
@@ -576,7 +573,7 @@ class MidpointStepper:
                            "inverse_bytes": int(solve_bytes),
                            "inverse_fill": kept / keep.size}
         self._stats["operator_bytes"] = int(
-            _nbytes(stacked, Arf, self._Afr.indptr, self._BuT, self._bu_rows) + solve_bytes)
+            _nbytes(stacked, Arf, self._Afr.indptr, self._Bu) + solve_bytes)
         self._stats["factor_s"] = time.perf_counter() - t0
 
     def stats(self) -> dict:
@@ -703,18 +700,14 @@ class MidpointStepper:
         are checked in one sparse product, and the first step over the bound
         is a SolverError naming the step and its midpoint time.
         """
-        U = np.asarray(U)
-        if U.ndim != 2 or U.shape[1] != self._m:
+        U, m = np.asarray(U), self._Bu.shape[1]
+        if U.ndim != 2 or U.shape[1] != m:
             raise DomainError(f"input block has shape {U.shape}, port law expects "
-                              f"(steps, {self._m})")
+                              f"(steps, {m})")
         steps, n = U.shape[0], self._A.shape[0]
-        # dt/2 Bu u of every step on the rows Bu acts on, summed port by port
-        # in a fixed order, so that a row does not depend on its block
-        bu = np.zeros((steps, self._bu_rows.size), dtype=np.result_type(U, self._BuT))
-        for k in range(self._m):
-            bu += U[:, k:k + 1] * self._BuT[k]
-        BU = np.zeros((steps, n), dtype=bu.dtype)
-        BU[:, self._bu_rows] = bu
+        # dt/2 Bu u of every step: the CSC product sums each row over the
+        # ports in column order, so that a row does not depend on its block
+        BU = (self._Bu @ U.T).T
         dtype = np.result_type(x, BU, self._stacked.dtype)
         rhs = np.empty((steps, n), dtype=dtype)
         X_mid = np.empty((steps, n), dtype=dtype)
@@ -837,7 +830,7 @@ def run(loop: ClosedLoop, cfg: SimConfig, x0: Optional[np.ndarray] = None) -> Tr
         written = sl.stop
         times[sl], u_rec[sl] = t, U
         X = np.ascontiguousarray(X.T)
-        E = bundle.effort(X)
+        E = bundle.Hd @ X
         energy[sl] = 0.5 * _column_forms(X, E, mass)
         xnorm[sl] = np.sqrt(_column_forms(X, X, mass))
         diss[sl] = _column_forms(E, bundle.Rd @ E, mass)

@@ -32,8 +32,9 @@ the cell field into the boundary rows of Dt, used when boundary data comes
 from a port law instead of interior extrapolation.
 
 The material laws C, L, R, G (``LineMaterials``) are constant k x k
-matrices, so each material block of ``assemble_line`` is one k x k matrix
-repeated over the nodes or cells; C and L are inverted once.
+matrices; ``LineBlocks`` keeps them and forms each material block, one
+k x k matrix (C and L inverted) repeated over the nodes or cells, when it
+is read, as ``maxwell.CurlPair`` forms the field's diagonals.
 """
 
 from __future__ import annotations
@@ -197,7 +198,7 @@ def build_line_grid(n: int, k: int = 1) -> LineGrid:
 class LineBlocks:
     """Material and derivative blocks of the semi-discrete telegrapher system.
 
-    Efforts (I, V) relate to states (psi, q) by I = Linv psi, V = Cinv q.
+    Efforts (I, V) relate to states (psi, q) by I = L^-1 psi, V = C^-1 q.
     The lossless dynamics read
 
         d/dt psi = -D V - R I          (cells)
@@ -205,33 +206,34 @@ class LineBlocks:
 
     with I_tot = I on an uncoupled line; the field-coupling correction to
     I_tot is inserted at global assembly time.  The materials are
-    constant, so each block repeats one k x k matrix down its diagonal;
-    the inverses C^-1 and L^-1 are also kept as that one matrix.
+    constant, so each material block repeats one k x k matrix down its
+    diagonal.  Only the grid and the materials are kept; the blocks are
+    formed as CSR on each call: L^-1 (``linv``) and R (``rm``) over the
+    cells, C^-1 (``cinv``) and G (``gm``) over the nodes.
     """
 
     grid: LineGrid
-    Cinv_k: np.ndarray       # (k,k) C^-1
-    Linv_k: np.ndarray       # (k,k) L^-1
-    Cinv: sp.csr_matrix      # node block-diagonal C^-1
-    Linv: sp.csr_matrix      # cell block-diagonal L^-1
-    Rm: sp.csr_matrix        # cell block-diagonal R
-    Gm: sp.csr_matrix        # node block-diagonal G
+    materials: LineMaterials
+
+    def linv(self) -> sp.csr_matrix:
+        return _repeat_block(np.linalg.inv(self.materials.L), self.grid.n)
+
+    def cinv(self) -> sp.csr_matrix:
+        return _repeat_block(np.linalg.inv(self.materials.C), self.grid.n + 1)
+
+    def rm(self) -> sp.csr_matrix:
+        return _repeat_block(self.materials.R, self.grid.n)
+
+    def gm(self) -> sp.csr_matrix:
+        return _repeat_block(self.materials.G, self.grid.n + 1)
 
 
 def assemble_line(m: LineMaterials, g: LineGrid) -> LineBlocks:
+    """The line blocks of m on g, once k and the materials are checked."""
     if m.k != g.k:
         raise MaterialsError(f"materials have k={m.k}, grid has k={g.k}")
     report = validate_line_materials(m)
     if not report["passed"]:
         bad = [name for name, ok in report["checks"].items() if not ok]
         raise MaterialsError(f"material assumptions violated for {bad}: margins {report['margins']}")
-
-    Cinv_k, Linv_k = np.linalg.inv(m.C), np.linalg.inv(m.L)
-    nodes, cells = g.n + 1, g.n
-    return LineBlocks(
-        grid=g, Cinv_k=Cinv_k, Linv_k=Linv_k,
-        Cinv=_repeat_block(Cinv_k, nodes),
-        Linv=_repeat_block(Linv_k, cells),
-        Rm=_repeat_block(m.R, cells),
-        Gm=_repeat_block(m.G, nodes),
-    )
+    return LineBlocks(grid=g, materials=m)

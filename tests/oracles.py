@@ -204,9 +204,9 @@ def block_operators(bundle: OperatorBundle) -> dict:
         [-g.Dt, g.Dt @ bundle.Pm_T if coupled else None, None, None],
         [None, C_H, None, None],
     ], format="csr")
-    Rd = sp.block_diag([line.Rm, sp.csr_matrix((lay.n_faces, lay.n_faces)), line.Gm,
+    Rd = sp.block_diag([line.rm(), sp.csr_matrix((lay.n_faces, lay.n_faces)), line.gm(),
                         sp.diags(curls.sigma_edge())], format="csr")
-    Hd = sp.block_diag([line.Linv, sp.diags(curls.mu_inv()), line.Cinv,
+    Hd = sp.block_diag([line.linv(), sp.diags(curls.mu_inv()), line.cinv(),
                         sp.diags(curls.eps_inv())], format="csr")
     M = sp.block_diag([g.Mc, sp.identity(lay.n_faces) * h3, g.Mn,
                        sp.identity(lay.n_edges) * h3], format="csr")

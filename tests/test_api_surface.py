@@ -10,10 +10,12 @@ only ``__init__`` imports has no caller.  Dunders and underscore names are
 exempt.
 
 A defaulted parameter that no caller sets is a knob without a user: a
-value only a test changes is a module constant the test can patch.  A
-parameter counts as set when some call of the function's name (of the
-class, for ``__init__``) in the package, a demo or perfbench (whose op
-calls ``cli.main(argv)``) passes it by keyword or by position, or passes
+value only a test changes is a module constant the test can patch.  This
+holds for every function and method of the package, underscore names
+included (dunders other than ``__init__`` are exempt).  A parameter counts
+as set when some call of the function's name (of the class, for
+``__init__``) in the package, a demo or perfbench (whose op calls
+``cli.main(argv)``) passes it by keyword or by position, or passes
 ``*args`` or ``**kwargs``.
 
 An annotated field that nothing reads is state without a user: every
@@ -67,28 +69,29 @@ def test_every_public_name_has_a_caller_outside_the_tests():
     assert not unused, f"public names that nothing in src/ or demos/ uses: {unused}"
 
 
-def public_callables(tree):
+def callables(tree):
     """(qualified name, called name, definition, is a method) of the
-    module's public functions and of its public classes' ``__init__``
-    (called by the class name) and public methods."""
+    module's functions and of its classes' ``__init__`` (called by the
+    class name) and other methods, underscore names included.  The other
+    dunders are called by Python, not by name, and are skipped."""
     for node in tree.body:
-        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+        if isinstance(node, ast.FunctionDef):
             yield node.name, node.name, node, False
-        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+        elif isinstance(node, ast.ClassDef):
             for item in node.body:
                 if not isinstance(item, ast.FunctionDef):
                     continue
                 if item.name == "__init__":
                     yield node.name, node.name, item, True
-                elif not item.name.startswith("_"):
+                elif not (item.name.startswith("__") and item.name.endswith("__")):
                     yield f"{node.name}.{item.name}", item.name, item, True
 
 
 def defaulted_parameters(tree):
     """(qualified name, called name, parameter, position) of every defaulted
-    parameter of a public callable.  The position counts the arguments of a
+    parameter of a callable.  The position counts the arguments of a
     call, so a method's skips ``self``; a keyword-only parameter has none."""
-    for qualified, called, fn, method in public_callables(tree):
+    for qualified, called, fn, method in callables(tree):
         args = fn.args
         positional = args.posonlyargs + args.args
         first = len(positional) - len(args.defaults)

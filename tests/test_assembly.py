@@ -258,7 +258,7 @@ def test_closed_loop_energy_identity(setup):
     for _ in range(5):
         x = rng.standard_normal(bundle.n) + 1j * rng.standard_normal(bundle.n)
         u = rng.standard_normal(law.m) + 1j * rng.standard_normal(law.m)
-        e = bundle.effort(x)
+        e = bundle.Hd @ x
         xdot = loop.A @ x + loop.Bu @ u
         power_flow = float(np.real(np.vdot(x, ME @ xdot)))
         g = ghost_currents(loop, e, u)

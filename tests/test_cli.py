@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from cablefield import sim
-from cablefield.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, main
+from cablefield.cli import EXIT_FAIL, EXIT_OK, EXIT_SOLVER, EXIT_USAGE, main
 from cablefield.scenario import build_scenario
 
 
@@ -167,6 +167,7 @@ SIGMA_NEGATIVE = np.hstack([np.eye(4), -np.eye(4)]).tolist()
     ("boundary.W_B_inp", SIGMA_NEGATIVE),
     ("sim.initial", {"kind": "lift"}),               # collar 0.06 m, h = 0.1
     ("fields.grid", [2, 2, 2]),                      # spacings 0.8, 0.5, 0.9
+    ("fields.grid", [8, 5, 9]),                      # h = 0.2: tubes 2 cells across
 ])
 def test_every_command_refuses_what_validate_refuses(tmp_path, scenario_config, capsys,
                                                      monkeypatch, key, value):
@@ -187,7 +188,7 @@ def test_every_command_refuses_what_validate_refuses(tmp_path, scenario_config, 
         assert main([command, path, "--output-dir", str(tmp_path / "out")]) == EXIT_FAIL
         err = capsys.readouterr().err
         assert ("not admissible" in err or "thinner than two grid cells" in err
-                or "unequal spacings" in err), command
+                or "unequal spacings" in err or "cells across the diameter" in err), command
 
 
 def test_certify_builds_the_completion_once(scenario_path, monkeypatch, capsys):
@@ -557,6 +558,49 @@ def test_simulate_zero_everything_all_zero_rows(tmp_path, scenario_config, capsy
     assert np.abs(data[:, 1:]).max() == 0.0
 
 
+def test_simulate_seed_replaces_the_scenario_seed(tmp_path, capsys):
+    # a random initial state without a seed of its own draws from the
+    # scenario's seed, which --seed replaces
+    config = single_cable_config(0.01, 0.05)
+    config["sim"]["initial"] = {"kind": "random"}
+    path = write(tmp_path, config)
+    config["seed"] = 7
+    seeded = write(tmp_path, config, "seeded.json")
+    runs = {}
+    for name, argv in (("flag", [path, "--seed", "7"]), ("file", [seeded]),
+                       ("default", [path])):
+        assert main(["simulate", *argv, "--output-dir", str(tmp_path / name)]) == EXIT_OK
+        runs[name] = (tmp_path / name / "trajectory.csv").read_bytes()
+    assert runs["flag"] == runs["file"] != runs["default"]
+
+
+def test_complex_input_runs_complex_and_closes_the_ledger(tmp_path, capsys):
+    # a complex amplitude runs a complex state: the energy forms take the
+    # conjugate, and the CSV appends the imaginary parts of u and y
+    dt = 1e-3
+    config = single_cable_config(dt, 0.2)
+    config["sim"]["input"]["amplitude"] = [[0.3, 0.2], [0.3, 0.0]]
+    out = tmp_path / "out"
+    assert main(["simulate", write(tmp_path, config), "--output-dir", str(out)]) == EXIT_OK
+    summary = json.loads(capsys.readouterr().out)
+    # the second-order bound of criterion 5 (1e-8 at dt = 2e-5) is 25 dt^2
+    assert summary["max_ledger_residual"] <= 25 * dt ** 2 * summary["peak_energy"]
+    header = (out / "trajectory.csv").read_text().splitlines()[0].split(",")
+    assert header[-4:] == ["u_1_im", "u_2_im", "y_1_im", "y_2_im"]
+    data = np.loadtxt(out / "trajectory.csv", delimiter=",", skiprows=1)
+    assert np.abs(data[:, header.index("u_1_im")]).max() > 0
+    assert np.abs(data[:, header.index("y_1_im")]).max() > 0
+
+
+def test_a_step_over_the_solver_tolerance_exits_3(tmp_path, capsys):
+    # no solve meets a residual of 1e-30 of the right-hand side
+    config = single_cable_config(0.01, 0.05)
+    config["sim"]["solver_tol"] = 1e-30
+    assert main(["simulate", write(tmp_path, config),
+                 "--output-dir", str(tmp_path / "out")]) == EXIT_SOLVER
+    assert "solver error: midpoint solve residual" in capsys.readouterr().err
+
+
 def test_simulate_deterministic(tmp_path, scenario_config):
     scenario_config["sim"]["initial"] = {"kind": "random", "seed": 3}
     path = write(tmp_path, scenario_config)
@@ -608,6 +652,14 @@ def test_converge_studies_a_cable_on_any_line(tmp_path, scenario_config, capsys)
     path = write(tmp_path, scenario_config)
     assert main(["converge", path, "--levels", "2"]) == EXIT_OK
     assert "pmag_adjoint_vs_quadrature" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("levels", ["0", "-1"])
+def test_converge_levels_below_1_exit_2(tmp_path, capsys, levels):
+    # -1 used to die with an IndexError, and 0 to exit 0 with empty rows
+    path = write(tmp_path, single_cable_config(0.01, 0.05))
+    assert main(["converge", path, "--levels", levels]) == EXIT_USAGE
+    assert f"--levels must be at least 1, got {levels}" in capsys.readouterr().err
 
 
 def test_converge_without_cables_exits_2(tmp_path, capsys):

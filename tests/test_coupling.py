@@ -211,7 +211,7 @@ def test_lift_plateau_values_exact_for_any_voltage(lift_setup):
     assert np.abs(lift[support][plateau] - expected).max() <= 1e-9
 
 
-def test_lift_trace_matches_pel(lift_setup):
+def test_lift_trace_matches_pel(lift_setup, monkeypatch):
     # surface samples of the lift (interpolated from the plateau edges)
     # reproduce Pel(D_eta V) within the O(h) interpolation tolerance
     spec, grid, lg, chart = lift_setup
@@ -219,8 +219,10 @@ def test_lift_trace_matches_pel(lift_setup):
     lift = lift_voltage(chart, grid, V, lg)
     target = (assemble_P_el([chart], lg).Pel @ (lg.D @ V)).reshape(-1, 3)
 
+    from cablefield import maxwell
     from cablefield.maxwell import _interp_rows
     import scipy.sparse as sps
+    monkeypatch.setattr(maxwell, "_RADIUS_FACTOR", 2.5)
     mids = grid.edge_midpoints()
     dirs_all = grid.edge_direction(np.arange(mids.shape[0]))
     support = np.nonzero(lift)[0]
@@ -235,7 +237,7 @@ def test_lift_trace_matches_pel(lift_setup):
             # values are identically zero and so is the target
             assert np.abs(target[:, c]).max() <= 1e-12
             continue
-        rows, cols, vals = _interp_rows(pts, mids[sel], grid.h, radius_factor=2.5)
+        rows, cols, vals = _interp_rows(pts, mids[sel], grid.h)
         R = sps.csr_matrix((vals, (rows, cols)), shape=(pts.shape[0], sel.size))
         sampled[:, c] = R @ lift[sel]
     err = np.abs(sampled - target).max()

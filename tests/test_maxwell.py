@@ -507,7 +507,8 @@ def test_interp_rows_empty_stencil_raises():
     assert f"{nearest:.4g}" in str(err.value) and "0.225" in str(err.value)
 
 
-def test_a_two_point_stencil_gets_finite_weights(scenario_config):
+def test_a_two_point_stencil_gets_finite_weights(scenario_config, monkeypatch):
+    from cablefield import maxwell
     from cablefield.maxwell import _interp_rows
     from cablefield.scenario import read_scenario
 
@@ -521,11 +522,11 @@ def test_a_two_point_stencil_gets_finite_weights(scenario_config):
     quad = np.concatenate([spec.chart(i, n_eta=12, n_theta=12).quad_points()
                            for i in range(2)])
     bounds = np.searchsorted(grid.dof_faces, grid.face_offsets)
+    monkeypatch.setattr(maxwell, "_RADIUS_FACTOR", 1.125)
     smallest = []
     for c in range(3):
         ids = grid.dof_faces[bounds[c]:bounds[c + 1]]
-        rows, _, vals = _interp_rows(quad, grid.face_midpoints(ids), grid.h,
-                                     radius_factor=1.125)
+        rows, _, vals = _interp_rows(quad, grid.face_midpoints(ids), grid.h)
         smallest.append(np.bincount(rows).min())
         assert np.all(np.isfinite(vals))
         assert np.abs(np.bincount(rows, weights=vals) - 1.0).max() <= 1e-12

@@ -4,7 +4,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from cablefield import sim
+from cablefield import sim, tline
 from cablefield.assembly import hodge_extremes
 from cablefield.errors import ConfigError, CouplingError
 from cablefield.scenario import build_scenario, check_scenario, parse_complex, read_scenario
@@ -60,6 +60,34 @@ def single_cable_config():
         "sim": {"dt": 0.01, "T": 0.1, "input": {"kind": "zero"},
                 "initial": {"kind": "smooth"}},
     }
+
+
+# the curved cables of test_acceptance.CURVED_CABLES as scenario entries
+CURVED_ENTRIES = {
+    "arc": {"type": "arc", "center": [-0.6, 0.35, 0.6], "u": [1, 0, 0], "v": [0, 0, 1],
+            "rho": 1.0, "phi0": -0.33, "phi1": 0.33, "radius": 0.2},
+    "helix": {"type": "helix", "base": [0.35, 0.35, 0.25], "axis": [0, 0, 1], "a": 0.06,
+              "b": 0.15, "turns": 0.74, "radius": 0.2},
+    "spline": {"type": "spline", "points": [[0.35, 0.34, 0.29], [0.36, 0.35, 0.52],
+                                            [0.34, 0.36, 0.76], [0.35, 0.35, 0.99]],
+               "radius": 0.2},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(CURVED_ENTRIES))
+def test_curved_cable_entries_read_as_their_constructors(kind):
+    from test_acceptance import CURVED_CABLES
+
+    box, n, cable = CURVED_CABLES[kind]
+    cfg = single_cable_config()
+    cfg["geometry"].update(box=box, cables=[CURVED_ENTRIES[kind]])
+    cfg["fields"]["grid"] = list(n)
+    spec = read_scenario(cfg)
+    read, direct = spec.geometry.cables[0], cable()
+    assert type(read) is type(direct)
+    eta = np.linspace(0.0, 1.0, 17)
+    assert np.array_equal(read.alpha(eta), direct.alpha(eta))
+    assert check_scenario(spec)["passed"]
 
 
 def test_lift_V0_must_be_real():
@@ -260,7 +288,7 @@ def test_zero_imaginary_amplitudes_run_real():
     assert np.allclose(traj.energy, energies, rtol=1e-12, atol=0)
 
 
-OPERATORS = ("J", "Rd", "Hd", "M", "Lg_state")
+OPERATORS = ("J", "Rd", "Hd", "M")
 
 
 @pytest.mark.parametrize("case", ["pair", "single"])
@@ -299,22 +327,23 @@ def test_hodge_extremes_read_from_the_blocks(scenario_config):
     assert extremes[0] < 0.5 and extremes[1] > 1.5
 
 
-def test_hodge_extremes_form_no_dense_copy(scenario_config, monkeypatch):
-    # the line blocks hold (n k)^2 entries dense: 1.7 GB at 10^4 cells with
-    # k = 2; the extremes read the one k x k L^-1 and C^-1 instead
+def test_hodge_extremes_form_no_repeated_block(scenario_config, monkeypatch):
+    # a line block holds (n k)^2 entries dense: 1.7 GB at 10^4 cells with
+    # k = 2; the extremes read the one k x k L and C instead, and form no
+    # repeated block, sparse or dense
     bundle = build_scenario(scenario_config).bundle
     expected = hodge_extremes_from_Hd(bundle)
     vars(bundle).pop("Hd")
     eigvalsh = np.linalg.eigvalsh
 
-    def refuse(self, *args, **kwargs):
-        raise AssertionError("dense copy of a sparse matrix")
+    def refuse(*args, **kwargs):
+        raise AssertionError("a repeated line block was formed")
 
     def small(a):
         assert a.shape == (bundle.k, bundle.k), a.shape
         return eigvalsh(a)
 
-    monkeypatch.setattr(type(bundle.line.Cinv), "toarray", refuse)
+    monkeypatch.setattr(tline, "_repeat_block", refuse)
     monkeypatch.setattr(np.linalg, "eigvalsh", small)
     assert hodge_extremes(bundle) == expected
     assert "Hd" not in vars(bundle)

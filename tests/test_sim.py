@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from cablefield import sim
+from cablefield import sim, tline
 from cablefield.assembly import build_closed_loop, hodge_extremes
 from cablefield.certify import PortLaw, build_colocated_output, wellposedness_constants
 from cablefield.errors import ConfigError, DomainError, SolverError
@@ -24,7 +24,14 @@ from cablefield.sim import (
 )
 from cablefield.tline import LineMaterials
 
-from oracles import completion_form, energy, midpoint_step, reverse_run, used_ports
+from oracles import (
+    block_operators,
+    completion_form,
+    energy,
+    midpoint_step,
+    reverse_run,
+    used_ports,
+)
 from test_acceptance import criterion3_bundle
 from test_assembly import make_setup
 
@@ -223,7 +230,7 @@ def test_records_match_the_bundle_forms(lossy):
         assert len(states) == n_rec
         assert np.array_equal(states[-1], traj.x_final)
         for j, (t, x) in enumerate(zip(traj.times, states)):
-            e = bundle.effort(x)
+            e = bundle.Hd @ x
             u = cfg.input(t)
             zeta = used_ports(loop, e, u)
             assert t == pytest.approx(min(j * stride, n_steps) * cfg.dt, rel=1e-14)
@@ -387,26 +394,23 @@ def test_lifted_initial_state():
     assert energy(bundle, x0) > 0
 
 
-def test_lifted_state_reads_the_line_blocks_sparse(monkeypatch):
-    # q = C V0 node by node, from the one k x k C^-1 of the line: a dense
-    # copy of C^-1 holds (nodes k)^2 floats, 3.2 GB at 10^4 cells with k = 2
+def test_lifted_state_forms_the_charge_from_the_k_by_k_C(monkeypatch):
+    # q = C V0 node by node, from the one k x k C of the line: no repeated
+    # block is formed (a dense one holds (nodes k)^2 floats, 3.2 GB at 10^4
+    # cells with k = 2)
     C = np.array([[1.5, 0.3], [0.3, 1.0]])
     bundle, chart = lift_bundle(LineMaterials(k=2, C=C))
     nodes = bundle.line.grid.n + 1
     V0 = np.sin(np.pi * bundle.line.grid.nodes)
     V = np.zeros((nodes, 2))
     V[:, chart.curve.line] = V0
-    dense = bundle.line.Cinv.toarray().reshape(nodes, 2, nodes, 2)
-    expected = np.linalg.solve(dense[np.arange(nodes), :, np.arange(nodes), :],
-                               V[..., None]).ravel()
 
-    def refuse(self, *args, **kwargs):
-        raise AssertionError("dense copy of a sparse matrix")
+    def refuse(*args, **kwargs):
+        raise AssertionError("a repeated line block was formed")
 
-    monkeypatch.setattr(type(bundle.line.Cinv), "toarray", refuse)
+    monkeypatch.setattr(tline, "_repeat_block", refuse)
     x0 = lifted_state(bundle, chart, V0)
-    assert np.array_equal(x0[bundle.layout.sl_V], expected)
-    assert np.allclose(x0[bundle.layout.sl_V], (V @ C.T).ravel(), rtol=0, atol=1e-14)
+    assert np.array_equal(x0[bundle.layout.sl_V], (V @ C.T).ravel())
 
 
 def test_csv_writer(tmp_path, lossy):
@@ -732,7 +736,8 @@ def test_the_closed_loop_keeps_no_J():
     J = bundle.J
     assert "J" not in vars(bundle) and bundle.J is not J
     delta = sp.csr_matrix(loop.G_fb) @ bundle.B2 - bundle.B1
-    ref = ((J + bundle.Lg_state @ delta - bundle.Rd) @ bundle.Hd).tocsr()
+    Lg_state = block_operators(bundle)["Lg_state"]
+    ref = ((J + Lg_state @ delta - bundle.Rd) @ bundle.Hd).tocsr()
     for name in ("data", "indices", "indptr"):
         assert np.array_equal(getattr(loop.A, name), getattr(ref, name))
 

@@ -141,13 +141,13 @@ def test_validate_materials_examples():
 def test_assemble_line_unit_materials():
     g = build_line_grid(4, 1)
     blocks = assemble_line(LineMaterials(k=1), g)
-    assert np.allclose(blocks.Cinv.toarray(), np.eye(g.n_nodes))
-    assert np.allclose(blocks.Linv.toarray(), np.eye(g.n_cells))
+    assert np.allclose(blocks.cinv().toarray(), np.eye(g.n_nodes))
+    assert np.allclose(blocks.linv().toarray(), np.eye(g.n_cells))
     # zero state -> zero time derivative
     psi = np.zeros(g.n_cells)
     q = np.zeros(g.n_nodes)
-    dpsi = -(g.D @ (blocks.Cinv @ q)) - blocks.Rm @ (blocks.Linv @ psi)
-    dq = -(g.Dt @ (blocks.Linv @ psi)) - blocks.Gm @ (blocks.Cinv @ q)
+    dpsi = -(g.D @ (blocks.cinv() @ q)) - blocks.rm() @ (blocks.linv() @ psi)
+    dq = -(g.Dt @ (blocks.linv() @ psi)) - blocks.gm() @ (blocks.cinv() @ q)
     assert not dpsi.any() and not dq.any()
 
 
@@ -155,6 +155,8 @@ def test_assemble_line_rejects_bad_materials():
     g = build_line_grid(4, 1)
     with pytest.raises(MaterialsError):
         assemble_line(LineMaterials(k=1, C=0.0), g)
+    with pytest.raises(MaterialsError, match="materials have k=2, grid has k=1"):
+        assemble_line(LineMaterials(k=2), g)
 
 
 def test_periodic_lossless_spectrum():
@@ -175,16 +177,18 @@ def test_periodic_lossless_spectrum():
 
 
 def test_constant_materials_repeat_one_block_per_sample():
+    # the line keeps the grid and the k x k materials, and forms each
+    # repeated block when it is read
     C = np.array([[2.0, 0.3], [0.3, 1.0]])
     m = LineMaterials(k=2, C=C, L=0.5, R=0.2)
     g = build_line_grid(5, 2)
     blocks = assemble_line(m, g)
-    assert np.array_equal(blocks.Cinv_k, np.linalg.inv(C))
-    assert np.array_equal(blocks.Linv_k, 2.0 * np.eye(2))
-    for block, k_by_k, count in ((blocks.Cinv, blocks.Cinv_k, g.n + 1),
-                                 (blocks.Linv, blocks.Linv_k, g.n),
-                                 (blocks.Rm, 0.2 * np.eye(2), g.n),
-                                 (blocks.Gm, np.zeros((2, 2)), g.n + 1)):
+    assert set(vars(blocks)) == {"grid", "materials"} and blocks.materials is m
+    for block, k_by_k, count in ((blocks.cinv(), np.linalg.inv(C), g.n + 1),
+                                 (blocks.linv(), 2.0 * np.eye(2), g.n),
+                                 (blocks.rm(), 0.2 * np.eye(2), g.n),
+                                 (blocks.gm(), np.zeros((2, 2)), g.n + 1)):
+        assert block.format == "csr"
         assert np.array_equal(block.toarray(), np.kron(np.eye(count), k_by_k))
 
 
